@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .profiles import OMEGA_MAX, TEST_FUNCTION, RadialProfile
+from .profiles import TEST_FUNCTION, RadialProfile, even_grid
 from .quadrature import radial_grad_sq, radial_moment
 from .shooting import check_frequency
 
@@ -50,10 +50,7 @@ def soliton_profile_1d(omega: float, spacing: float = 0.005,
     if x_max is None:
         # reach machine-negligible tails: phi^2 ~ exp(-2 sqrt(omega) x)
         x_max = 40.0 / math.sqrt(omega)
-    n = int(round(x_max / spacing))
-    if n % 2:
-        n += 1
-    grid = spacing * np.arange(n + 1)
+    grid = even_grid(x_max, spacing)
     return RadialProfile(
         grid=grid, values=soliton_1d(omega, grid),
         derivs=soliton_1d_derivative(omega, grid),

@@ -11,8 +11,9 @@ frequency from a shooting solution at the switch point.
 Each continuation step seeds the next solve by *translating the front*:
 the front radius is extrapolated linearly in 1/(3/16 - omega) and the
 previous profile is shifted so its front lands at the predicted position.
-Accepted rungs are cached at module level, so repeated solves (frequency
-scans, derivative stencils) reuse the ladder instead of rebuilding it.
+Accepted rungs are cached at module level, one ladder per configuration,
+so repeated solves (frequency scans, derivative stencils) reuse the ladder
+instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainTooSmall, InnerSolveDiverged
-from .profiles import GROUND_STATE, OMEGA_MAX, RadialProfile, ShootingConfig
+from .profiles import OMEGA_MAX, RadialProfile, ShootingConfig
+from .shooting import _matched_profile
 
 #: largest frequency handled by pure shooting; collocation above this
 OMEGA_SHOOTING_MAX = 0.155
@@ -35,8 +37,8 @@ _STEP_MAX = 3e-3
 _STEP_MIN = 1e-7
 _TAIL_MARGIN = 60.0
 
-# accepted continuation rungs: omega -> (mesh, u, v); shared across calls
-_ladder: dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# accepted continuation rungs per config fingerprint: omega -> (mesh, u, v)
+_ladder: dict[str, dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
 
 def _front_radius(mesh: np.ndarray, u: np.ndarray) -> float:
@@ -64,20 +66,20 @@ def _collocation_solve(omega: float, mesh, u, v):
                      tol=_TOL, max_nodes=_MAX_NODES)
 
 
-def _predict(omega_from: float, omega_to: float):
+def _predict(ladder: dict, omega_from: float, omega_to: float):
     """Seed mesh/values for omega_to by front translation from the ladder."""
-    mesh, u, v = _ladder[omega_from]
+    mesh, u, v = ladder[omega_from]
     delta_from = OMEGA_MAX - omega_from
     delta_to = OMEGA_MAX - omega_to
     front_from = _front_radius(mesh, u)
 
-    rungs = sorted(_ladder)
+    rungs = sorted(ladder)
     if len(rungs) >= 2:
         # linear extrapolation of the front position in 1/(3/16 - omega)
         o2 = omega_from
         o1 = min((o for o in rungs if o != o2), key=lambda o: abs(o - o2))
         d1, d2 = OMEGA_MAX - o1, OMEGA_MAX - o2
-        r1 = _front_radius(*_ladder[o1][:2])
+        r1 = _front_radius(*ladder[o1][:2])
         slope = (front_from - r1) / (1.0 / d2 - 1.0 / d1)
         front_to = front_from + slope * (1.0 / delta_to - 1.0 / d2)
     else:
@@ -104,14 +106,14 @@ def _predict(omega_from: float, omega_to: float):
     return mesh_new, u_new, v_new
 
 
-def _bootstrap(cfg: ShootingConfig):
-    """Seed the ladder with a shooting solution at the switch frequency."""
+def _bootstrap(cfg: ShootingConfig) -> dict:
+    """A new ladder seeded with a shooting solution at the switch frequency."""
     from .shooting import _solve
 
     base = _solve(OMEGA_SHOOTING_MAX, cfg, quintic=True)
     radius = _front_radius(base.grid, base.values) + _TAIL_MARGIN
     mesh = np.linspace(0.0, radius, 4001)
-    u = base(mesh)
+    u = base.interpolate(mesh)
     v = np.gradient(u, mesh)
     v[0] = 0.0
     sol = _collocation_solve(OMEGA_SHOOTING_MAX, mesh, u, v)
@@ -119,18 +121,20 @@ def _bootstrap(cfg: ShootingConfig):
         raise InnerSolveDiverged(
             f"collocation bootstrap at omega={OMEGA_SHOOTING_MAX} failed: {sol.message}"
         )
-    _ladder[OMEGA_SHOOTING_MAX] = (sol.x, sol.y[0], sol.y[1])
+    return {OMEGA_SHOOTING_MAX: (sol.x, sol.y[0], sol.y[1])}
 
 
 def _climb(omega: float, cfg: ShootingConfig):
-    """Continue the ladder in frequency until a rung lands on omega."""
-    if not _ladder:
-        _bootstrap(cfg)
-    if omega in _ladder:
-        return _ladder[omega]
+    """Continue the config's ladder in frequency until a rung lands on omega."""
+    key = cfg.fingerprint()
+    if key not in _ladder:
+        _ladder[key] = _bootstrap(cfg)
+    ladder = _ladder[key]
+    if omega in ladder:
+        return ladder[omega]
     # nearest rung in 1/(3/16 - omega), the variable the front is linear in
     target_scale = 1.0 / (OMEGA_MAX - omega)
-    current = min(_ladder, key=lambda o: abs(1.0 / (OMEGA_MAX - o) - target_scale))
+    current = min(ladder, key=lambda o: abs(1.0 / (OMEGA_MAX - o) - target_scale))
 
     step = _STEP_MAX
     while current != omega:
@@ -141,11 +145,11 @@ def _climb(omega: float, cfg: ShootingConfig):
         omega_next = current + direction * step
         if direction * (omega_next - omega) >= 0.0:
             omega_next = omega
-        mesh, u, v = _predict(current, omega_next)
+        mesh, u, v = _predict(ladder, current, omega_next)
         sol = _collocation_solve(omega_next, mesh, u, v)
         if sol.status == 0 and sol.y[0, 0] > 0.5:
             current = omega_next
-            _ladder[current] = (sol.x, sol.y[0], sol.y[1])
+            ladder[current] = (sol.x, sol.y[0], sol.y[1])
             step *= 1.4
         else:
             step *= 0.5
@@ -154,14 +158,13 @@ def _climb(omega: float, cfg: ShootingConfig):
                     f"collocation continuation stalled at omega={current:.6f} "
                     f"heading for {omega:.6f}: {sol.message}"
                 )
-    return _ladder[omega]
+    return ladder[omega]
 
 
 def solve_collocation(omega: float, cfg: ShootingConfig) -> RadialProfile:
     """Ground state by collocation continuation from the shooting regime."""
     mesh, u, v = _climb(omega, cfg)
     amplitude = float(u[0])
-    decay = math.sqrt(omega)
     w_lo, w_hi = cfg.matching_window
 
     below_hi = np.nonzero(u < w_hi * amplitude)[0]
@@ -170,28 +173,6 @@ def solve_collocation(omega: float, cfg: ShootingConfig) -> RadialProfile:
         raise DomainTooSmall("collocation domain does not reach the matching window")
     r_a, r_b = float(mesh[below_hi[0]]), float(mesh[below_lo[0]])
 
-    h = cfg.grid_spacing
-    n = int(math.floor(r_b / h))
-    if n % 2:
-        n -= 1
-    grid = h * np.arange(n + 1)
     spline = CubicHermiteSpline(mesh, u, v)
-    u_grid = spline(grid)
-    v_grid = spline(grid, 1)
-    u_grid[0], v_grid[0] = amplitude, 0.0
-
-    window = (grid >= r_a) & (grid <= r_b)
-    rw = grid[window]
-    zw = u_grid[window] * rw * np.exp(decay * rw)
-    c = float(np.mean(zw))
-    mismatch = float(np.max(np.abs(zw - c)) / abs(c))
-    if mismatch > cfg.tail_tol:
-        raise DomainTooSmall(
-            f"collocation tail fit mismatch {mismatch:.2e} exceeds {cfg.tail_tol:g}"
-        )
-
-    return RadialProfile(
-        grid=grid, values=u_grid, derivs=v_grid, omega=omega,
-        amplitude=amplitude, tail_constant=c,
-        truncation_radius=float(grid[-1]), kind=GROUND_STATE, decay_rate=decay,
-    )
+    return _matched_profile(lambda grid: (spline(grid), spline(grid, 1)),
+                           amplitude, omega, True, r_a, r_b, cfg)

@@ -80,6 +80,11 @@ def _out_dir(args) -> Path:
     return path
 
 
+def _write_json(path: Path, payload: dict):
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
 def _write_manifest(directory: Path, command: str, options: dict,
                     wall_time: float, extra: dict | None = None):
     manifest = {
@@ -93,8 +98,7 @@ def _write_manifest(directory: Path, command: str, options: dict,
     }
     if extra:
         manifest.update(extra)
-    with (directory / "manifest.json").open("w") as fh:
-        json.dump(manifest, fh, indent=2)
+    _write_json(directory / "manifest.json", manifest)
 
 
 def _shooting_config(options: dict) -> ShootingConfig:
@@ -104,86 +108,97 @@ def _shooting_config(options: dict) -> ShootingConfig:
     return ShootingConfig(**kwargs)
 
 
-def cmd_solve(args) -> int:
+#: subcommand name -> (help, flags, run); see ``_command``
+_COMMANDS: dict = {}
+_OMEGA = ("--omega", {"required": True})
+_GRID_FLAGS = (("--grid-size", {}), ("--omega-min", {}), ("--omega-max", {}))
+
+
+def _command(help_text: str, *flags):
+    """Register ``cmd_<name>(options, cfg, out) -> (exit code, manifest extras)``.
+
+    ``flags`` are (flag, argparse keyword) pairs; every command also takes
+    --out, --config and --ode-tol.  The shared skeleton merges the options,
+    builds the shooting config, creates the output directory and writes
+    the manifest.
+    """
+    def register(run):
+        _COMMANDS[run.__name__.removeprefix("cmd_")] = (help_text, flags, run)
+        return run
+    return register
+
+
+def _run_command(args) -> int:
     start = time.time()
-    options = _effective_options(args, ["omega", "ode_tol"])
-    omega = _coerce_float(options["omega"])
+    _, flags, run = _COMMANDS[args.command]
+    keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["ode_tol"]
+    options = _effective_options(args, keys)
     out = _out_dir(args)
-    cfg = _shooting_config(options)
+    code, extra = run(options, _shooting_config(options), out)
+    _write_manifest(out, args.command, options, time.time() - start, extra)
+    return code
+
+
+@_command("solve one ground state", _OMEGA)
+def cmd_solve(options, cfg, out):
+    omega = _coerce_float(options["omega"])
     profile = solve_ground_state(omega, cfg)
     report = evaluate(profile)
     residuals = {"nehari": report.nehari_residual,
                  "pohozaev": report.pohozaev_residual}
-    profile.to_csv(out / "profile.csv")
-    with (out / "report.json").open("w") as fh:
-        payload = report.as_dict()
-        payload["omega"] = omega
-        json.dump(payload, fh, indent=2)
-    _write_manifest(out, "solve", options, time.time() - start,
-                    {"residuals": residuals})
+    profile.save(out, cfg, residuals)
+    _write_json(out / "report.json", {**report.as_dict(), "omega": omega})
+    extra = {"residuals": residuals}
     if (report.nehari_residual > RESIDUAL_GATE
             or report.pohozaev_residual > RESIDUAL_GATE):
         print(f"residual gate failed: nehari={report.nehari_residual:.2e}, "
               f"pohozaev={report.pohozaev_residual:.2e} exceed {RESIDUAL_GATE:g}",
               file=sys.stderr)
-        return 3
+        return 3, extra
     print(f"solved omega={omega}: residuals {residuals}")
-    return 0
+    return 0, extra
 
 
-def _scan_grid(options) -> np.ndarray:
+def _scan(options, cfg) -> curves_mod.FrequencyCurve:
     n = int(options.get("grid_size") or 60)
     lo = _coerce_float(options.get("omega_min"), 0.004)
     hi = _coerce_float(options.get("omega_max"), 0.185)
-    return curves_mod.default_omega_grid(n, lo, hi)
+    return curves_mod.scan(curves_mod.default_omega_grid(n, lo, hi), cfg)
 
 
-def _run_scan(options, differentiate: bool = False):
-    cfg = _shooting_config(options)
-    curve = curves_mod.scan(_scan_grid(options), cfg)
-    if differentiate:
+def _critical(options, cfg):
+    curve = _scan(options, cfg)
+    return curve, curves_mod.locate_critical(curve, cfg)
+
+
+@_command("sweep the frequency window",
+          ("--derivatives", {"action": "store_true"}), *_GRID_FLAGS)
+def cmd_scan(options, cfg, out):
+    curve = _scan(options, cfg)
+    if options.get("derivatives"):
         curve = curves_mod.differentiate(curve, cfg)
-    return curve, cfg
-
-
-def cmd_scan(args) -> int:
-    start = time.time()
-    options = _effective_options(
-        args, ["grid_size", "omega_min", "omega_max", "ode_tol", "derivatives"])
-    out = _out_dir(args)
-    curve, _ = _run_scan(options, differentiate=bool(options.get("derivatives")))
     curve.to_csv(out / "curve.csv")
-    _write_manifest(out, "scan", options, time.time() - start,
-                    {"failures": [list(f) for f in curve.failures],
-                     "points": len(curve.points)})
     print(f"scanned {len(curve.points)} frequencies "
           f"({len(curve.failures)} failures) -> {out / 'curve.csv'}")
-    return 0 if curve.points else 3
+    return (0 if curve.points else 3), {"failures": [list(f) for f in curve.failures],
+                                        "points": len(curve.points)}
 
 
-def cmd_critical(args) -> int:
-    start = time.time()
-    options = _effective_options(
-        args, ["grid_size", "omega_min", "omega_max", "ode_tol"])
-    out = _out_dir(args)
-    curve, cfg = _run_scan(options)
-    crit = curves_mod.locate_critical(curve, cfg)
+@_command("locate the critical frequencies", *_GRID_FLAGS)
+def cmd_critical(options, cfg, out):
+    curve, crit = _critical(options, cfg)
     curve = curves_mod.classify_stability(curve, crit)
     curve.to_csv(out / "curve.csv")
     crit.to_json(out / "critical.json")
-    _write_manifest(out, "critical", options, time.time() - start,
-                    {"failures": [list(f) for f in curve.failures]})
     print(json.dumps(crit.as_dict(), indent=2))
-    return 0
+    return 0, {"failures": [list(f) for f in curve.failures]}
 
 
-def cmd_classify(args) -> int:
-    start = time.time()
-    options = _effective_options(
-        args, ["mass", "mass_ratio", "grid_size", "omega_min", "omega_max", "ode_tol"])
-    out = _out_dir(args)
-    curve, cfg = _run_scan(options)
-    crit = curves_mod.locate_critical(curve, cfg)
+@_command("count normalized solutions at a mass", ("--mass", {}),
+          ("--mass-ratio", {"help": "mass as a multiple of the minimum soliton mass m0"}),
+          *_GRID_FLAGS)
+def cmd_classify(options, cfg, out):
+    curve, crit = _critical(options, cfg)
     if options.get("mass") is not None:
         mass = float(options["mass"])
     elif options.get("mass_ratio") is not None:
@@ -191,65 +206,46 @@ def cmd_classify(args) -> int:
     else:
         raise ValueError("classify needs --mass or --mass-ratio")
     result = landscape_mod.classify_normalized(mass, curve, crit, cfg)
-    with (out / "classification.json").open("w") as fh:
-        json.dump(result.as_dict(), fh, indent=2)
-    _write_manifest(out, "classify", options, time.time() - start)
+    _write_json(out / "classification.json", result.as_dict())
     print(json.dumps(result.as_dict(), indent=2))
-    return 0
+    return 0, None
 
 
-def cmd_landscape(args) -> int:
-    start = time.time()
-    options = _effective_options(
-        args, ["mass_grid", "grid_size", "omega_min", "omega_max", "ode_tol"])
-    out = _out_dir(args)
-    curve, cfg = _run_scan(options)
-    crit = curves_mod.locate_critical(curve, cfg)
+@_command("constrained-minimization table", ("--mass-grid", {}), *_GRID_FLAGS)
+def cmd_landscape(options, cfg, out):
+    curve, crit = _critical(options, cfg)
     n_masses = int(options.get("mass_grid") or 20)
     masses = np.linspace(0.4 * crit.m_threshold, 2.2 * crit.m_q1, n_masses)
     rows = landscape_mod.landscape_table(masses, curve, crit, cfg)
     landscape_mod.write_landscape_csv(rows, out / "landscape.csv")
-    _write_manifest(out, "landscape", options, time.time() - start,
-                    {"critical": crit.as_dict()})
     print(f"landscape table over {n_masses} masses -> {out / 'landscape.csv'}")
-    return 0
+    return 0, {"critical": crit.as_dict()}
 
 
-def cmd_evolve(args) -> int:
-    start = time.time()
-    options = _effective_options(
-        args, ["omega", "perturbation", "t_end", "dt", "ode_tol"])
-    out = _out_dir(args)
-    omega = _coerce_float(options["omega"])
-    size = _coerce_float(options.get("perturbation"), 0.01)
-    t_end = _coerce_float(options.get("t_end"), 100.0)
-    dt = _coerce_float(options.get("dt"), 0.02)
-    result = stability_experiment(omega, size, t_end=t_end, dt=dt,
-                                  cfg=_shooting_config(options))
+@_command("finite-time stability experiment", _OMEGA, ("--perturbation", {}),
+          ("--t-end", {}), ("--dt", {}))
+def cmd_evolve(options, cfg, out):
+    result = stability_experiment(
+        _coerce_float(options["omega"]),
+        _coerce_float(options.get("perturbation"), 0.01),
+        t_end=_coerce_float(options.get("t_end"), 100.0),
+        dt=_coerce_float(options.get("dt"), 0.02), cfg=cfg)
     write_experiment(result, out)
-    _write_manifest(out, "evolve", options, time.time() - start,
-                    {"verdict": result["verdict"]})
     print(f"verdict: {result['verdict']} "
           f"(growth ratio {result['growth_ratio']:.2f})")
-    return 0
+    return 0, {"verdict": result["verdict"]}
 
 
-def cmd_spectra(args) -> int:
-    start = time.time()
-    options = _effective_options(args, ["omega", "n_eigs", "ode_tol"])
-    out = _out_dir(args)
-    omega = _coerce_float(options["omega"])
-    n_eigs = int(options.get("n_eigs") or 6)
-    ground = solve_ground_state(omega, _shooting_config(options))
-    record = linearized_spectra(ground, n_eigs=n_eigs)
-    with (out / "spectra.json").open("w") as fh:
-        json.dump(record, fh, indent=2)
-    _write_manifest(out, "spectra", options, time.time() - start)
+@_command("linearized operator spectra", _OMEGA, ("--n-eigs", {}))
+def cmd_spectra(options, cfg, out):
+    ground = solve_ground_state(_coerce_float(options["omega"]), cfg)
+    record = linearized_spectra(ground, n_eigs=int(options.get("n_eigs") or 6))
+    _write_json(out / "spectra.json", record)
     print(json.dumps(record, indent=2))
-    return 0
+    return 0, None
 
 
-def _validate_checks() -> list[tuple[str, bool, str]]:
+def _validate_checks(cfg: ShootingConfig) -> list[tuple[str, bool, str]]:
     checks = []
 
     gaussian = test_function_profile(
@@ -265,36 +261,26 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     checks.append(("1d nehari identity", oned["nehari_residual"] < 1e-9,
                    f"residual {oned['nehari_residual']:.2e}"))
 
-    for omega in (0.05, 0.09, 0.15):
-        rep = evaluate(solve_ground_state(omega))
+    solved = [(f"ground-state residuals omega={omega}", solve_ground_state(omega, cfg))
+              for omega in (0.05, 0.09, 0.15)]
+    for name, profile in solved + [("cubic reference residuals", solve_cubic_reference(cfg))]:
+        rep = evaluate(profile)
         ok = (rep.nehari_residual < RESIDUAL_GATE
               and rep.pohozaev_residual < RESIDUAL_GATE)
-        checks.append((f"ground-state residuals omega={omega}", ok,
-                       f"nehari {rep.nehari_residual:.2e}, "
-                       f"pohozaev {rep.pohozaev_residual:.2e}"))
-
-    rep_g = evaluate(solve_cubic_reference())
-    ok = rep_g.nehari_residual < RESIDUAL_GATE and rep_g.pohozaev_residual < RESIDUAL_GATE
-    checks.append(("cubic reference residuals", ok,
-                   f"nehari {rep_g.nehari_residual:.2e}"))
+        checks.append((name, ok, f"nehari {rep.nehari_residual:.2e}, "
+                                 f"pohozaev {rep.pohozaev_residual:.2e}"))
     return checks
 
 
-def cmd_validate(args) -> int:
-    start = time.time()
-    options = _effective_options(args, ["ode_tol"])
-    out = _out_dir(args)
-    checks = _validate_checks()
+@_command("run the invariant battery")
+def cmd_validate(options, cfg, out):
+    checks = _validate_checks(cfg)
     width = max(len(name) for name, _, _ in checks)
-    all_ok = True
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        all_ok &= ok
-        print(f"{name.ljust(width)}  {status}  {detail}")
-    _write_manifest(out, "validate", options, time.time() - start,
-                    {"checks": [{"name": n, "pass": bool(p), "detail": d}
-                                for n, p, d in checks]})
-    return 0 if all_ok else 3
+        print(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}")
+    all_ok = all(ok for _, ok, _ in checks)
+    return (0 if all_ok else 3), {"checks": [{"name": n, "pass": bool(p), "detail": d}
+                                             for n, p, d in checks]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,71 +289,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ground-state soliton toolkit for the 3D cubic-quintic NLS",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or .)")
         p.add_argument("--config", help="flat key=value config file; CLI overrides")
         p.add_argument("--ode-tol", dest="ode_tol", help="ODE integrator tolerance")
-
-    p = sub.add_parser("solve", help="solve one ground state")
-    p.add_argument("--omega", required=True)
-    common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("scan", help="sweep the frequency window")
-    p.add_argument("--grid-size", dest="grid_size")
-    p.add_argument("--omega-min", dest="omega_min")
-    p.add_argument("--omega-max", dest="omega_max")
-    p.add_argument("--derivatives", action="store_true")
-    common(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("critical", help="locate the critical frequencies")
-    p.add_argument("--grid-size", dest="grid_size")
-    p.add_argument("--omega-min", dest="omega_min")
-    p.add_argument("--omega-max", dest="omega_max")
-    common(p)
-    p.set_defaults(func=cmd_critical)
-
-    p = sub.add_parser("classify", help="count normalized solutions at a mass")
-    p.add_argument("--mass")
-    p.add_argument("--mass-ratio", dest="mass_ratio",
-                   help="mass as a multiple of the minimum soliton mass m0")
-    p.add_argument("--grid-size", dest="grid_size")
-    common(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("landscape", help="constrained-minimization table")
-    p.add_argument("--mass-grid", dest="mass_grid")
-    p.add_argument("--grid-size", dest="grid_size")
-    common(p)
-    p.set_defaults(func=cmd_landscape)
-
-    p = sub.add_parser("evolve", help="finite-time stability experiment")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--perturbation")
-    p.add_argument("--t-end", dest="t_end")
-    p.add_argument("--dt")
-    common(p)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("spectra", help="linearized operator spectra")
-    p.add_argument("--omega", required=True)
-    p.add_argument("--n-eigs", dest="n_eigs")
-    common(p)
-    p.set_defaults(func=cmd_spectra)
-
-    p = sub.add_parser("validate", help="run the invariant battery")
-    common(p)
-    p.set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run_command(args)
     except FrequencyOutOfWindow as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

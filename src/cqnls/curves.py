@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (EmptyGrid, InsufficientCoverage, InsufficientPoints,
-                     TargetNotBracketed)
+from .errors import (CqnlsError, EmptyGrid, InsufficientCoverage,
+                     InsufficientPoints, TargetNotBracketed)
 from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile, ShootingConfig
 from .shooting import solve_ground_state
@@ -144,7 +144,8 @@ def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185,
 
 
 def scan(omega_grid, cfg: ShootingConfig | None = None) -> FrequencyCurve:
-    """One curve point per grid node; per-node failures are recorded, not fatal."""
+    """One curve point per grid node; per-node solver failures (CqnlsError)
+    are recorded, not fatal."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size == 0:
         raise EmptyGrid("scan grid is empty")
@@ -154,7 +155,7 @@ def scan(omega_grid, cfg: ShootingConfig | None = None) -> FrequencyCurve:
         try:
             rep = evaluate(solve_ground_state(float(omega), cfg))
             points.append(FrequencyCurvePoint.from_report(float(omega), rep))
-        except Exception as err:  # per-node failure policy
+        except CqnlsError as err:  # per-node failure policy
             failures.append((float(omega), f"{type(err).__name__}: {err}"))
     return FrequencyCurve(points=tuple(points), failures=tuple(failures))
 

@@ -12,16 +12,17 @@ skipped, since the sponge removes mass by design).
 
 from __future__ import annotations
 
+import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import ConservationBreach, EigSolverStalled, InnerSolveDiverged, KindMismatch
-from .profiles import GROUND_STATE, RadialProfile, ShootingConfig
+from .profiles import GROUND_STATE, RadialProfile, ShootingConfig, even_grid
 from .quadrature import simpson_uniform
 from .shooting import solve_ground_state
 
@@ -31,7 +32,6 @@ class LedgerEntry:
     time: float
     mass: float
     energy: float
-    momentum: float
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,17 @@ class EvolutionState:
         return out
 
 
-def _phi_derivative(state: EvolutionState) -> np.ndarray:
-    phi = state.phi()
-    h = state.spacing
-    d = np.empty_like(phi)
-    d[1:-1] = (phi[2:] - phi[:-2]) / (2.0 * h)
+def _centred_derivative(f: np.ndarray, h: float) -> np.ndarray:
+    """Centred differences, zero slope at the origin, one-sided at the edge."""
+    d = np.empty_like(f)
+    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
     d[0] = 0.0
-    d[-1] = (phi[-1] - phi[-2]) / h
+    d[-1] = (f[-1] - f[-2]) / h
     return d
+
+
+def _phi_derivative(state: EvolutionState) -> np.ndarray:
+    return _centred_derivative(state.phi(), state.spacing)
 
 
 def discrete_mass(state: EvolutionState) -> float:
@@ -84,30 +87,9 @@ def discrete_energy(state: EvolutionState) -> float:
     return 4.0 * math.pi * simpson_uniform(integrand, state.spacing)
 
 
-def radial_flux(state: EvolutionState) -> float:
-    """Diagnostic scalar 4 pi int 2 Im(conj(phi) phi_r) r^2 dr."""
-    phi = state.phi()
-    dphi = _phi_derivative(state)
-    integrand = 2.0 * np.imag(np.conj(phi) * dphi) * state.grid**2
-    return 4.0 * math.pi * simpson_uniform(integrand, state.spacing)
-
-
-def discrete_momentum(state: EvolutionState) -> float:
-    """z-component of the vector momentum int 2 Im(conj(phi) grad phi) dx.
-
-    For a radial field grad phi points along the unit normal, whose
-    angular average over the sphere vanishes exactly, so the momentum of
-    the radial sector is structurally zero; the product below keeps the
-    computation explicit (radial flux times the vanishing angular factor).
-    """
-    angular_factor = 0.0  # integral of cos(theta) over the unit sphere
-    return angular_factor * radial_flux(state)
-
-
 def _ledger_entry(state: EvolutionState) -> LedgerEntry:
     return LedgerEntry(time=state.time, mass=discrete_mass(state),
-                       energy=discrete_energy(state),
-                       momentum=discrete_momentum(state))
+                       energy=discrete_energy(state))
 
 
 def soliton_state(profile: RadialProfile, radius: float | None = None,
@@ -115,17 +97,13 @@ def soliton_state(profile: RadialProfile, radius: float | None = None,
     """Initial data w = r*(1 + perturbation)*P on [0, R] with Dirichlet ends."""
     if radius is None:
         radius = 2.0 * profile.truncation_radius
-    n = int(round(radius / spacing))
-    if n % 2:
-        n += 1
-    grid = spacing * np.arange(n + 1)
+    grid = even_grid(radius, spacing)
     u = profile.interpolate(grid)
     w = grid * (1.0 + perturbation) * u
     w[0] = 0.0
     w[-1] = 0.0
-    state = EvolutionState(grid=grid, field=w.astype(complex), time=0.0)
-    return EvolutionState(grid=grid, field=state.field, time=0.0,
-                          ledger=(_ledger_entry(state),))
+    state = EvolutionState(grid=grid, field=w, time=0.0)
+    return replace(state, ledger=(_ledger_entry(state),))
 
 
 def _sponge_profile(grid: np.ndarray, strength: float = 1.0) -> np.ndarray:
@@ -150,6 +128,8 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     """
     if dt <= 0 or t_end <= initial.time:
         raise ValueError("need dt > 0 and t_end beyond the initial time")
+    if max_inner < 1:
+        raise ValueError("max_inner must be at least 1")
     if ledger_interval is None:
         ledger_interval = (t_end - initial.time) / 100.0
     grid = initial.grid
@@ -210,10 +190,7 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
         w = w_next
         time += dt
         if time >= next_sample - 1e-12 or time >= t_end - 1e-12:
-            full = np.zeros(grid.size, dtype=complex)
-            full[1:-1] = w
-            snapshot = EvolutionState(grid=grid, field=full, time=time)
-            entry = _ledger_entry(snapshot)
+            entry = _ledger_entry(EvolutionState(grid=grid, field=np.pad(w, 1), time=time))
             ledger.append(entry)
             next_sample += ledger_interval
             if not sponge:
@@ -225,9 +202,7 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
                         f"energy {energy_drift:.2e} exceed {conservation_tol:g}"
                     )
 
-    full = np.zeros(grid.size, dtype=complex)
-    full[1:-1] = w
-    return EvolutionState(grid=grid, field=full, time=time, ledger=tuple(ledger))
+    return EvolutionState(grid=grid, field=np.pad(w, 1), time=time, ledger=tuple(ledger))
 
 
 def _h1_inner(grid, h, phi_a, dphi_a, phi_b, dphi_b) -> complex:
@@ -264,13 +239,8 @@ def _reference_family(omega: float, grid: np.ndarray, cfg: ShootingConfig,
     h = float(grid[1] - grid[0])
     refs = []
     for omega_p in np.linspace((1.0 - window) * omega, (1.0 + window) * omega, count):
-        prof = solve_ground_state(float(omega_p), cfg)
-        psi = prof.interpolate(grid).astype(complex)
-        dpsi = np.empty_like(psi)
-        dpsi[1:-1] = (psi[2:] - psi[:-2]) / (2.0 * h)
-        dpsi[0] = 0.0
-        dpsi[-1] = (psi[-1] - psi[-2]) / h
-        refs.append((psi, dpsi))
+        psi = solve_ground_state(float(omega_p), cfg).interpolate(grid).astype(complex)
+        refs.append((psi, _centred_derivative(psi, h)))
     return refs
 
 
@@ -393,10 +363,8 @@ def write_experiment(result: dict, directory: str | Path, stem: str = "experimen
     payload["ledger_path"] = f"{stem}_ledger.csv"
     with (directory / f"{stem}.json").open("w") as fh:
         json.dump(payload, fh, indent=2)
-    import csv as _csv
-
     with (directory / f"{stem}_ledger.csv").open("w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["t", "distance"])
         for t, d in zip(result["times"], result["distances"]):
             writer.writerow([repr(t), repr(d)])

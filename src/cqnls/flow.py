@@ -18,6 +18,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import FlowDiverged
+from .profiles import even_grid
 from .quadrature import simpson_uniform
 
 
@@ -39,7 +40,6 @@ def laplacian_banded(n: int, h: float) -> np.ndarray:
 
 
 def _apply_banded(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = w.size
     out = ab[2] * w
     out[:-1] += ab[1, 1:] * w[1:]
     out[1:] += ab[3, :-1] * w[:-1]
@@ -53,17 +53,23 @@ def _derivative(w: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     n = w.size
     full = np.concatenate(([0.0], w))
     d = np.empty(n + 1)
-    # centred interior stencil with odd images below r = 0
+    # centred stencil at nodes 0..n-2, with odd images below r = 0
     ext = np.concatenate((-full[2:0:-1], full))
-    for k in range(2, n - 1):
-        i = k + 2
-        d[k] = (8.0 * (ext[i + 1] - ext[i - 1]) - (ext[i + 2] - ext[i - 2])) / (12.0 * h)
-    d[0] = (8.0 * (ext[3] - ext[1]) - (ext[4] - ext[0])) / (12.0 * h)
-    d[1] = (8.0 * (ext[4] - ext[2]) - (ext[5] - ext[1])) / (12.0 * h)
+    d[:n - 1] = (8.0 * (ext[3:n + 2] - ext[1:n]) - (ext[4:n + 3] - ext[:n - 1])) / (12.0 * h)
     # one-sided closure at the outer edge (field is exponentially small)
     d[n - 1] = (full[n] - full[n - 2]) / (2.0 * h)
     d[n] = (full[n] - full[n - 1]) / h
     return float(d[0]), d
+
+
+def _multiplier(lap: np.ndarray, w: np.ndarray, u_sq: np.ndarray,
+                quintic: bool) -> tuple[float, np.ndarray]:
+    """Lagrange multiplier mu of the discrete equation and its residual."""
+    force = -_apply_banded(lap, w) + w * u_sq
+    if quintic:
+        force -= w * u_sq * u_sq
+    mu = float(np.dot(force, w) / np.dot(w, w))
+    return mu, force - mu * w
 
 
 def projected_gradient(values: np.ndarray, spacing: float,
@@ -80,13 +86,7 @@ def projected_gradient(values: np.ndarray, spacing: float,
     n = values.size - 1
     r = spacing * np.arange(1, n + 1)
     w = r * values[1:]
-    lap = laplacian_banded(n, spacing)
-    u_sq = (w * w) / (r * r)
-    force = -_apply_banded(lap, w) + w * u_sq
-    if quintic:
-        force -= w * u_sq * u_sq
-    mu = float(np.dot(force, w) / np.dot(w, w))
-    resid = force - mu * w
+    mu, resid = _multiplier(laplacian_banded(n, spacing), w, (w * w) / (r * r), quintic)
     return mu, float(np.linalg.norm(resid) / np.linalg.norm(w))
 
 
@@ -124,10 +124,7 @@ def mass_projected_flow(mass: float, r_max: float = 40.0, spacing: float = 0.01,
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    n_cells = int(round(r_max / spacing))
-    if n_cells % 2:
-        n_cells += 1
-    grid = spacing * np.arange(n_cells + 1)
+    grid = even_grid(r_max, spacing)
     r = grid[1:]
     n = r.size
 
@@ -168,12 +165,7 @@ def mass_projected_flow(mass: float, r_max: float = 40.0, spacing: float = 0.01,
         w = w_new * math.sqrt(mass / m_now)
 
         if iterations % 10 == 0 or iterations == max_iters:
-            u_sq = (w * w) * inv_r2
-            force = -_apply_banded(lap, w) + w * u_sq
-            if quintic:
-                force -= w * u_sq * u_sq
-            mu = float(np.dot(force, w) / np.dot(w, w))
-            resid = force - mu * w
+            mu, resid = _multiplier(lap, w, (w * w) * inv_r2, quintic)
             gradient_norm = float(np.linalg.norm(resid) / np.linalg.norm(w))
             if gradient_norm < grad_tol:
                 break
@@ -189,11 +181,7 @@ def mass_projected_flow(mass: float, r_max: float = 40.0, spacing: float = 0.01,
     energy = _energy(grid, u, du, quintic)
     if not math.isfinite(energy) or energy < -1e8:
         raise FlowDiverged("flow energy decreased without bound")
-    u_sq = (w * w) * inv_r2
-    force = -_apply_banded(lap, w) + w * u_sq
-    if quintic:
-        force -= w * u_sq * u_sq
-    mu = float(np.dot(force, w) / np.dot(w, w))
+    mu, _ = _multiplier(lap, w, (w * w) * inv_r2, quintic)
     return FlowResult(
         grid=grid, values=u, derivs=du, mass=mass, energy=energy,
         multiplier=mu, gradient_norm=gradient_norm, iterations=iterations,

@@ -16,8 +16,8 @@ import numpy as np
 from .curves import FrequencyCurve, invert_beta
 from .errors import AlphaOutOfRange, CqnlsError, KindMismatch, TargetNotBracketed
 from .functionals import FunctionalReport, evaluate, f_alpha
-from .profiles import (GROUND_STATE, RESCALED_SOLITON, TEST_FUNCTION,
-                       RadialProfile, ShootingConfig)
+from .profiles import (GROUND_STATE, RESCALED_SOLITON, RadialProfile,
+                       ShootingConfig, test_function_profile)
 
 
 def rescale_soliton(ground: RadialProfile,
@@ -93,23 +93,18 @@ def random_test_functions(count: int, seed: int = 0, r_max: float = 16.0,
     so every returned function is admissible for the quotient bounds.
     """
     rng = np.random.default_rng(seed)
-    n = int(round(r_max / spacing))
-    if n % 2:
-        n += 1
-    grid = spacing * np.arange(n + 1)
     out = []
     while len(out) < count:
         c1, c2 = rng.uniform(-1.0, 1.0, size=2)
         sigma = rng.uniform(0.2, 2.0)
-        poly = 1.0 + c1 * grid + c2 * grid**2
-        vals = poly * np.exp(-sigma * grid**2)
-        if np.any(vals <= 0.0):
-            continue
-        dvals = (c1 + 2.0 * c2 * grid - 2.0 * sigma * grid * poly) * np.exp(-sigma * grid**2)
-        out.append(RadialProfile(
-            grid=grid, values=vals, derivs=dvals, omega=None,
-            amplitude=float(vals[0]), tail_constant=0.0,
-            truncation_radius=float(grid[-1]), kind=TEST_FUNCTION,
-            decay_rate=0.0,
-        ))
+
+        def poly(r):
+            return 1.0 + c1 * r + c2 * r**2
+
+        profile = test_function_profile(
+            lambda r: poly(r) * np.exp(-sigma * r**2),
+            lambda r: (c1 + 2.0 * c2 * r - 2.0 * sigma * r * poly(r)) * np.exp(-sigma * r**2),
+            r_max, spacing)
+        if np.all(profile.values > 0.0):
+            out.append(profile)
     return out

@@ -23,7 +23,7 @@ from .curves import (CriticalFrequencies, FrequencyCurve, CRITICAL, STABLE,
 from .errors import MassBeyondScan
 from .functionals import evaluate
 from .geometry import rescale_energy_factor, rescale_mass_factor
-from .profiles import OMEGA_MAX, ShootingConfig
+from .profiles import ShootingConfig
 from .shooting import solve_ground_state
 
 LOWER_BRANCH = "lower_branch"
@@ -106,11 +106,12 @@ def _bisect_monotone(target: float, lo: float, hi: float, value_at,
     return best, evaluated[best]
 
 
-def _narrow_bracket(target, branch_points, value_of, lo, hi):
+def _narrow_bracket(target, branch_points, value_of, lo, hi, increasing):
     """Shrink [lo, hi] using already-scanned curve nodes on the branch.
 
-    The branch value is monotone in omega, so consecutive scanned nodes
-    either bracket the target or push it out to an endpoint interval.
+    The branch value is monotone in omega (rising when ``increasing``), so
+    consecutive scanned nodes either bracket the target or push it out to
+    an endpoint interval.
     """
     nodes = [(p.omega, value_of(p)) for p in branch_points if lo < p.omega < hi]
     if not nodes:
@@ -118,24 +119,55 @@ def _narrow_bracket(target, branch_points, value_of, lo, hi):
     for (om_a, v_a), (om_b, v_b) in zip(nodes, nodes[1:]):
         if (v_a - target) * (v_b - target) <= 0:
             return om_a, om_b
-    increasing = nodes[-1][1] > nodes[0][1]
     if (target < nodes[0][1]) == increasing:
         return lo, nodes[0][0]
     return nodes[-1][0], hi
 
 
-def _ground_mass(cfg):
-    def value_at(omega):
-        rep = evaluate(solve_ground_state(omega, cfg))
-        return rep.mass, rep
-    return value_at
+def _mass(x) -> float:
+    return x.mass
 
 
-def _rescaled_mass(cfg):
+def _rescaled_mass(x) -> float:
+    return rescale_mass_factor(x.beta) * x.mass
+
+
+def _branch_roots(m, curve, split, value_min, value_of, cfg, tol=None):
+    """(branch, omega, report) at every ground state with value_of = m.
+
+    ``value_of`` reads a curve point or a functional report; its curve has
+    the single minimum value_min at ``split``, decreasing on the lower
+    branch and increasing on the upper one.  A branch whose scanned values
+    never reach m is skipped.
+    """
+    if tol is None:
+        tol = 1e-9 * value_min
+    if m < value_min - tol:
+        return []
+    if abs(m - value_min) <= tol:
+        return [(CRITICAL_BRANCH, split, evaluate(solve_ground_state(split, cfg)))]
+
     def value_at(omega):
         rep = evaluate(solve_ground_state(omega, cfg))
-        return rescale_mass_factor(rep.beta) * rep.mass, rep
-    return value_at
+        return value_of(rep), rep
+
+    omegas = curve.omegas()
+    roots = []
+    for lo, hi, branch in ((float(omegas.min()), split, LOWER_BRANCH),
+                           (split, float(omegas.max()), UPPER_BRANCH)):
+        lo, hi = _narrow_bracket(m, curve.points, value_of, lo, hi,
+                                 increasing=branch == UPPER_BRANCH)
+        try:
+            omega, rep = _bisect_monotone(m, lo, hi, value_at)
+        except MassBeyondScan:
+            # a branch can run off the scanned window
+            continue
+        roots.append((branch, omega, rep))
+    return roots
+
+
+_BRANCH_STABILITY = {LOWER_BRANCH: UNSTABLE, CRITICAL_BRANCH: CRITICAL,
+                     UPPER_BRANCH: STABLE}
 
 
 def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
@@ -154,77 +186,25 @@ def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequenci
         tol = 1e-9 * crit.m0
     if m < crit.m0 - tol:
         return ClassificationResult(m, 0, (), (), ())
-    if abs(m - crit.m0) <= tol:
-        return ClassificationResult(m, 1, (crit.omega_star,),
-                                    (CRITICAL_BRANCH,), (CRITICAL,))
-    omegas = curve.omegas()
-    lo_grid, hi_grid = float(omegas.min()), float(omegas.max())
-    value_at = _ground_mass(cfg)
-    frequencies, branches, stabilities = [], [], []
-    for lo, hi, branch, stability in (
-        (lo_grid, crit.omega_star, LOWER_BRANCH, UNSTABLE),
-        (crit.omega_star, hi_grid, UPPER_BRANCH, STABLE),
-    ):
-        lo, hi = _narrow_bracket(m, curve.points, lambda p: p.mass, lo, hi)
-        try:
-            omega, _ = _bisect_monotone(m, lo, hi, value_at)
-        except MassBeyondScan:
-            continue
-        frequencies.append(omega)
-        branches.append(branch)
-        stabilities.append(stability)
-    if not frequencies:
+    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, cfg, tol)
+    if not roots:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
-    return ClassificationResult(m, len(frequencies), tuple(frequencies),
-                                tuple(branches), tuple(stabilities))
+    branches = tuple(branch for branch, _, _ in roots)
+    return ClassificationResult(m, len(roots), tuple(omega for _, omega, _ in roots),
+                                branches, tuple(_BRANCH_STABILITY[b] for b in branches))
 
 
 def _ground_branch_energies(m, curve, crit, cfg):
     """E at every ground-state solution with mass m (may be empty)."""
-    tol = 1e-9 * crit.m0
-    if m < crit.m0 - tol:
-        return []
-    if abs(m - crit.m0) <= tol:
-        rep = evaluate(solve_ground_state(crit.omega_star, cfg))
-        return [rep.energy]
-    omegas = curve.omegas()
-    value_at = _ground_mass(cfg)
-    out = []
-    for lo, hi in ((float(omegas.min()), crit.omega_star),
-                   (crit.omega_star, float(omegas.max()))):
-        lo, hi = _narrow_bracket(m, curve.points, lambda p: p.mass, lo, hi)
-        try:
-            _, rep = _bisect_monotone(m, lo, hi, value_at)
-        except MassBeyondScan:
-            # a branch can run off the scanned window; the landscape only
-            # needs the branches that are reachable
-            continue
-        out.append(rep.energy)
-    return out
+    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, cfg)
+    return [rep.energy for _, _, rep in roots]
 
 
 def _rescaled_branch_energies(m, curve, crit, cfg):
     """E(R_omega) at every rescaled soliton with mass m (may be empty)."""
-    tol = 1e-9 * crit.m_threshold
-    if m < crit.m_threshold - tol:
-        return []
-    if abs(m - crit.m_threshold) <= tol:
-        rep = evaluate(solve_ground_state(crit.omega_upper_star, cfg))
-        return [rescale_energy_factor(rep.beta) * rep.grad_sq]
-    omegas = curve.omegas()
-    value_at = _rescaled_mass(cfg)
-    out = []
-    for lo, hi in ((float(omegas.min()), crit.omega_upper_star),
-                   (crit.omega_upper_star, float(omegas.max()))):
-        lo, hi = _narrow_bracket(
-            m, curve.points,
-            lambda p: rescale_mass_factor(p.beta) * p.mass, lo, hi)
-        try:
-            _, rep = _bisect_monotone(m, lo, hi, value_at)
-        except MassBeyondScan:
-            continue  # the rescaled mass curve is bounded on the scan window
-        out.append(rescale_energy_factor(rep.beta) * rep.grad_sq)
-    return out
+    roots = _branch_roots(m, curve, crit.omega_upper_star, crit.m_threshold,
+                          _rescaled_mass, cfg)
+    return [rescale_energy_factor(rep.beta) * rep.grad_sq for _, _, rep in roots]
 
 
 def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,

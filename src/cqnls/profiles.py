@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,19 @@ GROUND_STATE = "ground_state"
 RESCALED_SOLITON = "rescaled_soliton"
 CUBIC_REFERENCE = "cubic_reference"
 TEST_FUNCTION = "test_function"
+
+
+def even_grid(extent: float, spacing: float, down: bool = False) -> np.ndarray:
+    """Uniform grid ``spacing * [0, 1, ..., n]`` with an even interval count
+    n, as composite Simpson needs: ``extent / spacing`` rounded and bumped
+    up to even, or floored and dropped to even with ``down``."""
+    if down:
+        n = int(math.floor(extent / spacing))
+        n -= n % 2
+    else:
+        n = int(round(extent / spacing))
+        n += n % 2
+    return spacing * np.arange(n + 1)
 
 
 @dataclass(frozen=True)
@@ -95,18 +109,6 @@ class RadialProfile:
         if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.derivs))):
             raise NonFiniteIntegrand("profile contains non-finite samples")
 
-    def __call__(self, r):
-        """Evaluate u(r) anywhere, using the analytic tail past truncation."""
-        r = np.asarray(r, dtype=float)
-        out = np.interp(r, self.grid, self.values)
-        if self.decay_rate > 0:
-            mask = r > self.truncation_radius
-            if np.any(mask):
-                rt = r[mask]
-                out = np.array(out, dtype=float)
-                out[mask] = self.tail_constant * np.exp(-self.decay_rate * rt) / rt
-        return out if out.ndim else float(out)
-
     def interpolate(self, r):
         """Evaluate u(r) with cubic Hermite accuracy inside the stored
         window (the stored derivative samples pin the slopes) and the
@@ -121,10 +123,6 @@ class RadialProfile:
             if np.any(mask):
                 out[mask] = self.tail_constant * np.exp(-self.decay_rate * r[mask]) / r[mask]
         return out
-
-    def tail_value(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.tail_constant * np.exp(-self.decay_rate * r) / r
 
     def to_csv(self, path: str | Path):
         path = Path(path)
@@ -174,14 +172,11 @@ class RadialProfile:
 
 def test_function_profile(func, dfunc, r_max: float = 12.0, spacing: float = 0.005) -> RadialProfile:
     """Wrap a smooth rapidly decaying callable as a test_function profile."""
-    n = int(np.ceil(r_max / spacing))
-    if n % 2:
-        n += 1
-    grid = np.linspace(0.0, r_max, n + 1)
+    grid = even_grid(r_max, spacing)
     vals = np.asarray(func(grid), dtype=float)
     dvals = np.asarray(dfunc(grid), dtype=float)
     return RadialProfile(
         grid=grid, values=vals, derivs=dvals, omega=None,
         amplitude=float(vals[0]), tail_constant=0.0,
-        truncation_radius=float(r_max), kind=TEST_FUNCTION, decay_rate=0.0,
+        truncation_radius=float(grid[-1]), kind=TEST_FUNCTION, decay_rate=0.0,
     )

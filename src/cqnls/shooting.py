@@ -21,7 +21,7 @@ from scipy.integrate import solve_ivp
 
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
-                       ShootingConfig)
+                       ShootingConfig, even_grid)
 
 
 class TrajectoryClass(enum.Enum):
@@ -134,8 +134,7 @@ def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | No
     if _force(amplitude, omega, quintic) >= 0.0:
         # force pushes away from zero at the start: the trajectory rises
         return TrajectoryClass.TURNS_UPWARD
-    label, _, _ = _integrate(amplitude, omega, cfg, quintic, max_radius)
-    return label
+    return _integrate(amplitude, omega, cfg, quintic, max_radius)[0]
 
 
 def _default_bracket(omega: float, quintic: bool):
@@ -154,10 +153,7 @@ def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radi
         lo, hi = _default_bracket(omega, quintic)
 
     def classify(a):
-        if _force(a, omega, quintic) >= 0.0:
-            return TrajectoryClass.TURNS_UPWARD
-        label, _, _ = _integrate(a, omega, cfg, quintic, max_radius)
-        return label
+        return classify_trajectory(a, omega, cfg, quintic, max_radius)
 
     lo_class = classify(lo)
     hi_class = classify(hi)
@@ -177,42 +173,21 @@ def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radi
     return lo, hi
 
 
-def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-                   max_radius: float) -> RadialProfile:
-    label, r_stop, sol = _integrate(a, omega, cfg, quintic, max_radius, dense=True)
-    decay = math.sqrt(omega)
-    w_lo, w_hi = cfg.matching_window
+def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
+                    r_a: float, r_b: float, cfg: ShootingConfig) -> RadialProfile:
+    """Profile on the even grid up to r_b with its tail fitted on [r_a, r_b].
 
-    # locate the matching window on a fine scan of the dense trajectory
-    fine = np.linspace(cfg.taylor_start_step, r_stop, 4000)
-    u_fine = sol.sol(fine)[0]
-    below_hi = np.nonzero(u_fine < w_hi * a)[0]
-    if below_hi.size == 0:
-        raise DomainTooSmall(
-            f"solution has not decayed below {w_hi:g}*amplitude by r={r_stop:.1f}"
-        )
-    r_a = fine[below_hi[0]]
-    below_lo = np.nonzero(u_fine < w_lo * a)[0]
-    r_b = fine[below_lo[0]] if below_lo.size else min(0.98 * r_stop, fine[-1])
-    if r_b <= r_a:
-        r_b = min(0.98 * r_stop, fine[-1])
-
-    h = cfg.grid_spacing
-    n = int(math.floor(r_b / h))
-    if n % 2:
-        n -= 1
-    if n < 10:
+    ``sample(grid)`` returns the solver's (u, u') on the grid; the origin
+    is pinned to (amplitude, 0).  The tail constant c of
+    u ~ c exp(-sqrt(omega) r)/r is the mean of u r exp(sqrt(omega) r) over
+    the matching window.
+    """
+    grid = even_grid(r_b, cfg.grid_spacing, down=True)
+    if grid.size < 11:
         raise DomainTooSmall("matching window leaves too few grid points")
-    grid = h * np.arange(n + 1)
-    vals = np.empty(n + 1)
-    derivs = np.empty(n + 1)
-    vals[0], derivs[0] = a, 0.0
-    inner = grid[1:] < cfg.taylor_start_step
-    y = sol.sol(np.maximum(grid[1:], cfg.taylor_start_step))
-    vals[1:], derivs[1:] = y[0], y[1]
-    if np.any(inner):  # only possible for pathological grid spacings
-        for i in np.nonzero(inner)[0] + 1:
-            vals[i], derivs[i] = _taylor_start(a, grid[i], omega, quintic)
+    vals, derivs = sample(grid)
+    vals[0], derivs[0] = amplitude, 0.0
+    decay = math.sqrt(omega)
 
     window = (grid >= r_a) & (grid <= r_b)
     rw = grid[window]
@@ -234,9 +209,39 @@ def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
     return RadialProfile(
         grid=grid, values=vals, derivs=derivs,
         omega=omega if quintic else None,
-        amplitude=a, tail_constant=c, truncation_radius=float(grid[-1]),
+        amplitude=amplitude, tail_constant=c, truncation_radius=float(grid[-1]),
         kind=GROUND_STATE if quintic else CUBIC_REFERENCE, decay_rate=decay,
     )
+
+
+def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
+                   max_radius: float) -> RadialProfile:
+    _, r_stop, sol = _integrate(a, omega, cfg, quintic, max_radius, dense=True)
+    w_lo, w_hi = cfg.matching_window
+    h0 = cfg.taylor_start_step
+
+    # locate the matching window on a fine scan of the dense trajectory
+    fine = np.linspace(h0, r_stop, 4000)
+    u_fine = sol.sol(fine)[0]
+    below_hi = np.nonzero(u_fine < w_hi * a)[0]
+    if below_hi.size == 0:
+        raise DomainTooSmall(
+            f"solution has not decayed below {w_hi:g}*amplitude by r={r_stop:.1f}"
+        )
+    r_a = fine[below_hi[0]]
+    below_lo = np.nonzero(u_fine < w_lo * a)[0]
+    r_b = fine[below_lo[0]] if below_lo.size else min(0.98 * r_stop, fine[-1])
+    if r_b <= r_a:
+        r_b = min(0.98 * r_stop, fine[-1])
+
+    def sample(grid):
+        vals, derivs = sol.sol(np.maximum(grid, h0))
+        # nodes inside the Taylor start (only for pathological spacings)
+        inner = (grid > 0.0) & (grid < h0)
+        vals[inner], derivs[inner] = _taylor_start(a, grid[inner], omega, quintic)
+        return vals, derivs
+
+    return _matched_profile(sample, a, omega, quintic, r_a, r_b, cfg)
 
 
 def _solve(omega: float, cfg: ShootingConfig, quintic: bool) -> RadialProfile:

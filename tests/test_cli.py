@@ -3,6 +3,8 @@ import json
 import pytest
 
 from cqnls.cli import ENV_OUT_DIR, build_parser, main
+from cqnls.functionals import evaluate
+from cqnls.profiles import GROUND_STATE, RadialProfile
 
 
 class TestParser:
@@ -13,6 +15,12 @@ class TestParser:
         expected = {"solve", "scan", "critical", "classify", "landscape",
                     "evolve", "spectra", "validate"}
         assert expected <= set(sub.choices)
+
+    @pytest.mark.parametrize("command", ["scan", "critical", "classify", "landscape"])
+    def test_grid_flags(self, command):
+        args = build_parser().parse_args(
+            [command, "--grid-size", "5", "--omega-min", "0.01", "--omega-max", "0.1"])
+        assert (args.grid_size, args.omega_min, args.omega_max) == ("5", "0.01", "0.1")
 
 
 class TestSolve:
@@ -27,6 +35,16 @@ class TestSolve:
         assert "config_hash" in manifest and "wall_time_seconds" in manifest
         header = (out / "profile.csv").read_text().splitlines()[0]
         assert header == "r,u,u_prime"
+
+    def test_profile_reloads(self, tmp_path):
+        assert main(["solve", "--omega", "0.09", "--out", str(tmp_path)]) == 0
+        back = RadialProfile.from_csv(tmp_path / "profile.csv",
+                                      tmp_path / "profile.json")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert back.omega == 0.09 and back.kind == GROUND_STATE
+        assert back.values[0] == back.amplitude
+        reloaded = evaluate(back).as_dict()
+        assert reloaded == {k: report[k] for k in reloaded}
 
     def test_window_violation_exits_2(self, tmp_path, capsys):
         code = main(["solve", "--omega", "0.2", "--out", str(tmp_path)])
@@ -105,3 +123,6 @@ class TestPipelines:
         assert "PASS" in captured and "FAIL" not in captured
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert all(c["pass"] for c in manifest["checks"])
+
+    def test_validate_honours_ode_tol(self, tmp_path):
+        assert main(["validate", "--ode-tol", "1e-3", "--out", str(tmp_path)]) == 3

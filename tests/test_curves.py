@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cqnls import curves
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
                           FrequencyCurve, asymptotic_check, classify_stability,
                           default_omega_grid, derivative_step, differentiate,
@@ -38,6 +39,14 @@ class TestScan:
         assert len(swept.failures) == 1
         assert swept.failures[0][0] == 0.2
         assert "FrequencyOutOfWindow" in swept.failures[0][1]
+
+    def test_code_bugs_propagate(self, monkeypatch):
+        # only solver failures (CqnlsError) become failure rows
+        def broken(omega, cfg):
+            raise RuntimeError("not a solver failure")
+        monkeypatch.setattr(curves, "solve_ground_state", broken)
+        with pytest.raises(RuntimeError):
+            scan(np.array([0.05, 0.09]))
 
     def test_csv_columns(self, cfg, tmp_path):
         swept = scan(np.array([0.05, 0.09]), cfg)

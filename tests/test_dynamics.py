@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from cqnls.dynamics import (EvolutionState, discrete_energy, discrete_mass,
-                            discrete_momentum, evolve, linearized_spectra,
-                            modulated_distance, soliton_state, radial_flux,
-                            write_experiment)
+                            evolve, linearized_spectra, modulated_distance,
+                            soliton_state, write_experiment)
 from cqnls.errors import KindMismatch
 from cqnls.geometry import random_test_functions
 
@@ -26,11 +25,6 @@ class TestEvolutionState:
         phi = base_state.phi()
         # the soliton is flat at the origin: phi(0) close to phi(h)
         assert abs(phi[0] - phi[1]) < 0.01 * abs(phi[0])
-
-    def test_momentum_structurally_zero(self, base_state):
-        assert discrete_momentum(base_state) == 0.0
-        # the underlying flux diagnostic is a real scalar
-        assert isinstance(radial_flux(base_state), float)
 
 
 class TestEvolve:
@@ -68,6 +62,10 @@ class TestEvolve:
             evolve(base_state, 1.0, -0.1)
         with pytest.raises(ValueError):
             evolve(base_state, -1.0, 0.1)
+
+    def test_rejects_no_inner_iterations(self, base_state):
+        with pytest.raises(ValueError, match="max_inner"):
+            evolve(base_state, 0.1, 0.02, max_inner=0)
 
     def test_sponge_absorbs_mass(self, ground_009):
         state = soliton_state(ground_009, radius=30.0, spacing=0.05,

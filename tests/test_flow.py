@@ -10,7 +10,8 @@ branch states.
 import numpy as np
 import pytest
 
-from cqnls.flow import laplacian_banded, mass_projected_flow, projected_gradient
+from cqnls.flow import (_derivative, laplacian_banded, mass_projected_flow,
+                        projected_gradient)
 from cqnls.functionals import evaluate
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
 
@@ -34,6 +35,24 @@ class TestLaplacianBanded:
         from cqnls.flow import _apply_banded
         err = np.max(np.abs(_apply_banded(ab, w) - exact)[: n // 2])
         assert err < 1e-7  # fourth order at h = 0.01
+
+
+def test_derivative_matches_loop_reference():
+    # the vectorised stencil keeps the per-node arithmetic of this loop
+    rng = np.random.default_rng(7)
+    w, h = rng.standard_normal(301), 0.01
+    n = w.size
+    full = np.concatenate(([0.0], w))
+    ext = np.concatenate((-full[2:0:-1], full))
+    expected = np.empty(n + 1)
+    for k in range(n - 1):
+        i = k + 2
+        expected[k] = (8.0 * (ext[i + 1] - ext[i - 1])
+                       - (ext[i + 2] - ext[i - 2])) / (12.0 * h)
+    expected[n - 1] = (full[n] - full[n - 2]) / (2.0 * h)
+    expected[n] = (full[n] - full[n - 1]) / h
+    d0, d = _derivative(w, h)
+    assert np.array_equal(d, expected) and d0 == expected[0]
 
 
 class TestFlowConvergence:

@@ -1,7 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from cqnls.curves import CRITICAL, STABLE, UNSTABLE
+from cqnls import landscape
+from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
+                          FrequencyCurve, FrequencyCurvePoint)
 from cqnls.errors import MassBeyondScan
 from cqnls.landscape import (CRITICAL_BRANCH, KIND_BOUNDARY_Q1,
                              KIND_GROUND_STATE, KIND_NONE, LOWER_BRANCH,
@@ -53,6 +57,31 @@ class TestClassifyNormalized:
         payload = result.as_dict()
         assert payload["count"] == 2
         assert len(payload["frequencies"]) == 2
+
+
+class TestBranchDirection:
+    """Synthetic mass curve M = 50 + K (omega - 0.024)^2, minimum at 0.024."""
+
+    K = 50.0 / 0.036**2  # M(0.06) = 100
+
+    def mass(self, omega):
+        return 50.0 + self.K * (omega - 0.024) ** 2
+
+    def test_single_upper_node_left_of_root(self, monkeypatch):
+        # the only scanned node inside the upper interval lies below the
+        # target on the increasing branch, so the root is to its right
+        monkeypatch.setattr(landscape, "solve_ground_state", lambda om, cfg: om)
+        monkeypatch.setattr(landscape, "evaluate",
+                            lambda om: SimpleNamespace(mass=self.mass(om)))
+        points = tuple(
+            FrequencyCurvePoint(om, self.mass(om), 0.0, 0.5, 0.0, 1.0, 0.0, 0.0)
+            for om in (0.005, 0.01, 0.06, 0.15))
+        crit = CriticalFrequencies(0.024, 0.1, m0=50.0, m_q1=1000.0,
+                                   m_threshold=500.0, mass_argmin=0.024)
+        result = classify_normalized(150.0, FrequencyCurve(points), crit)
+        assert result.branch_labels == (UPPER_BRANCH,)
+        assert result.frequencies[0] == pytest.approx(
+            0.024 + (100.0 / self.K) ** 0.5, rel=1e-6)
 
 
 class TestEMinLandscape:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqnls.errors import NonFiniteIntegrand
 from cqnls.profiles import (GROUND_STATE, TEST_FUNCTION, RadialProfile,
-                            ShootingConfig)
+                            ShootingConfig, even_grid)
 from cqnls.profiles import test_function_profile as make_test_function
 
 
@@ -53,7 +55,7 @@ class TestRadialProfile:
     def test_tail_continuation(self):
         p = make_profile()
         r = 12.5
-        assert p(r) == pytest.approx(np.exp(-r) / r, rel=1e-12)
+        assert p.interpolate(r) == pytest.approx(np.exp(-r) / r, rel=1e-12)
 
     def test_interpolate_matches_samples(self):
         p = make_profile()
@@ -86,3 +88,17 @@ def test_test_function_profile_even_node_count():
     assert p.grid.size % 2 == 1  # even interval count for composite Simpson
     assert p.kind == TEST_FUNCTION
     assert p.tail_constant == 0.0
+
+
+@settings(deadline=None)
+@given(extent=st.floats(0.0, 500.0), spacing=st.floats(0.005, 1.0),
+       down=st.booleans())
+def test_even_grid_even_intervals_at_exact_spacing(extent, spacing, down):
+    grid = even_grid(extent, spacing, down)
+    n = grid.size - 1
+    assert n % 2 == 0
+    assert np.array_equal(grid, spacing * np.arange(n + 1))
+    if down:
+        assert grid[-1] <= extent
+    else:
+        assert abs(grid[-1] - extent) <= 1.5 * spacing

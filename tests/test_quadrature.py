@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cqnls.quadrature import (exp_power_tail, radial_grad_sq, radial_moment,
@@ -15,6 +17,18 @@ class TestSimpsonUniform:
         x = h * np.arange(n + 1)
         value = simpson_uniform(x**3 - 2 * x**2 + 5, h)
         assert value == pytest.approx(0.25 - 2.0 / 3.0 + 5.0, rel=1e-13)
+
+    @settings(deadline=None)
+    @given(n=st.integers(2, 400), length=st.floats(0.1, 10.0),
+           coeffs=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4))
+    def test_exact_on_cubics_any_node_count(self, n, length, coeffs):
+        # n intervals: even counts use pure Simpson, odd ones the 3/8 closure
+        h = length / n
+        x = h * np.arange(n + 1)
+        y = sum(c * x**k for k, c in enumerate(coeffs))
+        exact = sum(c * x[-1] ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+        scale = sum(abs(c) * x[-1] ** (k + 1) / (k + 1) for k, c in enumerate(coeffs))
+        assert abs(simpson_uniform(y, h) - exact) <= 1e-12 * (scale + 1e-300)
 
     def test_fourth_order_convergence(self):
         errors = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cqnls import bvp, shooting
 from cqnls.errors import FrequencyOutOfWindow
 from cqnls.functionals import evaluate
 from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE, ShootingConfig
@@ -91,3 +92,20 @@ class TestCubicReference:
     def test_amplitude_matches_literature(self, cubic_g):
         # the cubic ground state has central amplitude ~4.3374
         assert cubic_g.amplitude == pytest.approx(4.3374, abs=2e-4)
+
+
+def test_collocation_ladder_per_config(monkeypatch):
+    # a second configuration above the switch builds its own ladder from
+    # its own shooting solve instead of reusing the first one's rungs
+    monkeypatch.setattr(bvp, "_ladder", {})
+    seeds = []
+    real_solve = shooting._solve
+
+    def spy(omega, cfg, quintic):
+        seeds.append(cfg)
+        return real_solve(omega, cfg, quintic)
+    monkeypatch.setattr(shooting, "_solve", spy)
+    default, loose = ShootingConfig(), ShootingConfig(ode_tolerance=1e-11)
+    bvp.solve_collocation(0.156, default)
+    bvp.solve_collocation(0.156, loose)
+    assert seeds == [default, loose]
