@@ -107,10 +107,10 @@ def _predict(ladder: dict, omega_from: float, omega_to: float):
 
 
 def _bootstrap(cfg: ShootingConfig) -> dict:
-    """A new ladder seeded with a shooting solution at the switch frequency."""
-    from .shooting import _solve
+    """A new ladder seeded with the ground state at the switch frequency."""
+    from .shooting import solve_ground_state
 
-    base = _solve(OMEGA_SHOOTING_MAX, cfg, quintic=True)
+    base = solve_ground_state(OMEGA_SHOOTING_MAX, cfg)
     radius = _front_radius(base.grid, base.values) + _TAIL_MARGIN
     mesh = np.linspace(0.0, radius, 4001)
     u = base.interpolate(mesh)

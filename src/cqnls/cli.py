@@ -10,6 +10,7 @@ window, 3 solver or validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -261,10 +262,18 @@ def _validate_checks(cfg: ShootingConfig) -> list[tuple[str, bool, str]]:
     checks.append(("1d nehari identity", oned["nehari_residual"] < 1e-9,
                    f"residual {oned['nehari_residual']:.2e}"))
 
-    solved = [(f"ground-state residuals omega={omega}", solve_ground_state(omega, cfg))
+    solves = [(f"ground-state residuals omega={omega}",
+               functools.partial(solve_ground_state, omega, cfg))
               for omega in (0.05, 0.09, 0.15)]
-    for name, profile in solved + [("cubic reference residuals", solve_cubic_reference(cfg))]:
-        rep = evaluate(profile)
+    solves.append(("cubic reference residuals",
+                   functools.partial(solve_cubic_reference, cfg)))
+    for name, solve in solves:
+        try:
+            rep = evaluate(solve())
+        except CqnlsError as err:
+            # a failed solve is a failed check; the battery goes on
+            checks.append((name, False, f"{type(err).__name__}: {err}"))
+            continue
         ok = (rep.nehari_residual < RESIDUAL_GATE
               and rep.pohozaev_residual < RESIDUAL_GATE)
         checks.append((name, ok, f"nehari {rep.nehari_residual:.2e}, "

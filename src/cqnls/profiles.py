@@ -32,6 +32,9 @@ def even_grid(extent: float, spacing: float, down: bool = False) -> np.ndarray:
     up to even, or floored and dropped to even with ``down``."""
     if down:
         n = int(math.floor(extent / spacing))
+        if spacing * n > extent:
+            # the quotient rounded up onto an integer (1.9 / 0.005 -> 380.0)
+            n -= 1
         n -= n % 2
     else:
         n = int(round(extent / spacing))

@@ -146,22 +146,69 @@ def _default_bracket(omega: float, quintic: bool):
     return 1.1, 19.0
 
 
-def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float):
+#: levels the verification climbs toward the root after a failed check
+_CLIMB_LEVELS = 4
+#: smallest prediction error, relative to the predicted amplitude.  Within
+#: about 1e-12 (relative) of the root the trajectory class is not monotone in
+#: the amplitude (widest band seen: 1.1e-12 at ode_tolerance 1e-8, 6e-14 at
+#: 1e-10, none at 1e-12); a replayed interval at least twice this wide keeps
+#: every unverified midpoint of the cold path outside that band.
+_PREDICTION_ERR_FLOOR = 1e-11
+
+
+def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float,
+                      prediction: tuple[float, float] | None = None):
+    """Bisect the amplitude bracket down to ``cfg.bisection_tolerance``.
+
+    With a ``prediction`` ``(a_pred, err)`` the bisection tree of the root
+    bracket is first replayed without integrating, steering each midpoint
+    by ``a_pred``, down to an interval no wider than ``4 * err``.  Once
+    that interval's endpoints classify as a bracket, the ordinary bisection
+    continues from it (a failed check climbs toward the root).  A verified
+    interval is a node of the cold bisection path, so the returned bracket
+    equals the cold one bit for bit.  ``err`` is raised to at least
+    ``_PREDICTION_ERR_FLOOR * |a_pred|``.
+    """
     if cfg.amplitude_bracket is not None:
         lo, hi = cfg.amplitude_bracket
     else:
         lo, hi = _default_bracket(omega, quintic)
+    classes = {}
 
     def classify(a):
-        return classify_trajectory(a, omega, cfg, quintic, max_radius)
+        if a not in classes:
+            classes[a] = classify_trajectory(a, omega, cfg, quintic, max_radius)
+        return classes[a]
 
-    lo_class = classify(lo)
-    hi_class = classify(hi)
-    if lo_class is not TrajectoryClass.TURNS_UPWARD or hi_class is not TrajectoryClass.CROSSES_ZERO:
-        raise BracketFailure(
-            f"bracket ({lo}, {hi}) classes ({lo_class.value}, {hi_class.value}) "
-            "do not separate TurnsUpward from CrossesZero"
-        )
+    def brackets(lo, hi):
+        return (classify(lo) is TrajectoryClass.TURNS_UPWARD
+                and classify(hi) is TrajectoryClass.CROSSES_ZERO)
+
+    path = [(lo, hi)]
+    # the default bracket ends below the force zero, where the classes are
+    # ordered in the amplitude, so a verified interval inside it implies the
+    # check of the bracket itself; a configured bracket may reach past the
+    # force zero and is checked first, as in a cold solve
+    if prediction is not None and (cfg.amplitude_bracket is None or brackets(lo, hi)):
+        a_pred, err = prediction
+        width = max(4.0 * err, 4.0 * _PREDICTION_ERR_FLOOR * abs(a_pred),
+                    cfg.bisection_tolerance)
+        a, b = lo, hi
+        while b - a > width:
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                break
+            a, b = (a, mid) if a_pred < mid else (mid, b)
+            path.append((a, b))
+    level = len(path) - 1
+    while not brackets(*path[level]):
+        if level == 0:
+            raise BracketFailure(
+                f"bracket ({lo}, {hi}) classes ({classify(lo).value}, {classify(hi).value}) "
+                "do not separate TurnsUpward from CrossesZero"
+            )
+        level = max(level - _CLIMB_LEVELS, 0)
+    lo, hi = path[level]
     while hi - lo > cfg.bisection_tolerance:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -244,13 +291,14 @@ def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
     return _matched_profile(sample, a, omega, quintic, r_a, r_b, cfg)
 
 
-def _solve(omega: float, cfg: ShootingConfig, quintic: bool) -> RadialProfile:
+def _solve(omega: float, cfg: ShootingConfig, quintic: bool,
+           prediction: tuple[float, float] | None = None) -> RadialProfile:
     base_radius = cfg.max_radius if cfg.max_radius is not None else default_max_radius(omega)
     last_err = None
     radius = base_radius
     for _ in range(3):
         try:
-            lo, hi = _bisect_amplitude(omega, cfg, quintic, radius)
+            lo, hi = _bisect_amplitude(omega, cfg, quintic, radius, prediction)
             return _build_profile(0.5 * (lo + hi), omega, cfg, quintic, radius)
         except DomainTooSmall as err:
             last_err = err
@@ -263,12 +311,44 @@ def _solve(omega: float, cfg: ShootingConfig, quintic: bool) -> RadialProfile:
 _profile_cache: dict = {}
 
 
+def _predict_amplitude(omega: float, cfg: ShootingConfig) -> tuple[float, float] | None:
+    """Ground amplitude at omega and its error bound, by Newton
+    interpolation in omega over the (at most four) nearest cached ground
+    states of this configuration; ``None`` when none is cached.
+
+    The bound is four times the last Newton term, or 50 |omega - omega_0|
+    with a single neighbour.
+    """
+    fingerprint = cfg.fingerprint()
+    near = sorted(((key[0], profile.amplitude) for key, profile in _profile_cache.items()
+                   if key[1] == fingerprint and profile.kind == GROUND_STATE),
+                  key=lambda entry: abs(entry[0] - omega))[:4]
+    if not near:
+        return None
+    nodes = [o for o, _ in near]
+    coef = [a for _, a in near]
+    for k in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, k - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - k])
+    a_pred, basis = 0.0, 1.0
+    for c, node in zip(coef, nodes):
+        term = c * basis
+        a_pred += term
+        basis *= omega - node
+    err = 4.0 * abs(term) if len(nodes) > 1 else 50.0 * abs(omega - nodes[0])
+    if not (math.isfinite(a_pred) and math.isfinite(err)):
+        return None
+    return a_pred, err
+
+
 def solve_ground_state(omega: float, cfg: ShootingConfig | None = None) -> RadialProfile:
     """Positive decaying solution of the cubic-quintic profile equation.
 
     Shooting handles frequencies up to a switch point; above it the
     separatrix amplitude is no longer resolvable in double precision and
     the solver hands off to collocation continuation (see bvp module).
+    A shooting solve starts its bisection from the amplitude predicted by
+    cached neighbours; the profile is the same as without them.
     """
     check_frequency(omega)
     cfg = cfg or ShootingConfig()
@@ -280,7 +360,8 @@ def solve_ground_state(omega: float, cfg: ShootingConfig | None = None) -> Radia
     if omega > OMEGA_SHOOTING_MAX:
         profile = solve_collocation(omega, cfg)
     else:
-        profile = _solve(omega, cfg, quintic=True)
+        profile = _solve(omega, cfg, quintic=True,
+                         prediction=_predict_amplitude(omega, cfg))
     _profile_cache[key] = profile
     return profile
 

@@ -9,6 +9,13 @@ from cqnls.profiles import ShootingConfig
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
 
 
+def pytest_collection_modifyitems(items):
+    # any user of the 60-node scan pays for building it
+    for item in items:
+        if "curve" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return ShootingConfig()

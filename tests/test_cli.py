@@ -1,8 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cqnls.cli import ENV_OUT_DIR, build_parser, main
+from cqnls.cli import ENV_OUT_DIR, _read_config_file, build_parser, main
 from cqnls.functionals import evaluate
 from cqnls.profiles import GROUND_STATE, RadialProfile
 
@@ -126,3 +130,68 @@ class TestPipelines:
 
     def test_validate_honours_ode_tol(self, tmp_path):
         assert main(["validate", "--ode-tol", "1e-3", "--out", str(tmp_path)]) == 3
+
+    def test_validate_records_solver_errors(self, tmp_path, capsys):
+        # at 1e-3 the ground-state solves raise; each is a FAIL row and the
+        # battery still runs to the end and writes its manifest
+        assert main(["validate", "--ode-tol", "1e-3", "--out", str(tmp_path)]) == 3
+        printed = capsys.readouterr().out
+        checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+        assert len(checks) == 7
+        assert [c["pass"] for c in checks[:3]] == [True, True, True]
+        failed = [c for c in checks if c["detail"].startswith("DomainTooSmall: ")]
+        assert failed and not any(c["pass"] for c in failed)
+        assert "cubic reference residuals" in printed
+        assert all(c["name"] in printed for c in failed)
+
+
+_KEYS = st.from_regex(r"[a-z][a-z0-9]{0,6}(-[a-z0-9]{1,4}){0,2}", fullmatch=True)
+_VALUES = st.text(st.characters(blacklist_categories=["Cc", "Cs", "Zl", "Zp"],
+                                blacklist_characters="#"), max_size=12).map(str.strip)
+_COMMENTS = st.text(st.characters(blacklist_categories=["Cc", "Cs", "Zl", "Zp"]),
+                    max_size=12)
+
+
+def _write_temp(text: str) -> Path:
+    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as fh:
+        fh.write(text)
+    return Path(fh.name)
+
+
+class TestConfigProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(options=st.dictionaries(_KEYS, _VALUES, max_size=6),
+           comments=st.lists(_COMMENTS, min_size=8, max_size=8),
+           pad=st.sampled_from(["", " ", "  "]))
+    def test_read_config_round_trips(self, options, comments, pad):
+        lines = [f"# {comments[0]}", ""]
+        for i, (key, value) in enumerate(options.items()):
+            lines.append(f"{pad}{key}{pad}={pad}{value}{pad}#{comments[i + 1]}")
+        path = _write_temp("\n".join(lines) + "\n")
+        try:
+            parsed = _read_config_file(str(path))
+        finally:
+            path.unlink()
+        assert parsed == {key.replace("-", "_"): value for key, value in options.items()}
+
+    @settings(max_examples=25, deadline=None)
+    @given(omega=st.one_of(st.floats(max_value=0.0, allow_nan=False),
+                           st.floats(min_value=3.0 / 16.0, allow_nan=False)),
+           command=st.sampled_from(["solve", "spectra"]))
+    def test_out_of_window_exits_2(self, omega, command):
+        with tempfile.TemporaryDirectory() as out:
+            # the = form keeps argparse from reading a negative value as a flag
+            assert main([command, f"--omega={omega!r}", "--out", out]) == 2
+
+    @settings(max_examples=25, deadline=None)
+    @given(line=st.text(st.characters(blacklist_categories=["Cc", "Cs", "Zl", "Zp"],
+                                      blacklist_characters="=#"), min_size=1)
+           .filter(str.strip))
+    def test_non_key_value_line_exits_3(self, line):
+        path = _write_temp(f"omega = 0.09\n{line}\n")
+        try:
+            with tempfile.TemporaryDirectory() as out:
+                assert main(["solve", "--config", str(path), "--omega", "0.09",
+                             "--out", out]) == 3
+        finally:
+            path.unlink()

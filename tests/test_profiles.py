@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqnls.errors import NonFiniteIntegrand
@@ -93,6 +93,7 @@ def test_test_function_profile_even_node_count():
 @settings(deadline=None)
 @given(extent=st.floats(0.0, 500.0), spacing=st.floats(0.005, 1.0),
        down=st.booleans())
+@example(extent=1.9, spacing=0.005, down=True)  # quotient rounds up to 380.0
 def test_even_grid_even_intervals_at_exact_spacing(extent, spacing, down):
     grid = even_grid(extent, spacing, down)
     n = grid.size - 1
