@@ -308,8 +308,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    if not token.startswith("-"):
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--omega -1e-3`` -> ``--omega=-1e-3``.
+
+    argparse's negative-number pattern has no exponent form, so it would
+    read such a value as an unknown flag instead of handing it to the
+    window check.
+    """
+    attached = []
+    for token in argv:
+        if (attached and attached[-1].startswith("--") and "=" not in attached[-1]
+                and _is_negative_number(token)):
+            attached[-1] += "=" + token
+        else:
+            attached.append(token)
+    return attached
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return _run_command(args)
     except FrequencyOutOfWindow as err:

@@ -2,10 +2,11 @@
 
 A scan solves the ground state at each grid node and records the scalar
 functionals.  Differentiation uses fresh solves on a local stencil (never
-interpolated curve values), critical frequencies are located by bisection
-on the monotone beta curve with fresh solves per iterate, and stability
-labels follow the sign structure of the mass derivative around the
-critical frequency.
+interpolated curve values), critical frequencies are located by Brent's
+method on the monotone beta curve with fresh solves per iterate, and
+stability labels follow the sign structure of the mass derivative around
+the critical frequency.  ``monotone_root`` is the one bracketed root
+search, shared with the landscape's branch inversions.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import (CqnlsError, EmptyGrid, InsufficientCoverage,
-                     InsufficientPoints, TargetNotBracketed)
+                     InsufficientPoints, TargetNotBracketed, ToleranceNotMet)
 from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile, ShootingConfig
 from .shooting import solve_ground_state
@@ -219,11 +221,54 @@ def differentiate(curve: FrequencyCurve, cfg: ShootingConfig | None = None) -> F
                           derivative_checks=tuple(final_checks))
 
 
+def monotone_root(value_at, target: float, lo: float, hi: float, xtol: float,
+                  not_bracketed=TargetNotBracketed, end_tol: float = 0.0,
+                  end_values=None):
+    """Root of value_at(x) = target on a bracket where value_at is monotone.
+
+    ``value_at(x)`` returns ``(value, payload)``; ``end_values`` are the
+    values at lo and hi when they are already known (scanned nodes), so
+    they cost no evaluation.  An end within ``end_tol`` of the target is
+    accepted as it stands, and ends that do not straddle the target raise
+    ``not_bracketed``.  Otherwise Brent's method runs to ``xtol`` and the
+    evaluated iterate with the smallest |value - target| is returned as
+    ``(x, value, payload)``: always a point that value_at was called at.
+    """
+    known = dict(zip((lo, hi), end_values)) if end_values is not None else {}
+    evaluated = {}
+
+    def residual(x):
+        if x in known:
+            return known[x] - target
+        if x not in evaluated:
+            evaluated[x] = value_at(x)
+        return evaluated[x][0] - target
+
+    r_lo, r_hi = residual(lo), residual(hi)
+    for end, r in ((lo, r_lo), (hi, r_hi)):
+        if abs(r) <= end_tol:
+            return (end, *(evaluated.get(end) or value_at(end)))
+    if r_lo * r_hi > 0:
+        raise not_bracketed(
+            f"{target} not bracketed on [{lo}, {hi}] "
+            f"(values {r_lo + target:.6g}, {r_hi + target:.6g})"
+        )
+    root = brentq(residual, lo, hi, xtol=xtol, disp=False)
+    if not evaluated:
+        evaluated[root] = value_at(root)
+    best = min(evaluated, key=lambda x: abs(evaluated[x][0] - target))
+    return (best, *evaluated[best])
+
+
 def invert_beta(target: float, curve: FrequencyCurve, cfg: ShootingConfig | None = None,
                 beta_tol: float = 1e-8, omega_tol: float = 1e-12):
-    """Frequency with beta(omega) = target by bisection with fresh solves.
+    """Frequency with beta(omega) = target by Brent's method with fresh solves.
 
-    Exploits strict monotonicity of beta.  Returns (omega, profile, report).
+    Exploits strict monotonicity of beta: the scanned nodes bracket the
+    target and lend their beta values to the bracket ends.  The search runs
+    to omega_tol and returns the solved iterate nearest the target as
+    (omega, profile, report); ToleranceNotMet is raised when that iterate
+    misses the target by more than beta_tol.
     """
     cfg = cfg or ShootingConfig()
     betas = curve.betas()
@@ -234,23 +279,22 @@ def invert_beta(target: float, curve: FrequencyCurve, cfg: ShootingConfig | None
             f"beta = {target} not bracketed by scanned range "
             f"[{betas.min():.4g}, {betas.max():.4g}]"
         )
-    lo, hi = float(omegas[idx[0]]), float(omegas[idx[0] + 1])
-    best = None
-    while hi - lo > omega_tol:
-        mid = 0.5 * (lo + hi)
-        profile = solve_ground_state(mid, cfg)
+    i = int(idx[0])
+
+    def beta_at(omega):
+        profile = solve_ground_state(omega, cfg)
         rep = evaluate(profile)
-        best = (mid, profile, rep)
-        if abs(rep.beta - target) < beta_tol:
-            return best
-        if rep.beta < target:
-            lo = mid
-        else:
-            hi = mid
-    if best is None:
-        profile = solve_ground_state(0.5 * (lo + hi), cfg)
-        best = (0.5 * (lo + hi), profile, evaluate(profile))
-    return best
+        return rep.beta, (profile, rep)
+
+    omega, beta, (profile, rep) = monotone_root(
+        beta_at, target, float(omegas[i]), float(omegas[i + 1]), omega_tol,
+        end_values=(float(betas[i]), float(betas[i + 1])))
+    if abs(beta - target) > beta_tol:
+        raise ToleranceNotMet(
+            f"beta = {target} missed by {abs(beta - target):.3g} at omega = "
+            f"{omega!r}, beyond beta_tol = {beta_tol:g}"
+        )
+    return omega, profile, rep
 
 
 def _mass_argmin(curve: FrequencyCurve) -> float:

@@ -41,6 +41,10 @@ class TargetNotBracketed(CqnlsError):
     """Curve does not bracket the requested beta target."""
 
 
+class ToleranceNotMet(CqnlsError):
+    """Root search ended without reaching the requested tolerance."""
+
+
 class InsufficientCoverage(CqnlsError):
     """Curve lacks the endpoint nodes needed for asymptotic checks."""
 

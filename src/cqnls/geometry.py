@@ -60,7 +60,7 @@ def q_alpha(alpha: float, curve: FrequencyCurve,
     if alpha <= 0:
         raise AlphaOutOfRange("alpha must be positive")
     try:
-        _, profile, _ = invert_beta(alpha, curve, cfg, beta_tol=1e-8)
+        _, profile, _ = invert_beta(alpha, curve, cfg)
     except TargetNotBracketed as err:
         raise AlphaOutOfRange(str(err)) from err
     return profile

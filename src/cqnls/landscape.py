@@ -16,10 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from scipy.optimize import brentq
-
 from .curves import (CriticalFrequencies, FrequencyCurve, CRITICAL, STABLE,
-                     UNSTABLE)
+                     UNSTABLE, monotone_root)
 from .errors import MassBeyondScan
 from .functionals import evaluate
 from .geometry import rescale_energy_factor, rescale_mass_factor
@@ -76,36 +74,6 @@ class LandscapeRecord:
         }
 
 
-def _bisect_monotone(target: float, lo: float, hi: float, value_at,
-                     rel_tol: float = _MASS_REL_TOL, max_iter: int = 200):
-    """Root of value_at(omega) = target on a monotone bracket.
-
-    value_at returns (value, payload); the payload of the accepted iterate
-    is returned alongside the frequency.  Brent's method keeps the solve
-    count an order of magnitude below plain bisection.
-    """
-    evaluated = {}
-
-    def residual(omega):
-        value, payload = value_at(omega)
-        evaluated[omega] = payload
-        return value - target
-
-    r_lo, r_hi = residual(lo), residual(hi)
-    if abs(r_lo) <= rel_tol * target:
-        return lo, evaluated[lo]
-    if abs(r_hi) <= rel_tol * target:
-        return hi, evaluated[hi]
-    if r_lo * r_hi > 0:
-        raise MassBeyondScan(
-            f"mass {target} not bracketed on [{lo}, {hi}] "
-            f"(values {r_lo + target:.6g}, {r_hi + target:.6g})"
-        )
-    root = brentq(residual, lo, hi, xtol=1e-12, maxiter=max_iter)
-    best = min(evaluated, key=lambda om: abs(om - root))
-    return best, evaluated[best]
-
-
 def _narrow_bracket(target, branch_points, value_of, lo, hi, increasing):
     """Shrink [lo, hi] using already-scanned curve nodes on the branch.
 
@@ -158,7 +126,9 @@ def _branch_roots(m, curve, split, value_min, value_of, cfg, tol=None):
         lo, hi = _narrow_bracket(m, curve.points, value_of, lo, hi,
                                  increasing=branch == UPPER_BRANCH)
         try:
-            omega, rep = _bisect_monotone(m, lo, hi, value_at)
+            omega, _, rep = monotone_root(value_at, m, lo, hi, 1e-12,
+                                          not_bracketed=MassBeyondScan,
+                                          end_tol=_MASS_REL_TOL * m)
         except MassBeyondScan:
             # a branch can run off the scanned window
             continue

@@ -55,6 +55,10 @@ class TestSolve:
         assert code == 2
         assert "(0, 3/16)" in capsys.readouterr().err
 
+    def test_exponent_form_negative_exits_2(self, tmp_path, capsys):
+        assert main(["solve", "--omega", "-1e-3", "--out", str(tmp_path)]) == 2
+        assert "(0, 3/16)" in capsys.readouterr().err
+
     def test_loose_tolerance_exits_3(self, tmp_path):
         code = main(["solve", "--omega", "0.09", "--ode-tol", "1e-3",
                      "--out", str(tmp_path)])
@@ -177,11 +181,14 @@ class TestConfigProperties:
     @settings(max_examples=25, deadline=None)
     @given(omega=st.one_of(st.floats(max_value=0.0, allow_nan=False),
                            st.floats(min_value=3.0 / 16.0, allow_nan=False)),
-           command=st.sampled_from(["solve", "spectra"]))
-    def test_out_of_window_exits_2(self, omega, command):
+           command=st.sampled_from(["solve", "spectra"]),
+           attached=st.booleans())
+    def test_out_of_window_exits_2(self, omega, command, attached):
+        # repr gives the exponent form (-1e-05) that argparse's own
+        # negative-number pattern misses when the value stands alone
+        value = ([f"--omega={omega!r}"] if attached else ["--omega", repr(omega)])
         with tempfile.TemporaryDirectory() as out:
-            # the = form keeps argparse from reading a negative value as a flag
-            assert main([command, f"--omega={omega!r}", "--out", out]) == 2
+            assert main([command, *value, "--out", out]) == 2
 
     @settings(max_examples=25, deadline=None)
     @given(line=st.text(st.characters(blacklist_categories=["Cc", "Cs", "Zl", "Zp"],

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from cqnls import curves
+from cqnls import curves, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
                           FrequencyCurve, asymptotic_check, classify_stability,
                           default_omega_grid, derivative_step, differentiate,
-                          invert_beta, scan)
+                          invert_beta, monotone_root, scan)
 from cqnls.errors import (EmptyGrid, InsufficientCoverage, InsufficientPoints,
-                          TargetNotBracketed)
-from cqnls.profiles import OMEGA_MAX
+                          MassBeyondScan, TargetNotBracketed, ToleranceNotMet)
+from cqnls.functionals import evaluate
+from cqnls.profiles import OMEGA_MAX, ShootingConfig
 
 
 class TestDefaultGrid:
@@ -81,8 +82,88 @@ class TestInvertBeta:
 
     def test_beta_tolerance_honoured(self, curve, cfg):
         omega, _, rep = invert_beta(1.0 / 3.0, curve, cfg)
-        assert abs(rep.beta - 1.0 / 3.0) < 1e-8
+        assert abs(rep.beta - 1.0 / 3.0) < 1e-12
         assert 0.0 < omega < OMEGA_MAX
+
+
+class TestMonotoneRoot:
+    """x^3 = target on [0, 1]; the payload records the point evaluated."""
+
+    def cube(self, calls):
+        def value_at(x):
+            calls.append(x)
+            return x**3, ("payload", x)
+        return value_at
+
+    def test_returns_best_evaluated_iterate(self):
+        calls = []
+        x, value, payload = monotone_root(self.cube(calls), 0.125, 0.0, 1.0, 1e-12)
+        assert payload == ("payload", x) and value == x**3
+        assert abs(value - 0.125) == min(abs(c**3 - 0.125) for c in calls)
+        assert abs(x - 0.5) < 1e-12
+
+    def test_known_end_values_cost_no_evaluation(self):
+        calls = []
+        x, _, _ = monotone_root(self.cube(calls), 0.125, 0.0, 1.0, 1e-12,
+                                end_values=(0.0, 1.0))
+        assert 0.0 not in calls and 1.0 not in calls
+        assert x in calls
+
+    def test_end_point_hit(self):
+        calls = []
+        x, value, payload = monotone_root(self.cube(calls), 1.0 + 1e-12, 0.0, 1.0,
+                                          1e-12, end_tol=1e-9)
+        assert (x, value, payload) == (1.0, 1.0, ("payload", 1.0))
+        assert calls == [0.0, 1.0]
+        # a known end is evaluated once it is the answer
+        calls.clear()
+        x, _, payload = monotone_root(self.cube(calls), 0.0, 0.0, 1.0, 1e-12,
+                                      end_values=(0.0, 1.0))
+        assert (x, payload, calls) == (0.0, ("payload", 0.0), [0.0])
+
+    def test_unbracketed_raises_callers_error(self):
+        with pytest.raises(TargetNotBracketed):
+            monotone_root(self.cube([]), 2.0, 0.0, 1.0, 1e-12)
+        with pytest.raises(MassBeyondScan, match="not bracketed"):
+            monotone_root(self.cube([]), 2.0, 0.0, 1.0, 1e-12,
+                          not_bracketed=MassBeyondScan)
+
+
+@pytest.fixture(scope="module")
+def small_scan():
+    cfg = ShootingConfig(ode_tolerance=1e-10)
+    swept = scan(default_omega_grid(5, 0.004, 0.15), cfg)
+    assert not swept.failures
+    return swept, cfg
+
+
+class TestInvertBetaSmallScan:
+    """Both critical inversions on the 5-node [0.004, 0.15] scan."""
+
+    @pytest.mark.parametrize("target", [1.0 / 3.0, 1.0])
+    def test_lands_on_target_in_few_solves(self, small_scan, monkeypatch, target):
+        swept, cfg = small_scan
+        calls = []
+
+        def spy(omega, c):
+            calls.append(omega)
+            return shooting.solve_ground_state(omega, c)
+        monkeypatch.setattr(curves, "solve_ground_state", spy)
+        omega, _, rep = invert_beta(target, swept, cfg)
+        assert abs(rep.beta - target) < 1e-12
+        assert len(calls) <= 16
+        assert omega in calls
+
+    def test_fresh_solve_reproduces_mass(self, small_scan, monkeypatch):
+        swept, cfg = small_scan
+        omega, _, rep = invert_beta(1.0 / 3.0, swept, cfg)
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        assert evaluate(shooting.solve_ground_state(omega, cfg)).mass == rep.mass
+
+    def test_unreachable_beta_tol_raises(self, small_scan):
+        swept, cfg = small_scan
+        with pytest.raises(ToleranceNotMet, match=r"beta = 0\.3333.* missed by"):
+            invert_beta(1.0 / 3.0, swept, cfg, beta_tol=1e-20)
 
 
 class TestCriticalAndStability:

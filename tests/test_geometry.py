@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqnls.errors import AlphaOutOfRange, KindMismatch
 from cqnls.functionals import evaluate, f_alpha
@@ -16,6 +18,14 @@ class TestRescaleSoliton:
         rep_r = evaluate(rescale_soliton(ground_009))
         assert rep_r.beta == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert rep_r.pohozaev == pytest.approx(0.0, abs=1e-8 * rep_r.grad_sq)
+
+    @settings(max_examples=6, deadline=None)
+    @given(omega=st.floats(0.01, 0.15))
+    def test_lands_on_normalization_across_window(self, omega):
+        # criterion 01's residual tolerance, on the rescale of any P_omega
+        rep_r = evaluate(rescale_soliton(solve_ground_state(omega)))
+        assert rep_r.beta == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert rep_r.pohozaev_residual < 1e-7
 
     def test_factors_match_quadrature(self, ground_009):
         rep = evaluate(ground_009)
