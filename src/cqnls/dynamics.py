@@ -150,7 +150,13 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     mass0 = ledger[0].mass
     energy0 = ledger[0].energy
 
+    # (i/dt + L/2) w_next = (i/dt - L/2) w, L = d_rr + diag(nl) + i*gamma;
+    # solve_banded copies ab, so its off-diagonal rows are set once
+    half_off = 0.5 * lap_off
+    half_gamma = 0.5j * gamma
     ab = np.zeros((3, n_interior), dtype=complex)
+    ab[0, 1:] = half_off
+    ab[2, :-1] = half_off
     time = initial.time
     next_sample = time + ledger_interval
     steps = int(round((t_end - time) / dt))
@@ -158,23 +164,25 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
 
     for _ in range(steps):
         w_next = w.copy()
+        # the parts of the right-hand side that do not depend on w_next
+        off_upper = half_off * w[1:]
+        off_lower = half_off * w[:-1]
+        if sponge:
+            damping = half_gamma * w
         converged = False
         for _ in range(max_inner):
             mid = 0.5 * (w + w_next)
             mod2 = np.abs(mid) ** 2 * inv_r2
             nl = mod2 - mod2 * mod2
-            # (i/dt + L/2) w_next = (i/dt - L/2) w, L = d_rr + diag(nl) + i*gamma
             diag_half = 0.5 * (lap_diag + nl)
             rhs = (1j / dt - diag_half) * w
-            rhs[:-1] -= 0.5 * lap_off * w[1:]
-            rhs[1:] -= 0.5 * lap_off * w[:-1]
+            rhs[:-1] -= off_upper
+            rhs[1:] -= off_lower
             if sponge:
-                rhs -= 0.5j * gamma * w
-            ab[0, 1:] = 0.5 * lap_off
+                rhs -= damping
             ab[1, :] = 1j / dt + diag_half
             if sponge:
-                ab[1, :] += 0.5j * gamma
-            ab[2, :-1] = 0.5 * lap_off
+                ab[1, :] += half_gamma
             candidate = solve_banded((1, 1), ab, rhs)
             delta = np.linalg.norm(candidate - w_next) / scale
             w_next = candidate

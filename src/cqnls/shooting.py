@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
+from operator import mul
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
@@ -80,18 +82,26 @@ def _taylor_start(a: float, h: float, omega: float, quintic: bool):
     return u, up
 
 
+def _event_thresholds(a: float):
+    # thresholds keep integrator noise (|u'| ~ atol on long plateaus near
+    # the upper frequency endpoint) from firing the events spuriously
+    return 1e-9 * a, 1e-7 * a
+
+
 def _integrate(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
                max_radius: float, dense: bool = False):
+    """``solve_ivp`` DOP853 run with the two terminal events.
+
+    Used for the dense pass of ``_build_profile`` and for the rare
+    trajectories ``_dop853_classify`` cannot decide on floats.
+    """
     h0 = cfg.taylor_start_step
 
     def rhs(r, y):
         u, up = y
         return (up, _force(u, omega, quintic) - 2.0 * up / r)
 
-    # thresholds keep integrator noise (|u'| ~ atol on long plateaus near
-    # the upper frequency endpoint) from firing the events spuriously
-    cross_eps = 1e-9 * a
-    turn_eps = 1e-7 * a
+    cross_eps, turn_eps = _event_thresholds(a)
 
     def ev_cross(r, y):
         return y[0] + cross_eps
@@ -121,6 +131,146 @@ def _integrate(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
     return label, r_stop, sol
 
 
+# scipy's DOP853 on floats: its Butcher tableau (row s of _A holds the s
+# coefficients of stage s), error weights over all 13 stage derivatives and
+# step-size control constants
+_A = tuple(tuple(map(float, _dop853.A[s, :s])) for s in range(1, _dop853.N_STAGES))
+_C = tuple(map(float, _dop853.C[1:_dop853.N_STAGES]))
+_B = tuple(map(float, _dop853.B))
+_E3 = tuple(map(float, _dop853.E3))
+_E5 = tuple(map(float, _dop853.E5))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
+_SQRT2 = math.sqrt(2.0)  # RMS norms are over the two components
+
+
+def _initial_step(rhs, r, u, up, fu, fp, length, rtol, atol):
+    """scipy's ``select_initial_step`` for the order-7 error estimator."""
+    scale_u, scale_p = atol + abs(u) * rtol, atol + abs(up) * rtol
+    d0 = math.hypot(u / scale_u, up / scale_p) / _SQRT2
+    d1 = math.hypot(fu / scale_u, fp / scale_p) / _SQRT2
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    fu1, fp1 = rhs(r + h0, u + h0 * fu, up + h0 * fp)
+    d2 = math.hypot((fu1 - fu) / scale_u, (fp1 - fp) / scale_p) / _SQRT2 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.125
+    return min(100.0 * h0, h1, length)
+
+
+def _dop853_step(rhs, r, u, up, fu, fp, h):
+    """One DOP853 step of size h, as scipy's ``rk_step``.
+
+    Returns the new state and the 13 stage derivatives of each component;
+    the last one is the derivative at the new state.
+    """
+    ku, kp = [fu], [fp]
+    for a, c in zip(_A, _C):
+        g_u, g_p = rhs(r + c * h, u + sum(map(mul, ku, a)) * h,
+                       up + sum(map(mul, kp, a)) * h)
+        ku.append(g_u)
+        kp.append(g_p)
+    u_new = u + h * sum(map(mul, ku, _B))
+    up_new = up + h * sum(map(mul, kp, _B))
+    g_u, g_p = rhs(r + h, u_new, up_new)
+    ku.append(g_u)
+    kp.append(g_p)
+    return u_new, up_new, ku, kp
+
+
+def _error_norm(ku, kp, h, scale_u, scale_p):
+    """DOP853's combined E5/E3 error norm of one step."""
+    e5u, e5p = sum(map(mul, ku, _E5)) / scale_u, sum(map(mul, kp, _E5)) / scale_p
+    e3u, e3p = sum(map(mul, ku, _E3)) / scale_u, sum(map(mul, kp, _E3)) / scale_p
+    e5 = e5u * e5u + e5p * e5p
+    e3 = e3u * e3u + e3p * e3p
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+
+
+def _dop853_classify(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
+                     max_radius: float) -> tuple[TrajectoryClass, int]:
+    """Class of one trajectory and the DOP853 steps it accepted.
+
+    The same answer as ``_integrate`` (scipy's DOP853 with the two terminal
+    events), from ``_march`` on Python floats.  ``_integrate`` decides the
+    two cases the floats cannot: a step that changes the sign of both
+    events, where the order of their roots on the dense output decides, and
+    a power that overflows, where numpy goes on with inf.
+    """
+    try:
+        result = _march(a, omega, cfg, quintic, max_radius)
+    except OverflowError:
+        result = None
+    if result is None:
+        label, _, sol = _integrate(a, omega, cfg, quintic, max_radius)
+        result = label, sol.t.size - 1
+    return result
+
+
+def _march(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
+           max_radius: float) -> tuple[TrajectoryClass, int] | None:
+    """``_integrate``'s DOP853 run up to its first event, on floats.
+
+    Same initial step, step-size control, ``min_step``, last step clipped
+    to ``max_radius`` and event sign-change tests, starting from the event
+    values at the Taylor start.  Reaching ``max_radius`` or a too-small
+    step gives Undetermined, as ``solve_ivp`` ending with no event.
+    ``None`` when one step changes the sign of both events.
+    """
+    rtol = cfg.ode_tolerance
+    atol = rtol * 1e-2
+    cross_eps, turn_eps = _event_thresholds(a)
+
+    def rhs(r, u, up):
+        # _force inlined: this runs 12 times per step
+        return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
+
+    r = cfg.taylor_start_step
+    u, up = _taylor_start(a, r, omega, quintic)
+    steps = 0
+    if not r < max_radius:
+        return TrajectoryClass.UNDETERMINED, steps
+    fu, fp = rhs(r, u, up)
+    h_abs = _initial_step(rhs, r, u, up, fu, fp, max_radius - r, rtol, atol)
+    g_cross, g_turn = u + cross_eps, up - turn_eps
+    while r < max_radius:
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return TrajectoryClass.UNDETERMINED, steps
+            r_new = min(r + h_abs, max_radius)
+            h = r_new - r
+            u_new, up_new, ku, kp = _dop853_step(rhs, r, u, up, fu, fp, h)
+            error = _error_norm(ku, kp, h, atol + max(abs(u), abs(u_new)) * rtol,
+                                atol + max(abs(up), abs(up_new)) * rtol)
+            if error < 1.0:
+                factor = (_MAX_FACTOR if error == 0.0
+                          else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        r, u, up, fu, fp = r_new, u_new, up_new, ku[-1], kp[-1]
+        steps += 1
+        g_cross_new, g_turn_new = u + cross_eps, up - turn_eps
+        crossed = g_cross >= 0.0 and g_cross_new <= 0.0  # direction -1
+        turned = g_turn <= 0.0 and g_turn_new >= 0.0  # direction +1
+        if crossed and turned:
+            return None
+        if crossed:
+            return TrajectoryClass.CROSSES_ZERO, steps
+        if turned:
+            return TrajectoryClass.TURNS_UPWARD, steps
+        g_cross, g_turn = g_cross_new, g_turn_new
+    return TrajectoryClass.UNDETERMINED, steps
+
+
 def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | None = None,
                         quintic: bool = True, max_radius: float | None = None) -> TrajectoryClass:
     """Assign the shooting dichotomy class of one central amplitude."""
@@ -134,7 +284,7 @@ def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | No
     if _force(amplitude, omega, quintic) >= 0.0:
         # force pushes away from zero at the start: the trajectory rises
         return TrajectoryClass.TURNS_UPWARD
-    return _integrate(amplitude, omega, cfg, quintic, max_radius)[0]
+    return _dop853_classify(amplitude, omega, cfg, quintic, max_radius)[0]
 
 
 def _default_bracket(omega: float, quintic: bool):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqnls import bvp, shooting
@@ -150,13 +150,14 @@ class TestWarmStart:
         monkeypatch.setattr(shooting, "_profile_cache", {})
         for neighbour in neighbours:
             solve_ground_state(neighbour, cfg)
+        # count trajectory classifications: both solves make one dense pass
         calls = []
-        real_ivp = shooting.solve_ivp
+        real_classify = shooting._dop853_classify
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return real_ivp(*args, **kwargs)
-        monkeypatch.setattr(shooting, "solve_ivp", counted)
+            return real_classify(*args, **kwargs)
+        monkeypatch.setattr(shooting, "_dop853_classify", counted)
         warm = solve_ground_state(omega, cfg)
         warm_calls = len(calls)
         cold = shooting._solve(omega, cfg, True)
@@ -207,3 +208,72 @@ def test_any_prediction_gives_the_cold_bracket(omega, sign, miss, err):
     a = 0.5 * (cold[0] + cold[1])
     prediction = (a * (1.0 + sign * 10.0**miss), a * 10.0**err)
     assert _bisect(omega, cfg, prediction) == cold
+
+
+def _solve_ivp_class(a, omega, cfg, quintic, max_radius):
+    label, _, sol = shooting._integrate(a, omega, cfg, quintic, max_radius)
+    return label, sol.t.size - 1
+
+
+@settings(max_examples=8, deadline=None)
+@given(omega=st.floats(0.004, 0.155), sign=st.sampled_from([-1.0, 1.0]),
+       log_offset=st.floats(-9.0, math.log10(0.3)),
+       tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+       quintic=st.just(True), max_radius=st.just(None))
+@example(omega=0.004, sign=-1.0, log_offset=-9.0, tol=1e-12, quintic=True, max_radius=None)
+@example(omega=0.004, sign=1.0, log_offset=-6.0, tol=1e-8, quintic=True, max_radius=None)
+@example(omega=0.155, sign=-1.0, log_offset=-9.0, tol=1e-12, quintic=True, max_radius=None)
+@example(omega=0.155, sign=-1.0, log_offset=-2.0, tol=1e-10, quintic=True, max_radius=None)
+@example(omega=1.0, sign=1.0, log_offset=-9.0, tol=1e-12, quintic=False, max_radius=None)
+@example(omega=1.0, sign=-1.0, log_offset=-4.0, tol=1e-8, quintic=False, max_radius=None)
+@example(omega=0.073, sign=1.0, log_offset=-9.0, tol=1e-12, quintic=True, max_radius=2.0)
+def test_float_stepper_matches_solve_ivp(omega, sign, log_offset, tol, quintic, max_radius):
+    # the same class as solve_ivp, near and far from the root amplitude, and
+    # the same accepted DOP853 steps up to one: at these tolerances the step
+    # sizes follow the rounding of the error estimate, which numpy's dot
+    # products (fused multiply-adds) round differently, so on about 0.1 % of
+    # samples the event falls one step earlier or later
+    cfg = ShootingConfig(ode_tolerance=tol)
+    radius = max_radius or shooting.default_max_radius(omega)
+    root = 0.5 * sum(shooting._bisect_amplitude(omega, cfg, quintic,
+                                                shooting.default_max_radius(omega)))
+    a = root * (1.0 + sign * 10.0**log_offset)
+    assume(a < force_upper_zero(omega, quintic))
+    label, steps = shooting._dop853_classify(a, omega, cfg, quintic, radius)
+    label_ivp, steps_ivp = _solve_ivp_class(a, omega, cfg, quintic, radius)
+    assert label is label_ivp
+    assert abs(steps - steps_ivp) <= 1
+    if max_radius is not None:
+        # too short to leave the plateau near the root
+        assert label is TrajectoryClass.UNDETERMINED
+
+
+def test_both_events_in_one_step_defer_to_solve_ivp(cfg, monkeypatch):
+    # a step that changes the sign of both events is decided by the root
+    # order on solve_ivp's dense output
+    omega, a = 0.073, 0.88
+    real_step = shooting._dop853_step
+
+    def both_fire(rhs, r, u, up, fu, fp, h):
+        _, _, ku, kp = real_step(rhs, r, u, up, fu, fp, h)
+        return -a, a, ku, kp
+    monkeypatch.setattr(shooting, "_dop853_step", both_fire)
+    calls = []
+    real_integrate = shooting._integrate
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("dense", False))
+        return real_integrate(*args, **kwargs)
+    monkeypatch.setattr(shooting, "_integrate", spy)
+    radius = shooting.default_max_radius(omega)
+    result = shooting._dop853_classify(a, omega, cfg, True, radius)
+    assert calls == [False]
+    monkeypatch.setattr(shooting, "_integrate", real_integrate)
+    assert result == _solve_ivp_class(a, omega, cfg, True, radius)
+
+
+def test_overflow_defers_to_solve_ivp(cfg):
+    # u**3 of Python floats raises where numpy's arrays go on with inf
+    with np.errstate(all="ignore"):
+        label = classify_trajectory(1e12, 1.0, cfg, quintic=False)
+        assert label is shooting._integrate(1e12, 1.0, cfg, False, 60.0)[0]
