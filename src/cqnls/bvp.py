@@ -1,12 +1,16 @@
-"""Collocation continuation for frequencies near the upper endpoint.
+"""Collocation continuation for frequencies near the upper endpoint: an
+independent oracle for the plateau shooting of ``shooting``.
 
-Shooting loses the ground state once the frequency approaches 3/16: the
-separatrix amplitude hugs the force zero to within less than one double-
-precision ulp while the profile develops a long plateau whose front sits
-at a radius growing like 1/(3/16 - omega).  Beyond a switch frequency the
-solver therefore changes formulation: the profile equation is solved as a
-two-point boundary-value problem with adaptive collocation, continued in
-frequency from a shooting solution at the switch point.
+Near 3/16 the separatrix amplitude hugs the force zero to within less than
+one double-precision ulp while the profile develops a long plateau whose
+front sits at a radius growing like 1/(3/16 - omega).  ``solve_ground_state``
+shoots on the log of that gap there; this module solves the same profile
+equation another way, as a two-point boundary-value problem with adaptive
+collocation, continued in frequency from a shooting solution at the switch
+point.  No solver path calls it any more.  It is kept as the cross-method
+check of the plateau solves (``tests/test_shooting.py``) and because the
+benchmark's traced mode wraps ``solve_bvp`` and ``solve_collocation``
+here; it can go once the benchmark stops wrapping them.
 
 Each continuation step seeds the next solve by *translating the front*:
 the front radius is extrapolated linearly in 1/(3/16 - omega) and the
@@ -26,10 +30,7 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainTooSmall, InnerSolveDiverged
 from .profiles import OMEGA_MAX, RadialProfile, ShootingConfig
-from .shooting import _matched_profile
-
-#: largest frequency handled by pure shooting; collocation above this
-OMEGA_SHOOTING_MAX = 0.155
+from .shooting import OMEGA_SHOOTING_MAX, _matched_profile
 
 _TOL = 1e-10
 _MAX_NODES = 300_000

@@ -90,9 +90,6 @@ class FrequencyCurve:
     def energies(self) -> np.ndarray:
         return np.array([p.energy for p in self.points])
 
-    def d_values(self) -> np.ndarray:
-        return np.array([p.d_value for p in self.points])
-
     def to_csv(self, path: str | Path):
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)

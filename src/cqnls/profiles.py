@@ -44,14 +44,15 @@ def even_grid(extent: float, spacing: float, down: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Knobs for the amplitude-shooting solver.
+    """Knobs for the shooting solver.
 
-    ``amplitude_bracket`` of ``None`` selects the phase-plane default
-    bracket for the given frequency.  ``max_radius`` of ``None`` selects
-    ``max(40/sqrt(omega), 60)``.
+    ``max_radius`` of ``None`` selects ``max(40/sqrt(omega), 60)``; above
+    the amplitude-shooting range it is the reach beyond the plateau's
+    front.  ``bisection_tolerance`` bounds the final bracket of the
+    shooting parameter: the central amplitude, or the log of its gap to
+    the force zero above that range.
     """
 
-    amplitude_bracket: tuple[float, float] | None = None
     ode_tolerance: float = 1e-12
     bisection_tolerance: float = 1e-14
     max_radius: float | None = None
@@ -61,10 +62,6 @@ class ShootingConfig:
     tail_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.amplitude_bracket is not None:
-            a_lo, a_hi = self.amplitude_bracket
-            if not a_lo < a_hi:
-                raise ValueError("amplitude bracket must satisfy a_lo < a_hi")
         if self.ode_tolerance <= 0 or self.bisection_tolerance <= 0:
             raise ValueError("tolerances must be positive")
         w_lo, w_hi = self.matching_window

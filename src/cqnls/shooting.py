@@ -1,10 +1,21 @@
-"""Ground-state solver: amplitude shooting with bisection on the radial ODE.
+"""Ground-state solver: shooting with bisection on the radial ODE.
 
 The profile equation  u'' + (2/r) u' = omega*u - u^3 + u^5  is integrated
-from a Taylor start near the origin.  Central amplitudes split into two
+from a regular start at the origin.  Central values split into two
 classes: too low and the trajectory turns upward while still positive, too
 high (past the ground amplitude) and it crosses zero.  Bisection pins the
 separatrix, which is the decaying ground state.
+
+Up to ``OMEGA_SHOOTING_MAX`` the bisection runs on the central amplitude.
+Above it the ground amplitude u(0) = u+ - eps sits just below the force
+zero u+, with eps ~ exp(-0.36/(3/16 - omega)) falling below one ulp of u+
+from omega ~ 0.18, and the profile is a plateau at u+ of radius about
+-ln(eps)/kappa closed by a front (kappa^2 = f'(u+)).  There the bisection
+runs on s = ln(eps) instead (``_PlateauShot``): the scaled deviation
+w = (u+ - u)/eps, with its exponential growth divided out, is integrated
+from the exact linear solution sinh(kappa r)/(kappa r), so tolerances
+stay relative however small eps is, and the trajectory switches back to
+u once the deviation is of order one.
 
 The same machinery solves the pure-cubic reference problem
 g'' + (2/r) g' = g - g^3 (quintic term switched off), whose solution
@@ -24,6 +35,11 @@ from scipy.integrate._ivp import dop853_coefficients as _dop853
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
                        ShootingConfig, even_grid)
+
+
+#: largest frequency solved by amplitude shooting; above it the bisection
+#: runs on the logarithm of the gap between the amplitude and the force zero
+OMEGA_SHOOTING_MAX = 0.155
 
 
 class TrajectoryClass(enum.Enum):
@@ -61,15 +77,6 @@ def force_upper_zero(omega: float, quintic: bool = True) -> float:
     return math.sqrt((1.0 + math.sqrt(disc)) / 2.0)
 
 
-def hamiltonian_upper_root(omega: float) -> float:
-    """Largest positive root of -omega a^2/2 + a^4/4 - a^6/6 = 0."""
-    disc = 2.25 - 12.0 * omega
-    if disc < 0:
-        raise FrequencyOutOfWindow(f"flat Hamiltonian has no positive root, omega={omega}")
-    s = (1.5 + math.sqrt(disc)) / 2.0
-    return math.sqrt(s)
-
-
 def default_max_radius(omega: float) -> float:
     return max(40.0 / math.sqrt(omega), 60.0)
 
@@ -89,14 +96,13 @@ def _event_thresholds(a: float):
 
 
 def _integrate(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-               max_radius: float, dense: bool = False):
+               max_radius: float, dense: bool = False, start=None):
     """``solve_ivp`` DOP853 run with the two terminal events.
 
-    Used for the dense pass of ``_build_profile`` and for the rare
-    trajectories ``_dop853_classify`` cannot decide on floats.
+    ``start`` ``(r, u, u')`` defaults to the Taylor start of amplitude
+    ``a``.  Used for the dense pass of the profile builders and for the
+    rare trajectories ``_dop853_classify`` cannot decide on floats.
     """
-    h0 = cfg.taylor_start_step
-
     def rhs(r, y):
         u, up = y
         return (up, _force(u, omega, quintic) - 2.0 * up / r)
@@ -113,9 +119,11 @@ def _integrate(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
     ev_turn.terminal = True
     ev_turn.direction = 1.0
 
-    y0 = _taylor_start(a, h0, omega, quintic)
+    if start is None:
+        h0 = cfg.taylor_start_step
+        start = (h0, *_taylor_start(a, h0, omega, quintic))
     sol = solve_ivp(
-        rhs, (h0, max_radius), y0, method="DOP853",
+        rhs, (start[0], max_radius), start[1:], method="DOP853",
         rtol=cfg.ode_tolerance, atol=cfg.ode_tolerance * 1e-2,
         events=(ev_cross, ev_turn), dense_output=dense,
     )
@@ -192,59 +200,63 @@ def _error_norm(ku, kp, h, scale_u, scale_p):
 
 
 def _dop853_classify(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-                     max_radius: float) -> tuple[TrajectoryClass, int]:
+                     max_radius: float, start=None) -> tuple[TrajectoryClass, int]:
     """Class of one trajectory and the DOP853 steps it accepted.
 
     The same answer as ``_integrate`` (scipy's DOP853 with the two terminal
-    events), from ``_march`` on Python floats.  ``_integrate`` decides the
-    two cases the floats cannot: a step that changes the sign of both
-    events, where the order of their roots on the dense output decides, and
-    a power that overflows, where numpy goes on with inf.
+    events) from the same ``start``, by ``_march`` on Python floats.  A
+    step that changes the sign of both events is left to ``_integrate``,
+    where the order of their roots on the dense output decides.
     """
-    try:
-        result = _march(a, omega, cfg, quintic, max_radius)
-    except OverflowError:
-        result = None
-    if result is None:
-        label, _, sol = _integrate(a, omega, cfg, quintic, max_radius)
-        result = label, sol.t.size - 1
-    return result
-
-
-def _march(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-           max_radius: float) -> tuple[TrajectoryClass, int] | None:
-    """``_integrate``'s DOP853 run up to its first event, on floats.
-
-    Same initial step, step-size control, ``min_step``, last step clipped
-    to ``max_radius`` and event sign-change tests, starting from the event
-    values at the Taylor start.  Reaching ``max_radius`` or a too-small
-    step gives Undetermined, as ``solve_ivp`` ending with no event.
-    ``None`` when one step changes the sign of both events.
-    """
-    rtol = cfg.ode_tolerance
-    atol = rtol * 1e-2
     cross_eps, turn_eps = _event_thresholds(a)
 
     def rhs(r, u, up):
         # _force inlined: this runs 12 times per step
         return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
 
-    r = cfg.taylor_start_step
-    u, up = _taylor_start(a, r, omega, quintic)
+    if start is None:
+        h0 = cfg.taylor_start_step
+        start = (h0, *_taylor_start(a, h0, omega, quintic))
+    fired, steps, *_ = _march(rhs, *start, max_radius, cfg.ode_tolerance,
+                              lambda r, u, up: (u + cross_eps, up - turn_eps), (-1.0, 1.0))
+    if len(fired) > 1:
+        label, _, sol = _integrate(a, omega, cfg, quintic, max_radius, start=start)
+        return label, sol.t.size - 1
+    if fired:
+        return (TrajectoryClass.CROSSES_ZERO, TrajectoryClass.TURNS_UPWARD)[fired[0]], steps
+    return TrajectoryClass.UNDETERMINED, steps
+
+
+def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step=None):
+    """scipy's DOP853 run from (r, u, u') up to its first terminal event,
+    on floats.
+
+    ``rhs(r, u, up)`` returns (u', u''); ``events(r, u, up)`` returns the
+    event values and ``directions`` their signs (+1 fires when a value
+    rises through zero, -1 when it falls).  The same initial step,
+    step-size control, ``min_step``, last step clipped to ``r_end`` and
+    sign-change tests as ``solve_ivp``, starting from the event values at
+    the start.  Returns ``(fired, steps, r, u, up)``: the indices of the
+    events whose sign changed in the last step (empty when ``r_end`` or a
+    too-small step ends the run first), the accepted steps and the state
+    where the run stopped.
+    """
+    atol = rtol * 1e-2 if atol is None else atol
     steps = 0
-    if not r < max_radius:
-        return TrajectoryClass.UNDETERMINED, steps
+    if not r < r_end:
+        return [], steps, r, u, up
     fu, fp = rhs(r, u, up)
-    h_abs = _initial_step(rhs, r, u, up, fu, fp, max_radius - r, rtol, atol)
-    g_cross, g_turn = u + cross_eps, up - turn_eps
-    while r < max_radius:
+    h_abs = (_initial_step(rhs, r, u, up, fu, fp, r_end - r, rtol, atol)
+             if first_step is None else min(first_step, r_end - r))
+    values = events(r, u, up)
+    while r < r_end:
         min_step = 10.0 * (math.nextafter(r, math.inf) - r)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return TrajectoryClass.UNDETERMINED, steps
-            r_new = min(r + h_abs, max_radius)
+                return [], steps, r, u, up
+            r_new = min(r + h_abs, r_end)
             h = r_new - r
             u_new, up_new, ku, kp = _dop853_step(rhs, r, u, up, fu, fp, h)
             error = _error_norm(ku, kp, h, atol + max(abs(u), abs(u_new)) * rtol,
@@ -258,17 +270,12 @@ def _march(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
             rejected = True
         r, u, up, fu, fp = r_new, u_new, up_new, ku[-1], kp[-1]
         steps += 1
-        g_cross_new, g_turn_new = u + cross_eps, up - turn_eps
-        crossed = g_cross >= 0.0 and g_cross_new <= 0.0  # direction -1
-        turned = g_turn <= 0.0 and g_turn_new >= 0.0  # direction +1
-        if crossed and turned:
-            return None
-        if crossed:
-            return TrajectoryClass.CROSSES_ZERO, steps
-        if turned:
-            return TrajectoryClass.TURNS_UPWARD, steps
-        g_cross, g_turn = g_cross_new, g_turn_new
-    return TrajectoryClass.UNDETERMINED, steps
+        new = events(r, u, up)
+        fired = [k for k, d in enumerate(directions) if d * values[k] <= 0.0 <= d * new[k]]
+        if fired:
+            return fired, steps, r, u, up
+        values = new
+    return [], steps, r, u, up
 
 
 def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | None = None,
@@ -298,80 +305,88 @@ def _default_bracket(omega: float, quintic: bool):
 
 #: levels the verification climbs toward the root after a failed check
 _CLIMB_LEVELS = 4
-#: smallest prediction error, relative to the predicted amplitude.  Within
+#: smallest prediction error, relative to the predicted parameter.  Within
 #: about 1e-12 (relative) of the root the trajectory class is not monotone in
 #: the amplitude (widest band seen: 1.1e-12 at ode_tolerance 1e-8, 6e-14 at
-#: 1e-10, none at 1e-12); a replayed interval at least twice this wide keeps
-#: every unverified midpoint of the cold path outside that band.
+#: 1e-10, none at 1e-12), and within 4.4e-13 in the plateau depth (omega
+#: 0.1551-0.185, all at 0.185: 4.4e-13 at 1e-10, 2.2e-13 at 1e-12, 1.5e-13
+#: at 1e-8; 1.9e-12 with another first step); a replayed interval at least
+#: twice this wide keeps every unverified midpoint of the cold path
+#: outside that band.
 _PREDICTION_ERR_FLOOR = 1e-11
 
 
-def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float,
-                      prediction: tuple[float, float] | None = None):
-    """Bisect the amplitude bracket down to ``cfg.bisection_tolerance``.
+def _bisect(classify, lo: float, hi: float, tolerance: float,
+            prediction: tuple[float, float] | None = None, relative: bool = False):
+    """Bisect the shooting parameter's bracket down to ``tolerance``
+    (times the lower end with ``relative``, for a positive parameter).
 
-    With a ``prediction`` ``(a_pred, err)`` the bisection tree of the root
-    bracket is first replayed without integrating, steering each midpoint
-    by ``a_pred``, down to an interval no wider than ``4 * err``.  Once
-    that interval's endpoints classify as a bracket, the ordinary bisection
-    continues from it (a failed check climbs toward the root).  A verified
-    interval is a node of the cold bisection path, so the returned bracket
-    equals the cold one bit for bit.  ``err`` is raised to at least
-    ``_PREDICTION_ERR_FLOOR * |a_pred|``.
+    ``classify(x)`` is the trajectory class at parameter x; ``lo`` must
+    turn upward and ``hi`` cross zero.  With a ``prediction``
+    ``(x_pred, err)`` the bisection tree of the root bracket is first
+    replayed without integrating, steering each midpoint by ``x_pred``,
+    down to an interval no wider than ``4 * err``.  Once that interval's
+    endpoints classify as a bracket, the ordinary bisection continues from
+    it (a failed check climbs toward the root).  A verified interval is a
+    node of the cold bisection path, so the returned bracket equals the
+    cold one bit for bit.  ``err`` is raised to at least
+    ``_PREDICTION_ERR_FLOOR * |x_pred|``.
     """
-    if cfg.amplitude_bracket is not None:
-        lo, hi = cfg.amplitude_bracket
-    else:
-        lo, hi = _default_bracket(omega, quintic)
     classes = {}
 
-    def classify(a):
-        if a not in classes:
-            classes[a] = classify_trajectory(a, omega, cfg, quintic, max_radius)
-        return classes[a]
+    def memo(x):
+        if x not in classes:
+            classes[x] = classify(x)
+        return classes[x]
 
     def brackets(lo, hi):
-        return (classify(lo) is TrajectoryClass.TURNS_UPWARD
-                and classify(hi) is TrajectoryClass.CROSSES_ZERO)
+        return (memo(lo) is TrajectoryClass.TURNS_UPWARD
+                and memo(hi) is TrajectoryClass.CROSSES_ZERO)
 
     path = [(lo, hi)]
-    # the default bracket ends below the force zero, where the classes are
-    # ordered in the amplitude, so a verified interval inside it implies the
-    # check of the bracket itself; a configured bracket may reach past the
-    # force zero and is checked first, as in a cold solve
-    if prediction is not None and (cfg.amplitude_bracket is None or brackets(lo, hi)):
-        a_pred, err = prediction
-        width = max(4.0 * err, 4.0 * _PREDICTION_ERR_FLOOR * abs(a_pred),
-                    cfg.bisection_tolerance)
+    # the classes are ordered in the parameter across the bracket, so a
+    # verified interval inside it implies the check of the bracket itself
+    if prediction is not None:
+        x_pred, err = prediction
+        width = max(4.0 * err, 4.0 * _PREDICTION_ERR_FLOOR * abs(x_pred),
+                    tolerance * (abs(x_pred) if relative else 1.0))
         a, b = lo, hi
         while b - a > width:
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
                 break
-            a, b = (a, mid) if a_pred < mid else (mid, b)
+            a, b = (a, mid) if x_pred < mid else (mid, b)
             path.append((a, b))
     level = len(path) - 1
     while not brackets(*path[level]):
         if level == 0:
             raise BracketFailure(
-                f"bracket ({lo}, {hi}) classes ({classify(lo).value}, {classify(hi).value}) "
+                f"bracket ({lo}, {hi}) classes ({memo(lo).value}, {memo(hi).value}) "
                 "do not separate TurnsUpward from CrossesZero"
             )
         level = max(level - _CLIMB_LEVELS, 0)
     lo, hi = path[level]
-    while hi - lo > cfg.bisection_tolerance:
+    while hi - lo > tolerance * (lo if relative else 1.0):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if classify(mid) is TrajectoryClass.CROSSES_ZERO:
+        if memo(mid) is TrajectoryClass.CROSSES_ZERO:
             hi = mid
         else:
             lo = mid
     return lo, hi
 
 
+def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float,
+                      prediction: tuple[float, float] | None = None):
+    """The amplitude bracket of the ground state, bisected to
+    ``cfg.bisection_tolerance`` from the phase-plane default bracket."""
+    return _bisect(lambda a: classify_trajectory(a, omega, cfg, quintic, max_radius),
+                   *_default_bracket(omega, quintic), cfg.bisection_tolerance, prediction)
+
+
 def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
-                    r_a: float, r_b: float, cfg: ShootingConfig) -> RadialProfile:
+                     r_a: float, r_b: float, cfg: ShootingConfig) -> RadialProfile:
     """Profile on the even grid up to r_b with its tail fitted on [r_a, r_b].
 
     ``sample(grid)`` returns the solver's (u, u') on the grid; the origin
@@ -393,11 +408,16 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     mismatch = float(np.max(np.abs(zw - c)) / abs(c))
     if mismatch > cfg.tail_tol:
         # retry on the deeper half of the window, where nonlinear
-        # corrections to the decay law are weaker
-        half = rw >= 0.5 * (r_a + r_b)
-        if np.count_nonzero(half) >= 5:
-            c = float(np.mean(zw[half]))
-            mismatch = float(np.max(np.abs(zw[half] - c)) / abs(c))
+        # corrections to the decay law are weaker, then on the shallower
+        # half, where the growing mode of a trajectory that turns upward
+        # just past the window has not yet bent it
+        deep = rw >= 0.5 * (r_a + r_b)
+        for half in (deep, ~deep):
+            if np.count_nonzero(half) >= 5:
+                c = float(np.mean(zw[half]))
+                mismatch = float(np.max(np.abs(zw[half] - c)) / abs(c))
+                if mismatch <= cfg.tail_tol:
+                    break
     if mismatch > cfg.tail_tol:
         raise DomainTooSmall(
             f"tail fit mismatch {mismatch:.2e} exceeds {cfg.tail_tol:g}"
@@ -411,14 +431,12 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     )
 
 
-def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-                   max_radius: float) -> RadialProfile:
-    _, r_stop, sol = _integrate(a, omega, cfg, quintic, max_radius, dense=True)
+def _windowed_profile(sample, sol, a: float, omega: float, quintic: bool,
+                      r_from: float, r_stop: float, cfg: ShootingConfig) -> RadialProfile:
+    """``_matched_profile`` on the matching window located on a fine scan
+    of the dense trajectory ``sol`` over [r_from, r_stop]."""
     w_lo, w_hi = cfg.matching_window
-    h0 = cfg.taylor_start_step
-
-    # locate the matching window on a fine scan of the dense trajectory
-    fine = np.linspace(h0, r_stop, 4000)
+    fine = np.linspace(r_from, r_stop, 4000)
     u_fine = sol.sol(fine)[0]
     below_hi = np.nonzero(u_fine < w_hi * a)[0]
     if below_hi.size == 0:
@@ -430,6 +448,13 @@ def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
     r_b = fine[below_lo[0]] if below_lo.size else min(0.98 * r_stop, fine[-1])
     if r_b <= r_a:
         r_b = min(0.98 * r_stop, fine[-1])
+    return _matched_profile(sample, a, omega, quintic, r_a, r_b, cfg)
+
+
+def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
+                   max_radius: float) -> RadialProfile:
+    _, r_stop, sol = _integrate(a, omega, cfg, quintic, max_radius, dense=True)
+    h0 = cfg.taylor_start_step
 
     def sample(grid):
         vals, derivs = sol.sol(np.maximum(grid, h0))
@@ -438,7 +463,161 @@ def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
         vals[inner], derivs[inner] = _taylor_start(a, grid[inner], omega, quintic)
         return vals, derivs
 
-    return _matched_profile(sample, a, omega, quintic, r_a, r_b, cfg)
+    return _windowed_profile(sample, sol, a, omega, quintic, h0, r_stop, cfg)
+
+
+#: deepest plateau shot at: exp(-700) is still a normal double
+_MAX_LOG_DEPTH = 700.0
+
+
+class _PlateauShot:
+    """Shooting on s = ln(eps) for the central value u(0) = u+ - eps.
+
+    With v = u+ - u, the profile equation reads v'' + (2/r) v' = -g(v),
+    g(v) = f(u+ - v) = -kappa^2 v + c2 v^2 + c3 v^3 + c4 v^4 - v^5 (the
+    constant term f(u+) ~ 0 dropped).  The scaled deviation w = v/eps
+    obeys w'' + (2/r) w' = -g(eps w)/eps, whose linearisation has the
+    regular solution sinh(kappa r)/(kappa r).  It is integrated as
+    q = r w exp(-kappa r), which the plateau leaves almost constant
+    (1/(2 kappa) on the linear solution), so the steps there are long:
+
+        q'' = -2 kappa q' - q v (c2 + v (c3 + v (c4 - v))),
+        v = eps w = exp(kappa r - depth) q / r.
+
+    A trajectory starts on the linear solution where v = delta (or at the
+    Taylor start of w when eps >= delta), is marched in q until u falls to
+    the midpoint of the force zeros u- < u+, where f < 0 on the way rules
+    out a turn, and then goes on in u with the two amplitude-shooting
+    events.  The bisection runs on the depth -s, from the default
+    bracket's lowest amplitude (which turns upward at once) to
+    ``_MAX_LOG_DEPTH``, to ``bisection_tolerance`` relative.  The
+    integration radius is the front, about -s/kappa, plus ``base_radius``.
+    """
+
+    def __init__(self, omega: float, cfg: ShootingConfig, base_radius: float):
+        p = force_upper_zero(omega)
+        self.omega, self.cfg, self.base_radius, self.p = omega, cfg, base_radius, p
+        self.k2 = omega - 3.0 * p * p + 5.0 * p**4
+        self.kappa = math.sqrt(self.k2)
+        self.c2, self.c3, self.c4 = 10.0 * p**3 - 3.0 * p, 1.0 - 10.0 * p * p, 5.0 * p
+        # half the gap between the force zeros u+ and u- = sqrt(omega)/u+
+        self.v_switch = 0.5 * (p - math.sqrt(omega) / p)
+        # the linear start is off by about its own deviation, relative;
+        # keep that a hundredth of the ODE tolerance
+        self.delta = 1e-2 * cfg.ode_tolerance
+        # q is controlled relative to its plateau value 1/(2 kappa), and q'
+        # to the same absolute level: its errors reach q damped by 2 kappa
+        self.atol = cfg.ode_tolerance / (2.0 * self.kappa)
+
+    def radius(self, depth: float) -> float:
+        return depth / self.kappa + self.base_radius
+
+    def _rhs(self, depth: float):
+        kappa, c2, c3, c4 = self.kappa, self.c2, self.c3, self.c4
+
+        def rhs(r, q, qp):
+            # the cap only binds on trial points far past the switch (the
+            # initial-step probe), where v**5 would overflow
+            v = math.exp(min(kappa * r - depth, 50.0)) * q / r
+            return qp, -2.0 * kappa * qp - q * v * (c2 + v * (c3 + v * (c4 - v)))
+        return rhs
+
+    def _deviation(self, depth: float, r, q, qp):
+        """(v, v') = (u+ - u, -u') from q, on floats or arrays."""
+        scale = np.exp(self.kappa * r - depth) / r
+        return scale * q, scale * (qp + (self.kappa - 1.0 / r) * q)
+
+    def _start(self, depth: float):
+        """Start radius r0 of the q integration, the (q, q') there, and
+        ``inner(r)``, the (w, w') of the start solution on (0, r0]."""
+        eps, h0, kappa = math.exp(-depth), self.cfg.taylor_start_step, self.kappa
+        if eps >= self.delta:
+            k2, c2, c3, c4, v = self.k2, self.c2, self.c3, self.c4, eps
+            # Taylor start of w from w(0) = 1, as _taylor_start for u
+            b2 = (k2 - v * (c2 + v * (c3 + v * (c4 - v)))) / 6.0
+            b4 = (k2 - v * (2.0 * c2 + v * (3.0 * c3 + v * (4.0 * c4 - 5.0 * v)))) * b2 / 20.0
+
+            def inner(r):
+                return 1.0 + b2 * r**2 + b4 * r**4, 2.0 * b2 * r + 4.0 * b4 * r**3
+            r0 = h0
+        else:
+            # sinh(y)/y = delta/eps for y = kappa r0, by fixed-point iteration
+            target = math.log(self.delta) + depth
+            y = max(target, 1.0)
+            for _ in range(4):
+                y = target + math.log(2.0 * y) - math.log1p(-math.exp(-2.0 * y))
+
+            def inner(r):
+                y = kappa * r
+                return np.sinh(y) / y, kappa * (np.cosh(y) - np.sinh(y) / y) / y
+            r0 = max(y / kappa, h0)
+        w, wp = map(float, inner(r0))
+        decay = math.exp(-kappa * r0)
+        return r0, decay * r0 * w, decay * (w + r0 * wp - kappa * r0 * w), inner
+
+    def classify(self, depth: float) -> TrajectoryClass:
+        eps, radius = math.exp(-depth), self.radius(depth)
+        a = self.p - eps
+        if eps >= self.v_switch:
+            return classify_trajectory(a, self.omega, self.cfg, True, radius)
+        r0, q, qp, _ = self._start(depth)
+        kappa, v_switch = self.kappa, self.v_switch
+        # first step 1/kappa, the scale of the linear solution: scipy's
+        # initial-step probe looks far past the switch, where v explodes,
+        # and would start a dozen steps too small
+        fired, _, r, q, qp = _march(
+            self._rhs(depth), r0, q, qp, radius, self.cfg.ode_tolerance,
+            lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,), (1.0,),
+            atol=self.atol, first_step=1.0 / kappa)
+        if not fired:
+            return TrajectoryClass.UNDETERMINED
+        v, vp = map(float, self._deviation(depth, r, q, qp))
+        return _dop853_classify(a, self.omega, self.cfg, True, radius,
+                                start=(r, self.p - v, -vp))[0]
+
+    def profile(self, depth: float) -> RadialProfile:
+        """The profile at ``depth`` = -s, stitched from the start solution,
+        the dense q segment and the dense u segment."""
+        eps, p, cfg, kappa = math.exp(-depth), self.p, self.cfg, self.kappa
+        a, radius = p - eps, self.radius(depth)
+        r0, q0, qp0, inner = self._start(depth)
+        rhs = self._rhs(depth)
+
+        def switch(r, y):
+            return math.exp(kappa * r - depth) * y[0] / r - self.v_switch
+        switch.terminal = True
+        switch.direction = 1.0
+
+        sol_q = solve_ivp(lambda r, y: rhs(r, y[0], y[1]), (r0, radius), (q0, qp0),
+                          method="DOP853", rtol=cfg.ode_tolerance, atol=self.atol,
+                          first_step=1.0 / kappa, events=(switch,), dense_output=True)
+        if not sol_q.t_events[0].size:
+            raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
+        r_sw = float(sol_q.t_events[0][0])
+        v_sw, vp_sw = map(float, self._deviation(depth, r_sw, *sol_q.y_events[0][0]))
+        _, r_stop, sol = _integrate(a, self.omega, cfg, True, radius, dense=True,
+                                    start=(r_sw, p - v_sw, -vp_sw))
+
+        def sample(grid):
+            vals, derivs = sol.sol(np.maximum(grid, r_sw))
+            plateau = (grid >= r0) & (grid < r_sw)
+            v, vp = self._deviation(depth, grid[plateau], *sol_q.sol(grid[plateau]))
+            vals[plateau], derivs[plateau] = p - v, -vp
+            start = (grid > 0.0) & (grid < r0)
+            w, wp = inner(grid[start])
+            vals[start], derivs[start] = p - eps * w, -eps * wp
+            return vals, derivs
+
+        return _windowed_profile(sample, sol, a, self.omega, True, r_sw, r_stop, cfg)
+
+    def solve(self, prediction: tuple[float, float] | None = None):
+        """The bisected depth and its profile; ``prediction`` is a
+        predicted depth and its error, as for ``_bisect``."""
+        lowest = _default_bracket(self.omega, True)[0]
+        lo, hi = _bisect(self.classify, -math.log(self.p - lowest), _MAX_LOG_DEPTH,
+                         self.cfg.bisection_tolerance, prediction, relative=True)
+        depth = 0.5 * (lo + hi)
+        return depth, self.profile(depth)
 
 
 def _solve(omega: float, cfg: ShootingConfig, quintic: bool,
@@ -448,6 +627,10 @@ def _solve(omega: float, cfg: ShootingConfig, quintic: bool,
     radius = base_radius
     for _ in range(3):
         try:
+            if quintic and omega > OMEGA_SHOOTING_MAX:
+                depth, profile = _PlateauShot(omega, cfg, radius).solve(prediction)
+                _plateau_depths[(float(omega), cfg.fingerprint())] = depth
+                return profile
             lo, hi = _bisect_amplitude(omega, cfg, quintic, radius, prediction)
             return _build_profile(0.5 * (lo + hi), omega, cfg, quintic, radius)
         except DomainTooSmall as err:
@@ -459,20 +642,19 @@ def _solve(omega: float, cfg: ShootingConfig, quintic: bool,
 
 
 _profile_cache: dict = {}
+#: bisected depth -ln(eps) of each plateau solve, under its cache key
+_plateau_depths: dict = {}
 
 
-def _predict_amplitude(omega: float, cfg: ShootingConfig) -> tuple[float, float] | None:
-    """Ground amplitude at omega and its error bound, by Newton
-    interpolation in omega over the (at most four) nearest cached ground
-    states of this configuration; ``None`` when none is cached.
+def _newton_predict(omega: float, samples) -> tuple[float, float] | None:
+    """Value at omega and its error bound, by Newton interpolation in omega
+    over the (at most four) ``(omega_i, value_i)`` samples nearest to it;
+    ``None`` without samples.
 
     The bound is four times the last Newton term, or 50 |omega - omega_0|
-    with a single neighbour.
+    with a single sample.
     """
-    fingerprint = cfg.fingerprint()
-    near = sorted(((key[0], profile.amplitude) for key, profile in _profile_cache.items()
-                   if key[1] == fingerprint and profile.kind == GROUND_STATE),
-                  key=lambda entry: abs(entry[0] - omega))[:4]
+    near = sorted(samples, key=lambda entry: abs(entry[0] - omega))[:4]
     if not near:
         return None
     nodes = [o for o, _ in near]
@@ -491,27 +673,55 @@ def _predict_amplitude(omega: float, cfg: ShootingConfig) -> tuple[float, float]
     return a_pred, err
 
 
+def _predict_amplitude(omega: float, cfg: ShootingConfig) -> tuple[float, float] | None:
+    """Ground amplitude at omega and its error bound from the cached ground
+    states of this configuration (``_newton_predict``)."""
+    fingerprint = cfg.fingerprint()
+    return _newton_predict(omega, [
+        (key[0], profile.amplitude) for key, profile in _profile_cache.items()
+        if key[1] == fingerprint and profile.kind == GROUND_STATE])
+
+
+#: depth * (3/16 - omega) of the ground state and its spread over the
+#: plateau range: 0.3590 at omega = 0.15501, 0.3689 at 0.185 and 0.3727 at
+#: 0.1869, the same at ode_tolerance 1e-12 and 1e-8
+_DEPTH_TIMES_GAP = (0.366, 0.008)
+
+
+def _predict_depth(omega: float, cfg: ShootingConfig) -> tuple[float, float]:
+    """Plateau depth at omega and its error bound: from the cached plateau
+    solves of this configuration, or from ``_DEPTH_TIMES_GAP`` where that
+    is tighter.  The depth grows like 1/(3/16 - omega), so the value
+    interpolated is depth * (3/16 - omega)."""
+    fingerprint = cfg.fingerprint()
+    value, err = _DEPTH_TIMES_GAP
+    cached = _newton_predict(omega, [
+        (key[0], _plateau_depths[key] * (OMEGA_MAX - key[0])) for key in _profile_cache
+        if key[1] == fingerprint and key in _plateau_depths])
+    if cached is not None and cached[1] < err:
+        value, err = cached
+    gap = OMEGA_MAX - omega
+    return value / gap, err / gap
+
+
 def solve_ground_state(omega: float, cfg: ShootingConfig | None = None) -> RadialProfile:
     """Positive decaying solution of the cubic-quintic profile equation.
 
-    Shooting handles frequencies up to a switch point; above it the
-    separatrix amplitude is no longer resolvable in double precision and
-    the solver hands off to collocation continuation (see bvp module).
-    A shooting solve starts its bisection from the amplitude predicted by
-    cached neighbours; the profile is the same as without them.
+    Up to ``OMEGA_SHOOTING_MAX`` the bisection runs on the central
+    amplitude.  Above it the amplitude comes within one ulp of the force
+    zero, and the bisection runs on the log of their gap instead
+    (``_PlateauShot``).  Either bisection starts from the value predicted
+    by cached neighbours of the same configuration and returns the same
+    bracket as without them, so the profile does not depend on what was
+    solved before.
     """
     check_frequency(omega)
     cfg = cfg or ShootingConfig()
     key = (float(omega), cfg.fingerprint())
     if key in _profile_cache:
         return _profile_cache[key]
-    from .bvp import OMEGA_SHOOTING_MAX, solve_collocation
-
-    if omega > OMEGA_SHOOTING_MAX:
-        profile = solve_collocation(omega, cfg)
-    else:
-        profile = _solve(omega, cfg, quintic=True,
-                         prediction=_predict_amplitude(omega, cfg))
+    predict = _predict_depth if omega > OMEGA_SHOOTING_MAX else _predict_amplitude
+    profile = _solve(omega, cfg, quintic=True, prediction=predict(omega, cfg))
     _profile_cache[key] = profile
     return profile
 

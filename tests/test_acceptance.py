@@ -8,7 +8,6 @@ session-scoped ``curve`` fixture is the 60-node production scan over
 import math
 
 import numpy as np
-import pytest
 
 from cqnls.analytic1d import validate_quadrature_1d
 from cqnls.curves import asymptotic_check, scan
@@ -114,7 +113,6 @@ def test_criterion_07_minimality_certification(curve, crit, cfg):
     assert abs(m_q1 - crit.m_q1) <= 1e-6 * crit.m_q1
 
 
-@pytest.mark.slow
 def test_criterion_08_landscape_structure(curve, crit, cfg):
     masses = np.linspace(0.5 * crit.m_threshold, 2.2 * crit.m_q1, 20)
     tol_q1 = 1e-9 * crit.m_q1
@@ -167,7 +165,6 @@ def test_criterion_10_spectral_suite(cfg):
         assert len(negatives) == 1
 
 
-@pytest.mark.slow
 def test_criterion_11_dynamics_suite(cfg):
     # unperturbed soliton: modulus stationary, invariants conserved
     ground = solve_ground_state(0.09, cfg)

@@ -28,10 +28,6 @@ class TestShootingConfig:
         cfg = ShootingConfig()
         assert cfg.ode_tolerance == 1e-12
 
-    def test_rejects_bad_bracket(self):
-        with pytest.raises(ValueError):
-            ShootingConfig(amplitude_bracket=(0.5, 0.1))
-
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             ShootingConfig(ode_tolerance=0.0)

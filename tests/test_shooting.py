@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqnls import bvp, shooting
-from cqnls.errors import BracketFailure, FrequencyOutOfWindow
+from cqnls.curves import default_omega_grid
+from cqnls.errors import BracketFailure, CqnlsError, FrequencyOutOfWindow
 from cqnls.functionals import evaluate
 from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE, ShootingConfig
-from cqnls.shooting import (TrajectoryClass, classify_trajectory,
-                            force_upper_zero, hamiltonian_upper_root,
+from cqnls.shooting import (OMEGA_SHOOTING_MAX, TrajectoryClass,
+                            classify_trajectory, force_upper_zero,
                             solve_cubic_reference, solve_ground_state)
 
 
@@ -24,10 +26,6 @@ class TestWindow:
         omega = 0.09
         u2 = force_upper_zero(omega)
         assert omega - u2**2 + u2**4 == pytest.approx(0.0, abs=1e-15)
-
-    def test_hamiltonian_root_above_force_zero(self):
-        for omega in (0.01, 0.09, 0.18):
-            assert hamiltonian_upper_root(omega) > force_upper_zero(omega)
 
 
 class TestClassifyTrajectory:
@@ -58,10 +56,10 @@ class TestGroundState:
         assert rep.pohozaev_residual < 1e-9
 
     @pytest.mark.parametrize("omega", [0.17, 0.185])
-    def test_residuals_in_collocation_regime(self, omega, cfg):
+    def test_residuals_in_plateau_regime(self, omega, cfg):
         rep = evaluate(solve_ground_state(omega, cfg))
-        assert rep.nehari_residual < 1e-7
-        assert rep.pohozaev_residual < 1e-7
+        assert rep.nehari_residual < 1e-9
+        assert rep.pohozaev_residual < 1e-9
 
     def test_profile_positive_and_decreasing(self, ground_009):
         assert np.all(ground_009.values > 0.0)
@@ -76,12 +74,96 @@ class TestGroundState:
         assert solve_ground_state(0.09, cfg) is solve_ground_state(0.09, cfg)
 
     def test_mass_continuous_across_solver_switch(self, cfg):
-        # the shooting/collocation handoff must not kink the mass curve
+        # the switch from amplitude to plateau shooting must not kink the
+        # mass curve
         masses = [evaluate(solve_ground_state(om, cfg)).mass
                   for om in (0.150, 0.154, 0.158, 0.162)]
         gaps = np.diff(masses)
         assert np.all(gaps > 0.0)
         assert gaps[2] < 3.0 * gaps[0]
+
+
+def _identity_errors(omega, rep):
+    """Criterion 01's residuals and closed-form errors of one report."""
+    energy_formula = (1.0 - rep.beta) / 6.0 * rep.grad_sq
+    mass_formula = (rep.beta + 1.0) / (3.0 * omega) * rep.grad_sq
+    return (rep.nehari_residual, rep.pohozaev_residual,
+            abs(rep.energy - energy_formula) / abs(energy_formula),
+            abs(rep.mass - mass_formula) / mass_formula)
+
+
+def test_tail_fit_retries_shallow_half():
+    # at ode_tolerance 1e-8 the trajectory turns upward soon after the
+    # matching window and bends its deep end, while its shallow half still
+    # fits the decay law
+    omega = 0.15417194583513705
+    profile = solve_ground_state(omega, ShootingConfig(ode_tolerance=1e-8))
+    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
+
+
+@pytest.mark.parametrize("spacing", [0.01, 0.02])
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("omega", [0.004, 0.073, 0.154, 0.155, 0.16, 0.185])
+def test_configuration_matrix(omega, tol, spacing):
+    # either a solve that passes criterion 01's gate, or a typed error
+    cfg = ShootingConfig(ode_tolerance=tol, grid_spacing=spacing)
+    try:
+        rep = evaluate(solve_ground_state(omega, cfg))
+    except CqnlsError:
+        return
+    assert max(_identity_errors(omega, rep)) < 1e-7
+
+
+class TestPlateau:
+    """Shooting on s = ln(eps) above OMEGA_SHOOTING_MAX."""
+
+    def test_agrees_with_collocation(self, cfg):
+        grid = default_omega_grid(60, 0.004, 0.185)
+        for omega in [*grid[grid > OMEGA_SHOOTING_MAX], 0.185]:
+            shot = evaluate(solve_ground_state(omega, cfg))
+            oracle = evaluate(bvp.solve_collocation(omega, cfg))
+            for name in ("mass", "energy", "beta", "grad_sq"):
+                assert getattr(shot, name) == pytest.approx(getattr(oracle, name),
+                                                            rel=1e-9), (omega, name)
+            d_shot = shot.energy + 0.5 * omega * shot.mass
+            d_oracle = oracle.energy + 0.5 * omega * oracle.mass
+            assert d_shot == pytest.approx(d_oracle, rel=1e-9), omega
+
+    def test_independent_of_solve_order(self, cfg, monkeypatch):
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        fresh = solve_ground_state(0.18, cfg)
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        for omega in (0.16, 0.17, 0.175, 0.185):
+            solve_ground_state(omega, cfg)
+        later = solve_ground_state(0.18, cfg)
+        assert later is not fresh
+        _assert_same_profile(later, fresh)
+        assert np.array_equal(later.derivs, fresh.derivs)
+        assert later.truncation_radius == fresh.truncation_radius
+
+    def test_linear_start_matches_through_plateau(self, cfg):
+        # the oracle integrates the deviation through the whole plateau from
+        # the Taylor start (delta = 0); the linear start's own error is
+        # about its deviation delta, so delta = 1e-8 shows in the depth
+        omega = 0.18
+        radius = shooting.default_max_radius(omega)
+
+        def depth(delta=None):
+            shot = shooting._PlateauShot(omega, cfg, radius)
+            if delta is not None:
+                shot.delta = delta
+            return shot.solve()[0]
+
+        oracle = depth(0.0)
+        assert abs(depth() - oracle) < 1e-10
+        assert abs(depth(1e-8) - oracle) > 1e-8
+
+    def test_amplitude_at_force_zero(self, cfg):
+        # above about 0.18 the gap eps is below one ulp of u+
+        profile = solve_ground_state(0.185, cfg)
+        assert profile.amplitude == force_upper_zero(0.185)
+        assert profile.values[0] == profile.amplitude
+        assert np.all(np.diff(profile.values) <= 0.0)
 
 
 class TestCubicReference:
@@ -137,7 +219,7 @@ def test_collocation_bootstrap_caches_switch_profile(cfg, monkeypatch):
     # switch-point profile is cached and equals a cold shooting solve
     monkeypatch.setattr(bvp, "_ladder", {})
     monkeypatch.setattr(shooting, "_profile_cache", {})
-    solve_ground_state(0.17, cfg)
+    bvp.solve_collocation(0.17, cfg)
     switch = shooting._profile_cache[(bvp.OMEGA_SHOOTING_MAX, cfg.fingerprint())]
     _assert_same_profile(switch, shooting._solve(bvp.OMEGA_SHOOTING_MAX, cfg, True))
 
@@ -164,15 +246,20 @@ class TestWarmStart:
         assert warm_calls < len(calls) - warm_calls
         return warm, cold
 
-    @pytest.mark.parametrize("omega", [0.004, 0.073, 0.155])
+    @pytest.mark.parametrize("omega", [0.004, 0.073, 0.155, 0.16, 0.185])
     def test_matches_cold_solve(self, omega, cfg, monkeypatch):
         neighbours = (omega * (1.0 - 2e-4), omega * (1.0 - 1e-4))
         _assert_same_profile(*self._warm_and_cold(omega, cfg, neighbours, monkeypatch))
 
-    def test_configured_bracket(self, monkeypatch):
-        cfg = ShootingConfig(amplitude_bracket=(0.5, 0.95))
-        _assert_same_profile(*self._warm_and_cold(0.073, cfg, (0.0729, 0.07295),
-                                                  monkeypatch))
+    def test_configured_bracket(self, cfg, cold_073):
+        # a bracket other than the default: the replay steers through its
+        # own tree and lands on its own cold bracket
+        classify = functools.partial(classify_trajectory, omega=0.073, cfg=cfg)
+        cold = shooting._bisect(classify, 0.5, 0.95, cfg.bisection_tolerance)
+        _, a = cold_073
+        for err in (1e-12 * a, 1e-6):
+            assert shooting._bisect(classify, 0.5, 0.95, cfg.bisection_tolerance,
+                                    (a, err)) == cold
 
     @pytest.mark.parametrize("shift", [1e-4, -1e-4, 1e-9, -1e-9])
     def test_wrong_prediction_climbs(self, shift, cfg, cold_073):
@@ -185,18 +272,14 @@ class TestWarmStart:
         bracket, _ = cold_073
         assert _bisect(0.073, cfg, (a_pred, 1e-6)) == bracket
 
-    @pytest.mark.parametrize("bracket", [(0.5, 0.85), (0.5, 1.0)])
-    def test_failing_bracket_still_raises(self, bracket, cfg, monkeypatch):
-        # (0.5, 0.85) misses the root; (0.5, 1.0) holds it, but its upper end
-        # lies past the force zero, where trajectories turn upward again
-        bad = ShootingConfig(amplitude_bracket=bracket)
-        monkeypatch.setattr(shooting, "_profile_cache", {})
-        for neighbour in (0.0729, 0.07295):
-            shooting._profile_cache[(neighbour, bad.fingerprint())] = \
-                solve_ground_state(neighbour, cfg)
-        assert shooting._predict_amplitude(0.073, bad) is not None
+    @pytest.mark.parametrize("bracket", [(0.5, 0.85), (0.9, 0.95)])
+    def test_failing_bracket_still_raises(self, bracket, cfg, cold_073):
+        # both brackets miss the root (about 0.8805), one from each side; a
+        # prediction at the root must not hide that
+        classify = functools.partial(classify_trajectory, omega=0.073, cfg=cfg)
+        _, a = cold_073
         with pytest.raises(BracketFailure):
-            solve_ground_state(0.073, bad)
+            shooting._bisect(classify, *bracket, cfg.bisection_tolerance, (a, 1e-6))
 
 
 @settings(max_examples=6, deadline=None)
@@ -208,6 +291,20 @@ def test_any_prediction_gives_the_cold_bracket(omega, sign, miss, err):
     a = 0.5 * (cold[0] + cold[1])
     prediction = (a * (1.0 + sign * 10.0**miss), a * 10.0**err)
     assert _bisect(omega, cfg, prediction) == cold
+
+
+@settings(max_examples=4, deadline=None)
+@given(omega=st.floats(0.156, 0.185), sign=st.sampled_from([-1.0, 1.0]),
+       miss=st.floats(-16.0, -2.0), err=st.floats(-16.0, -2.0))
+def test_any_depth_prediction_gives_the_cold_bracket(omega, sign, miss, err):
+    cfg = ShootingConfig()
+    shot = shooting._PlateauShot(omega, cfg, shooting.default_max_radius(omega))
+    bracket = (-math.log(shot.p - 1e-6), shooting._MAX_LOG_DEPTH,
+               cfg.bisection_tolerance)
+    cold = shooting._bisect(shot.classify, *bracket, relative=True)
+    x = 0.5 * (cold[0] + cold[1])
+    prediction = (x * (1.0 + sign * 10.0**miss), x * 10.0**err)
+    assert shooting._bisect(shot.classify, *bracket, prediction, relative=True) == cold
 
 
 def _solve_ivp_class(a, omega, cfg, quintic, max_radius):
@@ -270,10 +367,3 @@ def test_both_events_in_one_step_defer_to_solve_ivp(cfg, monkeypatch):
     assert calls == [False]
     monkeypatch.setattr(shooting, "_integrate", real_integrate)
     assert result == _solve_ivp_class(a, omega, cfg, True, radius)
-
-
-def test_overflow_defers_to_solve_ivp(cfg):
-    # u**3 of Python floats raises where numpy's arrays go on with inf
-    with np.errstate(all="ignore"):
-        label = classify_trajectory(1e12, 1.0, cfg, quintic=False)
-        assert label is shooting._integrate(1e12, 1.0, cfg, False, 60.0)[0]
