@@ -62,7 +62,7 @@ class ConservationBreach(CqnlsError):
 
 
 class InnerSolveDiverged(CqnlsError):
-    """Implicit time step fixed-point iteration failed to converge."""
+    """Time step produced a non-finite field or met a singular linear step."""
 
 
 class EigSolverStalled(CqnlsError):

@@ -12,7 +12,7 @@ from cqnls.shooting import solve_cubic_reference, solve_ground_state
 def pytest_collection_modifyitems(items):
     # any user of the 60-node scan pays for building it (34-41 s on a
     # 2-core host); every other test takes under 30 s there, the longest
-    # being criterion 11 at 21-24 s
+    # being criterion 11 at about 10 s
     for item in items:
         if "curve" in getattr(item, "fixturenames", ()):
             item.add_marker(pytest.mark.slow)

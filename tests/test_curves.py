@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cqnls import curves, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
@@ -127,6 +129,47 @@ class TestMonotoneRoot:
         with pytest.raises(MassBeyondScan, match="not bracketed"):
             monotone_root(self.cube([]), 2.0, 0.0, 1.0, 1e-12,
                           not_bracketed=MassBeyondScan)
+
+    @settings(max_examples=150, deadline=None)
+    @given(slope=st.floats(0.1, 10.0), cubic=st.floats(0.0, 5.0),
+           root=st.floats(-2.1, 2.1), sign=st.sampled_from([1.0, -1.0]),
+           xtol=st.sampled_from([1e-12, 1e-8, 1e-4]),
+           end_tol=st.sampled_from([0.0, 1e-3, 0.5]), known=st.booleans())
+    # an end exactly end_tol off the target is accepted
+    @example(slope=1.0, cubic=0.0, root=-1.5, sign=-1.0, xtol=1e-12,
+             end_tol=0.5, known=False)
+    def test_random_monotone_functions(self, slope, cubic, root, sign, xtol,
+                                       end_tol, known):
+        lo, hi = -2.0, 2.0
+        calls = {}
+
+        def value_at(x):
+            d = x - root
+            calls[x] = sign * (slope * d + cubic * d**3)
+            return calls[x], ("payload", x)
+
+        r_lo, r_hi = value_at(lo)[0], value_at(hi)[0]
+        calls.clear()
+        args = (value_at, 0.0, lo, hi, xtol)
+        kwargs = {"end_tol": end_tol, "end_values": (r_lo, r_hi) if known else None}
+        if min(abs(r_lo), abs(r_hi)) > end_tol and r_lo * r_hi > 0:
+            with pytest.raises(TargetNotBracketed):
+                monotone_root(*args, **kwargs)
+            return
+        x, value, payload = monotone_root(*args, **kwargs)
+        # always a point value_at was called at, with what it returned there
+        assert x in calls and value == calls[x] and payload == ("payload", x)
+        if abs(r_lo) <= end_tol:
+            assert x == lo
+        elif abs(r_hi) <= end_tol:
+            assert x == hi
+        else:
+            # Brent's last iterate is within xtol (plus brentq's relative
+            # 4 eps) of the root, and no evaluated point is worse
+            steepest = slope + 3.0 * cubic * (hi - lo) ** 2
+            assert lo <= x <= hi
+            assert abs(value) == min(abs(v) for v in calls.values())
+            assert abs(value) <= steepest * (xtol + 8.9e-16 * abs(root)) + 1e-15
 
 
 @pytest.fixture(scope="module")

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqnls.dynamics import (EvolutionState, discrete_energy, discrete_mass,
                             evolve, linearized_spectra, modulated_distance,
                             soliton_state, write_experiment)
-from cqnls.errors import KindMismatch
+from cqnls.errors import InnerSolveDiverged, KindMismatch
 from cqnls.geometry import random_test_functions
 
 
@@ -48,8 +52,19 @@ class TestEvolve:
             errors.append(np.linalg.norm(
                 evolve(base_state, 1.0, dt, conservation_tol=1e-3).field
                 - reference))
-        # Crank-Nicolson: halving dt divides the error by about four
+        # Strang splitting with a Crank-Nicolson linear step: halving dt
+        # divides the error by about four
         assert 3.0 < errors[0] / errors[1] < 5.5
+
+    def test_chunked_calls_match_one_call(self, base_state):
+        # each call closes its last split step: 25 steps fall short of
+        # t = 0.505 and no ledger sample is due, so only the end of the
+        # call completes the half-phase before the second call opens one
+        first = evolve(base_state, 0.505, 0.02, ledger_interval=1.0)
+        assert first.time == pytest.approx(0.5, abs=1e-12)
+        chunked = evolve(first, 1.0, 0.02).field
+        whole = evolve(base_state, 1.0, 0.02).field
+        assert np.linalg.norm(chunked - whole) < 1e-10 * np.linalg.norm(whole)
 
     def test_ledger_grows(self, base_state):
         out = evolve(base_state, 1.0, 0.02, ledger_interval=0.25)
@@ -63,15 +78,40 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(base_state, -1.0, 0.1)
 
-    def test_rejects_no_inner_iterations(self, base_state):
-        with pytest.raises(ValueError, match="max_inner"):
-            evolve(base_state, 0.1, 0.02, max_inner=0)
+    def test_non_finite_field_is_typed(self, base_state):
+        field = base_state.field.copy()
+        field[100] = 1e200  # finite, but |w|^2 overflows in the phase
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InnerSolveDiverged, match="non-finite"):
+                evolve(replace(base_state, field=field), 0.1, 0.02)
 
     def test_sponge_absorbs_mass(self, ground_009):
         state = soliton_state(ground_009, radius=30.0, spacing=0.05,
                               perturbation=0.04)
         out = evolve(state, 4.0, 0.02, sponge=True)
         assert discrete_mass(out) < discrete_mass(state)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dt=st.floats(0.005, 0.04), perturbation=st.floats(0.0, 0.05),
+       steps=st.integers(5, 50))
+def test_split_step_mass(ground_009, dt, perturbation, steps):
+    # the default radius holds the whole soliton: cut at r = 30 its jump to
+    # the Dirichlet end radiates, and the Simpson mass drifts by 7e-10 in
+    # five steps under either scheme while sum |w|^2 stays put
+    state = soliton_state(ground_009, spacing=0.05, perturbation=perturbation)
+    mass0 = discrete_mass(state)
+    # the gate is opened wide: this property is about mass alone
+    closed = evolve(state, steps * dt, dt, conservation_tol=1.0)
+    assert abs(discrete_mass(closed) - mass0) <= 1e-10 * mass0
+    # at r = 30 the sponge sits in the soliton's tail and takes mass at
+    # every step
+    state = soliton_state(ground_009, radius=30.0, spacing=0.05,
+                          perturbation=perturbation)
+    damped = evolve(state, steps * dt, dt, sponge=True, ledger_interval=dt)
+    masses = [entry.mass for entry in damped.ledger]
+    assert len(masses) == steps + 1
+    assert all(b <= a for a, b in zip(masses, masses[1:]))
 
 
 class TestModulatedDistance:

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqnls import landscape
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
@@ -82,6 +84,26 @@ class TestBranchDirection:
         assert result.branch_labels == (UPPER_BRANCH,)
         assert result.frequencies[0] == pytest.approx(
             0.024 + (100.0 / self.K) ** 0.5, rel=1e-6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.lists(st.integers(0, 64), max_size=12, unique=True),
+       ends=st.lists(st.integers(0, 64), min_size=2, max_size=2, unique=True),
+       root=st.floats(-0.2, 1.2), increasing=st.booleans())
+def test_narrow_bracket_agrees_with_brute_force(nodes, ends, root, increasing):
+    # nodes on a 1/64 grid keep every value off the underflow of a product
+    # of two tiny values; only the sign of value - target matters
+    omegas = sorted(k / 64.0 for k in nodes)
+    lo, hi = sorted(k / 64.0 for k in ends)
+    sign = 1.0 if increasing else -1.0
+    points = [SimpleNamespace(omega=om, value=sign * (om - root)) for om in omegas]
+    bracket = landscape._narrow_bracket(0.0, points, lambda p: p.value, lo, hi,
+                                        increasing)
+    # every gap between consecutive points of lo, the nodes inside and hi
+    # that holds the root (clamped to [lo, hi]); two when it is a node
+    ladder = [lo] + [om for om in omegas if lo < om < hi] + [hi]
+    clamped = min(max(root, lo), hi)
+    assert bracket in [(a, b) for a, b in zip(ladder, ladder[1:]) if a <= clamped <= b]
 
 
 class TestEMinLandscape:

@@ -224,6 +224,32 @@ def test_collocation_bootstrap_caches_switch_profile(cfg, monkeypatch):
     _assert_same_profile(switch, shooting._solve(bvp.OMEGA_SHOOTING_MAX, cfg, True))
 
 
+@settings(max_examples=200, deadline=None)
+@given(coefs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       degree=st.integers(0, 3),
+       offsets=st.lists(st.integers(0, 6), min_size=4, max_size=4, unique=True),
+       omega0=st.floats(0.004, 0.15), h=st.floats(1e-3, 1e-2),
+       t=st.floats(0.0, 6.0))
+def test_newton_predict_is_exact_on_cubics(coefs, degree, offsets, omega0, h, t):
+    coefs = coefs[:degree + 1]
+
+    def poly(omega):
+        x = (omega - omega0) / h
+        return sum(c * x**k for k, c in enumerate(coefs))
+
+    omega = omega0 + h * t
+    value, err = shooting._newton_predict(
+        omega, [(omega0 + h * k, poly(omega0 + h * k)) for k in offsets])
+    # the largest value the polynomial can take on the node span; divided
+    # differences over nodes h apart on a span of 6h amplify rounding by
+    # up to 6^3, so "exact" means within 1e-12 of it (2.7e-14 seen)
+    scale = sum(abs(c) * 6.0**k for k, c in enumerate(coefs)) + 1e-300
+    assert abs(value - poly(omega)) <= 1e-12 * scale
+    if degree < 3:
+        # the last Newton term, a third divided difference, is rounding
+        assert err <= 1e-12 * scale
+
+
 class TestWarmStart:
     """Cached neighbours shorten the bisection and never change its result."""
 
