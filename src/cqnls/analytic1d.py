@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .profiles import TEST_FUNCTION, RadialProfile, even_grid
 from .quadrature import radial_grad_sq, radial_moment
@@ -62,6 +61,8 @@ def soliton_profile_1d(omega: float, spacing: float = 0.005,
 
 def validate_quadrature_1d(omega: float) -> dict:
     """Toolkit quadrature (1D mode) versus adaptive reference integration."""
+    from scipy.integrate import quad
+
     profile = soliton_profile_1d(omega)
     grid, vals, ders = profile.grid, profile.values, profile.derivs
     upper = float(grid[-1])

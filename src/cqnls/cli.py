@@ -22,10 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import curves as curves_mod
-from . import landscape as landscape_mod
-from .analytic1d import validate_quadrature_1d
-from .dynamics import linearized_spectra, stability_experiment, write_experiment
 from .errors import CqnlsError, FrequencyOutOfWindow
 from .functionals import evaluate
 from .profiles import ShootingConfig, test_function_profile
@@ -130,13 +126,13 @@ def _command(help_text: str, *flags):
 
 
 def _run_command(args) -> int:
-    start = time.time()
+    start = time.perf_counter()
     _, flags, run = _COMMANDS[args.command]
     keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["ode_tol"]
     options = _effective_options(args, keys)
     out = _out_dir(args)
     code, extra = run(options, _shooting_config(options), out)
-    _write_manifest(out, args.command, options, time.time() - start, extra)
+    _write_manifest(out, args.command, options, time.perf_counter() - start, extra)
     return code
 
 
@@ -160,24 +156,30 @@ def cmd_solve(options, cfg, out):
     return 0, extra
 
 
-def _scan(options, cfg) -> curves_mod.FrequencyCurve:
+def _scan(options, cfg):
+    from .curves import default_omega_grid, scan
+
     n = int(options.get("grid_size") or 60)
     lo = _coerce_float(options.get("omega_min"), 0.004)
     hi = _coerce_float(options.get("omega_max"), 0.185)
-    return curves_mod.scan(curves_mod.default_omega_grid(n, lo, hi), cfg)
+    return scan(default_omega_grid(n, lo, hi), cfg)
 
 
 def _critical(options, cfg):
+    from .curves import locate_critical
+
     curve = _scan(options, cfg)
-    return curve, curves_mod.locate_critical(curve, cfg)
+    return curve, locate_critical(curve, cfg)
 
 
 @_command("sweep the frequency window",
           ("--derivatives", {"action": "store_true"}), *_GRID_FLAGS)
 def cmd_scan(options, cfg, out):
+    from .curves import differentiate
+
     curve = _scan(options, cfg)
     if options.get("derivatives"):
-        curve = curves_mod.differentiate(curve, cfg)
+        curve = differentiate(curve, cfg)
     curve.to_csv(out / "curve.csv")
     print(f"scanned {len(curve.points)} frequencies "
           f"({len(curve.failures)} failures) -> {out / 'curve.csv'}")
@@ -187,8 +189,10 @@ def cmd_scan(options, cfg, out):
 
 @_command("locate the critical frequencies", *_GRID_FLAGS)
 def cmd_critical(options, cfg, out):
+    from .curves import classify_stability
+
     curve, crit = _critical(options, cfg)
-    curve = curves_mod.classify_stability(curve, crit)
+    curve = classify_stability(curve, crit)
     curve.to_csv(out / "curve.csv")
     crit.to_json(out / "critical.json")
     print(json.dumps(crit.as_dict(), indent=2))
@@ -199,6 +203,8 @@ def cmd_critical(options, cfg, out):
           ("--mass-ratio", {"help": "mass as a multiple of the minimum soliton mass m0"}),
           *_GRID_FLAGS)
 def cmd_classify(options, cfg, out):
+    from .landscape import classify_normalized
+
     curve, crit = _critical(options, cfg)
     if options.get("mass") is not None:
         mass = float(options["mass"])
@@ -206,7 +212,7 @@ def cmd_classify(options, cfg, out):
         mass = float(options["mass_ratio"]) * crit.m0
     else:
         raise ValueError("classify needs --mass or --mass-ratio")
-    result = landscape_mod.classify_normalized(mass, curve, crit, cfg)
+    result = classify_normalized(mass, curve, crit, cfg)
     _write_json(out / "classification.json", result.as_dict())
     print(json.dumps(result.as_dict(), indent=2))
     return 0, None
@@ -214,11 +220,13 @@ def cmd_classify(options, cfg, out):
 
 @_command("constrained-minimization table", ("--mass-grid", {}), *_GRID_FLAGS)
 def cmd_landscape(options, cfg, out):
+    from .landscape import landscape_table, write_landscape_csv
+
     curve, crit = _critical(options, cfg)
     n_masses = int(options.get("mass_grid") or 20)
     masses = np.linspace(0.4 * crit.m_threshold, 2.2 * crit.m_q1, n_masses)
-    rows = landscape_mod.landscape_table(masses, curve, crit, cfg)
-    landscape_mod.write_landscape_csv(rows, out / "landscape.csv")
+    rows = landscape_table(masses, curve, crit, cfg)
+    write_landscape_csv(rows, out / "landscape.csv")
     print(f"landscape table over {n_masses} masses -> {out / 'landscape.csv'}")
     return 0, {"critical": crit.as_dict()}
 
@@ -226,6 +234,8 @@ def cmd_landscape(options, cfg, out):
 @_command("finite-time stability experiment", _OMEGA, ("--perturbation", {}),
           ("--t-end", {}), ("--dt", {}))
 def cmd_evolve(options, cfg, out):
+    from .dynamics import stability_experiment, write_experiment
+
     result = stability_experiment(
         _coerce_float(options["omega"]),
         _coerce_float(options.get("perturbation"), 0.01),
@@ -239,6 +249,8 @@ def cmd_evolve(options, cfg, out):
 
 @_command("linearized operator spectra", _OMEGA, ("--n-eigs", {}))
 def cmd_spectra(options, cfg, out):
+    from .dynamics import linearized_spectra
+
     ground = solve_ground_state(_coerce_float(options["omega"]), cfg)
     record = linearized_spectra(ground, n_eigs=int(options.get("n_eigs") or 6))
     _write_json(out / "spectra.json", record)
@@ -247,6 +259,8 @@ def cmd_spectra(options, cfg, out):
 
 
 def _validate_checks(cfg: ShootingConfig) -> list[tuple[str, bool, str]]:
+    from .analytic1d import validate_quadrature_1d
+
     checks = []
 
     gaussian = test_function_profile(

@@ -18,12 +18,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (CqnlsError, EmptyGrid, InsufficientCoverage,
                      InsufficientPoints, TargetNotBracketed, ToleranceNotMet)
 from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile, ShootingConfig
+from .roots import brentq
 from .shooting import solve_ground_state
 
 STABLE = "stable"
@@ -250,7 +250,7 @@ def monotone_root(value_at, target: float, lo: float, hi: float, xtol: float,
             f"{target} not bracketed on [{lo}, {hi}] "
             f"(values {r_lo + target:.6g}, {r_hi + target:.6g})"
         )
-    root = brentq(residual, lo, hi, xtol=xtol, disp=False)
+    root = brentq(residual, lo, hi, xtol)
     if not evaluated:
         evaluated[root] = value_at(root)
     best = min(evaluated, key=lambda x: abs(evaluated[x][0] - target))

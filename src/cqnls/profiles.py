@@ -112,12 +112,24 @@ class RadialProfile:
     def interpolate(self, r):
         """Evaluate u(r) with cubic Hermite accuracy inside the stored
         window (the stored derivative samples pin the slopes) and the
-        analytic tail beyond it."""
-        from scipy.interpolate import CubicHermiteSpline
+        analytic tail beyond it.
 
+        The cubic is scipy's ``CubicHermiteSpline``, bit for bit: its
+        ``PPoly`` coefficients on the interval of each point, summed in
+        powers of the offset from the interval's left node.
+        """
         r = np.asarray(r, dtype=float)
-        spline = CubicHermiteSpline(self.grid, self.values, self.derivs)
-        out = spline(np.clip(r, self.grid[0], self.grid[-1]))
+        x, y, dydx = self.grid, self.values, self.derivs
+        at = np.clip(r, x[0], x[-1]).reshape(-1)
+        # interval i holds x[i] <= at < x[i+1]; the right end joins the last
+        i = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+        dx = x[i + 1] - x[i]
+        slope = (y[i + 1] - y[i]) / dx
+        t = (dydx[i] + dydx[i + 1] - 2 * slope) / dx
+        s = at - x[i]
+        s2 = s * s
+        out = (y[i] + dydx[i] * s + ((slope - dydx[i]) / dx - t) * s2
+               + t / dx * (s2 * s)).reshape(r.shape)
         if self.decay_rate > 0:
             mask = r > self.truncation_radius
             if np.any(mask):

@@ -9,10 +9,68 @@ through the exponential integral ``E_n``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import expn
 
 _SOLID_ANGLE = {1: 2.0, 3: 4.0 * np.pi}
+
+# cephes constants of ``expn``
+_EULER = 0.57721566490153286060
+_MACHEP = 1.11022302462515654042e-16
+_MAXLOG = 7.09782712893383996843e2
+_BIG = 1.44115188075855872e17
+
+
+def expn(n: int, x: float) -> float:
+    """Exponential integral ``E_n(x) = int_1^inf exp(-x t) t^(-n) dt`` for
+    0 <= n <= 50, by cephes' algorithm as in ``scipy.special.expn``: a
+    continued fraction (DLMF 8.19.17) for x > 1 and the power series
+    (DLMF 8.19.8) below.  NaN for n < 0 or x < 0, as scipy.
+    """
+    if math.isnan(x) or n < 0 or x < 0:
+        return math.nan
+    if n > 50:
+        raise ValueError("expn is implemented for n <= 50")
+    if x > _MAXLOG:
+        return 0.0
+    if x == 0.0:
+        return math.inf if n < 2 else 1.0 / (n - 1.0)
+    if n == 0:
+        return math.exp(-x) / x
+    if x > 1.0:
+        k, pkm2, qkm2, pkm1, qkm1 = 1, 1.0, x, 1.0, x + n
+        ans = pkm1 / qkm1
+        while True:
+            k += 1
+            yk, xk = (1.0, float(n + (k - 1) // 2)) if k & 1 else (x, float(k // 2))
+            pk = pkm1 * yk + pkm2 * xk
+            qk = qkm1 * yk + qkm2 * xk
+            if qk != 0.0:
+                r = pk / qk
+                t = abs((ans - r) / r)
+                ans = r
+            else:
+                t = 1.0
+            pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+            if abs(pk) > _BIG:
+                pkm2, pkm1, qkm2, qkm1 = pkm2 / _BIG, pkm1 / _BIG, qkm2 / _BIG, qkm1 / _BIG
+            if not t > _MACHEP:
+                return ans * math.exp(-x)
+    psi = -_EULER - math.log(x)
+    for i in range(1, n):
+        psi = psi + 1.0 / i
+    z, xk, yk, pk = -x, 0.0, 1.0, 1.0 - n
+    ans = 0.0 if n == 1 else 1.0 / pk
+    while True:
+        xk += 1.0
+        yk *= z / xk
+        pk += 1.0
+        if pk != 0.0:
+            ans += yk / pk
+        t = abs(yk / ans) if ans != 0.0 else 1.0
+        if not t > _MACHEP:
+            return z ** (n - 1.0) * psi / math.gamma(n) - ans
 
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:

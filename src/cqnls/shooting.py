@@ -17,6 +17,12 @@ from the exact linear solution sinh(kappa r)/(kappa r), so tolerances
 stay relative however small eps is, and the trajectory switches back to
 u once the deviation is of order one.
 
+Every trajectory runs on scipy's DOP853 ported to Python floats (Hairer,
+Norsett & Wanner, *Solving ODEs I*, sections II.5-6): the classifying runs
+of the bisection, and the dense pass that samples the profile, with the
+method's dense output and its event roots located by Brent's method.  The
+module needs numpy alone.
+
 The same machinery solves the pure-cubic reference problem
 g'' + (2/r) g' = g - g^3 (quintic term switched off), whose solution
 controls the small-frequency asymptotics.
@@ -25,16 +31,30 @@ controls the small-frequency asymptotics.
 from __future__ import annotations
 
 import enum
+import importlib.util
 import math
+import os
+import runpy
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop853
 
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
                        ShootingConfig, even_grid)
+from .roots import RTOL, brentq
+
+
+def __getattr__(name):
+    # not used here: the benchmark's traced mode rebinds shooting.solve_ivp
+    # to count dense passes, so the name resolves, with a lazy import, until
+    # that tracer reads counters from the package instead, as for
+    # dynamics.solve_banded
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 #: largest frequency solved by amplitude shooting; above it the bisection
@@ -95,58 +115,28 @@ def _event_thresholds(a: float):
     return 1e-9 * a, 1e-7 * a
 
 
-def _integrate(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-               max_radius: float, dense: bool = False, start=None):
-    """``solve_ivp`` DOP853 run with the two terminal events.
-
-    ``start`` ``(r, u, u')`` defaults to the Taylor start of amplitude
-    ``a``.  Used for the dense pass of the profile builders and for the
-    rare trajectories ``_dop853_classify`` cannot decide on floats.
-    """
-    def rhs(r, y):
-        u, up = y
-        return (up, _force(u, omega, quintic) - 2.0 * up / r)
-
-    cross_eps, turn_eps = _event_thresholds(a)
-
-    def ev_cross(r, y):
-        return y[0] + cross_eps
-    ev_cross.terminal = True
-    ev_cross.direction = -1.0
-
-    def ev_turn(r, y):
-        return y[1] - turn_eps
-    ev_turn.terminal = True
-    ev_turn.direction = 1.0
-
-    if start is None:
-        h0 = cfg.taylor_start_step
-        start = (h0, *_taylor_start(a, h0, omega, quintic))
-    sol = solve_ivp(
-        rhs, (start[0], max_radius), start[1:], method="DOP853",
-        rtol=cfg.ode_tolerance, atol=cfg.ode_tolerance * 1e-2,
-        events=(ev_cross, ev_turn), dense_output=dense,
-    )
-    if sol.t_events[0].size:
-        label = TrajectoryClass.CROSSES_ZERO
-        r_stop = float(sol.t_events[0][0])
-    elif sol.t_events[1].size:
-        label = TrajectoryClass.TURNS_UPWARD
-        r_stop = float(sol.t_events[1][0])
-    else:
-        label = TrajectoryClass.UNDETERMINED
-        r_stop = float(sol.t[-1])
-    return label, r_stop, sol
+def _dop853_tableau() -> dict:
+    """The namespace of scipy's ``dop853_coefficients.py``, run from its
+    source file: importing it would load all of ``scipy.integrate``."""
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    return runpy.run_path(os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
 
 
 # scipy's DOP853 on floats: its Butcher tableau (row s of _A holds the s
-# coefficients of stage s), error weights over all 13 stage derivatives and
+# coefficients of stage s), error weights over all 13 stage derivatives,
+# the three extra stages and the 4 x 16 weights of its dense output, and
 # step-size control constants
-_A = tuple(tuple(map(float, _dop853.A[s, :s])) for s in range(1, _dop853.N_STAGES))
-_C = tuple(map(float, _dop853.C[1:_dop853.N_STAGES]))
-_B = tuple(map(float, _dop853.B))
-_E3 = tuple(map(float, _dop853.E3))
-_E5 = tuple(map(float, _dop853.E5))
+_DOP853 = _dop853_tableau()
+_N_STAGES = _DOP853["N_STAGES"]
+_A = tuple(tuple(map(float, _DOP853["A"][s, :s])) for s in range(1, _N_STAGES))
+_C = tuple(map(float, _DOP853["C"][1:_N_STAGES]))
+_B = tuple(map(float, _DOP853["B"]))
+_E3 = tuple(map(float, _DOP853["E3"]))
+_E5 = tuple(map(float, _DOP853["E5"]))
+_A_EXTRA = tuple(tuple(map(float, _DOP853["A"][s, :s]))
+                 for s in range(_N_STAGES + 1, _DOP853["N_STAGES_EXTENDED"]))
+_C_EXTRA = tuple(map(float, _DOP853["C"][_N_STAGES + 1:]))
+_D = tuple(tuple(map(float, row)) for row in _DOP853["D"])
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
 _SQRT2 = math.sqrt(2.0)  # RMS norms are over the two components
@@ -199,35 +189,85 @@ def _error_norm(ku, kp, h, scale_u, scale_p):
     return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
 
 
-def _dop853_classify(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-                     max_radius: float, start=None) -> tuple[TrajectoryClass, int]:
-    """Class of one trajectory and the DOP853 steps it accepted.
+class _Segment(NamedTuple):
+    """scipy's ``Dop853DenseOutput`` of one step from r to r_new: the state
+    at r and the 7 interpolant rows of each component."""
+    r: float
+    r_new: float
+    u: float
+    up: float
+    rows_u: tuple
+    rows_p: tuple
 
-    The same answer as ``_integrate`` (scipy's DOP853 with the two terminal
-    events) from the same ``start``, by ``_march`` on Python floats.  A
-    step that changes the sign of both events is left to ``_integrate``,
-    where the order of their roots on the dense output decides.
-    """
-    cross_eps, turn_eps = _event_thresholds(a)
-
-    def rhs(r, u, up):
-        # _force inlined: this runs 12 times per step
-        return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
-
-    if start is None:
-        h0 = cfg.taylor_start_step
-        start = (h0, *_taylor_start(a, h0, omega, quintic))
-    fired, steps, *_ = _march(rhs, *start, max_radius, cfg.ode_tolerance,
-                              lambda r, u, up: (u + cross_eps, up - turn_eps), (-1.0, 1.0))
-    if len(fired) > 1:
-        label, _, sol = _integrate(a, omega, cfg, quintic, max_radius, start=start)
-        return label, sol.t.size - 1
-    if fired:
-        return (TrajectoryClass.CROSSES_ZERO, TrajectoryClass.TURNS_UPWARD)[fired[0]], steps
-    return TrajectoryClass.UNDETERMINED, steps
+    def __call__(self, t: float):
+        """(u, u') at t, with scipy's nested evaluation of the rows."""
+        x = (t - self.r) / (self.r_new - self.r)
+        out = []
+        for y0, rows in ((self.u, self.rows_u), (self.up, self.rows_p)):
+            y = 0.0
+            for i, row in enumerate(reversed(rows)):
+                y += row
+                y *= x if i % 2 == 0 else 1 - x
+            out.append(y + y0)
+        return out
 
 
-def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step=None):
+def _dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp) -> _Segment:
+    """The dense output of an accepted step, as scipy's DOP853: three
+    more stages extend the 13 stage derivatives ``ku``, ``kp`` (in place)
+    and weigh into the interpolant rows."""
+    h = r_new - r
+    for a, c in zip(_A_EXTRA, _C_EXTRA):
+        g_u, g_p = rhs(r + c * h, u + sum(map(mul, ku, a)) * h,
+                       up + sum(map(mul, kp, a)) * h)
+        ku.append(g_u)
+        kp.append(g_p)
+    rows = []
+    for y, y_new, k in ((u, u_new, ku), (up, up_new, kp)):
+        dy = y_new - y
+        rows.append((dy, h * k[0] - dy, 2 * dy - h * (k[_N_STAGES] + k[0]),
+                     *(h * sum(map(mul, k, d)) for d in _D)))
+    return _Segment(r, r_new, u, up, *rows)
+
+
+class _DenseTrajectory:
+    """(u, u') of a run at many radii from its step segments, as scipy's
+    ``OdeSolution``: each radius takes the segment of the step it falls
+    in (the earlier one on a step boundary, the first or last one outside
+    the run), and all are evaluated at once."""
+
+    def __init__(self, segments):
+        self.starts = np.array([seg.r for seg in segments])
+        self.h = np.array([seg.r_new - seg.r for seg in segments])
+        self.y0 = np.array([(seg.u, seg.up) for seg in segments])
+        # rows[k, j] holds row j of both components of segment k
+        self.rows = np.array([tuple(zip(seg.rows_u, seg.rows_p)) for seg in segments])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.starts, t, side="left") - 1, 0, self.starts.size - 1)
+        x = ((t - self.starts[k]) / self.h[k])[:, None]
+        rows = self.rows[k]
+        y = np.zeros((t.size, 2))
+        for i in range(rows.shape[1]):
+            y += rows[:, -1 - i]
+            y *= x if i % 2 == 0 else 1 - x
+        y += self.y0[k]
+        return y.T
+
+
+def _first_event(events, fired, segment: _Segment):
+    """Index and radius of the earliest root of the ``fired`` events on a
+    step's dense output, each located by Brent's method as ``solve_ivp``
+    does (xtol = rtol = 4 eps); an equal root goes to the lower index."""
+    roots = [(brentq(lambda t, k=k: events(t, *segment(t))[k], segment.r, segment.r_new,
+                     RTOL, RTOL), k) for k in fired]
+    root, k = min(roots)
+    return k, root
+
+
+def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step=None,
+           segments=None):
     """scipy's DOP853 run from (r, u, u') up to its first terminal event,
     on floats.
 
@@ -236,15 +276,21 @@ def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step
     rises through zero, -1 when it falls).  The same initial step,
     step-size control, ``min_step``, last step clipped to ``r_end`` and
     sign-change tests as ``solve_ivp``, starting from the event values at
-    the start.  Returns ``(fired, steps, r, u, up)``: the indices of the
-    events whose sign changed in the last step (empty when ``r_end`` or a
-    too-small step ends the run first), the accepted steps and the state
-    where the run stopped.
+    the start.  Returns ``(event, steps, r, u, up)``: the index of the
+    event that ended the run (``None`` when ``r_end`` or a too-small step
+    ends it first), the accepted steps and the state where the run
+    stopped.  A step that changes the sign of several events ends on the
+    one whose root comes first on the step's dense output
+    (``_first_event``).
+
+    With a ``segments`` list the dense output of every accepted step is
+    appended to it, and the run stops at the event's root instead of the
+    end of the step that found it, as ``solve_ivp(dense_output=True)``.
     """
     atol = rtol * 1e-2 if atol is None else atol
     steps = 0
     if not r < r_end:
-        return [], steps, r, u, up
+        return None, steps, r, u, up
     fu, fp = rhs(r, u, up)
     h_abs = (_initial_step(rhs, r, u, up, fu, fp, r_end - r, rtol, atol)
              if first_step is None else min(first_step, r_end - r))
@@ -255,7 +301,7 @@ def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step
         rejected = False
         while True:
             if h_abs < min_step:
-                return [], steps, r, u, up
+                return None, steps, r, u, up
             r_new = min(r + h_abs, r_end)
             h = r_new - r
             u_new, up_new, ku, kp = _dop853_step(rhs, r, u, up, fu, fp, h)
@@ -268,14 +314,54 @@ def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step
                 break
             h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
-        r, u, up, fu, fp = r_new, u_new, up_new, ku[-1], kp[-1]
         steps += 1
-        new = events(r, u, up)
+        new = events(r_new, u_new, up_new)
         fired = [k for k, d in enumerate(directions) if d * values[k] <= 0.0 <= d * new[k]]
+        segment = None
+        if segments is not None or len(fired) > 1:
+            segment = _dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp)
+            if segments is not None:
+                segments.append(segment)
+        r, u, up, fu, fp = r_new, u_new, up_new, ku[_N_STAGES], kp[_N_STAGES]
         if fired:
-            return fired, steps, r, u, up
+            if segment is None:
+                return fired[0], steps, r, u, up
+            event, root = _first_event(events, fired, segment)
+            if segments is None:
+                return event, steps, r, u, up
+            return event, steps, root, *segment(root)
         values = new
-    return [], steps, r, u, up
+    return None, steps, r, u, up
+
+
+#: class of a trajectory by the event that ended it (0 crossing, 1 turn)
+_EVENT_CLASSES = {0: TrajectoryClass.CROSSES_ZERO, 1: TrajectoryClass.TURNS_UPWARD,
+                  None: TrajectoryClass.UNDETERMINED}
+
+
+def _shoot(a: float, omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float,
+           start=None, segments=None) -> tuple[TrajectoryClass, int, float]:
+    """Class of one trajectory, the DOP853 steps it accepted and the radius
+    where it stopped.
+
+    ``_march`` with the two terminal events of the shooting dichotomy from
+    ``start`` ``(r, u, u')``, by default the Taylor start of amplitude
+    ``a``.  With a ``segments`` list it is also the dense pass of the
+    profile builders (see ``_march``).
+    """
+    cross_eps, turn_eps = _event_thresholds(a)
+
+    def rhs(r, u, up):
+        # _force inlined: this runs 12 times per step
+        return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
+
+    if start is None:
+        h0 = cfg.taylor_start_step
+        start = (h0, *_taylor_start(a, h0, omega, quintic))
+    event, steps, r, *_ = _march(rhs, *start, max_radius, cfg.ode_tolerance,
+                                 lambda r, u, up: (u + cross_eps, up - turn_eps), (-1.0, 1.0),
+                                 segments=segments)
+    return _EVENT_CLASSES[event], steps, r
 
 
 def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | None = None,
@@ -291,7 +377,7 @@ def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | No
     if _force(amplitude, omega, quintic) >= 0.0:
         # force pushes away from zero at the start: the trajectory rises
         return TrajectoryClass.TURNS_UPWARD
-    return _dop853_classify(amplitude, omega, cfg, quintic, max_radius)[0]
+    return _shoot(amplitude, omega, cfg, quintic, max_radius)[0]
 
 
 def _default_bracket(omega: float, quintic: bool):
@@ -431,13 +517,13 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     )
 
 
-def _windowed_profile(sample, sol, a: float, omega: float, quintic: bool,
+def _windowed_profile(sample, trajectory, a: float, omega: float, quintic: bool,
                       r_from: float, r_stop: float, cfg: ShootingConfig) -> RadialProfile:
     """``_matched_profile`` on the matching window located on a fine scan
-    of the dense trajectory ``sol`` over [r_from, r_stop]."""
+    of the dense ``trajectory`` over [r_from, r_stop]."""
     w_lo, w_hi = cfg.matching_window
     fine = np.linspace(r_from, r_stop, 4000)
-    u_fine = sol.sol(fine)[0]
+    u_fine = trajectory(fine)[0]
     below_hi = np.nonzero(u_fine < w_hi * a)[0]
     if below_hi.size == 0:
         raise DomainTooSmall(
@@ -453,17 +539,19 @@ def _windowed_profile(sample, sol, a: float, omega: float, quintic: bool,
 
 def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
                    max_radius: float) -> RadialProfile:
-    _, r_stop, sol = _integrate(a, omega, cfg, quintic, max_radius, dense=True)
+    segments = []
+    _, _, r_stop = _shoot(a, omega, cfg, quintic, max_radius, segments=segments)
+    trajectory = _DenseTrajectory(segments)
     h0 = cfg.taylor_start_step
 
     def sample(grid):
-        vals, derivs = sol.sol(np.maximum(grid, h0))
+        vals, derivs = trajectory(np.maximum(grid, h0))
         # nodes inside the Taylor start (only for pathological spacings)
         inner = (grid > 0.0) & (grid < h0)
         vals[inner], derivs[inner] = _taylor_start(a, grid[inner], omega, quintic)
         return vals, derivs
 
-    return _windowed_profile(sample, sol, a, omega, quintic, h0, r_stop, cfg)
+    return _windowed_profile(sample, trajectory, a, omega, quintic, h0, r_stop, cfg)
 
 
 #: deepest plateau shot at: exp(-700) is still a normal double
@@ -555,60 +643,55 @@ class _PlateauShot:
         decay = math.exp(-kappa * r0)
         return r0, decay * r0 * w, decay * (w + r0 * wp - kappa * r0 * w), inner
 
-    def classify(self, depth: float) -> TrajectoryClass:
-        eps, radius = math.exp(-depth), self.radius(depth)
-        a = self.p - eps
-        if eps >= self.v_switch:
-            return classify_trajectory(a, self.omega, self.cfg, True, radius)
+    def _leave_plateau(self, depth: float, segments=None):
+        """March q from the start solution until u falls to the midpoint
+        of the force zeros: ``_march``'s ``(event, steps, r, q, q')``."""
         r0, q, qp, _ = self._start(depth)
         kappa, v_switch = self.kappa, self.v_switch
         # first step 1/kappa, the scale of the linear solution: scipy's
         # initial-step probe looks far past the switch, where v explodes,
         # and would start a dozen steps too small
-        fired, _, r, q, qp = _march(
-            self._rhs(depth), r0, q, qp, radius, self.cfg.ode_tolerance,
-            lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,), (1.0,),
-            atol=self.atol, first_step=1.0 / kappa)
-        if not fired:
+        return _march(self._rhs(depth), r0, q, qp, self.radius(depth), self.cfg.ode_tolerance,
+                      lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,),
+                      (1.0,), atol=self.atol, first_step=1.0 / kappa, segments=segments)
+
+    def classify(self, depth: float) -> TrajectoryClass:
+        eps, radius = math.exp(-depth), self.radius(depth)
+        a = self.p - eps
+        if eps >= self.v_switch:
+            return classify_trajectory(a, self.omega, self.cfg, True, radius)
+        event, _, r, q, qp = self._leave_plateau(depth)
+        if event is None:
             return TrajectoryClass.UNDETERMINED
         v, vp = map(float, self._deviation(depth, r, q, qp))
-        return _dop853_classify(a, self.omega, self.cfg, True, radius,
-                                start=(r, self.p - v, -vp))[0]
+        return _shoot(a, self.omega, self.cfg, True, radius, start=(r, self.p - v, -vp))[0]
 
     def profile(self, depth: float) -> RadialProfile:
         """The profile at ``depth`` = -s, stitched from the start solution,
         the dense q segment and the dense u segment."""
-        eps, p, cfg, kappa = math.exp(-depth), self.p, self.cfg, self.kappa
+        eps, p, cfg = math.exp(-depth), self.p, self.cfg
         a, radius = p - eps, self.radius(depth)
-        r0, q0, qp0, inner = self._start(depth)
-        rhs = self._rhs(depth)
-
-        def switch(r, y):
-            return math.exp(kappa * r - depth) * y[0] / r - self.v_switch
-        switch.terminal = True
-        switch.direction = 1.0
-
-        sol_q = solve_ivp(lambda r, y: rhs(r, y[0], y[1]), (r0, radius), (q0, qp0),
-                          method="DOP853", rtol=cfg.ode_tolerance, atol=self.atol,
-                          first_step=1.0 / kappa, events=(switch,), dense_output=True)
-        if not sol_q.t_events[0].size:
+        r0, _, _, inner = self._start(depth)
+        q_segments, u_segments = [], []
+        event, _, r_sw, q_sw, qp_sw = self._leave_plateau(depth, q_segments)
+        if event is None:
             raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
-        r_sw = float(sol_q.t_events[0][0])
-        v_sw, vp_sw = map(float, self._deviation(depth, r_sw, *sol_q.y_events[0][0]))
-        _, r_stop, sol = _integrate(a, self.omega, cfg, True, radius, dense=True,
-                                    start=(r_sw, p - v_sw, -vp_sw))
+        v_sw, vp_sw = map(float, self._deviation(depth, r_sw, q_sw, qp_sw))
+        _, _, r_stop = _shoot(a, self.omega, cfg, True, radius,
+                              start=(r_sw, p - v_sw, -vp_sw), segments=u_segments)
+        plateau_run, trajectory = _DenseTrajectory(q_segments), _DenseTrajectory(u_segments)
 
         def sample(grid):
-            vals, derivs = sol.sol(np.maximum(grid, r_sw))
+            vals, derivs = trajectory(np.maximum(grid, r_sw))
             plateau = (grid >= r0) & (grid < r_sw)
-            v, vp = self._deviation(depth, grid[plateau], *sol_q.sol(grid[plateau]))
+            v, vp = self._deviation(depth, grid[plateau], *plateau_run(grid[plateau]))
             vals[plateau], derivs[plateau] = p - v, -vp
             start = (grid > 0.0) & (grid < r0)
             w, wp = inner(grid[start])
             vals[start], derivs[start] = p - eps * w, -eps * wp
             return vals, derivs
 
-        return _windowed_profile(sample, sol, a, self.omega, True, r_sw, r_stop, cfg)
+        return _windowed_profile(sample, trajectory, a, self.omega, True, r_sw, r_stop, cfg)
 
     def solve(self, prediction: tuple[float, float] | None = None):
         """The bisected depth and its profile; ``prediction`` is a

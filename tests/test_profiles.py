@@ -59,6 +59,33 @@ class TestRadialProfile:
         exact = np.exp(-r) / r
         assert np.allclose(p.interpolate(r), exact, rtol=1e-6)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 60), spacing=st.floats(0.001, 0.5), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-12.0, 3.0), points=st.integers(1, 50))
+    def test_hermite_matches_scipy(self, n, spacing, seed, scale, points):
+        # bit for bit scipy's CubicHermiteSpline inside the stored window:
+        # at drawn interior points, at every node and at both ends
+        from scipy.interpolate import CubicHermiteSpline
+
+        rng = np.random.default_rng(seed)
+        grid = spacing * np.arange(2 * n + 1)
+        vals = 10.0**scale * rng.standard_normal(grid.size)
+        ders = rng.standard_normal(grid.size)
+        p = RadialProfile(grid=grid, values=vals, derivs=ders, omega=None,
+                          amplitude=float(vals[0]), tail_constant=0.0,
+                          truncation_radius=float(grid[-1]), kind=TEST_FUNCTION)
+        r = np.concatenate([rng.uniform(grid[0], grid[-1], points), grid,
+                            [grid[0], grid[-1], np.nextafter(grid[-1], 0.0)]])
+        expected = CubicHermiteSpline(grid, vals, ders)(r)
+        assert np.array_equal(p.interpolate(r), expected)
+        assert p.interpolate(float(r[0])) == expected[0]
+
+    def test_hermite_clamps_outside_window(self):
+        # without a tail the ends are held, as before
+        p = make_test_function(lambda r: np.exp(-r), lambda r: -np.exp(-r), r_max=2.0)
+        assert np.array_equal(p.interpolate(np.array([-1.0, 3.0])),
+                              p.interpolate(p.grid[[0, -1]]))
+
     def test_require_finite(self):
         grid = np.linspace(0.0, 1.0, 11)
         vals = np.ones_like(grid)

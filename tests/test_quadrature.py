@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cqnls.quadrature import (exp_power_tail, radial_grad_sq, radial_moment,
+from cqnls.quadrature import (expn, exp_power_tail, radial_grad_sq, radial_moment,
                               simpson_uniform, tail_grad_sq, tail_moment)
 
 
@@ -68,6 +68,40 @@ class TestTails:
 
         ref, _ = quad(lambda r: du(r)**2 * r**2, T, np.inf)
         assert tail_grad_sq(c, a, T) == pytest.approx(ref, rel=1e-10)
+
+
+class TestExpn:
+    """The cephes port against scipy.special.expn."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 6), x=st.floats(1.0, 720.0, exclude_min=True))
+    @example(n=2, x=709.78)
+    @example(n=1, x=1.0000000000000002)
+    def test_continued_fraction_bit_equal(self, n, x):
+        from scipy.special import expn as scipy_expn
+
+        assert expn(n, x) == scipy_expn(n, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 6), log_x=st.floats(-300.0, 0.0))
+    @example(n=4, log_x=0.0)
+    def test_series_within_two_ulp(self, n, log_x):
+        # the series ends on pow, log and the gamma function, which round
+        # one or two ulp apart from cephes'
+        from scipy.special import expn as scipy_expn
+
+        x = 10.0**log_x
+        expected = scipy_expn(n, x)
+        assert abs(expn(n, x) - expected) <= 2.0 * np.spacing(expected)
+
+    def test_edges(self):
+        from scipy.special import expn as scipy_expn
+
+        for n, x in ((0, 0.0), (1, 0.0), (2, 0.0), (5, 0.0), (3, 800.0), (-1, 1.0), (2, -1.0)):
+            expected = float(scipy_expn(n, x))
+            assert expn(n, x) == expected or (math.isnan(expected) and math.isnan(expn(n, x)))
+        with pytest.raises(ValueError):
+            expn(51, 1.0)
 
 
 class TestRadialMoments:

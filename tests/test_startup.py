@@ -1,0 +1,40 @@
+"""What the command line loads: numpy alone until a command needs scipy."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: scipy subpackages no command but evolve, spectra, the flow and validate
+#: needs, and none of those needs these
+UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.sparse",
+          "scipy.special")
+
+
+def _scipy_modules(code: str) -> set[str]:
+    """The scipy packages (two levels deep) a fresh interpreter has loaded
+    after running ``code``."""
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted({'.'.join(m.split('.')[:2]) "
+             "for m in sys.modules if m.split('.')[0] == 'scipy'})))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", code + probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_scipy_subpackage():
+    assert not _scipy_modules("import cqnls.cli") & set(UNUSED)
+
+
+@pytest.mark.parametrize("command, needs_linalg", [("solve", False), ("spectra", True)])
+def test_commands_load_what_they_use(command, needs_linalg, tmp_path):
+    loaded = _scipy_modules(
+        "from cqnls import cli\n"
+        f"assert cli.main([{command!r}, '--omega', '0.09', '--out', {str(tmp_path)!r}]) == 0")
+    assert not loaded & set(UNUSED)
+    assert ("scipy.linalg" in loaded) is needs_linalg
+    assert (tmp_path / "manifest.json").exists()
