@@ -165,15 +165,6 @@ def _climb(omega: float, cfg: ShootingConfig):
 def solve_collocation(omega: float, cfg: ShootingConfig) -> RadialProfile:
     """Ground state by collocation continuation from the shooting regime."""
     mesh, u, v = _climb(omega, cfg)
-    amplitude = float(u[0])
-    w_lo, w_hi = cfg.matching_window
-
-    below_hi = np.nonzero(u < w_hi * amplitude)[0]
-    below_lo = np.nonzero(u < w_lo * amplitude)[0]
-    if below_hi.size == 0 or below_lo.size == 0:
-        raise DomainTooSmall("collocation domain does not reach the matching window")
-    r_a, r_b = float(mesh[below_hi[0]]), float(mesh[below_lo[0]])
-
     spline = CubicHermiteSpline(mesh, u, v)
     return _matched_profile(lambda grid: (spline(grid), spline(grid, 1)),
-                           amplitude, omega, True, r_a, r_b, cfg)
+                            float(u[0]), omega, True, float(mesh[-1]))

@@ -100,10 +100,17 @@ def _ledger_entry(state: EvolutionState) -> LedgerEntry:
 
 def soliton_state(profile: RadialProfile, radius: float | None = None,
                   spacing: float = 0.02, perturbation: float = 0.0) -> EvolutionState:
-    """Initial data w = r*(1 + perturbation)*P on [0, R] with Dirichlet ends."""
+    """Initial data w = r*(1 + perturbation)*P on [0, R] with Dirichlet ends.
+
+    The grid must reach the profile's truncation radius: a cut inside the
+    stored profile jumps to zero at the Dirichlet end.
+    """
     if radius is None:
         radius = 2.0 * profile.truncation_radius
     grid = even_grid(radius, spacing)
+    if grid[-1] < profile.truncation_radius:
+        raise ValueError(f"grid ends at r={grid[-1]:g}, inside the profile's "
+                         f"truncation radius {profile.truncation_radius:g}")
     u = profile.interpolate(grid)
     w = grid * (1.0 + perturbation) * u
     w[0] = 0.0

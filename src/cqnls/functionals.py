@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch
 from .profiles import CUBIC_REFERENCE, GROUND_STATE, RadialProfile
 from .quadrature import radial_grad_sq, radial_moment
 
@@ -80,11 +79,3 @@ def f_alpha(profile: RadialProfile, alpha: float, report: FunctionalReport | Non
     l6_norm = rep.l6 ** (1.0 / 6.0)
     grad = np.sqrt(rep.grad_sq)
     return float(l2 * l6_norm ** (3.0 * alpha / (1.0 + alpha)) * grad ** (3.0 / (1.0 + alpha)) / rep.l4)
-
-
-def d_scalar(profile: RadialProfile, report: FunctionalReport | None = None) -> float:
-    """Action value E + (omega/2) M of a ground state."""
-    if profile.kind != GROUND_STATE or profile.omega is None:
-        raise KindMismatch("d is defined on ground states with a frequency")
-    rep = report if report is not None else evaluate(profile)
-    return rep.energy + 0.5 * profile.omega * rep.mass

@@ -44,29 +44,14 @@ def even_grid(extent: float, spacing: float, down: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShootingConfig:
-    """Knobs for the shooting solver.
-
-    ``max_radius`` of ``None`` selects ``max(40/sqrt(omega), 60)``; above
-    the amplitude-shooting range it is the reach beyond the plateau's
-    front.  ``bisection_tolerance`` bounds the final bracket of the
-    shooting parameter: the central amplitude, or the log of its gap to
-    the force zero above that range.
-    """
+    """The one knob of the shooting solver: the relative tolerance of its
+    ODE runs.  Its other settings are constants of ``shooting``."""
 
     ode_tolerance: float = 1e-12
-    bisection_tolerance: float = 1e-14
-    max_radius: float | None = None
-    matching_window: tuple[float, float] = (3e-5, 3e-3)
-    taylor_start_step: float = 1e-3
-    grid_spacing: float = 0.02
-    tail_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.ode_tolerance <= 0 or self.bisection_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
-        w_lo, w_hi = self.matching_window
-        if not 0 < w_lo < w_hi < 1:
-            raise ValueError("matching window must satisfy 0 < lo < hi < 1")
+        if self.ode_tolerance <= 0:
+            raise ValueError("ode_tolerance must be positive")
 
     def fingerprint(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)

@@ -9,6 +9,8 @@ output and the branch roots of ``curves.monotone_root``.
 
 from __future__ import annotations
 
+import math
+
 #: scipy's smallest relative tolerance, four machine epsilons
 RTOL = 4.0 * 2.220446049250313e-16
 
@@ -56,14 +58,19 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float = RTOL,
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            try:
+                if xpre == xblk:
+                    # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # an underflowed denominator: C gets inf or NaN, which fails
+                # the step test below and bisects
+                stry = math.inf
             limit = 3 * abs(sbis) - delta
             if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
                 spre, scur = scur, stry

@@ -60,6 +60,18 @@ def __getattr__(name):
 #: largest frequency solved by amplitude shooting; above it the bisection
 #: runs on the logarithm of the gap between the amplitude and the force zero
 OMEGA_SHOOTING_MAX = 0.155
+#: final bracket width of the bisection: on the central amplitude, or
+#: relative on the depth -ln(u+ - u(0)) above ``OMEGA_SHOOTING_MAX``
+BISECTION_TOLERANCE = 1e-14
+#: radius of the Taylor start at the origin
+TAYLOR_START_STEP = 1e-3
+#: node spacing of every profile's grid
+GRID_SPACING = 0.02
+#: the tail is fitted where u falls from the upper to the lower fraction
+#: of the amplitude
+MATCHING_WINDOW = (3e-5, 3e-3)
+#: largest relative spread of u r exp(sqrt(omega) r) the tail fit accepts
+TAIL_TOL = 1e-3
 
 
 class TrajectoryClass(enum.Enum):
@@ -98,6 +110,8 @@ def force_upper_zero(omega: float, quintic: bool = True) -> float:
 
 
 def default_max_radius(omega: float) -> float:
+    """Integration radius of amplitude shooting; above
+    ``OMEGA_SHOOTING_MAX`` the reach beyond the plateau's front."""
     return max(40.0 / math.sqrt(omega), 60.0)
 
 
@@ -356,8 +370,7 @@ def _shoot(a: float, omega: float, cfg: ShootingConfig, quintic: bool, max_radiu
         return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
 
     if start is None:
-        h0 = cfg.taylor_start_step
-        start = (h0, *_taylor_start(a, h0, omega, quintic))
+        start = (TAYLOR_START_STEP, *_taylor_start(a, TAYLOR_START_STEP, omega, quintic))
     event, steps, r, *_ = _march(rhs, *start, max_radius, cfg.ode_tolerance,
                                  lambda r, u, up: (u + cross_eps, up - turn_eps), (-1.0, 1.0),
                                  segments=segments)
@@ -373,7 +386,7 @@ def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | No
     if quintic:
         check_frequency(omega)
     if max_radius is None:
-        max_radius = cfg.max_radius if cfg.max_radius is not None else default_max_radius(omega)
+        max_radius = default_max_radius(omega)
     if _force(amplitude, omega, quintic) >= 0.0:
         # force pushes away from zero at the start: the trajectory rises
         return TrajectoryClass.TURNS_UPWARD
@@ -466,47 +479,61 @@ def _bisect(classify, lo: float, hi: float, tolerance: float,
 def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float,
                       prediction: tuple[float, float] | None = None):
     """The amplitude bracket of the ground state, bisected to
-    ``cfg.bisection_tolerance`` from the phase-plane default bracket."""
+    ``BISECTION_TOLERANCE`` from the phase-plane default bracket."""
     return _bisect(lambda a: classify_trajectory(a, omega, cfg, quintic, max_radius),
-                   *_default_bracket(omega, quintic), cfg.bisection_tolerance, prediction)
+                   *_default_bracket(omega, quintic), BISECTION_TOLERANCE, prediction)
 
 
 def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
-                     r_a: float, r_b: float, cfg: ShootingConfig) -> RadialProfile:
-    """Profile on the even grid up to r_b with its tail fitted on [r_a, r_b].
+                     r_stop: float) -> RadialProfile:
+    """Profile with its tail fitted on the matching window, from a solver
+    run that stopped at ``r_stop``.
 
-    ``sample(grid)`` returns the solver's (u, u') on the grid; the origin
-    is pinned to (amplitude, 0).  The tail constant c of
-    u ~ c exp(-sqrt(omega) r)/r is the mean of u r exp(sqrt(omega) r) over
-    the matching window.
+    ``sample(grid)`` returns the solver's (u, u') on the even grid below
+    ``0.98 * r_stop``; the origin is pinned to (amplitude, 0).  The window
+    runs from the first node below ``MATCHING_WINDOW[1]`` times the
+    amplitude to the first node below ``MATCHING_WINDOW[0]`` times it,
+    dropped to an even index, or to the last node, and the profile ends
+    there.  The tail constant c of u ~ c exp(-sqrt(omega) r)/r is the mean
+    of u r exp(sqrt(omega) r) over the window.
     """
-    grid = even_grid(r_b, cfg.grid_spacing, down=True)
-    if grid.size < 11:
-        raise DomainTooSmall("matching window leaves too few grid points")
+    grid = even_grid(0.98 * r_stop, GRID_SPACING, down=True)
     vals, derivs = sample(grid)
     vals[0], derivs[0] = amplitude, 0.0
+    w_lo, w_hi = MATCHING_WINDOW
+    below_hi = np.flatnonzero(vals < w_hi * amplitude)
+    if below_hi.size == 0:
+        raise DomainTooSmall(
+            f"solution has not decayed below {w_hi:g}*amplitude by r={grid[-1]:.1f}"
+        )
+    below_lo = np.flatnonzero(vals < w_lo * amplitude)
+    start = below_hi[0]
+    end = below_lo[0] - below_lo[0] % 2 if below_lo.size else grid.size - 1
+    if end <= start:
+        raise DomainTooSmall("matching window leaves too few grid points")
+    # copies: views would keep the whole sample alive in the profile cache
+    grid, vals, derivs = grid[:end + 1].copy(), vals[:end + 1].copy(), derivs[:end + 1].copy()
     decay = math.sqrt(omega)
 
-    window = (grid >= r_a) & (grid <= r_b)
-    rw = grid[window]
-    zw = vals[window] * rw * np.exp(decay * rw)
+    rw = grid[start:]
+    zw = vals[start:] * rw * np.exp(decay * rw)
     c = float(np.mean(zw))
     mismatch = float(np.max(np.abs(zw - c)) / abs(c))
-    if mismatch > cfg.tail_tol:
+    if mismatch > TAIL_TOL:
         # retry on the deeper half of the window, where nonlinear
         # corrections to the decay law are weaker, then on the shallower
         # half, where the growing mode of a trajectory that turns upward
         # just past the window has not yet bent it
-        deep = rw >= 0.5 * (r_a + r_b)
+        deep = rw >= 0.5 * (rw[0] + rw[-1])
         for half in (deep, ~deep):
             if np.count_nonzero(half) >= 5:
                 c = float(np.mean(zw[half]))
                 mismatch = float(np.max(np.abs(zw[half] - c)) / abs(c))
-                if mismatch <= cfg.tail_tol:
+                if mismatch <= TAIL_TOL:
                     break
-    if mismatch > cfg.tail_tol:
+    if mismatch > TAIL_TOL:
         raise DomainTooSmall(
-            f"tail fit mismatch {mismatch:.2e} exceeds {cfg.tail_tol:g}"
+            f"tail fit mismatch {mismatch:.2e} exceeds {TAIL_TOL:g}"
         )
 
     return RadialProfile(
@@ -517,41 +544,14 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     )
 
 
-def _windowed_profile(sample, trajectory, a: float, omega: float, quintic: bool,
-                      r_from: float, r_stop: float, cfg: ShootingConfig) -> RadialProfile:
-    """``_matched_profile`` on the matching window located on a fine scan
-    of the dense ``trajectory`` over [r_from, r_stop]."""
-    w_lo, w_hi = cfg.matching_window
-    fine = np.linspace(r_from, r_stop, 4000)
-    u_fine = trajectory(fine)[0]
-    below_hi = np.nonzero(u_fine < w_hi * a)[0]
-    if below_hi.size == 0:
-        raise DomainTooSmall(
-            f"solution has not decayed below {w_hi:g}*amplitude by r={r_stop:.1f}"
-        )
-    r_a = fine[below_hi[0]]
-    below_lo = np.nonzero(u_fine < w_lo * a)[0]
-    r_b = fine[below_lo[0]] if below_lo.size else min(0.98 * r_stop, fine[-1])
-    if r_b <= r_a:
-        r_b = min(0.98 * r_stop, fine[-1])
-    return _matched_profile(sample, a, omega, quintic, r_a, r_b, cfg)
-
-
 def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
                    max_radius: float) -> RadialProfile:
     segments = []
     _, _, r_stop = _shoot(a, omega, cfg, quintic, max_radius, segments=segments)
     trajectory = _DenseTrajectory(segments)
-    h0 = cfg.taylor_start_step
-
-    def sample(grid):
-        vals, derivs = trajectory(np.maximum(grid, h0))
-        # nodes inside the Taylor start (only for pathological spacings)
-        inner = (grid > 0.0) & (grid < h0)
-        vals[inner], derivs[inner] = _taylor_start(a, grid[inner], omega, quintic)
-        return vals, derivs
-
-    return _windowed_profile(sample, trajectory, a, omega, quintic, h0, r_stop, cfg)
+    # the grid's first node past the origin lies beyond the Taylor start
+    return _matched_profile(lambda grid: trajectory(np.maximum(grid, TAYLOR_START_STEP)),
+                            a, omega, quintic, r_stop)
 
 
 #: deepest plateau shot at: exp(-700) is still a normal double
@@ -578,7 +578,7 @@ class _PlateauShot:
     out a turn, and then goes on in u with the two amplitude-shooting
     events.  The bisection runs on the depth -s, from the default
     bracket's lowest amplitude (which turns upward at once) to
-    ``_MAX_LOG_DEPTH``, to ``bisection_tolerance`` relative.  The
+    ``_MAX_LOG_DEPTH``, to ``BISECTION_TOLERANCE`` relative.  The
     integration radius is the front, about -s/kappa, plus ``base_radius``.
     """
 
@@ -618,7 +618,7 @@ class _PlateauShot:
     def _start(self, depth: float):
         """Start radius r0 of the q integration, the (q, q') there, and
         ``inner(r)``, the (w, w') of the start solution on (0, r0]."""
-        eps, h0, kappa = math.exp(-depth), self.cfg.taylor_start_step, self.kappa
+        eps, h0, kappa = math.exp(-depth), TAYLOR_START_STEP, self.kappa
         if eps >= self.delta:
             k2, c2, c3, c4, v = self.k2, self.c2, self.c3, self.c4, eps
             # Taylor start of w from w(0) = 1, as _taylor_start for u
@@ -691,21 +691,21 @@ class _PlateauShot:
             vals[start], derivs[start] = p - eps * w, -eps * wp
             return vals, derivs
 
-        return _windowed_profile(sample, trajectory, a, self.omega, True, r_sw, r_stop, cfg)
+        return _matched_profile(sample, a, self.omega, True, r_stop)
 
     def solve(self, prediction: tuple[float, float] | None = None):
         """The bisected depth and its profile; ``prediction`` is a
         predicted depth and its error, as for ``_bisect``."""
         lowest = _default_bracket(self.omega, True)[0]
         lo, hi = _bisect(self.classify, -math.log(self.p - lowest), _MAX_LOG_DEPTH,
-                         self.cfg.bisection_tolerance, prediction, relative=True)
+                         BISECTION_TOLERANCE, prediction, relative=True)
         depth = 0.5 * (lo + hi)
         return depth, self.profile(depth)
 
 
 def _solve(omega: float, cfg: ShootingConfig, quintic: bool,
            prediction: tuple[float, float] | None = None) -> RadialProfile:
-    base_radius = cfg.max_radius if cfg.max_radius is not None else default_max_radius(omega)
+    base_radius = default_max_radius(omega)
     last_err = None
     radius = base_radius
     for _ in range(3):

@@ -64,6 +64,16 @@ class TestSolve:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    def test_window_end_solves_at_loose_tolerance(self, tmp_path):
+        # the run turns just past the matching window; the tail is fitted
+        # before it
+        code = main(["solve", "--omega", "0.185", "--ode-tol", "1e-8",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["nehari_residual"] < 1e-7
+        assert report["pohozaev_residual"] < 1e-7
+
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "envout"))
         assert main(["solve", "--omega", "0.09"]) == 0

@@ -86,27 +86,29 @@ class TestEvolve:
                 evolve(replace(base_state, field=field), 0.1, 0.02)
 
     def test_sponge_absorbs_mass(self, ground_009):
-        state = soliton_state(ground_009, radius=30.0, spacing=0.05,
-                              perturbation=0.04)
+        state = soliton_state(ground_009, radius=ground_009.truncation_radius,
+                              spacing=0.05, perturbation=0.04)
         out = evolve(state, 4.0, 0.02, sponge=True)
         assert discrete_mass(out) < discrete_mass(state)
+
+    def test_rejects_grid_inside_the_profile(self, ground_009):
+        # cut at r = 30 the field would jump to the zero Dirichlet end
+        with pytest.raises(ValueError, match="truncation radius"):
+            soliton_state(ground_009, radius=30.0, spacing=0.05)
 
 
 @settings(max_examples=25, deadline=None)
 @given(dt=st.floats(0.005, 0.04), perturbation=st.floats(0.0, 0.05),
        steps=st.integers(5, 50))
 def test_split_step_mass(ground_009, dt, perturbation, steps):
-    # the default radius holds the whole soliton: cut at r = 30 its jump to
-    # the Dirichlet end radiates, and the Simpson mass drifts by 7e-10 in
-    # five steps under either scheme while sum |w|^2 stays put
     state = soliton_state(ground_009, spacing=0.05, perturbation=perturbation)
     mass0 = discrete_mass(state)
     # the gate is opened wide: this property is about mass alone
     closed = evolve(state, steps * dt, dt, conservation_tol=1.0)
     assert abs(discrete_mass(closed) - mass0) <= 1e-10 * mass0
-    # at r = 30 the sponge sits in the soliton's tail and takes mass at
-    # every step
-    state = soliton_state(ground_009, radius=30.0, spacing=0.05,
+    # at the truncation radius the sponge sits in the soliton's tail and
+    # takes mass at every step
+    state = soliton_state(ground_009, radius=ground_009.truncation_radius, spacing=0.05,
                           perturbation=perturbation)
     damped = evolve(state, steps * dt, dt, sponge=True, ledger_interval=dt)
     masses = [entry.mass for entry in damped.ledger]

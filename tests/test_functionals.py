@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cqnls.errors import KindMismatch
-from cqnls.functionals import d_scalar, evaluate, f_alpha
+from cqnls.functionals import evaluate, f_alpha
 from cqnls.profiles import test_function_profile as make_test_function
 
 
@@ -51,14 +50,3 @@ class TestFAlpha:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             f_alpha(gaussian_profile(), 0.0)
-
-
-class TestDScalar:
-    def test_matches_definition(self, ground_009):
-        rep = evaluate(ground_009)
-        assert d_scalar(ground_009, rep) == pytest.approx(
-            rep.energy + 0.045 * rep.mass, rel=1e-14)
-
-    def test_rejects_test_functions(self):
-        with pytest.raises(KindMismatch):
-            d_scalar(gaussian_profile())

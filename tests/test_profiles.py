@@ -32,10 +32,6 @@ class TestShootingConfig:
         with pytest.raises(ValueError):
             ShootingConfig(ode_tolerance=0.0)
 
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            ShootingConfig(matching_window=(1e-2, 1e-4))
-
     def test_fingerprint_stable_and_sensitive(self):
         assert ShootingConfig().fingerprint() == ShootingConfig().fingerprint()
         assert ShootingConfig().fingerprint() != \

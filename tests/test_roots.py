@@ -37,6 +37,9 @@ def _both(f, a, b, xtol):
        log_xtol=st.floats(-15.0, -1.0))
 @example(coefs=[0.0, 1.0], lo=-1.0, width=2.0, log_xtol=-12.0)
 @example(coefs=[-1.0, 0.0, 1.0], lo=-2.0, width=2.0, log_xtol=-14.0)
+# the interpolation's denominator underflows to zero: scipy's C code
+# divides into inf or NaN and bisects
+@example(coefs=[1.2331757325854203e-179] * 2, lo=-1.75, width=1.5, log_xtol=-12.0)
 def test_matches_scipy_on_polynomials(coefs, lo, width, log_xtol):
     # monotone or not on the bracket: the same returned float, the same
     # evaluation points, or the same refusal of a bracket without a sign

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cqnls import bvp, shooting
 from cqnls.curves import default_omega_grid
-from cqnls.errors import BracketFailure, CqnlsError, FrequencyOutOfWindow
+from cqnls.errors import BracketFailure, FrequencyOutOfWindow
 from cqnls.functionals import evaluate
 from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE, ShootingConfig
 from cqnls.shooting import (OMEGA_SHOOTING_MAX, TrajectoryClass,
@@ -101,17 +101,33 @@ def test_tail_fit_retries_shallow_half():
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
-@pytest.mark.parametrize("spacing", [0.01, 0.02])
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("omega", [0.004, 0.073, 0.154, 0.155, 0.16, 0.185])
-def test_configuration_matrix(omega, tol, spacing):
-    # either a solve that passes criterion 01's gate, or a typed error
-    cfg = ShootingConfig(ode_tolerance=tol, grid_spacing=spacing)
-    try:
-        rep = evaluate(solve_ground_state(omega, cfg))
-    except CqnlsError:
-        return
+def test_configuration_matrix(omega, tol):
+    # every tolerance solves the window's edges and both sides of the
+    # solver switch within criterion 01's gate
+    rep = evaluate(solve_ground_state(omega, ShootingConfig(ode_tolerance=tol)))
     assert max(_identity_errors(omega, rep)) < 1e-7
+
+
+def test_profile_does_not_follow_the_stop_radius(cfg, ground_009):
+    # the run's stop radius is set by rounding; past the end of the matching
+    # window it changes nothing in the profile
+    a = ground_009.amplitude
+    segments = []
+    _, _, r_stop = shooting._shoot(a, 0.09, cfg, True, shooting.default_max_radius(0.09),
+                                   segments=segments)
+    trajectory = shooting._DenseTrajectory(segments)
+
+    def sample(grid):
+        return trajectory(np.maximum(grid, shooting.TAYLOR_START_STEP))
+    profiles = [shooting._matched_profile(sample, a, 0.09, True, stop)
+                for stop in (r_stop, 1.25 * r_stop)]
+    assert profiles[0].truncation_radius < 0.98 * r_stop
+    for name in ("grid", "values", "derivs"):
+        assert np.array_equal(getattr(profiles[0], name), getattr(profiles[1], name))
+    assert profiles[0].tail_constant == profiles[1].tail_constant
+    assert profiles[0].truncation_radius == profiles[1].truncation_radius
 
 
 class TestPlateau:
@@ -281,10 +297,10 @@ class TestWarmStart:
         # a bracket other than the default: the replay steers through its
         # own tree and lands on its own cold bracket
         classify = functools.partial(classify_trajectory, omega=0.073, cfg=cfg)
-        cold = shooting._bisect(classify, 0.5, 0.95, cfg.bisection_tolerance)
+        cold = shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE)
         _, a = cold_073
         for err in (1e-12 * a, 1e-6):
-            assert shooting._bisect(classify, 0.5, 0.95, cfg.bisection_tolerance,
+            assert shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE,
                                     (a, err)) == cold
 
     @pytest.mark.parametrize("shift", [1e-4, -1e-4, 1e-9, -1e-9])
@@ -305,7 +321,7 @@ class TestWarmStart:
         classify = functools.partial(classify_trajectory, omega=0.073, cfg=cfg)
         _, a = cold_073
         with pytest.raises(BracketFailure):
-            shooting._bisect(classify, *bracket, cfg.bisection_tolerance, (a, 1e-6))
+            shooting._bisect(classify, *bracket, shooting.BISECTION_TOLERANCE, (a, 1e-6))
 
 
 @settings(max_examples=6, deadline=None)
@@ -326,7 +342,7 @@ def test_any_depth_prediction_gives_the_cold_bracket(omega, sign, miss, err):
     cfg = ShootingConfig()
     shot = shooting._PlateauShot(omega, cfg, shooting.default_max_radius(omega))
     bracket = (-math.log(shot.p - 1e-6), shooting._MAX_LOG_DEPTH,
-               cfg.bisection_tolerance)
+               shooting.BISECTION_TOLERANCE)
     cold = shooting._bisect(shot.classify, *bracket, relative=True)
     x = 0.5 * (cold[0] + cold[1])
     prediction = (x * (1.0 + sign * 10.0**miss), x * 10.0**err)
@@ -382,7 +398,7 @@ def _solve_ivp_shot(a, omega, cfg, quintic, max_radius, start=None):
     """solve_ivp's run with the two shooting events, as ``shooting._shoot``."""
     cross_eps, turn_eps = shooting._event_thresholds(a)
     if start is None:
-        h0 = cfg.taylor_start_step
+        h0 = shooting.TAYLOR_START_STEP
         start = (h0, *shooting._taylor_start(a, h0, omega, quintic))
     return _solve_ivp_run(
         lambda r, u, up: (up, shooting._force(u, omega, quintic) - 2.0 * up / r),
@@ -506,7 +522,8 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     if kind == "plateau":
         shot = shooting._PlateauShot(omega, cfg, radius)
         depth = 0.5 * sum(shooting._bisect(shot.classify, -math.log(shot.p - 1e-6),
-                                           shooting._MAX_LOG_DEPTH, cfg.bisection_tolerance,
+                                           shooting._MAX_LOG_DEPTH,
+                                           shooting.BISECTION_TOLERANCE,
                                            relative=True)) * (1.0 + offset)
         a, radius = shot.p - math.exp(-depth), shot.radius(depth)
         segments = []
