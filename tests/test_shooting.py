@@ -101,13 +101,15 @@ def test_tail_fit_retries_shallow_half():
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
+@pytest.mark.parametrize("spacing", [shooting.GRID_SPACING])
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("omega", [0.004, 0.073, 0.154, 0.155, 0.16, 0.185])
-def test_configuration_matrix(omega, tol):
+def test_configuration_matrix(omega, tol, spacing):
     # every tolerance solves the window's edges and both sides of the
-    # solver switch within criterion 01's gate
-    rep = evaluate(solve_ground_state(omega, ShootingConfig(ode_tolerance=tol)))
-    assert max(_identity_errors(omega, rep)) < 1e-7
+    # solver switch within criterion 01's gate, on the one grid spacing
+    profile = solve_ground_state(omega, ShootingConfig(ode_tolerance=tol))
+    assert profile.spacing == pytest.approx(spacing, rel=1e-12)
+    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
 def test_profile_does_not_follow_the_stop_radius(cfg, ground_009):
