@@ -15,7 +15,7 @@ here; it can go once the benchmark stops wrapping them.
 Each continuation step seeds the next solve by *translating the front*:
 the front radius is extrapolated linearly in 1/(3/16 - omega) and the
 previous profile is shifted so its front lands at the predicted position.
-Accepted rungs are cached at module level, one ladder per configuration,
+Accepted rungs are cached at module level, one ladder per ODE tolerance,
 so repeated solves (frequency scans, derivative stencils) reuse the ladder
 instead of rebuilding it.
 """
@@ -29,8 +29,8 @@ from scipy.integrate import solve_bvp
 from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainTooSmall, InnerSolveDiverged
-from .profiles import OMEGA_MAX, RadialProfile, ShootingConfig
-from .shooting import OMEGA_SHOOTING_MAX, _matched_profile
+from .profiles import OMEGA_MAX, RadialProfile
+from .shooting import ODE_TOLERANCE, OMEGA_SHOOTING_MAX, _matched_profile
 
 _TOL = 1e-10
 _MAX_NODES = 300_000
@@ -38,8 +38,8 @@ _STEP_MAX = 3e-3
 _STEP_MIN = 1e-7
 _TAIL_MARGIN = 60.0
 
-# accepted continuation rungs per config fingerprint: omega -> (mesh, u, v)
-_ladder: dict[str, dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+# accepted continuation rungs per ODE tolerance: omega -> (mesh, u, v)
+_ladder: dict[float, dict[float, tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
 
 
 def _front_radius(mesh: np.ndarray, u: np.ndarray) -> float:
@@ -107,11 +107,11 @@ def _predict(ladder: dict, omega_from: float, omega_to: float):
     return mesh_new, u_new, v_new
 
 
-def _bootstrap(cfg: ShootingConfig) -> dict:
+def _bootstrap(ode_tolerance: float) -> dict:
     """A new ladder seeded with the ground state at the switch frequency."""
     from .shooting import solve_ground_state
 
-    base = solve_ground_state(OMEGA_SHOOTING_MAX, cfg)
+    base = solve_ground_state(OMEGA_SHOOTING_MAX, ode_tolerance)
     radius = _front_radius(base.grid, base.values) + _TAIL_MARGIN
     mesh = np.linspace(0.0, radius, 4001)
     u = base.interpolate(mesh)
@@ -125,12 +125,11 @@ def _bootstrap(cfg: ShootingConfig) -> dict:
     return {OMEGA_SHOOTING_MAX: (sol.x, sol.y[0], sol.y[1])}
 
 
-def _climb(omega: float, cfg: ShootingConfig):
-    """Continue the config's ladder in frequency until a rung lands on omega."""
-    key = cfg.fingerprint()
-    if key not in _ladder:
-        _ladder[key] = _bootstrap(cfg)
-    ladder = _ladder[key]
+def _climb(omega: float, ode_tolerance: float):
+    """Continue the tolerance's ladder in frequency until a rung lands on omega."""
+    if ode_tolerance not in _ladder:
+        _ladder[ode_tolerance] = _bootstrap(ode_tolerance)
+    ladder = _ladder[ode_tolerance]
     if omega in ladder:
         return ladder[omega]
     # nearest rung in 1/(3/16 - omega), the variable the front is linear in
@@ -162,9 +161,9 @@ def _climb(omega: float, cfg: ShootingConfig):
     return ladder[omega]
 
 
-def solve_collocation(omega: float, cfg: ShootingConfig) -> RadialProfile:
+def solve_collocation(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Ground state by collocation continuation from the shooting regime."""
-    mesh, u, v = _climb(omega, cfg)
+    mesh, u, v = _climb(omega, ode_tolerance)
     spline = CubicHermiteSpline(mesh, u, v)
     return _matched_profile(lambda grid: (spline(grid), spline(grid, 1)),
                             float(u[0]), omega, True, float(mesh[-1]))

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .errors import CqnlsError, FrequencyOutOfWindow
 from .functionals import evaluate
-from .profiles import ShootingConfig, test_function_profile
-from .shooting import solve_cubic_reference, solve_ground_state
+from .profiles import test_function_profile
+from .shooting import ODE_TOLERANCE, solve_cubic_reference, solve_ground_state
 
 SCHEMA_VERSION = 1
 RESIDUAL_GATE = 1e-7
@@ -98,13 +98,6 @@ def _write_manifest(directory: Path, command: str, options: dict,
     _write_json(directory / "manifest.json", manifest)
 
 
-def _shooting_config(options: dict) -> ShootingConfig:
-    kwargs = {}
-    if options.get("ode_tol") is not None:
-        kwargs["ode_tolerance"] = float(options["ode_tol"])
-    return ShootingConfig(**kwargs)
-
-
 #: subcommand name -> (help, flags, run); see ``_command``
 _COMMANDS: dict = {}
 _OMEGA = ("--omega", {"required": True})
@@ -112,12 +105,12 @@ _GRID_FLAGS = (("--grid-size", {}), ("--omega-min", {}), ("--omega-max", {}))
 
 
 def _command(help_text: str, *flags):
-    """Register ``cmd_<name>(options, cfg, out) -> (exit code, manifest extras)``.
+    """Register ``cmd_<name>(options, ode_tolerance, out) -> (exit code, extras)``.
 
     ``flags`` are (flag, argparse keyword) pairs; every command also takes
     --out, --config and --ode-tol.  The shared skeleton merges the options,
-    builds the shooting config, creates the output directory and writes
-    the manifest.
+    reads the ODE tolerance, creates the output directory and writes the
+    manifest.
     """
     def register(run):
         _COMMANDS[run.__name__.removeprefix("cmd_")] = (help_text, flags, run)
@@ -131,19 +124,19 @@ def _run_command(args) -> int:
     keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["ode_tol"]
     options = _effective_options(args, keys)
     out = _out_dir(args)
-    code, extra = run(options, _shooting_config(options), out)
+    code, extra = run(options, _coerce_float(options.get("ode_tol"), ODE_TOLERANCE), out)
     _write_manifest(out, args.command, options, time.perf_counter() - start, extra)
     return code
 
 
 @_command("solve one ground state", _OMEGA)
-def cmd_solve(options, cfg, out):
+def cmd_solve(options, ode_tolerance, out):
     omega = _coerce_float(options["omega"])
-    profile = solve_ground_state(omega, cfg)
+    profile = solve_ground_state(omega, ode_tolerance)
     report = evaluate(profile)
     residuals = {"nehari": report.nehari_residual,
                  "pohozaev": report.pohozaev_residual}
-    profile.save(out, cfg, residuals)
+    profile.save(out, ode_tolerance, residuals)
     _write_json(out / "report.json", {**report.as_dict(), "omega": omega})
     extra = {"residuals": residuals}
     if (report.nehari_residual > RESIDUAL_GATE
@@ -156,30 +149,30 @@ def cmd_solve(options, cfg, out):
     return 0, extra
 
 
-def _scan(options, cfg):
+def _scan(options, ode_tolerance):
     from .curves import default_omega_grid, scan
 
     n = int(options.get("grid_size") or 60)
     lo = _coerce_float(options.get("omega_min"), 0.004)
     hi = _coerce_float(options.get("omega_max"), 0.185)
-    return scan(default_omega_grid(n, lo, hi), cfg)
+    return scan(default_omega_grid(n, lo, hi), ode_tolerance)
 
 
-def _critical(options, cfg):
+def _critical(options, ode_tolerance):
     from .curves import locate_critical
 
-    curve = _scan(options, cfg)
-    return curve, locate_critical(curve, cfg)
+    curve = _scan(options, ode_tolerance)
+    return curve, locate_critical(curve, ode_tolerance)
 
 
 @_command("sweep the frequency window",
           ("--derivatives", {"action": "store_true"}), *_GRID_FLAGS)
-def cmd_scan(options, cfg, out):
+def cmd_scan(options, ode_tolerance, out):
     from .curves import differentiate
 
-    curve = _scan(options, cfg)
+    curve = _scan(options, ode_tolerance)
     if options.get("derivatives"):
-        curve = differentiate(curve, cfg)
+        curve = differentiate(curve, ode_tolerance)
     curve.to_csv(out / "curve.csv")
     print(f"scanned {len(curve.points)} frequencies "
           f"({len(curve.failures)} failures) -> {out / 'curve.csv'}")
@@ -188,10 +181,10 @@ def cmd_scan(options, cfg, out):
 
 
 @_command("locate the critical frequencies", *_GRID_FLAGS)
-def cmd_critical(options, cfg, out):
+def cmd_critical(options, ode_tolerance, out):
     from .curves import classify_stability
 
-    curve, crit = _critical(options, cfg)
+    curve, crit = _critical(options, ode_tolerance)
     curve = classify_stability(curve, crit)
     curve.to_csv(out / "curve.csv")
     crit.to_json(out / "critical.json")
@@ -202,30 +195,30 @@ def cmd_critical(options, cfg, out):
 @_command("count normalized solutions at a mass", ("--mass", {}),
           ("--mass-ratio", {"help": "mass as a multiple of the minimum soliton mass m0"}),
           *_GRID_FLAGS)
-def cmd_classify(options, cfg, out):
+def cmd_classify(options, ode_tolerance, out):
     from .landscape import classify_normalized
 
-    curve, crit = _critical(options, cfg)
+    curve, crit = _critical(options, ode_tolerance)
     if options.get("mass") is not None:
         mass = float(options["mass"])
     elif options.get("mass_ratio") is not None:
         mass = float(options["mass_ratio"]) * crit.m0
     else:
         raise ValueError("classify needs --mass or --mass-ratio")
-    result = classify_normalized(mass, curve, crit, cfg)
+    result = classify_normalized(mass, curve, crit, ode_tolerance)
     _write_json(out / "classification.json", result.as_dict())
     print(json.dumps(result.as_dict(), indent=2))
     return 0, None
 
 
 @_command("constrained-minimization table", ("--mass-grid", {}), *_GRID_FLAGS)
-def cmd_landscape(options, cfg, out):
+def cmd_landscape(options, ode_tolerance, out):
     from .landscape import landscape_table, write_landscape_csv
 
-    curve, crit = _critical(options, cfg)
+    curve, crit = _critical(options, ode_tolerance)
     n_masses = int(options.get("mass_grid") or 20)
     masses = np.linspace(0.4 * crit.m_threshold, 2.2 * crit.m_q1, n_masses)
-    rows = landscape_table(masses, curve, crit, cfg)
+    rows = landscape_table(masses, curve, crit, ode_tolerance)
     write_landscape_csv(rows, out / "landscape.csv")
     print(f"landscape table over {n_masses} masses -> {out / 'landscape.csv'}")
     return 0, {"critical": crit.as_dict()}
@@ -233,14 +226,14 @@ def cmd_landscape(options, cfg, out):
 
 @_command("finite-time stability experiment", _OMEGA, ("--perturbation", {}),
           ("--t-end", {}), ("--dt", {}))
-def cmd_evolve(options, cfg, out):
+def cmd_evolve(options, ode_tolerance, out):
     from .dynamics import stability_experiment, write_experiment
 
     result = stability_experiment(
         _coerce_float(options["omega"]),
         _coerce_float(options.get("perturbation"), 0.01),
         t_end=_coerce_float(options.get("t_end"), 100.0),
-        dt=_coerce_float(options.get("dt"), 0.02), cfg=cfg)
+        dt=_coerce_float(options.get("dt"), 0.02), ode_tolerance=ode_tolerance)
     write_experiment(result, out)
     print(f"verdict: {result['verdict']} "
           f"(growth ratio {result['growth_ratio']:.2f})")
@@ -248,17 +241,17 @@ def cmd_evolve(options, cfg, out):
 
 
 @_command("linearized operator spectra", _OMEGA, ("--n-eigs", {}))
-def cmd_spectra(options, cfg, out):
+def cmd_spectra(options, ode_tolerance, out):
     from .dynamics import linearized_spectra
 
-    ground = solve_ground_state(_coerce_float(options["omega"]), cfg)
+    ground = solve_ground_state(_coerce_float(options["omega"]), ode_tolerance)
     record = linearized_spectra(ground, n_eigs=int(options.get("n_eigs") or 6))
     _write_json(out / "spectra.json", record)
     print(json.dumps(record, indent=2))
     return 0, None
 
 
-def _validate_checks(cfg: ShootingConfig) -> list[tuple[str, bool, str]]:
+def _validate_checks(ode_tolerance: float) -> list[tuple[str, bool, str]]:
     from .analytic1d import validate_quadrature_1d
 
     checks = []
@@ -277,10 +270,10 @@ def _validate_checks(cfg: ShootingConfig) -> list[tuple[str, bool, str]]:
                    f"residual {oned['nehari_residual']:.2e}"))
 
     solves = [(f"ground-state residuals omega={omega}",
-               functools.partial(solve_ground_state, omega, cfg))
+               functools.partial(solve_ground_state, omega, ode_tolerance))
               for omega in (0.05, 0.09, 0.15)]
     solves.append(("cubic reference residuals",
-                   functools.partial(solve_cubic_reference, cfg)))
+                   functools.partial(solve_cubic_reference, ode_tolerance)))
     for name, solve in solves:
         try:
             rep = evaluate(solve())
@@ -296,8 +289,8 @@ def _validate_checks(cfg: ShootingConfig) -> list[tuple[str, bool, str]]:
 
 
 @_command("run the invariant battery")
-def cmd_validate(options, cfg, out):
-    checks = _validate_checks(cfg)
+def cmd_validate(options, ode_tolerance, out):
+    checks = _validate_checks(ode_tolerance)
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}")

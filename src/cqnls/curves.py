@@ -22,9 +22,9 @@ import numpy as np
 from .errors import (CqnlsError, EmptyGrid, InsufficientCoverage,
                      InsufficientPoints, TargetNotBracketed, ToleranceNotMet)
 from .functionals import FunctionalReport, evaluate
-from .profiles import OMEGA_MAX, RadialProfile, ShootingConfig
+from .profiles import OMEGA_MAX, RadialProfile
 from .roots import brentq
-from .shooting import solve_ground_state
+from .shooting import ODE_TOLERANCE, solve_ground_state
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -142,26 +142,25 @@ def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185,
     return np.unique(np.concatenate([low, high]))
 
 
-def scan(omega_grid, cfg: ShootingConfig | None = None) -> FrequencyCurve:
+def scan(omega_grid, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
     """One curve point per grid node; per-node solver failures (CqnlsError)
     are recorded, not fatal."""
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.size == 0:
         raise EmptyGrid("scan grid is empty")
-    cfg = cfg or ShootingConfig()
     points, failures = [], []
     for omega in np.unique(omega_grid):
         try:
-            rep = evaluate(solve_ground_state(float(omega), cfg))
+            rep = evaluate(solve_ground_state(float(omega), ode_tolerance))
             points.append(FrequencyCurvePoint.from_report(float(omega), rep))
         except CqnlsError as err:  # per-node failure policy
             failures.append((float(omega), f"{type(err).__name__}: {err}"))
     return FrequencyCurve(points=tuple(points), failures=tuple(failures))
 
 
-def _stencil_reports(omega: float, h: float, cfg: ShootingConfig):
+def _stencil_reports(omega: float, h: float, ode_tolerance: float):
     return {
-        s: evaluate(solve_ground_state(omega + s * h, cfg))
+        s: evaluate(solve_ground_state(omega + s * h, ode_tolerance))
         for s in (-1.0, -0.5, 0.5, 1.0)
     }
 
@@ -176,7 +175,7 @@ def derivative_step(omega: float) -> float:
     return 1e-4 * max(omega, 0.01)
 
 
-def differentiate(curve: FrequencyCurve, cfg: ShootingConfig | None = None) -> FrequencyCurve:
+def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
     """Fill mass derivatives and cross-check the differential identities.
 
     Central differences with one Richardson step on a locally refined
@@ -186,12 +185,11 @@ def differentiate(curve: FrequencyCurve, cfg: ShootingConfig | None = None) -> F
     """
     if len(curve.points) < 5:
         raise InsufficientPoints("differentiate needs at least 5 points")
-    cfg = cfg or ShootingConfig()
 
     new_points, final_checks = [], []
     for point in curve.points:
         h = derivative_step(point.omega)
-        reports = _stencil_reports(point.omega, h, cfg)
+        reports = _stencil_reports(point.omega, h, ode_tolerance)
         mass_prime = _richardson(reports, h, "mass")
         energy_prime = _richardson(reports, h, "energy")
         grad_prime = _richardson(reports, h, "grad_sq")
@@ -257,7 +255,7 @@ def monotone_root(value_at, target: float, lo: float, hi: float, xtol: float,
     return (best, *evaluated[best])
 
 
-def invert_beta(target: float, curve: FrequencyCurve, cfg: ShootingConfig | None = None,
+def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE,
                 beta_tol: float = 1e-8, omega_tol: float = 1e-12):
     """Frequency with beta(omega) = target by Brent's method with fresh solves.
 
@@ -267,7 +265,6 @@ def invert_beta(target: float, curve: FrequencyCurve, cfg: ShootingConfig | None
     (omega, profile, report); ToleranceNotMet is raised when that iterate
     misses the target by more than beta_tol.
     """
-    cfg = cfg or ShootingConfig()
     betas = curve.betas()
     omegas = curve.omegas()
     idx = np.nonzero((betas[:-1] - target) * (betas[1:] - target) <= 0.0)[0]
@@ -279,7 +276,7 @@ def invert_beta(target: float, curve: FrequencyCurve, cfg: ShootingConfig | None
     i = int(idx[0])
 
     def beta_at(omega):
-        profile = solve_ground_state(omega, cfg)
+        profile = solve_ground_state(omega, ode_tolerance)
         rep = evaluate(profile)
         return rep.beta, (profile, rep)
 
@@ -303,9 +300,10 @@ def _mass_argmin(curve: FrequencyCurve) -> float:
     return float(0.5 * (omegas[flat[0]] + omegas[flat[-1]]))
 
 
-def locate_critical(curve: FrequencyCurve, cfg: ShootingConfig | None = None) -> CriticalFrequencies:
-    omega_star, _, rep_star = invert_beta(1.0 / 3.0, curve, cfg)
-    omega_upper, _, rep_upper = invert_beta(1.0, curve, cfg)
+def locate_critical(curve: FrequencyCurve,
+                    ode_tolerance: float = ODE_TOLERANCE) -> CriticalFrequencies:
+    omega_star, _, rep_star = invert_beta(1.0 / 3.0, curve, ode_tolerance)
+    omega_upper, _, rep_upper = invert_beta(1.0, curve, ode_tolerance)
     m_q1 = rep_upper.mass
     return CriticalFrequencies(
         omega_star=omega_star, omega_upper_star=omega_upper,

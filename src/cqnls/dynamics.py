@@ -28,9 +28,9 @@ from scipy.linalg import solve_banded  # noqa: F401
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import ConservationBreach, EigSolverStalled, InnerSolveDiverged, KindMismatch
-from .profiles import GROUND_STATE, RadialProfile, ShootingConfig, even_grid
+from .profiles import GROUND_STATE, RadialProfile, even_grid
 from .quadrature import simpson_uniform
-from .shooting import solve_ground_state
+from .shooting import ODE_TOLERANCE, solve_ground_state
 
 
 @dataclass(frozen=True)
@@ -237,13 +237,13 @@ def modulated_distance(state: EvolutionState, references) -> float:
     return best
 
 
-def _reference_family(omega: float, grid: np.ndarray, cfg: ShootingConfig,
+def _reference_family(omega: float, grid: np.ndarray, ode_tolerance: float,
                       window: float = 0.10, count: int = 21):
     """Sampled soliton family P_{omega'} on a +-window frequency range."""
     h = float(grid[1] - grid[0])
     refs = []
     for omega_p in np.linspace((1.0 - window) * omega, (1.0 + window) * omega, count):
-        psi = solve_ground_state(float(omega_p), cfg).interpolate(grid).astype(complex)
+        psi = solve_ground_state(float(omega_p), ode_tolerance).interpolate(grid).astype(complex)
         refs.append((psi, _centred_derivative(psi, h)))
     return refs
 
@@ -255,7 +255,7 @@ INCONCLUSIVE = "inconclusive"
 
 def stability_experiment(omega: float, perturbation_size: float, t_end: float = 100.0,
                          dt: float = 0.02, spacing: float = 0.03,
-                         cfg: ShootingConfig | None = None,
+                         ode_tolerance: float = ODE_TOLERANCE,
                          stable_factor: float = 5.0,
                          unstable_factor: float = 10.0) -> dict:
     """Finite-time surrogate for the orbital stability dichotomy.
@@ -266,12 +266,11 @@ def stability_experiment(omega: float, perturbation_size: float, t_end: float = 
     """
     if not 0.0 <= perturbation_size <= 0.05:
         raise ValueError("perturbation_size must lie in [0, 0.05]")
-    cfg = cfg or ShootingConfig()
-    profile = solve_ground_state(omega, cfg)
+    profile = solve_ground_state(omega, ode_tolerance)
     radius = 2.4 * profile.truncation_radius
     state = soliton_state(profile, radius=radius, spacing=spacing,
                           perturbation=perturbation_size)
-    refs = _reference_family(omega, state.grid, cfg)
+    refs = _reference_family(omega, state.grid, ode_tolerance)
 
     sample_every = max(t_end / 50.0, dt)
     distances = [modulated_distance(state, refs)]

@@ -17,7 +17,8 @@ from .curves import FrequencyCurve, invert_beta
 from .errors import AlphaOutOfRange, CqnlsError, KindMismatch, TargetNotBracketed
 from .functionals import FunctionalReport, evaluate, f_alpha
 from .profiles import (GROUND_STATE, RESCALED_SOLITON, RadialProfile,
-                       ShootingConfig, test_function_profile)
+                       test_function_profile)
+from .shooting import ODE_TOLERANCE
 
 
 def rescale_soliton(ground: RadialProfile,
@@ -55,12 +56,12 @@ def rescale_energy_factor(beta: float) -> float:
 
 
 def q_alpha(alpha: float, curve: FrequencyCurve,
-            cfg: ShootingConfig | None = None) -> RadialProfile:
+            ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """The minimizer Q_alpha: the ground state with beta(omega) = alpha."""
     if alpha <= 0:
         raise AlphaOutOfRange("alpha must be positive")
     try:
-        _, profile, _ = invert_beta(alpha, curve, cfg)
+        _, profile, _ = invert_beta(alpha, curve, ode_tolerance)
     except TargetNotBracketed as err:
         raise AlphaOutOfRange(str(err)) from err
     return profile

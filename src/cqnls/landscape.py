@@ -21,8 +21,7 @@ from .curves import (CriticalFrequencies, FrequencyCurve, CRITICAL, STABLE,
 from .errors import MassBeyondScan
 from .functionals import evaluate
 from .geometry import rescale_energy_factor, rescale_mass_factor
-from .profiles import ShootingConfig
-from .shooting import solve_ground_state
+from .shooting import ODE_TOLERANCE, solve_ground_state
 
 LOWER_BRANCH = "lower_branch"
 UPPER_BRANCH = "upper_branch"
@@ -100,7 +99,7 @@ def _rescaled_mass(x) -> float:
     return rescale_mass_factor(x.beta) * x.mass
 
 
-def _branch_roots(m, curve, split, value_min, value_of, cfg, tol=None):
+def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance, tol=None):
     """(branch, omega, report) at every ground state with value_of = m.
 
     ``value_of`` reads a curve point or a functional report; its curve has
@@ -113,10 +112,10 @@ def _branch_roots(m, curve, split, value_min, value_of, cfg, tol=None):
     if m < value_min - tol:
         return []
     if abs(m - value_min) <= tol:
-        return [(CRITICAL_BRANCH, split, evaluate(solve_ground_state(split, cfg)))]
+        return [(CRITICAL_BRANCH, split, evaluate(solve_ground_state(split, ode_tolerance)))]
 
     def value_at(omega):
-        rep = evaluate(solve_ground_state(omega, cfg))
+        rep = evaluate(solve_ground_state(omega, ode_tolerance))
         return value_of(rep), rep
 
     omegas = curve.omegas()
@@ -141,7 +140,7 @@ _BRANCH_STABILITY = {LOWER_BRANCH: UNSTABLE, CRITICAL_BRANCH: CRITICAL,
 
 
 def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
-                        cfg: ShootingConfig | None = None,
+                        ode_tolerance: float = ODE_TOLERANCE,
                         tol: float | None = None) -> ClassificationResult:
     """Count and locate the positive normalized solutions of mass m.
 
@@ -151,12 +150,11 @@ def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequenci
     """
     if m <= 0:
         raise ValueError("prescribed mass must be positive")
-    cfg = cfg or ShootingConfig()
     if tol is None:
         tol = 1e-9 * crit.m0
     if m < crit.m0 - tol:
         return ClassificationResult(m, 0, (), (), ())
-    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, cfg, tol)
+    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance, tol)
     if not roots:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
     branches = tuple(branch for branch, _, _ in roots)
@@ -164,25 +162,24 @@ def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequenci
                                 branches, tuple(_BRANCH_STABILITY[b] for b in branches))
 
 
-def _ground_branch_energies(m, curve, crit, cfg):
+def _ground_branch_energies(m, curve, crit, ode_tolerance):
     """E at every ground-state solution with mass m (may be empty)."""
-    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, cfg)
+    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance)
     return [rep.energy for _, _, rep in roots]
 
 
-def _rescaled_branch_energies(m, curve, crit, cfg):
+def _rescaled_branch_energies(m, curve, crit, ode_tolerance):
     """E(R_omega) at every rescaled soliton with mass m (may be empty)."""
     roots = _branch_roots(m, curve, crit.omega_upper_star, crit.m_threshold,
-                          _rescaled_mass, cfg)
+                          _rescaled_mass, ode_tolerance)
     return [rescale_energy_factor(rep.beta) * rep.grad_sq for _, _, rep in roots]
 
 
 def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
-                    cfg: ShootingConfig | None = None) -> LandscapeRecord:
+                    ode_tolerance: float = ODE_TOLERANCE) -> LandscapeRecord:
     """The five-case structure of E_min(m) and E_min^V(m)."""
     if m <= 0:
         raise ValueError("prescribed mass must be positive")
-    cfg = cfg or ShootingConfig()
     tol_q1 = 1e-9 * crit.m_q1
 
     if m < crit.m_q1 - tol_q1:
@@ -190,9 +187,9 @@ def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
         # is infinite below the rescaled-soliton threshold mass
         if m < crit.m_threshold * (1.0 - 1e-12):
             return LandscapeRecord(m, 0.0, False, None, True, KIND_NONE)
-        candidates = _rescaled_branch_energies(m, curve, crit, cfg)
+        candidates = _rescaled_branch_energies(m, curve, crit, ode_tolerance)
         kind = KIND_RESCALED_SOLITON
-        ground = _ground_branch_energies(m, curve, crit, cfg)
+        ground = _ground_branch_energies(m, curve, crit, ode_tolerance)
         if ground:
             best_ground = min(ground)
             if not candidates or best_ground < min(candidates):
@@ -203,7 +200,7 @@ def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
     if abs(m - crit.m_q1) <= tol_q1:
         return LandscapeRecord(m, 0.0, True, 0.0, False, KIND_BOUNDARY_Q1)
 
-    energies = _ground_branch_energies(m, curve, crit, cfg)
+    energies = _ground_branch_energies(m, curve, crit, ode_tolerance)
     if not energies:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
     energy = min(energies)
@@ -226,12 +223,12 @@ def certify_e_min_by_flow(m: float, seed_widths=(2.0, 4.0, 8.0),
     return best
 
 
-def landscape_table(masses, curve, crit, cfg=None):
+def landscape_table(masses, curve, crit, ode_tolerance=ODE_TOLERANCE):
     """One (LandscapeRecord, ClassificationResult) pair per mass."""
     rows = []
     for m in masses:
-        record = e_min_landscape(float(m), curve, crit, cfg)
-        classification = classify_normalized(float(m), curve, crit, cfg)
+        record = e_min_landscape(float(m), curve, crit, ode_tolerance)
+        classification = classify_normalized(float(m), curve, crit, ode_tolerance)
         rows.append((record, classification))
     return rows
 

@@ -1,4 +1,4 @@
-"""Radial profile container and shooting configuration.
+"""Radial profile container.
 
 A profile lives on a uniform half-line grid starting at r = 0 and carries
 both the sampled values and the matched exponential tail, so that moment
@@ -8,10 +8,9 @@ integrals can include the analytic continuation beyond the stored window.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,22 +39,6 @@ def even_grid(extent: float, spacing: float, down: bool = False) -> np.ndarray:
         n = int(round(extent / spacing))
         n += n % 2
     return spacing * np.arange(n + 1)
-
-
-@dataclass(frozen=True)
-class ShootingConfig:
-    """The one knob of the shooting solver: the relative tolerance of its
-    ODE runs.  Its other settings are constants of ``shooting``."""
-
-    ode_tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.ode_tolerance <= 0:
-            raise ValueError("ode_tolerance must be positive")
-
-    def fingerprint(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -129,7 +112,7 @@ class RadialProfile:
             for r, u, up in zip(self.grid, self.values, self.derivs):
                 writer.writerow([repr(float(r)), repr(float(u)), repr(float(up))])
 
-    def sidecar(self, cfg: ShootingConfig | None = None, residuals: dict | None = None) -> dict:
+    def sidecar(self, ode_tolerance: float | None = None, residuals: dict | None = None) -> dict:
         meta = {
             "omega": self.omega,
             "amplitude": self.amplitude,
@@ -140,17 +123,17 @@ class RadialProfile:
         }
         if residuals:
             meta["residuals"] = residuals
-        if cfg is not None:
-            meta["cfg_hash"] = cfg.fingerprint()
+        if ode_tolerance is not None:
+            meta["ode_tolerance"] = ode_tolerance
         return meta
 
-    def save(self, directory: str | Path, cfg: ShootingConfig | None = None,
+    def save(self, directory: str | Path, ode_tolerance: float | None = None,
              residuals: dict | None = None, stem: str = "profile"):
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         self.to_csv(directory / f"{stem}.csv")
         with (directory / f"{stem}.json").open("w") as fh:
-            json.dump(self.sidecar(cfg, residuals), fh, indent=2)
+            json.dump(self.sidecar(ode_tolerance, residuals), fh, indent=2)
 
     @classmethod
     def from_csv(cls, csv_path: str | Path, json_path: str | Path) -> "RadialProfile":

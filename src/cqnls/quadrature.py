@@ -22,6 +22,39 @@ _MAXLOG = 7.09782712893383996843e2
 _BIG = 1.44115188075855872e17
 
 
+def _expn_fraction(n: int, x: float) -> float:
+    """``exp(x) E_n(x)`` for n >= 1 and x > 1: cephes' continued fraction
+    (DLMF 8.19.17) before its final factor ``exp(-x)``."""
+    k, pkm2, qkm2, pkm1, qkm1 = 1, 1.0, x, 1.0, x + n
+    ans = pkm1 / qkm1
+    while True:
+        k += 1
+        yk, xk = (1.0, float(n + (k - 1) // 2)) if k & 1 else (x, float(k // 2))
+        pk = pkm1 * yk + pkm2 * xk
+        qk = qkm1 * yk + qkm2 * xk
+        if qk != 0.0:
+            r = pk / qk
+            t = abs((ans - r) / r)
+            ans = r
+        else:
+            t = 1.0
+        pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
+        if abs(pk) > _BIG:
+            pkm2, pkm1, qkm2, qkm1 = pkm2 / _BIG, pkm1 / _BIG, qkm2 / _BIG, qkm1 / _BIG
+        if not t > _MACHEP:
+            return ans
+
+
+def _expn_scaled(n: int, x: float) -> float:
+    """``exp(x) E_n(x)`` for 0 <= n <= 50 and x > 0, finite where ``E_n``
+    underflows (x past ``_MAXLOG``)."""
+    if n == 0:
+        return 1.0 / x
+    if x > 1.0:
+        return _expn_fraction(n, x)
+    return math.exp(x) * expn(n, x)
+
+
 def expn(n: int, x: float) -> float:
     """Exponential integral ``E_n(x) = int_1^inf exp(-x t) t^(-n) dt`` for
     0 <= n <= 50, by cephes' algorithm as in ``scipy.special.expn``: a
@@ -39,24 +72,7 @@ def expn(n: int, x: float) -> float:
     if n == 0:
         return math.exp(-x) / x
     if x > 1.0:
-        k, pkm2, qkm2, pkm1, qkm1 = 1, 1.0, x, 1.0, x + n
-        ans = pkm1 / qkm1
-        while True:
-            k += 1
-            yk, xk = (1.0, float(n + (k - 1) // 2)) if k & 1 else (x, float(k // 2))
-            pk = pkm1 * yk + pkm2 * xk
-            qk = qkm1 * yk + qkm2 * xk
-            if qk != 0.0:
-                r = pk / qk
-                t = abs((ans - r) / r)
-                ans = r
-            else:
-                t = 1.0
-            pkm2, pkm1, qkm2, qkm1 = pkm1, pk, qkm1, qk
-            if abs(pk) > _BIG:
-                pkm2, pkm1, qkm2, qkm1 = pkm2 / _BIG, pkm1 / _BIG, qkm2 / _BIG, qkm1 / _BIG
-            if not t > _MACHEP:
-                return ans * math.exp(-x)
+        return _expn_fraction(n, x) * math.exp(-x)
     psi = -_EULER - math.log(x)
     for i in range(1, n):
         psi = psi + 1.0 / i
@@ -97,13 +113,18 @@ def exp_power_tail(b: float, n: int, T: float) -> float:
 
 
 def tail_moment(c: float, a: float, T: float, power: int, dim: int = 3) -> float:
-    """Tail contribution of ``(c e^{-a r}/r)^power`` against ``r^(dim-1)``."""
+    """Tail contribution of ``(c e^{-a r}/r)^power`` against ``r^(dim-1)``.
+
+    That is c^p E_n(p a T) / T^(n-1) with n = p - dim + 1, formed as
+    (c e^{-a T})^p times e^(p a T) E_n(p a T): c^p alone overflows near the
+    upper frequency endpoint, where c grows like e^{a T}.
+    """
     if c == 0.0 or a <= 0.0:
         return 0.0
     n = power - dim + 1
     if n < 0:
         raise ValueError("unsupported moment")
-    return c**power * exp_power_tail(power * a, n, T)
+    return (c * math.exp(-a * T))**power * _expn_scaled(n, power * a * T) / T ** (n - 1)
 
 
 def tail_grad_sq(c: float, a: float, T: float, dim: int = 3) -> float:

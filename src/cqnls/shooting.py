@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
-                       ShootingConfig, even_grid)
+                       even_grid)
 from .roots import RTOL, brentq
 
 
@@ -57,6 +57,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+#: relative tolerance of every ODE run: the solver's one setting
+ODE_TOLERANCE = 1e-12
+#: loosest ODE tolerance accepted; from 1e-3 the tail fits fail
+#: (``DomainTooSmall``) and from 0.1 the runs overflow
+MAX_ODE_TOLERANCE = 1e-2
 #: largest frequency solved by amplitude shooting; above it the bisection
 #: runs on the logarithm of the gap between the amplitude and the force zero
 OMEGA_SHOOTING_MAX = 0.155
@@ -84,6 +89,13 @@ def check_frequency(omega: float):
     if not 0.0 < omega < OMEGA_MAX:
         raise FrequencyOutOfWindow(
             f"omega={omega} outside (0, 3/16): no positive decaying state exists"
+        )
+
+
+def check_tolerance(ode_tolerance: float):
+    if not 0.0 < ode_tolerance <= MAX_ODE_TOLERANCE:  # false for nan
+        raise ValueError(
+            f"ode_tolerance={ode_tolerance} outside (0, {MAX_ODE_TOLERANCE:g}]"
         )
 
 
@@ -353,7 +365,7 @@ _EVENT_CLASSES = {0: TrajectoryClass.CROSSES_ZERO, 1: TrajectoryClass.TURNS_UPWA
                   None: TrajectoryClass.UNDETERMINED}
 
 
-def _shoot(a: float, omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float,
+def _shoot(a: float, omega: float, ode_tolerance: float, quintic: bool, max_radius: float,
            start=None, segments=None) -> tuple[TrajectoryClass, int, float]:
     """Class of one trajectory, the DOP853 steps it accepted and the radius
     where it stopped.
@@ -371,18 +383,18 @@ def _shoot(a: float, omega: float, cfg: ShootingConfig, quintic: bool, max_radiu
 
     if start is None:
         start = (TAYLOR_START_STEP, *_taylor_start(a, TAYLOR_START_STEP, omega, quintic))
-    event, steps, r, *_ = _march(rhs, *start, max_radius, cfg.ode_tolerance,
+    event, steps, r, *_ = _march(rhs, *start, max_radius, ode_tolerance,
                                  lambda r, u, up: (u + cross_eps, up - turn_eps), (-1.0, 1.0),
                                  segments=segments)
     return _EVENT_CLASSES[event], steps, r
 
 
-def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | None = None,
+def classify_trajectory(amplitude: float, omega: float, ode_tolerance: float = ODE_TOLERANCE,
                         quintic: bool = True, max_radius: float | None = None) -> TrajectoryClass:
     """Assign the shooting dichotomy class of one central amplitude."""
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
-    cfg = cfg or ShootingConfig()
+    check_tolerance(ode_tolerance)
     if quintic:
         check_frequency(omega)
     if max_radius is None:
@@ -390,7 +402,7 @@ def classify_trajectory(amplitude: float, omega: float, cfg: ShootingConfig | No
     if _force(amplitude, omega, quintic) >= 0.0:
         # force pushes away from zero at the start: the trajectory rises
         return TrajectoryClass.TURNS_UPWARD
-    return _shoot(amplitude, omega, cfg, quintic, max_radius)[0]
+    return _shoot(amplitude, omega, ode_tolerance, quintic, max_radius)[0]
 
 
 def _default_bracket(omega: float, quintic: bool):
@@ -476,11 +488,11 @@ def _bisect(classify, lo: float, hi: float, tolerance: float,
     return lo, hi
 
 
-def _bisect_amplitude(omega: float, cfg: ShootingConfig, quintic: bool, max_radius: float,
+def _bisect_amplitude(omega: float, ode_tolerance: float, quintic: bool,
                       prediction: tuple[float, float] | None = None):
     """The amplitude bracket of the ground state, bisected to
     ``BISECTION_TOLERANCE`` from the phase-plane default bracket."""
-    return _bisect(lambda a: classify_trajectory(a, omega, cfg, quintic, max_radius),
+    return _bisect(lambda a: classify_trajectory(a, omega, ode_tolerance, quintic),
                    *_default_bracket(omega, quintic), BISECTION_TOLERANCE, prediction)
 
 
@@ -495,7 +507,8 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     amplitude to the first node below ``MATCHING_WINDOW[0]`` times it,
     dropped to an even index, or to the last node, and the profile ends
     there.  The tail constant c of u ~ c exp(-sqrt(omega) r)/r is the mean
-    of u r exp(sqrt(omega) r) over the window.
+    of u r exp(sqrt(omega) r) over the window, or over a part of it where
+    the whole window misses ``TAIL_TOL`` (see below).
     """
     grid = even_grid(0.98 * r_stop, GRID_SPACING, down=True)
     vals, derivs = sample(grid)
@@ -511,14 +524,15 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     end = below_lo[0] - below_lo[0] % 2 if below_lo.size else grid.size - 1
     if end <= start:
         raise DomainTooSmall("matching window leaves too few grid points")
-    # copies: views would keep the whole sample alive in the profile cache
-    grid, vals, derivs = grid[:end + 1].copy(), vals[:end + 1].copy(), derivs[:end + 1].copy()
     decay = math.sqrt(omega)
 
-    rw = grid[start:]
-    zw = vals[start:] * rw * np.exp(decay * rw)
-    c = float(np.mean(zw))
-    mismatch = float(np.max(np.abs(zw - c)) / abs(c))
+    rw = grid[start:end + 1]
+    zw = vals[start:end + 1] * rw * np.exp(decay * rw)
+
+    def fit(part):
+        c = float(np.mean(zw[part]))
+        return c, float(np.max(np.abs(zw[part] - c)) / abs(c))
+    c, mismatch = fit(slice(None))
     if mismatch > TAIL_TOL:
         # retry on the deeper half of the window, where nonlinear
         # corrections to the decay law are weaker, then on the shallower
@@ -527,14 +541,25 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
         deep = rw >= 0.5 * (rw[0] + rw[-1])
         for half in (deep, ~deep):
             if np.count_nonzero(half) >= 5:
-                c = float(np.mean(zw[half]))
-                mismatch = float(np.max(np.abs(zw[half] - c)) / abs(c))
+                c, mismatch = fit(half)
                 if mismatch <= TAIL_TOL:
                     break
+    if mismatch > TAIL_TOL:
+        # then on the leading quarter, for runs that leave the separatrix
+        # inside the window (plateau runs at ode_tolerance 1e-8), and end
+        # the profile with it.  Shorter parts would pass runs that are off
+        # the decay law altogether: at 1e-3 they passed omega = 0.15 on
+        # 1/16 of the window, where u falls by a quarter
+        end = start + (end - start) // 4
+        end -= end % 2
+        if end - start >= 4:
+            c, mismatch = fit(slice(end - start + 1))
     if mismatch > TAIL_TOL:
         raise DomainTooSmall(
             f"tail fit mismatch {mismatch:.2e} exceeds {TAIL_TOL:g}"
         )
+    # copies: views would keep the whole sample alive in the profile cache
+    grid, vals, derivs = grid[:end + 1].copy(), vals[:end + 1].copy(), derivs[:end + 1].copy()
 
     return RadialProfile(
         grid=grid, values=vals, derivs=derivs,
@@ -544,10 +569,10 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     )
 
 
-def _build_profile(a: float, omega: float, cfg: ShootingConfig, quintic: bool,
-                   max_radius: float) -> RadialProfile:
+def _build_profile(a: float, omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
     segments = []
-    _, _, r_stop = _shoot(a, omega, cfg, quintic, max_radius, segments=segments)
+    _, _, r_stop = _shoot(a, omega, ode_tolerance, quintic, default_max_radius(omega),
+                          segments=segments)
     trajectory = _DenseTrajectory(segments)
     # the grid's first node past the origin lies beyond the Taylor start
     return _matched_profile(lambda grid: trajectory(np.maximum(grid, TAYLOR_START_STEP)),
@@ -579,12 +604,13 @@ class _PlateauShot:
     events.  The bisection runs on the depth -s, from the default
     bracket's lowest amplitude (which turns upward at once) to
     ``_MAX_LOG_DEPTH``, to ``BISECTION_TOLERANCE`` relative.  The
-    integration radius is the front, about -s/kappa, plus ``base_radius``.
+    integration radius is the front, about -s/kappa, plus
+    ``default_max_radius``.
     """
 
-    def __init__(self, omega: float, cfg: ShootingConfig, base_radius: float):
+    def __init__(self, omega: float, ode_tolerance: float):
         p = force_upper_zero(omega)
-        self.omega, self.cfg, self.base_radius, self.p = omega, cfg, base_radius, p
+        self.omega, self.ode_tolerance, self.p = omega, ode_tolerance, p
         self.k2 = omega - 3.0 * p * p + 5.0 * p**4
         self.kappa = math.sqrt(self.k2)
         self.c2, self.c3, self.c4 = 10.0 * p**3 - 3.0 * p, 1.0 - 10.0 * p * p, 5.0 * p
@@ -592,13 +618,13 @@ class _PlateauShot:
         self.v_switch = 0.5 * (p - math.sqrt(omega) / p)
         # the linear start is off by about its own deviation, relative;
         # keep that a hundredth of the ODE tolerance
-        self.delta = 1e-2 * cfg.ode_tolerance
+        self.delta = 1e-2 * ode_tolerance
         # q is controlled relative to its plateau value 1/(2 kappa), and q'
         # to the same absolute level: its errors reach q damped by 2 kappa
-        self.atol = cfg.ode_tolerance / (2.0 * self.kappa)
+        self.atol = ode_tolerance / (2.0 * self.kappa)
 
     def radius(self, depth: float) -> float:
-        return depth / self.kappa + self.base_radius
+        return depth / self.kappa + default_max_radius(self.omega)
 
     def _rhs(self, depth: float):
         kappa, c2, c3, c4 = self.kappa, self.c2, self.c3, self.c4
@@ -651,7 +677,7 @@ class _PlateauShot:
         # first step 1/kappa, the scale of the linear solution: scipy's
         # initial-step probe looks far past the switch, where v explodes,
         # and would start a dozen steps too small
-        return _march(self._rhs(depth), r0, q, qp, self.radius(depth), self.cfg.ode_tolerance,
+        return _march(self._rhs(depth), r0, q, qp, self.radius(depth), self.ode_tolerance,
                       lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,),
                       (1.0,), atol=self.atol, first_step=1.0 / kappa, segments=segments)
 
@@ -659,17 +685,18 @@ class _PlateauShot:
         eps, radius = math.exp(-depth), self.radius(depth)
         a = self.p - eps
         if eps >= self.v_switch:
-            return classify_trajectory(a, self.omega, self.cfg, True, radius)
+            return classify_trajectory(a, self.omega, self.ode_tolerance, True, radius)
         event, _, r, q, qp = self._leave_plateau(depth)
         if event is None:
             return TrajectoryClass.UNDETERMINED
         v, vp = map(float, self._deviation(depth, r, q, qp))
-        return _shoot(a, self.omega, self.cfg, True, radius, start=(r, self.p - v, -vp))[0]
+        return _shoot(a, self.omega, self.ode_tolerance, True, radius,
+                      start=(r, self.p - v, -vp))[0]
 
     def profile(self, depth: float) -> RadialProfile:
         """The profile at ``depth`` = -s, stitched from the start solution,
         the dense q segment and the dense u segment."""
-        eps, p, cfg = math.exp(-depth), self.p, self.cfg
+        eps, p = math.exp(-depth), self.p
         a, radius = p - eps, self.radius(depth)
         r0, _, _, inner = self._start(depth)
         q_segments, u_segments = [], []
@@ -677,7 +704,7 @@ class _PlateauShot:
         if event is None:
             raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
         v_sw, vp_sw = map(float, self._deviation(depth, r_sw, q_sw, qp_sw))
-        _, _, r_stop = _shoot(a, self.omega, cfg, True, radius,
+        _, _, r_stop = _shoot(a, self.omega, self.ode_tolerance, True, radius,
                               start=(r_sw, p - v_sw, -vp_sw), segments=u_segments)
         plateau_run, trajectory = _DenseTrajectory(q_segments), _DenseTrajectory(u_segments)
 
@@ -703,25 +730,14 @@ class _PlateauShot:
         return depth, self.profile(depth)
 
 
-def _solve(omega: float, cfg: ShootingConfig, quintic: bool,
+def _solve(omega: float, ode_tolerance: float, quintic: bool,
            prediction: tuple[float, float] | None = None) -> RadialProfile:
-    base_radius = default_max_radius(omega)
-    last_err = None
-    radius = base_radius
-    for _ in range(3):
-        try:
-            if quintic and omega > OMEGA_SHOOTING_MAX:
-                depth, profile = _PlateauShot(omega, cfg, radius).solve(prediction)
-                _plateau_depths[(float(omega), cfg.fingerprint())] = depth
-                return profile
-            lo, hi = _bisect_amplitude(omega, cfg, quintic, radius, prediction)
-            return _build_profile(0.5 * (lo + hi), omega, cfg, quintic, radius)
-        except DomainTooSmall as err:
-            last_err = err
-            radius *= 2.0
-            if radius > 4.0 * base_radius:
-                break
-    raise last_err
+    if quintic and omega > OMEGA_SHOOTING_MAX:
+        depth, profile = _PlateauShot(omega, ode_tolerance).solve(prediction)
+        _plateau_depths[(float(omega), ode_tolerance)] = depth
+        return profile
+    lo, hi = _bisect_amplitude(omega, ode_tolerance, quintic, prediction)
+    return _build_profile(0.5 * (lo + hi), omega, ode_tolerance, quintic)
 
 
 _profile_cache: dict = {}
@@ -756,13 +772,12 @@ def _newton_predict(omega: float, samples) -> tuple[float, float] | None:
     return a_pred, err
 
 
-def _predict_amplitude(omega: float, cfg: ShootingConfig) -> tuple[float, float] | None:
+def _predict_amplitude(omega: float, ode_tolerance: float) -> tuple[float, float] | None:
     """Ground amplitude at omega and its error bound from the cached ground
-    states of this configuration (``_newton_predict``)."""
-    fingerprint = cfg.fingerprint()
+    states at this tolerance (``_newton_predict``)."""
     return _newton_predict(omega, [
         (key[0], profile.amplitude) for key, profile in _profile_cache.items()
-        if key[1] == fingerprint and profile.kind == GROUND_STATE])
+        if key[1] == ode_tolerance and profile.kind == GROUND_STATE])
 
 
 #: depth * (3/16 - omega) of the ground state and its spread over the
@@ -771,50 +786,50 @@ def _predict_amplitude(omega: float, cfg: ShootingConfig) -> tuple[float, float]
 _DEPTH_TIMES_GAP = (0.366, 0.008)
 
 
-def _predict_depth(omega: float, cfg: ShootingConfig) -> tuple[float, float]:
+def _predict_depth(omega: float, ode_tolerance: float) -> tuple[float, float]:
     """Plateau depth at omega and its error bound: from the cached plateau
-    solves of this configuration, or from ``_DEPTH_TIMES_GAP`` where that
-    is tighter.  The depth grows like 1/(3/16 - omega), so the value
+    solves at this tolerance, or from ``_DEPTH_TIMES_GAP`` where that is
+    tighter.  The depth grows like 1/(3/16 - omega), so the value
     interpolated is depth * (3/16 - omega)."""
-    fingerprint = cfg.fingerprint()
     value, err = _DEPTH_TIMES_GAP
     cached = _newton_predict(omega, [
         (key[0], _plateau_depths[key] * (OMEGA_MAX - key[0])) for key in _profile_cache
-        if key[1] == fingerprint and key in _plateau_depths])
+        if key[1] == ode_tolerance and key in _plateau_depths])
     if cached is not None and cached[1] < err:
         value, err = cached
     gap = OMEGA_MAX - omega
     return value / gap, err / gap
 
 
-def solve_ground_state(omega: float, cfg: ShootingConfig | None = None) -> RadialProfile:
+def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Positive decaying solution of the cubic-quintic profile equation.
 
     Up to ``OMEGA_SHOOTING_MAX`` the bisection runs on the central
     amplitude.  Above it the amplitude comes within one ulp of the force
     zero, and the bisection runs on the log of their gap instead
     (``_PlateauShot``).  Either bisection starts from the value predicted
-    by cached neighbours of the same configuration and returns the same
+    by cached neighbours at the same tolerance and returns the same
     bracket as without them, so the profile does not depend on what was
     solved before.
     """
     check_frequency(omega)
-    cfg = cfg or ShootingConfig()
-    key = (float(omega), cfg.fingerprint())
+    check_tolerance(ode_tolerance)
+    key = (float(omega), ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
     predict = _predict_depth if omega > OMEGA_SHOOTING_MAX else _predict_amplitude
-    profile = _solve(omega, cfg, quintic=True, prediction=predict(omega, cfg))
+    profile = _solve(omega, ode_tolerance, quintic=True,
+                     prediction=predict(omega, ode_tolerance))
     _profile_cache[key] = profile
     return profile
 
 
-def solve_cubic_reference(cfg: ShootingConfig | None = None) -> RadialProfile:
+def solve_cubic_reference(ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Positive decaying solution of g'' + (2/r)g' = g - g^3 (unit frequency)."""
-    cfg = cfg or ShootingConfig()
-    key = ("cubic", cfg.fingerprint())
+    check_tolerance(ode_tolerance)
+    key = ("cubic", ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
-    profile = _solve(1.0, cfg, quintic=False)
+    profile = _solve(1.0, ode_tolerance, quintic=False)
     _profile_cache[key] = profile
     return profile

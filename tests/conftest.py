@@ -5,7 +5,6 @@ import pytest
 
 from cqnls.curves import (default_omega_grid, differentiate, locate_critical,
                           scan)
-from cqnls.profiles import ShootingConfig
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
 
 
@@ -19,29 +18,24 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(scope="session")
-def cfg():
-    return ShootingConfig()
-
-
-@pytest.fixture(scope="session")
-def curve(cfg):
+def curve():
     """60-node production scan with mass derivatives and identity checks."""
     grid = default_omega_grid(60, 0.004, 0.185)
-    swept = scan(grid, cfg)
+    swept = scan(grid)
     assert not swept.failures, f"scan failures: {swept.failures}"
-    return differentiate(swept, cfg)
+    return differentiate(swept)
 
 
 @pytest.fixture(scope="session")
-def crit(curve, cfg):
-    return locate_critical(curve, cfg)
+def crit(curve):
+    return locate_critical(curve)
 
 
 @pytest.fixture(scope="session")
-def cubic_g(cfg):
-    return solve_cubic_reference(cfg)
+def cubic_g():
+    return solve_cubic_reference()
 
 
 @pytest.fixture(scope="session")
-def ground_009(cfg):
-    return solve_ground_state(0.09, cfg)
+def ground_009():
+    return solve_ground_state(0.09)

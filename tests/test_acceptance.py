@@ -65,7 +65,7 @@ def test_criterion_04_mass_single_minimum(curve, crit):
     assert abs(rep.beta - 1.0 / 3.0) <= 1e-8
 
 
-def test_criterion_05_rescaled_soliton_suite(curve, crit, cfg):
+def test_criterion_05_rescaled_soliton_suite(curve, crit):
     for p in curve.points:
         mass_r = rescale_mass_factor(p.beta) * p.mass
         energy_r = rescale_energy_factor(p.beta) * p.grad_sq
@@ -74,7 +74,7 @@ def test_criterion_05_rescaled_soliton_suite(curve, crit, cfg):
         assert mass_r >= crit.m_threshold - 1e-8 * crit.m_q1
     # the closed-form factors reproduce direct quadrature of the rescale
     for omega in (0.02, crit.omega_star, 0.09, 0.16):
-        ground = solve_ground_state(omega, cfg)
+        ground = solve_ground_state(omega)
         rep = evaluate(ground)
         rep_r = evaluate(rescale_soliton(ground, rep))
         mass_r = rescale_mass_factor(rep.beta) * rep.mass
@@ -84,11 +84,11 @@ def test_criterion_05_rescaled_soliton_suite(curve, crit, cfg):
         assert abs(rep_r.beta - 1.0 / 3.0) <= 1e-8
 
 
-def test_criterion_06_endpoint_asymptotics(curve, cubic_g, cfg):
+def test_criterion_06_endpoint_asymptotics(curve, cubic_g):
     g_rep = evaluate(cubic_g)
     errors = []
     for omega in (0.01, 0.006, 0.004):
-        rep = evaluate(solve_ground_state(omega, cfg))
+        rep = evaluate(solve_ground_state(omega))
         sw = math.sqrt(omega)
         mass_pred = g_rep.mass / sw + 0.5 * sw * g_rep.l6
         errors.append(abs(rep.mass - mass_pred) / mass_pred)
@@ -99,25 +99,25 @@ def test_criterion_06_endpoint_asymptotics(curve, cubic_g, cfg):
     assert abs(report["mass_slope"] + 3.0) < 0.3
 
 
-def test_criterion_07_minimality_certification(curve, crit, cfg):
+def test_criterion_07_minimality_certification(curve, crit):
     candidates = random_test_functions(100, seed=7)
     for alpha in (1.0 / 3.0, 1.0, 2.0):
-        q = q_alpha(alpha, curve, cfg)
+        q = q_alpha(alpha, curve)
         c = c_alpha(alpha, q)
         bound = 1.0 / c
         for u in candidates:
             assert f_alpha(u, alpha) >= bound - 1e-9
-    q1 = q_alpha(1.0, curve, cfg)
+    q1 = q_alpha(1.0, curve)
     c1 = c_alpha(1.0, q1)
     m_q1 = (64.0 / 9.0) / (c1 * c1)
     assert abs(m_q1 - crit.m_q1) <= 1e-6 * crit.m_q1
 
 
-def test_criterion_08_landscape_structure(curve, crit, cfg):
+def test_criterion_08_landscape_structure(curve, crit):
     masses = np.linspace(0.5 * crit.m_threshold, 2.2 * crit.m_q1, 20)
     tol_q1 = 1e-9 * crit.m_q1
     for m in masses:
-        record = e_min_landscape(float(m), curve, crit, cfg)
+        record = e_min_landscape(float(m), curve, crit)
         if m < crit.m_threshold:
             assert record.e_min == 0.0 and not record.e_min_achieved
             assert record.e_min_v_infinite and record.minimizer_kind == KIND_NONE
@@ -133,31 +133,31 @@ def test_criterion_08_landscape_structure(curve, crit, cfg):
             assert record.e_min_v == record.e_min
             assert record.minimizer_kind == KIND_GROUND_STATE
     # boundary-row check at the threshold masses themselves
-    assert e_min_landscape(crit.m_q1, curve, crit, cfg).minimizer_kind == KIND_BOUNDARY_Q1
+    assert e_min_landscape(crit.m_q1, curve, crit).minimizer_kind == KIND_BOUNDARY_Q1
 
     # independent gradient-flow oracle on the supercritical branch
     for ratio in (1.2, 2.0):
         m = ratio * crit.m_q1
-        record = e_min_landscape(m, curve, crit, cfg)
+        record = e_min_landscape(m, curve, crit)
         oracle = certify_e_min_by_flow(m)
         assert abs(oracle - record.e_min) <= 1e-4 * abs(record.e_min)
-    assert e_min_landscape(2.0 * crit.m_q1, curve, crit, cfg).e_min < 0.0
+    assert e_min_landscape(2.0 * crit.m_q1, curve, crit).e_min < 0.0
 
 
-def test_criterion_09_normalized_classification(curve, crit, cfg):
+def test_criterion_09_normalized_classification(curve, crit):
     expected = {0.5: 0, 1.0: 1, 1.5: 2}
     for ratio, count in expected.items():
         m = ratio * crit.m0
-        result = classify_normalized(m, curve, crit, cfg)
+        result = classify_normalized(m, curve, crit)
         assert result.count == count
         for omega in result.frequencies:
-            rep = evaluate(solve_ground_state(omega, cfg))
+            rep = evaluate(solve_ground_state(omega))
             assert abs(rep.mass - m) <= 1e-6 * m
 
 
-def test_criterion_10_spectral_suite(cfg):
+def test_criterion_10_spectral_suite():
     for omega in np.linspace(0.05, 0.16, 10):
-        ground = solve_ground_state(float(omega), cfg)
+        ground = solve_ground_state(float(omega))
         record = linearized_spectra(ground)
         assert record["lminus_residual"] < 1e-6
         assert abs(record["lminus_eigs"][0]) <= 1e-6
@@ -165,9 +165,9 @@ def test_criterion_10_spectral_suite(cfg):
         assert len(negatives) == 1
 
 
-def test_criterion_11_dynamics_suite(cfg):
+def test_criterion_11_dynamics_suite():
     # unperturbed soliton: modulus stationary, invariants conserved
-    ground = solve_ground_state(0.09, cfg)
+    ground = solve_ground_state(0.09)
     state = soliton_state(ground, perturbation=0.0)
     mass0 = discrete_mass(state)
     energy0 = discrete_energy(state)
@@ -179,9 +179,9 @@ def test_criterion_11_dynamics_suite(cfg):
     assert abs(discrete_energy(final) - energy0) <= 1e-6 * abs(energy0)
 
     # finite-time dichotomy on both sides of the threshold
-    stable = stability_experiment(0.073, 0.01, t_end=100.0, cfg=cfg)
+    stable = stability_experiment(0.073, 0.01, t_end=100.0)
     assert stable["verdict"] == EMPIRICALLY_STABLE
-    unstable = stability_experiment(0.012, 0.01, t_end=100.0, cfg=cfg)
+    unstable = stability_experiment(0.012, 0.01, t_end=100.0)
     assert unstable["verdict"] == EMPIRICALLY_UNSTABLE
 
 

@@ -64,6 +64,18 @@ class TestSolve:
                      "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0.1", "0"])
+    def test_bad_tolerance_exits_3(self, tol, tmp_path, capsys):
+        # nan never returned and inf or 0.1 overflowed in the ODE runs
+        code = main(["solve", "--omega", "0.09", "--ode-tol", tol, "--out", str(tmp_path)])
+        assert code == 3
+        assert "ode_tolerance" in capsys.readouterr().err
+
+    def test_sidecar_records_tolerance(self, tmp_path):
+        assert main(["solve", "--omega", "0.09", "--ode-tol", "1e-10",
+                     "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "profile.json").read_text())["ode_tolerance"] == 1e-10
+
     def test_window_end_solves_at_loose_tolerance(self, tmp_path):
         # the run turns just past the matching window; the tail is fitted
         # before it

@@ -11,7 +11,7 @@ from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
 from cqnls.errors import (EmptyGrid, InsufficientCoverage, InsufficientPoints,
                           MassBeyondScan, TargetNotBracketed, ToleranceNotMet)
 from cqnls.functionals import evaluate
-from cqnls.profiles import OMEGA_MAX, ShootingConfig
+from cqnls.profiles import OMEGA_MAX
 
 
 class TestDefaultGrid:
@@ -35,9 +35,9 @@ class TestScan:
         with pytest.raises(EmptyGrid):
             scan(np.array([]))
 
-    def test_per_node_failures_recorded(self, cfg):
+    def test_per_node_failures_recorded(self):
         # a node outside the window must not abort the healthy nodes
-        swept = scan(np.array([0.05, 0.09, 0.2]), cfg)
+        swept = scan(np.array([0.05, 0.09, 0.2]))
         assert len(swept.points) == 2
         assert len(swept.failures) == 1
         assert swept.failures[0][0] == 0.2
@@ -45,24 +45,24 @@ class TestScan:
 
     def test_code_bugs_propagate(self, monkeypatch):
         # only solver failures (CqnlsError) become failure rows
-        def broken(omega, cfg):
+        def broken(omega, ode_tolerance):
             raise RuntimeError("not a solver failure")
         monkeypatch.setattr(curves, "solve_ground_state", broken)
         with pytest.raises(RuntimeError):
             scan(np.array([0.05, 0.09]))
 
-    def test_csv_columns(self, cfg, tmp_path):
-        swept = scan(np.array([0.05, 0.09]), cfg)
+    def test_csv_columns(self, tmp_path):
+        swept = scan(np.array([0.05, 0.09]))
         swept.to_csv(tmp_path / "curve.csv")
         header = (tmp_path / "curve.csv").read_text().splitlines()[0]
         assert header == "omega,mass,energy,beta,d,grad_sq,mass_derivative,stability"
 
 
 class TestDifferentiate:
-    def test_needs_enough_points(self, cfg):
-        swept = scan(np.array([0.05, 0.09]), cfg)
+    def test_needs_enough_points(self):
+        swept = scan(np.array([0.05, 0.09]))
         with pytest.raises(InsufficientPoints):
-            differentiate(swept, cfg)
+            differentiate(swept)
 
     def test_step_floors_at_small_omega(self):
         assert derivative_step(0.0001) == pytest.approx(1e-6)
@@ -78,12 +78,12 @@ class TestDifferentiate:
 
 
 class TestInvertBeta:
-    def test_unreachable_target(self, curve, cfg):
+    def test_unreachable_target(self, curve):
         with pytest.raises(TargetNotBracketed):
-            invert_beta(1e6, curve, cfg)
+            invert_beta(1e6, curve)
 
-    def test_beta_tolerance_honoured(self, curve, cfg):
-        omega, _, rep = invert_beta(1.0 / 3.0, curve, cfg)
+    def test_beta_tolerance_honoured(self, curve):
+        omega, _, rep = invert_beta(1.0 / 3.0, curve)
         assert abs(rep.beta - 1.0 / 3.0) < 1e-12
         assert 0.0 < omega < OMEGA_MAX
 
@@ -174,10 +174,10 @@ class TestMonotoneRoot:
 
 @pytest.fixture(scope="module")
 def small_scan():
-    cfg = ShootingConfig(ode_tolerance=1e-10)
-    swept = scan(default_omega_grid(5, 0.004, 0.15), cfg)
+    ode_tolerance = 1e-10
+    swept = scan(default_omega_grid(5, 0.004, 0.15), ode_tolerance)
     assert not swept.failures
-    return swept, cfg
+    return swept, ode_tolerance
 
 
 class TestInvertBetaSmallScan:
@@ -185,28 +185,28 @@ class TestInvertBetaSmallScan:
 
     @pytest.mark.parametrize("target", [1.0 / 3.0, 1.0])
     def test_lands_on_target_in_few_solves(self, small_scan, monkeypatch, target):
-        swept, cfg = small_scan
+        swept, ode_tolerance = small_scan
         calls = []
 
         def spy(omega, c):
             calls.append(omega)
             return shooting.solve_ground_state(omega, c)
         monkeypatch.setattr(curves, "solve_ground_state", spy)
-        omega, _, rep = invert_beta(target, swept, cfg)
+        omega, _, rep = invert_beta(target, swept, ode_tolerance)
         assert abs(rep.beta - target) < 1e-12
         assert len(calls) <= 16
         assert omega in calls
 
     def test_fresh_solve_reproduces_mass(self, small_scan, monkeypatch):
-        swept, cfg = small_scan
-        omega, _, rep = invert_beta(1.0 / 3.0, swept, cfg)
+        swept, ode_tolerance = small_scan
+        omega, _, rep = invert_beta(1.0 / 3.0, swept, ode_tolerance)
         monkeypatch.setattr(shooting, "_profile_cache", {})
-        assert evaluate(shooting.solve_ground_state(omega, cfg)).mass == rep.mass
+        assert evaluate(shooting.solve_ground_state(omega, ode_tolerance)).mass == rep.mass
 
     def test_unreachable_beta_tol_raises(self, small_scan):
-        swept, cfg = small_scan
+        swept, ode_tolerance = small_scan
         with pytest.raises(ToleranceNotMet, match=r"beta = 0\.3333.* missed by"):
-            invert_beta(1.0 / 3.0, swept, cfg, beta_tol=1e-20)
+            invert_beta(1.0 / 3.0, swept, ode_tolerance, beta_tol=1e-20)
 
 
 class TestCriticalAndStability:
@@ -234,8 +234,8 @@ class TestCriticalAndStability:
 
 
 class TestAsymptoticCheck:
-    def test_needs_endpoint_coverage(self, cfg, cubic_g):
-        swept = scan(np.array([0.05, 0.06, 0.07, 0.08, 0.09]), cfg)
+    def test_needs_endpoint_coverage(self, cubic_g):
+        swept = scan(np.array([0.05, 0.06, 0.07, 0.08, 0.09]))
         with pytest.raises(InsufficientCoverage):
             asymptotic_check(swept, cubic_g)
 

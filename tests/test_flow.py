@@ -67,11 +67,11 @@ class TestFlowConvergence:
         assert result.multiplier == pytest.approx(mu_ref, abs=1e-8)
         assert result.energy == pytest.approx(energy_ref, rel=1e-7)
 
-    def test_cross_check_against_solver_branch(self, cfg):
+    def test_cross_check_against_solver_branch(self):
         # the flow multiplier is a frequency; the ODE solver at that
         # frequency must reproduce the prescribed mass and energy
         mu_ref, energy_ref = FLOW_ANCHORS[300.0]
-        rep = evaluate(solve_ground_state(mu_ref, cfg))
+        rep = evaluate(solve_ground_state(mu_ref))
         assert rep.mass == pytest.approx(300.0, rel=1e-4)
         assert rep.energy == pytest.approx(energy_ref, rel=1e-4)
 
@@ -83,18 +83,18 @@ class TestFlowConvergence:
 
 
 class TestProjectedGradient:
-    def test_certifies_solver_ground_state(self, cfg):
-        profile = solve_ground_state(0.09, cfg)
+    def test_certifies_solver_ground_state(self):
+        profile = solve_ground_state(0.09)
         grid = np.arange(0.0, 85.0 + 1e-9, 0.01)
         mu, gnorm = projected_gradient(profile.interpolate(grid), 0.01)
         assert mu == pytest.approx(0.09, abs=1e-6)
         assert gnorm < 1e-6
 
-    def test_certifies_cubic_reference(self, cfg):
+    def test_certifies_cubic_reference(self):
         # the cubic state is a saddle of the constrained flow (its mass is
         # supercritical), so it is certified by the first-order conditions
         # rather than by running the flow
-        profile = solve_cubic_reference(cfg)
+        profile = solve_cubic_reference()
         grid = np.arange(0.0, 24.0 + 1e-9, 0.02)
         mu, gnorm = projected_gradient(profile.interpolate(grid), 0.02,
                                        quintic=False)

@@ -5,6 +5,7 @@ import pytest
 
 from cqnls.functionals import evaluate, f_alpha
 from cqnls.profiles import test_function_profile as make_test_function
+from cqnls.shooting import solve_ground_state
 
 
 def gaussian_profile(sigma=1.0, amp=1.0, r_max=14.0):
@@ -34,6 +35,13 @@ class TestEvaluate:
     def test_residuals_only_for_solutions(self):
         rep = evaluate(gaussian_profile())
         assert math.isnan(rep.nehari_residual)
+
+    def test_finite_near_the_upper_endpoint(self):
+        # the tail constant at 0.186 is 3.7e56, past the sixth root of the
+        # largest double (2.4e51)
+        rep = evaluate(solve_ground_state(0.186))
+        assert all(math.isfinite(value) for value in rep.as_dict().values())
+        assert max(rep.nehari_residual, rep.pohozaev_residual) < 1e-9
 
 
 class TestFAlpha:

@@ -49,20 +49,20 @@ class TestRescaleSoliton:
 
 
 class TestQCAlpha:
-    def test_q_alpha_hits_target_beta(self, curve, cfg):
-        q = q_alpha(0.5, curve, cfg)
+    def test_q_alpha_hits_target_beta(self, curve):
+        q = q_alpha(0.5, curve)
         assert evaluate(q).beta == pytest.approx(0.5, abs=1e-8)
 
-    def test_minimizer_attains_quotient(self, curve, cfg):
-        q = q_alpha(1.0, curve, cfg)
+    def test_minimizer_attains_quotient(self, curve):
+        q = q_alpha(1.0, curve)
         c = c_alpha(1.0, q)
         assert f_alpha(q, 1.0) * c == pytest.approx(1.0, abs=1e-8)
 
-    def test_rejects_unreachable_alpha(self, curve, cfg):
+    def test_rejects_unreachable_alpha(self, curve):
         with pytest.raises(AlphaOutOfRange):
-            q_alpha(1e5, curve, cfg)
+            q_alpha(1e5, curve)
         with pytest.raises(AlphaOutOfRange):
-            q_alpha(-1.0, curve, cfg)
+            q_alpha(-1.0, curve)
 
 
 class TestRandomTestFunctions:
@@ -73,8 +73,8 @@ class TestRandomTestFunctions:
             assert np.array_equal(pa.values, pb.values)
             assert np.all(pa.values > 0.0)
 
-    def test_quotient_bound_on_sample(self, curve, cfg):
-        q = q_alpha(1.0, curve, cfg)
+    def test_quotient_bound_on_sample(self, curve):
+        q = q_alpha(1.0, curve)
         bound = 1.0 / c_alpha(1.0, q)
         for u in random_test_functions(10, seed=11):
             assert f_alpha(u, 1.0) >= bound - 1e-9

@@ -17,45 +17,45 @@ from cqnls.landscape import (CRITICAL_BRANCH, KIND_BOUNDARY_Q1,
 
 
 class TestClassifyNormalized:
-    def test_below_minimum_mass(self, curve, crit, cfg):
-        result = classify_normalized(0.5 * crit.m0, curve, crit, cfg)
+    def test_below_minimum_mass(self, curve, crit):
+        result = classify_normalized(0.5 * crit.m0, curve, crit)
         assert result.count == 0
         assert result.frequencies == ()
 
-    def test_at_minimum_mass(self, curve, crit, cfg):
-        result = classify_normalized(crit.m0, curve, crit, cfg)
+    def test_at_minimum_mass(self, curve, crit):
+        result = classify_normalized(crit.m0, curve, crit)
         assert result.count == 1
         assert result.frequencies == (crit.omega_star,)
         assert result.branch_labels == (CRITICAL_BRANCH,)
         assert result.stability_labels == (CRITICAL,)
 
-    def test_above_minimum_mass(self, curve, crit, cfg):
-        result = classify_normalized(1.3 * crit.m0, curve, crit, cfg)
+    def test_above_minimum_mass(self, curve, crit):
+        result = classify_normalized(1.3 * crit.m0, curve, crit)
         assert result.count == 2
         lower, upper = result.frequencies
         assert lower < crit.omega_star < upper
         assert result.branch_labels == (LOWER_BRANCH, UPPER_BRANCH)
         assert result.stability_labels == (UNSTABLE, STABLE)
 
-    def test_rejects_nonpositive_mass(self, curve, crit, cfg):
+    def test_rejects_nonpositive_mass(self, curve, crit):
         with pytest.raises(ValueError):
-            classify_normalized(-1.0, curve, crit, cfg)
+            classify_normalized(-1.0, curve, crit)
 
-    def test_mass_beyond_scan(self, curve, crit, cfg):
+    def test_mass_beyond_scan(self, curve, crit):
         # both branches top out below this (upper endpoint mass ~1.7e7)
         with pytest.raises(MassBeyondScan):
-            classify_normalized(1e9, curve, crit, cfg)
+            classify_normalized(1e9, curve, crit)
 
-    def test_branch_skipped_when_out_of_window(self, curve, crit, cfg):
+    def test_branch_skipped_when_out_of_window(self, curve, crit):
         # beyond the lower branch's scanned masses only the upper branch counts
         max_lower = max(p.mass for p in curve.points
                         if p.omega < crit.omega_star)
-        result = classify_normalized(1.2 * max_lower, curve, crit, cfg)
+        result = classify_normalized(1.2 * max_lower, curve, crit)
         assert result.count == 1
         assert result.branch_labels == (UPPER_BRANCH,)
 
-    def test_as_dict_roundtrip(self, curve, crit, cfg):
-        result = classify_normalized(1.3 * crit.m0, curve, crit, cfg)
+    def test_as_dict_roundtrip(self, curve, crit):
+        result = classify_normalized(1.3 * crit.m0, curve, crit)
         payload = result.as_dict()
         assert payload["count"] == 2
         assert len(payload["frequencies"]) == 2
@@ -72,7 +72,7 @@ class TestBranchDirection:
     def test_single_upper_node_left_of_root(self, monkeypatch):
         # the only scanned node inside the upper interval lies below the
         # target on the increasing branch, so the root is to its right
-        monkeypatch.setattr(landscape, "solve_ground_state", lambda om, cfg: om)
+        monkeypatch.setattr(landscape, "solve_ground_state", lambda om, ode_tolerance: om)
         monkeypatch.setattr(landscape, "evaluate",
                             lambda om: SimpleNamespace(mass=self.mass(om)))
         points = tuple(
@@ -108,40 +108,40 @@ def test_narrow_bracket_agrees_with_brute_force(nodes, ends, root, increasing):
 
 class TestEMinLandscape:
     def test_subthreshold_masses_have_infinite_constrained_value(
-            self, curve, crit, cfg):
-        record = e_min_landscape(0.5 * crit.m_threshold, curve, crit, cfg)
+            self, curve, crit):
+        record = e_min_landscape(0.5 * crit.m_threshold, curve, crit)
         assert record.e_min == 0.0 and not record.e_min_achieved
         assert record.e_min_v is None and record.e_min_v_infinite
         assert record.minimizer_kind == KIND_NONE
 
-    def test_between_thresholds(self, curve, crit, cfg):
-        record = e_min_landscape(0.95 * crit.m_q1, curve, crit, cfg)
+    def test_between_thresholds(self, curve, crit):
+        record = e_min_landscape(0.95 * crit.m_q1, curve, crit)
         assert record.e_min == 0.0 and not record.e_min_achieved
         assert not record.e_min_v_infinite
         assert record.e_min_v > 0.0
 
-    def test_boundary_mass(self, curve, crit, cfg):
-        record = e_min_landscape(crit.m_q1, curve, crit, cfg)
+    def test_boundary_mass(self, curve, crit):
+        record = e_min_landscape(crit.m_q1, curve, crit)
         assert record.e_min == 0.0 and record.e_min_achieved
         assert record.e_min_v == 0.0
         assert record.minimizer_kind == KIND_BOUNDARY_Q1
 
-    def test_supercritical_mass(self, curve, crit, cfg):
-        record = e_min_landscape(1.5 * crit.m_q1, curve, crit, cfg)
+    def test_supercritical_mass(self, curve, crit):
+        record = e_min_landscape(1.5 * crit.m_q1, curve, crit)
         assert record.e_min < 0.0 and record.e_min_achieved
         assert record.e_min_v == record.e_min
         assert record.minimizer_kind == KIND_GROUND_STATE
 
-    def test_e_min_decreases_in_mass(self, curve, crit, cfg):
-        values = [e_min_landscape(r * crit.m_q1, curve, crit, cfg).e_min
+    def test_e_min_decreases_in_mass(self, curve, crit):
+        values = [e_min_landscape(r * crit.m_q1, curve, crit).e_min
                   for r in (1.2, 1.6, 2.0)]
         assert values[0] > values[1] > values[2]
 
 
 class TestLandscapeTable:
-    def test_csv_columns(self, curve, crit, cfg, tmp_path):
+    def test_csv_columns(self, curve, crit, tmp_path):
         masses = [0.5 * crit.m_threshold, 1.5 * crit.m_q1]
-        rows = landscape_table(masses, curve, crit, cfg)
+        rows = landscape_table(masses, curve, crit)
         path = tmp_path / "landscape.csv"
         write_landscape_csv(rows, path)
         lines = path.read_text().splitlines()

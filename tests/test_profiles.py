@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqnls.errors import NonFiniteIntegrand
-from cqnls.profiles import (GROUND_STATE, TEST_FUNCTION, RadialProfile,
-                            ShootingConfig, even_grid)
+from cqnls.profiles import GROUND_STATE, TEST_FUNCTION, RadialProfile, even_grid
 from cqnls.profiles import test_function_profile as make_test_function
 
 
@@ -21,21 +20,6 @@ def make_profile():
         tail_constant=1.0, truncation_radius=10.0, kind=GROUND_STATE,
         decay_rate=1.0,
     )
-
-
-class TestShootingConfig:
-    def test_defaults_valid(self):
-        cfg = ShootingConfig()
-        assert cfg.ode_tolerance == 1e-12
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            ShootingConfig(ode_tolerance=0.0)
-
-    def test_fingerprint_stable_and_sensitive(self):
-        assert ShootingConfig().fingerprint() == ShootingConfig().fingerprint()
-        assert ShootingConfig().fingerprint() != \
-            ShootingConfig(ode_tolerance=1e-10).fingerprint()
 
 
 class TestRadialProfile:

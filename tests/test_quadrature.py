@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cqnls.quadrature import (expn, exp_power_tail, radial_grad_sq, radial_moment,
-                              simpson_uniform, tail_grad_sq, tail_moment)
+from cqnls.quadrature import (_expn_scaled, expn, exp_power_tail, radial_grad_sq,
+                              radial_moment, simpson_uniform, tail_grad_sq, tail_moment)
 
 
 class TestSimpsonUniform:
@@ -60,6 +60,17 @@ class TestTails:
                           T, np.inf)
             assert tail_moment(c, a, T, power) == pytest.approx(ref, rel=1e-10)
 
+    def test_tail_moment_past_the_power_overflow(self):
+        # the tail of the ground state at omega = 0.186: c**6 alone
+        # overflows, and the moment is e^{6 log c - 6 a T} E_4(6 a T)/T^3
+        c, a, T = 3.749669469097631e56, math.sqrt(0.186), 313.2
+        x = 6.0 * a * T
+        assert x > 709.8  # E_4(x) underflows
+        # E_4(x) e^x = 1/x (1 - 4/x + 20/x^2 - 120/x^3 + ...) asymptotically
+        scaled = (1.0 - 4.0 / x + 20.0 / x**2 - 120.0 / x**3 + 840.0 / x**4) / x
+        expected = math.exp(6.0 * (math.log(c) - a * T)) * scaled / T**3
+        assert tail_moment(c, a, T, 6) == pytest.approx(expected, rel=1e-11)
+
     def test_tail_grad_sq_matches_quadrature(self):
         c, a, T = 0.7, 1.2, 4.0
 
@@ -93,6 +104,11 @@ class TestExpn:
         x = 10.0**log_x
         expected = scipy_expn(n, x)
         assert abs(expn(n, x) - expected) <= 2.0 * np.spacing(expected)
+
+    @pytest.mark.parametrize("n, x", [(0, 0.5), (0, 30.0), (2, 0.5), (2, 1.0), (4, 3.0),
+                                      (4, 700.0)])
+    def test_scaled_is_exp_times_expn(self, n, x):
+        assert _expn_scaled(n, x) == pytest.approx(math.exp(x) * expn(n, x), rel=1e-14)
 
     def test_edges(self):
         from scipy.special import expn as scipy_expn

@@ -10,7 +10,7 @@ from cqnls import bvp, shooting
 from cqnls.curves import default_omega_grid
 from cqnls.errors import BracketFailure, FrequencyOutOfWindow
 from cqnls.functionals import evaluate
-from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE, ShootingConfig
+from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE
 from cqnls.shooting import (OMEGA_SHOOTING_MAX, TrajectoryClass,
                             classify_trajectory, force_upper_zero,
                             solve_cubic_reference, solve_ground_state)
@@ -48,16 +48,31 @@ class TestClassifyTrajectory:
             classify_trajectory(0.0, 0.09)
 
 
+class TestTolerance:
+    def test_rejects_bad_tolerance(self):
+        for tol in (math.nan, math.inf, -1e-12, 0.0, 0.1, 2.0):
+            for solve in (functools.partial(solve_ground_state, 0.09, tol),
+                          functools.partial(solve_cubic_reference, tol),
+                          functools.partial(classify_trajectory, 0.5, 0.09, tol)):
+                with pytest.raises(ValueError, match="ode_tolerance"):
+                    solve()
+
+    def test_default_and_loose_tolerances_accepted(self):
+        assert shooting.ODE_TOLERANCE == 1e-12
+        for tol in (shooting.ODE_TOLERANCE, 1e-3, shooting.MAX_ODE_TOLERANCE):
+            shooting.check_tolerance(tol)
+
+
 class TestGroundState:
     @pytest.mark.parametrize("omega", [0.01, 0.09, 0.15])
-    def test_residuals_in_shooting_regime(self, omega, cfg):
-        rep = evaluate(solve_ground_state(omega, cfg))
+    def test_residuals_in_shooting_regime(self, omega):
+        rep = evaluate(solve_ground_state(omega))
         assert rep.nehari_residual < 1e-9
         assert rep.pohozaev_residual < 1e-9
 
     @pytest.mark.parametrize("omega", [0.17, 0.185])
-    def test_residuals_in_plateau_regime(self, omega, cfg):
-        rep = evaluate(solve_ground_state(omega, cfg))
+    def test_residuals_in_plateau_regime(self, omega):
+        rep = evaluate(solve_ground_state(omega))
         assert rep.nehari_residual < 1e-9
         assert rep.pohozaev_residual < 1e-9
 
@@ -70,13 +85,13 @@ class TestGroundState:
     def test_amplitude_below_separatrix(self, ground_009):
         assert 0.0 < ground_009.amplitude < force_upper_zero(0.09)
 
-    def test_cache_returns_same_object(self, cfg):
-        assert solve_ground_state(0.09, cfg) is solve_ground_state(0.09, cfg)
+    def test_cache_returns_same_object(self):
+        assert solve_ground_state(0.09) is solve_ground_state(0.09)
 
-    def test_mass_continuous_across_solver_switch(self, cfg):
+    def test_mass_continuous_across_solver_switch(self):
         # the switch from amplitude to plateau shooting must not kink the
         # mass curve
-        masses = [evaluate(solve_ground_state(om, cfg)).mass
+        masses = [evaluate(solve_ground_state(om)).mass
                   for om in (0.150, 0.154, 0.158, 0.162)]
         gaps = np.diff(masses)
         assert np.all(gaps > 0.0)
@@ -97,7 +112,7 @@ def test_tail_fit_retries_shallow_half():
     # matching window and bends its deep end, while its shallow half still
     # fits the decay law
     omega = 0.15417194583513705
-    profile = solve_ground_state(omega, ShootingConfig(ode_tolerance=1e-8))
+    profile = solve_ground_state(omega, 1e-8)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
@@ -107,18 +122,50 @@ def test_tail_fit_retries_shallow_half():
 def test_configuration_matrix(omega, tol, spacing):
     # every tolerance solves the window's edges and both sides of the
     # solver switch within criterion 01's gate, on the one grid spacing
-    profile = solve_ground_state(omega, ShootingConfig(ode_tolerance=tol))
+    profile = solve_ground_state(omega, tol)
     assert profile.spacing == pytest.approx(spacing, rel=1e-12)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
-def test_profile_does_not_follow_the_stop_radius(cfg, ground_009):
+#: plateau frequencies whose solves at 1e-8 missed the tail fit on both
+#: halves of the matching window
+_LOOSE_PLATEAU = (0.16839416768298837, 0.17639191892263195, 0.18010405197739462,
+                  0.18104179063366335)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(omega=st.floats(0.004, 0.185), tol=st.sampled_from([1e-8, 1e-10, 1e-12]))
+@example(omega=_LOOSE_PLATEAU[0], tol=1e-8)
+@example(omega=_LOOSE_PLATEAU[1], tol=1e-8)
+@example(omega=_LOOSE_PLATEAU[2], tol=1e-8)
+@example(omega=_LOOSE_PLATEAU[3], tol=1e-8)
+def test_window_solves_within_the_gate(omega, tol):
+    # criterion 01's gate across the window at every tolerance, except for
+    # the few per cent of it at 1e-8 that the xfail below stands for; at
+    # 1e-8 the four examples fit their tails on a leading quarter of the
+    # matching window, where the run has not yet left the separatrix
+    profile = solve_ground_state(omega, tol)
+    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
+
+
+@pytest.mark.xfail(strict=True, reason="at 1e-8 the plateau's dense q interpolant is off by "
+                   "about 1e-6 between the long steps before the switch")
+def test_loose_plateau_profile_within_the_gate():
+    # a known miss of the property above: about 3 % of the plateau range at
+    # 1e-8 (Nehari 8.2e-7 here); the step ends are accurate to 1e-9, the
+    # grid values between them are not
+    omega = 0.16970101197014903
+    profile = solve_ground_state(omega, 1e-8)
+    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
+
+
+def test_profile_does_not_follow_the_stop_radius(ground_009):
     # the run's stop radius is set by rounding; past the end of the matching
     # window it changes nothing in the profile
     a = ground_009.amplitude
     segments = []
-    _, _, r_stop = shooting._shoot(a, 0.09, cfg, True, shooting.default_max_radius(0.09),
-                                   segments=segments)
+    _, _, r_stop = shooting._shoot(a, 0.09, shooting.ODE_TOLERANCE, True,
+                                   shooting.default_max_radius(0.09), segments=segments)
     trajectory = shooting._DenseTrajectory(segments)
 
     def sample(grid):
@@ -135,11 +182,11 @@ def test_profile_does_not_follow_the_stop_radius(cfg, ground_009):
 class TestPlateau:
     """Shooting on s = ln(eps) above OMEGA_SHOOTING_MAX."""
 
-    def test_agrees_with_collocation(self, cfg):
+    def test_agrees_with_collocation(self):
         grid = default_omega_grid(60, 0.004, 0.185)
         for omega in [*grid[grid > OMEGA_SHOOTING_MAX], 0.185]:
-            shot = evaluate(solve_ground_state(omega, cfg))
-            oracle = evaluate(bvp.solve_collocation(omega, cfg))
+            shot = evaluate(solve_ground_state(omega))
+            oracle = evaluate(bvp.solve_collocation(omega))
             for name in ("mass", "energy", "beta", "grad_sq"):
                 assert getattr(shot, name) == pytest.approx(getattr(oracle, name),
                                                             rel=1e-9), (omega, name)
@@ -147,27 +194,26 @@ class TestPlateau:
             d_oracle = oracle.energy + 0.5 * omega * oracle.mass
             assert d_shot == pytest.approx(d_oracle, rel=1e-9), omega
 
-    def test_independent_of_solve_order(self, cfg, monkeypatch):
+    def test_independent_of_solve_order(self, monkeypatch):
         monkeypatch.setattr(shooting, "_profile_cache", {})
-        fresh = solve_ground_state(0.18, cfg)
+        fresh = solve_ground_state(0.18)
         monkeypatch.setattr(shooting, "_profile_cache", {})
         for omega in (0.16, 0.17, 0.175, 0.185):
-            solve_ground_state(omega, cfg)
-        later = solve_ground_state(0.18, cfg)
+            solve_ground_state(omega)
+        later = solve_ground_state(0.18)
         assert later is not fresh
         _assert_same_profile(later, fresh)
         assert np.array_equal(later.derivs, fresh.derivs)
         assert later.truncation_radius == fresh.truncation_radius
 
-    def test_linear_start_matches_through_plateau(self, cfg):
+    def test_linear_start_matches_through_plateau(self):
         # the oracle integrates the deviation through the whole plateau from
         # the Taylor start (delta = 0); the linear start's own error is
         # about its deviation delta, so delta = 1e-8 shows in the depth
         omega = 0.18
-        radius = shooting.default_max_radius(omega)
 
         def depth(delta=None):
-            shot = shooting._PlateauShot(omega, cfg, radius)
+            shot = shooting._PlateauShot(omega, shooting.ODE_TOLERANCE)
             if delta is not None:
                 shot.delta = delta
             return shot.solve()[0]
@@ -176,9 +222,9 @@ class TestPlateau:
         assert abs(depth() - oracle) < 1e-10
         assert abs(depth(1e-8) - oracle) > 1e-8
 
-    def test_amplitude_at_force_zero(self, cfg):
+    def test_amplitude_at_force_zero(self):
         # above about 0.18 the gap eps is below one ulp of u+
-        profile = solve_ground_state(0.185, cfg)
+        profile = solve_ground_state(0.185)
         assert profile.amplitude == force_upper_zero(0.185)
         assert profile.values[0] == profile.amplitude
         assert np.all(np.diff(profile.values) <= 0.0)
@@ -204,11 +250,11 @@ def test_collocation_ladder_per_config(monkeypatch):
     seeds = []
     real_solve = shooting._solve
 
-    def spy(omega, cfg, quintic, **kwargs):
-        seeds.append(cfg)
-        return real_solve(omega, cfg, quintic, **kwargs)
+    def spy(omega, ode_tolerance, quintic, **kwargs):
+        seeds.append(ode_tolerance)
+        return real_solve(omega, ode_tolerance, quintic, **kwargs)
     monkeypatch.setattr(shooting, "_solve", spy)
-    default, loose = ShootingConfig(), ShootingConfig(ode_tolerance=1e-11)
+    default, loose = shooting.ODE_TOLERANCE, 1e-11
     bvp.solve_collocation(0.156, default)
     bvp.solve_collocation(0.156, loose)
     assert seeds == [default, loose]
@@ -220,26 +266,26 @@ def _assert_same_profile(warm, cold):
     assert warm.tail_constant == cold.tail_constant
 
 
-def _bisect(omega, cfg, prediction=None):
-    radius = shooting.default_max_radius(omega)
-    return shooting._bisect_amplitude(omega, cfg, True, radius, prediction)
+def _bisect(omega, prediction=None):
+    return shooting._bisect_amplitude(omega, shooting.ODE_TOLERANCE, True, prediction)
 
 
 @pytest.fixture(scope="module")
-def cold_073(cfg):
+def cold_073():
     """Cold bisection bracket at omega = 0.073 and its midpoint."""
-    bracket = _bisect(0.073, cfg)
+    bracket = _bisect(0.073)
     return bracket, 0.5 * (bracket[0] + bracket[1])
 
 
-def test_collocation_bootstrap_caches_switch_profile(cfg, monkeypatch):
+def test_collocation_bootstrap_caches_switch_profile(monkeypatch):
     # the ladder is seeded through the one ground-state entry point, so the
     # switch-point profile is cached and equals a cold shooting solve
     monkeypatch.setattr(bvp, "_ladder", {})
     monkeypatch.setattr(shooting, "_profile_cache", {})
-    bvp.solve_collocation(0.17, cfg)
-    switch = shooting._profile_cache[(bvp.OMEGA_SHOOTING_MAX, cfg.fingerprint())]
-    _assert_same_profile(switch, shooting._solve(bvp.OMEGA_SHOOTING_MAX, cfg, True))
+    bvp.solve_collocation(0.17)
+    tol = shooting.ODE_TOLERANCE
+    switch = shooting._profile_cache[(bvp.OMEGA_SHOOTING_MAX, tol)]
+    _assert_same_profile(switch, shooting._solve(bvp.OMEGA_SHOOTING_MAX, tol, True))
 
 
 @settings(max_examples=200, deadline=None)
@@ -272,10 +318,10 @@ class TestWarmStart:
     """Cached neighbours shorten the bisection and never change its result."""
 
     @staticmethod
-    def _warm_and_cold(omega, cfg, neighbours, monkeypatch):
+    def _warm_and_cold(omega, neighbours, monkeypatch):
         monkeypatch.setattr(shooting, "_profile_cache", {})
         for neighbour in neighbours:
-            solve_ground_state(neighbour, cfg)
+            solve_ground_state(neighbour)
         # count trajectory classifications: both solves make one dense pass
         calls = []
         real_shoot = shooting._shoot
@@ -284,21 +330,21 @@ class TestWarmStart:
             calls.append(1)
             return real_shoot(*args, **kwargs)
         monkeypatch.setattr(shooting, "_shoot", counted)
-        warm = solve_ground_state(omega, cfg)
+        warm = solve_ground_state(omega)
         warm_calls = len(calls)
-        cold = shooting._solve(omega, cfg, True)
+        cold = shooting._solve(omega, shooting.ODE_TOLERANCE, True)
         assert warm_calls < len(calls) - warm_calls
         return warm, cold
 
     @pytest.mark.parametrize("omega", [0.004, 0.073, 0.155, 0.16, 0.185])
-    def test_matches_cold_solve(self, omega, cfg, monkeypatch):
+    def test_matches_cold_solve(self, omega, monkeypatch):
         neighbours = (omega * (1.0 - 2e-4), omega * (1.0 - 1e-4))
-        _assert_same_profile(*self._warm_and_cold(omega, cfg, neighbours, monkeypatch))
+        _assert_same_profile(*self._warm_and_cold(omega, neighbours, monkeypatch))
 
-    def test_configured_bracket(self, cfg, cold_073):
+    def test_configured_bracket(self, cold_073):
         # a bracket other than the default: the replay steers through its
         # own tree and lands on its own cold bracket
-        classify = functools.partial(classify_trajectory, omega=0.073, cfg=cfg)
+        classify = functools.partial(classify_trajectory, omega=0.073)
         cold = shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE)
         _, a = cold_073
         for err in (1e-12 * a, 1e-6):
@@ -306,21 +352,21 @@ class TestWarmStart:
                                     (a, err)) == cold
 
     @pytest.mark.parametrize("shift", [1e-4, -1e-4, 1e-9, -1e-9])
-    def test_wrong_prediction_climbs(self, shift, cfg, cold_073):
+    def test_wrong_prediction_climbs(self, shift, cold_073):
         # the claimed error is far below the miss, so the first check fails
         bracket, a = cold_073
-        assert _bisect(0.073, cfg, (a * (1.0 + shift), 1e-12 * a)) == bracket
+        assert _bisect(0.073, (a * (1.0 + shift), 1e-12 * a)) == bracket
 
     @pytest.mark.parametrize("a_pred", [-1.0, 1e-9, 5.0])
-    def test_prediction_outside_bracket(self, a_pred, cfg, cold_073):
+    def test_prediction_outside_bracket(self, a_pred, cold_073):
         bracket, _ = cold_073
-        assert _bisect(0.073, cfg, (a_pred, 1e-6)) == bracket
+        assert _bisect(0.073, (a_pred, 1e-6)) == bracket
 
     @pytest.mark.parametrize("bracket", [(0.5, 0.85), (0.9, 0.95)])
-    def test_failing_bracket_still_raises(self, bracket, cfg, cold_073):
+    def test_failing_bracket_still_raises(self, bracket, cold_073):
         # both brackets miss the root (about 0.8805), one from each side; a
         # prediction at the root must not hide that
-        classify = functools.partial(classify_trajectory, omega=0.073, cfg=cfg)
+        classify = functools.partial(classify_trajectory, omega=0.073)
         _, a = cold_073
         with pytest.raises(BracketFailure):
             shooting._bisect(classify, *bracket, shooting.BISECTION_TOLERANCE, (a, 1e-6))
@@ -330,19 +376,17 @@ class TestWarmStart:
 @given(omega=st.floats(0.004, 0.155), sign=st.sampled_from([-1.0, 1.0]),
        miss=st.floats(-16.0, -2.0), err=st.floats(-16.0, -2.0))
 def test_any_prediction_gives_the_cold_bracket(omega, sign, miss, err):
-    cfg = ShootingConfig()
-    cold = _bisect(omega, cfg)
+    cold = _bisect(omega)
     a = 0.5 * (cold[0] + cold[1])
     prediction = (a * (1.0 + sign * 10.0**miss), a * 10.0**err)
-    assert _bisect(omega, cfg, prediction) == cold
+    assert _bisect(omega, prediction) == cold
 
 
 @settings(max_examples=4, deadline=None)
 @given(omega=st.floats(0.156, 0.185), sign=st.sampled_from([-1.0, 1.0]),
        miss=st.floats(-16.0, -2.0), err=st.floats(-16.0, -2.0))
 def test_any_depth_prediction_gives_the_cold_bracket(omega, sign, miss, err):
-    cfg = ShootingConfig()
-    shot = shooting._PlateauShot(omega, cfg, shooting.default_max_radius(omega))
+    shot = shooting._PlateauShot(omega, shooting.ODE_TOLERANCE)
     bracket = (-math.log(shot.p - 1e-6), shooting._MAX_LOG_DEPTH,
                shooting.BISECTION_TOLERANCE)
     cold = shooting._bisect(shot.classify, *bracket, relative=True)
@@ -396,7 +440,7 @@ def _solve_ivp_run(rhs, start, r_end, tol, events, directions, atol=None, first_
                      events=_ivp_events(events, directions), dense_output=True, **options)
 
 
-def _solve_ivp_shot(a, omega, cfg, quintic, max_radius, start=None):
+def _solve_ivp_shot(a, omega, ode_tolerance, quintic, max_radius, start=None):
     """solve_ivp's run with the two shooting events, as ``shooting._shoot``."""
     cross_eps, turn_eps = shooting._event_thresholds(a)
     if start is None:
@@ -404,7 +448,7 @@ def _solve_ivp_shot(a, omega, cfg, quintic, max_radius, start=None):
         start = (h0, *shooting._taylor_start(a, h0, omega, quintic))
     return _solve_ivp_run(
         lambda r, u, up: (up, shooting._force(u, omega, quintic) - 2.0 * up / r),
-        start, max_radius, cfg.ode_tolerance,
+        start, max_radius, ode_tolerance,
         lambda r, u, up: (u + cross_eps, up - turn_eps), (-1.0, 1.0))
 
 
@@ -417,8 +461,8 @@ def _stop(sol):
     return None, float(sol.t[-1])
 
 
-def _solve_ivp_class(a, omega, cfg, quintic, max_radius):
-    sol = _solve_ivp_shot(a, omega, cfg, quintic, max_radius)
+def _solve_ivp_class(a, omega, ode_tolerance, quintic, max_radius):
+    sol = _solve_ivp_shot(a, omega, ode_tolerance, quintic, max_radius)
     return shooting._EVENT_CLASSES[_stop(sol)[0]], sol.t.size - 1
 
 
@@ -440,14 +484,12 @@ def test_float_stepper_matches_solve_ivp(omega, sign, log_offset, tol, quintic, 
     # sizes follow the rounding of the error estimate, which numpy's dot
     # products (fused multiply-adds) round differently, so on about 0.1 % of
     # samples the event falls one step earlier or later
-    cfg = ShootingConfig(ode_tolerance=tol)
     radius = max_radius or shooting.default_max_radius(omega)
-    root = 0.5 * sum(shooting._bisect_amplitude(omega, cfg, quintic,
-                                                shooting.default_max_radius(omega)))
+    root = 0.5 * sum(shooting._bisect_amplitude(omega, tol, quintic))
     a = root * (1.0 + sign * 10.0**log_offset)
     assume(a < force_upper_zero(omega, quintic))
-    label, steps, _ = shooting._shoot(a, omega, cfg, quintic, radius)
-    label_ivp, steps_ivp = _solve_ivp_class(a, omega, cfg, quintic, radius)
+    label, steps, _ = shooting._shoot(a, omega, tol, quintic, radius)
+    label_ivp, steps_ivp = _solve_ivp_class(a, omega, tol, quintic, radius)
     assert label is label_ivp
     assert abs(steps - steps_ivp) <= 1
     if max_radius is not None:
@@ -516,13 +558,12 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     # Derandomized: a draw where rounding shifts a step (see the test
     # above) would compare runs a local error apart
     kind, omega = problem
-    cfg = ShootingConfig(ode_tolerance=tol)
     offset = sign * 10.0**log_offset
     quintic = kind != "cubic"
     radius = shooting.default_max_radius(omega)
     start = None
     if kind == "plateau":
-        shot = shooting._PlateauShot(omega, cfg, radius)
+        shot = shooting._PlateauShot(omega, tol)
         depth = 0.5 * sum(shooting._bisect(shot.classify, -math.log(shot.p - 1e-6),
                                            shooting._MAX_LOG_DEPTH,
                                            shooting.BISECTION_TOLERANCE,
@@ -541,12 +582,12 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
         v, vp = map(float, shot._deviation(depth, r_sw, q, qp))
         start = (r_sw, shot.p - v, -vp)
     else:
-        root = 0.5 * sum(shooting._bisect_amplitude(omega, cfg, quintic, radius))
+        root = 0.5 * sum(shooting._bisect_amplitude(omega, tol, quintic))
         a = root * (1.0 + offset)
         assume(a < force_upper_zero(omega, quintic))
     segments = []
-    label, _, r_stop = shooting._shoot(a, omega, cfg, quintic, radius, start, segments)
-    sol = _solve_ivp_shot(a, omega, cfg, quintic, radius, start)
+    label, _, r_stop = shooting._shoot(a, omega, tol, quintic, radius, start, segments)
+    sol = _solve_ivp_shot(a, omega, tol, quintic, radius, start)
     event, r_stop_ivp = _stop(sol)
     assert label is shooting._EVENT_CLASSES[event]
     assert r_stop == pytest.approx(r_stop_ivp, rel=1.5e-7)
