@@ -42,14 +42,12 @@ def soliton_1d_derivative(omega: float, x):
     return out if out.ndim else float(out)
 
 
-def soliton_profile_1d(omega: float, spacing: float = 0.005,
-                       x_max: float | None = None) -> RadialProfile:
-    """Sample the closed form on a half-line grid (even extension)."""
+def soliton_profile_1d(omega: float) -> RadialProfile:
+    """Sample the closed form on a half-line grid of spacing 0.005 (even
+    extension)."""
     check_frequency(omega)
-    if x_max is None:
-        # reach machine-negligible tails: phi^2 ~ exp(-2 sqrt(omega) x)
-        x_max = 40.0 / math.sqrt(omega)
-    grid = even_grid(x_max, spacing)
+    # reach machine-negligible tails: phi^2 ~ exp(-2 sqrt(omega) x)
+    grid = even_grid(40.0 / math.sqrt(omega), 0.005)
     return RadialProfile(
         grid=grid, values=soliton_1d(omega, grid),
         derivs=soliton_1d_derivative(omega, grid),

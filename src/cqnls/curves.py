@@ -131,13 +131,13 @@ class CriticalFrequencies:
             json.dump(self.as_dict(), fh, indent=2)
 
 
-def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185,
-                       mid: float = 0.06) -> np.ndarray:
-    """Log-spaced toward both endpoints of the production window."""
+def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185) -> np.ndarray:
+    """Log-spaced toward both endpoints of the production window, half the
+    nodes on each side of omega = 0.06."""
     n_low = n // 2
     n_high = n - n_low
-    low = lo * (mid / lo) ** np.linspace(0.0, 1.0, n_low, endpoint=False)
-    gap_hi, gap_mid = OMEGA_MAX - hi, OMEGA_MAX - mid
+    low = lo * (0.06 / lo) ** np.linspace(0.0, 1.0, n_low, endpoint=False)
+    gap_hi, gap_mid = OMEGA_MAX - hi, OMEGA_MAX - 0.06
     high = OMEGA_MAX - gap_mid * (gap_hi / gap_mid) ** np.linspace(0.0, 1.0, n_high)
     return np.unique(np.concatenate([low, high]))
 
@@ -256,12 +256,12 @@ def monotone_root(value_at, target: float, lo: float, hi: float, xtol: float,
 
 
 def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE,
-                beta_tol: float = 1e-8, omega_tol: float = 1e-12):
+                beta_tol: float = 1e-8):
     """Frequency with beta(omega) = target by Brent's method with fresh solves.
 
     Exploits strict monotonicity of beta: the scanned nodes bracket the
     target and lend their beta values to the bracket ends.  The search runs
-    to omega_tol and returns the solved iterate nearest the target as
+    to 1e-12 in omega and returns the solved iterate nearest the target as
     (omega, profile, report); ToleranceNotMet is raised when that iterate
     misses the target by more than beta_tol.
     """
@@ -281,7 +281,7 @@ def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE
         return rep.beta, (profile, rep)
 
     omega, beta, (profile, rep) = monotone_root(
-        beta_at, target, float(omegas[i]), float(omegas[i + 1]), omega_tol,
+        beta_at, target, float(omegas[i]), float(omegas[i + 1]), 1e-12,
         end_values=(float(betas[i]), float(betas[i + 1])))
     if abs(beta - target) > beta_tol:
         raise ToleranceNotMet(
@@ -313,14 +313,12 @@ def locate_critical(curve: FrequencyCurve,
     )
 
 
-def classify_stability(curve: FrequencyCurve, crit: CriticalFrequencies,
-                       tol: float | None = None) -> FrequencyCurve:
-    """Label each node by its side of the stability threshold omega_star."""
-    if tol is None:
-        tol = 1e-6 * crit.omega_star
+def classify_stability(curve: FrequencyCurve, crit: CriticalFrequencies) -> FrequencyCurve:
+    """Label each node by its side of the stability threshold omega_star;
+    within 1e-6 omega_star of it a node is critical."""
     points = []
     for p in curve.points:
-        if abs(p.omega - crit.omega_star) < tol:
+        if abs(p.omega - crit.omega_star) < 1e-6 * crit.omega_star:
             label = CRITICAL
         elif p.omega < crit.omega_star:
             label = UNSTABLE
@@ -331,18 +329,16 @@ def classify_stability(curve: FrequencyCurve, crit: CriticalFrequencies,
                           derivative_checks=curve.derivative_checks)
 
 
-def asymptotic_check(curve: FrequencyCurve, g: RadialProfile,
-                     small_cut: float = 0.01, large_cut: float = 0.17) -> dict:
-    """Endpoint laws: small-frequency expansion errors and endpoint slopes."""
+def asymptotic_check(curve: FrequencyCurve, g: RadialProfile) -> dict:
+    """Endpoint laws: small-frequency expansion errors at the nodes with
+    omega <= 0.01 and endpoint slopes over those with omega >= 0.17."""
     g_rep = evaluate(g)
     m_g, l6_g, beta_g = g_rep.mass, g_rep.l6, g_rep.beta
     omegas = curve.omegas()
-    small = [p for p in curve.points if p.omega <= small_cut]
-    large = [p for p in curve.points if p.omega >= large_cut]
+    small = [p for p in curve.points if p.omega <= 0.01]
+    large = [p for p in curve.points if p.omega >= 0.17]
     if not small or len(large) < 2:
-        raise InsufficientCoverage(
-            f"asymptotic check needs nodes at omega <= {small_cut} and >= {large_cut}"
-        )
+        raise InsufficientCoverage("asymptotic check needs nodes at omega <= 0.01 and >= 0.17")
 
     small_errors = []
     for p in small:

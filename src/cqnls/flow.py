@@ -3,10 +3,10 @@
 Discrete gradient descent on the energy with renormalization to a fixed
 mass after every step.  The flow shares nothing with the shooting or
 collocation solvers: it works in the substituted variable w = r*u on its
-own uniform grid with a fourth-order finite-difference Laplacian, so a
-converged flow profile is an independent certificate for a solver profile
-of the same mass, and the Lagrange multiplier it converges to is an
-independent read of the frequency.
+own uniform grid (``SPACING``) with a fourth-order finite-difference
+Laplacian, so a converged flow profile is an independent certificate for
+a solver profile of the same mass, and the Lagrange multiplier it
+converges to is an independent read of the frequency.
 """
 
 from __future__ import annotations
@@ -20,6 +20,15 @@ from scipy.linalg import solve_banded
 from .errors import FlowDiverged
 from .profiles import even_grid
 from .quadrature import simpson_uniform
+
+#: node spacing of the flow grid
+SPACING = 0.01
+#: pseudo-time step of the lagged-potential backward Euler step
+TIME_STEP = 2.0
+#: relative projected-gradient norm at which the flow has converged
+GRADIENT_TOL = 1e-9
+#: iterations before the flow gives up unconverged
+MAX_ITERATIONS = 60_000
 
 
 def laplacian_banded(n: int, h: float) -> np.ndarray:
@@ -103,60 +112,46 @@ class FlowResult:
     converged: bool
 
 
-def _energy(grid, u, du, quintic: bool) -> float:
+def _energy(grid, u, du) -> float:
     h = float(grid[1] - grid[0])
     w2 = grid * grid
-    integrand = (0.5 * du * du - 0.25 * u**4) * w2
-    if quintic:
-        integrand += (u**6 / 6.0) * w2
+    integrand = (0.5 * du * du - 0.25 * u**4) * w2 + (u**6 / 6.0) * w2
     return 4.0 * math.pi * simpson_uniform(integrand, h)
 
 
-def mass_projected_flow(mass: float, r_max: float = 40.0, spacing: float = 0.01,
-                        seed_width: float = 4.0, seed_values: np.ndarray | None = None,
-                        dt: float = 2.0, grad_tol: float = 1e-9,
-                        max_iters: int = 60_000, quintic: bool = True) -> FlowResult:
+def mass_projected_flow(mass: float, r_max: float = 40.0,
+                        seed_width: float = 4.0) -> FlowResult:
     """Descend the energy at fixed mass until the projected gradient is flat.
 
-    ``seed_values`` (on the same grid) overrides the default Gaussian seed.
-    Returns the converged state; ``multiplier`` is the discrete Lagrange
-    multiplier, i.e. the frequency the profile solves the equation at.
+    The seed is the Gaussian exp(-(r/seed_width)^2) on [0, r_max].  Returns
+    the state after ``GRADIENT_TOL`` is met or ``MAX_ITERATIONS`` steps;
+    ``multiplier`` is the discrete Lagrange multiplier, i.e. the frequency
+    the profile solves the equation at.
     """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    grid = even_grid(r_max, spacing)
+    grid = even_grid(r_max, SPACING)
     r = grid[1:]
     n = r.size
-
-    if seed_values is not None:
-        u0 = np.asarray(seed_values, dtype=float)
-        if u0.size != grid.size:
-            raise ValueError("seed_values must live on the flow grid")
-        w = r * u0[1:]
-    else:
-        w = r * np.exp(-((r / seed_width) ** 2))
-
-    lap = laplacian_banded(n, spacing)
+    w = r * np.exp(-((r / seed_width) ** 2))
+    lap = laplacian_banded(n, SPACING)
 
     def discrete_mass(wv):
         return 4.0 * math.pi * simpson_uniform(
-            np.concatenate(([0.0], wv * wv)), spacing)
+            np.concatenate(([0.0], wv * wv)), SPACING)
 
     w *= math.sqrt(mass / discrete_mass(w))
     inv_r2 = 1.0 / (r * r)
 
     gradient_norm = np.inf
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         # lagged-potential backward Euler: the whole potential sits inside
-        # the implicit solve, so the step stays stable for large dt
+        # the implicit solve, so the step stays stable at a large TIME_STEP
         u_sq = (w * w) * inv_r2
-        potential = -u_sq
-        if quintic:
-            potential += u_sq * u_sq
         step_matrix = lap.copy()
-        step_matrix[2] += 1.0 / dt + potential
-        w_new = solve_banded((2, 2), step_matrix, w / dt)
+        step_matrix[2] += 1.0 / TIME_STEP + (u_sq * u_sq - u_sq)
+        w_new = solve_banded((2, 2), step_matrix, w / TIME_STEP)
         if not np.all(np.isfinite(w_new)):
             raise FlowDiverged("flow produced non-finite iterates")
         m_now = discrete_mass(w_new)
@@ -164,26 +159,26 @@ def mass_projected_flow(mass: float, r_max: float = 40.0, spacing: float = 0.01,
             raise FlowDiverged("flow mass collapsed")
         w = w_new * math.sqrt(mass / m_now)
 
-        if iterations % 10 == 0 or iterations == max_iters:
-            mu, resid = _multiplier(lap, w, (w * w) * inv_r2, quintic)
+        if iterations % 10 == 0 or iterations == MAX_ITERATIONS:
+            mu, resid = _multiplier(lap, w, (w * w) * inv_r2, True)
             gradient_norm = float(np.linalg.norm(resid) / np.linalg.norm(w))
-            if gradient_norm < grad_tol:
+            if gradient_norm < GRADIENT_TOL:
                 break
             if mu < -1e6:
                 raise FlowDiverged("flow multiplier ran away, grid too small")
 
     u = np.concatenate(([0.0], w / r))
-    du0, dw = _derivative(w, spacing)
+    du0, dw = _derivative(w, SPACING)
     u[0] = du0  # u(0) = w'(0) by l'Hopital
     du = np.empty_like(u)
     du[1:] = (dw[1:] - u[1:]) / r
     du[0] = 0.0
-    energy = _energy(grid, u, du, quintic)
+    energy = _energy(grid, u, du)
     if not math.isfinite(energy) or energy < -1e8:
         raise FlowDiverged("flow energy decreased without bound")
-    mu, _ = _multiplier(lap, w, (w * w) * inv_r2, quintic)
+    mu, _ = _multiplier(lap, w, (w * w) * inv_r2, True)
     return FlowResult(
         grid=grid, values=u, derivs=du, mass=mass, energy=energy,
         multiplier=mu, gradient_norm=gradient_norm, iterations=iterations,
-        converged=gradient_norm < grad_tol,
+        converged=gradient_norm < GRADIENT_TOL,
     )

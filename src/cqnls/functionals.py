@@ -35,7 +35,7 @@ class FunctionalReport:
         }
 
 
-def evaluate(profile: RadialProfile, dim: int = 3) -> FunctionalReport:
+def evaluate(profile: RadialProfile) -> FunctionalReport:
     """All seven integrals plus the equation-residual diagnostics.
 
     The Nehari residual is populated only for profiles that solve an
@@ -46,10 +46,10 @@ def evaluate(profile: RadialProfile, dim: int = 3) -> FunctionalReport:
     g, v, d = profile.grid, profile.values, profile.derivs
     c, a = profile.tail_constant, profile.decay_rate
 
-    mass = radial_moment(g, v, 2, dim, c, a)
-    l4 = radial_moment(g, v, 4, dim, c, a)
-    l6 = radial_moment(g, v, 6, dim, c, a)
-    grad_sq = radial_grad_sq(g, d, dim, c, a)
+    mass = radial_moment(g, v, 2, 3, c, a)
+    l4 = radial_moment(g, v, 4, 3, c, a)
+    l6 = radial_moment(g, v, 6, 3, c, a)
+    grad_sq = radial_grad_sq(g, d, 3, c, a)
 
     energy = 0.5 * grad_sq - 0.25 * l4 + l6 / 6.0
     pohozaev = grad_sq + l6 - 0.75 * l4

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .curves import FrequencyCurve, invert_beta
-from .errors import AlphaOutOfRange, CqnlsError, KindMismatch, TargetNotBracketed
+from .errors import AlphaOutOfRange, KindMismatch, TargetNotBracketed, ToleranceNotMet
 from .functionals import FunctionalReport, evaluate, f_alpha
 from .profiles import (GROUND_STATE, RESCALED_SOLITON, RadialProfile,
                        test_function_profile)
@@ -67,28 +67,30 @@ def q_alpha(alpha: float, curve: FrequencyCurve,
     return profile
 
 
-def c_alpha(alpha: float, q: RadialProfile,
-            report: FunctionalReport | None = None, check: bool = True) -> float:
-    """The sharp constant C_alpha evaluated on the minimizer Q_alpha."""
+def c_alpha(alpha: float, q: RadialProfile) -> float:
+    """The sharp constant C_alpha evaluated on the minimizer Q_alpha.
+
+    Raises ToleranceNotMet unless q attains the infimum, F_alpha(q) C_alpha
+    = 1 to 1e-8: a ground state whose beta is not alpha does not.
+    """
     if q.kind != GROUND_STATE:
         raise KindMismatch("c_alpha expects the ground-state minimizer Q_alpha")
-    rep = report if report is not None else evaluate(q)
+    rep = evaluate(q)
     l2 = math.sqrt(rep.mass)
     grad = math.sqrt(rep.grad_sq)
     prefactor = 4.0 * (1.0 + alpha) / (3.0 * alpha ** (alpha / (2.0 * (1.0 + alpha))))
     value = prefactor / (l2 * grad ** ((1.0 - alpha) / (1.0 + alpha)))
-    if check:
-        attained = f_alpha(q, alpha, rep) * value
-        if abs(attained - 1.0) > 1e-8:
-            raise CqnlsError(
-                f"minimizer does not attain the infimum: F_alpha * C_alpha = {attained!r}"
-            )
+    attained = f_alpha(q, alpha, rep) * value
+    if abs(attained - 1.0) > 1e-8:
+        raise ToleranceNotMet(
+            f"minimizer does not attain the infimum: F_alpha * C_alpha = {attained!r}"
+        )
     return value
 
 
-def random_test_functions(count: int, seed: int = 0, r_max: float = 16.0,
-                          spacing: float = 0.005) -> list[RadialProfile]:
-    """Seeded positive radial test functions (1 + c1 r + c2 r^2) e^{-sigma r^2}.
+def random_test_functions(count: int, seed: int = 0) -> list[RadialProfile]:
+    """Seeded positive radial test functions (1 + c1 r + c2 r^2) e^{-sigma r^2}
+    on [0, 16] at the test-function spacing 0.005.
 
     Draws are rejected until the profile is strictly positive on the grid,
     so every returned function is admissible for the quotient bounds.
@@ -105,7 +107,7 @@ def random_test_functions(count: int, seed: int = 0, r_max: float = 16.0,
         profile = test_function_profile(
             lambda r: poly(r) * np.exp(-sigma * r**2),
             lambda r: (c1 + 2.0 * c2 * r - 2.0 * sigma * r * poly(r)) * np.exp(-sigma * r**2),
-            r_max, spacing)
+            16.0)
         if np.all(profile.values > 0.0):
             out.append(profile)
     return out

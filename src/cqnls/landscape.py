@@ -99,16 +99,16 @@ def _rescaled_mass(x) -> float:
     return rescale_mass_factor(x.beta) * x.mass
 
 
-def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance, tol=None):
+def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance):
     """(branch, omega, report) at every ground state with value_of = m.
 
     ``value_of`` reads a curve point or a functional report; its curve has
     the single minimum value_min at ``split``, decreasing on the lower
-    branch and increasing on the upper one.  A branch whose scanned values
-    never reach m is skipped.
+    branch and increasing on the upper one.  Within 1e-9 value_min of that
+    minimum m meets the critical branch alone.  A branch whose scanned
+    values never reach m is skipped.
     """
-    if tol is None:
-        tol = 1e-9 * value_min
+    tol = 1e-9 * value_min
     if m < value_min - tol:
         return []
     if abs(m - value_min) <= tol:
@@ -140,21 +140,19 @@ _BRANCH_STABILITY = {LOWER_BRANCH: UNSTABLE, CRITICAL_BRANCH: CRITICAL,
 
 
 def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
-                        ode_tolerance: float = ODE_TOLERANCE,
-                        tol: float | None = None) -> ClassificationResult:
+                        ode_tolerance: float = ODE_TOLERANCE) -> ClassificationResult:
     """Count and locate the positive normalized solutions of mass m.
 
     Counts are over the scanned frequency window: a branch whose scanned
     masses never reach m is skipped, and MassBeyondScan is raised only
-    when no branch reaches it at all.
+    when no branch reaches it at all.  Below m0 by more than 1e-9 m0 there
+    is none.
     """
     if m <= 0:
         raise ValueError("prescribed mass must be positive")
-    if tol is None:
-        tol = 1e-9 * crit.m0
-    if m < crit.m0 - tol:
+    if m < crit.m0 - 1e-9 * crit.m0:
         return ClassificationResult(m, 0, (), (), ())
-    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance, tol)
+    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance)
     if not roots:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
     branches = tuple(branch for branch, _, _ in roots)
@@ -207,15 +205,14 @@ def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
     return LandscapeRecord(m, energy, True, energy, False, KIND_GROUND_STATE)
 
 
-def certify_e_min_by_flow(m: float, seed_widths=(2.0, 4.0, 8.0),
-                          r_max: float = 45.0, spacing: float = 0.01) -> float:
-    """Best energy of the mass-projected flow over several seeds."""
+def certify_e_min_by_flow(m: float) -> float:
+    """Best energy of the mass-projected flow on [0, 45] over the seed
+    widths 2, 4 and 8."""
     from .flow import mass_projected_flow
 
     best = math.inf
-    for width in seed_widths:
-        result = mass_projected_flow(m, r_max=r_max, spacing=spacing,
-                                     seed_width=width, grad_tol=1e-9)
+    for width in (2.0, 4.0, 8.0):
+        result = mass_projected_flow(m, r_max=45.0, seed_width=width)
         if result.converged and result.energy < best:
             best = result.energy
     if not math.isfinite(best):

@@ -127,13 +127,11 @@ def tail_moment(c: float, a: float, T: float, power: int, dim: int = 3) -> float
     return (c * math.exp(-a * T))**power * _expn_scaled(n, power * a * T) / T ** (n - 1)
 
 
-def tail_grad_sq(c: float, a: float, T: float, dim: int = 3) -> float:
-    """Tail contribution of ``(u')^2`` against ``r^(dim-1)`` for the
-    matched tail ``u = c e^{-a r}/r`` (3D only)."""
+def tail_grad_sq(c: float, a: float, T: float) -> float:
+    """Tail contribution of ``(u')^2`` against ``r^2`` for the matched 3D
+    tail ``u = c e^{-a r}/r``."""
     if c == 0.0 or a <= 0.0:
         return 0.0
-    if dim != 3:
-        raise ValueError("gradient tail implemented for dim=3 only")
     # (u')^2 r^2 = c^2 e^{-2 a r} (a^2 + 2a/r + 1/r^2)
     b = 2.0 * a
     return c**2 * (

@@ -619,9 +619,6 @@ class _PlateauShot:
         # the linear start is off by about its own deviation, relative;
         # keep that a hundredth of the ODE tolerance
         self.delta = 1e-2 * ode_tolerance
-        # q is controlled relative to its plateau value 1/(2 kappa), and q'
-        # to the same absolute level: its errors reach q damped by 2 kappa
-        self.atol = ode_tolerance / (2.0 * self.kappa)
 
     def radius(self, depth: float) -> float:
         return depth / self.kappa + default_max_radius(self.omega)
@@ -669,24 +666,28 @@ class _PlateauShot:
         decay = math.exp(-kappa * r0)
         return r0, decay * r0 * w, decay * (w + r0 * wp - kappa * r0 * w), inner
 
-    def _leave_plateau(self, depth: float, segments=None):
-        """March q from the start solution until u falls to the midpoint
-        of the force zeros: ``_march``'s ``(event, steps, r, q, q')``."""
+    def _leave_plateau(self, depth: float, rtol: float, segments=None):
+        """March q at relative tolerance ``rtol`` from the start solution
+        until u falls to the midpoint of the force zeros: ``_march``'s
+        ``(event, steps, r, q, q')``."""
         r0, q, qp, _ = self._start(depth)
         kappa, v_switch = self.kappa, self.v_switch
-        # first step 1/kappa, the scale of the linear solution: scipy's
+        # q is controlled relative to its plateau value 1/(2 kappa), and q'
+        # to the same absolute level: its errors reach q damped by 2 kappa.
+        # First step 1/kappa, the scale of the linear solution: scipy's
         # initial-step probe looks far past the switch, where v explodes,
         # and would start a dozen steps too small
-        return _march(self._rhs(depth), r0, q, qp, self.radius(depth), self.ode_tolerance,
+        return _march(self._rhs(depth), r0, q, qp, self.radius(depth), rtol,
                       lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,),
-                      (1.0,), atol=self.atol, first_step=1.0 / kappa, segments=segments)
+                      (1.0,), atol=rtol / (2.0 * kappa), first_step=1.0 / kappa,
+                      segments=segments)
 
     def classify(self, depth: float) -> TrajectoryClass:
         eps, radius = math.exp(-depth), self.radius(depth)
         a = self.p - eps
         if eps >= self.v_switch:
             return classify_trajectory(a, self.omega, self.ode_tolerance, True, radius)
-        event, _, r, q, qp = self._leave_plateau(depth)
+        event, _, r, q, qp = self._leave_plateau(depth, self.ode_tolerance)
         if event is None:
             return TrajectoryClass.UNDETERMINED
         v, vp = map(float, self._deviation(depth, r, q, qp))
@@ -700,7 +701,10 @@ class _PlateauShot:
         a, radius = p - eps, self.radius(depth)
         r0, _, _, inner = self._start(depth)
         q_segments, u_segments = [], []
-        event, _, r_sw, q_sw, qp_sw = self._leave_plateau(depth, q_segments)
+        # the dense q pass runs at 1e-10 or tighter: a 1e-8 pass leaves its
+        # interpolant between the long plateau steps off by up to 8e-7
+        event, _, r_sw, q_sw, qp_sw = self._leave_plateau(
+            depth, min(self.ode_tolerance, 1e-10), q_segments)
         if event is None:
             raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
         v_sw, vp_sw = map(float, self._deviation(depth, r_sw, q_sw, qp_sw))

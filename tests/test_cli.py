@@ -147,6 +147,24 @@ class TestPipelines:
         assert payload["omega"] == 0.09
         assert (out / "experiment_ledger.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--t-end", "nan"], ["--t-end", "-5"], ["--t-end", "1e-9"], ["--t-end", "inf"],
+        ["--dt", "inf"], ["--dt", "200"], ["--dt", "2.01"], ["--dt", "nan"], ["--dt", "0"]])
+    def test_evolve_without_a_step_per_sample_exits_3(self, flags, tmp_path, capsys):
+        # a dt beyond the sampling interval t_end / 50 (t_end 100 by default)
+        # evolved nothing and still returned a verdict; inf overflowed
+        code = main(["evolve", "--omega", "0.073", *flags, "--out", str(tmp_path)])
+        assert code == 3
+        assert "t_end / 50" in capsys.readouterr().err
+        assert not (tmp_path / "experiment.json").exists()
+
+    @pytest.mark.parametrize("n_eigs", ["0", "-2"])
+    def test_spectra_without_eigenvalues_exits_3(self, n_eigs, tmp_path, capsys):
+        code = main(["spectra", "--omega", "0.09", "--n-eigs", n_eigs, "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "n_eigs must be at least 1" in err and "EigSolverStalled" not in err
+
     def test_validate_passes(self, tmp_path, capsys):
         assert main(["validate", "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqnls import dynamics
 from cqnls.dynamics import (EvolutionState, discrete_energy, discrete_mass,
                             evolve, linearized_spectra, modulated_distance,
                             soliton_state, write_experiment)
-from cqnls.errors import InnerSolveDiverged, KindMismatch
+from cqnls.errors import EigSolverStalled, InnerSolveDiverged, KindMismatch
 from cqnls.geometry import random_test_functions
 
 
@@ -77,6 +79,10 @@ class TestEvolve:
             evolve(base_state, 1.0, -0.1)
         with pytest.raises(ValueError):
             evolve(base_state, -1.0, 0.1)
+        for t_end, dt in ((math.nan, 0.02), (math.inf, 0.02), (1.0, math.nan),
+                          (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                evolve(base_state, t_end, dt)
 
     def test_non_finite_field_is_typed(self, base_state):
         field = base_state.field.copy()
@@ -145,6 +151,22 @@ class TestSpectra:
     def test_lminus_higher_eigs_positive(self, ground_009):
         record = linearized_spectra(ground_009)
         assert all(v > 0.0 for v in record["lminus_eigs"][1:])
+
+    @pytest.mark.parametrize("n_eigs", [0, -2])
+    def test_rejects_no_eigenvalues(self, ground_009, n_eigs):
+        # scipy's own complaint about the empty range used to come back
+        # relabelled as EigSolverStalled
+        with pytest.raises(ValueError, match="n_eigs"):
+            linearized_spectra(ground_009, n_eigs)
+
+    def test_only_a_failed_solve_stalls(self, ground_009, monkeypatch):
+        from scipy.linalg import LinAlgError
+
+        def fails(*args, **kwargs):
+            raise LinAlgError("no convergence")
+        monkeypatch.setattr(dynamics, "eigh_tridiagonal", fails)
+        with pytest.raises(EigSolverStalled, match="no convergence"):
+            linearized_spectra(ground_009)
 
 
 def test_write_experiment(tmp_path):

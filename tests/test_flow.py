@@ -58,8 +58,7 @@ def test_derivative_matches_loop_reference():
 class TestFlowConvergence:
     @pytest.mark.parametrize("mass", sorted(FLOW_ANCHORS))
     def test_frozen_anchor(self, mass):
-        result = mass_projected_flow(mass, r_max=45.0, spacing=0.01,
-                                     seed_width=4.0)
+        result = mass_projected_flow(mass, r_max=45.0, seed_width=4.0)
         mu_ref, energy_ref = FLOW_ANCHORS[mass]
         assert result.converged
         assert result.gradient_norm < 1e-9

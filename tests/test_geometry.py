@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqnls.errors import AlphaOutOfRange, KindMismatch
+from cqnls.errors import AlphaOutOfRange, KindMismatch, ToleranceNotMet
 from cqnls.functionals import evaluate, f_alpha
 from cqnls.geometry import (c_alpha, q_alpha, random_test_functions,
                             rescale_energy_factor, rescale_mass_factor,
@@ -57,6 +57,11 @@ class TestQCAlpha:
         q = q_alpha(1.0, curve)
         c = c_alpha(1.0, q)
         assert f_alpha(q, 1.0) * c == pytest.approx(1.0, abs=1e-8)
+
+    def test_non_minimizer_raises_typed_error(self, ground_009):
+        # beta(0.09) is not 1/2, so P_0.09 does not attain the F_1/2 infimum
+        with pytest.raises(ToleranceNotMet, match="does not attain"):
+            c_alpha(0.5, ground_009)
 
     def test_rejects_unreachable_alpha(self, curve):
         with pytest.raises(AlphaOutOfRange):

@@ -140,20 +140,18 @@ _LOOSE_PLATEAU = (0.16839416768298837, 0.17639191892263195, 0.18010405197739462,
 @example(omega=_LOOSE_PLATEAU[2], tol=1e-8)
 @example(omega=_LOOSE_PLATEAU[3], tol=1e-8)
 def test_window_solves_within_the_gate(omega, tol):
-    # criterion 01's gate across the window at every tolerance, except for
-    # the few per cent of it at 1e-8 that the xfail below stands for; at
-    # 1e-8 the four examples fit their tails on a leading quarter of the
-    # matching window, where the run has not yet left the separatrix
+    # criterion 01's gate across the window at every tolerance; at 1e-8 the
+    # four examples fit their tails on a leading quarter of the matching
+    # window, where the run has not yet left the separatrix
     profile = solve_ground_state(omega, tol)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
-@pytest.mark.xfail(strict=True, reason="at 1e-8 the plateau's dense q interpolant is off by "
-                   "about 1e-6 between the long steps before the switch")
 def test_loose_plateau_profile_within_the_gate():
-    # a known miss of the property above: about 3 % of the plateau range at
-    # 1e-8 (Nehari 8.2e-7 here); the step ends are accurate to 1e-9, the
-    # grid values between them are not
+    # about 3 % of the plateau range missed the gate at 1e-8 (Nehari 8.2e-7
+    # here) while its dense q pass ran at 1e-8: the step ends were accurate
+    # to 1e-9, the interpolant between the long plateau steps was not.  The
+    # pass runs at 1e-10 now (Nehari 1.5e-9)
     omega = 0.16970101197014903
     profile = solve_ground_state(omega, 1e-8)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
@@ -570,12 +568,12 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
                                            relative=True)) * (1.0 + offset)
         a, radius = shot.p - math.exp(-depth), shot.radius(depth)
         segments = []
-        _, _, r_sw, q, qp = shot._leave_plateau(depth, segments)
+        _, _, r_sw, q, qp = shot._leave_plateau(depth, tol, segments)
         r0, q0, qp0, _ = shot._start(depth)
         kappa, v_switch = shot.kappa, shot.v_switch
         sol_q = _solve_ivp_run(shot._rhs(depth), (r0, q0, qp0), radius, tol,
                                lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,),
-                               (1.0,), atol=shot.atol, first_step=1.0 / kappa)
+                               (1.0,), atol=tol / (2.0 * kappa), first_step=1.0 / kappa)
         assert _stop(sol_q) == (0, pytest.approx(r_sw, rel=3e-15))
         ours, theirs = _dense_pair(segments, r_sw, sol_q)
         assert np.max(np.abs(ours - theirs) / np.abs(theirs)) < 3e-12
