@@ -30,7 +30,9 @@ controls the small-frequency asymptotics.
 
 from __future__ import annotations
 
+import bisect
 import enum
+import heapq
 import importlib.util
 import math
 import os
@@ -40,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import depth_table
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
                        even_grid)
@@ -728,81 +731,123 @@ class _PlateauShot:
         """The bisected depth and its profile; ``prediction`` is a
         predicted depth and its error, as for ``_bisect``."""
         lowest = _default_bracket(self.omega, True)[0]
-        lo, hi = _bisect(self.classify, -math.log(self.p - lowest), _MAX_LOG_DEPTH,
-                         BISECTION_TOLERANCE, prediction, relative=True)
+        try:
+            lo, hi = _bisect(self.classify, -math.log(self.p - lowest), _MAX_LOG_DEPTH,
+                             BISECTION_TOLERANCE, prediction, relative=True)
+        except BracketFailure as err:
+            # the lower end turns upward at once, so the deepest end missed
+            raise BracketFailure(
+                f"omega={self.omega}: the ground state lies deeper than the depth limit "
+                f"-ln(u+ - u(0)) = {_MAX_LOG_DEPTH:g} of plateau shooting, as it does "
+                f"from omega = 0.186967 on; {err}") from err
         depth = 0.5 * (lo + hi)
         return depth, self.profile(depth)
 
 
 def _solve(omega: float, ode_tolerance: float, quintic: bool,
            prediction: tuple[float, float] | None = None) -> RadialProfile:
+    key = (float(omega), ode_tolerance)
     if quintic and omega > OMEGA_SHOOTING_MAX:
         depth, profile = _PlateauShot(omega, ode_tolerance).solve(prediction)
-        _plateau_depths[(float(omega), ode_tolerance)] = depth
+        _depths[key] = depth
         return profile
     lo, hi = _bisect_amplitude(omega, ode_tolerance, quintic, prediction)
-    return _build_profile(0.5 * (lo + hi), omega, ode_tolerance, quintic)
+    a = 0.5 * (lo + hi)
+    if quintic:
+        _depths[key] = -math.log(force_upper_zero(omega) - a)
+    return _build_profile(a, omega, ode_tolerance, quintic)
 
 
 _profile_cache: dict = {}
-#: bisected depth -ln(eps) of each plateau solve, under its cache key
-_plateau_depths: dict = {}
+#: depth -ln(u+ - u(0)) of each ground-state solve, under its cache key:
+#: bisected on the plateau, from the bisected amplitude below it
+_depths: dict = {}
 
 
-def _newton_predict(omega: float, samples) -> tuple[float, float] | None:
-    """Value at omega and its error bound, by Newton interpolation in omega
-    over the (at most four) ``(omega_i, value_i)`` samples nearest to it;
-    ``None`` without samples.
-
-    The bound is four times the last Newton term, or 50 |omega - omega_0|
-    with a single sample.
-    """
-    near = sorted(samples, key=lambda entry: abs(entry[0] - omega))[:4]
-    if not near:
+def _newton_predict(x: float, samples) -> tuple[float, float] | None:
+    """Value at x and its error bound, by Newton interpolation through the
+    ``(x_i, value_i)`` samples, nearest first; ``None`` with fewer than two
+    samples.  The bound is four times the last Newton term."""
+    near = sorted(samples, key=lambda entry: abs(entry[0] - x))
+    if len(near) < 2:
         return None
-    nodes = [o for o, _ in near]
-    coef = [a for _, a in near]
+    nodes = [node for node, _ in near]
+    coef = [value for _, value in near]
     for k in range(1, len(nodes)):
         for i in range(len(nodes) - 1, k - 1, -1):
             coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - k])
-    a_pred, basis = 0.0, 1.0
+    value, basis = 0.0, 1.0
     for c, node in zip(coef, nodes):
         term = c * basis
-        a_pred += term
-        basis *= omega - node
-    err = 4.0 * abs(term) if len(nodes) > 1 else 50.0 * abs(omega - nodes[0])
-    if not (math.isfinite(a_pred) and math.isfinite(err)):
+        value += term
+        basis *= x - node
+    err = 4.0 * abs(term)
+    if not (math.isfinite(value) and math.isfinite(err)):
         return None
-    return a_pred, err
+    return value, err
 
 
-def _predict_amplitude(omega: float, ode_tolerance: float) -> tuple[float, float] | None:
-    """Ground amplitude at omega and its error bound from the cached ground
-    states at this tolerance (``_newton_predict``)."""
-    return _newton_predict(omega, [
-        (key[0], profile.amplitude) for key, profile in _profile_cache.items()
-        if key[1] == ode_tolerance and profile.kind == GROUND_STATE])
-
-
-#: depth * (3/16 - omega) of the ground state and its spread over the
-#: plateau range: 0.3590 at omega = 0.15501, 0.3689 at 0.185 and 0.3727 at
-#: 0.1869, the same at ode_tolerance 1e-12 and 1e-8
-_DEPTH_TIMES_GAP = (0.366, 0.008)
-
-
-def _predict_depth(omega: float, ode_tolerance: float) -> tuple[float, float]:
-    """Plateau depth at omega and its error bound: from the cached plateau
-    solves at this tolerance, or from ``_DEPTH_TIMES_GAP`` where that is
-    tighter.  The depth grows like 1/(3/16 - omega), so the value
-    interpolated is depth * (3/16 - omega)."""
-    value, err = _DEPTH_TIMES_GAP
-    cached = _newton_predict(omega, [
-        (key[0], _plateau_depths[key] * (OMEGA_MAX - key[0])) for key in _profile_cache
-        if key[1] == ode_tolerance and key in _plateau_depths])
-    if cached is not None and cached[1] < err:
-        value, err = cached
+def _scaled_depth(omega: float, depth: float) -> tuple[float, float]:
+    """(x, y) = (ln(3/16 - omega), (3/16 - omega) depth): y is of order one
+    over the window, where the depth grows like 1/(3/16 - omega)."""
     gap = OMEGA_MAX - omega
-    return value / gap, err / gap
+    return math.log(gap), gap * depth
+
+
+#: the depth table in (x, y), in increasing x
+_TABLE = sorted(_scaled_depth(omega, depth) for omega, depth in depth_table.GROUND_DEPTHS)
+#: table nodes per prediction
+_TABLE_POINTS = 8
+#: largest shift of a root per unit of ODE tolerance, relative, away from
+#: the table's ``depth_table.ODE_TOLERANCE``: 10.6 seen in the depth (omega
+#: 0.1866 at 1e-8), under 3.4 elsewhere and 0.03 in the cubic amplitude
+_TOLERANCE_SHIFT = 20.0
+
+
+def _table_shift(ode_tolerance: float) -> float:
+    """Relative error a table value may carry at ``ode_tolerance``."""
+    return _TOLERANCE_SHIFT * abs(ode_tolerance - depth_table.ODE_TOLERANCE)
+
+
+def _predict(omega: float, ode_tolerance: float) -> tuple[float, float] | None:
+    """Ground state at omega and its error bound, in the parameter the
+    bisection runs on: the amplitude up to ``OMEGA_SHOOTING_MAX``, the
+    depth -ln(u+ - u(0)) above.
+
+    Two predictions of y over x (``_scaled_depth``), each by
+    ``_newton_predict``: from the ``_TABLE_POINTS`` nearest nodes of the
+    depth table (inside its span), its bound raised by ``_table_shift``,
+    and from the four nearest cached ground states at this tolerance.  The
+    tighter bound wins; a bound not below y is no prediction.  The
+    amplitude is u+ - exp(-depth).  ``None`` when neither applies.
+    """
+    x = math.log(OMEGA_MAX - omega)
+    # one sample per x: frequencies an ulp apart can share it
+    cached = dict(_scaled_depth(key[0], _depths[key]) for key in _profile_cache
+                  if key[1] == ode_tolerance and key in _depths)
+    candidates = [_newton_predict(x, heapq.nsmallest(4, cached.items(),
+                                                     key=lambda s: abs(s[0] - x)))]
+    i = bisect.bisect(_TABLE, x, key=lambda node: node[0])
+    if 0 < i < len(_TABLE):
+        start = min(max(i - _TABLE_POINTS // 2, 0), len(_TABLE) - _TABLE_POINTS)
+        table = _newton_predict(x, _TABLE[start:start + _TABLE_POINTS])
+        if table is not None:
+            y, err = table
+            candidates.append((y, err + _table_shift(ode_tolerance) * abs(y)))
+    # a bound past the positive y itself tells nothing, and its depth could
+    # take exp(-depth) out of range (neighbours 1e-13 apart, extrapolated)
+    candidates = [c for c in candidates if c is not None and c[1] < c[0]]
+    if not candidates:
+        return None
+    y, err = min(candidates, key=lambda candidate: candidate[1])
+    gap = OMEGA_MAX - omega
+    depth, err = y / gap, err / gap
+    if omega > OMEGA_SHOOTING_MAX:
+        return depth, err
+    # the amplitude's error on the far side of the depth's; no depth lies
+    # beyond _MAX_LOG_DEPTH
+    eps = math.exp(-depth)
+    return force_upper_zero(omega) - eps, eps * math.expm1(min(err, _MAX_LOG_DEPTH))
 
 
 def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
@@ -811,29 +856,32 @@ def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Ra
     Up to ``OMEGA_SHOOTING_MAX`` the bisection runs on the central
     amplitude.  Above it the amplitude comes within one ulp of the force
     zero, and the bisection runs on the log of their gap instead
-    (``_PlateauShot``).  Either bisection starts from the value predicted
-    by cached neighbours at the same tolerance and returns the same
-    bracket as without them, so the profile does not depend on what was
-    solved before.
+    (``_PlateauShot``), up to omega = 0.186967, where the depth reaches
+    ``_MAX_LOG_DEPTH``.  Either bisection starts from the value predicted
+    by the depth table or by cached neighbours at the same tolerance
+    (``_predict``) and returns the same bracket as a cold one, so the
+    profile does not depend on what was solved before.
     """
     check_frequency(omega)
     check_tolerance(ode_tolerance)
     key = (float(omega), ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
-    predict = _predict_depth if omega > OMEGA_SHOOTING_MAX else _predict_amplitude
     profile = _solve(omega, ode_tolerance, quintic=True,
-                     prediction=predict(omega, ode_tolerance))
+                     prediction=_predict(omega, ode_tolerance))
     _profile_cache[key] = profile
     return profile
 
 
 def solve_cubic_reference(ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
-    """Positive decaying solution of g'' + (2/r)g' = g - g^3 (unit frequency)."""
+    """Positive decaying solution of g'' + (2/r)g' = g - g^3 (unit frequency);
+    the bisection starts from the amplitude stored in the depth table."""
     check_tolerance(ode_tolerance)
     key = ("cubic", ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
-    profile = _solve(1.0, ode_tolerance, quintic=False)
+    a = depth_table.CUBIC_AMPLITUDE
+    profile = _solve(1.0, ode_tolerance, quintic=False,
+                     prediction=(a, _table_shift(ode_tolerance) * a))
     _profile_cache[key] = profile
     return profile

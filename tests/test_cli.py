@@ -59,6 +59,12 @@ class TestSolve:
         assert main(["solve", "--omega", "-1e-3", "--out", str(tmp_path)]) == 2
         assert "(0, 3/16)" in capsys.readouterr().err
 
+    def test_past_the_depth_limit_exits_3(self, tmp_path, capsys):
+        code = main(["solve", "--omega", "0.1872", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "BracketFailure" in err and "depth limit" in err
+
     def test_loose_tolerance_exits_3(self, tmp_path):
         code = main(["solve", "--omega", "0.09", "--ode-tol", "1e-3",
                      "--out", str(tmp_path)])

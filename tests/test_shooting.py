@@ -1,12 +1,15 @@
 import functools
 import math
+import runpy
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cqnls import bvp, shooting
+from cqnls import bvp, depth_table, shooting
 from cqnls.curves import default_omega_grid
 from cqnls.errors import BracketFailure, FrequencyOutOfWindow
 from cqnls.functionals import evaluate
@@ -370,27 +373,137 @@ class TestWarmStart:
             shooting._bisect(classify, *bracket, shooting.BISECTION_TOLERANCE, (a, 1e-6))
 
 
+TOLERANCES = [1e-8, 1e-10, 1e-12]
+
+
+def _ground_bracket(omega, tol, prediction=None):
+    """The ground state's bisection bracket, on the amplitude or on the
+    plateau depth as ``shooting._solve`` runs it, and the number of
+    trajectories it classified."""
+    if omega > OMEGA_SHOOTING_MAX:
+        shot = shooting._PlateauShot(omega, tol)
+        classify, relative = shot.classify, True
+        lo, hi = -math.log(shot.p - 1e-6), shooting._MAX_LOG_DEPTH
+    else:
+        classify = functools.partial(classify_trajectory, omega=omega, ode_tolerance=tol)
+        (lo, hi), relative = shooting._default_bracket(omega, True), False
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return classify(x)
+    bracket = shooting._bisect(counted, lo, hi, shooting.BISECTION_TOLERANCE, prediction,
+                               relative=relative)
+    return bracket, len(calls)
+
+
 @settings(max_examples=6, deadline=None)
-@given(omega=st.floats(0.004, 0.155), sign=st.sampled_from([-1.0, 1.0]),
+@given(omega=st.floats(0.004, 0.155), tol=st.sampled_from(TOLERANCES),
+       sign=st.sampled_from([-1.0, 1.0]),
        miss=st.floats(-16.0, -2.0), err=st.floats(-16.0, -2.0))
-def test_any_prediction_gives_the_cold_bracket(omega, sign, miss, err):
-    cold = _bisect(omega)
+def test_any_prediction_gives_the_cold_bracket(omega, tol, sign, miss, err):
+    cold = shooting._bisect_amplitude(omega, tol, True)
     a = 0.5 * (cold[0] + cold[1])
     prediction = (a * (1.0 + sign * 10.0**miss), a * 10.0**err)
-    assert _bisect(omega, prediction) == cold
+    assert shooting._bisect_amplitude(omega, tol, True, prediction) == cold
 
 
 @settings(max_examples=4, deadline=None)
-@given(omega=st.floats(0.156, 0.185), sign=st.sampled_from([-1.0, 1.0]),
+@given(omega=st.floats(0.156, 0.185), tol=st.sampled_from(TOLERANCES),
+       sign=st.sampled_from([-1.0, 1.0]),
        miss=st.floats(-16.0, -2.0), err=st.floats(-16.0, -2.0))
-def test_any_depth_prediction_gives_the_cold_bracket(omega, sign, miss, err):
-    shot = shooting._PlateauShot(omega, shooting.ODE_TOLERANCE)
-    bracket = (-math.log(shot.p - 1e-6), shooting._MAX_LOG_DEPTH,
-               shooting.BISECTION_TOLERANCE)
-    cold = shooting._bisect(shot.classify, *bracket, relative=True)
+def test_any_depth_prediction_gives_the_cold_bracket(omega, tol, sign, miss, err):
+    cold, _ = _ground_bracket(omega, tol)
     x = 0.5 * (cold[0] + cold[1])
     prediction = (x * (1.0 + sign * 10.0**miss), x * 10.0**err)
-    assert shooting._bisect(shot.classify, *bracket, prediction, relative=True) == cold
+    assert _ground_bracket(omega, tol, prediction)[0] == cold
+
+
+@settings(max_examples=6, deadline=None)
+@given(omega=st.floats(0.004, 0.1869), tol=st.sampled_from(TOLERANCES))
+def test_table_prediction_gives_the_cold_bracket(omega, tol):
+    # the table's own prediction, with no cached neighbour to compete
+    with mock.patch.object(shooting, "_profile_cache", {}):
+        prediction = shooting._predict(omega, tol)
+    assert prediction is not None
+    cold, cold_calls = _ground_bracket(omega, tol)
+    seeded, seeded_calls = _ground_bracket(omega, tol, prediction)
+    assert seeded == cold
+    assert seeded_calls < cold_calls
+
+
+class TestDepthTable:
+    """The stored depth table seeds every solve with no cached neighbour."""
+
+    @staticmethod
+    def _count_shots(monkeypatch):
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        calls = []
+        real_shoot = shooting._shoot
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_shoot(*args, **kwargs)
+        monkeypatch.setattr(shooting, "_shoot", counted)
+        return calls
+
+    # classifications and the dense pass; a cold solve makes 49-55
+    MAX_SHOTS = 24
+
+    @pytest.mark.parametrize("omega", [0.004, 0.073, 0.15, 0.16, 0.185])
+    def test_seeded_solve_is_short_and_cold(self, omega, monkeypatch):
+        calls = self._count_shots(monkeypatch)
+        seeded = solve_ground_state(omega)
+        assert len(calls) <= self.MAX_SHOTS
+        _assert_same_profile(seeded, shooting._solve(omega, shooting.ODE_TOLERANCE, True))
+
+    def test_seeded_cubic_reference(self, monkeypatch):
+        calls = self._count_shots(monkeypatch)
+        seeded = solve_cubic_reference()
+        assert len(calls) <= self.MAX_SHOTS
+        _assert_same_profile(seeded, shooting._solve(1.0, shooting.ODE_TOLERANCE, False))
+
+    def test_table_is_current(self):
+        # a solver change that moves the roots must regenerate the table
+        # (scripts/make_depth_table.py) rather than slow every solve
+        script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts"
+                                    / "make_depth_table.py"))
+        stored = depth_table.GROUND_DEPTHS
+        assert depth_table.ODE_TOLERANCE == shooting.ODE_TOLERANCE
+        assert [omega for omega, _ in stored] == script["nodes"]()
+        # a small, a mid and a plateau frequency
+        for omega, depth in (stored[0], stored[62], stored[100]):
+            assert script["cold_depth"](omega) == depth
+        assert script["cubic_amplitude"]() == depth_table.CUBIC_AMPLITUDE
+
+    def test_close_neighbours_far_from_a_solve_below_the_table(self, monkeypatch):
+        # below the table's span only the cached neighbours predict; four
+        # of them 1e-13 apart near the top extrapolate to a wild depth at
+        # 0.003, whose exp(-depth) overflowed; such a bound (past the value
+        # itself) now counts as no prediction
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        for k in range(4):
+            solve_ground_state(0.1869 + k * 1e-13)
+        assert 0.003 < depth_table.GROUND_DEPTHS[0][0]
+        _assert_same_profile(solve_ground_state(0.003),
+                             shooting._solve(0.003, shooting.ODE_TOLERANCE, True))
+
+    def test_neighbours_sharing_x(self, monkeypatch):
+        # omega and the next float share x = ln(3/16 - omega), as the base
+        # profile and the middle of evolve's reference family can; with
+        # both cached, the divided differences divided by zero
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        omega = 0.0731894962477946
+        twin = math.nextafter(omega, 1.0)
+        assert math.log(3.0 / 16.0 - omega) == math.log(3.0 / 16.0 - twin)
+        solve_ground_state(omega)
+        solve_ground_state(twin)
+        _assert_same_profile(solve_ground_state(1.01 * omega),
+                             shooting._solve(1.01 * omega, shooting.ODE_TOLERANCE, True))
+
+    def test_past_the_depth_limit(self):
+        with pytest.raises(BracketFailure, match="deeper than the depth limit"):
+            solve_ground_state(0.1872)
 
 
 def test_tableau_is_scipys():
