@@ -1,0 +1,70 @@
+"""Run the fixed pipelines and print a digest of the data they write.
+
+A change that must move no number is checked by running this on the
+parent commit and on the change, then diffing the two digests:
+
+    python scripts/fixed_pipelines.py OUT > digest.txt
+
+Each pipeline runs in a fresh process on the ``src`` of the checkout this
+script sits in and writes into its own directory under OUT.  The digest
+is one ``sha256  path`` line per data file (``manifest.json`` is left out,
+as it holds the wall time), then the repr of
+``certify_e_min_by_flow(320.0)``.  It takes about 35 s on a 2-core host.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: the benchmark landscape's frequency window, as a --config file
+WINDOW = "omega_min = 0.004\nomega_max = 0.15\n"
+#: (output directory, CLI arguments, --config text or None)
+PIPELINES = (
+    ("scan", ("scan", "--grid-size", "12", "--omega-min", "0.004",
+              "--omega-max", "0.15", "--derivatives"), None),
+    ("critical", ("critical",), None),
+    ("landscape-2", ("landscape", "--mass-grid", "2", "--grid-size", "5",
+                     "--ode-tol", "1e-10"), WINDOW),
+    ("landscape-12", ("landscape", "--mass-grid", "12", "--grid-size", "5",
+                      "--ode-tol", "1e-10", "--omega-min", "0.004",
+                      "--omega-max", "0.15"), None),
+    ("classify", ("classify", "--mass-ratio", "1.5"), None),
+    ("evolve", ("evolve", "--omega", "0.073", "--t-end", "2"), None),
+    ("spectra", ("spectra", "--omega", "0.12"), None),
+    ("solve-0.09", ("solve", "--omega", "0.09"), None),
+    ("solve-0.185", ("solve", "--omega", "0.185"), None),
+    ("validate", ("validate",), None),
+)
+CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
+           "print(repr(certify_e_min_by_flow(320.0)))")
+
+
+def _python(*args: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def main(out: Path):
+    for name, argv, config in PIPELINES:
+        target = out / name
+        target.mkdir(parents=True, exist_ok=True)
+        extra = ()
+        if config is not None:
+            (target / "config.txt").write_text(config)
+            extra = ("--config", str(target / "config.txt"))
+        _python("-m", "cqnls.cli", *argv, *extra, "--out", str(target))
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name != "manifest.json":
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out)}")
+    print(_python("-c", CERTIFY), end="")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT")
+    main(Path(sys.argv[1]))

@@ -30,6 +30,8 @@ STABLE = "stable"
 UNSTABLE = "unstable"
 CRITICAL = "critical"
 UNCLASSIFIED = "unclassified"
+#: largest |beta - target| of a beta inversion's returned iterate
+BETA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,6 @@ class FrequencyCurve:
 
     def betas(self) -> np.ndarray:
         return np.array([p.beta for p in self.points])
-
-    def energies(self) -> np.ndarray:
-        return np.array([p.energy for p in self.points])
 
     def to_csv(self, path: str | Path):
         with Path(path).open("w", newline="") as fh:
@@ -216,21 +215,28 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
                           derivative_checks=tuple(final_checks))
 
 
-def monotone_root(value_at, target: float, lo: float, hi: float, xtol: float,
-                  not_bracketed=TargetNotBracketed, end_tol: float = 0.0,
-                  end_values=None):
-    """Root of value_at(x) = target on a bracket where value_at is monotone.
+def monotone_root(value_at, target: float, nodes, xtol: float, end_tol: float = 0.0):
+    """Root of value_at(x) = target on a branch where value_at is monotone.
 
-    ``value_at(x)`` returns ``(value, payload)``; ``end_values`` are the
-    values at lo and hi when they are already known (scanned nodes), so
-    they cost no evaluation.  An end within ``end_tol`` of the target is
-    accepted as it stands, and ends that do not straddle the target raise
-    ``not_bracketed``.  Otherwise Brent's method runs to ``xtol`` and the
-    evaluated iterate with the smallest |value - target| is returned as
-    ``(x, value, payload)``: always a point that value_at was called at.
+    ``value_at(x)`` returns ``(value, payload)``; ``nodes`` are the known
+    ``(x, value)`` pairs in increasing x, which cost no evaluation.  The
+    bracket is the first pair of consecutive nodes whose values straddle
+    the target; without one, the end node nearest it is the candidate.  A
+    bracket end or candidate within ``end_tol`` of the target is accepted
+    as it stands; a candidate farther off raises ``TargetNotBracketed``.
+    Otherwise Brent's method runs to ``xtol`` and returns the evaluated
+    iterate nearest the target as ``(x, value, payload)``.
     """
-    known = dict(zip((lo, hi), end_values)) if end_values is not None else {}
-    evaluated = {}
+    bracket = next(((a, b) for a, b in zip(nodes, nodes[1:])
+                    if (a[1] - target) * (b[1] - target) <= 0), None)
+    ends = bracket or (min(nodes[0], nodes[-1], key=lambda n: abs(n[1] - target)),)
+    for x, value in ends:
+        if abs(value - target) <= end_tol:
+            return (x, *value_at(x))
+    if bracket is None:
+        raise TargetNotBracketed(f"{target} not bracketed by the node values "
+                                 f"{nodes[0][1]:.6g} to {nodes[-1][1]:.6g}")
+    known, evaluated = dict(bracket), {}
 
     def residual(x):
         if x in known:
@@ -239,54 +245,33 @@ def monotone_root(value_at, target: float, lo: float, hi: float, xtol: float,
             evaluated[x] = value_at(x)
         return evaluated[x][0] - target
 
-    r_lo, r_hi = residual(lo), residual(hi)
-    for end, r in ((lo, r_lo), (hi, r_hi)):
-        if abs(r) <= end_tol:
-            return (end, *(evaluated.get(end) or value_at(end)))
-    if r_lo * r_hi > 0:
-        raise not_bracketed(
-            f"{target} not bracketed on [{lo}, {hi}] "
-            f"(values {r_lo + target:.6g}, {r_hi + target:.6g})"
-        )
-    root = brentq(residual, lo, hi, xtol)
+    root = brentq(residual, bracket[0][0], bracket[1][0], xtol)
     if not evaluated:
         evaluated[root] = value_at(root)
     best = min(evaluated, key=lambda x: abs(evaluated[x][0] - target))
     return (best, *evaluated[best])
 
 
-def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE,
-                beta_tol: float = 1e-8):
+def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE):
     """Frequency with beta(omega) = target by Brent's method with fresh solves.
 
     Exploits strict monotonicity of beta: the scanned nodes bracket the
-    target and lend their beta values to the bracket ends.  The search runs
-    to 1e-12 in omega and returns the solved iterate nearest the target as
+    target and lend it their beta values.  The search runs to 1e-12 in
+    omega and returns the solved iterate nearest the target as
     (omega, profile, report); ToleranceNotMet is raised when that iterate
-    misses the target by more than beta_tol.
+    misses the target by more than ``BETA_TOL``.
     """
-    betas = curve.betas()
-    omegas = curve.omegas()
-    idx = np.nonzero((betas[:-1] - target) * (betas[1:] - target) <= 0.0)[0]
-    if idx.size == 0:
-        raise TargetNotBracketed(
-            f"beta = {target} not bracketed by scanned range "
-            f"[{betas.min():.4g}, {betas.max():.4g}]"
-        )
-    i = int(idx[0])
-
     def beta_at(omega):
         profile = solve_ground_state(omega, ode_tolerance)
         rep = evaluate(profile)
         return rep.beta, (profile, rep)
 
-    omega, beta, (profile, rep) = monotone_root(
-        beta_at, target, float(omegas[i]), float(omegas[i + 1]), 1e-12,
-        end_values=(float(betas[i]), float(betas[i + 1])))
-    if abs(beta - target) > beta_tol:
+    nodes = [(p.omega, p.beta) for p in curve.points]
+    omega, beta, (profile, rep) = monotone_root(beta_at, target, nodes, 1e-12)
+    if abs(beta - target) > BETA_TOL:
         raise ToleranceNotMet(
             f"beta = {target} missed by {abs(beta - target):.3g} at omega = "
-            f"{omega!r}, beyond beta_tol = {beta_tol:g}"
+            f"{omega!r}, beyond BETA_TOL = {BETA_TOL:g}"
         )
     return omega, profile, rep
 

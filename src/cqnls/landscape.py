@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .curves import (CriticalFrequencies, FrequencyCurve, CRITICAL, STABLE,
                      UNSTABLE, monotone_root)
-from .errors import MassBeyondScan
+from .errors import MassBeyondScan, TargetNotBracketed
 from .functionals import evaluate
 from .geometry import rescale_energy_factor, rescale_mass_factor
 from .shooting import ODE_TOLERANCE, solve_ground_state
@@ -62,34 +62,6 @@ class LandscapeRecord:
     e_min_v_infinite: bool
     minimizer_kind: str
 
-    def as_dict(self) -> dict:
-        return {
-            "prescribed_mass": self.prescribed_mass,
-            "e_min": self.e_min,
-            "e_min_achieved": self.e_min_achieved,
-            "e_min_v": self.e_min_v,
-            "e_min_v_infinite": self.e_min_v_infinite,
-            "minimizer_kind": self.minimizer_kind,
-        }
-
-
-def _narrow_bracket(target, branch_points, value_of, lo, hi, increasing):
-    """Shrink [lo, hi] using already-scanned curve nodes on the branch.
-
-    The branch value is monotone in omega (rising when ``increasing``), so
-    consecutive scanned nodes either bracket the target or push it out to
-    an endpoint interval.
-    """
-    nodes = [(p.omega, value_of(p)) for p in branch_points if lo < p.omega < hi]
-    if not nodes:
-        return lo, hi
-    for (om_a, v_a), (om_b, v_b) in zip(nodes, nodes[1:]):
-        if (v_a - target) * (v_b - target) <= 0:
-            return om_a, om_b
-    if (target < nodes[0][1]) == increasing:
-        return lo, nodes[0][0]
-    return nodes[-1][0], hi
-
 
 def _mass(x) -> float:
     return x.mass
@@ -105,8 +77,9 @@ def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance):
     ``value_of`` reads a curve point or a functional report; its curve has
     the single minimum value_min at ``split``, decreasing on the lower
     branch and increasing on the upper one.  Within 1e-9 value_min of that
-    minimum m meets the critical branch alone.  A branch whose scanned
-    values never reach m is skipped.
+    minimum m meets the critical branch alone.  Each branch is searched
+    over its scanned nodes and (split, value_min), which cost no solve; a
+    branch whose nodes never reach m is skipped.
     """
     tol = 1e-9 * value_min
     if m < value_min - tol:
@@ -118,17 +91,15 @@ def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance):
         rep = evaluate(solve_ground_state(omega, ode_tolerance))
         return value_of(rep), rep
 
-    omegas = curve.omegas()
+    lower = [(p.omega, value_of(p)) for p in curve.points if p.omega < split]
+    upper = [(p.omega, value_of(p)) for p in curve.points if p.omega > split]
     roots = []
-    for lo, hi, branch in ((float(omegas.min()), split, LOWER_BRANCH),
-                           (split, float(omegas.max()), UPPER_BRANCH)):
-        lo, hi = _narrow_bracket(m, curve.points, value_of, lo, hi,
-                                 increasing=branch == UPPER_BRANCH)
+    for branch, nodes in ((LOWER_BRANCH, lower + [(split, value_min)]),
+                          (UPPER_BRANCH, [(split, value_min)] + upper)):
         try:
-            omega, _, rep = monotone_root(value_at, m, lo, hi, 1e-12,
-                                          not_bracketed=MassBeyondScan,
+            omega, _, rep = monotone_root(value_at, m, nodes, 1e-12,
                                           end_tol=_MASS_REL_TOL * m)
-        except MassBeyondScan:
+        except TargetNotBracketed:
             # a branch can run off the scanned window
             continue
         roots.append((branch, omega, rep))

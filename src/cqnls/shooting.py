@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import heapq
 import importlib.util
 import math
@@ -42,7 +43,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import depth_table
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
                        even_grid)
@@ -794,8 +794,14 @@ def _scaled_depth(omega: float, depth: float) -> tuple[float, float]:
     return math.log(gap), gap * depth
 
 
-#: the depth table in (x, y), in increasing x
-_TABLE = sorted(_scaled_depth(omega, depth) for omega, depth in depth_table.GROUND_DEPTHS)
+@functools.cache
+def _table() -> tuple[tuple[float, float], ...]:
+    """The depth table in (x, y), in increasing x, read at first use: a
+    table that fails to import must not block the solves regenerating it."""
+    from . import depth_table
+    return tuple(sorted(_scaled_depth(*node) for node in depth_table.GROUND_DEPTHS))
+
+
 #: table nodes per prediction
 _TABLE_POINTS = 8
 #: largest shift of a root per unit of ODE tolerance, relative, away from
@@ -806,6 +812,7 @@ _TOLERANCE_SHIFT = 20.0
 
 def _table_shift(ode_tolerance: float) -> float:
     """Relative error a table value may carry at ``ode_tolerance``."""
+    from . import depth_table
     return _TOLERANCE_SHIFT * abs(ode_tolerance - depth_table.ODE_TOLERANCE)
 
 
@@ -827,10 +834,11 @@ def _predict(omega: float, ode_tolerance: float) -> tuple[float, float] | None:
                   if key[1] == ode_tolerance and key in _depths)
     candidates = [_newton_predict(x, heapq.nsmallest(4, cached.items(),
                                                      key=lambda s: abs(s[0] - x)))]
-    i = bisect.bisect(_TABLE, x, key=lambda node: node[0])
-    if 0 < i < len(_TABLE):
-        start = min(max(i - _TABLE_POINTS // 2, 0), len(_TABLE) - _TABLE_POINTS)
-        table = _newton_predict(x, _TABLE[start:start + _TABLE_POINTS])
+    nodes = _table()
+    i = bisect.bisect(nodes, x, key=lambda node: node[0])
+    if 0 < i < len(nodes):
+        start = min(max(i - _TABLE_POINTS // 2, 0), len(nodes) - _TABLE_POINTS)
+        table = _newton_predict(x, nodes[start:start + _TABLE_POINTS])
         if table is not None:
             y, err = table
             candidates.append((y, err + _table_shift(ode_tolerance) * abs(y)))
@@ -880,6 +888,7 @@ def solve_cubic_reference(ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile
     key = ("cubic", ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
+    from . import depth_table
     a = depth_table.CUBIC_AMPLITUDE
     profile = _solve(1.0, ode_tolerance, quintic=False,
                      prediction=(a, _table_shift(ode_tolerance) * a))

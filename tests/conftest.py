@@ -27,6 +27,15 @@ def curve():
 
 
 @pytest.fixture(scope="session")
+def small_scan():
+    """5-node [0.004, 0.15] scan at ODE tolerance 1e-10, and that tolerance."""
+    ode_tolerance = 1e-10
+    swept = scan(default_omega_grid(5, 0.004, 0.15), ode_tolerance)
+    assert not swept.failures
+    return swept, ode_tolerance
+
+
+@pytest.fixture(scope="session")
 def crit(curve):
     return locate_critical(curve)
 

@@ -1,4 +1,5 @@
 import json
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -25,6 +26,15 @@ class TestParser:
         args = build_parser().parse_args(
             [command, "--grid-size", "5", "--omega-min", "0.01", "--omega-max", "0.1"])
         assert (args.grid_size, args.omega_min, args.omega_max) == ("5", "0.01", "0.1")
+
+    def test_fixed_pipelines_parse(self):
+        # every command line of the no-drift digest is one the CLI accepts
+        script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts"
+                                    / "fixed_pipelines.py"))
+        parser = build_parser()
+        for name, argv, _ in script["PIPELINES"]:
+            args = parser.parse_args([*argv, "--out", name, "--config", "window.txt"])
+            assert args.command == argv[0]
 
 
 class TestSolve:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +11,10 @@ from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
                           default_omega_grid, derivative_step, differentiate,
                           invert_beta, monotone_root, scan)
 from cqnls.errors import (EmptyGrid, InsufficientCoverage, InsufficientPoints,
-                          MassBeyondScan, TargetNotBracketed, ToleranceNotMet)
+                          TargetNotBracketed, ToleranceNotMet)
 from cqnls.functionals import evaluate
 from cqnls.profiles import OMEGA_MAX
+from cqnls.roots import brentq
 
 
 class TestDefaultGrid:
@@ -89,7 +92,10 @@ class TestInvertBeta:
 
 
 class TestMonotoneRoot:
-    """x^3 = target on [0, 1]; the payload records the point evaluated."""
+    """x^3 = target over nodes in [0, 1]; the payload records the point
+    evaluated."""
+
+    NODES = [(0.0, 0.0), (0.5, 0.125), (1.0, 1.0)]
 
     def cube(self, calls):
         def value_at(x):
@@ -99,85 +105,119 @@ class TestMonotoneRoot:
 
     def test_returns_best_evaluated_iterate(self):
         calls = []
-        x, value, payload = monotone_root(self.cube(calls), 0.125, 0.0, 1.0, 1e-12)
+        x, value, payload = monotone_root(self.cube(calls), 0.125,
+                                          [(0.0, 0.0), (1.0, 1.0)], 1e-12)
         assert payload == ("payload", x) and value == x**3
         assert abs(value - 0.125) == min(abs(c**3 - 0.125) for c in calls)
         assert abs(x - 0.5) < 1e-12
 
     def test_known_end_values_cost_no_evaluation(self):
         calls = []
-        x, _, _ = monotone_root(self.cube(calls), 0.125, 0.0, 1.0, 1e-12,
-                                end_values=(0.0, 1.0))
-        assert 0.0 not in calls and 1.0 not in calls
-        assert x in calls
+        x, _, _ = monotone_root(self.cube(calls), 0.5, self.NODES, 1e-12)
+        assert not {node for node, _ in self.NODES} & set(calls)
+        assert x in calls and all(0.5 < c < 1.0 for c in calls)
 
     def test_end_point_hit(self):
+        # past the last node by less than end_tol: that node, evaluated once
         calls = []
-        x, value, payload = monotone_root(self.cube(calls), 1.0 + 1e-12, 0.0, 1.0,
-                                          1e-12, end_tol=1e-9)
+        x, value, payload = monotone_root(self.cube(calls), 1.0 + 1e-12,
+                                          self.NODES, 1e-12, end_tol=1e-9)
         assert (x, value, payload) == (1.0, 1.0, ("payload", 1.0))
-        assert calls == [0.0, 1.0]
-        # a known end is evaluated once it is the answer
-        calls.clear()
-        x, _, payload = monotone_root(self.cube(calls), 0.0, 0.0, 1.0, 1e-12,
-                                      end_values=(0.0, 1.0))
-        assert (x, payload, calls) == (0.0, ("payload", 0.0), [0.0])
+        assert calls == [1.0]
+        # a bracket end within end_tol is the answer, also when end_tol is 0
+        for target, end_tol, node in ((0.125 + 1e-12, 1e-9, 0.5), (0.0, 0.0, 0.0)):
+            calls.clear()
+            x, _, payload = monotone_root(self.cube(calls), target, self.NODES,
+                                          1e-12, end_tol=end_tol)
+            assert (x, payload, calls) == (node, ("payload", node), [node])
 
-    def test_unbracketed_raises_callers_error(self):
+    def test_unbracketed_raises_target_not_bracketed(self):
+        calls = []
+        with pytest.raises(TargetNotBracketed, match="not bracketed"):
+            monotone_root(self.cube(calls), 2.0, self.NODES, 1e-12)
+        # the nearest end node is the only candidate, and it is not evaluated
         with pytest.raises(TargetNotBracketed):
-            monotone_root(self.cube([]), 2.0, 0.0, 1.0, 1e-12)
-        with pytest.raises(MassBeyondScan, match="not bracketed"):
-            monotone_root(self.cube([]), 2.0, 0.0, 1.0, 1e-12,
-                          not_bracketed=MassBeyondScan)
+            monotone_root(self.cube(calls), -0.5, self.NODES, 1e-12, end_tol=0.4)
+        assert calls == []
 
     @settings(max_examples=150, deadline=None)
     @given(slope=st.floats(0.1, 10.0), cubic=st.floats(0.0, 5.0),
            root=st.floats(-2.1, 2.1), sign=st.sampled_from([1.0, -1.0]),
            xtol=st.sampled_from([1e-12, 1e-8, 1e-4]),
-           end_tol=st.sampled_from([0.0, 1e-3, 0.5]), known=st.booleans())
+           end_tol=st.sampled_from([0.0, 1e-3, 0.5]),
+           grid=st.lists(st.integers(-64, 64), min_size=1, max_size=8, unique=True))
     # an end exactly end_tol off the target is accepted
     @example(slope=1.0, cubic=0.0, root=-1.5, sign=-1.0, xtol=1e-12,
-             end_tol=0.5, known=False)
+             end_tol=0.5, grid=[-64, 64])
     def test_random_monotone_functions(self, slope, cubic, root, sign, xtol,
-                                       end_tol, known):
-        lo, hi = -2.0, 2.0
+                                       end_tol, grid):
         calls = {}
 
-        def value_at(x):
+        def f(x):
             d = x - root
-            calls[x] = sign * (slope * d + cubic * d**3)
+            return sign * (slope * d + cubic * d**3)
+
+        def value_at(x):
+            calls[x] = f(x)
             return calls[x], ("payload", x)
 
-        r_lo, r_hi = value_at(lo)[0], value_at(hi)[0]
-        calls.clear()
-        args = (value_at, 0.0, lo, hi, xtol)
-        kwargs = {"end_tol": end_tol, "end_values": (r_lo, r_hi) if known else None}
-        if min(abs(r_lo), abs(r_hi)) > end_tol and r_lo * r_hi > 0:
+        nodes = [(k / 32.0, f(k / 32.0)) for k in sorted(grid)]
+        bracket = next(((a, b) for a, b in zip(nodes, nodes[1:])
+                        if a[1] * b[1] <= 0), None)
+        ends = bracket or (min(nodes[0], nodes[-1], key=lambda n: abs(n[1])),)
+        hits = [x for x, value in ends if abs(value) <= end_tol]
+        args = (value_at, 0.0, nodes, xtol)
+        if not hits and bracket is None:
             with pytest.raises(TargetNotBracketed):
-                monotone_root(*args, **kwargs)
+                monotone_root(*args, end_tol=end_tol)
+            assert calls == {}
             return
-        x, value, payload = monotone_root(*args, **kwargs)
+        x, value, payload = monotone_root(*args, end_tol=end_tol)
         # always a point value_at was called at, with what it returned there
         assert x in calls and value == calls[x] and payload == ("payload", x)
-        if abs(r_lo) <= end_tol:
-            assert x == lo
-        elif abs(r_hi) <= end_tol:
-            assert x == hi
+        if hits:
+            assert x == hits[0] and list(calls) == [x]
         else:
             # Brent's last iterate is within xtol (plus brentq's relative
-            # 4 eps) of the root, and no evaluated point is worse
-            steepest = slope + 3.0 * cubic * (hi - lo) ** 2
+            # 4 eps) of the root, no evaluated point is worse, and no node
+            # was evaluated
+            (lo, _), (hi, _) = bracket
+            steepest = slope + 3.0 * cubic * 4.0**2
             assert lo <= x <= hi
+            assert not {node for node, _ in nodes} & set(calls)
             assert abs(value) == min(abs(v) for v in calls.values())
             assert abs(value) <= steepest * (xtol + 8.9e-16 * abs(root)) + 1e-15
 
+    @settings(max_examples=200, deadline=None)
+    @given(grid=st.lists(st.integers(0, 64), min_size=1, max_size=12, unique=True),
+           root=st.floats(-0.2, 1.2), increasing=st.booleans())
+    def test_bracket_is_first_gap_holding_the_root(self, grid, root, increasing):
+        # nodes on a 1/64 grid keep every value off the underflow of a
+        # product of two tiny values; only the sign of value - target matters
+        sign = 1.0 if increasing else -1.0
+        nodes = [(k / 64.0, sign * (k / 64.0 - root)) for k in sorted(grid)]
+        gaps = [(a, b) for (a, _), (b, _) in zip(nodes, nodes[1:]) if a <= root <= b]
+        brackets = []
 
-@pytest.fixture(scope="module")
-def small_scan():
-    ode_tolerance = 1e-10
-    swept = scan(default_omega_grid(5, 0.004, 0.15), ode_tolerance)
-    assert not swept.failures
-    return swept, ode_tolerance
+        def spy(f, a, b, xtol):
+            brackets.append((a, b))
+            return brentq(f, a, b, xtol)
+
+        def value_at(x):
+            return sign * (x - root), None
+
+        on_node = root in {node for node, _ in nodes}
+        with mock.patch.object(curves, "brentq", spy):
+            if not gaps and not on_node:
+                with pytest.raises(TargetNotBracketed):
+                    monotone_root(value_at, 0.0, nodes, 1e-12)
+                return
+            x, _, _ = monotone_root(value_at, 0.0, nodes, 1e-12)
+        if on_node:
+            # a root on a node is that node, without a search
+            assert x == root and brackets == []
+        else:
+            assert brackets == gaps[:1]
 
 
 class TestInvertBetaSmallScan:
@@ -203,10 +243,11 @@ class TestInvertBetaSmallScan:
         monkeypatch.setattr(shooting, "_profile_cache", {})
         assert evaluate(shooting.solve_ground_state(omega, ode_tolerance)).mass == rep.mass
 
-    def test_unreachable_beta_tol_raises(self, small_scan):
+    def test_unreachable_beta_tol_raises(self, small_scan, monkeypatch):
         swept, ode_tolerance = small_scan
+        monkeypatch.setattr(curves, "BETA_TOL", 1e-20)
         with pytest.raises(ToleranceNotMet, match=r"beta = 0\.3333.* missed by"):
-            invert_beta(1.0 / 3.0, swept, ode_tolerance, beta_tol=1e-20)
+            invert_beta(1.0 / 3.0, swept, ode_tolerance)
 
 
 class TestCriticalAndStability:

@@ -1,13 +1,10 @@
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from cqnls import landscape
+from cqnls import landscape, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
-                          FrequencyCurve, FrequencyCurvePoint)
+                          FrequencyCurve, FrequencyCurvePoint, locate_critical)
 from cqnls.errors import MassBeyondScan
 from cqnls.landscape import (CRITICAL_BRANCH, KIND_BOUNDARY_Q1,
                              KIND_GROUND_STATE, KIND_NONE, LOWER_BRANCH,
@@ -86,24 +83,21 @@ class TestBranchDirection:
             0.024 + (100.0 / self.K) ** 0.5, rel=1e-6)
 
 
-@settings(max_examples=200, deadline=None)
-@given(nodes=st.lists(st.integers(0, 64), max_size=12, unique=True),
-       ends=st.lists(st.integers(0, 64), min_size=2, max_size=2, unique=True),
-       root=st.floats(-0.2, 1.2), increasing=st.booleans())
-def test_narrow_bracket_agrees_with_brute_force(nodes, ends, root, increasing):
-    # nodes on a 1/64 grid keep every value off the underflow of a product
-    # of two tiny values; only the sign of value - target matters
-    omegas = sorted(k / 64.0 for k in nodes)
-    lo, hi = sorted(k / 64.0 for k in ends)
-    sign = 1.0 if increasing else -1.0
-    points = [SimpleNamespace(omega=om, value=sign * (om - root)) for om in omegas]
-    bracket = landscape._narrow_bracket(0.0, points, lambda p: p.value, lo, hi,
-                                        increasing)
-    # every gap between consecutive points of lo, the nodes inside and hi
-    # that holds the root (clamped to [lo, hi]); two when it is a node
-    ladder = [lo] + [om for om in omegas if lo < om < hi] + [hi]
-    clamped = min(max(root, lo), hi)
-    assert bracket in [(a, b) for a, b in zip(ladder, ladder[1:]) if a <= clamped <= b]
+def test_branch_inversions_solve_at_no_scanned_node(small_scan, monkeypatch):
+    # the scanned nodes and the split lend their values to the bracket
+    swept, ode_tolerance = small_scan
+    crit = locate_critical(swept, ode_tolerance)
+    solved = []
+
+    def spy(omega, tol):
+        solved.append(omega)
+        return shooting.solve_ground_state(omega, tol)
+    monkeypatch.setattr(landscape, "solve_ground_state", spy)
+    assert classify_normalized(1.3 * crit.m0, swept, crit, ode_tolerance).count == 2
+    record = e_min_landscape(0.95 * crit.m_q1, swept, crit, ode_tolerance)
+    assert not record.e_min_v_infinite
+    known = {p.omega for p in swept.points} | {crit.omega_star, crit.omega_upper_star}
+    assert solved and not known & set(solved)
 
 
 class TestEMinLandscape:

@@ -1,6 +1,9 @@
 import functools
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -504,6 +507,20 @@ class TestDepthTable:
     def test_past_the_depth_limit(self):
         with pytest.raises(BracketFailure, match="deeper than the depth limit"):
             solve_ground_state(0.1872)
+
+
+def test_cold_solve_runs_without_the_depth_table():
+    # scripts/make_depth_table.py regenerates the table by cold solves, so
+    # a table that fails to import must not stop them: only the seeded
+    # solves read it
+    code = ("import sys; sys.modules['cqnls.depth_table'] = None\n"
+            "from cqnls import shooting\n"
+            "print(shooting._solve(0.09, 1e-12, True).amplitude)")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) == shooting._solve(0.09, 1e-12, True).amplitude
 
 
 def test_tableau_is_scipys():
