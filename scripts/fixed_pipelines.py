@@ -9,7 +9,11 @@ Each pipeline runs in a fresh process on the ``src`` of the checkout this
 script sits in and writes into its own directory under OUT.  The digest
 is one ``sha256  path`` line per data file (``manifest.json`` is left out,
 as it holds the wall time), then the repr of
-``certify_e_min_by_flow(320.0)``.  It takes about 35 s on a 2-core host.
+``certify_e_min_by_flow(320.0)``, then the accepted DOP853 steps and the
+``_shoot`` calls of one cold and one seeded ground-state solve at each of
+omega = 0.01, 0.09 (amplitude shooting) and 0.185 (plateau shooting), so
+a stepper change that moves a single step shows in the diff.  It takes
+about 20 s on a 2-core host.
 """
 
 import hashlib
@@ -40,6 +44,34 @@ PIPELINES = (
 )
 CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
            "print(repr(certify_e_min_by_flow(320.0)))")
+#: accepted steps (summed over ``_march`` runs) and ``_shoot`` calls per
+#: solve; the cold solve bisects from the default bracket, the seeded one
+#: from the depth table's prediction, each with empty caches
+COUNTS = """
+from cqnls import shooting
+march, shoot, tally = shooting._march, shooting._shoot, [0, 0]
+
+def counted_march(*args, **kwargs):
+    result = march(*args, **kwargs)
+    tally[0] += result[1]
+    return result
+
+def counted_shoot(*args, **kwargs):
+    tally[1] += 1
+    return shoot(*args, **kwargs)
+
+shooting._march, shooting._shoot = counted_march, counted_shoot
+for omega in (0.01, 0.09, 0.185):
+    for label in ("cold", "seeded"):
+        shooting._profile_cache.clear()
+        shooting._depths.clear()
+        tally[:] = [0, 0]
+        if label == "cold":
+            shooting._solve(omega, shooting.ODE_TOLERANCE, True)
+        else:
+            shooting.solve_ground_state(omega)
+        print(f"omega={omega} {label}: {tally[0]} accepted steps, {tally[1]} shots")
+"""
 
 
 def _python(*args: str) -> str:
@@ -62,6 +94,7 @@ def main(out: Path):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
     print(_python("-c", CERTIFY), end="")
+    print(_python("-c", COUNTS), end="")
 
 
 if __name__ == "__main__":

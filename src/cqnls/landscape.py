@@ -12,6 +12,7 @@ below M(Q_1).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,6 +111,11 @@ _BRANCH_STABILITY = {LOWER_BRANCH: UNSTABLE, CRITICAL_BRANCH: CRITICAL,
                      UPPER_BRANCH: STABLE}
 
 
+def _ground_roots(m, curve, crit, ode_tolerance):
+    """``_branch_roots`` of the ground-state mass curve at mass m."""
+    return _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance)
+
+
 def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
                         ode_tolerance: float = ODE_TOLERANCE) -> ClassificationResult:
     """Count and locate the positive normalized solutions of mass m.
@@ -119,22 +125,22 @@ def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequenci
     when no branch reaches it at all.  Below m0 by more than 1e-9 m0 there
     is none.
     """
+    return _classification(m, crit, functools.partial(_ground_roots, m, curve, crit,
+                                                      ode_tolerance))
+
+
+def _classification(m, crit, ground_roots) -> ClassificationResult:
+    """``classify_normalized`` on the ground branches' ``ground_roots()``."""
     if m <= 0:
         raise ValueError("prescribed mass must be positive")
     if m < crit.m0 - 1e-9 * crit.m0:
         return ClassificationResult(m, 0, (), (), ())
-    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance)
+    roots = ground_roots()
     if not roots:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
     branches = tuple(branch for branch, _, _ in roots)
     return ClassificationResult(m, len(roots), tuple(omega for _, omega, _ in roots),
                                 branches, tuple(_BRANCH_STABILITY[b] for b in branches))
-
-
-def _ground_branch_energies(m, curve, crit, ode_tolerance):
-    """E at every ground-state solution with mass m (may be empty)."""
-    roots = _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance)
-    return [rep.energy for _, _, rep in roots]
 
 
 def _rescaled_branch_energies(m, curve, crit, ode_tolerance):
@@ -147,6 +153,12 @@ def _rescaled_branch_energies(m, curve, crit, ode_tolerance):
 def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
                     ode_tolerance: float = ODE_TOLERANCE) -> LandscapeRecord:
     """The five-case structure of E_min(m) and E_min^V(m)."""
+    return _landscape_record(m, curve, crit, ode_tolerance,
+                             functools.partial(_ground_roots, m, curve, crit, ode_tolerance))
+
+
+def _landscape_record(m, curve, crit, ode_tolerance, ground_roots) -> LandscapeRecord:
+    """``e_min_landscape`` on the ground branches' ``ground_roots()``."""
     if m <= 0:
         raise ValueError("prescribed mass must be positive")
     tol_q1 = 1e-9 * crit.m_q1
@@ -158,7 +170,7 @@ def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
             return LandscapeRecord(m, 0.0, False, None, True, KIND_NONE)
         candidates = _rescaled_branch_energies(m, curve, crit, ode_tolerance)
         kind = KIND_RESCALED_SOLITON
-        ground = _ground_branch_energies(m, curve, crit, ode_tolerance)
+        ground = [rep.energy for _, _, rep in ground_roots()]
         if ground:
             best_ground = min(ground)
             if not candidates or best_ground < min(candidates):
@@ -169,7 +181,7 @@ def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
     if abs(m - crit.m_q1) <= tol_q1:
         return LandscapeRecord(m, 0.0, True, 0.0, False, KIND_BOUNDARY_Q1)
 
-    energies = _ground_branch_energies(m, curve, crit, ode_tolerance)
+    energies = [rep.energy for _, _, rep in ground_roots()]
     if not energies:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
     energy = min(energies)
@@ -192,12 +204,14 @@ def certify_e_min_by_flow(m: float) -> float:
 
 
 def landscape_table(masses, curve, crit, ode_tolerance=ODE_TOLERANCE):
-    """One (LandscapeRecord, ClassificationResult) pair per mass."""
+    """One (LandscapeRecord, ClassificationResult) pair per mass, from one
+    inversion of each branch."""
     rows = []
-    for m in masses:
-        record = e_min_landscape(float(m), curve, crit, ode_tolerance)
-        classification = classify_normalized(float(m), curve, crit, ode_tolerance)
-        rows.append((record, classification))
+    for m in map(float, masses):
+        ground_roots = functools.cache(functools.partial(_ground_roots, m, curve, crit,
+                                                         ode_tolerance))
+        rows.append((_landscape_record(m, curve, crit, ode_tolerance, ground_roots),
+                     _classification(m, crit, ground_roots)))
     return rows
 
 

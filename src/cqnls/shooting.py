@@ -38,7 +38,6 @@ import importlib.util
 import math
 import os
 import runpy
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -144,28 +143,20 @@ def _event_thresholds(a: float):
     return 1e-9 * a, 1e-7 * a
 
 
+@functools.cache
 def _dop853_tableau() -> dict:
     """The namespace of scipy's ``dop853_coefficients.py``, run from its
-    source file: importing it would load all of ``scipy.integrate``."""
+    source file at first use (importing it would load all of
+    ``scipy.integrate``), with its coefficients as floats: row s of "A"
+    holds the s coefficients of stage s."""
     root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    return runpy.run_path(os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    t = runpy.run_path(os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    return {**t, "A": tuple(tuple(map(float, row[:s])) for s, row in enumerate(t["A"])),
+            **{name: tuple(map(float, t[name])) for name in ("B", "C", "E3", "E5")},
+            "D": tuple(tuple(map(float, row)) for row in t["D"])}
 
 
-# scipy's DOP853 on floats: its Butcher tableau (row s of _A holds the s
-# coefficients of stage s), error weights over all 13 stage derivatives,
-# the three extra stages and the 4 x 16 weights of its dense output, and
-# step-size control constants
-_DOP853 = _dop853_tableau()
-_N_STAGES = _DOP853["N_STAGES"]
-_A = tuple(tuple(map(float, _DOP853["A"][s, :s])) for s in range(1, _N_STAGES))
-_C = tuple(map(float, _DOP853["C"][1:_N_STAGES]))
-_B = tuple(map(float, _DOP853["B"]))
-_E3 = tuple(map(float, _DOP853["E3"]))
-_E5 = tuple(map(float, _DOP853["E5"]))
-_A_EXTRA = tuple(tuple(map(float, _DOP853["A"][s, :s]))
-                 for s in range(_N_STAGES + 1, _DOP853["N_STAGES_EXTENDED"]))
-_C_EXTRA = tuple(map(float, _DOP853["C"][_N_STAGES + 1:]))
-_D = tuple(tuple(map(float, row)) for row in _DOP853["D"])
+# step-size control constants of scipy's DOP853
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
 _SQRT2 = math.sqrt(2.0)  # RMS norms are over the two components
@@ -185,37 +176,6 @@ def _initial_step(rhs, r, u, up, fu, fp, length, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.125
     return min(100.0 * h0, h1, length)
-
-
-def _dop853_step(rhs, r, u, up, fu, fp, h):
-    """One DOP853 step of size h, as scipy's ``rk_step``.
-
-    Returns the new state and the 13 stage derivatives of each component;
-    the last one is the derivative at the new state.
-    """
-    ku, kp = [fu], [fp]
-    for a, c in zip(_A, _C):
-        g_u, g_p = rhs(r + c * h, u + sum(map(mul, ku, a)) * h,
-                       up + sum(map(mul, kp, a)) * h)
-        ku.append(g_u)
-        kp.append(g_p)
-    u_new = u + h * sum(map(mul, ku, _B))
-    up_new = up + h * sum(map(mul, kp, _B))
-    g_u, g_p = rhs(r + h, u_new, up_new)
-    ku.append(g_u)
-    kp.append(g_p)
-    return u_new, up_new, ku, kp
-
-
-def _error_norm(ku, kp, h, scale_u, scale_p):
-    """DOP853's combined E5/E3 error norm of one step."""
-    e5u, e5p = sum(map(mul, ku, _E5)) / scale_u, sum(map(mul, kp, _E5)) / scale_p
-    e3u, e3p = sum(map(mul, ku, _E3)) / scale_u, sum(map(mul, kp, _E3)) / scale_p
-    e5 = e5u * e5u + e5p * e5p
-    e3 = e3u * e3u + e3p * e3p
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
 
 
 class _Segment(NamedTuple):
@@ -241,22 +201,67 @@ class _Segment(NamedTuple):
         return out
 
 
-def _dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp) -> _Segment:
-    """The dense output of an accepted step, as scipy's DOP853: three
-    more stages extend the 13 stage derivatives ``ku``, ``kp`` (in place)
-    and weigh into the interpolant rows."""
-    h = r_new - r
-    for a, c in zip(_A_EXTRA, _C_EXTRA):
-        g_u, g_p = rhs(r + c * h, u + sum(map(mul, ku, a)) * h,
-                       up + sum(map(mul, kp, a)) * h)
-        ku.append(g_u)
-        kp.append(g_p)
-    rows = []
-    for y, y_new, k in ((u, u_new, ku), (up, up_new, kp)):
-        dy = y_new - y
-        rows.append((dy, h * k[0] - dy, 2 * dy - h * (k[_N_STAGES] + k[0]),
-                     *(h * sum(map(mul, k, d)) for d in _D)))
-    return _Segment(r, r_new, u, up, *rows)
+def _terms(k: str, coefficients) -> str:
+    """``sum(map(mul, k, coefficients))`` on stage names ``k0, k1, ...``,
+    written out: products added left to right as ``sum`` adds them, less
+    the zero coefficients a nonzero one follows.  A non-finite stage makes
+    every later one non-finite, so dropping their 0 * inf = nan terms
+    keeps the sum non-finite; trailing zeros stay."""
+    last = max(j for j, c in enumerate(coefficients) if c)
+    return "(" + " + ".join(f"{k}{j} * {c!r}" for j, c in enumerate(coefficients)
+                            if c or j > last) + ")"
+
+
+@functools.cache
+def _kernel():
+    """scipy's DOP853 on floats, as straight-line code from its tableau
+    compiled at first use: ``(step, error_norm, dense_segment)``.
+
+    ``step(rhs, r, u, up, fu, fp, h)`` is scipy's ``rk_step``: the new
+    state and the 13 stage derivatives of each component, the last one at
+    the new state.  ``error_norm(ku, kp, h, scale_u, scale_p)`` is the
+    E5/E3 norm of the step, and ``dense_segment`` the dense output of an
+    accepted one: three more stages and the interpolant rows.  Each sum
+    rounds as ``sum(map(mul, ...))`` does on Python 3.11 (``_terms``), so
+    finite results are the same bit for bit.
+    """
+    t = _dop853_tableau()
+    n, a, c = t["N_STAGES"], t["A"], t["C"]
+
+    def stages(first, stop):
+        return "".join(f"\n    ku{s}, kp{s} = rhs(r + {c[s]!r} * h, u + {_terms('ku', a[s])} * h, "
+                       f"up + {_terms('kp', a[s])} * h)" for s in range(first, stop))
+
+    def rows(y, k):
+        return (f"(d{y}, h * {k}0 - d{y}, 2 * d{y} - h * ({k}{n} + {k}0), "
+                + ", ".join(f"h * {_terms(k, d)}" for d in t["D"]) + ")")
+    ku, kp = (", ".join(f"{k}{j}" for j in range(n + 1)) for k in ("ku", "kp"))
+    source = f"""
+def step(rhs, r, u, up, ku0, kp0, h):{stages(1, n)}
+    u_new = u + h * {_terms("ku", t["B"])}
+    up_new = up + h * {_terms("kp", t["B"])}
+    ku{n}, kp{n} = rhs(r + h, u_new, up_new)
+    return u_new, up_new, ({ku}), ({kp})
+
+def error_norm(ku, kp, h, scale_u, scale_p):
+    ({ku}), ({kp}) = ku, kp
+    e5u, e5p = {_terms("ku", t["E5"])} / scale_u, {_terms("kp", t["E5"])} / scale_p
+    e3u, e3p = {_terms("ku", t["E3"])} / scale_u, {_terms("kp", t["E3"])} / scale_p
+    e5 = e5u * e5u + e5p * e5p
+    e3 = e3u * e3u + e3p * e3p
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return abs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2.0)
+
+def dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp):
+    ({ku}), ({kp}) = ku, kp
+    h = r_new - r{stages(n + 1, len(a))}
+    du, dp = u_new - u, up_new - up
+    return Segment(r, r_new, u, up, {rows("u", "ku")}, {rows("p", "kp")})
+"""
+    namespace = {"sqrt": math.sqrt, "Segment": _Segment}
+    exec(compile(source, "<dop853 kernel>", "exec"), namespace)
+    return namespace["step"], namespace["error_norm"], namespace["dense_segment"]
 
 
 class _DenseTrajectory:
@@ -317,6 +322,7 @@ def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step
     end of the step that found it, as ``solve_ivp(dense_output=True)``.
     """
     atol = rtol * 1e-2 if atol is None else atol
+    step, error_norm, dense_segment = _kernel()
     steps = 0
     if not r < r_end:
         return None, steps, r, u, up
@@ -333,9 +339,9 @@ def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step
                 return None, steps, r, u, up
             r_new = min(r + h_abs, r_end)
             h = r_new - r
-            u_new, up_new, ku, kp = _dop853_step(rhs, r, u, up, fu, fp, h)
-            error = _error_norm(ku, kp, h, atol + max(abs(u), abs(u_new)) * rtol,
-                                atol + max(abs(up), abs(up_new)) * rtol)
+            u_new, up_new, ku, kp = step(rhs, r, u, up, fu, fp, h)
+            error = error_norm(ku, kp, h, atol + max(abs(u), abs(u_new)) * rtol,
+                               atol + max(abs(up), abs(up_new)) * rtol)
             if error < 1.0:
                 factor = (_MAX_FACTOR if error == 0.0
                           else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
@@ -348,10 +354,10 @@ def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step
         fired = [k for k, d in enumerate(directions) if d * values[k] <= 0.0 <= d * new[k]]
         segment = None
         if segments is not None or len(fired) > 1:
-            segment = _dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp)
+            segment = dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp)
             if segments is not None:
                 segments.append(segment)
-        r, u, up, fu, fp = r_new, u_new, up_new, ku[_N_STAGES], kp[_N_STAGES]
+        r, u, up, fu, fp = r_new, u_new, up_new, ku[-1], kp[-1]
         if fired:
             if segment is None:
                 return fired[0], steps, r, u, up

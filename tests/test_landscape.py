@@ -1,3 +1,4 @@
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -98,6 +99,30 @@ def test_branch_inversions_solve_at_no_scanned_node(small_scan, monkeypatch):
     assert not record.e_min_v_infinite
     known = {p.omega for p in swept.points} | {crit.omega_star, crit.omega_upper_star}
     assert solved and not known & set(solved)
+
+
+def test_table_inverts_each_branch_once_per_mass(small_scan, monkeypatch):
+    # the record and the classification of a mass share its ground-branch
+    # roots, and give the rows of the two public calls
+    swept, ode_tolerance = small_scan
+    crit = locate_critical(swept, ode_tolerance)
+    calls = Counter()
+    real_branch_roots = landscape._branch_roots
+
+    def spy(m, curve, split, *args):
+        calls[m, split] += 1
+        return real_branch_roots(m, curve, split, *args)
+    monkeypatch.setattr(landscape, "_branch_roots", spy)
+    # on this scan m_threshold < m0 < m_q1 at 0.770 and 0.789 m_q1, so
+    # these take every case: no inversion, the rescaled branch alone, both
+    # branches, the Q_1 boundary and the ground branches alone
+    assert crit.m_threshold < 0.78 * crit.m_q1 < crit.m0 < 0.9 * crit.m_q1
+    masses = [r * crit.m_q1 for r in (0.5, 0.78, 0.9, 1.0, 1.5)]
+    rows = landscape_table(masses, swept, crit, ode_tolerance)
+    assert set(calls.values()) == {1}
+    assert {split for _, split in calls} == {crit.omega_star, crit.omega_upper_star}
+    assert rows == [(e_min_landscape(m, swept, crit, ode_tolerance),
+                     classify_normalized(m, swept, crit, ode_tolerance)) for m in masses]
 
 
 class TestEMinLandscape:

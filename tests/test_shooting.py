@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+from operator import add, mul
 from pathlib import Path
 from unittest import mock
 
@@ -524,16 +525,140 @@ def test_cold_solve_runs_without_the_depth_table():
 
 
 def test_tableau_is_scipys():
-    # read from the source file, without importing scipy.integrate
+    # read from the source file at first use, without importing
+    # scipy.integrate
     from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
-    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER", "A", "B", "C",
+    tableau = shooting._dop853_tableau()
+    for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER", "B", "C",
                  "E3", "E5", "D"):
-        assert np.array_equal(shooting._DOP853[name], getattr(scipy_tableau, name)), name
-    s = shooting._N_STAGES
-    assert shooting._A[-1] == tuple(scipy_tableau.A[s - 1, :s - 1])
-    assert shooting._A_EXTRA[-1] == tuple(scipy_tableau.A[-1, :-1])
-    assert shooting._D == tuple(map(tuple, scipy_tableau.D))
+        assert np.array_equal(tableau[name], getattr(scipy_tableau, name)), name
+    # row s of A holds the s coefficients of stage s
+    assert tableau["A"] == tuple(tuple(row[:s]) for s, row in enumerate(scipy_tableau.A))
+    assert tableau["D"] == tuple(map(tuple, scipy_tableau.D))
+
+
+def _generic_kernel():
+    """DOP853's step, error norm and dense output as stage loops over
+    scipy's tableau, each weighted sum a ``total(map(mul, ...))``: the
+    reference of the straight-line ``shooting._kernel``.  ``total`` is
+    ``sum`` as Python 3.11 adds floats, left to right from 0; from 3.12
+    ``sum`` compensates its rounding."""
+    from scipy.integrate._ivp import dop853_coefficients as t
+
+    n = t.N_STAGES
+    a = [tuple(map(float, t.A[s, :s])) for s in range(t.N_STAGES_EXTENDED)]
+    c, b, e3, e5 = (tuple(map(float, v)) for v in (t.C, t.B, t.E3, t.E5))
+    d = [tuple(map(float, row)) for row in t.D]
+
+    def total(terms):
+        return functools.reduce(add, terms, 0)
+
+    def stage(rhs, r, u, up, h, ku, kp, s):
+        g_u, g_p = rhs(r + c[s] * h, u + total(map(mul, ku, a[s])) * h,
+                       up + total(map(mul, kp, a[s])) * h)
+        ku.append(g_u)
+        kp.append(g_p)
+
+    def step(rhs, r, u, up, fu, fp, h):
+        ku, kp = [fu], [fp]
+        for s in range(1, n):
+            stage(rhs, r, u, up, h, ku, kp, s)
+        u_new = u + h * total(map(mul, ku, b))
+        up_new = up + h * total(map(mul, kp, b))
+        g_u, g_p = rhs(r + h, u_new, up_new)
+        return u_new, up_new, ku + [g_u], kp + [g_p]
+
+    def error_norm(ku, kp, h, scale_u, scale_p):
+        e5u, e5p = total(map(mul, ku, e5)) / scale_u, total(map(mul, kp, e5)) / scale_p
+        e3u, e3p = total(map(mul, ku, e3)) / scale_u, total(map(mul, kp, e3)) / scale_p
+        e5_sq, e3_sq = e5u * e5u + e5p * e5p, e3u * e3u + e3p * e3p
+        if e5_sq == 0.0 and e3_sq == 0.0:
+            return 0.0
+        return abs(h) * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * 2.0)
+
+    def dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp):
+        h, ku, kp = r_new - r, list(ku), list(kp)
+        for s in range(n + 1, t.N_STAGES_EXTENDED):
+            stage(rhs, r, u, up, h, ku, kp, s)
+        rows = []
+        for y, y_new, k in ((u, u_new, ku), (up, up_new, kp)):
+            dy = y_new - y
+            rows.append((dy, h * k[0] - dy, 2 * dy - h * (k[n] + k[0]),
+                         *(h * total(map(mul, k, row)) for row in d)))
+        return shooting._Segment(r, r_new, u, up, *rows)
+
+    return step, error_norm, dense_segment
+
+
+def _outcome(f, *args):
+    """f(*args) flattened to floats, or the type of what it raised."""
+    try:
+        result = f(*args)
+    except ArithmeticError as err:
+        return type(err)
+    flat = []
+    for item in result:
+        flat.extend(item if isinstance(item, (tuple, list)) else [item])
+    return flat
+
+
+def _same(ours, reference):
+    """Equal with ``==`` where finite, and not finite where not."""
+    if isinstance(reference, type):
+        return ours is reference
+    return len(ours) == len(reference) and all(
+        x == y or not (math.isfinite(x) or math.isfinite(y)) for x, y in zip(ours, reference))
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=st.one_of(st.tuples(st.just("quintic"), st.floats(0.004, 0.1869)),
+                         st.tuples(st.just("cubic"), st.just(1.0)),
+                         st.tuples(st.just("plateau"), st.floats(0.1551, 0.1869))),
+       r=st.floats(1e-3, 300.0), log_h=st.floats(-8.0, 2.0),
+       u=st.floats(-1e200, 1e200), up=st.floats(-1e200, 1e200),
+       depth=st.floats(1.0, 700.0), log_rtol=st.floats(-13.0, -2.0))
+@example(problem=("quintic", 0.09), r=1.0, log_h=-1.0, u=1e62, up=0.0, depth=1.0,
+         log_rtol=-12.0)
+@example(problem=("plateau", 0.185), r=200.0, log_h=1.0, u=1e60, up=-1e60, depth=1.0,
+         log_rtol=-12.0)
+@example(problem=("cubic", 1.0), r=1e-3, log_h=-8.0, u=0.0, up=0.0, depth=1.0,
+         log_rtol=-12.0)
+@example(problem=("plateau", 0.1596706622027397), r=0.1051677604860266, log_h=-2.5234,
+         u=-1.4122323403712673e+78, up=-3.2797941281376995e+151, depth=340.1501961519341,
+         log_rtol=-12.0)  # only the last stage overflows: the error norm is nan
+def test_kernel_matches_the_generic_stage_loops(problem, r, log_h, u, up, depth, log_rtol):
+    # the straight-line kernel rounds every weighted sum as sum() does on
+    # Python 3.11, so state, stage derivatives, error norm and interpolant
+    # rows agree bit for bit.  Where stages overflow, to inf or with an
+    # OverflowError from u**5, the same values stay finite in both forms:
+    # a dropped 0 * inf term can turn the loops' nan into inf, no more
+    kind, omega = problem
+    if kind == "plateau":
+        rhs = shooting._PlateauShot(omega, 1e-12)._rhs(depth)
+    else:
+        quintic = kind == "quintic"
+
+        def rhs(r, u, up):
+            # as shooting._shoot's
+            return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
+    h, rtol = 10.0**log_h, 10.0**log_rtol
+    kernel, generic = shooting._kernel(), _generic_kernel()
+    try:
+        fu, fp = rhs(r, u, up)
+    except OverflowError:
+        assume(False)
+    step = _outcome(kernel[0], rhs, r, u, up, fu, fp, h)
+    assert _same(step, _outcome(generic[0], rhs, r, u, up, fu, fp, h))
+    if isinstance(step, type):
+        return
+    u_new, up_new, ku, kp = kernel[0](rhs, r, u, up, fu, fp, h)
+    scales = (1e-2 * rtol + max(abs(u), abs(u_new)) * rtol,
+              1e-2 * rtol + max(abs(up), abs(up_new)) * rtol)
+    assert _same(_outcome(lambda: [kernel[1](ku, kp, h, *scales)]),
+                 _outcome(lambda: [generic[1](ku, kp, h, *scales)]))
+    dense = (rhs, r, u, up, r + h, u_new, up_new, ku, kp)
+    assert _same(_outcome(kernel[2], *dense), _outcome(generic[2], *dense))
 
 
 def test_solve_ivp_name_resolves_lazily():

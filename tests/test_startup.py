@@ -30,6 +30,18 @@ def test_import_loads_no_scipy_subpackage():
     assert not _scipy_modules("import cqnls.cli") & set(UNUSED)
 
 
+def test_import_builds_no_stepper():
+    # the DOP853 tableau is read and its kernel compiled at the first
+    # integration, so a command's start-up pays for neither
+    code = ("import cqnls.cli\nfrom cqnls import shooting\n"
+            "print(shooting._dop853_tableau.cache_info().currsize, "
+            "shooting._kernel.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == ["0", "0"]
+
+
 @pytest.mark.parametrize("command, needs_linalg", [("solve", False), ("spectra", True)])
 def test_commands_load_what_they_use(command, needs_linalg, tmp_path):
     loaded = _scipy_modules(
