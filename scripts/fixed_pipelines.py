@@ -13,7 +13,9 @@ as it holds the wall time), then the repr of
 ``_shoot`` calls of one cold and one seeded ground-state solve at each of
 omega = 0.01, 0.09 (amplitude shooting) and 0.185 (plateau shooting), so
 a stepper change that moves a single step shows in the diff.  It takes
-about 20 s on a 2-core host.
+about 20 s on a 2-core host.  A run that fails stops the script: the
+name of its pipeline and its standard error go to stderr, and the exit
+status is 1.
 """
 
 import hashlib
@@ -74,10 +76,14 @@ for omega in (0.01, 0.09, 0.185):
 """
 
 
-def _python(*args: str) -> str:
+def _python(name: str, *args: str) -> str:
+    """Standard output of ``python args`` on SRC; if it fails, print the
+    pipeline's name and standard error and exit nonzero."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    return subprocess.run([sys.executable, *args], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    run = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    if run.returncode:
+        sys.exit(f"{name} failed with exit status {run.returncode}:\n{run.stderr}")
+    return run.stdout
 
 
 def main(out: Path):
@@ -88,13 +94,13 @@ def main(out: Path):
         if config is not None:
             (target / "config.txt").write_text(config)
             extra = ("--config", str(target / "config.txt"))
-        _python("-m", "cqnls.cli", *argv, *extra, "--out", str(target))
+        _python(name, "-m", "cqnls.cli", *argv, *extra, "--out", str(target))
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
-    print(_python("-c", CERTIFY), end="")
-    print(_python("-c", COUNTS), end="")
+    print(_python("certify", "-c", CERTIFY), end="")
+    print(_python("counts", "-c", COUNTS), end="")
 
 
 if __name__ == "__main__":

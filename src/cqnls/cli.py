@@ -4,7 +4,7 @@ Every command writes its documented CSV/JSON artifacts plus a manifest
 carrying a schema version, the effective-configuration hash, and the wall
 time (wall time lives only in the manifest so data files stay bit-for-bit
 reproducible).  Exit codes: 0 success, 2 frequency outside the existence
-window, 3 solver or validation failure.
+window or a usage error, 3 solver or validation failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,37 +33,26 @@ RESIDUAL_GATE = 1e-7
 ENV_OUT_DIR = "CQNLS_OUT_DIR"
 
 
-def _read_config_file(path: str | None) -> dict:
-    """Flat key=value document; '#' starts a comment."""
-    if not path:
-        return {}
-    options = {}
+def _config_flags(path: str, switches) -> list[str]:
+    """The long flags a flat ``key = value`` file stands for, '#' starting
+    a comment: ``--key=value``, and for a flag in ``switches`` ``--key``
+    when the value is ``true`` and nothing when it is ``false``."""
+    flags = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line is not key=value: {raw!r}")
-        key, value = line.split("=", 1)
-        options[key.strip().replace("-", "_")] = value.strip()
-    return options
-
-
-def _effective_options(args: argparse.Namespace, keys) -> dict:
-    file_opts = _read_config_file(getattr(args, "config", None))
-    merged = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None and key in file_opts:
-            value = file_opts[key]
-        merged[key] = value
-    return merged
-
-
-def _coerce_float(value, default=None):
-    if value is None:
-        return default
-    return float(value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if flag not in switches:
+            flags.append(f"{flag}={value}")
+        elif value not in ("true", "false"):
+            raise ValueError(f"config switch {key} takes true or false, not {value!r}")
+        elif value == "true":
+            flags.append(flag)
+    return flags
 
 
 def _config_hash(options: dict) -> str:
@@ -71,8 +61,7 @@ def _config_hash(options: dict) -> str:
 
 
 def _out_dir(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get(ENV_OUT_DIR) or "."
-    path = Path(out)
+    path = Path(args.out or os.environ.get(ENV_OUT_DIR) or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -89,8 +78,7 @@ def _write_manifest(directory: Path, command: str, options: dict,
         "toolkit_version": __version__,
         "command": command,
         "config_hash": _config_hash(options),
-        "options": {k: (v if v is None or isinstance(v, (int, float, str, bool))
-                        else repr(v)) for k, v in options.items()},
+        "options": options,
         "wall_time_seconds": wall_time,
     }
     if extra:
@@ -100,44 +88,48 @@ def _write_manifest(directory: Path, command: str, options: dict,
 
 #: subcommand name -> (help, flags, run); see ``_command``
 _COMMANDS: dict = {}
-_OMEGA = ("--omega", {"required": True})
-_GRID_FLAGS = (("--grid-size", {}), ("--omega-min", {}), ("--omega-max", {}))
+#: the flags every command takes after its own
+_COMMON = (("--out", {"help": f"output directory (default ${ENV_OUT_DIR} or .)"}),
+           ("--config", {"help": "flat key = value file of long flags; the command line wins"}),
+           ("--ode-tol", {"type": float, "default": ODE_TOLERANCE,
+                          "help": "ODE integrator tolerance"}))
+_OMEGA = ("--omega", {"type": float, "required": True})
+_GRID_FLAGS = (("--grid-size", {"type": int, "default": 60}),
+               ("--omega-min", {"type": float, "default": 0.004}),
+               ("--omega-max", {"type": float, "default": 0.185}))
 
 
 def _command(help_text: str, *flags):
-    """Register ``cmd_<name>(options, ode_tolerance, out) -> (exit code, extras)``.
+    """Register ``cmd_<name>(args, out) -> (exit code, extras)``.
 
-    ``flags`` are (flag, argparse keyword) pairs; every command also takes
-    --out, --config and --ode-tol.  The shared skeleton merges the options,
-    reads the ODE tolerance, creates the output directory and writes the
-    manifest.
+    ``flags`` are (flag, argparse keyword) pairs, each with its type and
+    default; every command also takes ``_COMMON``.  The shared skeleton
+    creates the output directory and writes the manifest, whose options
+    are the parsed values less the command, --out and --config.
     """
     def register(run):
-        _COMMANDS[run.__name__.removeprefix("cmd_")] = (help_text, flags, run)
+        _COMMANDS[run.__name__.removeprefix("cmd_")] = (help_text, (*flags, *_COMMON), run)
         return run
     return register
 
 
 def _run_command(args) -> int:
     start = time.perf_counter()
-    _, flags, run = _COMMANDS[args.command]
-    keys = [flag[2:].replace("-", "_") for flag, _ in flags] + ["ode_tol"]
-    options = _effective_options(args, keys)
     out = _out_dir(args)
-    code, extra = run(options, _coerce_float(options.get("ode_tol"), ODE_TOLERANCE), out)
+    code, extra = _COMMANDS[args.command][2](args, out)
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "out", "config")}
     _write_manifest(out, args.command, options, time.perf_counter() - start, extra)
     return code
 
 
 @_command("solve one ground state", _OMEGA)
-def cmd_solve(options, ode_tolerance, out):
-    omega = _coerce_float(options["omega"])
-    profile = solve_ground_state(omega, ode_tolerance)
+def cmd_solve(args, out):
+    profile = solve_ground_state(args.omega, args.ode_tol)
     report = evaluate(profile)
     residuals = {"nehari": report.nehari_residual,
                  "pohozaev": report.pohozaev_residual}
-    profile.save(out, ode_tolerance, residuals)
-    _write_json(out / "report.json", {**report.as_dict(), "omega": omega})
+    profile.save(out, args.ode_tol, residuals)
+    _write_json(out / "report.json", {**asdict(report), "omega": args.omega})
     extra = {"residuals": residuals}
     if (report.nehari_residual > RESIDUAL_GATE
             or report.pohozaev_residual > RESIDUAL_GATE):
@@ -145,34 +137,32 @@ def cmd_solve(options, ode_tolerance, out):
               f"pohozaev={report.pohozaev_residual:.2e} exceed {RESIDUAL_GATE:g}",
               file=sys.stderr)
         return 3, extra
-    print(f"solved omega={omega}: residuals {residuals}")
+    print(f"solved omega={args.omega}: residuals {residuals}")
     return 0, extra
 
 
-def _scan(options, ode_tolerance):
+def _scan(args):
     from .curves import default_omega_grid, scan
 
-    n = int(options.get("grid_size") or 60)
-    lo = _coerce_float(options.get("omega_min"), 0.004)
-    hi = _coerce_float(options.get("omega_max"), 0.185)
-    return scan(default_omega_grid(n, lo, hi), ode_tolerance)
+    return scan(default_omega_grid(args.grid_size, args.omega_min, args.omega_max),
+                args.ode_tol)
 
 
-def _critical(options, ode_tolerance):
+def _critical(args):
     from .curves import locate_critical
 
-    curve = _scan(options, ode_tolerance)
-    return curve, locate_critical(curve, ode_tolerance)
+    curve = _scan(args)
+    return curve, locate_critical(curve, args.ode_tol)
 
 
 @_command("sweep the frequency window",
           ("--derivatives", {"action": "store_true"}), *_GRID_FLAGS)
-def cmd_scan(options, ode_tolerance, out):
+def cmd_scan(args, out):
     from .curves import differentiate
 
-    curve = _scan(options, ode_tolerance)
-    if options.get("derivatives"):
-        curve = differentiate(curve, ode_tolerance)
+    curve = _scan(args)
+    if args.derivatives:
+        curve = differentiate(curve, args.ode_tol)
     curve.to_csv(out / "curve.csv")
     print(f"scanned {len(curve.points)} frequencies "
           f"({len(curve.failures)} failures) -> {out / 'curve.csv'}")
@@ -181,71 +171,68 @@ def cmd_scan(options, ode_tolerance, out):
 
 
 @_command("locate the critical frequencies", *_GRID_FLAGS)
-def cmd_critical(options, ode_tolerance, out):
+def cmd_critical(args, out):
     from .curves import classify_stability
 
-    curve, crit = _critical(options, ode_tolerance)
+    curve, crit = _critical(args)
     curve = classify_stability(curve, crit)
     curve.to_csv(out / "curve.csv")
-    crit.to_json(out / "critical.json")
-    print(json.dumps(crit.as_dict(), indent=2))
+    _write_json(out / "critical.json", asdict(crit))
+    print(json.dumps(asdict(crit), indent=2))
     return 0, {"failures": [list(f) for f in curve.failures]}
 
 
-@_command("count normalized solutions at a mass", ("--mass", {}),
-          ("--mass-ratio", {"help": "mass as a multiple of the minimum soliton mass m0"}),
+@_command("count normalized solutions at a mass", ("--mass", {"type": float}),
+          ("--mass-ratio", {"type": float,
+                            "help": "mass as a multiple of the minimum soliton mass m0"}),
           *_GRID_FLAGS)
-def cmd_classify(options, ode_tolerance, out):
+def cmd_classify(args, out):
     from .landscape import classify_normalized
 
-    curve, crit = _critical(options, ode_tolerance)
-    if options.get("mass") is not None:
-        mass = float(options["mass"])
-    elif options.get("mass_ratio") is not None:
-        mass = float(options["mass_ratio"]) * crit.m0
-    else:
-        raise ValueError("classify needs --mass or --mass-ratio")
-    result = classify_normalized(mass, curve, crit, ode_tolerance)
-    _write_json(out / "classification.json", result.as_dict())
-    print(json.dumps(result.as_dict(), indent=2))
+    if (args.mass is None) == (args.mass_ratio is None):
+        raise ValueError("classify needs exactly one of --mass and --mass-ratio")
+    curve, crit = _critical(args)
+    mass = args.mass if args.mass_ratio is None else args.mass_ratio * crit.m0
+    result = asdict(classify_normalized(mass, curve, crit, args.ode_tol))
+    _write_json(out / "classification.json", result)
+    print(json.dumps(result, indent=2))
     return 0, None
 
 
-@_command("constrained-minimization table", ("--mass-grid", {}), *_GRID_FLAGS)
-def cmd_landscape(options, ode_tolerance, out):
+@_command("constrained-minimization table", ("--mass-grid", {"type": int, "default": 20}),
+          *_GRID_FLAGS)
+def cmd_landscape(args, out):
     from .landscape import landscape_table, write_landscape_csv
 
-    curve, crit = _critical(options, ode_tolerance)
-    n_masses = int(options.get("mass_grid") or 20)
-    masses = np.linspace(0.4 * crit.m_threshold, 2.2 * crit.m_q1, n_masses)
-    rows = landscape_table(masses, curve, crit, ode_tolerance)
+    curve, crit = _critical(args)
+    masses = np.linspace(0.4 * crit.m_threshold, 2.2 * crit.m_q1, args.mass_grid)
+    rows = landscape_table(masses, curve, crit, args.ode_tol)
     write_landscape_csv(rows, out / "landscape.csv")
-    print(f"landscape table over {n_masses} masses -> {out / 'landscape.csv'}")
-    return 0, {"critical": crit.as_dict()}
+    print(f"landscape table over {args.mass_grid} masses -> {out / 'landscape.csv'}")
+    return 0, {"critical": asdict(crit)}
 
 
-@_command("finite-time stability experiment", _OMEGA, ("--perturbation", {}),
-          ("--t-end", {}), ("--dt", {}))
-def cmd_evolve(options, ode_tolerance, out):
+@_command("finite-time stability experiment", _OMEGA,
+          ("--perturbation", {"type": float, "default": 0.01}),
+          ("--t-end", {"type": float, "default": 100.0}),
+          ("--dt", {"type": float, "default": 0.02}))
+def cmd_evolve(args, out):
     from .dynamics import stability_experiment, write_experiment
 
-    result = stability_experiment(
-        _coerce_float(options["omega"]),
-        _coerce_float(options.get("perturbation"), 0.01),
-        t_end=_coerce_float(options.get("t_end"), 100.0),
-        dt=_coerce_float(options.get("dt"), 0.02), ode_tolerance=ode_tolerance)
+    result = stability_experiment(args.omega, args.perturbation, t_end=args.t_end,
+                                  dt=args.dt, ode_tolerance=args.ode_tol)
     write_experiment(result, out)
     print(f"verdict: {result['verdict']} "
           f"(growth ratio {result['growth_ratio']:.2f})")
     return 0, {"verdict": result["verdict"]}
 
 
-@_command("linearized operator spectra", _OMEGA, ("--n-eigs", {}))
-def cmd_spectra(options, ode_tolerance, out):
+@_command("linearized operator spectra", _OMEGA, ("--n-eigs", {"type": int, "default": 6}))
+def cmd_spectra(args, out):
     from .dynamics import linearized_spectra
 
-    ground = solve_ground_state(_coerce_float(options["omega"]), ode_tolerance)
-    record = linearized_spectra(ground, n_eigs=int(options.get("n_eigs") or 6))
+    ground = solve_ground_state(args.omega, args.ode_tol)
+    record = linearized_spectra(ground, n_eigs=args.n_eigs)
     _write_json(out / "spectra.json", record)
     print(json.dumps(record, indent=2))
     return 0, None
@@ -289,8 +276,8 @@ def _validate_checks(ode_tolerance: float) -> list[tuple[str, bool, str]]:
 
 
 @_command("run the invariant battery")
-def cmd_validate(options, ode_tolerance, out):
-    checks = _validate_checks(ode_tolerance)
+def cmd_validate(args, out):
+    checks = _validate_checks(args.ode_tol)
     width = max(len(name) for name, _, _ in checks)
     for name, ok, detail in checks:
         print(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}  {detail}")
@@ -309,10 +296,22 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or .)")
-        p.add_argument("--config", help="flat key=value config file; CLI overrides")
-        p.add_argument("--ode-tol", dest="ode_tol", help="ODE integrator tolerance")
     return parser
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with the flags of its ``--config`` file right after the
+    subcommand, where the flags given on the command line override them."""
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    pre = argparse.ArgumentParser(prog=f"cqnls {argv[0]}", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    switches = {flag for flag, kwargs in _COMMANDS[argv[0]][1]
+                if kwargs.get("action") == "store_true"}
+    return [argv[0], *_config_flags(path, switches), *argv[1:]]
 
 
 def _is_negative_number(token: str) -> bool:
@@ -343,10 +342,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_attach_negative_values(argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
-        return _run_command(args)
+        return _run_command(build_parser().parse_args(_with_config(argv)))
     except FrequencyOutOfWindow as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -12,7 +12,6 @@ search, shared with the landscape's branch inversions.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -115,19 +114,6 @@ class CriticalFrequencies:
             raise ValueError("critical frequencies out of order")
         if not self.m_threshold < self.m_q1:
             raise ValueError("threshold mass must undercut M(Q_1)")
-
-    def as_dict(self) -> dict:
-        return {
-            "omega_star": self.omega_star,
-            "omega_upper_star": self.omega_upper_star,
-            "m0": self.m0, "m_q1": self.m_q1,
-            "m_threshold": self.m_threshold,
-            "mass_argmin": self.mass_argmin,
-        }
-
-    def to_json(self, path: str | Path):
-        with Path(path).open("w") as fh:
-            json.dump(self.as_dict(), fh, indent=2)
 
 
 def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185) -> np.ndarray:

@@ -26,14 +26,6 @@ class FunctionalReport:
     nehari_residual: float
     pohozaev_residual: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mass": self.mass, "energy": self.energy, "pohozaev": self.pohozaev,
-            "beta": self.beta, "grad_sq": self.grad_sq, "l4": self.l4,
-            "l6": self.l6, "nehari_residual": self.nehari_residual,
-            "pohozaev_residual": self.pohozaev_residual,
-        }
-
 
 def evaluate(profile: RadialProfile) -> FunctionalReport:
     """All seven integrals plus the equation-residual diagnostics.

@@ -44,15 +44,6 @@ class ClassificationResult:
     branch_labels: tuple[str, ...]
     stability_labels: tuple[str, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "prescribed_mass": self.prescribed_mass,
-            "count": self.count,
-            "frequencies": list(self.frequencies),
-            "branch_labels": list(self.branch_labels),
-            "stability_labels": list(self.stability_labels),
-        }
-
 
 @dataclass(frozen=True)
 class LandscapeRecord:

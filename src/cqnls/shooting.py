@@ -188,18 +188,6 @@ class _Segment(NamedTuple):
     rows_u: tuple
     rows_p: tuple
 
-    def __call__(self, t: float):
-        """(u, u') at t, with scipy's nested evaluation of the rows."""
-        x = (t - self.r) / (self.r_new - self.r)
-        out = []
-        for y0, rows in ((self.u, self.rows_u), (self.up, self.rows_p)):
-            y = 0.0
-            for i, row in enumerate(reversed(rows)):
-                y += row
-                y *= x if i % 2 == 0 else 1 - x
-            out.append(y + y0)
-        return out
-
 
 def _terms(k: str, coefficients) -> str:
     """``sum(map(mul, k, coefficients))`` on stage names ``k0, k1, ...``,
@@ -265,10 +253,11 @@ def dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp):
 
 
 class _DenseTrajectory:
-    """(u, u') of a run at many radii from its step segments, as scipy's
-    ``OdeSolution``: each radius takes the segment of the step it falls
-    in (the earlier one on a step boundary, the first or last one outside
-    the run), and all are evaluated at once."""
+    """(u, u') of a run at a radius or an array of radii from its step
+    segments, as scipy's ``OdeSolution``: each radius takes the segment of
+    the step it falls in (the earlier one on a step boundary, the first or
+    last one outside the run), with scipy's nested evaluation of the
+    rows, and all are evaluated at once."""
 
     def __init__(self, segments):
         self.starts = np.array([seg.r for seg in segments])
@@ -279,25 +268,29 @@ class _DenseTrajectory:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.starts, t, side="left") - 1, 0, self.starts.size - 1)
-        x = ((t - self.starts[k]) / self.h[k])[:, None]
+        # the step whose (start, end] holds t, clamped to the run
+        k = np.searchsorted(self.starts[1:], t, side="left")
+        x = ((t - self.starts[k]) / self.h[k])[..., None]
+        factors = (x, 1 - x)
         rows = self.rows[k]
-        y = np.zeros((t.size, 2))
-        for i in range(rows.shape[1]):
-            y += rows[:, -1 - i]
-            y *= x if i % 2 == 0 else 1 - x
+        y = np.zeros((*t.shape, 2))
+        for i in range(rows.shape[-2]):
+            y += rows[..., -1 - i, :]
+            y *= factors[i % 2]
         y += self.y0[k]
         return y.T
 
 
 def _first_event(events, fired, segment: _Segment):
-    """Index and radius of the earliest root of the ``fired`` events on a
-    step's dense output, each located by Brent's method as ``solve_ivp``
-    does (xtol = rtol = 4 eps); an equal root goes to the lower index."""
-    roots = [(brentq(lambda t, k=k: events(t, *segment(t))[k], segment.r, segment.r_new,
+    """Index, radius and state (u, u') of the earliest root of the
+    ``fired`` events on a step's dense output, each located by Brent's
+    method as ``solve_ivp`` does (xtol = rtol = 4 eps); an equal root goes
+    to the lower index."""
+    trajectory = _DenseTrajectory([segment])
+    roots = [(brentq(lambda t, k=k: events(t, *trajectory(t))[k], segment.r, segment.r_new,
                      RTOL, RTOL), k) for k in fired]
     root, k = min(roots)
-    return k, root
+    return k, root, *map(float, trajectory(root))
 
 
 def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step=None,
@@ -361,10 +354,10 @@ def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step
         if fired:
             if segment is None:
                 return fired[0], steps, r, u, up
-            event, root = _first_event(events, fired, segment)
+            event, *stop = _first_event(events, fired, segment)
             if segments is None:
                 return event, steps, r, u, up
-            return event, steps, root, *segment(root)
+            return event, steps, *stop
         values = new
     return None, steps, r, u, up
 

@@ -1,15 +1,38 @@
+import csv
 import json
 import runpy
+import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqnls.cli import ENV_OUT_DIR, _read_config_file, build_parser, main
+# imported here so that the ``solves`` spy finds their bindings
+import cqnls.curves  # noqa: F401
+import cqnls.landscape  # noqa: F401
+from cqnls import shooting
+from cqnls.cli import (_COMMANDS, ENV_OUT_DIR, _attach_negative_values, _config_flags,
+                       _with_config, build_parser, main)
 from cqnls.functionals import evaluate
 from cqnls.profiles import GROUND_STATE, RadialProfile
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every cqnls binding of ``solve_ground_state`` spied on: the list of
+    the calls' arguments."""
+    calls, original = [], shooting.solve_ground_state
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cqnls") and vars(module).get("solve_ground_state") is original:
+            monkeypatch.setattr(module, "solve_ground_state", spy)
+    return calls
 
 
 class TestParser:
@@ -25,7 +48,14 @@ class TestParser:
     def test_grid_flags(self, command):
         args = build_parser().parse_args(
             [command, "--grid-size", "5", "--omega-min", "0.01", "--omega-max", "0.1"])
-        assert (args.grid_size, args.omega_min, args.omega_max) == ("5", "0.01", "0.1")
+        assert (args.grid_size, args.omega_min, args.omega_max) == (5, 0.01, 0.1)
+
+    def test_defaults(self):
+        args = build_parser().parse_args(["landscape"])
+        assert (args.grid_size, args.omega_min, args.omega_max, args.mass_grid,
+                args.ode_tol) == (60, 0.004, 0.185, 20, 1e-12)
+        args = build_parser().parse_args(["evolve", "--omega", "0.073"])
+        assert (args.perturbation, args.t_end, args.dt) == (0.01, 100.0, 0.02)
 
     def test_fixed_pipelines_parse(self):
         # every command line of the no-drift digest is one the CLI accepts
@@ -57,7 +87,7 @@ class TestSolve:
         report = json.loads((tmp_path / "report.json").read_text())
         assert back.omega == 0.09 and back.kind == GROUND_STATE
         assert back.values[0] == back.amplitude
-        reloaded = evaluate(back).as_dict()
+        reloaded = asdict(evaluate(back))
         assert reloaded == {k: report[k] for k in reloaded}
 
     def test_window_violation_exits_2(self, tmp_path, capsys):
@@ -102,6 +132,11 @@ class TestSolve:
         assert report["nehari_residual"] < 1e-7
         assert report["pohozaev_residual"] < 1e-7
 
+    def test_manifest_records_the_defaults_that_ran(self, tmp_path):
+        assert main(["solve", "--omega", "0.09", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["options"] == {"omega": 0.09, "ode_tol": 1e-12}
+
     def test_env_var_sets_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUT_DIR, str(tmp_path / "envout"))
         assert main(["solve", "--omega", "0.09"]) == 0
@@ -130,6 +165,56 @@ class TestScan:
                      "--out", str(out)])
         assert code == 0
         assert len((out / "curve.csv").read_text().splitlines()) == 5  # CLI wins
+
+
+class TestConfigFile:
+    def test_switch_set_in_config(self, tmp_path):
+        config = tmp_path / "scan.cfg"
+        config.write_text("derivatives = true\ngrid_size = 5\nomega_min = 0.03\n"
+                          "omega_max = 0.12\n")
+        out = tmp_path / "sc"
+        assert main(["scan", "--config", str(config), "--out", str(out)]) == 0
+        with (out / "curve.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5 and all(row["mass_derivative"] for row in rows)
+        options = json.loads((out / "manifest.json").read_text())["options"]
+        assert options["derivatives"] is True and options["grid_size"] == 5
+
+    def test_required_flag_from_config(self, tmp_path):
+        config = tmp_path / "solve.cfg"
+        config.write_text("omega = 0.09\n")
+        assert main(["solve", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["omega"] == 0.09
+
+    @pytest.mark.parametrize("argv", [["solve", "--omega", "0.09"], ["scan"], ["classify"]],
+                             ids=["solve", "scan", "classify"])
+    def test_unknown_key_exits_2_before_any_solve(self, argv, tmp_path, solves, capsys):
+        config = tmp_path / "typo.cfg"
+        config.write_text("omega_min = 0.03\ngrid_sise = 5\n")
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--config", str(config), "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert "--grid-sise=5" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["yes", "1", "True", ""])
+    def test_switch_takes_true_or_false(self, value, tmp_path, solves, capsys):
+        config = tmp_path / "scan.cfg"
+        config.write_text(f"derivatives = {value}\n")
+        assert main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 3
+        assert "true or false" in capsys.readouterr().err
+        assert solves == []
+
+    @pytest.mark.parametrize("flags, config", [
+        ([], ""), (["--mass", "300", "--mass-ratio", "1.5"], ""),
+        (["--mass-ratio", "1.5"], "mass = 300\n")], ids=["neither", "both", "one-in-config"])
+    def test_classify_needs_one_mass_flag(self, flags, config, tmp_path, solves, capsys):
+        path = tmp_path / "classify.cfg"
+        path.write_text(config)
+        code = main(["classify", *flags, "--config", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert "exactly one of --mass and --mass-ratio" in capsys.readouterr().err
+        assert solves == []
 
 
 class TestPipelines:
@@ -205,11 +290,26 @@ class TestPipelines:
         assert all(c["name"] in printed for c in failed)
 
 
-_KEYS = st.from_regex(r"[a-z][a-z0-9]{0,6}(-[a-z0-9]{1,4}){0,2}", fullmatch=True)
+_KEYS = st.from_regex(r"[a-z][a-z0-9]{0,6}([-_][a-z0-9]{1,4}){0,2}", fullmatch=True)
 _VALUES = st.text(st.characters(blacklist_categories=["Cc", "Cs", "Zl", "Zp"],
                                 blacklist_characters="#"), max_size=12).map(str.strip)
 _COMMENTS = st.text(st.characters(blacklist_categories=["Cc", "Cs", "Zl", "Zp"]),
                     max_size=12)
+
+
+def _flag_text(kwargs):
+    """Command-line text of a value of a flag declared with ``kwargs``."""
+    if kwargs.get("type") is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if kwargs.get("type") is float:
+        return st.floats(allow_nan=False).map(repr)
+    # a value that starts with '-' reads as a flag on the command line
+    return _VALUES.filter(lambda value: not value.startswith("-"))
+
+
+def _parse(argv):
+    """``argv`` parsed as ``main`` parses it."""
+    return build_parser().parse_args(_with_config(_attach_negative_values(argv)))
 
 
 def _write_temp(text: str) -> Path:
@@ -229,10 +329,49 @@ class TestConfigProperties:
             lines.append(f"{pad}{key}{pad}={pad}{value}{pad}#{comments[i + 1]}")
         path = _write_temp("\n".join(lines) + "\n")
         try:
-            parsed = _read_config_file(str(path))
+            flags = _config_flags(str(path), ())
         finally:
             path.unlink()
-        assert parsed == {key.replace("-", "_"): value for key, value in options.items()}
+        assert flags == [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(sorted(_COMMANDS)), data=st.data())
+    def test_config_sets_what_the_command_line_sets(self, command, data):
+        # each flag is left out, given on the command line, set in the
+        # config file, or set in both with the command line's value winning;
+        # --config itself names the file and is left out
+        cli, config, expected = [], [], []
+        for flag, kwargs in _COMMANDS[command][1]:
+            if flag == "--config":
+                continue
+            key = data.draw(st.sampled_from([flag[2:], flag[2:].replace("-", "_")]))
+            if kwargs.get("action") == "store_true":
+                value = data.draw(st.booleans())
+                if data.draw(st.booleans()):
+                    config.append(f"{key} = {str(value).lower()}")
+                elif value:
+                    cli.append(flag)
+                expected += [flag] if value else []
+                continue
+            value = data.draw(_flag_text(kwargs))
+            places = ["cli", "config", "both"] + ([] if kwargs.get("required") else ["absent"])
+            place = data.draw(st.sampled_from(places))
+            if place == "absent":
+                continue
+            expected += [flag, value]
+            if place != "cli":
+                stale = value if place == "config" else data.draw(_flag_text(kwargs))
+                config.append(f"{key} = {stale}")
+            if place != "config":
+                cli += [flag, value]
+        path = _write_temp("\n".join(data.draw(st.permutations(config))) + "\n")
+        try:
+            from_config = _parse([command, *cli, "--config", str(path)])
+        finally:
+            path.unlink()
+        from_cli = _parse([command, *expected])
+        del from_config.config, from_cli.config
+        assert from_config == from_cli
 
     @settings(max_examples=25, deadline=None)
     @given(omega=st.one_of(st.floats(max_value=0.0, allow_nan=False),

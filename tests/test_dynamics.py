@@ -10,7 +10,8 @@ from cqnls import dynamics
 from cqnls.dynamics import (EvolutionState, discrete_energy, discrete_mass,
                             evolve, linearized_spectra, modulated_distance,
                             soliton_state, write_experiment)
-from cqnls.errors import EigSolverStalled, InnerSolveDiverged, KindMismatch
+from cqnls.errors import (ConservationBreach, EigSolverStalled, InnerSolveDiverged,
+                          KindMismatch)
 from cqnls.geometry import random_test_functions
 
 
@@ -90,6 +91,19 @@ class TestEvolve:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InnerSolveDiverged, match="non-finite"):
                 evolve(replace(base_state, field=field), 0.1, 0.02)
+
+    def test_drift_past_the_tolerance_is_a_breach(self, base_state):
+        # the drift the ledger of a run measures, at a tolerance it passes
+        ledger = evolve(base_state, 1.0, 0.04, conservation_tol=1.0).ledger
+        mass0, energy0 = ledger[0].mass, ledger[0].energy
+        drift = max(max(abs(e.mass - mass0) / mass0,
+                        abs(e.energy - energy0) / max(abs(energy0), 1e-12 * mass0))
+                    for e in ledger)
+        assert 0.0 < drift < 1e-3
+        with pytest.raises(ConservationBreach, match="exceed"):
+            evolve(base_state, 1.0, 0.04, conservation_tol=0.5 * drift)
+        # the sponge removes mass by design, so its runs are not checked
+        evolve(base_state, 1.0, 0.04, sponge=True, conservation_tol=0.5 * drift)
 
     def test_sponge_absorbs_mass(self, ground_009):
         state = soliton_state(ground_009, radius=ground_009.truncation_radius,

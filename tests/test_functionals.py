@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ class TestEvaluate:
         # the tail constant at 0.186 is 3.7e56, past the sixth root of the
         # largest double (2.4e51)
         rep = evaluate(solve_ground_state(0.186))
-        assert all(math.isfinite(value) for value in rep.as_dict().values())
+        assert all(math.isfinite(value) for value in asdict(rep).values())
         assert max(rep.nehari_residual, rep.pohozaev_residual) < 1e-9
 
 

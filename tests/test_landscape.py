@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -54,7 +55,7 @@ class TestClassifyNormalized:
 
     def test_as_dict_roundtrip(self, curve, crit):
         result = classify_normalized(1.3 * crit.m0, curve, crit)
-        payload = result.as_dict()
+        payload = asdict(result)
         assert payload["count"] == 2
         assert len(payload["frequencies"]) == 2
 

@@ -791,6 +791,38 @@ def _dense_pair(segments, r_stop, sol):
     return shooting._DenseTrajectory(segments)(grid)[0], sol.sol(grid)[0]
 
 
+def _segment_value(segment, t):
+    """(u, u') of one step's dense output at t by the scalar loop of scipy's
+    ``Dop853DenseOutput``: the reference of the trajectory's scalar form."""
+    x = (t - segment.r) / (segment.r_new - segment.r)
+    out = []
+    for y0, rows in ((segment.u, segment.rows_u), (segment.up, segment.rows_p)):
+        y = 0.0
+        for i, row in enumerate(reversed(rows)):
+            y += row
+            y *= x if i % 2 == 0 else 1 - x
+        out.append(y + y0)
+    return out
+
+
+_ENTRIES = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(0.0, 100.0), h=st.floats(1e-8, 10.0), state=st.tuples(_ENTRIES, _ENTRIES),
+       rows=st.lists(_ENTRIES, min_size=14, max_size=14), frac=st.floats(-0.5, 1.5))
+def test_trajectory_at_one_radius(r, h, state, rows, frac):
+    # event roots evaluate one radius at a time; the values are those of
+    # the scalar loop and of the same radius in an array, bit for bit
+    segment = shooting._Segment(r, r + h, *state, tuple(rows[:7]), tuple(rows[7:]))
+    trajectory = shooting._DenseTrajectory([segment])
+    t = r + frac * h
+    value = trajectory(t)
+    assert value.shape == (2,)
+    assert value.tolist() == _segment_value(segment, t)
+    assert trajectory(np.array([r, t]))[:, 1].tolist() == value.tolist()
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(problem=st.one_of(st.tuples(st.just("ground"), st.floats(0.004, 0.155)),
                          st.just(("cubic", 1.0)),
