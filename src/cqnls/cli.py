@@ -4,7 +4,8 @@ Every command writes its documented CSV/JSON artifacts plus a manifest
 carrying a schema version, the effective-configuration hash, and the wall
 time (wall time lives only in the manifest so data files stay bit-for-bit
 reproducible).  Exit codes: 0 success, 2 frequency outside the existence
-window or a usage error, 3 solver or validation failure.
+window or a usage error, 3 solver or validation failure, or a file that
+cannot be read or written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CqnlsError, FrequencyOutOfWindow
+from .errors import CqnlsError, FrequencyOutOfWindow, InsufficientPoints
 from .functionals import evaluate
 from .profiles import test_function_profile
 from .shooting import ODE_TOLERANCE, solve_cubic_reference, solve_ground_state
@@ -141,26 +142,30 @@ def cmd_solve(args, out):
     return 0, extra
 
 
-def _scan(args):
-    from .curves import default_omega_grid, scan
+def _grid(args):
+    from .curves import default_omega_grid
 
-    return scan(default_omega_grid(args.grid_size, args.omega_min, args.omega_max),
-                args.ode_tol)
+    return default_omega_grid(args.grid_size, args.omega_min, args.omega_max)
 
 
 def _critical(args):
-    from .curves import locate_critical
+    from .curves import locate_critical, scan
 
-    curve = _scan(args)
+    curve = scan(_grid(args), args.ode_tol)
     return curve, locate_critical(curve, args.ode_tol)
 
 
 @_command("sweep the frequency window",
           ("--derivatives", {"action": "store_true"}), *_GRID_FLAGS)
 def cmd_scan(args, out):
-    from .curves import differentiate
+    from .curves import MIN_DERIVATIVE_POINTS, differentiate, scan
 
-    curve = _scan(args)
+    grid = _grid(args)
+    if args.derivatives and grid.size < MIN_DERIVATIVE_POINTS:
+        # before the scan, whose solves differentiate would refuse
+        raise InsufficientPoints(f"scan --derivatives needs at least "
+                                 f"{MIN_DERIVATIVE_POINTS} grid nodes, got {grid.size}")
+    curve = scan(grid, args.ode_tol)
     if args.derivatives:
         curve = differentiate(curve, args.ode_tol)
     curve.to_csv(out / "curve.csv")
@@ -351,7 +356,7 @@ def main(argv=None) -> int:
     except CqnlsError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

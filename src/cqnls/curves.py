@@ -156,6 +156,10 @@ def _richardson(reports: dict, h: float, attr: str) -> float:
     return (4.0 * narrow - wide) / 3.0
 
 
+#: fewest curve points ``differentiate`` takes
+MIN_DERIVATIVE_POINTS = 5
+
+
 def derivative_step(omega: float) -> float:
     return 1e-4 * max(omega, 0.01)
 
@@ -168,8 +172,8 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
     derivative of d reuses the same stencil (second differences, also
     Richardson-extrapolated) together with the node's own d value.
     """
-    if len(curve.points) < 5:
-        raise InsufficientPoints("differentiate needs at least 5 points")
+    if len(curve.points) < MIN_DERIVATIVE_POINTS:
+        raise InsufficientPoints(f"differentiate needs at least {MIN_DERIVATIVE_POINTS} points")
 
     new_points, final_checks = [], []
     for point in curve.points:

@@ -21,7 +21,10 @@ Every trajectory runs on scipy's DOP853 ported to Python floats (Hairer,
 Norsett & Wanner, *Solving ODEs I*, sections II.5-6): the classifying runs
 of the bisection, and the dense pass that samples the profile, with the
 method's dense output and its event roots located by Brent's method.  The
-module needs numpy alone.
+run is straight-line code generated from the source text of each
+right-hand side and its events (``_Problem``: the amplitude, cubic and
+plateau runs) and compiled at its first use (``_marcher``).  The module
+needs numpy alone.
 
 The same machinery solves the pure-cubic reference problem
 g'' + (2/r) g' = g - g^3 (quintic term switched off), whose solution
@@ -200,56 +203,158 @@ def _terms(k: str, coefficients) -> str:
                             if c or j > last) + ")"
 
 
-@functools.cache
-def _kernel():
-    """scipy's DOP853 on floats, as straight-line code from its tableau
-    compiled at first use: ``(step, error_norm, dense_segment)``.
+class _Problem(NamedTuple):
+    """Source text of a radial system (y, y')' = (y', y'') and its
+    terminal events, from which ``_marcher`` generates a DOP853 run.
 
-    ``step(rhs, r, u, up, fu, fp, h)`` is scipy's ``rk_step``: the new
-    state and the 13 stage derivatives of each component, the last one at
-    the new state.  ``error_norm(ku, kp, h, scale_u, scale_p)`` is the
-    E5/E3 norm of the step, and ``dense_segment`` the dense output of an
-    accepted one: three more stages and the interpolant rows.  Each sum
-    rounds as ``sum(map(mul, ...))`` does on Python 3.11 (``_terms``), so
-    finite results are the same bit for bit.
+    ``state`` names the radius and the two components (``"r, u, up"``)
+    and ``params`` the values bound per run.  ``rhs`` holds statements,
+    then the expression of the derivative pair; ``events`` holds one
+    expression per event and ``directions`` their signs (+1 fires when a
+    value rises through zero, -1 when it falls).  The text reads the
+    state, the params, its own temporaries and this module's globals; no
+    name may be one of the march's own (``t``, ``y``, ``h``, ``ku0``, ...).
+    """
+    state: str
+    params: str
+    rhs: tuple[str, ...]
+    events: tuple[str, ...]
+    directions: tuple[float, ...]
+
+
+@functools.cache
+def _marcher(problem: _Problem):
+    """scipy's DOP853 for one ``problem``, as straight-line code from its
+    tableau compiled at first use: ``bind(*params)`` returns the problem's
+    ``(rhs, events, march)`` with ``params`` bound.
+
+    ``rhs(r, u, up)`` returns (u', u'') and ``events(r, u, up)`` the event
+    values.  ``march(r, u, up, r_end, rtol, atol, first_step, segments)``
+    is ``_march``'s run.  Each of its 13 stages, and each of the three
+    more of a dense segment, writes out the problem's right-hand side;
+    the E5/E3 error norm, the step-size control and the event sign tests
+    are inline, with ``min`` and ``max`` spelt as the comparisons the
+    builtins make.  Each weighted sum rounds as
+    ``sum(map(mul, ...))`` does on Python 3.11 (``_terms``), so finite
+    results are the same bit for bit as scipy's stage loops.
     """
     t = _dop853_tableau()
     n, a, c = t["N_STAGES"], t["A"], t["C"]
+    *preamble, pair = problem.rhs
+    # d * v for d = +-1 is v or -v exactly: d * v <= 0.0 <= d * v_new
+    # compares v itself
+    signs = [">=" if d < 0 else "<=" for d in problem.directions]
+    values, new = (", ".join(f"ev{k}{tag}" for k in range(len(signs))) for tag in ("", "_new"))
+    tests = [f"ev{k} {op} 0.0 {op} ev{k}_new" for k, op in enumerate(signs)]
+    ku, kp = (", ".join(f"{k}{j}" for j in range(n + 1)) for k in ("ku", "kp"))
 
-    def stages(first, stop):
-        return "".join(f"\n    ku{s}, kp{s} = rhs(r + {c[s]!r} * h, u + {_terms('ku', a[s])} * h, "
-                       f"up + {_terms('kp', a[s])} * h)" for s in range(first, stop))
+    def lines(indent, *code):
+        return "".join(f"\n{indent}{line}" for line in code)
+
+    def derivative(s, at, indent):
+        # the right-hand side at the state ``at`` into stage s
+        return lines(indent, f"{problem.state} = {at}", *preamble, f"ku{s}, kp{s} = {pair}")
+
+    def stages(first, stop, indent):
+        # the stages from first to stop - 1 at their trial states
+        return "".join(derivative(s, f"t + {c[s]!r} * h, y + {_terms('ku', a[s])} * h, "
+                                     f"yp + {_terms('kp', a[s])} * h", indent)
+                       for s in range(first, stop))
 
     def rows(y, k):
         return (f"(d{y}, h * {k}0 - d{y}, 2 * d{y} - h * ({k}{n} + {k}0), "
                 + ", ".join(f"h * {_terms(k, d)}" for d in t["D"]) + ")")
-    ku, kp = (", ".join(f"{k}{j}" for j in range(n + 1)) for k in ("ku", "kp"))
+
+    last_stage = derivative(n, "t + h, y_new, yp_new", " " * 16)
     source = f"""
-def step(rhs, r, u, up, ku0, kp0, h):{stages(1, n)}
-    u_new = u + h * {_terms("ku", t["B"])}
-    up_new = up + h * {_terms("kp", t["B"])}
-    ku{n}, kp{n} = rhs(r + h, u_new, up_new)
-    return u_new, up_new, ({ku}), ({kp})
+def bind({problem.params}):
+    sqrt, nextafter, inf = math.sqrt, math.nextafter, math.inf
 
-def error_norm(ku, kp, h, scale_u, scale_p):
-    ({ku}), ({kp}) = ku, kp
-    e5u, e5p = {_terms("ku", t["E5"])} / scale_u, {_terms("kp", t["E5"])} / scale_p
-    e3u, e3p = {_terms("ku", t["E3"])} / scale_u, {_terms("kp", t["E3"])} / scale_p
-    e5 = e5u * e5u + e5p * e5p
-    e3 = e3u * e3u + e3p * e3p
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return abs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2.0)
+    def rhs({problem.state}):{lines("        ", *preamble)}
+        return {pair}
 
-def dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp):
-    ({ku}), ({kp}) = ku, kp
-    h = r_new - r{stages(n + 1, len(a))}
-    du, dp = u_new - u, up_new - up
-    return Segment(r, r_new, u, up, {rows("u", "ku")}, {rows("p", "kp")})
+    def events({problem.state}):
+        return ({", ".join(problem.events)},)
+
+    def dense_segment(t, y, yp, t_new, y_new, yp_new, {ku}, {kp}):
+        h = t_new - t{stages(n + 1, len(a), "        ")}
+        du, dp = y_new - y, yp_new - yp
+        return _Segment(t, t_new, y, yp, {rows("u", "ku")}, {rows("p", "kp")})
+
+    def march(t, y, yp, r_end, rtol, atol, first_step, segments):
+        steps = 0
+        if not t < r_end:
+            return None, steps, t, y, yp
+        ku0, kp0 = rhs(t, y, yp)
+        h_abs = (_initial_step(rhs, t, y, yp, ku0, kp0, r_end - t, rtol, atol)
+                 if first_step is None else min(first_step, r_end - t))
+        {values}, = events(t, y, yp)
+        while t < r_end:
+            min_step = 10.0 * (nextafter(t, inf) - t)
+            if min_step > h_abs:
+                h_abs = min_step
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    return None, steps, t, y, yp
+                t_new = t + h_abs
+                if r_end < t_new:
+                    t_new = r_end
+                h = t_new - t{stages(1, n, "                ")}
+                y_new = y + h * {_terms("ku", t["B"])}
+                yp_new = yp + h * {_terms("kp", t["B"])}{last_stage}
+                scale_u, scale_new = abs(y), abs(y_new)
+                scale_u = atol + (scale_new if scale_new > scale_u else scale_u) * rtol
+                scale_p, scale_new = abs(yp), abs(yp_new)
+                scale_p = atol + (scale_new if scale_new > scale_p else scale_p) * rtol
+                e5u, e5p = {_terms("ku", t["E5"])} / scale_u, {_terms("kp", t["E5"])} / scale_p
+                e3u, e3p = {_terms("ku", t["E3"])} / scale_u, {_terms("kp", t["E3"])} / scale_p
+                e5 = e5u * e5u + e5p * e5p
+                e3 = e3u * e3u + e3p * e3p
+                # h > 0: the step is at least min_step
+                error = 0.0 if e5 == 0.0 and e3 == 0.0 else h * e5 / sqrt((e5 + 0.01 * e3) * 2.0)
+                if error < 1.0:
+                    if error == 0.0:
+                        factor = {_MAX_FACTOR!r}
+                    else:
+                        factor = {_SAFETY!r} * error ** {_ERROR_EXPONENT!r}
+                        factor = factor if factor < {_MAX_FACTOR!r} else {_MAX_FACTOR!r}
+                    if rejected and not factor < 1.0:
+                        factor = 1.0
+                    h_abs = h * factor
+                    break
+                factor = {_SAFETY!r} * error ** {_ERROR_EXPONENT!r}
+                h_abs = h * (factor if factor > {_MIN_FACTOR!r} else {_MIN_FACTOR!r})
+                rejected = True
+            steps += 1
+            {problem.state} = t_new, y_new, yp_new
+            {new} = {", ".join(problem.events)}
+            if {" or ".join(tests)}:
+                fired = [k for k, hit in enumerate(({", ".join(tests)},)) if hit]
+                segment = None
+                if segments is not None or len(fired) > 1:
+                    segment = dense_segment(t, y, yp, t_new, y_new, yp_new, {ku}, {kp})
+                    if segments is not None:
+                        segments.append(segment)
+                if segment is None:
+                    return fired[0], steps, t_new, y_new, yp_new
+                event, *stop = _first_event(events, fired, segment)
+                if segments is None:
+                    return event, steps, t_new, y_new, yp_new
+                return event, steps, *stop
+            if segments is not None:
+                segments.append(dense_segment(t, y, yp, t_new, y_new, yp_new, {ku}, {kp}))
+            t, y, yp, ku0, kp0 = t_new, y_new, yp_new, ku{n}, kp{n}
+            {values} = {new}
+        return None, steps, t, y, yp
+
+    return rhs, events, march
 """
-    namespace = {"sqrt": math.sqrt, "Segment": _Segment}
-    exec(compile(source, "<dop853 kernel>", "exec"), namespace)
-    return namespace["step"], namespace["error_norm"], namespace["dense_segment"]
+    # the generated functions resolve their globals (math, _initial_step,
+    # _first_event, _Segment) in this module
+    namespace = {}
+    exec(compile(source, f"<dop853 march {problem.rhs[-1]}>", "exec"), globals(), namespace)
+    return namespace["bind"]
 
 
 class _DenseTrajectory:
@@ -293,73 +398,38 @@ def _first_event(events, fired, segment: _Segment):
     return k, root, *map(float, trajectory(root))
 
 
-def _march(rhs, r, u, up, r_end, rtol, events, directions, atol=None, first_step=None,
+def _march(problem: _Problem, params, r, u, up, r_end, rtol, atol=None, first_step=None,
            segments=None):
-    """scipy's DOP853 run from (r, u, u') up to its first terminal event,
-    on floats.
+    """scipy's DOP853 run of ``problem`` with its ``params`` from (r, u, u')
+    up to its first terminal event, on floats, by the march ``_marcher``
+    generates for it.
 
-    ``rhs(r, u, up)`` returns (u', u''); ``events(r, u, up)`` returns the
-    event values and ``directions`` their signs (+1 fires when a value
-    rises through zero, -1 when it falls).  The same initial step,
-    step-size control, ``min_step``, last step clipped to ``r_end`` and
-    sign-change tests as ``solve_ivp``, starting from the event values at
-    the start.  Returns ``(event, steps, r, u, up)``: the index of the
-    event that ended the run (``None`` when ``r_end`` or a too-small step
-    ends it first), the accepted steps and the state where the run
-    stopped.  A step that changes the sign of several events ends on the
-    one whose root comes first on the step's dense output
-    (``_first_event``).
+    The same initial step, step-size control, ``min_step``, last step
+    clipped to ``r_end`` and sign-change tests as ``solve_ivp``, starting
+    from the event values at the start.  Returns ``(event, steps, r, u,
+    up)``: the index of the event that ended the run (``None`` when
+    ``r_end`` or a too-small step ends it first), the accepted steps and
+    the state where the run stopped.  A step that changes the sign of
+    several events ends on the one whose root comes first on the step's
+    dense output (``_first_event``).
 
     With a ``segments`` list the dense output of every accepted step is
     appended to it, and the run stops at the event's root instead of the
     end of the step that found it, as ``solve_ivp(dense_output=True)``.
     """
-    atol = rtol * 1e-2 if atol is None else atol
-    step, error_norm, dense_segment = _kernel()
-    steps = 0
-    if not r < r_end:
-        return None, steps, r, u, up
-    fu, fp = rhs(r, u, up)
-    h_abs = (_initial_step(rhs, r, u, up, fu, fp, r_end - r, rtol, atol)
-             if first_step is None else min(first_step, r_end - r))
-    values = events(r, u, up)
-    while r < r_end:
-        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return None, steps, r, u, up
-            r_new = min(r + h_abs, r_end)
-            h = r_new - r
-            u_new, up_new, ku, kp = step(rhs, r, u, up, fu, fp, h)
-            error = error_norm(ku, kp, h, atol + max(abs(u), abs(u_new)) * rtol,
-                               atol + max(abs(up), abs(up_new)) * rtol)
-            if error < 1.0:
-                factor = (_MAX_FACTOR if error == 0.0
-                          else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
-                h_abs = h * (min(1.0, factor) if rejected else factor)
-                break
-            h_abs = h * max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
-            rejected = True
-        steps += 1
-        new = events(r_new, u_new, up_new)
-        fired = [k for k, d in enumerate(directions) if d * values[k] <= 0.0 <= d * new[k]]
-        segment = None
-        if segments is not None or len(fired) > 1:
-            segment = dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp)
-            if segments is not None:
-                segments.append(segment)
-        r, u, up, fu, fp = r_new, u_new, up_new, ku[-1], kp[-1]
-        if fired:
-            if segment is None:
-                return fired[0], steps, r, u, up
-            event, *stop = _first_event(events, fired, segment)
-            if segments is None:
-                return event, steps, r, u, up
-            return event, steps, *stop
-        values = new
-    return None, steps, r, u, up
+    march = _marcher(problem)(*params)[2]
+    return march(r, u, up, r_end, rtol, rtol * 1e-2 if atol is None else atol, first_step,
+                 segments)
+
+
+#: the shooting dichotomy's right-hand side and its two terminal events,
+#: crossing zero and turning upward, past thresholds
+_AMPLITUDE = _Problem("r, u, up", "omega, cross_eps, turn_eps",
+                      ("up, omega * u - u**3 + u**5 - 2.0 * up / r",),
+                      ("u + cross_eps", "up - turn_eps"), (-1.0, 1.0))
+#: the pure-cubic reference problem; the 0.0 where the quintic term stands
+#: keeps the sum's rounding (it turns -0.0 into 0.0)
+_CUBIC = _AMPLITUDE._replace(rhs=("up, omega * u - u**3 + 0.0 - 2.0 * up / r",))
 
 
 #: class of a trajectory by the event that ended it (0 crossing, 1 turn)
@@ -372,22 +442,16 @@ def _shoot(a: float, omega: float, ode_tolerance: float, quintic: bool, max_radi
     """Class of one trajectory, the DOP853 steps it accepted and the radius
     where it stopped.
 
-    ``_march`` with the two terminal events of the shooting dichotomy from
+    ``_march`` of ``_AMPLITUDE`` (``_CUBIC`` without the quintic term) from
     ``start`` ``(r, u, u')``, by default the Taylor start of amplitude
     ``a``.  With a ``segments`` list it is also the dense pass of the
     profile builders (see ``_march``).
     """
-    cross_eps, turn_eps = _event_thresholds(a)
-
-    def rhs(r, u, up):
-        # _force inlined: this runs 12 times per step
-        return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
-
     if start is None:
         start = (TAYLOR_START_STEP, *_taylor_start(a, TAYLOR_START_STEP, omega, quintic))
-    event, steps, r, *_ = _march(rhs, *start, max_radius, ode_tolerance,
-                                 lambda r, u, up: (u + cross_eps, up - turn_eps), (-1.0, 1.0),
-                                 segments=segments)
+    event, steps, r, *_ = _march(_AMPLITUDE if quintic else _CUBIC,
+                                 (omega, *_event_thresholds(a)), *start, max_radius,
+                                 ode_tolerance, segments=segments)
     return _EVENT_CLASSES[event], steps, r
 
 
@@ -585,6 +649,16 @@ def _build_profile(a: float, omega: float, ode_tolerance: float, quintic: bool) 
 _MAX_LOG_DEPTH = 700.0
 
 
+#: the plateau run of q: its right-hand side and the switch event, where
+#: the deviation v rises through v_switch.  The cap min(., 50.0) only binds
+#: on trial points far past the switch, where v**5 would overflow
+_PLATEAU = _Problem(
+    "r, q, qp", "kappa, depth, c2, c3, c4, v_switch",
+    ("x = kappa * r - depth", "v = math.exp(50.0 if 50.0 < x else x) * q / r",
+     "qp, -2.0 * kappa * qp - q * v * (c2 + v * (c3 + v * (c4 - v)))"),
+    ("math.exp(kappa * r - depth) * q / r - v_switch",), (1.0,))
+
+
 class _PlateauShot:
     """Shooting on s = ln(eps) for the central value u(0) = u+ - eps.
 
@@ -625,15 +699,9 @@ class _PlateauShot:
     def radius(self, depth: float) -> float:
         return depth / self.kappa + default_max_radius(self.omega)
 
-    def _rhs(self, depth: float):
-        kappa, c2, c3, c4 = self.kappa, self.c2, self.c3, self.c4
-
-        def rhs(r, q, qp):
-            # the cap only binds on trial points far past the switch (the
-            # initial-step probe), where v**5 would overflow
-            v = math.exp(min(kappa * r - depth, 50.0)) * q / r
-            return qp, -2.0 * kappa * qp - q * v * (c2 + v * (c3 + v * (c4 - v)))
-        return rhs
+    def _params(self, depth: float):
+        """The values ``_PLATEAU`` binds for a run at ``depth``."""
+        return self.kappa, depth, self.c2, self.c3, self.c4, self.v_switch
 
     def _deviation(self, depth: float, r, q, qp):
         """(v, v') = (u+ - u, -u') from q, on floats or arrays."""
@@ -673,15 +741,13 @@ class _PlateauShot:
         until u falls to the midpoint of the force zeros: ``_march``'s
         ``(event, steps, r, q, q')``."""
         r0, q, qp, _ = self._start(depth)
-        kappa, v_switch = self.kappa, self.v_switch
         # q is controlled relative to its plateau value 1/(2 kappa), and q'
         # to the same absolute level: its errors reach q damped by 2 kappa.
         # First step 1/kappa, the scale of the linear solution: scipy's
         # initial-step probe looks far past the switch, where v explodes,
         # and would start a dozen steps too small
-        return _march(self._rhs(depth), r0, q, qp, self.radius(depth), rtol,
-                      lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,),
-                      (1.0,), atol=rtol / (2.0 * kappa), first_step=1.0 / kappa,
+        return _march(_PLATEAU, self._params(depth), r0, q, qp, self.radius(depth), rtol,
+                      atol=rtol / (2.0 * self.kappa), first_step=1.0 / self.kappa,
                       segments=segments)
 
     def classify(self, depth: float) -> TrajectoryClass:

@@ -167,7 +167,33 @@ class TestScan:
         assert len((out / "curve.csv").read_text().splitlines()) == 5  # CLI wins
 
 
+    def test_derivatives_on_too_few_nodes_exit_3_before_any_solve(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        # empty caches, so a scan that ran would integrate
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        monkeypatch.setattr(shooting, "_depths", {})
+        shots, real_shoot = [], shooting._shoot
+
+        def counted(*args, **kwargs):
+            shots.append(args)
+            return real_shoot(*args, **kwargs)
+        monkeypatch.setattr(shooting, "_shoot", counted)
+        code = main(["scan", "--grid-size", "4", "--derivatives", "--out", str(tmp_path)])
+        assert code == 3
+        assert "InsufficientPoints" in capsys.readouterr().err
+        assert shots == []
+
+
 class TestConfigFile:
+    def test_missing_file_exits_3(self, tmp_path, solves, capsys):
+        missing = tmp_path / "nope.cfg"
+        code = main(["solve", "--omega", "0.09", "--config", str(missing),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert solves == []
+
     def test_switch_set_in_config(self, tmp_path):
         config = tmp_path / "scan.cfg"
         config.write_text("derivatives = true\ngrid_size = 5\nomega_min = 0.03\n"

@@ -538,12 +538,13 @@ def test_tableau_is_scipys():
     assert tableau["D"] == tuple(map(tuple, scipy_tableau.D))
 
 
+@functools.cache
 def _generic_kernel():
     """DOP853's step, error norm and dense output as stage loops over
     scipy's tableau, each weighted sum a ``total(map(mul, ...))``: the
-    reference of the straight-line ``shooting._kernel``.  ``total`` is
-    ``sum`` as Python 3.11 adds floats, left to right from 0; from 3.12
-    ``sum`` compensates its rounding."""
+    reference of the straight-line march that ``shooting._marcher``
+    generates.  ``total`` is ``sum`` as Python 3.11 adds floats, left to
+    right from 0; from 3.12 ``sum`` compensates its rounding."""
     from scipy.integrate._ivp import dop853_coefficients as t
 
     n = t.N_STAGES
@@ -591,15 +592,101 @@ def _generic_kernel():
     return step, error_norm, dense_segment
 
 
+def _callback_march(rhs, r, u, up, r_end, rtol, events, directions, atol=None,
+                    first_step=None, segments=None):
+    """The DOP853 run as ``shooting._march`` made it before the march was
+    generated per right-hand side: the step loop calling ``rhs`` and
+    ``events`` back, on the stage loops of ``_generic_kernel``."""
+    atol = rtol * 1e-2 if atol is None else atol
+    step, error_norm, dense_segment = _generic_kernel()
+    steps = 0
+    if not r < r_end:
+        return None, steps, r, u, up
+    fu, fp = rhs(r, u, up)
+    h_abs = (shooting._initial_step(rhs, r, u, up, fu, fp, r_end - r, rtol, atol)
+             if first_step is None else min(first_step, r_end - r))
+    values = events(r, u, up)
+    while r < r_end:
+        min_step = 10.0 * (math.nextafter(r, math.inf) - r)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return None, steps, r, u, up
+            r_new = min(r + h_abs, r_end)
+            h = r_new - r
+            u_new, up_new, ku, kp = step(rhs, r, u, up, fu, fp, h)
+            error = error_norm(ku, kp, h, atol + max(abs(u), abs(u_new)) * rtol,
+                               atol + max(abs(up), abs(up_new)) * rtol)
+            if error < 1.0:
+                factor = (shooting._MAX_FACTOR if error == 0.0
+                          else min(shooting._MAX_FACTOR,
+                                   shooting._SAFETY * error ** shooting._ERROR_EXPONENT))
+                h_abs = h * (min(1.0, factor) if rejected else factor)
+                break
+            h_abs = h * max(shooting._MIN_FACTOR,
+                            shooting._SAFETY * error ** shooting._ERROR_EXPONENT)
+            rejected = True
+        steps += 1
+        new = events(r_new, u_new, up_new)
+        fired = [k for k, d in enumerate(directions) if d * values[k] <= 0.0 <= d * new[k]]
+        segment = None
+        if segments is not None or len(fired) > 1:
+            segment = dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp)
+            if segments is not None:
+                segments.append(segment)
+        r, u, up, fu, fp = r_new, u_new, up_new, ku[-1], kp[-1]
+        if fired:
+            if segment is None:
+                return fired[0], steps, r, u, up
+            event, *stop = shooting._first_event(events, fired, segment)
+            if segments is None:
+                return event, steps, r, u, up
+            return event, steps, *stop
+        values = new
+    return None, steps, r, u, up
+
+
+def _callbacks(kind, omega, depth, a):
+    """The right-hand side and events of a production run as callbacks,
+    written as ``_shoot`` and ``_PlateauShot`` wrote them before the march
+    was generated from their text, with their directions, and the
+    ``shooting`` problem and params that generate the same run."""
+    if kind == "plateau":
+        shot = shooting._PlateauShot(omega, 1e-12)
+        kappa, c2, c3, c4, v_switch = shot.kappa, shot.c2, shot.c3, shot.c4, shot.v_switch
+
+        def rhs(r, q, qp):
+            v = math.exp(min(kappa * r - depth, 50.0)) * q / r
+            return qp, -2.0 * kappa * qp - q * v * (c2 + v * (c3 + v * (c4 - v)))
+
+        def events(r, q, qp):
+            return (math.exp(kappa * r - depth) * q / r - v_switch,)
+        return rhs, events, (1.0,), shooting._PLATEAU, shot._params(depth)
+    quintic = kind == "quintic"
+    cross_eps, turn_eps = shooting._event_thresholds(a)
+
+    def rhs(r, u, up):
+        return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
+
+    def events(r, u, up):
+        return u + cross_eps, up - turn_eps
+    return (rhs, events, (-1.0, 1.0), shooting._AMPLITUDE if quintic else shooting._CUBIC,
+            (omega, cross_eps, turn_eps))
+
+
 def _outcome(f, *args):
-    """f(*args) flattened to floats, or the type of what it raised."""
+    """f(*args) flattened to a list, or the type of what it raised."""
     try:
-        result = f(*args)
+        return _flat(f(*args))
     except ArithmeticError as err:
         return type(err)
+
+
+def _flat(items):
     flat = []
-    for item in result:
-        flat.extend(item if isinstance(item, (tuple, list)) else [item])
+    for item in items:
+        flat.extend(_flat(item) if isinstance(item, (tuple, list)) else [item])
     return flat
 
 
@@ -608,57 +695,66 @@ def _same(ours, reference):
     if isinstance(reference, type):
         return ours is reference
     return len(ours) == len(reference) and all(
-        x == y or not (math.isfinite(x) or math.isfinite(y)) for x, y in zip(ours, reference))
+        x == y or (isinstance(x, float) and isinstance(y, float)
+                   and not (math.isfinite(x) or math.isfinite(y)))
+        for x, y in zip(ours, reference))
+
+
+#: a start (r, log10 of the first step, u, u') off the trajectories, run
+#: for eight first steps
+_WILD_STARTS = st.tuples(st.floats(1e-3, 300.0), st.floats(-8.0, 2.0),
+                         st.floats(-1e200, 1e200), st.floats(-1e200, 1e200))
 
 
 @settings(max_examples=300, deadline=None)
 @given(problem=st.one_of(st.tuples(st.just("quintic"), st.floats(0.004, 0.1869)),
                          st.tuples(st.just("cubic"), st.just(1.0)),
                          st.tuples(st.just("plateau"), st.floats(0.1551, 0.1869))),
-       r=st.floats(1e-3, 300.0), log_h=st.floats(-8.0, 2.0),
-       u=st.floats(-1e200, 1e200), up=st.floats(-1e200, 1e200),
-       depth=st.floats(1.0, 700.0), log_rtol=st.floats(-13.0, -2.0))
-@example(problem=("quintic", 0.09), r=1.0, log_h=-1.0, u=1e62, up=0.0, depth=1.0,
-         log_rtol=-12.0)
-@example(problem=("plateau", 0.185), r=200.0, log_h=1.0, u=1e60, up=-1e60, depth=1.0,
-         log_rtol=-12.0)
-@example(problem=("cubic", 1.0), r=1e-3, log_h=-8.0, u=0.0, up=0.0, depth=1.0,
-         log_rtol=-12.0)
-@example(problem=("plateau", 0.1596706622027397), r=0.1051677604860266, log_h=-2.5234,
-         u=-1.4122323403712673e+78, up=-3.2797941281376995e+151, depth=340.1501961519341,
-         log_rtol=-12.0)  # only the last stage overflows: the error norm is nan
-def test_kernel_matches_the_generic_stage_loops(problem, r, log_h, u, up, depth, log_rtol):
-    # the straight-line kernel rounds every weighted sum as sum() does on
-    # Python 3.11, so state, stage derivatives, error norm and interpolant
-    # rows agree bit for bit.  Where stages overflow, to inf or with an
-    # OverflowError from u**5, the same values stay finite in both forms:
-    # a dropped 0 * inf term can turn the loops' nan into inf, no more
+       frac=st.floats(1e-3, 1.0), wild=st.none() | _WILD_STARTS,
+       depth=st.floats(1.0, 700.0), log_rtol=st.floats(-13.0, -2.0), dense=st.booleans())
+@example(problem=("quintic", 0.09), frac=0.5, wild=(1.0, -1.0, 1e62, 0.0), depth=1.0,
+         log_rtol=-12.0, dense=True)
+@example(problem=("plateau", 0.185), frac=0.5, wild=(200.0, 1.0, 1e60, -1e60), depth=1.0,
+         log_rtol=-12.0, dense=True)
+@example(problem=("cubic", 1.0), frac=0.5, wild=(1e-3, -8.0, 0.0, 0.0), depth=1.0,
+         log_rtol=-12.0, dense=True)
+@example(problem=("plateau", 0.1596706622027397), frac=0.5,
+         wild=(0.1051677604860266, -2.5234, -1.4122323403712673e+78, -3.2797941281376995e+151),
+         depth=340.1501961519341, log_rtol=-12.0, dense=True)  # only the last stage overflows
+def test_kernel_matches_the_generic_stage_loops(problem, frac, wild, depth, log_rtol, dense):
+    # the march generated from a problem's text rounds every weighted sum
+    # as sum() does on Python 3.11, so a whole run (event, accepted steps,
+    # stop state and every dense segment) is the same bit for bit as the
+    # callback loop on the stage loops.  The start is the Taylor start of
+    # amplitude frac * u+ (quintic, cubic) or the linear start at depth
+    # (plateau), run to the integration radius, or a wild start.  Where
+    # stages overflow, to inf or with an OverflowError from u**5, both
+    # raise, or the same values stay finite in both forms: a dropped
+    # 0 * inf term can turn the loops' nan into inf, no more
     kind, omega = problem
-    if kind == "plateau":
-        rhs = shooting._PlateauShot(omega, 1e-12)._rhs(depth)
+    rtol = 10.0**log_rtol
+    quintic = kind != "cubic"
+    a = frac * force_upper_zero(omega, quintic)
+    rhs, events, directions, source, params = _callbacks(kind, omega, depth, a)
+    atol = first_step = None
+    if wild is not None:
+        r, log_h, u, up = wild
+        first_step = 10.0**log_h
+        start, r_end = (r, u, up), r + 8.0 * first_step
+    elif kind == "plateau":
+        shot = shooting._PlateauShot(omega, rtol)
+        start, r_end = shot._start(depth)[:3], shot.radius(depth)
+        atol, first_step = rtol / (2.0 * shot.kappa), 1.0 / shot.kappa
     else:
-        quintic = kind == "quintic"
-
-        def rhs(r, u, up):
-            # as shooting._shoot's
-            return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
-    h, rtol = 10.0**log_h, 10.0**log_rtol
-    kernel, generic = shooting._kernel(), _generic_kernel()
-    try:
-        fu, fp = rhs(r, u, up)
-    except OverflowError:
-        assume(False)
-    step = _outcome(kernel[0], rhs, r, u, up, fu, fp, h)
-    assert _same(step, _outcome(generic[0], rhs, r, u, up, fu, fp, h))
-    if isinstance(step, type):
-        return
-    u_new, up_new, ku, kp = kernel[0](rhs, r, u, up, fu, fp, h)
-    scales = (1e-2 * rtol + max(abs(u), abs(u_new)) * rtol,
-              1e-2 * rtol + max(abs(up), abs(up_new)) * rtol)
-    assert _same(_outcome(lambda: [kernel[1](ku, kp, h, *scales)]),
-                 _outcome(lambda: [generic[1](ku, kp, h, *scales)]))
-    dense = (rhs, r, u, up, r + h, u_new, up_new, ku, kp)
-    assert _same(_outcome(kernel[2], *dense), _outcome(generic[2], *dense))
+        h0 = shooting.TAYLOR_START_STEP
+        start = (h0, *shooting._taylor_start(a, h0, omega, quintic))
+        r_end = shooting.default_max_radius(omega)
+    ours, theirs = ([], []) if dense else (None, None)
+    run = _outcome(shooting._march, source, params, *start, r_end, rtol, atol, first_step, ours)
+    assert _same(run, _outcome(_callback_march, rhs, *start, r_end, rtol, events, directions,
+                               atol, first_step, theirs))
+    if dense:
+        assert _same(_flat(ours), _flat(theirs))
 
 
 def test_solve_ivp_name_resolves_lazily():
@@ -754,9 +850,8 @@ def test_root_order_decides_between_events_in_one_step(monkeypatch):
     # u'' = -u from u = 1: u falls through 1/2 at r = pi/3 and -u' rises
     # through sin(pi/3 +- 0.004) 4e-3 later or earlier, well inside one
     # step at rtol 1e-8; the run ends on the earlier root, as solve_ivp's
-    def rhs(r, u, up):
-        return up, -u
-
+    problem = shooting._Problem("r, u, up", "turn", ("up, -u",), ("u - 0.5", "-up - turn"),
+                                (-1.0, 1.0))
     both = []
     real_first_event = shooting._first_event
 
@@ -764,23 +859,23 @@ def test_root_order_decides_between_events_in_one_step(monkeypatch):
         both.append(len(fired) == 2)
         return real_first_event(events, fired, segment)
     monkeypatch.setattr(shooting, "_first_event", spy)
-    start, directions = (0.0, 1.0, 0.0), (-1.0, 1.0)
+    start = (0.0, 1.0, 0.0)
     for turn_first in (True, False):
         turn_at = math.pi / 3.0 + (-0.004 if turn_first else 0.004)
-
-        def events(r, u, up):
-            return u - 0.5, -up - math.sin(turn_at)
+        params = (math.sin(turn_at),)
+        rhs, events, _ = shooting._marcher(problem)(*params)
         both.clear()
-        event, _, r_stop, _, _ = shooting._march(rhs, *start, 10.0, 1e-8, events, directions,
+        event, _, r_stop, _, _ = shooting._march(problem, params, *start, 10.0, 1e-8,
                                                  segments=[])
         assert both == [True]
-        ivp_event, ivp_stop = _stop(_solve_ivp_run(rhs, start, 10.0, 1e-8, events, directions))
+        ivp_event, ivp_stop = _stop(_solve_ivp_run(rhs, start, 10.0, 1e-8, events,
+                                                   problem.directions))
         assert event == ivp_event == (1 if turn_first else 0)
         assert r_stop == pytest.approx(ivp_stop, rel=1e-12)
         assert r_stop == pytest.approx(turn_at if turn_first else math.pi / 3.0, rel=1e-7)
         # without a dense pass the class alone is decided the same way
         both.clear()
-        assert shooting._march(rhs, *start, 10.0, 1e-8, events, directions)[0] == event
+        assert shooting._march(problem, params, *start, 10.0, 1e-8)[0] == event
         assert both == [True]
 
 
@@ -857,10 +952,9 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
         segments = []
         _, _, r_sw, q, qp = shot._leave_plateau(depth, tol, segments)
         r0, q0, qp0, _ = shot._start(depth)
-        kappa, v_switch = shot.kappa, shot.v_switch
-        sol_q = _solve_ivp_run(shot._rhs(depth), (r0, q0, qp0), radius, tol,
-                               lambda r, q, qp: (math.exp(kappa * r - depth) * q / r - v_switch,),
-                               (1.0,), atol=tol / (2.0 * kappa), first_step=1.0 / kappa)
+        rhs, events, _ = shooting._marcher(shooting._PLATEAU)(*shot._params(depth))
+        sol_q = _solve_ivp_run(rhs, (r0, q0, qp0), radius, tol, events, (1.0,),
+                               atol=tol / (2.0 * shot.kappa), first_step=1.0 / shot.kappa)
         assert _stop(sol_q) == (0, pytest.approx(r_sw, rel=3e-15))
         ours, theirs = _dense_pair(segments, r_sw, sol_q)
         assert np.max(np.abs(ours - theirs) / np.abs(theirs)) < 3e-12

@@ -31,11 +31,12 @@ def test_import_loads_no_scipy_subpackage():
 
 
 def test_import_builds_no_stepper():
-    # the DOP853 tableau is read and its kernel compiled at the first
-    # integration, so a command's start-up pays for neither
+    # the DOP853 tableau is read and the march of a right-hand side
+    # compiled at its first integration, so a command's start-up pays for
+    # neither
     code = ("import cqnls.cli\nfrom cqnls import shooting\n"
             "print(shooting._dop853_tableau.cache_info().currsize, "
-            "shooting._kernel.cache_info().currsize)")
+            "shooting._marcher.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
