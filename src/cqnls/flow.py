@@ -6,7 +6,10 @@ collocation solvers: it works in the substituted variable w = r*u on its
 own uniform grid (``SPACING``) with a fourth-order finite-difference
 Laplacian, so a converged flow profile is an independent certificate for
 a solver profile of the same mass, and the Lagrange multiplier it
-converges to is an independent read of the frequency.
+converges to is an independent read of the frequency.  A saddle state,
+which the flow would leave, is certified against the same discrete
+first-order conditions (``laplacian_banded``, ``_multiplier``) without
+running the flow.
 """
 
 from __future__ import annotations
@@ -71,32 +74,13 @@ def _derivative(w: np.ndarray, h: float) -> tuple[float, np.ndarray]:
     return float(d[0]), d
 
 
-def _multiplier(lap: np.ndarray, w: np.ndarray, u_sq: np.ndarray,
-                quintic: bool) -> tuple[float, np.ndarray]:
-    """Lagrange multiplier mu of the discrete equation and its residual."""
-    force = -_apply_banded(lap, w) + w * u_sq
-    if quintic:
-        force -= w * u_sq * u_sq
+def _multiplier(lap: np.ndarray, w: np.ndarray,
+                u_sq: np.ndarray) -> tuple[float, np.ndarray]:
+    """Lagrange multiplier mu of the discrete cubic-quintic equation and its
+    residual."""
+    force = -_apply_banded(lap, w) + w * u_sq - w * u_sq * u_sq
     mu = float(np.dot(force, w) / np.dot(w, w))
     return mu, force - mu * w
-
-
-def projected_gradient(values: np.ndarray, spacing: float,
-                       quintic: bool = True) -> tuple[float, float]:
-    """Multiplier and relative projected-gradient norm of a sampled profile.
-
-    Evaluates the flow's own discrete first-order conditions at an
-    externally supplied profile (values on the uniform grid starting at
-    r = 0) without running the flow.  Useful for certifying states that
-    are saddle points of the constrained problem, where the flow itself
-    would not remain nearby for long times.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.size - 1
-    r = spacing * np.arange(1, n + 1)
-    w = r * values[1:]
-    mu, resid = _multiplier(laplacian_banded(n, spacing), w, (w * w) / (r * r), quintic)
-    return mu, float(np.linalg.norm(resid) / np.linalg.norm(w))
 
 
 @dataclass(frozen=True)
@@ -160,7 +144,7 @@ def mass_projected_flow(mass: float, r_max: float = 40.0,
         w = w_new * math.sqrt(mass / m_now)
 
         if iterations % 10 == 0 or iterations == MAX_ITERATIONS:
-            mu, resid = _multiplier(lap, w, (w * w) * inv_r2, True)
+            mu, resid = _multiplier(lap, w, (w * w) * inv_r2)
             gradient_norm = float(np.linalg.norm(resid) / np.linalg.norm(w))
             if gradient_norm < GRADIENT_TOL:
                 break
@@ -176,7 +160,7 @@ def mass_projected_flow(mass: float, r_max: float = 40.0,
     energy = _energy(grid, u, du)
     if not math.isfinite(energy) or energy < -1e8:
         raise FlowDiverged("flow energy decreased without bound")
-    mu, _ = _multiplier(lap, w, (w * w) * inv_r2, True)
+    mu, _ = _multiplier(lap, w, (w * w) * inv_r2)
     return FlowResult(
         grid=grid, values=u, derivs=du, mass=mass, energy=energy,
         multiplier=mu, gradient_norm=gradient_norm, iterations=iterations,

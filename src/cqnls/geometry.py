@@ -15,21 +15,19 @@ import numpy as np
 
 from .curves import FrequencyCurve, invert_beta
 from .errors import AlphaOutOfRange, KindMismatch, TargetNotBracketed, ToleranceNotMet
-from .functionals import FunctionalReport, evaluate, f_alpha
+from .functionals import evaluate, f_alpha
 from .profiles import (GROUND_STATE, RESCALED_SOLITON, RadialProfile,
                        test_function_profile)
 from .shooting import ODE_TOLERANCE
 
 
-def rescale_soliton(ground: RadialProfile,
-                    report: FunctionalReport | None = None) -> RadialProfile:
+def rescale_soliton(ground: RadialProfile) -> RadialProfile:
     """The beta = 1/3 rescale: R(x) = s * P(lam * x) with the canonical
     amplitude factor s = sqrt((1+beta)/(4 beta)) and dilation
     lam = 3(1+beta)/(4 sqrt(3 beta))."""
     if ground.kind != GROUND_STATE:
         raise KindMismatch("rescale_soliton expects a ground state")
-    rep = report if report is not None else evaluate(ground)
-    beta = rep.beta
+    beta = evaluate(ground).beta
     s = math.sqrt((1.0 + beta) / (4.0 * beta))
     lam = 3.0 * (1.0 + beta) / (4.0 * math.sqrt(3.0 * beta))
     return RadialProfile(

@@ -6,13 +6,14 @@ minimum m0 at the critical frequency, so a prescribed mass m meets the
 ground-state family 0, 1, or 2 times; the rescaled-soliton mass curve
 has its minimum (4/(3 sqrt 3)) M(Q_1) at the beta = 1 frequency and
 supplies the admissible competitors for the Pohozaev-constrained problem
-below M(Q_1).
+below M(Q_1).  A mass's ground-branch roots are found once and serve both
+its landscape record and its classification; below m0 finding them costs
+no solve, and m_threshold <= m0 since the rescale never adds mass.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -116,17 +117,15 @@ def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequenci
     when no branch reaches it at all.  Below m0 by more than 1e-9 m0 there
     is none.
     """
-    return _classification(m, crit, functools.partial(_ground_roots, m, curve, crit,
-                                                      ode_tolerance))
+    return _classification(m, crit, _ground_roots(m, curve, crit, ode_tolerance))
 
 
-def _classification(m, crit, ground_roots) -> ClassificationResult:
-    """``classify_normalized`` on the ground branches' ``ground_roots()``."""
+def _classification(m, crit, roots) -> ClassificationResult:
+    """``classify_normalized`` on the ground branches' ``roots`` at m."""
     if m <= 0:
         raise ValueError("prescribed mass must be positive")
     if m < crit.m0 - 1e-9 * crit.m0:
         return ClassificationResult(m, 0, (), (), ())
-    roots = ground_roots()
     if not roots:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
     branches = tuple(branch for branch, _, _ in roots)
@@ -145,11 +144,11 @@ def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
                     ode_tolerance: float = ODE_TOLERANCE) -> LandscapeRecord:
     """The five-case structure of E_min(m) and E_min^V(m)."""
     return _landscape_record(m, curve, crit, ode_tolerance,
-                             functools.partial(_ground_roots, m, curve, crit, ode_tolerance))
+                             _ground_roots(m, curve, crit, ode_tolerance))
 
 
-def _landscape_record(m, curve, crit, ode_tolerance, ground_roots) -> LandscapeRecord:
-    """``e_min_landscape`` on the ground branches' ``ground_roots()``."""
+def _landscape_record(m, curve, crit, ode_tolerance, roots) -> LandscapeRecord:
+    """``e_min_landscape`` on the ground branches' ``roots`` at m."""
     if m <= 0:
         raise ValueError("prescribed mass must be positive")
     tol_q1 = 1e-9 * crit.m_q1
@@ -161,7 +160,7 @@ def _landscape_record(m, curve, crit, ode_tolerance, ground_roots) -> LandscapeR
             return LandscapeRecord(m, 0.0, False, None, True, KIND_NONE)
         candidates = _rescaled_branch_energies(m, curve, crit, ode_tolerance)
         kind = KIND_RESCALED_SOLITON
-        ground = [rep.energy for _, _, rep in ground_roots()]
+        ground = [rep.energy for _, _, rep in roots]
         if ground:
             best_ground = min(ground)
             if not candidates or best_ground < min(candidates):
@@ -172,7 +171,7 @@ def _landscape_record(m, curve, crit, ode_tolerance, ground_roots) -> LandscapeR
     if abs(m - crit.m_q1) <= tol_q1:
         return LandscapeRecord(m, 0.0, True, 0.0, False, KIND_BOUNDARY_Q1)
 
-    energies = [rep.energy for _, _, rep in ground_roots()]
+    energies = [rep.energy for _, _, rep in roots]
     if not energies:
         raise MassBeyondScan(f"mass {m} exceeds every scanned branch")
     energy = min(energies)
@@ -199,10 +198,9 @@ def landscape_table(masses, curve, crit, ode_tolerance=ODE_TOLERANCE):
     inversion of each branch."""
     rows = []
     for m in map(float, masses):
-        ground_roots = functools.cache(functools.partial(_ground_roots, m, curve, crit,
-                                                         ode_tolerance))
-        rows.append((_landscape_record(m, curve, crit, ode_tolerance, ground_roots),
-                     _classification(m, crit, ground_roots)))
+        roots = _ground_roots(m, curve, crit, ode_tolerance)
+        rows.append((_landscape_record(m, curve, crit, ode_tolerance, roots),
+                     _classification(m, crit, roots)))
     return rows
 
 

@@ -4,7 +4,9 @@ Full-space integrals reduce to weighted half-line integrals,
 ``int f dx = S_d * int_0^inf f(r) r^(d-1) dr`` with ``S_3 = 4*pi`` and
 ``S_1 = 2`` (even functions).  Stored profiles are integrated by composite
 Simpson; the matched tail ``c*exp(-a*r)/r`` is integrated in closed form
-through the exponential integral ``E_n``.
+through the exponential integral ``E_n``, taken as ``e^x E_n(x)`` times
+the power of ``c*exp(-a*T)`` so that no factor overflows or underflows
+where ``c`` grows like ``exp(a*T)``.
 """
 
 from __future__ import annotations
@@ -103,15 +105,6 @@ def simpson_uniform(y: np.ndarray, h: float) -> float:
     return head + tail38
 
 
-def exp_power_tail(b: float, n: int, T: float) -> float:
-    """``int_T^inf exp(-b r) r^(-n) dr`` for n >= 0."""
-    if b <= 0:
-        raise ValueError("tail decay must be positive")
-    if n == 0:
-        return float(np.exp(-b * T) / b)
-    return float(expn(n, b * T) / T ** (n - 1))
-
-
 def tail_moment(c: float, a: float, T: float, power: int, dim: int = 3) -> float:
     """Tail contribution of ``(c e^{-a r}/r)^power`` against ``r^(dim-1)``.
 
@@ -129,16 +122,18 @@ def tail_moment(c: float, a: float, T: float, power: int, dim: int = 3) -> float
 
 def tail_grad_sq(c: float, a: float, T: float) -> float:
     """Tail contribution of ``(u')^2`` against ``r^2`` for the matched 3D
-    tail ``u = c e^{-a r}/r``."""
+    tail ``u = c e^{-a r}/r``.
+
+    (u')^2 r^2 = c^2 e^{-2 a r} (a^2 + 2a/r + 1/r^2), so the tail is
+    (c e^{-a T})^2 (a^2 T F_0 + 2a F_1 + F_2/T) with F_n = e^x E_n(x) at
+    x = 2aT, scaled as in ``tail_moment``: near the upper frequency
+    endpoint c^2 alone overflows and e^{-2aT} alone is subnormal.
+    """
     if c == 0.0 or a <= 0.0:
         return 0.0
-    # (u')^2 r^2 = c^2 e^{-2 a r} (a^2 + 2a/r + 1/r^2)
-    b = 2.0 * a
-    return c**2 * (
-        a**2 * exp_power_tail(b, 0, T)
-        + 2.0 * a * exp_power_tail(b, 1, T)
-        + exp_power_tail(b, 2, T)
-    )
+    x = 2.0 * a * T
+    return (c * math.exp(-a * T))**2 * (
+        a * a * T * _expn_scaled(0, x) + 2.0 * a * _expn_scaled(1, x) + _expn_scaled(2, x) / T)
 
 
 def radial_moment(grid: np.ndarray, samples: np.ndarray, power: int, dim: int = 3,

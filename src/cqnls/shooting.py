@@ -112,14 +112,10 @@ def _force_prime(u, omega, quintic):
     return omega - 3.0 * u**2 + (5.0 * u**4 if quintic else 0.0)
 
 
-def force_upper_zero(omega: float, quintic: bool = True) -> float:
-    """Largest amplitude with restoring force toward zero.
-
-    For the cubic-quintic case this is the upper root of
-    omega - u^2 + u^4 = 0; the ground amplitude lies strictly below it.
+def force_upper_zero(omega: float) -> float:
+    """Largest amplitude with restoring force toward zero: the upper root
+    of omega - u^2 + u^4 = 0.  The ground amplitude lies strictly below it.
     """
-    if not quintic:
-        return 20.0  # cubic force u - u^3 stays restoring for all u > 1
     disc = 1.0 - 4.0 * omega
     if disc < 0:
         raise FrequencyOutOfWindow(f"no force zero for omega={omega}")

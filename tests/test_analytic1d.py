@@ -53,6 +53,21 @@ class TestQuadratureValidation:
         for key in ("l2_sq", "l4_4", "l6_6", "grad_sq"):
             assert report[key]["rel_error"] < 1e-10
 
+    @pytest.mark.parametrize("omega", [0.05, 0.1, 0.18])
+    def test_closed_forms_match_adaptive_quadrature(self, omega):
+        # the exact references against scipy's quad of the closed-form
+        # soliton over the sampled half-line, doubled
+        from scipy.integrate import quad
+
+        upper = float(soliton_profile_1d(omega).grid[-1])
+        report = validate_quadrature_1d(omega)
+        for key, integrand in (("l2_sq", lambda x: soliton_1d(omega, x) ** 2),
+                               ("l4_4", lambda x: soliton_1d(omega, x) ** 4),
+                               ("l6_6", lambda x: soliton_1d(omega, x) ** 6),
+                               ("grad_sq", lambda x: soliton_1d_derivative(omega, x) ** 2)):
+            ref, _ = quad(integrand, 0.0, upper, epsabs=1e-14, epsrel=1e-13, limit=400)
+            assert report[key]["reference"] == pytest.approx(2.0 * ref, rel=1e-12)
+
     def test_nehari_identity_1d(self):
         assert validate_quadrature_1d(0.1)["nehari_residual"] < 1e-9
 

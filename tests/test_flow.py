@@ -10,8 +10,8 @@ branch states.
 import numpy as np
 import pytest
 
-from cqnls.flow import (_derivative, laplacian_banded, mass_projected_flow,
-                        projected_gradient)
+from cqnls.flow import (_apply_banded, _derivative, _multiplier, laplacian_banded,
+                        mass_projected_flow)
 from cqnls.functionals import evaluate
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
 
@@ -32,7 +32,6 @@ class TestLaplacianBanded:
         w = r * np.exp(-r**2)
         exact = -(4.0 * r**3 - 6.0 * r) * np.exp(-r**2)  # -w''
         ab = laplacian_banded(n, h)
-        from cqnls.flow import _apply_banded
         err = np.max(np.abs(_apply_banded(ab, w) - exact)[: n // 2])
         assert err < 1e-7  # fourth order at h = 0.01
 
@@ -81,21 +80,36 @@ class TestFlowConvergence:
         assert a.multiplier == pytest.approx(b.multiplier, abs=1e-8)
 
 
+def _substituted(values, spacing):
+    """The flow's Laplacian, w = r u and u^2 for a profile sampled on the
+    uniform grid from r = 0."""
+    n = values.size - 1
+    r = spacing * np.arange(1, n + 1)
+    w = r * values[1:]
+    return laplacian_banded(n, spacing), w, (w * w) / (r * r)
+
+
 class TestProjectedGradient:
+    """Solver profiles against the flow's discrete first-order conditions:
+    the multiplier mu and the relative norm of the projected gradient,
+    without running the flow."""
+
     def test_certifies_solver_ground_state(self):
         profile = solve_ground_state(0.09)
         grid = np.arange(0.0, 85.0 + 1e-9, 0.01)
-        mu, gnorm = projected_gradient(profile.interpolate(grid), 0.01)
+        lap, w, u_sq = _substituted(profile.interpolate(grid), 0.01)
+        mu, resid = _multiplier(lap, w, u_sq)
         assert mu == pytest.approx(0.09, abs=1e-6)
-        assert gnorm < 1e-6
+        assert np.linalg.norm(resid) / np.linalg.norm(w) < 1e-6
 
     def test_certifies_cubic_reference(self):
         # the cubic state is a saddle of the constrained flow (its mass is
         # supercritical), so it is certified by the first-order conditions
-        # rather than by running the flow
+        # of -w'' + w u^2 = mu w rather than by running the flow
         profile = solve_cubic_reference()
         grid = np.arange(0.0, 24.0 + 1e-9, 0.02)
-        mu, gnorm = projected_gradient(profile.interpolate(grid), 0.02,
-                                       quintic=False)
+        lap, w, u_sq = _substituted(profile.interpolate(grid), 0.02)
+        force = -_apply_banded(lap, w) + w * u_sq
+        mu = np.dot(force, w) / np.dot(w, w)
         assert mu == pytest.approx(1.0, abs=1e-5)
-        assert gnorm < 1e-4
+        assert np.linalg.norm(force - mu * w) / np.linalg.norm(w) < 1e-4

@@ -4,6 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from cqnls.cli import RESIDUAL_GATE
 from cqnls.functionals import evaluate, f_alpha
 from cqnls.profiles import test_function_profile as make_test_function
 from cqnls.shooting import solve_ground_state
@@ -43,6 +44,13 @@ class TestEvaluate:
         rep = evaluate(solve_ground_state(0.186))
         assert all(math.isfinite(value) for value in asdict(rep).values())
         assert max(rep.nehari_residual, rep.pohozaev_residual) < 1e-9
+
+    def test_within_the_gate_at_the_depth_limit(self):
+        # the tail constant at 0.186966 is 1.7e155: its square alone
+        # overflows, and e^{-2aT} alone is subnormal (2aT = 719)
+        rep = evaluate(solve_ground_state(0.186966))
+        assert all(math.isfinite(value) for value in asdict(rep).values())
+        assert max(rep.nehari_residual, rep.pohozaev_residual) < RESIDUAL_GATE
 
 
 class TestFAlpha:

@@ -29,7 +29,7 @@ class TestRescaleSoliton:
 
     def test_factors_match_quadrature(self, ground_009):
         rep = evaluate(ground_009)
-        rep_r = evaluate(rescale_soliton(ground_009, rep))
+        rep_r = evaluate(rescale_soliton(ground_009))
         assert rep_r.mass == pytest.approx(
             rescale_mass_factor(rep.beta) * rep.mass, rel=1e-10)
         assert rep_r.energy == pytest.approx(

@@ -126,6 +126,22 @@ def test_table_inverts_each_branch_once_per_mass(small_scan, monkeypatch):
                      classify_normalized(m, swept, crit, ode_tolerance)) for m in masses]
 
 
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 1.0, 1.5])
+def test_table_row_is_the_standalone_pair(small_scan, monkeypatch, ratio):
+    # below m_threshold, between m0 and M(Q_1), at M(Q_1) and above it the
+    # row equals the two public calls, each made on an empty profile cache
+    swept, ode_tolerance = small_scan
+    crit = locate_critical(swept, ode_tolerance)
+    assert crit.m_threshold < 0.78 * crit.m_q1 < crit.m0 < 0.9 * crit.m_q1
+    m = ratio * crit.m_q1
+
+    def cold(call, *args):
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        return call(*args, swept, crit, ode_tolerance)
+    assert cold(landscape_table, [m]) == [(cold(e_min_landscape, m),
+                                           cold(classify_normalized, m))]
+
+
 class TestEMinLandscape:
     def test_subthreshold_masses_have_infinite_constrained_value(
             self, curve, crit):

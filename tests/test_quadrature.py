@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cqnls.quadrature import (_expn_scaled, expn, exp_power_tail, radial_grad_sq,
-                              radial_moment, simpson_uniform, tail_grad_sq, tail_moment)
+from cqnls.quadrature import (_expn_scaled, expn, radial_grad_sq, radial_moment,
+                              simpson_uniform, tail_grad_sq, tail_moment)
 
 
 class TestSimpsonUniform:
@@ -40,19 +41,6 @@ class TestSimpsonUniform:
 
 
 class TestTails:
-    def test_exp_power_tail_n0(self):
-        assert exp_power_tail(2.0, 0, 3.0) == pytest.approx(
-            math.exp(-6.0) / 2.0, rel=1e-13)
-
-    def test_exp_power_tail_matches_quadrature(self):
-        for n in (1, 2, 3):
-            ref, _ = quad(lambda r, n=n: math.exp(-1.5 * r) / r**n, 2.0, np.inf)
-            assert exp_power_tail(1.5, n, 2.0) == pytest.approx(ref, rel=1e-10)
-
-    def test_exp_power_tail_rejects_nonpositive_decay(self):
-        with pytest.raises(ValueError):
-            exp_power_tail(0.0, 1, 1.0)
-
     def test_tail_moment_matches_quadrature(self):
         c, a, T = 0.7, 1.2, 4.0
         for power in (2, 4, 6):
@@ -79,6 +67,22 @@ class TestTails:
 
         ref, _ = quad(lambda r: du(r)**2 * r**2, T, np.inf)
         assert tail_grad_sq(c, a, T) == pytest.approx(ref, rel=1e-10)
+
+    def test_tail_grad_sq_past_the_power_overflow(self):
+        # the tail of the ground state at omega = 0.186964: c**2 alone
+        # overflows, e^{-2aT} alone is subnormal, and the tail is
+        # e^{2 log c - 2aT} (a^2 T e^x E_0(x) + 2a e^x E_1(x) + e^x E_2(x)/T)
+        c, a, T = 4.54517539441896e154, 0.432393339449164, 827.52
+        x = 2.0 * a * T
+        assert math.exp(-x) < sys.float_info.min
+
+        def scaled(n):
+            # e^x E_n(x) = 1/x sum_k (-1)^k n(n+1)...(n+k-1)/x^k asymptotically
+            return sum((-1.0) ** k * math.prod(range(n, n + k)) / x**k for k in range(7)) / x
+
+        expected = math.exp(2.0 * (math.log(c) - a * T)) * (
+            a * a * T * scaled(0) + 2.0 * a * scaled(1) + scaled(2) / T)
+        assert tail_grad_sq(c, a, T) == pytest.approx(expected, rel=1e-12)
 
 
 class TestExpn:

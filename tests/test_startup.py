@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-#: scipy subpackages no command but evolve, spectra, the flow and validate
-#: needs, and none of those needs these
+#: scipy subpackages no command needs: evolve, spectra and the flow load
+#: scipy.linalg alone, validate and the rest none
 UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.sparse",
           "scipy.special")
 
@@ -51,3 +51,12 @@ def test_commands_load_what_they_use(command, needs_linalg, tmp_path):
     assert not loaded & set(UNUSED)
     assert ("scipy.linalg" in loaded) is needs_linalg
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_validate_loads_no_scipy_subpackage(tmp_path):
+    # the 1D oracle's references are closed forms, and no other check of
+    # the battery integrates, interpolates or factors a matrix
+    loaded = _scipy_modules(
+        "from cqnls import cli\n"
+        f"assert cli.main(['validate', '--out', {str(tmp_path)!r}]) == 0")
+    assert loaded <= {"scipy"}
