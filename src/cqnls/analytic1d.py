@@ -51,9 +51,7 @@ def soliton_profile_1d(omega: float) -> RadialProfile:
     return RadialProfile(
         grid=grid, values=soliton_1d(omega, grid),
         derivs=soliton_1d_derivative(omega, grid),
-        omega=omega, amplitude=float(soliton_1d(omega, 0.0)),
-        tail_constant=0.0, truncation_radius=float(grid[-1]),
-        kind=TEST_FUNCTION, decay_rate=0.0,
+        omega=omega, tail_constant=0.0, kind=TEST_FUNCTION, decay_rate=0.0,
     )
 
 

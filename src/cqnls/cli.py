@@ -196,6 +196,11 @@ def cmd_classify(args, out):
 
     if (args.mass is None) == (args.mass_ratio is None):
         raise ValueError("classify needs exactly one of --mass and --mass-ratio")
+    flag, value = (("--mass", args.mass) if args.mass_ratio is None
+                   else ("--mass-ratio", args.mass_ratio))
+    if not (math.isfinite(value) and value > 0):
+        # before the scan, whose solves the mass check would discard
+        raise ValueError(f"{flag} must be finite and positive, got {value}")
     curve, crit = _critical(args)
     mass = args.mass if args.mass_ratio is None else args.mass_ratio * crit.m0
     result = asdict(classify_normalized(mass, curve, crit, args.ode_tol))
@@ -209,6 +214,8 @@ def cmd_classify(args, out):
 def cmd_landscape(args, out):
     from .landscape import landscape_table, write_landscape_csv
 
+    if args.mass_grid < 1:
+        raise ValueError(f"--mass-grid needs at least 1 mass, got {args.mass_grid}")
     curve, crit = _critical(args)
     masses = np.linspace(0.4 * crit.m_threshold, 2.2 * crit.m_q1, args.mass_grid)
     rows = landscape_table(masses, curve, crit, args.ode_tol)

@@ -35,9 +35,7 @@ def rescale_soliton(ground: RadialProfile) -> RadialProfile:
         values=s * ground.values,
         derivs=s * lam * ground.derivs,
         omega=ground.omega,
-        amplitude=s * ground.amplitude,
         tail_constant=s * ground.tail_constant / lam,
-        truncation_radius=ground.truncation_radius / lam,
         kind=RESCALED_SOLITON,
         decay_rate=ground.decay_rate * lam,
     )

@@ -104,7 +104,11 @@ _BRANCH_STABILITY = {LOWER_BRANCH: UNSTABLE, CRITICAL_BRANCH: CRITICAL,
 
 
 def _ground_roots(m, curve, crit, ode_tolerance):
-    """``_branch_roots`` of the ground-state mass curve at mass m."""
+    """``_branch_roots`` of the ground-state mass curve at mass m, which
+    every public entry passes through: m must be finite and positive (an
+    infinite m would meet an end node within its own infinite tolerance)."""
+    if not (math.isfinite(m) and m > 0):
+        raise ValueError(f"prescribed mass must be finite and positive, got {m}")
     return _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance)
 
 
@@ -122,8 +126,6 @@ def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequenci
 
 def _classification(m, crit, roots) -> ClassificationResult:
     """``classify_normalized`` on the ground branches' ``roots`` at m."""
-    if m <= 0:
-        raise ValueError("prescribed mass must be positive")
     if m < crit.m0 - 1e-9 * crit.m0:
         return ClassificationResult(m, 0, (), (), ())
     if not roots:
@@ -149,8 +151,6 @@ def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
 
 def _landscape_record(m, curve, crit, ode_tolerance, roots) -> LandscapeRecord:
     """``e_min_landscape`` on the ground branches' ``roots`` at m."""
-    if m <= 0:
-        raise ValueError("prescribed mass must be positive")
     tol_q1 = 1e-9 * crit.m_q1
 
     if m < crit.m_q1 - tol_q1:

@@ -45,19 +45,19 @@ def even_grid(extent: float, spacing: float, down: bool = False) -> np.ndarray:
 class RadialProfile:
     """A real radial function u(r) with derivative samples and tail data.
 
-    ``grid`` is uniform with r[0] = 0.  Beyond ``truncation_radius`` the
-    function continues as ``tail_constant * exp(-decay_rate*r) / r``.
-    ``decay_rate`` is sqrt(omega) for ground states and 1 for the cubic
-    reference state; it is 0 for test functions, which carry no tail.
+    ``grid`` is uniform with r[0] = 0 and an even number of intervals, as
+    composite Simpson needs.  Beyond its last node, ``truncation_radius``,
+    the function continues as ``tail_constant * exp(-decay_rate*r) / r``;
+    ``amplitude`` is the first sample u(0).  ``decay_rate`` is sqrt(omega)
+    for ground states and 1 for the cubic reference state; it is 0 for
+    test functions, which carry no tail.
     """
 
     grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
     omega: float | None
-    amplitude: float
     tail_constant: float
-    truncation_radius: float
     kind: str
     decay_rate: float = 0.0
 
@@ -68,6 +68,14 @@ class RadialProfile:
         self.grid.setflags(write=False)
         self.values.setflags(write=False)
         self.derivs.setflags(write=False)
+
+    @property
+    def amplitude(self) -> float:
+        return float(self.values[0])
+
+    @property
+    def truncation_radius(self) -> float:
+        return float(self.grid[-1])
 
     @property
     def spacing(self) -> float:
@@ -137,15 +145,15 @@ class RadialProfile:
 
     @classmethod
     def from_csv(cls, csv_path: str | Path, json_path: str | Path) -> "RadialProfile":
+        """The profile ``save`` wrote; its amplitude and truncation radius
+        are read off the CSV grid, not the sidecar."""
         csv_path, json_path = Path(csv_path), Path(json_path)
         data = np.genfromtxt(csv_path, delimiter=",", skip_header=1)
         with json_path.open() as fh:
             meta = json.load(fh)
         return cls(
             grid=data[:, 0], values=data[:, 1], derivs=data[:, 2],
-            omega=meta["omega"], amplitude=meta["amplitude"],
-            tail_constant=meta["tail_constant"],
-            truncation_radius=meta["truncation_radius"],
+            omega=meta["omega"], tail_constant=meta["tail_constant"],
             kind=meta["kind"], decay_rate=meta["decay_rate"],
         )
 
@@ -157,6 +165,5 @@ def test_function_profile(func, dfunc, r_max: float = 12.0, spacing: float = 0.0
     dvals = np.asarray(dfunc(grid), dtype=float)
     return RadialProfile(
         grid=grid, values=vals, derivs=dvals, omega=None,
-        amplitude=float(vals[0]), tail_constant=0.0,
-        truncation_radius=float(grid[-1]), kind=TEST_FUNCTION, decay_rate=0.0,
+        tail_constant=0.0, kind=TEST_FUNCTION, decay_rate=0.0,
     )

@@ -3,10 +3,13 @@
 Full-space integrals reduce to weighted half-line integrals,
 ``int f dx = S_d * int_0^inf f(r) r^(d-1) dr`` with ``S_3 = 4*pi`` and
 ``S_1 = 2`` (even functions).  Stored profiles are integrated by composite
-Simpson; the matched tail ``c*exp(-a*r)/r`` is integrated in closed form
+Simpson over their even number of grid intervals.  In 3D the matched tail
+``c*exp(-a*r)/r`` past the last node T is integrated in closed form
 through the exponential integral ``E_n``, taken as ``e^x E_n(x)`` times
 the power of ``c*exp(-a*T)`` so that no factor overflows or underflows
-where ``c`` grows like ``exp(a*T)``.
+where ``c`` grows like ``exp(a*T)``; its arguments x >= 2aT lie past 1,
+where cephes' continued fraction alone gives ``E_n``.  1D profiles carry
+no tail.
 """
 
 from __future__ import annotations
@@ -17,10 +20,8 @@ import numpy as np
 
 _SOLID_ANGLE = {1: 2.0, 3: 4.0 * np.pi}
 
-# cephes constants of ``expn``
-_EULER = 0.57721566490153286060
+# cephes constants of the continued fraction of ``expn``
 _MACHEP = 1.11022302462515654042e-16
-_MAXLOG = 7.09782712893383996843e2
 _BIG = 1.44115188075855872e17
 
 
@@ -48,75 +49,36 @@ def _expn_fraction(n: int, x: float) -> float:
 
 
 def _expn_scaled(n: int, x: float) -> float:
-    """``exp(x) E_n(x)`` for 0 <= n <= 50 and x > 0, finite where ``E_n``
-    underflows (x past ``_MAXLOG``)."""
+    """``exp(x) E_n(x)`` for n >= 0 and x > 1, finite where ``E_n``
+    underflows.  Tail arguments are p*a*T >= 2aT, and every profile's
+    tail starts past aT = 7.8, so no caller needs the series for x <= 1."""
+    if not x > 1.0:
+        raise ValueError(f"tail argument {x} is not above 1")
     if n == 0:
         return 1.0 / x
-    if x > 1.0:
-        return _expn_fraction(n, x)
-    return math.exp(x) * expn(n, x)
-
-
-def expn(n: int, x: float) -> float:
-    """Exponential integral ``E_n(x) = int_1^inf exp(-x t) t^(-n) dt`` for
-    0 <= n <= 50, by cephes' algorithm as in ``scipy.special.expn``: a
-    continued fraction (DLMF 8.19.17) for x > 1 and the power series
-    (DLMF 8.19.8) below.  NaN for n < 0 or x < 0, as scipy.
-    """
-    if math.isnan(x) or n < 0 or x < 0:
-        return math.nan
-    if n > 50:
-        raise ValueError("expn is implemented for n <= 50")
-    if x > _MAXLOG:
-        return 0.0
-    if x == 0.0:
-        return math.inf if n < 2 else 1.0 / (n - 1.0)
-    if n == 0:
-        return math.exp(-x) / x
-    if x > 1.0:
-        return _expn_fraction(n, x) * math.exp(-x)
-    psi = -_EULER - math.log(x)
-    for i in range(1, n):
-        psi = psi + 1.0 / i
-    z, xk, yk, pk = -x, 0.0, 1.0, 1.0 - n
-    ans = 0.0 if n == 1 else 1.0 / pk
-    while True:
-        xk += 1.0
-        yk *= z / xk
-        pk += 1.0
-        if pk != 0.0:
-            ans += yk / pk
-        t = abs(yk / ans) if ans != 0.0 else 1.0
-        if not t > _MACHEP:
-            return z ** (n - 1.0) * psi / math.gamma(n) - ans
+    return _expn_fraction(n, x)
 
 
 def simpson_uniform(y: np.ndarray, h: float) -> float:
-    """Composite Simpson on a uniform grid; odd interval counts fall back
-    to a 3/8 closing rule on the last three intervals."""
+    """Composite Simpson on a uniform grid with an even number of
+    intervals, which every profile grid has (``profiles.even_grid``)."""
     y = np.asarray(y, dtype=float)
     n = y.size - 1
-    if n < 2:
-        return float(np.trapezoid(y, dx=h))
-    if n % 2 == 0:
-        return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
-    head = simpson_uniform(y[: n - 2], h) if n > 3 else 0.0
-    tail38 = 3.0 * h / 8.0 * (y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1])
-    return head + tail38
+    if n < 2 or n % 2:
+        raise ValueError(f"composite Simpson needs an even number of intervals, got {n}")
+    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum()))
 
 
-def tail_moment(c: float, a: float, T: float, power: int, dim: int = 3) -> float:
-    """Tail contribution of ``(c e^{-a r}/r)^power`` against ``r^(dim-1)``.
+def tail_moment(c: float, a: float, T: float, power: int) -> float:
+    """Tail contribution of ``(c e^{-a r}/r)^power`` against ``r^2``.
 
-    That is c^p E_n(p a T) / T^(n-1) with n = p - dim + 1, formed as
+    That is c^p E_n(p a T) / T^(n-1) with n = p - 2, formed as
     (c e^{-a T})^p times e^(p a T) E_n(p a T): c^p alone overflows near the
     upper frequency endpoint, where c grows like e^{a T}.
     """
     if c == 0.0 or a <= 0.0:
         return 0.0
-    n = power - dim + 1
-    if n < 0:
-        raise ValueError("unsupported moment")
+    n = power - 2
     return (c * math.exp(-a * T))**power * _expn_scaled(n, power * a * T) / T ** (n - 1)
 
 
@@ -142,7 +104,9 @@ def radial_moment(grid: np.ndarray, samples: np.ndarray, power: int, dim: int = 
     h = float(grid[1] - grid[0])
     weight = grid ** (dim - 1)
     core = simpson_uniform(samples**power * weight, h)
-    tail = tail_moment(tail_constant, decay_rate, float(grid[-1]), power, dim)
+    tail = 0.0
+    if dim == 3:
+        tail = tail_moment(tail_constant, decay_rate, float(grid[-1]), power)
     return _SOLID_ANGLE[dim] * (core + tail)
 
 

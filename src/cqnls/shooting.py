@@ -626,7 +626,7 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     return RadialProfile(
         grid=grid, values=vals, derivs=derivs,
         omega=omega if quintic else None,
-        amplitude=amplitude, tail_constant=c, truncation_radius=float(grid[-1]),
+        tail_constant=c,
         kind=GROUND_STATE if quintic else CUBIC_REFERENCE, decay_rate=decay,
     )
 

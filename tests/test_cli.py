@@ -243,6 +243,26 @@ class TestConfigFile:
         assert solves == []
 
 
+class TestMassInputs:
+    @pytest.mark.parametrize("flags", [
+        ["--mass", "inf"], ["--mass", "nan"], ["--mass", "-1"], ["--mass", "0"],
+        ["--mass-ratio", "nan"], ["--mass-ratio", "-inf"]],
+        ids=["inf", "nan", "negative", "zero", "ratio-nan", "ratio-negative-inf"])
+    def test_classify_mass_exits_3_before_any_solve(self, flags, tmp_path, solves, capsys):
+        code = main(["classify", *flags, "--out", str(tmp_path)])
+        assert code == 3
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "classification.json").exists()
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_landscape_mass_grid_exits_3_before_any_solve(self, size, tmp_path, solves,
+                                                          capsys):
+        code = main(["landscape", "--mass-grid", size, "--out", str(tmp_path)])
+        assert code == 3
+        assert "--mass-grid needs at least 1 mass" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "landscape.csv").exists()
+
+
 class TestPipelines:
     def test_critical_and_classify(self, tmp_path):
         out = tmp_path / "crit"

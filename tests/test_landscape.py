@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -39,6 +40,16 @@ class TestClassifyNormalized:
     def test_rejects_nonpositive_mass(self, curve, crit):
         with pytest.raises(ValueError):
             classify_normalized(-1.0, curve, crit)
+
+    @pytest.mark.parametrize("call", [classify_normalized, e_min_landscape,
+                                      lambda m, *args: landscape_table([m], *args)],
+                             ids=["classify", "landscape", "table"])
+    @pytest.mark.parametrize("mass", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_a_mass_that_is_not_finite(self, call, mass, curve, crit):
+        # an infinite mass used to meet an end node within its own
+        # infinite tolerance, and a nan one to pass for beyond the scan
+        with pytest.raises(ValueError, match="finite and positive"):
+            call(mass, curve, crit)
 
     def test_mass_beyond_scan(self, curve, crit):
         # both branches top out below this (upper endpoint mass ~1.7e7)

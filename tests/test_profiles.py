@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,9 +18,8 @@ def make_profile():
     ders = -np.exp(-grid) * (1.0 / safe + 1.0 / safe**2)
     ders[0] = 0.0
     return RadialProfile(
-        grid=grid, values=vals, derivs=ders, omega=1.0, amplitude=vals[0],
-        tail_constant=1.0, truncation_radius=10.0, kind=GROUND_STATE,
-        decay_rate=1.0,
+        grid=grid, values=vals, derivs=ders, omega=1.0,
+        tail_constant=1.0, kind=GROUND_STATE, decay_rate=1.0,
     )
 
 
@@ -52,8 +53,7 @@ class TestRadialProfile:
         vals = 10.0**scale * rng.standard_normal(grid.size)
         ders = rng.standard_normal(grid.size)
         p = RadialProfile(grid=grid, values=vals, derivs=ders, omega=None,
-                          amplitude=float(vals[0]), tail_constant=0.0,
-                          truncation_radius=float(grid[-1]), kind=TEST_FUNCTION)
+                          tail_constant=0.0, kind=TEST_FUNCTION)
         r = np.concatenate([rng.uniform(grid[0], grid[-1], points), grid,
                             [grid[0], grid[-1], np.nextafter(grid[-1], 0.0)]])
         expected = CubicHermiteSpline(grid, vals, ders)(r)
@@ -71,8 +71,7 @@ class TestRadialProfile:
         vals = np.ones_like(grid)
         vals[5] = np.nan
         p = RadialProfile(grid=grid, values=vals, derivs=np.zeros_like(grid),
-                          omega=None, amplitude=1.0, tail_constant=0.0,
-                          truncation_radius=1.0, kind=TEST_FUNCTION)
+                          omega=None, tail_constant=0.0, kind=TEST_FUNCTION)
         with pytest.raises(NonFiniteIntegrand):
             p.require_finite()
 
@@ -83,6 +82,22 @@ class TestRadialProfile:
         assert np.allclose(back.values, p.values)
         assert back.decay_rate == p.decay_rate
         assert back.kind == p.kind
+
+
+def test_reload_takes_the_tail_start_from_the_csv(ground_009, tmp_path):
+    # a sidecar whose truncation radius disagrees with the CSV grid does not
+    # move the tail's start: the nodes are the stored samples, to rounding
+    # at the last one, where the cubic of the last interval ends
+    ground_009.save(tmp_path)
+    sidecar = tmp_path / "profile.json"
+    meta = json.loads(sidecar.read_text())
+    meta["truncation_radius"] /= 2.0
+    sidecar.write_text(json.dumps(meta))
+    back = RadialProfile.from_csv(tmp_path / "profile.csv", sidecar)
+    assert np.array_equal(back.interpolate(back.grid[:-1]), back.values[:-1])
+    assert back.interpolate(back.grid[-1]) == pytest.approx(back.values[-1], rel=1e-12)
+    assert back.truncation_radius == ground_009.truncation_radius == back.grid[-1]
+    assert back.amplitude == ground_009.amplitude == back.values[0]
 
 
 def test_test_function_profile_even_node_count():
