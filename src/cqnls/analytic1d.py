@@ -5,9 +5,9 @@ The 1D cubic-quintic profile equation has the explicit even solution
     phi(x) = 2 sqrt( omega / (1 + sqrt(1 - 16 omega/3) cosh(2 sqrt(omega) x)) )
 
 on the same frequency window (0, 3/16).  Its integrals have closed
-forms too, so it checks the quadrature engine's 1D mode against exact
-values and verifies the 1D Nehari-type identity, validating the code path
-shared with the 3D functionals.
+forms too, so it checks composite Simpson (``quadrature.simpson_uniform``,
+the rule every 3D integral uses) against exact values and verifies the
+1D Nehari-type identity.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .profiles import TEST_FUNCTION, RadialProfile, even_grid
-from .quadrature import radial_grad_sq, radial_moment
+from .quadrature import simpson_uniform
 from .shooting import check_frequency
 
 
@@ -56,9 +56,11 @@ def soliton_profile_1d(omega: float) -> RadialProfile:
 
 
 def validate_quadrature_1d(omega: float) -> dict:
-    """Toolkit quadrature (1D mode) versus the closed-form integrals.
+    """Composite Simpson versus the closed-form integrals.
 
-    With y = 2 sqrt(omega) x, phi^2 = 4 omega / (1 + k cosh y), so
+    The integrands are even, so each full-line integral is twice the
+    Simpson sum over the half-line grid.  With y = 2 sqrt(omega) x,
+    phi^2 = 4 omega / (1 + k cosh y), so
     int phi^(2n) dx = (4 omega)^n J_n / (2 sqrt(omega)) with
     J_n = int dy / (1 + k cosh y)^n; for c = sqrt(1 - k^2) and
     L = atanh(c) these are J_1 = 2L/c, J_2 = 2L/c^3 - 2/c^2 and
@@ -67,10 +69,10 @@ def validate_quadrature_1d(omega: float) -> dict:
     term.  J_3 cancels as c -> 0: about 1e-12 relative at omega = 0.01.
     """
     profile = soliton_profile_1d(omega)
-    grid, vals, ders = profile.grid, profile.values, profile.derivs
-    ours = {name: radial_moment(grid, vals, power, dim=1)
+    h = profile.spacing
+    ours = {name: 2.0 * simpson_uniform(profile.values**power, h)
             for name, power in (("l2_sq", 2), ("l4_4", 4), ("l6_6", 6))}
-    ours["grad_sq"] = radial_grad_sq(grid, ders, dim=1)
+    ours["grad_sq"] = 2.0 * simpson_uniform(profile.derivs**2, h)
 
     c = 4.0 * math.sqrt(omega / 3.0)
     big_l = math.atanh(c)

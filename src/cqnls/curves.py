@@ -116,13 +116,23 @@ class CriticalFrequencies:
             raise ValueError("threshold mass must undercut M(Q_1)")
 
 
+#: the frequency at which ``default_omega_grid`` joins its two halves
+_GRID_SPLIT = 0.06
+
+
 def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185) -> np.ndarray:
     """Log-spaced toward both endpoints of the production window, half the
-    nodes on each side of omega = 0.06."""
+    nodes on each side of omega = 0.06.  The split has to lie inside the
+    window and both halves need a node, so anything but n >= 3 and
+    0 < lo < 0.06 < hi < 3/16 raises ValueError."""
+    if not (n >= 3 and 0.0 < lo < _GRID_SPLIT < hi < OMEGA_MAX):
+        raise ValueError(f"a frequency grid needs at least 3 nodes and a window with "
+                         f"0 < omega_min < {_GRID_SPLIT} < omega_max < 3/16, "
+                         f"got grid size {n} and window [{lo}, {hi}]")
     n_low = n // 2
     n_high = n - n_low
-    low = lo * (0.06 / lo) ** np.linspace(0.0, 1.0, n_low, endpoint=False)
-    gap_hi, gap_mid = OMEGA_MAX - hi, OMEGA_MAX - 0.06
+    low = lo * (_GRID_SPLIT / lo) ** np.linspace(0.0, 1.0, n_low, endpoint=False)
+    gap_hi, gap_mid = OMEGA_MAX - hi, OMEGA_MAX - _GRID_SPLIT
     high = OMEGA_MAX - gap_mid * (gap_hi / gap_mid) ** np.linspace(0.0, 1.0, n_high)
     return np.unique(np.concatenate([low, high]))
 

@@ -265,7 +265,9 @@ def stability_experiment(omega: float, perturbation_size: float, t_end: float = 
     spacing 0.03 and tracks the modulated H^1 distance to the soliton
     family over a +-10% frequency window at 50 samples; the verdict
     compares the worst distance to the initial one.  t_end and dt must be
-    finite, with dt > 0 no longer than the sampling interval t_end / 50.
+    finite, with dt > 0 no longer than the sampling interval t_end / 50,
+    and that interval a whole number of steps (to 1e-9 relative), so that
+    each sample is taken at the time it is recorded at.
     """
     if not 0.0 <= perturbation_size <= 0.05:
         raise ValueError("perturbation_size must lie in [0, 0.05]")
@@ -273,6 +275,10 @@ def stability_experiment(omega: float, perturbation_size: float, t_end: float = 
     if not (math.isfinite(t_end) and math.isfinite(dt) and 0.0 < dt <= sample_every):
         raise ValueError(f"need finite t_end and dt with 0 < dt <= t_end / 50, "
                          f"got t_end={t_end}, dt={dt}")
+    steps = sample_every / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValueError(f"t_end / 50 = {sample_every} is not a whole number of steps "
+                         f"of dt = {dt}: the samples would fall between steps")
     profile = solve_ground_state(omega, ode_tolerance)
     radius = 2.4 * profile.truncation_radius
     state = soliton_state(profile, radius=radius, spacing=0.03,

@@ -1,7 +1,9 @@
 """Scalar functionals of radial profiles: mass, energy, Pohozaev, beta.
 
-All integrals are full-space, i.e. they carry the solid-angle factor and
-the analytic tail contribution of the stored profile.
+They come from four full-space integrals of the profile u: the mass
+int u^2, int u^4, int u^6 and ||grad u||^2.  Each is 4*pi times the
+composite Simpson sum against r^2 over the stored grid plus the closed
+form of the matched tail past its last node.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import CUBIC_REFERENCE, GROUND_STATE, RadialProfile
-from .quadrature import radial_grad_sq, radial_moment
+from .quadrature import simpson_uniform, tail_grad_sq, tail_moment
 
 
 @dataclass(frozen=True)
@@ -35,13 +37,13 @@ def evaluate(profile: RadialProfile) -> FunctionalReport:
     residual uses the scaling identity matching the profile's equation.
     """
     profile.require_finite()
-    g, v, d = profile.grid, profile.values, profile.derivs
+    h, weight, T = profile.spacing, profile.grid**2, profile.truncation_radius
     c, a = profile.tail_constant, profile.decay_rate
 
-    mass = radial_moment(g, v, 2, 3, c, a)
-    l4 = radial_moment(g, v, 4, 3, c, a)
-    l6 = radial_moment(g, v, 6, 3, c, a)
-    grad_sq = radial_grad_sq(g, d, 3, c, a)
+    mass, l4, l6 = (4.0 * np.pi * (simpson_uniform(profile.values**p * weight, h)
+                                   + tail_moment(c, a, T, p)) for p in (2, 4, 6))
+    grad_sq = 4.0 * np.pi * (simpson_uniform(profile.derivs**2 * weight, h)
+                             + tail_grad_sq(c, a, T))
 
     energy = 0.5 * grad_sq - 0.25 * l4 + l6 / 6.0
     pohozaev = grad_sq + l6 - 0.75 * l4

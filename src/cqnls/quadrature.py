@@ -1,15 +1,13 @@
-"""Radial quadrature on uniform grids plus analytic exponential-tail moments.
+"""Composite Simpson on uniform grids plus analytic exponential-tail moments.
 
-Full-space integrals reduce to weighted half-line integrals,
-``int f dx = S_d * int_0^inf f(r) r^(d-1) dr`` with ``S_3 = 4*pi`` and
-``S_1 = 2`` (even functions).  Stored profiles are integrated by composite
-Simpson over their even number of grid intervals.  In 3D the matched tail
-``c*exp(-a*r)/r`` past the last node T is integrated in closed form
-through the exponential integral ``E_n``, taken as ``e^x E_n(x)`` times
-the power of ``c*exp(-a*T)`` so that no factor overflows or underflows
-where ``c`` grows like ``exp(a*T)``; its arguments x >= 2aT lie past 1,
-where cephes' continued fraction alone gives ``E_n``.  1D profiles carry
-no tail.
+A radial full-space integral is ``int f dx = 4*pi * int_0^inf f(r) r^2 dr``.
+Stored profiles are integrated by composite Simpson over their even
+number of grid intervals.  The matched tail ``c*exp(-a*r)/r`` past the
+last node T is integrated in closed form through the exponential
+integral ``E_n``, taken as ``e^x E_n(x)`` times the power of
+``c*exp(-a*T)`` so that no factor overflows or underflows where ``c``
+grows like ``exp(a*T)``; its arguments x >= 2aT lie past 1, where
+cephes' continued fraction alone gives ``E_n``.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_SOLID_ANGLE = {1: 2.0, 3: 4.0 * np.pi}
 
 # cephes constants of the continued fraction of ``expn``
 _MACHEP = 1.11022302462515654042e-16
@@ -97,26 +93,3 @@ def tail_grad_sq(c: float, a: float, T: float) -> float:
     return (c * math.exp(-a * T))**2 * (
         a * a * T * _expn_scaled(0, x) + 2.0 * a * _expn_scaled(1, x) + _expn_scaled(2, x) / T)
 
-
-def radial_moment(grid: np.ndarray, samples: np.ndarray, power: int, dim: int = 3,
-                  tail_constant: float = 0.0, decay_rate: float = 0.0) -> float:
-    """Full-space integral of ``u^power`` for the sampled radial function."""
-    h = float(grid[1] - grid[0])
-    weight = grid ** (dim - 1)
-    core = simpson_uniform(samples**power * weight, h)
-    tail = 0.0
-    if dim == 3:
-        tail = tail_moment(tail_constant, decay_rate, float(grid[-1]), power)
-    return _SOLID_ANGLE[dim] * (core + tail)
-
-
-def radial_grad_sq(grid: np.ndarray, derivs: np.ndarray, dim: int = 3,
-                   tail_constant: float = 0.0, decay_rate: float = 0.0) -> float:
-    """Full-space integral of ``|grad u|^2`` from stored derivative samples."""
-    h = float(grid[1] - grid[0])
-    weight = grid ** (dim - 1)
-    core = simpson_uniform(derivs**2 * weight, h)
-    tail = 0.0
-    if dim == 3:
-        tail = tail_grad_sq(tail_constant, decay_rate, float(grid[-1]))
-    return _SOLID_ANGLE[dim] * (core + tail)

@@ -243,6 +243,26 @@ class TestConfigFile:
         assert solves == []
 
 
+class TestGridInputs:
+    @pytest.mark.parametrize("flags", [
+        ["--grid-size", "6", "--omega-min", "0.1", "--omega-max", "0.15"],
+        ["--grid-size", "2"], ["--grid-size", "1"], ["--omega-max", "0.05"],
+        ["--omega-min", "0.15", "--omega-max", "0.1"]],
+        ids=["window-above-split", "two-nodes", "one-node", "window-below-split",
+             "reversed"])
+    @pytest.mark.parametrize("command", [["scan"], ["classify", "--mass-ratio", "1.5"]],
+                             ids=["scan", "classify"])
+    def test_grid_outside_its_window_exits_3_before_any_solve(self, command, flags, tmp_path,
+                                                             solves, capsys):
+        # scan used to exit 0 with nodes below --omega-min or past --omega-max
+        code = main([*command, *flags, "--out", str(tmp_path)])
+        assert code == 3
+        assert "frequency grid needs at least 3 nodes" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "curve.csv").exists()
+        assert not (tmp_path / "classification.json").exists()
+
+
 class TestMassInputs:
     @pytest.mark.parametrize("flags", [
         ["--mass", "inf"], ["--mass", "nan"], ["--mass", "-1"], ["--mass", "0"],
@@ -304,6 +324,15 @@ class TestPipelines:
         assert code == 3
         assert "t_end / 50" in capsys.readouterr().err
         assert not (tmp_path / "experiment.json").exists()
+
+    def test_evolve_with_samples_between_steps_exits_3(self, tmp_path, solves, capsys):
+        # t_end / 50 = 0.2 is 6.67 steps of 0.03: the states were at
+        # t = 0.21, 0.39, 0.60, ... and the ledger said 0.2, 0.4, 0.6
+        code = main(["evolve", "--omega", "0.073", "--t-end", "10", "--dt", "0.03",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "not a whole number of steps" in capsys.readouterr().err
+        assert solves == [] and not (tmp_path / "experiment.json").exists()
 
     @pytest.mark.parametrize("n_eigs", ["0", "-2"])
     def test_spectra_without_eigenvalues_exits_3(self, n_eigs, tmp_path, capsys):

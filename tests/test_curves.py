@@ -32,6 +32,20 @@ class TestDefaultGrid:
         assert gaps[0] < gaps[len(gaps) // 2]
         assert gaps[-1] < gaps[len(gaps) // 2]
 
+    @pytest.mark.parametrize("n, lo, hi", [
+        (6, 0.1, 0.15), (2, 0.004, 0.185), (1, 0.004, 0.185), (6, 0.004, 0.05),
+        (6, 0.15, 0.1), (6, 0.0, 0.185), (6, 0.004, OMEGA_MAX), (6, float("nan"), 0.185)],
+        ids=["window-above-split", "two-nodes", "one-node", "window-below-split",
+             "reversed", "zero-min", "max-at-endpoint", "nan-min"])
+    def test_rejects_a_grid_that_leaves_its_window(self, n, lo, hi):
+        # the halves meet at 0.06: with the split outside the window, or a
+        # half without a node, nodes fell outside [lo, hi] or hi was ignored
+        with pytest.raises(ValueError, match="frequency grid"):
+            default_omega_grid(n, lo, hi)
+
+    def test_smallest_grid_spans_its_window(self):
+        assert default_omega_grid(3, 0.01, 0.1).tolist() == [0.01, 0.06, 0.1]
+
 
 class TestScan:
     def test_empty_grid_rejected(self):

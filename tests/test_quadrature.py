@@ -7,8 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cqnls.quadrature import (_expn_fraction, _expn_scaled, radial_grad_sq, radial_moment,
-                              simpson_uniform, tail_grad_sq, tail_moment)
+from cqnls.functionals import evaluate
+from cqnls.profiles import TEST_FUNCTION, RadialProfile
+from cqnls.profiles import test_function_profile as make_test_function
+from cqnls.quadrature import (_expn_fraction, _expn_scaled, simpson_uniform, tail_grad_sq,
+                              tail_moment)
 
 
 class TestSimpsonUniform:
@@ -131,31 +134,29 @@ class TestExpn:
 
 
 class TestRadialMoments:
+    """The full-space integrals of ``functionals.evaluate``."""
+
     def setup_method(self):
-        self.grid = np.linspace(0.0, 12.0, 2401)
-        self.vals = np.exp(-self.grid**2 / 2.0)
-        self.ders = -self.grid * self.vals
+        # spacing 0.005 on [0, 12]
+        self.gaussian = evaluate(make_test_function(
+            lambda r: np.exp(-r**2 / 2.0), lambda r: -r * np.exp(-r**2 / 2.0)))
 
     def test_gaussian_mass_3d(self):
         # int exp(-|x|^2) dx = pi^(3/2)
-        assert radial_moment(self.grid, self.vals, 2, dim=3) == pytest.approx(
-            math.pi**1.5, rel=1e-12)
-
-    def test_gaussian_mass_1d(self):
-        assert radial_moment(self.grid, self.vals, 2, dim=1) == pytest.approx(
-            math.sqrt(math.pi), rel=1e-12)
+        assert self.gaussian.mass == pytest.approx(math.pi**1.5, rel=1e-12)
 
     def test_gaussian_grad_3d(self):
         # int |grad e^{-r^2/2}|^2 dx = (3/2) pi^(3/2)
-        assert radial_grad_sq(self.grid, self.ders, dim=3) == pytest.approx(
-            1.5 * math.pi**1.5, rel=1e-11)
+        assert self.gaussian.grad_sq == pytest.approx(1.5 * math.pi**1.5, rel=1e-11)
 
     def test_tail_completes_truncated_integral(self):
         # start the grid away from the 1/r singularity of the tail form
         grid = np.linspace(1.0, 6.0, 1001)
         a, c = 1.0, 2.0
         vals = c * np.exp(-a * grid) / grid
-        full = radial_moment(grid, vals, 2, dim=3, tail_constant=c, decay_rate=a)
+        profile = RadialProfile(grid=grid, values=vals, derivs=-vals * (a + 1.0 / grid),
+                                omega=None, tail_constant=c, kind=TEST_FUNCTION,
+                                decay_rate=a)
         # int_1^inf (c e^{-r}/r)^2 r^2 dr = c^2 e^{-2}/2
         expected = 4.0 * math.pi * c * c * math.exp(-2.0) / 2.0
-        assert full == pytest.approx(expected, rel=1e-9)
+        assert evaluate(profile).mass == pytest.approx(expected, rel=1e-9)
