@@ -6,12 +6,15 @@ roots (``tests/test_shooting.py::TestDepthTable::test_table_is_current`` fails t
     PYTHONPATH=src python scripts/make_depth_table.py
 
 Each node is solved cold (no prediction) at ``shooting.ODE_TOLERANCE``:
-75 frequencies evenly spaced in ln(omega) over [0.0035, 0.125] and 50
+297 frequencies evenly spaced in ln(omega) over [0.0035, 0.125] and 200
 evenly spaced in ln(3/16 - omega) above it up to 0.1869, below the
 frequency 0.186967 where the depth reaches ``shooting._MAX_LOG_DEPTH``;
 then the cubic reference.  Near 0.125 both spacings put the nodes about
-0.1 apart in ln(3/16 - omega), the variable ``shooting._predict``
-interpolates in.  It takes about 20 s.
+0.02 apart in ln(3/16 - omega), the variable ``shooting._predict``
+interpolates in.  At that density the table's own error bound at the
+default tolerance stays below ``shooting._PREDICTION_ERR_FLOOR`` over
+the window, so a seeded solve takes the fewest classifications the floor
+allows.  It takes about 30 s on a 2-core host.
 """
 
 import math
@@ -22,8 +25,8 @@ from cqnls.profiles import OMEGA_MAX
 
 TABLE = Path(__file__).resolve().parents[1] / "src" / "cqnls" / "depth_table.py"
 #: the amplitude-spaced nodes, then the plateau-spaced ones
-LOG_OMEGA_SPAN, LOG_OMEGA_NODES = (0.0035, 0.125), 75
-PLATEAU_TOP, PLATEAU_NODES = 0.1869, 50
+LOG_OMEGA_SPAN, LOG_OMEGA_NODES = (0.0035, 0.125), 297
+PLATEAU_TOP, PLATEAU_NODES = 0.1869, 200
 
 
 def nodes() -> list[float]:
@@ -60,7 +63,7 @@ amplitude a below it.
 #: tolerance of the solves below
 ODE_TOLERANCE = {shooting.ODE_TOLERANCE!r}
 
-# one "omega depth" row per node, as text: a literal of 250 floats would
+# one "omega depth" row per node, as text: a literal of 1000 floats would
 # take milliseconds to compile on every start-up without cached bytecode
 _ROWS = """
 {rows}"""

@@ -4,12 +4,16 @@ The complex field evolves in the substituted variable w(r, t) = r*phi so
 the 3D radial Laplacian becomes the plain second derivative w_rr with
 Dirichlet conditions at both ends.  Time stepping is Strang splitting
 (Bao-Jin-Markowich): the nonlinearity only rotates the phase of w, so it
-is solved exactly, and the linear part takes a Crank-Nicolson step whose
-tridiagonal matrix is factored once per call: one banded solve per step.
-Both parts keep sum |w|^2 to rounding, and with it the discrete mass of a
-smooth field.  An optional absorbing sponge damps outgoing radiation in
-instability experiments (conservation checks are then skipped, since the
-sponge removes mass by design).
+is solved exactly, as cos + i sin of the real angle, and the linear part
+takes a Crank-Nicolson step whose tridiagonal matrix is factored once per
+call: one banded solve per step.  Both parts keep sum |w|^2 to rounding,
+and with it the discrete mass of a smooth field.  Times are the initial
+time plus whole steps, and the field is checked for nan and inf at each
+ledger sample and at the end of a call.  An optional absorbing sponge
+damps outgoing radiation in instability experiments (conservation checks
+are then skipped, since the sponge removes mass by design).  The stability
+experiment measures the modulated H^1 distance to a sampled soliton family
+whose norms are computed once, with the family.
 """
 
 from __future__ import annotations
@@ -131,7 +135,13 @@ def _phase(w: np.ndarray, inv_r2: np.ndarray, tau: float) -> np.ndarray:
     """Exact flow of i w_t + (rho - rho^2) w = 0 over tau, rho = |w/r|^2:
     a rotation that keeps |w| at every node."""
     rho = (w.real * w.real + w.imag * w.imag) * inv_r2
-    return w * np.exp(1j * tau * (rho - rho * rho))
+    theta = tau * (rho - rho * rho)
+    # cos + i sin of the real angle: the same rotation as
+    # np.exp(1j * theta), without the complex exponential's cost
+    rotation = np.empty_like(w)
+    rotation.real = np.cos(theta)
+    rotation.imag = np.sin(theta)
+    return w * rotation
 
 
 def evolve(initial: EvolutionState, t_end: float, dt: float,
@@ -145,10 +155,12 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     rotations (``_phase``), and adjacent ones merge into one full phase
     except at ledger samples and at the end of the call.  The linear
     matrix is the same at every step, so it is factored once per call.
-    The ledger is appended every ``ledger_interval`` of simulated time
-    (default: 100 samples over the run).  With the sponge off, relative
-    mass and energy drifts beyond ``conservation_tol`` raise
-    ConservationBreach; a non-finite field raises InnerSolveDiverged.
+    The k-th step ends at ``initial.time + k * dt``; the ledger is appended
+    every ``ledger_interval`` of simulated time (default: 100 samples over
+    the run) and at ``t_end`` if a step ends there.  With the sponge off, relative mass and
+    energy drifts beyond ``conservation_tol`` raise ConservationBreach.  A
+    non-finite field raises InnerSolveDiverged at the next ledger sample or
+    the end of the call, whichever comes first.
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)) or dt <= 0 or t_end <= initial.time:
         raise ValueError("need finite t_end and dt, dt > 0 and t_end beyond the initial time")
@@ -176,27 +188,32 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     mass0 = ledger[0].mass
     energy0 = ledger[0].energy
 
-    time = initial.time
-    next_sample = time + ledger_interval
-    steps = int(round((t_end - time) / dt))
+    # times come from the step and sample counts: a running sum of dt
+    # drifts past the 1e-12 slack over thousands of steps
+    t0 = initial.time
+    samples = 1
+    steps = int(round((t_end - t0) / dt))
     opening = 0.5 * dt
 
-    for step in range(steps):
+    for step in range(1, steps + 1):
         w = _phase(w, inv_r2, opening)
         w = (2j / dt) * zgttrs(*factors, w)[0] - w
-        time += dt
-        sample = time >= next_sample - 1e-12 or time >= t_end - 1e-12
-        if sample or step == steps - 1:
-            w = _phase(w, inv_r2, 0.5 * dt)
-            opening = 0.5 * dt
-        else:
+        time = t0 + step * dt
+        sample = (time >= t0 + samples * ledger_interval - 1e-12
+                  or time >= t_end - 1e-12)
+        if not (sample or step == steps):
             opening = dt
+            continue
+        w = _phase(w, inv_r2, 0.5 * dt)
+        opening = 0.5 * dt
+        # a nan or inf survives the rotation and the tridiagonal solve, so
+        # checking here catches it by the next sample at the latest
         if not np.all(np.isfinite(w)):
             raise InnerSolveDiverged(f"non-finite field at t={time:.4f}")
         if sample:
             entry = _ledger_entry(EvolutionState(grid=grid, field=np.pad(w, 1), time=time))
             ledger.append(entry)
-            next_sample += ledger_interval
+            samples += 1
             if not sponge:
                 mass_drift = abs(entry.mass - mass0) / mass0
                 energy_drift = abs(entry.energy - energy0) / max(abs(energy0), 1e-12 * mass0)
@@ -206,7 +223,8 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
                         f"energy {energy_drift:.2e} exceed {conservation_tol:g}"
                     )
 
-    return EvolutionState(grid=grid, field=np.pad(w, 1), time=time, ledger=tuple(ledger))
+    return EvolutionState(grid=grid, field=np.pad(w, 1), time=t0 + steps * dt,
+                          ledger=tuple(ledger))
 
 
 def _h1_inner(grid, h, phi_a, dphi_a, phi_b, dphi_b) -> complex:
@@ -217,20 +235,27 @@ def _h1_inner(grid, h, phi_a, dphi_a, phi_b, dphi_b) -> complex:
     )
 
 
+def _reference(psi: np.ndarray, grid: np.ndarray) -> tuple:
+    """(psi, psi', ||psi||_{H^1}^2) of a reference sampled on ``grid``."""
+    h = float(grid[1] - grid[0])
+    dpsi = _centred_derivative(psi, h)
+    return psi, dpsi, _h1_inner(grid, h, psi, dpsi, psi, dpsi).real
+
+
 def modulated_distance(state: EvolutionState, references) -> float:
     """min over the reference family and phase of the H^1 distance.
 
-    ``references`` is a list of (phi, dphi) sample pairs on the state's
-    grid.  The phase minimum is closed-form: |phi - e^{i theta} psi|^2 is
-    smallest at theta = arg<phi, psi>.
+    ``references`` is a list of ``_reference`` triples (psi, dpsi and the
+    squared H^1 norm, computed once per family) on the state's grid.  The
+    phase minimum is closed-form: |phi - e^{i theta} psi|^2 is smallest at
+    theta = arg<phi, psi>.
     """
     phi = state.phi()
     dphi = _phi_derivative(state)
     h = state.spacing
     norm_sq = _h1_inner(state.grid, h, phi, dphi, phi, dphi).real
     best = math.inf
-    for psi, dpsi in references:
-        ref_sq = _h1_inner(state.grid, h, psi, dpsi, psi, dpsi).real
+    for psi, dpsi, ref_sq in references:
         cross = abs(_h1_inner(state.grid, h, phi, dphi, psi, dpsi))
         dist_sq = max(norm_sq + ref_sq - 2.0 * cross, 0.0)
         best = min(best, math.sqrt(dist_sq))
@@ -240,12 +265,9 @@ def modulated_distance(state: EvolutionState, references) -> float:
 def _reference_family(omega: float, grid: np.ndarray, ode_tolerance: float):
     """Sampled soliton family P_{omega'}: 21 frequencies evenly over
     +-10% of omega."""
-    h = float(grid[1] - grid[0])
-    refs = []
-    for omega_p in np.linspace(0.9 * omega, 1.1 * omega, 21):
-        psi = solve_ground_state(float(omega_p), ode_tolerance).interpolate(grid).astype(complex)
-        refs.append((psi, _centred_derivative(psi, h)))
-    return refs
+    return [_reference(solve_ground_state(float(omega_p), ode_tolerance)
+                       .interpolate(grid).astype(complex), grid)
+            for omega_p in np.linspace(0.9 * omega, 1.1 * omega, 21)]
 
 
 EMPIRICALLY_STABLE = "empirically_stable"

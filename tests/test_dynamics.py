@@ -92,6 +92,34 @@ class TestEvolve:
             with pytest.raises(InnerSolveDiverged, match="non-finite"):
                 evolve(replace(base_state, field=field), 0.1, 0.02)
 
+    def test_nan_mid_run_is_caught_by_the_next_sample(self, base_state, monkeypatch):
+        # the field is checked at samples only: a nan from the seventh
+        # linear solve (t = 0.14) must surface by the sample at t = 0.2
+        calls = []
+        real_solve = dynamics.zgttrs
+
+        def spoiled(*args):
+            calls.append(1)
+            out = real_solve(*args)
+            if len(calls) == 7:
+                out[0][100] = np.nan
+            return out
+        monkeypatch.setattr(dynamics, "zgttrs", spoiled)
+        with pytest.raises(InnerSolveDiverged, match="non-finite") as raised:
+            evolve(base_state, 1.0, 0.02, ledger_interval=0.2)
+        reported = float(str(raised.value).rpartition("t=")[2])
+        assert 0.14 <= reported <= 0.2
+
+    def test_long_run_samples_on_time(self, ground_009):
+        # summing dt drifted past the sampling slack: from t = 92 each
+        # sample came a step late and the one at t_end was lost
+        state = soliton_state(ground_009, spacing=0.05)
+        out = evolve(state, 100.0, 0.02)
+        assert out.time == 100.0
+        assert len(out.ledger) == 101
+        for k, entry in enumerate(out.ledger):
+            assert entry.time == pytest.approx(k, abs=1e-12)
+
     def test_drift_past_the_tolerance_is_a_breach(self, base_state):
         # the drift the ledger of a run measures, at a tolerance it passes
         ledger = evolve(base_state, 1.0, 0.04, conservation_tol=1.0).ledger
@@ -136,15 +164,28 @@ def test_split_step_mass(ground_009, dt, perturbation, steps):
     assert all(b <= a for a, b in zip(masses, masses[1:]))
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-4, 0.1),
+       scale=st.floats(1e-3, 3.0))
+def test_phase_is_the_complex_exponential(seed, tau, scale):
+    # the rotation from cos and sin of the real angle is the complex
+    # exponential's bit for bit, so evolutions did not move
+    rng = np.random.default_rng(seed)
+    grid = 0.03 * np.arange(1, 400)
+    w = scale * grid * (rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size))
+    inv_r2 = 1.0 / grid**2
+    rho = (w.real * w.real + w.imag * w.imag) * inv_r2
+    expected = w * np.exp(1j * tau * (rho - rho * rho))
+    assert np.array_equal(dynamics._phase(w, inv_r2, tau), expected)
+
+
 class TestModulatedDistance:
     def test_vanishes_against_itself(self, base_state):
-        from cqnls.dynamics import _phi_derivative
-        refs = [(base_state.phi(), _phi_derivative(base_state))]
+        refs = [dynamics._reference(base_state.phi(), base_state.grid)]
         assert modulated_distance(base_state, refs) < 1e-7
 
     def test_phase_invariance(self, base_state):
-        from cqnls.dynamics import _phi_derivative
-        refs = [(base_state.phi(), _phi_derivative(base_state))]
+        refs = [dynamics._reference(base_state.phi(), base_state.grid)]
         rotated = EvolutionState(grid=base_state.grid,
                                  field=base_state.field * np.exp(0.7j),
                                  time=0.0)

@@ -451,8 +451,9 @@ class TestDepthTable:
         monkeypatch.setattr(shooting, "_shoot", counted)
         return calls
 
-    # classifications and the dense pass; a cold solve makes 49-55
-    MAX_SHOTS = 24
+    # classifications and the dense pass; a cold solve makes 49-55, a
+    # solve seeded at the prediction floor 13-15 and the cubic reference 17
+    MAX_SHOTS = 17
 
     @pytest.mark.parametrize("omega", [0.004, 0.073, 0.15, 0.16, 0.185])
     def test_seeded_solve_is_short_and_cold(self, omega, monkeypatch):
@@ -475,10 +476,20 @@ class TestDepthTable:
         stored = depth_table.GROUND_DEPTHS
         assert depth_table.ODE_TOLERANCE == shooting.ODE_TOLERANCE
         assert [omega for omega, _ in stored] == script["nodes"]()
-        # a small, a mid and a plateau frequency
-        for omega, depth in (stored[0], stored[62], stored[100]):
+        # the nodes nearest a small, a mid and a plateau frequency
+        for target in (0.0035, 0.07, 0.18):
+            omega, depth = min(stored, key=lambda node: abs(node[0] - target))
             assert script["cold_depth"](omega) == depth
         assert script["cubic_amplitude"]() == depth_table.CUBIC_AMPLITUDE
+
+    def test_table_alone_predicts_to_the_floor(self, monkeypatch):
+        # the table is dense enough that at the default tolerance the floor,
+        # not the table's bound, sets how many classifications a seeded
+        # solve takes
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        for omega in np.linspace(0.004, 0.185, 400):
+            x, err = shooting._predict(float(omega), shooting.ODE_TOLERANCE)
+            assert err <= shooting._PREDICTION_ERR_FLOOR * abs(x), omega
 
     def test_close_neighbours_far_from_a_solve_below_the_table(self, monkeypatch):
         # below the table's span only the cached neighbours predict; four
