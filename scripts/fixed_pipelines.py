@@ -10,7 +10,7 @@ script sits in and writes into its own directory under OUT.  The digest
 is one ``sha256  path`` line per data file (``manifest.json`` is left out,
 as it holds the wall time), then the repr of
 ``certify_e_min_by_flow(320.0)``, then the accepted DOP853 steps and the
-``_shoot`` calls of one cold and one seeded ground-state solve at each of
+``_march`` runs of one seeded and one cold ground-state solve at each of
 omega = 0.01, 0.09 (amplitude shooting) and 0.185 (plateau shooting), so
 a stepper change that moves a single step shows in the diff.  It takes
 about 20 s on a 2-core host.  A run that fails stops the script: the
@@ -46,33 +46,28 @@ PIPELINES = (
 )
 CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
            "print(repr(certify_e_min_by_flow(320.0)))")
-#: accepted steps (summed over ``_march`` runs) and ``_shoot`` calls per
-#: solve; the cold solve bisects from the default bracket, the seeded one
-#: from the depth table's prediction, each with empty caches
+#: accepted steps (summed over ``_march`` runs) and ``_march`` runs per
+#: solve, each with an empty cache; the seeded solve starts from the depth
+#: table's prediction, the cold one from the coarse bisection of the
+#: classes that starts a solve outside the table's span
 COUNTS = """
 from cqnls import shooting
-march, shoot, tally = shooting._march, shooting._shoot, [0, 0]
+march, predict, tally = shooting._march, shooting._predict, [0, 0]
 
 def counted_march(*args, **kwargs):
     result = march(*args, **kwargs)
     tally[0] += result[1]
+    tally[1] += 1
     return result
 
-def counted_shoot(*args, **kwargs):
-    tally[1] += 1
-    return shoot(*args, **kwargs)
-
-shooting._march, shooting._shoot = counted_march, counted_shoot
+shooting._march = counted_march
 for omega in (0.01, 0.09, 0.185):
     for label in ("cold", "seeded"):
         shooting._profile_cache.clear()
-        shooting._depths.clear()
+        shooting._predict = (lambda omega: None) if label == "cold" else predict
         tally[:] = [0, 0]
-        if label == "cold":
-            shooting._solve(omega, shooting.ODE_TOLERANCE, True)
-        else:
-            shooting.solve_ground_state(omega)
-        print(f"omega={omega} {label}: {tally[0]} accepted steps, {tally[1]} shots")
+        shooting.solve_ground_state(omega)
+        print(f"omega={omega} {label}: {tally[0]} accepted steps, {tally[1]} marches")
 """
 
 

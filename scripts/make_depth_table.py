@@ -1,20 +1,19 @@
-"""Regenerate ``src/cqnls/depth_table.py`` from cold ground-state solves.
+"""Regenerate ``src/cqnls/depth_table.py`` by bisecting the ground states.
 
 Run from the repository root after any change that moves the bisected
 roots (``tests/test_shooting.py::TestDepthTable::test_table_is_current`` fails then):
 
     PYTHONPATH=src python scripts/make_depth_table.py
 
-Each node is solved cold (no prediction) at ``shooting.ODE_TOLERANCE``:
+Each node is bisected on the trajectory classes from its whole bracket
+(the ``bisect`` of ``shooting._AmplitudeShot`` and ``shooting._PlateauShot``)
+to ``shooting.BISECTION_TOLERANCE``, at ``shooting.ODE_TOLERANCE``:
 297 frequencies evenly spaced in ln(omega) over [0.0035, 0.125] and 200
 evenly spaced in ln(3/16 - omega) above it up to 0.1869, below the
 frequency 0.186967 where the depth reaches ``shooting._MAX_LOG_DEPTH``;
 then the cubic reference.  Near 0.125 both spacings put the nodes about
 0.02 apart in ln(3/16 - omega), the variable ``shooting._predict``
-interpolates in.  At that density the table's own error bound at the
-default tolerance stays below ``shooting._PREDICTION_ERR_FLOOR`` over
-the window, so a seeded solve takes the fewest classifications the floor
-allows.  It takes about 30 s on a 2-core host.
+interpolates in.  It takes about 30 s on a 2-core host.
 """
 
 import math
@@ -40,24 +39,29 @@ def nodes() -> list[float]:
 
 
 def cold_depth(omega: float) -> float:
-    """Depth -ln(u+ - u(0)) of the cold ground state at omega."""
-    shooting._solve(omega, shooting.ODE_TOLERANCE, True)
-    return shooting._depths[(omega, shooting.ODE_TOLERANCE)]
+    """Depth -ln(u+ - u(0)) of the bisected ground state at omega."""
+    if omega > shooting.OMEGA_SHOOTING_MAX:
+        shot = shooting._PlateauShot(omega, shooting.ODE_TOLERANCE)
+        return 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, True))
+    shot = shooting._AmplitudeShot(omega, shooting.ODE_TOLERANCE, True)
+    a = 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, False))
+    return -math.log(shooting.force_upper_zero(omega) - a)
 
 
 def cubic_amplitude() -> float:
-    return shooting._solve(1.0, shooting.ODE_TOLERANCE, False).amplitude
+    shot = shooting._AmplitudeShot(1.0, shooting.ODE_TOLERANCE, False)
+    return 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, False))
 
 
 def main():
     rows = "".join(f"{omega!r} {cold_depth(omega)!r}\n" for omega in nodes())
-    TABLE.write_text(f'''"""Stored cold ground states that seed every shooting bisection
-(``shooting._predict`` and ``shooting.solve_cubic_reference``).
+    TABLE.write_text(f'''"""Stored ground states that start every shooting solve inside their span
+(``shooting._predict`` and ``shooting._solve``).
 
 Generated by ``scripts/make_depth_table.py``; do not edit.  Each value
-comes from a cold solve at ODE tolerance {shooting.ODE_TOLERANCE!r}: the bisected depth
-above ``shooting.OMEGA_SHOOTING_MAX``, -ln(u+ - a) of the bisected
-amplitude a below it.
+comes from a bisection of the trajectory classes at ODE tolerance {shooting.ODE_TOLERANCE!r}:
+the bisected depth above ``shooting.OMEGA_SHOOTING_MAX``, -ln(u+ - a) of
+the bisected amplitude a below it.
 """
 
 #: tolerance of the solves below

@@ -228,7 +228,7 @@ def monotone_root(value_at, target: float, nodes, xtol: float, end_tol: float = 
     iterate nearest the target as ``(x, value, payload)``.
     """
     bracket = next(((a, b) for a, b in zip(nodes, nodes[1:])
-                    if (a[1] - target) * (b[1] - target) <= 0), None)
+                    if min(a[1], b[1]) <= target <= max(a[1], b[1])), None)
     ends = bracket or (min(nodes[0], nodes[-1], key=lambda n: abs(n[1] - target)),)
     for x, value in ends:
         if abs(value - target) <= end_tol:

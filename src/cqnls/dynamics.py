@@ -155,6 +155,8 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     rotations (``_phase``), and adjacent ones merge into one full phase
     except at ledger samples and at the end of the call.  The linear
     matrix is the same at every step, so it is factored once per call.
+    The call takes the whole number of steps nearest to
+    (t_end - initial.time)/dt, and raises ValueError when that is none.
     The k-th step ends at ``initial.time + k * dt``; the ledger is appended
     every ``ledger_interval`` of simulated time (default: 100 samples over
     the run) and at ``t_end`` if a step ends there.  With the sponge off, relative mass and
@@ -164,6 +166,9 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     """
     if not (math.isfinite(t_end) and math.isfinite(dt)) or dt <= 0 or t_end <= initial.time:
         raise ValueError("need finite t_end and dt, dt > 0 and t_end beyond the initial time")
+    steps = int(round((t_end - initial.time) / dt))
+    if steps == 0:
+        raise ValueError(f"t_end={t_end} lies within dt/2 of the initial time: no step to take")
     if ledger_interval is None:
         ledger_interval = (t_end - initial.time) / 100.0
     grid = initial.grid
@@ -192,7 +197,6 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     # drifts past the 1e-12 slack over thousands of steps
     t0 = initial.time
     samples = 1
-    steps = int(round((t_end - t0) / dt))
     opening = 0.5 * dt
 
     for step in range(1, steps + 1):

@@ -1,27 +1,31 @@
-"""Ground-state solver: shooting with bisection on the radial ODE.
+"""Ground-state solver: shooting on the radial ODE by the secant method.
 
 The profile equation  u'' + (2/r) u' = omega*u - u^3 + u^5  is integrated
-from a regular start at the origin.  Central values split into two
-classes: too low and the trajectory turns upward while still positive, too
-high (past the ground amplitude) and it crosses zero.  Bisection pins the
-separatrix, which is the decaying ground state.
+from a regular start at the origin.  In the linear tail z = r u has
+z' + sqrt(omega) z growing alone, so g(x) = R u'(R) + (1 + sqrt(omega) R)
+u(R) at a fixed radius R is a smooth residual in the shooting parameter
+x, zero at the decaying ground state.  The secant method finds its root
+from the value the stored depth table predicts (Stoer & Bulirsch,
+*Introduction to Numerical Analysis*, section 7.3).  The two classes of
+trajectories check it: just below the root a trajectory turns upward
+while still positive, just above it crosses zero.
 
-Up to ``OMEGA_SHOOTING_MAX`` the bisection runs on the central amplitude.
-Above it the ground amplitude u(0) = u+ - eps sits just below the force
-zero u+, with eps ~ exp(-0.36/(3/16 - omega)) falling below one ulp of u+
-from omega ~ 0.18, and the profile is a plateau at u+ of radius about
--ln(eps)/kappa closed by a front (kappa^2 = f'(u+)).  There the bisection
-runs on s = ln(eps) instead (``_PlateauShot``): the scaled deviation
-w = (u+ - u)/eps, with its exponential growth divided out, is integrated
-from the exact linear solution sinh(kappa r)/(kappa r), so tolerances
-stay relative however small eps is, and the trajectory switches back to
-u once the deviation is of order one.
+Up to ``OMEGA_SHOOTING_MAX`` the shooting parameter is the central
+amplitude.  Above it the ground amplitude u(0) = u+ - eps sits just below
+the force zero u+, with eps ~ exp(-0.36/(3/16 - omega)) falling below one
+ulp of u+ from omega ~ 0.18, and the profile is a plateau at u+ of radius
+about -ln(eps)/kappa closed by a front (kappa^2 = f'(u+)).  There the
+parameter is the depth -ln(eps) instead (``_PlateauShot``): the scaled
+deviation w = (u+ - u)/eps, with its exponential growth divided out, is
+integrated from the exact linear solution sinh(kappa r)/(kappa r), so
+tolerances stay relative however small eps is, and the trajectory
+switches back to u once the deviation is of order one.
 
 Every trajectory runs on scipy's DOP853 ported to Python floats (Hairer,
-Norsett & Wanner, *Solving ODEs I*, sections II.5-6): the classifying runs
-of the bisection, and the dense pass that samples the profile, with the
-method's dense output and its event roots located by Brent's method.  The
-run is straight-line code generated from the source text of each
+Norsett & Wanner, *Solving ODEs I*, sections II.5-6): the residual runs,
+the classifying runs, and the dense pass that samples the profile, with
+the method's dense output and its event roots located by Brent's method.
+The run is straight-line code generated from the source text of each
 right-hand side and its events (``_Problem``: the amplitude, cubic and
 plateau runs) and compiled at its first use (``_marcher``).  The module
 needs numpy alone.
@@ -36,7 +40,6 @@ from __future__ import annotations
 import bisect
 import enum
 import functools
-import heapq
 import importlib.util
 import math
 import os
@@ -64,14 +67,15 @@ def __getattr__(name):
 
 #: relative tolerance of every ODE run: the solver's one setting
 ODE_TOLERANCE = 1e-12
-#: loosest ODE tolerance accepted; from 1e-3 the tail fits fail
-#: (``DomainTooSmall``) and from 0.1 the runs overflow
+#: loosest ODE tolerance accepted; from about 1e-6 the residual's rounding
+#: can keep the secant from its root (``BracketFailure``), from 0.1 the
+#: runs overflow
 MAX_ODE_TOLERANCE = 1e-2
-#: largest frequency solved by amplitude shooting; above it the bisection
-#: runs on the logarithm of the gap between the amplitude and the force zero
+#: largest frequency solved by amplitude shooting; above it the shooting
+#: parameter is the log of the gap between the amplitude and the force zero
 OMEGA_SHOOTING_MAX = 0.155
-#: final bracket width of the bisection: on the central amplitude, or
-#: relative on the depth -ln(u+ - u(0)) above ``OMEGA_SHOOTING_MAX``
+#: final bracket width of the depth table's bisections: on the amplitude,
+#: or relative on the depth -ln(u+ - u(0)) above ``OMEGA_SHOOTING_MAX``
 BISECTION_TOLERANCE = 1e-14
 #: radius of the Taylor start at the origin
 TAYLOR_START_STEP = 1e-3
@@ -418,11 +422,13 @@ def _march(problem: _Problem, params, r, u, up, r_end, rtol, atol=None, first_st
                  segments)
 
 
-#: the shooting dichotomy's right-hand side and its two terminal events,
-#: crossing zero and turning upward, past thresholds
-_AMPLITUDE = _Problem("r, u, up", "omega, cross_eps, turn_eps",
+#: the shooting dichotomy's right-hand side and its terminal events:
+#: crossing zero and turning upward, past thresholds, and falling through
+#: ``match_level``, which places the radius of the matching residual.  A
+#: threshold of +inf (a level of -inf) disables its event
+_AMPLITUDE = _Problem("r, u, up", "omega, cross_eps, turn_eps, match_level",
                       ("up, omega * u - u**3 + u**5 - 2.0 * up / r",),
-                      ("u + cross_eps", "up - turn_eps"), (-1.0, 1.0))
+                      ("u + cross_eps", "up - turn_eps", "u - match_level"), (-1.0, 1.0, -1.0))
 #: the pure-cubic reference problem; the 0.0 where the quintic term stands
 #: keeps the sum's rounding (it turns -0.0 into 0.0)
 _CUBIC = _AMPLITUDE._replace(rhs=("up, omega * u - u**3 + 0.0 - 2.0 * up / r",))
@@ -446,7 +452,7 @@ def _shoot(a: float, omega: float, ode_tolerance: float, quintic: bool, max_radi
     if start is None:
         start = (TAYLOR_START_STEP, *_taylor_start(a, TAYLOR_START_STEP, omega, quintic))
     event, steps, r, *_ = _march(_AMPLITUDE if quintic else _CUBIC,
-                                 (omega, *_event_thresholds(a)), *start, max_radius,
+                                 (omega, *_event_thresholds(a), -math.inf), *start, max_radius,
                                  ode_tolerance, segments=segments)
     return _EVENT_CLASSES[event], steps, r
 
@@ -476,86 +482,28 @@ def _default_bracket(omega: float, quintic: bool):
     return 1.1, 19.0
 
 
-#: levels the verification climbs toward the root after a failed check
-_CLIMB_LEVELS = 4
-#: smallest prediction error, relative to the predicted parameter.  Within
-#: about 1e-12 (relative) of the root the trajectory class is not monotone in
-#: the amplitude (widest band seen: 1.1e-12 at ode_tolerance 1e-8, 6e-14 at
-#: 1e-10, none at 1e-12), and within 4.4e-13 in the plateau depth (omega
-#: 0.1551-0.185, all at 0.185: 4.4e-13 at 1e-10, 2.2e-13 at 1e-12, 1.5e-13
-#: at 1e-8; 1.9e-12 with another first step); a replayed interval at least
-#: twice this wide keeps every unverified midpoint of the cold path
-#: outside that band.
-_PREDICTION_ERR_FLOOR = 1e-11
-
-
-def _bisect(classify, lo: float, hi: float, tolerance: float,
-            prediction: tuple[float, float] | None = None, relative: bool = False):
+def _bisect(classify, lo: float, hi: float, tolerance: float, relative: bool = False):
     """Bisect the shooting parameter's bracket down to ``tolerance``
     (times the lower end with ``relative``, for a positive parameter).
 
     ``classify(x)`` is the trajectory class at parameter x; ``lo`` must
-    turn upward and ``hi`` cross zero.  With a ``prediction``
-    ``(x_pred, err)`` the bisection tree of the root bracket is first
-    replayed without integrating, steering each midpoint by ``x_pred``,
-    down to an interval no wider than ``4 * err``.  Once that interval's
-    endpoints classify as a bracket, the ordinary bisection continues from
-    it (a failed check climbs toward the root).  A verified interval is a
-    node of the cold bisection path, so the returned bracket equals the
-    cold one bit for bit.  ``err`` is raised to at least
-    ``_PREDICTION_ERR_FLOOR * |x_pred|``.
+    turn upward and ``hi`` cross zero, or ``BracketFailure`` is raised.
     """
-    classes = {}
-
-    def memo(x):
-        if x not in classes:
-            classes[x] = classify(x)
-        return classes[x]
-
-    def brackets(lo, hi):
-        return (memo(lo) is TrajectoryClass.TURNS_UPWARD
-                and memo(hi) is TrajectoryClass.CROSSES_ZERO)
-
-    path = [(lo, hi)]
-    # the classes are ordered in the parameter across the bracket, so a
-    # verified interval inside it implies the check of the bracket itself
-    if prediction is not None:
-        x_pred, err = prediction
-        width = max(4.0 * err, 4.0 * _PREDICTION_ERR_FLOOR * abs(x_pred),
-                    tolerance * (abs(x_pred) if relative else 1.0))
-        a, b = lo, hi
-        while b - a > width:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            a, b = (a, mid) if x_pred < mid else (mid, b)
-            path.append((a, b))
-    level = len(path) - 1
-    while not brackets(*path[level]):
-        if level == 0:
-            raise BracketFailure(
-                f"bracket ({lo}, {hi}) classes ({memo(lo).value}, {memo(hi).value}) "
-                "do not separate TurnsUpward from CrossesZero"
-            )
-        level = max(level - _CLIMB_LEVELS, 0)
-    lo, hi = path[level]
+    ends = classify(lo), classify(hi)
+    if ends != (TrajectoryClass.TURNS_UPWARD, TrajectoryClass.CROSSES_ZERO):
+        raise BracketFailure(
+            f"bracket ({lo}, {hi}) classes ({ends[0].value}, {ends[1].value}) "
+            "do not separate TurnsUpward from CrossesZero"
+        )
     while hi - lo > tolerance * (lo if relative else 1.0):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if memo(mid) is TrajectoryClass.CROSSES_ZERO:
+        if classify(mid) is TrajectoryClass.CROSSES_ZERO:
             hi = mid
         else:
             lo = mid
     return lo, hi
-
-
-def _bisect_amplitude(omega: float, ode_tolerance: float, quintic: bool,
-                      prediction: tuple[float, float] | None = None):
-    """The amplitude bracket of the ground state, bisected to
-    ``BISECTION_TOLERANCE`` from the phase-plane default bracket."""
-    return _bisect(lambda a: classify_trajectory(a, omega, ode_tolerance, quintic),
-                   *_default_bracket(omega, quintic), BISECTION_TOLERANCE, prediction)
 
 
 def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
@@ -631,14 +579,38 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     )
 
 
-def _build_profile(a: float, omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
-    segments = []
-    _, _, r_stop = _shoot(a, omega, ode_tolerance, quintic, default_max_radius(omega),
-                          segments=segments)
-    trajectory = _DenseTrajectory(segments)
-    # the grid's first node past the origin lies beyond the Taylor start
-    return _matched_profile(lambda grid: trajectory(np.maximum(grid, TAYLOR_START_STEP)),
-                            a, omega, quintic, r_stop)
+class _AmplitudeShot:
+    """Shooting on the central amplitude: the ground state up to
+    ``OMEGA_SHOOTING_MAX``, and the cubic reference without ``quintic``.
+    As ``_PlateauShot``, it gives the ``start`` and ``radius`` of the run
+    of u, the class, the bisection and the profile at its parameter."""
+
+    def __init__(self, omega: float, ode_tolerance: float, quintic: bool):
+        self.omega, self.ode_tolerance, self.quintic = omega, ode_tolerance, quintic
+
+    def start(self, a: float):
+        return a, (TAYLOR_START_STEP,
+                   *_taylor_start(a, TAYLOR_START_STEP, self.omega, self.quintic))
+
+    def radius(self, a: float) -> float:
+        return default_max_radius(self.omega)
+
+    def classify(self, a: float) -> TrajectoryClass:
+        return classify_trajectory(a, self.omega, self.ode_tolerance, self.quintic)
+
+    def bisect(self, tolerance: float, relative: bool):
+        """``_bisect`` from the phase-plane default bracket."""
+        return _bisect(self.classify, *_default_bracket(self.omega, self.quintic), tolerance,
+                       relative)
+
+    def profile(self, a: float) -> RadialProfile:
+        segments = []
+        _, _, r_stop = _shoot(a, self.omega, self.ode_tolerance, self.quintic, self.radius(a),
+                              segments=segments)
+        trajectory = _DenseTrajectory(segments)
+        # the grid's first node past the origin lies beyond the Taylor start
+        return _matched_profile(lambda grid: trajectory(np.maximum(grid, TAYLOR_START_STEP)),
+                                a, self.omega, self.quintic, r_stop)
 
 
 #: deepest plateau shot at: exp(-700) is still a normal double
@@ -672,13 +644,14 @@ class _PlateauShot:
     A trajectory starts on the linear solution where v = delta (or at the
     Taylor start of w when eps >= delta), is marched in q until u falls to
     the midpoint of the force zeros u- < u+, where f < 0 on the way rules
-    out a turn, and then goes on in u with the two amplitude-shooting
-    events.  The bisection runs on the depth -s, from the default
-    bracket's lowest amplitude (which turns upward at once) to
-    ``_MAX_LOG_DEPTH``, to ``BISECTION_TOLERANCE`` relative.  The
-    integration radius is the front, about -s/kappa, plus
-    ``default_max_radius``.
+    out a turn, and then goes on in u with the amplitude-shooting events.
+    The shooting parameter is the depth -s; its bracket runs from the
+    default bracket's lowest amplitude (which turns upward at once) to
+    ``_MAX_LOG_DEPTH``.  The integration radius is the front, about
+    -s/kappa, plus ``default_max_radius``.
     """
+
+    quintic = True
 
     def __init__(self, omega: float, ode_tolerance: float):
         p = force_upper_zero(omega)
@@ -746,17 +719,37 @@ class _PlateauShot:
                       atol=rtol / (2.0 * self.kappa), first_step=1.0 / self.kappa,
                       segments=segments)
 
-    def classify(self, depth: float) -> TrajectoryClass:
-        eps, radius = math.exp(-depth), self.radius(depth)
-        a = self.p - eps
-        if eps >= self.v_switch:
-            return classify_trajectory(a, self.omega, self.ode_tolerance, True, radius)
+    def start(self, depth: float):
+        """The amplitude at ``depth`` and the (r, u, u') where its run of u
+        starts past the plateau, or None when the q run does not leave it."""
+        a = self.p - math.exp(-depth)
         event, _, r, q, qp = self._leave_plateau(depth, self.ode_tolerance)
         if event is None:
-            return TrajectoryClass.UNDETERMINED
+            return a, None
         v, vp = map(float, self._deviation(depth, r, q, qp))
-        return _shoot(a, self.omega, self.ode_tolerance, True, radius,
-                      start=(r, self.p - v, -vp))[0]
+        return a, (r, self.p - v, -vp)
+
+    def classify(self, depth: float) -> TrajectoryClass:
+        eps, radius = math.exp(-depth), self.radius(depth)
+        if eps >= self.v_switch:
+            return classify_trajectory(self.p - eps, self.omega, self.ode_tolerance, True, radius)
+        a, start = self.start(depth)
+        if start is None:
+            return TrajectoryClass.UNDETERMINED
+        return _shoot(a, self.omega, self.ode_tolerance, True, radius, start=start)[0]
+
+    def bisect(self, tolerance: float, relative: bool):
+        """``_bisect`` of the depth up to ``_MAX_LOG_DEPTH``."""
+        lowest = _default_bracket(self.omega, True)[0]
+        try:
+            return _bisect(self.classify, -math.log(self.p - lowest), _MAX_LOG_DEPTH, tolerance,
+                           relative)
+        except BracketFailure as err:
+            # the lower end turns upward at once, so the deepest end missed
+            raise BracketFailure(
+                f"omega={self.omega}: the ground state lies deeper than the depth limit "
+                f"-ln(u+ - u(0)) = {_MAX_LOG_DEPTH:g} of plateau shooting, as it does "
+                f"from omega = 0.186967 on; {err}") from err
 
     def profile(self, depth: float) -> RadialProfile:
         """The profile at ``depth`` = -s, stitched from the start solution,
@@ -788,50 +781,94 @@ class _PlateauShot:
 
         return _matched_profile(sample, a, self.omega, True, r_stop)
 
-    def solve(self, prediction: tuple[float, float] | None = None):
-        """The bisected depth and its profile; ``prediction`` is a
-        predicted depth and its error, as for ``_bisect``."""
-        lowest = _default_bracket(self.omega, True)[0]
-        try:
-            lo, hi = _bisect(self.classify, -math.log(self.p - lowest), _MAX_LOG_DEPTH,
-                             BISECTION_TOLERANCE, prediction, relative=True)
-        except BracketFailure as err:
-            # the lower end turns upward at once, so the deepest end missed
-            raise BracketFailure(
-                f"omega={self.omega}: the ground state lies deeper than the depth limit "
-                f"-ln(u+ - u(0)) = {_MAX_LOG_DEPTH:g} of plateau shooting, as it does "
-                f"from omega = 0.186967 on; {err}") from err
-        depth = 0.5 * (lo + hi)
-        return depth, self.profile(depth)
+
+#: relative offset of the secant's second point and of the check's two
+#: classifications from the root
+_PROBE = 1e-11
+#: relative step that stops the secant: slopes from iterates 1e-13 apart
+#: are rounding, while a stop at 1e-8 left roots outside the check's probes
+_SECANT_STOP = 1e-12
+#: most secant steps per solve; from the table it mostly takes two, and up
+#: to twelve near the depth limit, where the residual's rounding nears the stop
+_SECANT_STEPS = 12
+#: relative width of the bisection that starts a solve outside the table
+_COLD_TOLERANCE = 1e-9
 
 
-def _solve(omega: float, ode_tolerance: float, quintic: bool,
-           prediction: tuple[float, float] | None = None) -> RadialProfile:
-    key = (float(omega), ode_tolerance)
-    if quintic and omega > OMEGA_SHOOTING_MAX:
-        depth, profile = _PlateauShot(omega, ode_tolerance).solve(prediction)
-        _depths[key] = depth
-        return profile
-    lo, hi = _bisect_amplitude(omega, ode_tolerance, quintic, prediction)
-    a = 0.5 * (lo + hi)
+def _secant(shot, x0: float) -> float:
+    """Root of the matching residual g(x) = R u'(R) + (1 + sqrt(omega) R) u(R)
+    in the parameter x of ``shot``, by the secant method from ``x0`` and
+    ``x0 * (1 + _PROBE)``.  R is the end of the step in which the run from
+    ``x0`` falls through ``MATCHING_WINDOW[0]`` times its amplitude; later
+    runs go to R with their events disabled.  ``BracketFailure`` when that
+    run ends otherwise or no step comes below ``_SECANT_STOP``."""
+    problem = _AMPLITUDE if shot.quintic else _CUBIC
+    decay = math.sqrt(shot.omega)
+
+    def residual(x, r_end, match):
+        # the event that ended the run from x, where it stopped, and g there;
+        # with ``match`` it stops past the matching level, else at r_end
+        a, start = shot.start(x)
+        if start is None:
+            return None, math.nan, math.nan
+        levels = ((*_event_thresholds(a), MATCHING_WINDOW[0] * a) if match
+                  else (math.inf, math.inf, -math.inf))
+        event, _, r, u, up = _march(problem, (shot.omega, *levels), *start, r_end,
+                                    shot.ode_tolerance)
+        return event, r, r * up + (1.0 + decay * r) * u
+
+    event, radius, g_prev = residual(x0, shot.radius(x0), True)
+    if event != 2:
+        raise BracketFailure(
+            f"omega={shot.omega}: the run from {x0!r} does not fall to "
+            f"{MATCHING_WINDOW[0]:g} of its amplitude")
+    x_prev, x = x0, x0 * (1.0 + _PROBE)
+    for _ in range(_SECANT_STEPS):
+        _, r, g = residual(x, radius, False)
+        step = g * (x - x_prev) / (g - g_prev) if g != g_prev else math.nan
+        if r != radius or not math.isfinite(step):
+            break
+        x_prev, g_prev, x = x, g, x - step
+        if abs(step) <= _SECANT_STOP * abs(x):
+            return x
+    raise BracketFailure(f"omega={shot.omega}: the secant from {x0!r} did not settle "
+                         f"within {_SECANT_STEPS} steps")
+
+
+def _root(shot, x0: float) -> float:
+    """The ground state's parameter: ``_secant`` from ``x0``, checked by
+    the dichotomy.  Just below the root a trajectory must turn upward and
+    just above it cross zero, or ``BracketFailure`` is raised."""
+    x = _secant(shot, x0)
+    below, above = shot.classify(x * (1.0 - _PROBE)), shot.classify(x * (1.0 + _PROBE))
+    if (below, above) != (TrajectoryClass.TURNS_UPWARD, TrajectoryClass.CROSSES_ZERO):
+        raise BracketFailure(
+            f"omega={shot.omega}: the matched root {x!r} is not bracketed; at -+{_PROBE:g} "
+            f"(relative) the classes are ({below.value}, {above.value})")
+    return x
+
+
+def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
+    shot = (_PlateauShot(omega, ode_tolerance) if quintic and omega > OMEGA_SHOOTING_MAX
+            else _AmplitudeShot(omega, ode_tolerance, quintic))
     if quintic:
-        _depths[key] = -math.log(force_upper_zero(omega) - a)
-    return _build_profile(a, omega, ode_tolerance, quintic)
+        x0 = _predict(omega)
+    else:
+        from . import depth_table
+        x0 = depth_table.CUBIC_AMPLITUDE
+    if x0 is None:
+        # outside the depth table's span: a coarse bisection of the classes
+        x0 = 0.5 * sum(shot.bisect(_COLD_TOLERANCE, True))
+    return shot.profile(_root(shot, x0))
 
 
 _profile_cache: dict = {}
-#: depth -ln(u+ - u(0)) of each ground-state solve, under its cache key:
-#: bisected on the plateau, from the bisected amplitude below it
-_depths: dict = {}
 
 
-def _newton_predict(x: float, samples) -> tuple[float, float] | None:
-    """Value at x and its error bound, by Newton interpolation through the
-    ``(x_i, value_i)`` samples, nearest first; ``None`` with fewer than two
-    samples.  The bound is four times the last Newton term."""
+def _newton_predict(x: float, samples) -> float:
+    """Value at x by Newton interpolation through the ``(x_i, value_i)``
+    samples, nearest first."""
     near = sorted(samples, key=lambda entry: abs(entry[0] - x))
-    if len(near) < 2:
-        return None
     nodes = [node for node, _ in near]
     coef = [value for _, value in near]
     for k in range(1, len(nodes)):
@@ -839,119 +876,76 @@ def _newton_predict(x: float, samples) -> tuple[float, float] | None:
             coef[i] = (coef[i] - coef[i - 1]) / (nodes[i] - nodes[i - k])
     value, basis = 0.0, 1.0
     for c, node in zip(coef, nodes):
-        term = c * basis
-        value += term
+        value += c * basis
         basis *= x - node
-    err = 4.0 * abs(term)
-    if not (math.isfinite(value) and math.isfinite(err)):
-        return None
-    return value, err
-
-
-def _scaled_depth(omega: float, depth: float) -> tuple[float, float]:
-    """(x, y) = (ln(3/16 - omega), (3/16 - omega) depth): y is of order one
-    over the window, where the depth grows like 1/(3/16 - omega)."""
-    gap = OMEGA_MAX - omega
-    return math.log(gap), gap * depth
+    return value
 
 
 @functools.cache
 def _table() -> tuple[tuple[float, float], ...]:
-    """The depth table in (x, y), in increasing x, read at first use: a
-    table that fails to import must not block the solves regenerating it."""
+    """The depth table as (x, y) = (ln(3/16 - omega), (3/16 - omega) depth)
+    in increasing x: y is of order one over the window, where the depth
+    grows like 1/(3/16 - omega).  Read at first use: a table that fails to
+    import must not block the bisections regenerating it."""
     from . import depth_table
-    return tuple(sorted(_scaled_depth(*node) for node in depth_table.GROUND_DEPTHS))
+    return tuple(sorted((math.log(OMEGA_MAX - omega), (OMEGA_MAX - omega) * depth)
+                        for omega, depth in depth_table.GROUND_DEPTHS))
 
 
 #: table nodes per prediction
 _TABLE_POINTS = 8
-#: largest shift of a root per unit of ODE tolerance, relative, away from
-#: the table's ``depth_table.ODE_TOLERANCE``: 10.6 seen in the depth (omega
-#: 0.1866 at 1e-8), under 3.4 elsewhere and 0.03 in the cubic amplitude
-_TOLERANCE_SHIFT = 20.0
 
 
-def _table_shift(ode_tolerance: float) -> float:
-    """Relative error a table value may carry at ``ode_tolerance``."""
-    from . import depth_table
-    return _TOLERANCE_SHIFT * abs(ode_tolerance - depth_table.ODE_TOLERANCE)
-
-
-def _predict(omega: float, ode_tolerance: float) -> tuple[float, float] | None:
-    """Ground state at omega and its error bound, in the parameter the
-    bisection runs on: the amplitude up to ``OMEGA_SHOOTING_MAX``, the
-    depth -ln(u+ - u(0)) above.
-
-    Two predictions of y over x (``_scaled_depth``), each by
-    ``_newton_predict``: from the ``_TABLE_POINTS`` nearest nodes of the
-    depth table (inside its span), its bound raised by ``_table_shift``,
-    and from the four nearest cached ground states at this tolerance.  The
-    tighter bound wins; a bound not below y is no prediction.  The
-    amplitude is u+ - exp(-depth).  ``None`` when neither applies.
+def _predict(omega: float) -> float | None:
+    """The ground state's shooting parameter at omega as the depth table
+    predicts it: the amplitude up to ``OMEGA_SHOOTING_MAX``, the depth
+    -ln(u+ - u(0)) above.  y over x (``_table``) is interpolated through
+    the ``_TABLE_POINTS`` nearest nodes; the amplitude is u+ - exp(-depth).
+    ``None`` outside the table's span.
     """
     x = math.log(OMEGA_MAX - omega)
-    # one sample per x: frequencies an ulp apart can share it
-    cached = dict(_scaled_depth(key[0], _depths[key]) for key in _profile_cache
-                  if key[1] == ode_tolerance and key in _depths)
-    candidates = [_newton_predict(x, heapq.nsmallest(4, cached.items(),
-                                                     key=lambda s: abs(s[0] - x)))]
     nodes = _table()
     i = bisect.bisect(nodes, x, key=lambda node: node[0])
-    if 0 < i < len(nodes):
-        start = min(max(i - _TABLE_POINTS // 2, 0), len(nodes) - _TABLE_POINTS)
-        table = _newton_predict(x, nodes[start:start + _TABLE_POINTS])
-        if table is not None:
-            y, err = table
-            candidates.append((y, err + _table_shift(ode_tolerance) * abs(y)))
-    # a bound past the positive y itself tells nothing, and its depth could
-    # take exp(-depth) out of range (neighbours 1e-13 apart, extrapolated)
-    candidates = [c for c in candidates if c is not None and c[1] < c[0]]
-    if not candidates:
+    if not 0 < i < len(nodes):
         return None
-    y, err = min(candidates, key=lambda candidate: candidate[1])
-    gap = OMEGA_MAX - omega
-    depth, err = y / gap, err / gap
+    start = min(max(i - _TABLE_POINTS // 2, 0), len(nodes) - _TABLE_POINTS)
+    depth = _newton_predict(x, nodes[start:start + _TABLE_POINTS]) / (OMEGA_MAX - omega)
     if omega > OMEGA_SHOOTING_MAX:
-        return depth, err
-    # the amplitude's error on the far side of the depth's; no depth lies
-    # beyond _MAX_LOG_DEPTH
-    eps = math.exp(-depth)
-    return force_upper_zero(omega) - eps, eps * math.expm1(min(err, _MAX_LOG_DEPTH))
+        return depth
+    return force_upper_zero(omega) - math.exp(-depth)
 
 
 def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Positive decaying solution of the cubic-quintic profile equation.
 
-    Up to ``OMEGA_SHOOTING_MAX`` the bisection runs on the central
+    Up to ``OMEGA_SHOOTING_MAX`` the shooting parameter is the central
     amplitude.  Above it the amplitude comes within one ulp of the force
-    zero, and the bisection runs on the log of their gap instead
+    zero, and the parameter is the log of their gap instead
     (``_PlateauShot``), up to omega = 0.186967, where the depth reaches
-    ``_MAX_LOG_DEPTH``.  Either bisection starts from the value predicted
-    by the depth table or by cached neighbours at the same tolerance
-    (``_predict``) and returns the same bracket as a cold one, so the
-    profile does not depend on what was solved before.
+    ``_MAX_LOG_DEPTH``.  The secant method finds the root of the matching
+    residual from the depth table's prediction (``_secant``), or, outside
+    the table's span, from a coarse bisection of the trajectory classes;
+    the classes just below and above the root then check it (``_root``).
+    No cache feeds the start, so the profile depends on omega and the
+    tolerance alone.
     """
     check_frequency(omega)
     check_tolerance(ode_tolerance)
     key = (float(omega), ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
-    profile = _solve(omega, ode_tolerance, quintic=True,
-                     prediction=_predict(omega, ode_tolerance))
+    profile = _solve(omega, ode_tolerance, quintic=True)
     _profile_cache[key] = profile
     return profile
 
 
 def solve_cubic_reference(ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Positive decaying solution of g'' + (2/r)g' = g - g^3 (unit frequency);
-    the bisection starts from the amplitude stored in the depth table."""
+    the secant starts from the amplitude stored in the depth table."""
     check_tolerance(ode_tolerance)
     key = ("cubic", ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
-    from . import depth_table
-    a = depth_table.CUBIC_AMPLITUDE
-    profile = _solve(1.0, ode_tolerance, quintic=False,
-                     prediction=(a, _table_shift(ode_tolerance) * a))
+    profile = _solve(1.0, ode_tolerance, quintic=False)
     _profile_cache[key] = profile
     return profile

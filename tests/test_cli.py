@@ -169,19 +169,18 @@ class TestScan:
 
     def test_derivatives_on_too_few_nodes_exit_3_before_any_solve(self, tmp_path,
                                                                   monkeypatch, capsys):
-        # empty caches, so a scan that ran would integrate
+        # an empty cache, so a scan that ran would integrate
         monkeypatch.setattr(shooting, "_profile_cache", {})
-        monkeypatch.setattr(shooting, "_depths", {})
-        shots, real_shoot = [], shooting._shoot
+        marches, real_march = [], shooting._march
 
         def counted(*args, **kwargs):
-            shots.append(args)
-            return real_shoot(*args, **kwargs)
-        monkeypatch.setattr(shooting, "_shoot", counted)
+            marches.append(args)
+            return real_march(*args, **kwargs)
+        monkeypatch.setattr(shooting, "_march", counted)
         code = main(["scan", "--grid-size", "4", "--derivatives", "--out", str(tmp_path)])
         assert code == 3
         assert "InsufficientPoints" in capsys.readouterr().err
-        assert shots == []
+        assert marches == []
 
 
 class TestConfigFile:
@@ -359,7 +358,7 @@ class TestPipelines:
         checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
         assert len(checks) == 7
         assert [c["pass"] for c in checks[:3]] == [True, True, True]
-        failed = [c for c in checks if c["detail"].startswith("DomainTooSmall: ")]
+        failed = [c for c in checks if c["detail"].startswith("BracketFailure: ")]
         assert failed and not any(c["pass"] for c in failed)
         assert "cubic reference residuals" in printed
         assert all(c["name"] in printed for c in failed)

@@ -205,9 +205,9 @@ class TestMonotoneRoot:
     @settings(max_examples=200, deadline=None)
     @given(grid=st.lists(st.integers(0, 64), min_size=1, max_size=12, unique=True),
            root=st.floats(-0.2, 1.2), increasing=st.booleans())
+    @example(grid=[0, 1], root=-5e-324, increasing=False)  # a product of the ends underflowed
     def test_bracket_is_first_gap_holding_the_root(self, grid, root, increasing):
-        # nodes on a 1/64 grid keep every value off the underflow of a
-        # product of two tiny values; only the sign of value - target matters
+        # only the sign of value - target matters
         sign = 1.0 if increasing else -1.0
         nodes = [(k / 64.0, sign * (k / 64.0 - root)) for k in sorted(grid)]
         gaps = [(a, b) for (a, _), (b, _) in zip(nodes, nodes[1:]) if a <= root <= b]

@@ -85,6 +85,11 @@ class TestEvolve:
             with pytest.raises(ValueError, match="finite"):
                 evolve(base_state, t_end, dt)
 
+    def test_rejects_an_end_short_of_one_step(self, base_state):
+        # t_end within dt/2 of the start rounds to no step at all
+        with pytest.raises(ValueError, match="no step"):
+            evolve(base_state, 0.009, 0.02)
+
     def test_non_finite_field_is_typed(self, base_state):
         field = base_state.field.copy()
         field[100] = 1e200  # finite, but |w|^2 overflows in the phase

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from operator import add, mul
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,7 +220,7 @@ class TestPlateau:
             shot = shooting._PlateauShot(omega, shooting.ODE_TOLERANCE)
             if delta is not None:
                 shot.delta = delta
-            return shot.solve()[0]
+            return shooting._root(shot, shooting._predict(omega))
 
         oracle = depth(0.0)
         assert abs(depth() - oracle) < 1e-10
@@ -271,20 +270,9 @@ def _assert_same_profile(warm, cold):
     assert warm.tail_constant == cold.tail_constant
 
 
-def _bisect(omega, prediction=None):
-    return shooting._bisect_amplitude(omega, shooting.ODE_TOLERANCE, True, prediction)
-
-
-@pytest.fixture(scope="module")
-def cold_073():
-    """Cold bisection bracket at omega = 0.073 and its midpoint."""
-    bracket = _bisect(0.073)
-    return bracket, 0.5 * (bracket[0] + bracket[1])
-
-
 def test_collocation_bootstrap_caches_switch_profile(monkeypatch):
     # the ladder is seeded through the one ground-state entry point, so the
-    # switch-point profile is cached and equals a cold shooting solve
+    # switch-point profile is cached and equals a shooting solve
     monkeypatch.setattr(bvp, "_ladder", {})
     monkeypatch.setattr(shooting, "_profile_cache", {})
     bvp.solve_collocation(0.17)
@@ -307,166 +295,181 @@ def test_newton_predict_is_exact_on_cubics(coefs, degree, offsets, omega0, h, t)
         return sum(c * x**k for k, c in enumerate(coefs))
 
     omega = omega0 + h * t
-    value, err = shooting._newton_predict(
+    value = shooting._newton_predict(
         omega, [(omega0 + h * k, poly(omega0 + h * k)) for k in offsets])
     # the largest value the polynomial can take on the node span; divided
     # differences over nodes h apart on a span of 6h amplify rounding by
     # up to 6^3, so "exact" means within 1e-12 of it (2.7e-14 seen)
     scale = sum(abs(c) * 6.0**k for k, c in enumerate(coefs)) + 1e-300
     assert abs(value - poly(omega)) <= 1e-12 * scale
-    if degree < 3:
-        # the last Newton term, a third divided difference, is rounding
-        assert err <= 1e-12 * scale
-
-
-class TestWarmStart:
-    """Cached neighbours shorten the bisection and never change its result."""
-
-    @staticmethod
-    def _warm_and_cold(omega, neighbours, monkeypatch):
-        monkeypatch.setattr(shooting, "_profile_cache", {})
-        for neighbour in neighbours:
-            solve_ground_state(neighbour)
-        # count trajectory classifications: both solves make one dense pass
-        calls = []
-        real_shoot = shooting._shoot
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real_shoot(*args, **kwargs)
-        monkeypatch.setattr(shooting, "_shoot", counted)
-        warm = solve_ground_state(omega)
-        warm_calls = len(calls)
-        cold = shooting._solve(omega, shooting.ODE_TOLERANCE, True)
-        assert warm_calls < len(calls) - warm_calls
-        return warm, cold
-
-    @pytest.mark.parametrize("omega", [0.004, 0.073, 0.155, 0.16, 0.185])
-    def test_matches_cold_solve(self, omega, monkeypatch):
-        neighbours = (omega * (1.0 - 2e-4), omega * (1.0 - 1e-4))
-        _assert_same_profile(*self._warm_and_cold(omega, neighbours, monkeypatch))
-
-    def test_configured_bracket(self, cold_073):
-        # a bracket other than the default: the replay steers through its
-        # own tree and lands on its own cold bracket
-        classify = functools.partial(classify_trajectory, omega=0.073)
-        cold = shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE)
-        _, a = cold_073
-        for err in (1e-12 * a, 1e-6):
-            assert shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE,
-                                    (a, err)) == cold
-
-    @pytest.mark.parametrize("shift", [1e-4, -1e-4, 1e-9, -1e-9])
-    def test_wrong_prediction_climbs(self, shift, cold_073):
-        # the claimed error is far below the miss, so the first check fails
-        bracket, a = cold_073
-        assert _bisect(0.073, (a * (1.0 + shift), 1e-12 * a)) == bracket
-
-    @pytest.mark.parametrize("a_pred", [-1.0, 1e-9, 5.0])
-    def test_prediction_outside_bracket(self, a_pred, cold_073):
-        bracket, _ = cold_073
-        assert _bisect(0.073, (a_pred, 1e-6)) == bracket
-
-    @pytest.mark.parametrize("bracket", [(0.5, 0.85), (0.9, 0.95)])
-    def test_failing_bracket_still_raises(self, bracket, cold_073):
-        # both brackets miss the root (about 0.8805), one from each side; a
-        # prediction at the root must not hide that
-        classify = functools.partial(classify_trajectory, omega=0.073)
-        _, a = cold_073
-        with pytest.raises(BracketFailure):
-            shooting._bisect(classify, *bracket, shooting.BISECTION_TOLERANCE, (a, 1e-6))
 
 
 TOLERANCES = [1e-8, 1e-10, 1e-12]
 
 
-def _ground_bracket(omega, tol, prediction=None):
-    """The ground state's bisection bracket, on the amplitude or on the
-    plateau depth as ``shooting._solve`` runs it, and the number of
-    trajectories it classified."""
+def _shot(omega, tol, quintic=True):
+    """The shot ``shooting._solve`` makes, and the start it takes."""
+    if not quintic:
+        return shooting._AmplitudeShot(1.0, tol, False), depth_table.CUBIC_AMPLITUDE
     if omega > OMEGA_SHOOTING_MAX:
-        shot = shooting._PlateauShot(omega, tol)
-        classify, relative = shot.classify, True
-        lo, hi = -math.log(shot.p - 1e-6), shooting._MAX_LOG_DEPTH
-    else:
-        classify = functools.partial(classify_trajectory, omega=omega, ode_tolerance=tol)
-        (lo, hi), relative = shooting._default_bracket(omega, True), False
-    calls = []
-
-    def counted(x):
-        calls.append(x)
-        return classify(x)
-    bracket = shooting._bisect(counted, lo, hi, shooting.BISECTION_TOLERANCE, prediction,
-                               relative=relative)
-    return bracket, len(calls)
+        return shooting._PlateauShot(omega, tol), shooting._predict(omega)
+    return shooting._AmplitudeShot(omega, tol, True), shooting._predict(omega)
 
 
-@settings(max_examples=6, deadline=None)
-@given(omega=st.floats(0.004, 0.155), tol=st.sampled_from(TOLERANCES),
-       sign=st.sampled_from([-1.0, 1.0]),
-       miss=st.floats(-16.0, -2.0), err=st.floats(-16.0, -2.0))
-def test_any_prediction_gives_the_cold_bracket(omega, tol, sign, miss, err):
-    cold = shooting._bisect_amplitude(omega, tol, True)
-    a = 0.5 * (cold[0] + cold[1])
-    prediction = (a * (1.0 + sign * 10.0**miss), a * 10.0**err)
-    assert shooting._bisect_amplitude(omega, tol, True, prediction) == cold
+def _ground_root(omega, tol, quintic=True):
+    """The ground state's shooting parameter as ``shooting._solve`` finds it."""
+    return shooting._root(*_shot(omega, tol, quintic))
 
 
-@settings(max_examples=4, deadline=None)
-@given(omega=st.floats(0.156, 0.185), tol=st.sampled_from(TOLERANCES),
-       sign=st.sampled_from([-1.0, 1.0]),
-       miss=st.floats(-16.0, -2.0), err=st.floats(-16.0, -2.0))
-def test_any_depth_prediction_gives_the_cold_bracket(omega, tol, sign, miss, err):
-    cold, _ = _ground_bracket(omega, tol)
-    x = 0.5 * (cold[0] + cold[1])
-    prediction = (x * (1.0 + sign * 10.0**miss), x * 10.0**err)
-    assert _ground_bracket(omega, tol, prediction)[0] == cold
+@settings(max_examples=12, deadline=None)
+@given(omega=st.one_of(st.floats(0.004, OMEGA_SHOOTING_MAX), st.floats(0.1551, 0.185)),
+       tol=st.sampled_from(TOLERANCES), sign=st.sampled_from([-1.0, 1.0]),
+       log_offset=st.floats(-12.0, -8.0))
+@example(omega=0.155, tol=1e-12, sign=-1.0, log_offset=-8.0)
+@example(omega=0.185, tol=1e-8, sign=-1.0, log_offset=-8.0)
+def test_secant_root_does_not_follow_its_start(omega, tol, sign, log_offset):
+    # a start off the table's prediction lands on the same root, and the
+    # root passes the dichotomy check.  Each secant stops within about one
+    # stop of where the residual's rounding lets it settle, so two roots
+    # can differ by two stops (1.3e-12 seen at 1e-8 over 2200 draws).  The
+    # start is off in the depth -ln(u+ - u(0)), the table's variable: near
+    # the switch an amplitude 1e-10 below the root turns upward before the
+    # run falls to the matching level
+    shot, _ = _shot(omega, tol)
+    root = shooting._root(shot, shooting._predict(omega))
+    upper = force_upper_zero(omega)
+    depth = root if omega > OMEGA_SHOOTING_MAX else -math.log(upper - root)
+    depth *= 1.0 + sign * 10.0**log_offset
+    start = depth if omega > OMEGA_SHOOTING_MAX else upper - math.exp(-depth)
+    assert shooting._root(shot, start) == pytest.approx(root, rel=2.0 * shooting._SECANT_STOP,
+                                                        abs=0.0)
 
 
-@settings(max_examples=6, deadline=None)
-@given(omega=st.floats(0.004, 0.1869), tol=st.sampled_from(TOLERANCES))
-def test_table_prediction_gives_the_cold_bracket(omega, tol):
-    # the table's own prediction, with no cached neighbour to compete
-    with mock.patch.object(shooting, "_profile_cache", {}):
-        prediction = shooting._predict(omega, tol)
-    assert prediction is not None
-    cold, cold_calls = _ground_bracket(omega, tol)
-    seeded, seeded_calls = _ground_bracket(omega, tol, prediction)
-    assert seeded == cold
-    assert seeded_calls < cold_calls
+def _residual_marches(monkeypatch):
+    """The list that gets one entry per run of the matching residual:
+    the runs that stop at the matching level or have their events off."""
+    calls, real_march = [], shooting._march
+
+    def counted(problem, params, *args, **kwargs):
+        if problem in (shooting._AMPLITUDE, shooting._CUBIC) and (
+                params[3] != -math.inf or params[1] == math.inf):
+            calls.append(params)
+        return real_march(problem, params, *args, **kwargs)
+    monkeypatch.setattr(shooting, "_march", counted)
+    return calls
+
+
+def test_few_residual_marches_per_solve(monkeypatch):
+    # from the table's prediction the secant takes two steps, rarely three:
+    # at most four runs of the residual.  Not at 1e-8, where the residual's
+    # rounding reaches 5e-12 of the root at some frequencies, above the
+    # secant's stop, and a solve can take up to seven
+    marches = _residual_marches(monkeypatch)
+    for tol in (1e-10, 1e-12):
+        for omega, quintic in [*((float(w), True) for w in np.linspace(0.004, 0.185, 37)),
+                               (1.0, False)]:
+            marches.clear()
+            _ground_root(omega, tol, quintic)
+            assert len(marches) <= 4, (omega, tol)
+
+
+class TestWarmStart:
+    """A solve does not depend on what came before it, and a start or a
+    bracket that misses the root raises."""
+
+    @pytest.mark.parametrize("omega", [0.004, 0.073, 0.155, 0.16, 0.185])
+    def test_matches_cold_solve(self, omega, monkeypatch):
+        # no cache feeds a solve's start, so solving neighbours first
+        # changes nothing in the profile
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        cold = solve_ground_state(omega)
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        for neighbour in (omega * (1.0 - 2e-4), omega * (1.0 - 1e-4)):
+            solve_ground_state(neighbour)
+        warm = solve_ground_state(omega)
+        assert warm is not cold
+        for name in ("grid", "values", "derivs"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name))
+        assert warm.tail_constant == cold.tail_constant
+
+    def test_configured_bracket(self):
+        # a bracket other than the default bisects to the secant's root
+        classify = functools.partial(classify_trajectory, omega=0.073)
+        lo, hi = shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE)
+        assert 0.5 * (lo + hi) == pytest.approx(_ground_root(0.073, shooting.ODE_TOLERANCE),
+                                                rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("a_pred", [-1.0, 1e-9, 5.0])
+    def test_prediction_outside_bracket(self, a_pred):
+        # from a start outside the default bracket no run falls to the
+        # matching level
+        shot = shooting._AmplitudeShot(0.073, shooting.ODE_TOLERANCE, True)
+        with pytest.raises(BracketFailure, match="does not fall"):
+            shooting._root(shot, a_pred)
+
+    @pytest.mark.parametrize("bracket", [(0.5, 0.85), (0.9, 0.95)])
+    def test_failing_bracket_still_raises(self, bracket):
+        # both brackets miss the root (about 0.8805), one from each side
+        classify = functools.partial(classify_trajectory, omega=0.073)
+        with pytest.raises(BracketFailure):
+            shooting._bisect(classify, *bracket, shooting.BISECTION_TOLERANCE)
+
+
+@pytest.mark.parametrize("omega", [0.09, 0.17])
+def test_root_off_the_dichotomy_raises(omega, monkeypatch):
+    # a secant root 1e-9 off (relative) classifies on one side only
+    real_secant = shooting._secant
+    monkeypatch.setattr(shooting, "_profile_cache", {})
+    monkeypatch.setattr(shooting, "_secant",
+                        lambda shot, x0: real_secant(shot, x0) * (1.0 + 1e-9))
+    with pytest.raises(BracketFailure, match="not bracketed"):
+        solve_ground_state(omega)
+
+
+def test_secant_that_does_not_settle_raises(monkeypatch):
+    # a residual with no root: the steps never come below the stop
+    real_march = shooting._march
+
+    def shifted(problem, params, *args, **kwargs):
+        event, steps, r, u, up = real_march(problem, params, *args, **kwargs)
+        if problem is shooting._AMPLITUDE and params[1] == math.inf:
+            u = abs(u) + 1.0
+        return event, steps, r, u, up
+    monkeypatch.setattr(shooting, "_march", shifted)
+    with pytest.raises(BracketFailure):
+        _ground_root(0.09, shooting.ODE_TOLERANCE)
+
+
+@pytest.mark.parametrize("omega", [0.002, 0.003])
+def test_cold_start_below_the_table(omega, monkeypatch):
+    # below the table's span a coarse bisection of the classes starts the
+    # secant, and the profile meets criterion 01's gate
+    monkeypatch.setattr(shooting, "_profile_cache", {})
+    assert shooting._predict(omega) is None
+    profile = solve_ground_state(omega)
+    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
 class TestDepthTable:
-    """The stored depth table seeds every solve with no cached neighbour."""
+    """The stored depth table starts every solve inside its span."""
 
     @staticmethod
-    def _count_shots(monkeypatch):
-        monkeypatch.setattr(shooting, "_profile_cache", {})
-        calls = []
-        real_shoot = shooting._shoot
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real_shoot(*args, **kwargs)
-        monkeypatch.setattr(shooting, "_shoot", counted)
-        return calls
-
-    # classifications and the dense pass; a cold solve makes 49-55, a
-    # solve seeded at the prediction floor 13-15 and the cubic reference 17
-    MAX_SHOTS = 17
+    def _short_and_cold(omega, quintic, monkeypatch):
+        # the table's start takes at most four runs of the residual and
+        # lands on the root that a coarse bisection of the classes starts
+        marches = _residual_marches(monkeypatch)
+        shot, start = _shot(omega, shooting.ODE_TOLERANCE, quintic)
+        seeded = shooting._root(shot, start)
+        assert len(marches) <= 4
+        cold = shooting._root(shot, 0.5 * sum(shot.bisect(shooting._COLD_TOLERANCE, True)))
+        assert cold == pytest.approx(seeded, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("omega", [0.004, 0.073, 0.15, 0.16, 0.185])
     def test_seeded_solve_is_short_and_cold(self, omega, monkeypatch):
-        calls = self._count_shots(monkeypatch)
-        seeded = solve_ground_state(omega)
-        assert len(calls) <= self.MAX_SHOTS
-        _assert_same_profile(seeded, shooting._solve(omega, shooting.ODE_TOLERANCE, True))
+        self._short_and_cold(omega, True, monkeypatch)
 
     def test_seeded_cubic_reference(self, monkeypatch):
-        calls = self._count_shots(monkeypatch)
-        seeded = solve_cubic_reference()
-        assert len(calls) <= self.MAX_SHOTS
-        _assert_same_profile(seeded, shooting._solve(1.0, shooting.ODE_TOLERANCE, False))
+        self._short_and_cold(1.0, False, monkeypatch)
 
     def test_table_is_current(self):
         # a solver change that moves the roots must regenerate the table
@@ -482,57 +485,22 @@ class TestDepthTable:
             assert script["cold_depth"](omega) == depth
         assert script["cubic_amplitude"]() == depth_table.CUBIC_AMPLITUDE
 
-    def test_table_alone_predicts_to_the_floor(self, monkeypatch):
-        # the table is dense enough that at the default tolerance the floor,
-        # not the table's bound, sets how many classifications a seeded
-        # solve takes
-        monkeypatch.setattr(shooting, "_profile_cache", {})
-        for omega in np.linspace(0.004, 0.185, 400):
-            x, err = shooting._predict(float(omega), shooting.ODE_TOLERANCE)
-            assert err <= shooting._PREDICTION_ERR_FLOOR * abs(x), omega
-
-    def test_close_neighbours_far_from_a_solve_below_the_table(self, monkeypatch):
-        # below the table's span only the cached neighbours predict; four
-        # of them 1e-13 apart near the top extrapolate to a wild depth at
-        # 0.003, whose exp(-depth) overflowed; such a bound (past the value
-        # itself) now counts as no prediction
-        monkeypatch.setattr(shooting, "_profile_cache", {})
-        for k in range(4):
-            solve_ground_state(0.1869 + k * 1e-13)
-        assert 0.003 < depth_table.GROUND_DEPTHS[0][0]
-        _assert_same_profile(solve_ground_state(0.003),
-                             shooting._solve(0.003, shooting.ODE_TOLERANCE, True))
-
-    def test_neighbours_sharing_x(self, monkeypatch):
-        # omega and the next float share x = ln(3/16 - omega), as the base
-        # profile and the middle of evolve's reference family can; with
-        # both cached, the divided differences divided by zero
-        monkeypatch.setattr(shooting, "_profile_cache", {})
-        omega = 0.0731894962477946
-        twin = math.nextafter(omega, 1.0)
-        assert math.log(3.0 / 16.0 - omega) == math.log(3.0 / 16.0 - twin)
-        solve_ground_state(omega)
-        solve_ground_state(twin)
-        _assert_same_profile(solve_ground_state(1.01 * omega),
-                             shooting._solve(1.01 * omega, shooting.ODE_TOLERANCE, True))
-
     def test_past_the_depth_limit(self):
         with pytest.raises(BracketFailure, match="deeper than the depth limit"):
             solve_ground_state(0.1872)
 
 
 def test_cold_solve_runs_without_the_depth_table():
-    # scripts/make_depth_table.py regenerates the table by cold solves, so
-    # a table that fails to import must not stop them: only the seeded
-    # solves read it
-    code = ("import sys; sys.modules['cqnls.depth_table'] = None\n"
-            "from cqnls import shooting\n"
-            "print(shooting._solve(0.09, 1e-12, True).amplitude)")
+    # scripts/make_depth_table.py regenerates the table by bisection, so a
+    # table that fails to import must not stop it: only the solves read it
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_depth_table.py"
+    code = ("import runpy, sys; sys.modules['cqnls.depth_table'] = None\n"
+            f"print(repr(runpy.run_path({str(script)!r})['cold_depth'](0.09)))")
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert float(run.stdout) == shooting._solve(0.09, 1e-12, True).amplitude
+    assert float(run.stdout) == runpy.run_path(str(script))["cold_depth"](0.09)
 
 
 def test_tableau_is_scipys():
@@ -658,7 +626,7 @@ def _callback_march(rhs, r, u, up, r_end, rtol, events, directions, atol=None,
     return None, steps, r, u, up
 
 
-def _callbacks(kind, omega, depth, a):
+def _callbacks(kind, omega, depth, a, match):
     """The right-hand side and events of a production run as callbacks,
     written as ``_shoot`` and ``_PlateauShot`` wrote them before the march
     was generated from their text, with their directions, and the
@@ -676,14 +644,16 @@ def _callbacks(kind, omega, depth, a):
         return rhs, events, (1.0,), shooting._PLATEAU, shot._params(depth)
     quintic = kind == "quintic"
     cross_eps, turn_eps = shooting._event_thresholds(a)
+    level = shooting.MATCHING_WINDOW[0] * a if match else -math.inf
 
     def rhs(r, u, up):
         return up, omega * u - u**3 + (u**5 if quintic else 0.0) - 2.0 * up / r
 
     def events(r, u, up):
-        return u + cross_eps, up - turn_eps
-    return (rhs, events, (-1.0, 1.0), shooting._AMPLITUDE if quintic else shooting._CUBIC,
-            (omega, cross_eps, turn_eps))
+        return u + cross_eps, up - turn_eps, u - level
+    return (rhs, events, (-1.0, 1.0, -1.0),
+            shooting._AMPLITUDE if quintic else shooting._CUBIC,
+            (omega, cross_eps, turn_eps, level))
 
 
 def _outcome(f, *args):
@@ -731,23 +701,29 @@ _WILD_STARTS = st.tuples(st.floats(1e-3, 300.0), st.floats(-8.0, 2.0),
                          st.tuples(st.just("cubic"), st.just(1.0)),
                          st.tuples(st.just("plateau"), st.floats(0.1551, 0.1869))),
        frac=st.floats(1e-3, 1.0), wild=st.none() | _WILD_STARTS,
-       depth=st.floats(1.0, 700.0), log_rtol=st.floats(-13.0, -2.0), dense=st.booleans())
+       depth=st.floats(1.0, 700.0), log_rtol=st.floats(-13.0, -2.0), dense=st.booleans(),
+       match=st.booleans())
 @example(problem=("quintic", 0.09), frac=0.5, wild=(1.0, -1.0, 1e62, 0.0), depth=1.0,
-         log_rtol=-12.0, dense=True)
+         log_rtol=-12.0, dense=True, match=False)
 @example(problem=("plateau", 0.185), frac=0.5, wild=(200.0, 1.0, 1e60, -1e60), depth=1.0,
-         log_rtol=-12.0, dense=True)
+         log_rtol=-12.0, dense=True, match=False)
 @example(problem=("cubic", 1.0), frac=0.5, wild=(1e-3, -8.0, 0.0, 0.0), depth=1.0,
-         log_rtol=-12.0, dense=True)
+         log_rtol=-12.0, dense=True, match=False)
 @example(problem=("plateau", 0.1596706622027397), frac=0.5,
          wild=(0.1051677604860266, -2.5234, -1.4122323403712673e+78, -3.2797941281376995e+151),
-         depth=340.1501961519341, log_rtol=-12.0, dense=True)  # only the last stage overflows
-def test_kernel_matches_the_generic_stage_loops(problem, frac, wild, depth, log_rtol, dense):
+         depth=340.1501961519341, log_rtol=-12.0, dense=True,
+         match=False)  # only the last stage overflows
+@example(problem=("quintic", 0.09), frac=0.95, wild=None, depth=1.0, log_rtol=-12.0,
+         dense=True, match=True)  # falls through the matching level, then crosses zero
+def test_kernel_matches_the_generic_stage_loops(problem, frac, wild, depth, log_rtol, dense,
+                                                match):
     # the march generated from a problem's text rounds every weighted sum
     # as sum() does on Python 3.11, so a whole run (event, accepted steps,
     # stop state and every dense segment) is the same bit for bit as the
     # callback loop on the stage loops.  The start is the Taylor start of
     # amplitude frac * u+ (quintic, cubic) or the linear start at depth
-    # (plateau), run to the integration radius, or a wild start.  Where
+    # (plateau), run to the integration radius, or a wild start; with
+    # ``match`` the amplitude runs also stop at the matching level.  Where
     # stages overflow, to inf or with an OverflowError from u**5, both
     # raise, or the same values stay finite in both forms: a dropped
     # 0 * inf term can turn the loops' nan into inf, no more
@@ -755,7 +731,7 @@ def test_kernel_matches_the_generic_stage_loops(problem, frac, wild, depth, log_
     rtol = 10.0**log_rtol
     quintic = kind != "cubic"
     a = frac * _upper_amplitude(omega, quintic)
-    rhs, events, directions, source, params = _callbacks(kind, omega, depth, a)
+    rhs, events, directions, source, params = _callbacks(kind, omega, depth, a, match)
     atol = first_step = None
     if wild is not None:
         r, log_h, u, up = wild
@@ -854,8 +830,7 @@ def test_float_stepper_matches_solve_ivp(omega, sign, log_offset, tol, quintic, 
     # products (fused multiply-adds) round differently, so on about 0.1 % of
     # samples the event falls one step earlier or later
     radius = max_radius or shooting.default_max_radius(omega)
-    root = 0.5 * sum(shooting._bisect_amplitude(omega, tol, quintic))
-    a = root * (1.0 + sign * 10.0**log_offset)
+    a = _ground_root(omega, tol, quintic) * (1.0 + sign * 10.0**log_offset)
     assume(a < _upper_amplitude(omega, quintic))
     label, steps, _ = shooting._shoot(a, omega, tol, quintic, radius)
     label_ivp, steps_ivp = _solve_ivp_class(a, omega, tol, quintic, radius)
@@ -950,7 +925,7 @@ def test_trajectory_at_one_radius(r, h, state, rows, frac):
 def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     # the dense pass of the profile builders against solve_ivp's dense
     # output from the same start, at a shooting parameter 10**log_offset
-    # (relative) off the bisected root.  Largest rounding mismatch over 400
+    # (relative) off the root.  Largest rounding mismatch over 400
     # random draws: values 6.8e-11 of the amplitude, the stop radius 3.6e-8
     # (relative; near a turn the event is flat in r) and solve_ivp's event
     # there 2.3e-11 of the amplitude, the plateau's q 7.2e-13 (relative)
@@ -964,10 +939,7 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     start = None
     if kind == "plateau":
         shot = shooting._PlateauShot(omega, tol)
-        depth = 0.5 * sum(shooting._bisect(shot.classify, -math.log(shot.p - 1e-6),
-                                           shooting._MAX_LOG_DEPTH,
-                                           shooting.BISECTION_TOLERANCE,
-                                           relative=True)) * (1.0 + offset)
+        depth = _ground_root(omega, tol) * (1.0 + offset)
         a, radius = shot.p - math.exp(-depth), shot.radius(depth)
         segments = []
         _, _, r_sw, q, qp = shot._leave_plateau(depth, tol, segments)
@@ -981,8 +953,7 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
         v, vp = map(float, shot._deviation(depth, r_sw, q, qp))
         start = (r_sw, shot.p - v, -vp)
     else:
-        root = 0.5 * sum(shooting._bisect_amplitude(omega, tol, quintic))
-        a = root * (1.0 + offset)
+        a = _ground_root(omega, tol, quintic) * (1.0 + offset)
         assume(a < _upper_amplitude(omega, quintic))
     segments = []
     label, _, r_stop = shooting._shoot(a, omega, tol, quintic, radius, start, segments)
