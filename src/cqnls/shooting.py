@@ -8,7 +8,8 @@ x, zero at the decaying ground state.  The secant method finds its root
 from the value the stored depth table predicts (Stoer & Bulirsch,
 *Introduction to Numerical Analysis*, section 7.3).  The two classes of
 trajectories check it: just below the root a trajectory turns upward
-while still positive, just above it crosses zero.
+while still positive, just above it crosses zero.  Where either fails,
+the classes are bisected instead, as they are for the depth table.
 
 Up to ``OMEGA_SHOOTING_MAX`` the shooting parameter is the central
 amplitude.  Above it the ground amplitude u(0) = u+ - eps sits just below
@@ -68,14 +69,15 @@ def __getattr__(name):
 #: relative tolerance of every ODE run: the solver's one setting
 ODE_TOLERANCE = 1e-12
 #: loosest ODE tolerance accepted; from about 1e-6 the residual's rounding
-#: can keep the secant from its root (``BracketFailure``), from 0.1 the
-#: runs overflow
+#: keeps the secant from its root and the classes are bisected, from 0.1
+#: the runs overflow
 MAX_ODE_TOLERANCE = 1e-2
 #: largest frequency solved by amplitude shooting; above it the shooting
 #: parameter is the log of the gap between the amplitude and the force zero
 OMEGA_SHOOTING_MAX = 0.155
-#: final bracket width of the depth table's bisections: on the amplitude,
-#: or relative on the depth -ln(u+ - u(0)) above ``OMEGA_SHOOTING_MAX``
+#: final bracket width of the bisections of the depth table and of the
+#: solves whose secant fails: on the amplitude, or relative on the depth
+#: -ln(u+ - u(0)) above ``OMEGA_SHOOTING_MAX``
 BISECTION_TOLERANCE = 1e-14
 #: radius of the Taylor start at the origin
 TAYLOR_START_STEP = 1e-3
@@ -788,9 +790,9 @@ _PROBE = 1e-11
 #: relative step that stops the secant: slopes from iterates 1e-13 apart
 #: are rounding, while a stop at 1e-8 left roots outside the check's probes
 _SECANT_STOP = 1e-12
-#: most secant steps per solve; from the table it mostly takes two, and up
-#: to twelve near the depth limit, where the residual's rounding nears the stop
-_SECANT_STEPS = 12
+#: most secant steps per solve: from the table it takes two or three; more
+#: mean a jump of the residual, where the runs change their steps
+_SECANT_STEPS = 3
 #: relative width of the bisection that starts a solve outside the table
 _COLD_TOLERANCE = 1e-9
 
@@ -848,6 +850,16 @@ def _root(shot, x0: float) -> float:
     return x
 
 
+def _parameter(shot, x0: float) -> float:
+    """``_root`` from ``x0``, or where it raises (the residual's rounding
+    at loose tolerances or near the depth limit, a jump, a start too far
+    below) the midpoint of the classes bisected as the table's nodes are."""
+    try:
+        return _root(shot, x0)
+    except BracketFailure:
+        return 0.5 * sum(shot.bisect(BISECTION_TOLERANCE, isinstance(shot, _PlateauShot)))
+
+
 def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
     shot = (_PlateauShot(omega, ode_tolerance) if quintic and omega > OMEGA_SHOOTING_MAX
             else _AmplitudeShot(omega, ode_tolerance, quintic))
@@ -859,7 +871,7 @@ def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
     if x0 is None:
         # outside the depth table's span: a coarse bisection of the classes
         x0 = 0.5 * sum(shot.bisect(_COLD_TOLERANCE, True))
-    return shot.profile(_root(shot, x0))
+    return shot.profile(_parameter(shot, x0))
 
 
 _profile_cache: dict = {}
@@ -926,8 +938,9 @@ def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Ra
     residual from the depth table's prediction (``_secant``), or, outside
     the table's span, from a coarse bisection of the trajectory classes;
     the classes just below and above the root then check it (``_root``).
-    No cache feeds the start, so the profile depends on omega and the
-    tolerance alone.
+    Where the secant or its check fails the classes are bisected to
+    ``BISECTION_TOLERANCE`` instead (``_parameter``).  No cache feeds the
+    start, so the profile depends on omega and the tolerance alone.
     """
     check_frequency(omega)
     check_tolerance(ode_tolerance)

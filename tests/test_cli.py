@@ -358,7 +358,7 @@ class TestPipelines:
         checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
         assert len(checks) == 7
         assert [c["pass"] for c in checks[:3]] == [True, True, True]
-        failed = [c for c in checks if c["detail"].startswith("BracketFailure: ")]
+        failed = [c for c in checks if c["detail"].startswith("DomainTooSmall: ")]
         assert failed and not any(c["pass"] for c in failed)
         assert "cubic reference residuals" in printed
         assert all(c["name"] in printed for c in failed)
