@@ -112,8 +112,8 @@ def mass_projected_flow(mass: float, r_max: float = 40.0,
     ``multiplier`` is the discrete Lagrange multiplier, i.e. the frequency
     the profile solves the equation at.
     """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
+    if not (math.isfinite(mass) and mass > 0):
+        raise ValueError(f"mass must be finite and positive, got {mass}")
     grid = even_grid(r_max, SPACING)
     r = grid[1:]
     n = r.size

@@ -24,12 +24,12 @@ switches back to u once the deviation is of order one.
 
 Every trajectory runs on scipy's DOP853 ported to Python floats (Hairer,
 Norsett & Wanner, *Solving ODEs I*, sections II.5-6): the residual runs,
-the classifying runs, and the dense pass that samples the profile, with
-the method's dense output and its event roots located by Brent's method.
-The run is straight-line code generated from the source text of each
-right-hand side and its events (``_Problem``: the amplitude, cubic and
-plateau runs) and compiled at its first use (``_marcher``).  The module
-needs numpy alone.
+the classifying runs, and the dense pass that samples the profile, which
+records the method's dense output of the same run.  Every run stops at
+the end of the step in which an event fires.  The run is straight-line
+code generated from the source text of each right-hand side and its
+events (``_Problem``: the amplitude, cubic and plateau runs) and
+compiled at its first use (``_marcher``).  The module needs numpy alone.
 
 The same machinery solves the pure-cubic reference problem
 g'' + (2/r) g' = g - g^3 (quintic term switched off), whose solution
@@ -329,23 +329,16 @@ def bind({problem.params}):
                 h_abs = h * (factor if factor > {_MIN_FACTOR!r} else {_MIN_FACTOR!r})
                 rejected = True
             steps += 1
+            if segments is not None:
+                segments.append(dense_segment(t, y, yp, t_new, y_new, yp_new, {ku}, {kp}))
             {problem.state} = t_new, y_new, yp_new
             {new} = {", ".join(problem.events)}
             if {" or ".join(tests)}:
                 fired = [k for k, hit in enumerate(({", ".join(tests)},)) if hit]
-                segment = None
-                if segments is not None or len(fired) > 1:
-                    segment = dense_segment(t, y, yp, t_new, y_new, yp_new, {ku}, {kp})
-                    if segments is not None:
-                        segments.append(segment)
-                if segment is None:
-                    return fired[0], steps, t_new, y_new, yp_new
-                event, *stop = _first_event(events, fired, segment)
-                if segments is None:
-                    return event, steps, t_new, y_new, yp_new
-                return event, steps, *stop
-            if segments is not None:
-                segments.append(dense_segment(t, y, yp, t_new, y_new, yp_new, {ku}, {kp}))
+                if len(fired) > 1:
+                    fired[0] = _first_event(events, fired, dense_segment(
+                        t, y, yp, t_new, y_new, yp_new, {ku}, {kp}))
+                return fired[0], steps, t_new, y_new, yp_new
             t, y, yp, ku0, kp0 = t_new, y_new, yp_new, ku{n}, kp{n}
             {values} = {new}
         return None, steps, t, y, yp
@@ -388,16 +381,13 @@ class _DenseTrajectory:
         return y.T
 
 
-def _first_event(events, fired, segment: _Segment):
-    """Index, radius and state (u, u') of the earliest root of the
-    ``fired`` events on a step's dense output, each located by Brent's
-    method as ``solve_ivp`` does (xtol = rtol = 4 eps); an equal root goes
-    to the lower index."""
+def _first_event(events, fired, segment: _Segment) -> int:
+    """Index of the earliest root of the ``fired`` events on a step's
+    dense output, each located by Brent's method as ``solve_ivp`` does
+    (xtol = rtol = 4 eps); an equal root goes to the lower index."""
     trajectory = _DenseTrajectory([segment])
-    roots = [(brentq(lambda t, k=k: events(t, *trajectory(t))[k], segment.r, segment.r_new,
-                     RTOL, RTOL), k) for k in fired]
-    root, k = min(roots)
-    return k, root, *map(float, trajectory(root))
+    return min((brentq(lambda t, k=k: events(t, *trajectory(t))[k], segment.r, segment.r_new,
+                       RTOL, RTOL), k) for k in fired)[1]
 
 
 def _march(problem: _Problem, params, r, u, up, r_end, rtol, atol=None, first_step=None,
@@ -411,13 +401,14 @@ def _march(problem: _Problem, params, r, u, up, r_end, rtol, atol=None, first_st
     from the event values at the start.  Returns ``(event, steps, r, u,
     up)``: the index of the event that ended the run (``None`` when
     ``r_end`` or a too-small step ends it first), the accepted steps and
-    the state where the run stopped.  A step that changes the sign of
-    several events ends on the one whose root comes first on the step's
-    dense output (``_first_event``).
+    the state where the run stopped.  A run stops at the end of the
+    accepted step in which an event changes sign, not at the event's
+    root; a step that changes the sign of several events ends on the one
+    whose root comes first on the step's dense output (``_first_event``).
 
     With a ``segments`` list the dense output of every accepted step is
-    appended to it, and the run stops at the event's root instead of the
-    end of the step that found it, as ``solve_ivp(dense_output=True)``.
+    appended to it; the run itself is the same, so a dense pass samples
+    the very run that a residual or a classification makes.
     """
     march = _marcher(problem)(*params)[2]
     return march(r, u, up, r_end, rtol, rtol * 1e-2 if atol is None else atol, first_step,
@@ -546,7 +537,9 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
         return c, float(np.max(np.abs(zw[part] - c)) / abs(c))
     c, mismatch = fit(slice(None))
     if mismatch > TAIL_TOL:
-        # retry on the deeper half of the window, where nonlinear
+        # amplitude runs at loose tolerances (from 1e-6, and 0.15417 at
+        # 1e-8) leave the separatrix close past the window or inside it.
+        # Retry on the deeper half of the window, where nonlinear
         # corrections to the decay law are weaker, then on the shallower
         # half, where the growing mode of a trajectory that turns upward
         # just past the window has not yet bent it
@@ -558,10 +551,10 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
                     break
     if mismatch > TAIL_TOL:
         # then on the leading quarter, for runs that leave the separatrix
-        # inside the window (plateau runs at ode_tolerance 1e-8), and end
-        # the profile with it.  Shorter parts would pass runs that are off
-        # the decay law altogether: at 1e-3 they passed omega = 0.15 on
-        # 1/16 of the window, where u falls by a quarter
+        # inside the window, and end the profile with it.  Shorter parts
+        # would pass runs that are off the decay law altogether: at 1e-3
+        # they passed omega = 0.15 on 1/16 of the window, where u falls by
+        # a quarter
         end = start + (end - start) // 4
         end -= end % 2
         if end - start >= 4:
@@ -674,14 +667,16 @@ class _PlateauShot:
         """The values ``_PLATEAU`` binds for a run at ``depth``."""
         return self.kappa, depth, self.c2, self.c3, self.c4, self.v_switch
 
-    def _deviation(self, depth: float, r, q, qp):
-        """(v, v') = (u+ - u, -u') from q, on floats or arrays."""
-        scale = np.exp(self.kappa * r - depth) / r
+    def _deviation(self, lib, depth: float, r, q, qp):
+        """(v, v') = (u+ - u, -u') from q: with ``lib`` math on floats,
+        numpy on arrays."""
+        scale = lib.exp(self.kappa * r - depth) / r
         return scale * q, scale * (qp + (self.kappa - 1.0 / r) * q)
 
     def _start(self, depth: float):
         """Start radius r0 of the q integration, the (q, q') there, and
-        ``inner(r)``, the (w, w') of the start solution on (0, r0]."""
+        ``inner(lib, r)``, the (w, w') of the start solution on (0, r0]
+        (``lib`` as for ``_deviation``)."""
         eps, h0, kappa = math.exp(-depth), TAYLOR_START_STEP, self.kappa
         if eps >= self.delta:
             k2, c2, c3, c4, v = self.k2, self.c2, self.c3, self.c4, eps
@@ -689,7 +684,7 @@ class _PlateauShot:
             b2 = (k2 - v * (c2 + v * (c3 + v * (c4 - v)))) / 6.0
             b4 = (k2 - v * (2.0 * c2 + v * (3.0 * c3 + v * (4.0 * c4 - 5.0 * v)))) * b2 / 20.0
 
-            def inner(r):
+            def inner(lib, r):
                 return 1.0 + b2 * r**2 + b4 * r**4, 2.0 * b2 * r + 4.0 * b4 * r**3
             r0 = h0
         else:
@@ -699,36 +694,38 @@ class _PlateauShot:
             for _ in range(4):
                 y = target + math.log(2.0 * y) - math.log1p(-math.exp(-2.0 * y))
 
-            def inner(r):
+            def inner(lib, r):
                 y = kappa * r
-                return np.sinh(y) / y, kappa * (np.cosh(y) - np.sinh(y) / y) / y
+                return lib.sinh(y) / y, kappa * (lib.cosh(y) - lib.sinh(y) / y) / y
             r0 = max(y / kappa, h0)
-        w, wp = map(float, inner(r0))
+        w, wp = inner(math, r0)
         decay = math.exp(-kappa * r0)
         return r0, decay * r0 * w, decay * (w + r0 * wp - kappa * r0 * w), inner
 
-    def _leave_plateau(self, depth: float, rtol: float, segments=None):
-        """March q at relative tolerance ``rtol`` from the start solution
-        until u falls to the midpoint of the force zeros: ``_march``'s
-        ``(event, steps, r, q, q')``."""
+    def start(self, depth: float, segments=None):
+        """The amplitude at ``depth`` and the (r, u, u') where its run of u
+        starts past the plateau, or None when the q run does not leave it.
+
+        q is marched from the start solution until u falls to the midpoint
+        of the force zeros, at relative tolerance min(tol, 1e-10) for every
+        run, so a profile's dense q pass (with a ``segments`` list) is the
+        run that its residuals and classifications made: a 1e-8 pass left
+        its interpolant between the long plateau steps off by up to 8e-7.
+        """
+        a = self.p - math.exp(-depth)
         r0, q, qp, _ = self._start(depth)
+        rtol = min(self.ode_tolerance, 1e-10)
         # q is controlled relative to its plateau value 1/(2 kappa), and q'
         # to the same absolute level: its errors reach q damped by 2 kappa.
         # First step 1/kappa, the scale of the linear solution: scipy's
         # initial-step probe looks far past the switch, where v explodes,
         # and would start a dozen steps too small
-        return _march(_PLATEAU, self._params(depth), r0, q, qp, self.radius(depth), rtol,
-                      atol=rtol / (2.0 * self.kappa), first_step=1.0 / self.kappa,
-                      segments=segments)
-
-    def start(self, depth: float):
-        """The amplitude at ``depth`` and the (r, u, u') where its run of u
-        starts past the plateau, or None when the q run does not leave it."""
-        a = self.p - math.exp(-depth)
-        event, _, r, q, qp = self._leave_plateau(depth, self.ode_tolerance)
+        event, _, r, q, qp = _march(_PLATEAU, self._params(depth), r0, q, qp, self.radius(depth),
+                                    rtol, atol=rtol / (2.0 * self.kappa),
+                                    first_step=1.0 / self.kappa, segments=segments)
         if event is None:
             return a, None
-        v, vp = map(float, self._deviation(depth, r, q, qp))
+        v, vp = self._deviation(math, depth, r, q, qp)
         return a, (r, self.p - v, -vp)
 
     def classify(self, depth: float) -> TrajectoryClass:
@@ -755,30 +752,27 @@ class _PlateauShot:
 
     def profile(self, depth: float) -> RadialProfile:
         """The profile at ``depth`` = -s, stitched from the start solution,
-        the dense q segment and the dense u segment."""
-        eps, p = math.exp(-depth), self.p
-        a, radius = p - eps, self.radius(depth)
+        the dense q pass and the dense u pass: the runs of ``start`` and of
+        the classification from its switch state."""
+        eps, p, radius = math.exp(-depth), self.p, self.radius(depth)
         r0, _, _, inner = self._start(depth)
         q_segments, u_segments = [], []
-        # the dense q pass runs at 1e-10 or tighter: a 1e-8 pass leaves its
-        # interpolant between the long plateau steps off by up to 8e-7
-        event, _, r_sw, q_sw, qp_sw = self._leave_plateau(
-            depth, min(self.ode_tolerance, 1e-10), q_segments)
-        if event is None:
+        a, start = self.start(depth, q_segments)
+        if start is None:
             raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
-        v_sw, vp_sw = map(float, self._deviation(depth, r_sw, q_sw, qp_sw))
-        _, _, r_stop = _shoot(a, self.omega, self.ode_tolerance, True, radius,
-                              start=(r_sw, p - v_sw, -vp_sw), segments=u_segments)
+        r_sw = start[0]
+        _, _, r_stop = _shoot(a, self.omega, self.ode_tolerance, True, radius, start=start,
+                              segments=u_segments)
         plateau_run, trajectory = _DenseTrajectory(q_segments), _DenseTrajectory(u_segments)
 
         def sample(grid):
             vals, derivs = trajectory(np.maximum(grid, r_sw))
             plateau = (grid >= r0) & (grid < r_sw)
-            v, vp = self._deviation(depth, grid[plateau], *plateau_run(grid[plateau]))
+            v, vp = self._deviation(np, depth, grid[plateau], *plateau_run(grid[plateau]))
             vals[plateau], derivs[plateau] = p - v, -vp
-            start = (grid > 0.0) & (grid < r0)
-            w, wp = inner(grid[start])
-            vals[start], derivs[start] = p - eps * w, -eps * wp
+            inside = (grid > 0.0) & (grid < r0)
+            w, wp = inner(np, grid[inside])
+            vals[inside], derivs[inside] = p - eps * w, -eps * wp
             return vals, derivs
 
         return _matched_profile(sample, a, self.omega, True, r_stop)

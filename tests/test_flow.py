@@ -7,12 +7,15 @@ cross-check that the shooting/collocation pipeline lands on the same
 branch states.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from cqnls.flow import (_apply_banded, _derivative, _multiplier, laplacian_banded,
                         mass_projected_flow)
 from cqnls.functionals import evaluate
+from cqnls.landscape import certify_e_min_by_flow
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
 
 # frozen flow-oracle outputs: mass -> (multiplier, energy)
@@ -72,6 +75,13 @@ class TestFlowConvergence:
         rep = evaluate(solve_ground_state(mu_ref))
         assert rep.mass == pytest.approx(300.0, rel=1e-4)
         assert rep.energy == pytest.approx(energy_ref, rel=1e-4)
+
+    @pytest.mark.parametrize("mass", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_a_mass_that_is_not_finite_and_positive(self, mass):
+        # a non-finite mass would reach the banded solve and fail there
+        for flow in (mass_projected_flow, certify_e_min_by_flow):
+            with pytest.raises(ValueError, match="mass must be finite and positive"):
+                flow(mass)
 
     def test_seed_independence(self):
         a = mass_projected_flow(300.0, seed_width=2.0, r_max=45.0)

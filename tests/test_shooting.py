@@ -114,9 +114,9 @@ def _identity_errors(omega, rep):
 
 
 def test_tail_fit_retries_shallow_half():
-    # at ode_tolerance 1e-8 the trajectory turns upward soon after the
-    # matching window and bends its deep end, while its shallow half still
-    # fits the decay law
+    # an amplitude run near the top of its range: at ode_tolerance 1e-8 the
+    # trajectory turns upward soon after the matching window and bends its
+    # deep end, while its shallow half still fits the decay law
     omega = 0.15417194583513705
     profile = solve_ground_state(omega, 1e-8)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
@@ -133,8 +133,10 @@ def test_configuration_matrix(omega, tol, spacing):
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
 
-#: plateau frequencies whose solves at 1e-8 missed the tail fit on both
-#: halves of the matching window
+#: plateau frequencies whose profiles at 1e-8 fitted their tails on a
+#: leading quarter of the matching window while their dense pass left the
+#: plateau from a switch state that no residual run had seen; sampled on
+#: the run of their root, they fit the whole window
 _LOOSE_PLATEAU = (0.16839416768298837, 0.17639191892263195, 0.18010405197739462,
                   0.18104179063366335)
 
@@ -146,9 +148,8 @@ _LOOSE_PLATEAU = (0.16839416768298837, 0.17639191892263195, 0.18010405197739462,
 @example(omega=_LOOSE_PLATEAU[2], tol=1e-8)
 @example(omega=_LOOSE_PLATEAU[3], tol=1e-8)
 def test_window_solves_within_the_gate(omega, tol):
-    # criterion 01's gate across the window at every tolerance; at 1e-8 the
-    # four examples fit their tails on a leading quarter of the matching
-    # window, where the run has not yet left the separatrix
+    # criterion 01's gate across the window at every tolerance, with the
+    # four examples of ``_LOOSE_PLATEAU`` at 1e-8
     profile = solve_ground_state(omega, tol)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
@@ -156,11 +157,48 @@ def test_window_solves_within_the_gate(omega, tol):
 def test_loose_plateau_profile_within_the_gate():
     # about 3 % of the plateau range missed the gate at 1e-8 (Nehari 8.2e-7
     # here) while its dense q pass ran at 1e-8: the step ends were accurate
-    # to 1e-9, the interpolant between the long plateau steps was not.  The
-    # pass runs at 1e-10 now (Nehari 1.5e-9)
+    # to 1e-9, the interpolant between the long plateau steps was not.
+    # Every q run, residual, class or dense, now runs at 1e-10 or tighter
+    # (Nehari 2.0e-10)
     omega = 0.16970101197014903
     profile = solve_ground_state(omega, 1e-8)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
+
+
+@pytest.mark.parametrize("omega, tol", [(0.1668273092369478, 1e-8),
+                                        (0.18427309236947792, 1e-10)])
+def test_plateau_profile_fits_the_whole_window(omega, tol):
+    # sampled on the run whose root the secant found, a plateau profile
+    # follows the decay law over the whole matching window: it runs to the
+    # window's end (the first node below its lower level, or the node
+    # before), and its tail constant is the mean over all of it.  A profile
+    # sampled off that run fitted 0.1668 on a leading quarter and 0.1843 on
+    # a half (whole-window mismatch 0.11 and 2.7e-3)
+    profile = solve_ground_state(omega, tol)
+    a, (w_lo, w_hi) = profile.amplitude, shooting.MATCHING_WINDOW
+    assert profile.values[-1] < 1.1 * w_lo * a
+    start = np.flatnonzero(profile.values < w_hi * a)[0]
+    rw = profile.grid[start:]
+    zw = profile.values[start:] * rw * np.exp(math.sqrt(omega) * rw)
+    c = float(np.mean(zw))
+    assert profile.tail_constant == pytest.approx(c, rel=1e-15)
+    assert np.max(np.abs(zw - c)) / c <= shooting.TAIL_TOL
+
+
+@pytest.mark.parametrize("omega", [0.1869, 0.186966])
+def test_depth_limit_solves_at_1e_8(omega):
+    # the plateau run at 1e-8 turned within 2 % past the front, and the
+    # profile sampled off it had not decayed below the matching window
+    # (DomainTooSmall); on its root's own run it meets criterion 01's gate
+    profile = solve_ground_state(omega, 1e-8)
+    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
+
+
+@pytest.mark.parametrize("omega", [0.17, 0.185])
+def test_loose_plateau_solves_at_1e_5(omega):
+    # these raised DomainTooSmall (tail fit mismatch 6.5e-3 and 1.9e-3)
+    rep = evaluate(solve_ground_state(omega, 1e-5))
+    assert max(rep.nehari_residual, rep.pohozaev_residual) < 10.0 * 1e-5
 
 
 def test_profile_does_not_follow_the_stop_radius(ground_009):
@@ -642,7 +680,8 @@ def _callback_march(rhs, r, u, up, r_end, rtol, events, directions, atol=None,
                     first_step=None, segments=None):
     """The DOP853 run as ``shooting._march`` made it before the march was
     generated per right-hand side: the step loop calling ``rhs`` and
-    ``events`` back, on the stage loops of ``_generic_kernel``."""
+    ``events`` back, on the stage loops of ``_generic_kernel``, with the
+    march's one stop rule (the end of the step in which an event fires)."""
     atol = rtol * 1e-2 if atol is None else atol
     step, error_norm, dense_segment = _generic_kernel()
     steps = 0
@@ -674,21 +713,17 @@ def _callback_march(rhs, r, u, up, r_end, rtol, events, directions, atol=None,
                             shooting._SAFETY * error ** shooting._ERROR_EXPONENT)
             rejected = True
         steps += 1
+        if segments is not None:
+            segments.append(dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp))
         new = events(r_new, u_new, up_new)
         fired = [k for k, d in enumerate(directions) if d * values[k] <= 0.0 <= d * new[k]]
-        segment = None
-        if segments is not None or len(fired) > 1:
-            segment = dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp)
-            if segments is not None:
-                segments.append(segment)
+        if len(fired) > 1:
+            fired[0] = shooting._first_event(
+                events, fired, dense_segment(rhs, r, u, up, r_new, u_new, up_new, ku, kp))
         r, u, up, fu, fp = r_new, u_new, up_new, ku[-1], kp[-1]
         if fired:
-            if segment is None:
-                return fired[0], steps, r, u, up
-            event, *stop = shooting._first_event(events, fired, segment)
-            if segments is None:
-                return event, steps, r, u, up
-            return event, steps, *stop
+            # the end of the step, with or without segments
+            return fired[0], steps, r, u, up
         values = new
     return None, steps, r, u, up
 
@@ -818,6 +853,9 @@ def test_kernel_matches_the_generic_stage_loops(problem, frac, wild, depth, log_
                                atol, first_step, theirs))
     if dense:
         assert _same(_flat(ours), _flat(theirs))
+        # one stop rule: recording the segments leaves the run as it is
+        assert _same(run, _outcome(shooting._march, source, params, *start, r_end, rtol, atol,
+                                   first_step))
 
 
 def test_solve_ivp_name_resolves_lazily():
@@ -911,7 +949,9 @@ def test_float_stepper_matches_solve_ivp(omega, sign, log_offset, tol, quintic, 
 def test_root_order_decides_between_events_in_one_step(monkeypatch):
     # u'' = -u from u = 1: u falls through 1/2 at r = pi/3 and -u' rises
     # through sin(pi/3 +- 0.004) 4e-3 later or earlier, well inside one
-    # step at rtol 1e-8; the run ends on the earlier root, as solve_ivp's
+    # step at rtol 1e-8; the run takes the event of the earlier root, as
+    # solve_ivp does, and stops at the end of that step, where solve_ivp's
+    # root lies
     problem = shooting._Problem("r, u, up", "turn", ("up, -u",), ("u - 0.5", "-up - turn"),
                                 (-1.0, 1.0))
     both = []
@@ -927,17 +967,18 @@ def test_root_order_decides_between_events_in_one_step(monkeypatch):
         params = (math.sin(turn_at),)
         rhs, events, _ = shooting._marcher(problem)(*params)
         both.clear()
-        event, _, r_stop, _, _ = shooting._march(problem, params, *start, 10.0, 1e-8,
-                                                 segments=[])
+        segments = []
+        run = shooting._march(problem, params, *start, 10.0, 1e-8, segments=segments)
+        event, _, r_stop, _, _ = run
         assert both == [True]
         ivp_event, ivp_stop = _stop(_solve_ivp_run(rhs, start, 10.0, 1e-8, events,
                                                    problem.directions))
         assert event == ivp_event == (1 if turn_first else 0)
-        assert r_stop == pytest.approx(ivp_stop, rel=1e-12)
-        assert r_stop == pytest.approx(turn_at if turn_first else math.pi / 3.0, rel=1e-7)
-        # without a dense pass the class alone is decided the same way
+        assert segments[-1].r < ivp_stop < segments[-1].r_new == r_stop
+        assert ivp_stop == pytest.approx(turn_at if turn_first else math.pi / 3.0, rel=1e-7)
+        # without a dense pass the run is the same
         both.clear()
-        assert shooting._march(problem, params, *start, 10.0, 1e-8)[0] == event
+        assert shooting._march(problem, params, *start, 10.0, 1e-8) == run
         assert both == [True]
 
 
@@ -992,13 +1033,16 @@ def test_trajectory_at_one_radius(r, h, state, rows, frac):
 def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     # the dense pass of the profile builders against solve_ivp's dense
     # output from the same start, at a shooting parameter 10**log_offset
-    # (relative) off the root.  Largest rounding mismatch over 400
-    # random draws: values 6.8e-11 of the amplitude, the stop radius 3.6e-8
-    # (relative; near a turn the event is flat in r) and solve_ivp's event
-    # there 2.3e-11 of the amplitude, the plateau's q 7.2e-13 (relative)
-    # and its switch radius 6.6e-16.  The bounds keep a margin of 3 to 5.
-    # Derandomized: a draw where rounding shifts a step (see the test
-    # above) would compare runs a local error apart
+    # (relative) off the root.  Each run stops at the end of the step in
+    # which its event fires, so solve_ivp's event root lies in the last
+    # segment; it did in all of 400 random draws.  Their largest rounding
+    # mismatch: values 8.3e-11 of the amplitude, the event at solve_ivp's
+    # root on our dense output 2.9e-11 of the amplitude, the plateau's q
+    # 3.2e-14 (relative).  The bounds keep a margin of 3 or more.  One
+    # draw (omega 0.1399 at 1e-8, 7.7e-6 below the root) reached 3.3e-9
+    # and 1.1e-9, where the growing mode past the turn amplifies the
+    # rounding, and a draw where rounding shifts a step (see the test
+    # above) would compare runs a local error apart: hence derandomized
     kind, omega = problem
     offset = sign * 10.0**log_offset
     quintic = kind != "cubic"
@@ -1007,18 +1051,20 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     if kind == "plateau":
         shot = shooting._PlateauShot(omega, tol)
         depth = _ground_root(omega, tol) * (1.0 + offset)
-        a, radius = shot.p - math.exp(-depth), shot.radius(depth)
+        radius, q_tol = shot.radius(depth), min(tol, 1e-10)
         segments = []
-        _, _, r_sw, q, qp = shot._leave_plateau(depth, tol, segments)
+        a, start = shot.start(depth, segments)
+        # the profile's q pass is the run of the residuals and classes
+        assert shot.start(depth) == (a, start)
         r0, q0, qp0, _ = shot._start(depth)
         rhs, events, _ = shooting._marcher(shooting._PLATEAU)(*shot._params(depth))
-        sol_q = _solve_ivp_run(rhs, (r0, q0, qp0), radius, tol, events, (1.0,),
-                               atol=tol / (2.0 * shot.kappa), first_step=1.0 / shot.kappa)
-        assert _stop(sol_q) == (0, pytest.approx(r_sw, rel=3e-15))
-        ours, theirs = _dense_pair(segments, r_sw, sol_q)
+        sol_q = _solve_ivp_run(rhs, (r0, q0, qp0), radius, q_tol, events, (1.0,),
+                               atol=q_tol / (2.0 * shot.kappa), first_step=1.0 / shot.kappa)
+        event_q, r_sw_ivp = _stop(sol_q)
+        assert event_q == 0
+        assert segments[-1].r <= r_sw_ivp <= segments[-1].r_new == start[0]
+        ours, theirs = _dense_pair(segments, start[0], sol_q)
         assert np.max(np.abs(ours - theirs) / np.abs(theirs)) < 3e-12
-        v, vp = map(float, shot._deviation(depth, r_sw, q, qp))
-        start = (r_sw, shot.p - v, -vp)
     else:
         a = _ground_root(omega, tol, quintic) * (1.0 + offset)
         assume(a < _upper_amplitude(omega, quintic))
@@ -1027,11 +1073,11 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     sol = _solve_ivp_shot(a, omega, tol, quintic, radius, start)
     event, r_stop_ivp = _stop(sol)
     assert label is shooting._EVENT_CLASSES[event]
-    assert r_stop == pytest.approx(r_stop_ivp, rel=1.5e-7)
-    # the stop radius is a root of solve_ivp's event on its dense output
+    assert segments[-1].r <= r_stop_ivp <= segments[-1].r_new == r_stop
+    # solve_ivp's event root is a root of the event on our dense output
     # up to the mismatch of the values
     cross_eps, turn_eps = shooting._event_thresholds(a)
-    u, up = sol.sol(r_stop)
+    u, up = shooting._DenseTrajectory(segments)(r_stop_ivp)
     assert abs((u + cross_eps, up - turn_eps)[event]) < 1e-10 * a
     ours, theirs = _dense_pair(segments, r_stop, sol)
     assert np.max(np.abs(ours - theirs)) < 3e-10 * a
