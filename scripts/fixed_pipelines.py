@@ -11,11 +11,13 @@ is one ``sha256  path`` line per data file (``manifest.json`` is left out,
 as it holds the wall time), then the repr of
 ``certify_e_min_by_flow(320.0)``, then the accepted DOP853 steps and the
 ``_march`` runs of one seeded and one cold ground-state solve at each of
-omega = 0.01, 0.09 (amplitude shooting) and 0.185 (plateau shooting), so
-a stepper change that moves a single step shows in the diff.  It takes
-about 20 s on a 2-core host.  A run that fails stops the script: the
-name of its pipeline and its standard error go to stderr, and the exit
-status is 1.
+omega = 0.01 (a run of u from the origin), 0.09 and 0.185 (a q run over
+a short and a long plateau, then u), so a stepper change that moves a
+single step shows in the diff.  It takes about 20 s on a 2-core host.
+Digests compare only between runs on one host: numpy's SIMD level moves
+the last bits of some data files.  A run that fails stops the script:
+the name of its pipeline and its standard error go to stderr, and the
+exit status is 1.
 """
 
 import hashlib
@@ -47,9 +49,9 @@ PIPELINES = (
 CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
            "print(repr(certify_e_min_by_flow(320.0)))")
 #: accepted steps (summed over ``_march`` runs) and ``_march`` runs per
-#: solve, each with an empty cache; the seeded solve starts from the depth
-#: table's prediction, the cold one from the coarse bisection of the
-#: classes that starts a solve outside the table's span
+#: depth-shot solve, each with an empty cache; the seeded solve starts
+#: from the depth table's prediction, the cold one from the coarse
+#: bisection of the classes that starts a solve outside the table's span
 COUNTS = """
 from cqnls import shooting
 march, predict, tally = shooting._march, shooting._predict, [0, 0]

@@ -5,15 +5,15 @@ roots (``tests/test_shooting.py::TestDepthTable::test_table_is_current`` fails t
 
     PYTHONPATH=src python scripts/make_depth_table.py
 
-Each node is bisected on the trajectory classes from its whole bracket
-(the ``bisect`` of ``shooting._AmplitudeShot`` and ``shooting._PlateauShot``)
-to ``shooting.BISECTION_TOLERANCE``, at ``shooting.ODE_TOLERANCE``:
+Each node's depth is bisected on the trajectory classes from its whole
+bracket (``shooting._DepthShot.bisect``) to ``shooting.BISECTION_TOLERANCE``
+relative, at ``shooting.ODE_TOLERANCE``:
 297 frequencies evenly spaced in ln(omega) over [0.0035, 0.125] and 200
 evenly spaced in ln(3/16 - omega) above it up to 0.1869, below the
 frequency 0.186967 where the depth reaches ``shooting._MAX_LOG_DEPTH``;
 then the cubic reference.  Near 0.125 both spacings put the nodes about
 0.02 apart in ln(3/16 - omega), the variable ``shooting._predict``
-interpolates in.  It takes about 30 s on a 2-core host.
+interpolates in.  It takes about 22 s on a 2-core host.
 """
 
 import math
@@ -23,7 +23,7 @@ from cqnls import shooting
 from cqnls.profiles import OMEGA_MAX
 
 TABLE = Path(__file__).resolve().parents[1] / "src" / "cqnls" / "depth_table.py"
-#: the amplitude-spaced nodes, then the plateau-spaced ones
+#: the nodes spaced in ln(omega), then those spaced in ln(3/16 - omega)
 LOG_OMEGA_SPAN, LOG_OMEGA_NODES = (0.0035, 0.125), 297
 PLATEAU_TOP, PLATEAU_NODES = 0.1869, 200
 
@@ -40,12 +40,8 @@ def nodes() -> list[float]:
 
 def cold_depth(omega: float) -> float:
     """Depth -ln(u+ - u(0)) of the bisected ground state at omega."""
-    if omega > shooting.OMEGA_SHOOTING_MAX:
-        shot = shooting._PlateauShot(omega, shooting.ODE_TOLERANCE)
-        return 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, True))
-    shot = shooting._AmplitudeShot(omega, shooting.ODE_TOLERANCE, True)
-    a = 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, False))
-    return -math.log(shooting.force_upper_zero(omega) - a)
+    shot = shooting._DepthShot(omega, shooting.ODE_TOLERANCE)
+    return 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, True))
 
 
 def cubic_amplitude() -> float:
@@ -60,8 +56,8 @@ def main():
 
 Generated by ``scripts/make_depth_table.py``; do not edit.  Each value
 comes from a bisection of the trajectory classes at ODE tolerance {shooting.ODE_TOLERANCE!r}:
-the bisected depth above ``shooting.OMEGA_SHOOTING_MAX``, -ln(u+ - a) of
-the bisected amplitude a below it.
+the bisected depth of the ground state and the bisected amplitude of the
+cubic reference.
 """
 
 #: tolerance of the solves below

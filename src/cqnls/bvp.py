@@ -1,16 +1,17 @@
 """Collocation continuation for frequencies near the upper endpoint: an
-independent oracle for the plateau shooting of ``shooting``.
+independent oracle for the depth shooting of ``shooting``.
 
 Near 3/16 the separatrix amplitude hugs the force zero to within less than
 one double-precision ulp while the profile develops a long plateau whose
 front sits at a radius growing like 1/(3/16 - omega).  ``solve_ground_state``
 shoots on the log of that gap there; this module solves the same profile
 equation another way, as a two-point boundary-value problem with adaptive
-collocation, continued in frequency from a shooting solution at the switch
-point.  No solver path calls it any more.  It is kept as the cross-method
-check of the plateau solves (``tests/test_shooting.py``) and because the
-benchmark's traced mode wraps ``solve_bvp`` and ``solve_collocation``
-here; it can go once the benchmark stops wrapping them.
+collocation, continued in frequency from a shooting solution at
+``OMEGA_SHOOTING_MAX``.  No solver path calls it any more.  It is kept as
+the cross-method check of the plateau solves (``tests/test_shooting.py``)
+and because the benchmark's traced mode wraps ``solve_bvp`` and
+``solve_collocation`` here; it can go once the benchmark stops wrapping
+them.
 
 Each continuation step seeds the next solve by *translating the front*:
 the front radius is extrapolated linearly in 1/(3/16 - omega) and the
@@ -30,7 +31,10 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DomainTooSmall, InnerSolveDiverged
 from .profiles import OMEGA_MAX, RadialProfile
-from .shooting import ODE_TOLERANCE, OMEGA_SHOOTING_MAX, _matched_profile
+from .shooting import ODE_TOLERANCE, _matched_profile
+
+#: frequency the ladder starts from, with a shooting solve there
+OMEGA_SHOOTING_MAX = 0.155
 
 _TOL = 1e-10
 _MAX_NODES = 300_000
@@ -108,7 +112,7 @@ def _predict(ladder: dict, omega_from: float, omega_to: float):
 
 
 def _bootstrap(ode_tolerance: float) -> dict:
-    """A new ladder seeded with the ground state at the switch frequency."""
+    """A new ladder seeded with the ground state at ``OMEGA_SHOOTING_MAX``."""
     from .shooting import solve_ground_state
 
     base = solve_ground_state(OMEGA_SHOOTING_MAX, ode_tolerance)
@@ -162,7 +166,7 @@ def _climb(omega: float, ode_tolerance: float):
 
 
 def solve_collocation(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
-    """Ground state by collocation continuation from the shooting regime."""
+    """Ground state by collocation continuation from ``OMEGA_SHOOTING_MAX``."""
     mesh, u, v = _climb(omega, ode_tolerance)
     spline = CubicHermiteSpline(mesh, u, v)
     return _matched_profile(lambda grid: (spline(grid), spline(grid, 1)),

@@ -27,7 +27,8 @@ from . import __version__
 from .errors import CqnlsError, FrequencyOutOfWindow, InsufficientPoints
 from .functionals import evaluate
 from .profiles import test_function_profile
-from .shooting import ODE_TOLERANCE, solve_cubic_reference, solve_ground_state
+from .shooting import (ODE_TOLERANCE, check_tolerance, solve_cubic_reference,
+                       solve_ground_state)
 
 SCHEMA_VERSION = 1
 RESIDUAL_GATE = 1e-7
@@ -116,6 +117,8 @@ def _command(help_text: str, *flags):
 
 def _run_command(args) -> int:
     start = time.perf_counter()
+    # refused before the output directory is made or any check runs
+    check_tolerance(args.ode_tol)
     out = _out_dir(args)
     code, extra = _COMMANDS[args.command][2](args, out)
     options = {k: v for k, v in vars(args).items() if k not in ("command", "out", "config")}

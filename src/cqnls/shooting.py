@@ -11,16 +11,17 @@ trajectories check it: just below the root a trajectory turns upward
 while still positive, just above it crosses zero.  Where either fails,
 the classes are bisected instead, as they are for the depth table.
 
-Up to ``OMEGA_SHOOTING_MAX`` the shooting parameter is the central
-amplitude.  Above it the ground amplitude u(0) = u+ - eps sits just below
-the force zero u+, with eps ~ exp(-0.36/(3/16 - omega)) falling below one
-ulp of u+ from omega ~ 0.18, and the profile is a plateau at u+ of radius
-about -ln(eps)/kappa closed by a front (kappa^2 = f'(u+)).  There the
-parameter is the depth -ln(eps) instead (``_PlateauShot``): the scaled
-deviation w = (u+ - u)/eps, with its exponential growth divided out, is
-integrated from the exact linear solution sinh(kappa r)/(kappa r), so
-tolerances stay relative however small eps is, and the trajectory
-switches back to u once the deviation is of order one.
+The ground state's shooting parameter is its depth -ln(eps), where
+u(0) = u+ - eps lies below the force zero u+ (``_DepthShot``).  Toward
+3/16, eps ~ exp(-0.36/(3/16 - omega)) falls below one ulp of u+ from
+omega ~ 0.18, and the profile is a plateau at u+ of radius about
+-ln(eps)/kappa closed by a front (kappa^2 = f'(u+)).  While the deviation
+u+ - u is small, the scaled deviation w = (u+ - u)/eps, with its
+exponential growth divided out, is integrated from the exact linear
+solution sinh(kappa r)/(kappa r), so tolerances stay relative however
+small eps is; the trajectory switches to u once the deviation is of
+order one, and a shallow ground state runs in u from the origin.  The
+cubic reference is shot on its central amplitude (``_AmplitudeShot``).
 
 Every trajectory runs on scipy's DOP853 ported to Python floats (Hairer,
 Norsett & Wanner, *Solving ODEs I*, sections II.5-6): the residual runs,
@@ -28,8 +29,9 @@ the classifying runs, and the dense pass that samples the profile, which
 records the method's dense output of the same run.  Every run stops at
 the end of the step in which an event fires.  The run is straight-line
 code generated from the source text of each right-hand side and its
-events (``_Problem``: the amplitude, cubic and plateau runs) and
-compiled at its first use (``_marcher``).  The module needs numpy alone.
+events (``_Problem``: the runs of u, of the cubic reference and of the
+plateau's scaled deviation) and compiled at its first use
+(``_marcher``).  The module needs numpy alone.
 
 The same machinery solves the pure-cubic reference problem
 g'' + (2/r) g' = g - g^3 (quintic term switched off), whose solution
@@ -68,16 +70,14 @@ def __getattr__(name):
 
 #: relative tolerance of every ODE run: the solver's one setting
 ODE_TOLERANCE = 1e-12
-#: loosest ODE tolerance accepted; from about 1e-6 the residual's rounding
-#: keeps the secant from its root and the classes are bisected, from 0.1
-#: the runs overflow
-MAX_ODE_TOLERANCE = 1e-2
-#: largest frequency solved by amplitude shooting; above it the shooting
-#: parameter is the log of the gap between the amplitude and the force zero
-OMEGA_SHOOTING_MAX = 0.155
+#: loosest ODE tolerance accepted: up to it every tail fits the whole
+#: matching window within ``TAIL_TOL``; at 1e-4 about half miss it, at
+#: 1e-3 all do.  From about 1e-6 the residual's rounding keeps the secant
+#: from its root and the classes are bisected
+MAX_ODE_TOLERANCE = 1e-5
 #: final bracket width of the bisections of the depth table and of the
-#: solves whose secant fails: on the amplitude, or relative on the depth
-#: -ln(u+ - u(0)) above ``OMEGA_SHOOTING_MAX``
+#: solves whose secant fails: relative on the depth -ln(u+ - u(0)), or on
+#: the cubic reference's amplitude
 BISECTION_TOLERANCE = 1e-14
 #: radius of the Taylor start at the origin
 TAYLOR_START_STEP = 1e-3
@@ -129,8 +129,8 @@ def force_upper_zero(omega: float) -> float:
 
 
 def default_max_radius(omega: float) -> float:
-    """Integration radius of amplitude shooting; above
-    ``OMEGA_SHOOTING_MAX`` the reach beyond the plateau's front."""
+    """Integration radius of a run from the origin; of a ground state,
+    the reach beyond the plateau's front."""
     return max(40.0 / math.sqrt(omega), 60.0)
 
 
@@ -510,8 +510,8 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     amplitude to the first node below ``MATCHING_WINDOW[0]`` times it,
     dropped to an even index, or to the last node, and the profile ends
     there.  The tail constant c of u ~ c exp(-sqrt(omega) r)/r is the mean
-    of u r exp(sqrt(omega) r) over the window, or over a part of it where
-    the whole window misses ``TAIL_TOL`` (see below).
+    of u r exp(sqrt(omega) r) over the window; a spread larger than
+    ``TAIL_TOL`` of c raises ``DomainTooSmall``.
     """
     grid = even_grid(0.98 * r_stop, GRID_SPACING, down=True)
     vals, derivs = sample(grid)
@@ -531,34 +531,8 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
 
     rw = grid[start:end + 1]
     zw = vals[start:end + 1] * rw * np.exp(decay * rw)
-
-    def fit(part):
-        c = float(np.mean(zw[part]))
-        return c, float(np.max(np.abs(zw[part] - c)) / abs(c))
-    c, mismatch = fit(slice(None))
-    if mismatch > TAIL_TOL:
-        # amplitude runs at loose tolerances (from 1e-6, and 0.15417 at
-        # 1e-8) leave the separatrix close past the window or inside it.
-        # Retry on the deeper half of the window, where nonlinear
-        # corrections to the decay law are weaker, then on the shallower
-        # half, where the growing mode of a trajectory that turns upward
-        # just past the window has not yet bent it
-        deep = rw >= 0.5 * (rw[0] + rw[-1])
-        for half in (deep, ~deep):
-            if np.count_nonzero(half) >= 5:
-                c, mismatch = fit(half)
-                if mismatch <= TAIL_TOL:
-                    break
-    if mismatch > TAIL_TOL:
-        # then on the leading quarter, for runs that leave the separatrix
-        # inside the window, and end the profile with it.  Shorter parts
-        # would pass runs that are off the decay law altogether: at 1e-3
-        # they passed omega = 0.15 on 1/16 of the window, where u falls by
-        # a quarter
-        end = start + (end - start) // 4
-        end -= end % 2
-        if end - start >= 4:
-            c, mismatch = fit(slice(end - start + 1))
+    c = float(np.mean(zw))
+    mismatch = float(np.max(np.abs(zw - c)) / abs(c))
     if mismatch > TAIL_TOL:
         raise DomainTooSmall(
             f"tail fit mismatch {mismatch:.2e} exceeds {TAIL_TOL:g}"
@@ -575,10 +549,10 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
 
 
 class _AmplitudeShot:
-    """Shooting on the central amplitude: the ground state up to
-    ``OMEGA_SHOOTING_MAX``, and the cubic reference without ``quintic``.
-    As ``_PlateauShot``, it gives the ``start`` and ``radius`` of the run
-    of u, the class, the bisection and the profile at its parameter."""
+    """Shooting on the central amplitude: the cubic reference, without
+    ``quintic``.  As ``_DepthShot``, it gives the ``start`` and ``radius``
+    of the run of u, the class, the bisection and the profile at its
+    parameter."""
 
     def __init__(self, omega: float, ode_tolerance: float, quintic: bool):
         self.omega, self.ode_tolerance, self.quintic = omega, ode_tolerance, quintic
@@ -622,15 +596,16 @@ _PLATEAU = _Problem(
     ("math.exp(kappa * r - depth) * q / r - v_switch",), (1.0,))
 
 
-class _PlateauShot:
-    """Shooting on s = ln(eps) for the central value u(0) = u+ - eps.
+class _DepthShot:
+    """Shooting on the depth -s = -ln(eps) of the central value
+    u(0) = u+ - eps.
 
     With v = u+ - u, the profile equation reads v'' + (2/r) v' = -g(v),
     g(v) = f(u+ - v) = -kappa^2 v + c2 v^2 + c3 v^3 + c4 v^4 - v^5 (the
     constant term f(u+) ~ 0 dropped).  The scaled deviation w = v/eps
     obeys w'' + (2/r) w' = -g(eps w)/eps, whose linearisation has the
     regular solution sinh(kappa r)/(kappa r).  It is integrated as
-    q = r w exp(-kappa r), which the plateau leaves almost constant
+    q = r w exp(-kappa r), which a plateau leaves almost constant
     (1/(2 kappa) on the linear solution), so the steps there are long:
 
         q'' = -2 kappa q' - q v (c2 + v (c3 + v (c4 - v))),
@@ -639,11 +614,12 @@ class _PlateauShot:
     A trajectory starts on the linear solution where v = delta (or at the
     Taylor start of w when eps >= delta), is marched in q until u falls to
     the midpoint of the force zeros u- < u+, where f < 0 on the way rules
-    out a turn, and then goes on in u with the amplitude-shooting events.
-    The shooting parameter is the depth -s; its bracket runs from the
-    default bracket's lowest amplitude (which turns upward at once) to
-    ``_MAX_LOG_DEPTH``.  The integration radius is the front, about
-    -s/kappa, plus ``default_max_radius``.
+    out a turn, and then goes on in u with the events of ``_AMPLITUDE``.
+    Where eps itself reaches that midpoint's deviation, as the ground
+    state's does below omega ~ 0.02, the run of u starts at the origin.
+    The bracket runs from the default bracket's lowest amplitude (which
+    turns upward at once) to ``_MAX_LOG_DEPTH``.  The integration radius
+    is the front, about -s/kappa, plus ``default_max_radius``.
     """
 
     quintic = True
@@ -704,7 +680,8 @@ class _PlateauShot:
 
     def start(self, depth: float, segments=None):
         """The amplitude at ``depth`` and the (r, u, u') where its run of u
-        starts past the plateau, or None when the q run does not leave it.
+        starts: the Taylor start at the origin when eps is past the switch,
+        else past the plateau, or None when the q run does not leave it.
 
         q is marched from the start solution until u falls to the midpoint
         of the force zeros, at relative tolerance min(tol, 1e-10) for every
@@ -712,7 +689,11 @@ class _PlateauShot:
         run that its residuals and classifications made: a 1e-8 pass left
         its interpolant between the long plateau steps off by up to 8e-7.
         """
-        a = self.p - math.exp(-depth)
+        eps = math.exp(-depth)
+        a = self.p - eps
+        if eps >= self.v_switch:
+            return a, (TAYLOR_START_STEP,
+                       *_taylor_start(a, TAYLOR_START_STEP, self.omega, True))
         r0, q, qp, _ = self._start(depth)
         rtol = min(self.ode_tolerance, 1e-10)
         # q is controlled relative to its plateau value 1/(2 kappa), and q'
@@ -747,13 +728,14 @@ class _PlateauShot:
             # the lower end turns upward at once, so the deepest end missed
             raise BracketFailure(
                 f"omega={self.omega}: the ground state lies deeper than the depth limit "
-                f"-ln(u+ - u(0)) = {_MAX_LOG_DEPTH:g} of plateau shooting, as it does "
+                f"-ln(u+ - u(0)) = {_MAX_LOG_DEPTH:g} of depth shooting, as it does "
                 f"from omega = 0.186967 on; {err}") from err
 
     def profile(self, depth: float) -> RadialProfile:
         """The profile at ``depth`` = -s, stitched from the start solution,
         the dense q pass and the dense u pass: the runs of ``start`` and of
-        the classification from its switch state."""
+        the classification from its switch state.  Without a q run it is
+        the dense u pass alone."""
         eps, p, radius = math.exp(-depth), self.p, self.radius(depth)
         r0, _, _, inner = self._start(depth)
         q_segments, u_segments = [], []
@@ -766,7 +748,10 @@ class _PlateauShot:
         plateau_run, trajectory = _DenseTrajectory(q_segments), _DenseTrajectory(u_segments)
 
         def sample(grid):
+            # the grid's first node past the origin lies beyond a Taylor start
             vals, derivs = trajectory(np.maximum(grid, r_sw))
+            if not q_segments:
+                return vals, derivs
             plateau = (grid >= r0) & (grid < r_sw)
             v, vp = self._deviation(np, depth, grid[plateau], *plateau_run(grid[plateau]))
             vals[plateau], derivs[plateau] = p - v, -vp
@@ -851,17 +836,15 @@ def _parameter(shot, x0: float) -> float:
     try:
         return _root(shot, x0)
     except BracketFailure:
-        return 0.5 * sum(shot.bisect(BISECTION_TOLERANCE, isinstance(shot, _PlateauShot)))
+        return 0.5 * sum(shot.bisect(BISECTION_TOLERANCE, isinstance(shot, _DepthShot)))
 
 
 def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
-    shot = (_PlateauShot(omega, ode_tolerance) if quintic and omega > OMEGA_SHOOTING_MAX
-            else _AmplitudeShot(omega, ode_tolerance, quintic))
     if quintic:
-        x0 = _predict(omega)
+        shot, x0 = _DepthShot(omega, ode_tolerance), _predict(omega)
     else:
         from . import depth_table
-        x0 = depth_table.CUBIC_AMPLITUDE
+        shot, x0 = _AmplitudeShot(omega, ode_tolerance, False), depth_table.CUBIC_AMPLITUDE
     if x0 is None:
         # outside the depth table's span: a coarse bisection of the classes
         x0 = 0.5 * sum(shot.bisect(_COLD_TOLERANCE, True))
@@ -903,11 +886,9 @@ _TABLE_POINTS = 8
 
 
 def _predict(omega: float) -> float | None:
-    """The ground state's shooting parameter at omega as the depth table
-    predicts it: the amplitude up to ``OMEGA_SHOOTING_MAX``, the depth
-    -ln(u+ - u(0)) above.  y over x (``_table``) is interpolated through
-    the ``_TABLE_POINTS`` nearest nodes; the amplitude is u+ - exp(-depth).
-    ``None`` outside the table's span.
+    """The ground state's depth -ln(u+ - u(0)) at omega as the depth table
+    predicts it: y over x (``_table``) interpolated through the
+    ``_TABLE_POINTS`` nearest nodes.  ``None`` outside the table's span.
     """
     x = math.log(OMEGA_MAX - omega)
     nodes = _table()
@@ -915,23 +896,20 @@ def _predict(omega: float) -> float | None:
     if not 0 < i < len(nodes):
         return None
     start = min(max(i - _TABLE_POINTS // 2, 0), len(nodes) - _TABLE_POINTS)
-    depth = _newton_predict(x, nodes[start:start + _TABLE_POINTS]) / (OMEGA_MAX - omega)
-    if omega > OMEGA_SHOOTING_MAX:
-        return depth
-    return force_upper_zero(omega) - math.exp(-depth)
+    return _newton_predict(x, nodes[start:start + _TABLE_POINTS]) / (OMEGA_MAX - omega)
 
 
 def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Positive decaying solution of the cubic-quintic profile equation.
 
-    Up to ``OMEGA_SHOOTING_MAX`` the shooting parameter is the central
-    amplitude.  Above it the amplitude comes within one ulp of the force
-    zero, and the parameter is the log of their gap instead
-    (``_PlateauShot``), up to omega = 0.186967, where the depth reaches
-    ``_MAX_LOG_DEPTH``.  The secant method finds the root of the matching
-    residual from the depth table's prediction (``_secant``), or, outside
-    the table's span, from a coarse bisection of the trajectory classes;
-    the classes just below and above the root then check it (``_root``).
+    The shooting parameter is the depth -ln(u+ - u(0)), the log of the gap
+    between the amplitude and the force zero, which the amplitude comes
+    within one ulp of toward 3/16 (``_DepthShot``), up to omega = 0.186967,
+    where the depth reaches ``_MAX_LOG_DEPTH``.  The secant method finds
+    the root of the matching residual from the depth table's prediction
+    (``_secant``), or, outside the table's span, from a coarse bisection
+    of the trajectory classes; the classes just below and above the root
+    then check it (``_root``).
     Where the secant or its check fails the classes are bisected to
     ``BISECTION_TOLERANCE`` instead (``_parameter``).  No cache feeds the
     start, so the profile depends on omega and the tolerance alone.

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 # imported here so that the ``solves`` spy finds their bindings
 import cqnls.curves  # noqa: F401
 import cqnls.landscape  # noqa: F401
-from cqnls import shooting
+from cqnls import cli, shooting
 from cqnls.cli import (_COMMANDS, ENV_OUT_DIR, _attach_negative_values, _config_flags,
                        _with_config, build_parser, main)
+from cqnls.errors import DomainTooSmall
 from cqnls.functionals import evaluate
 from cqnls.profiles import GROUND_STATE, RadialProfile
 
@@ -110,9 +111,10 @@ class TestSolve:
                      "--out", str(tmp_path)])
         assert code == 3
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0.1", "0"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0.1", "0", "1e-3"])
     def test_bad_tolerance_exits_3(self, tol, tmp_path, capsys):
-        # nan never returned and inf or 0.1 overflowed in the ODE runs
+        # nan never returned and inf or 0.1 overflowed in the ODE runs; at
+        # 1e-3 most tails missed the fit
         code = main(["solve", "--omega", "0.09", "--ode-tol", tol, "--out", str(tmp_path)])
         assert code == 3
         assert "ode_tolerance" in capsys.readouterr().err
@@ -347,13 +349,21 @@ class TestPipelines:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert all(c["pass"] for c in manifest["checks"])
 
-    def test_validate_honours_ode_tol(self, tmp_path):
-        assert main(["validate", "--ode-tol", "1e-3", "--out", str(tmp_path)]) == 3
+    def test_validate_honours_ode_tol(self, tmp_path, capsys):
+        # a tolerance out of range is refused before any check runs or the
+        # output directory is made
+        out = tmp_path / "out"
+        assert main(["validate", "--ode-tol", "1e-3", "--out", str(out)]) == 3
+        assert "ode_tolerance" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists() and not out.exists()
 
-    def test_validate_records_solver_errors(self, tmp_path, capsys):
-        # at 1e-3 the ground-state solves raise; each is a FAIL row and the
+    def test_validate_records_solver_errors(self, tmp_path, capsys, monkeypatch):
+        # where the ground-state solves raise, each is a FAIL row and the
         # battery still runs to the end and writes its manifest
-        assert main(["validate", "--ode-tol", "1e-3", "--out", str(tmp_path)]) == 3
+        def fail(omega, ode_tolerance):
+            raise DomainTooSmall(f"tail fit mismatch at omega={omega}")
+        monkeypatch.setattr(cli, "solve_ground_state", fail)
+        assert main(["validate", "--out", str(tmp_path)]) == 3
         printed = capsys.readouterr().out
         checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
         assert len(checks) == 7

@@ -13,13 +13,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqnls import bvp, depth_table, shooting
+from cqnls.bvp import OMEGA_SHOOTING_MAX
 from cqnls.curves import default_omega_grid
 from cqnls.errors import BracketFailure, FrequencyOutOfWindow
 from cqnls.functionals import evaluate
 from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE
-from cqnls.shooting import (OMEGA_SHOOTING_MAX, TrajectoryClass,
-                            classify_trajectory, force_upper_zero,
-                            solve_cubic_reference, solve_ground_state)
+from cqnls.shooting import (TrajectoryClass, classify_trajectory,
+                            force_upper_zero, solve_cubic_reference,
+                            solve_ground_state)
 
 
 class TestWindow:
@@ -56,7 +57,7 @@ class TestClassifyTrajectory:
 
 class TestTolerance:
     def test_rejects_bad_tolerance(self):
-        for tol in (math.nan, math.inf, -1e-12, 0.0, 0.1, 2.0):
+        for tol in (math.nan, math.inf, -1e-12, 0.0, 1e-4, 1e-3, 0.1, 2.0):
             for solve in (functools.partial(solve_ground_state, 0.09, tol),
                           functools.partial(solve_cubic_reference, tol),
                           functools.partial(classify_trajectory, 0.5, 0.09, tol)):
@@ -65,7 +66,8 @@ class TestTolerance:
 
     def test_default_and_loose_tolerances_accepted(self):
         assert shooting.ODE_TOLERANCE == 1e-12
-        for tol in (shooting.ODE_TOLERANCE, 1e-3, shooting.MAX_ODE_TOLERANCE):
+        assert shooting.MAX_ODE_TOLERANCE == 1e-5
+        for tol in (shooting.ODE_TOLERANCE, 1e-8, shooting.MAX_ODE_TOLERANCE):
             shooting.check_tolerance(tol)
 
 
@@ -95,8 +97,8 @@ class TestGroundState:
         assert solve_ground_state(0.09) is solve_ground_state(0.09)
 
     def test_mass_continuous_across_solver_switch(self):
-        # the switch from amplitude to plateau shooting must not kink the
-        # mass curve
+        # the mass curve has no kink across 0.155, where the collocation
+        # ladder starts
         masses = [evaluate(solve_ground_state(om)).mass
                   for om in (0.150, 0.154, 0.158, 0.162)]
         gaps = np.diff(masses)
@@ -113,21 +115,13 @@ def _identity_errors(omega, rep):
             abs(rep.mass - mass_formula) / mass_formula)
 
 
-def test_tail_fit_retries_shallow_half():
-    # an amplitude run near the top of its range: at ode_tolerance 1e-8 the
-    # trajectory turns upward soon after the matching window and bends its
-    # deep end, while its shallow half still fits the decay law
-    omega = 0.15417194583513705
-    profile = solve_ground_state(omega, 1e-8)
-    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
-
-
 @pytest.mark.parametrize("spacing", [shooting.GRID_SPACING])
 @pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
 @pytest.mark.parametrize("omega", [0.004, 0.073, 0.154, 0.155, 0.16, 0.185])
 def test_configuration_matrix(omega, tol, spacing):
-    # every tolerance solves the window's edges and both sides of the
-    # solver switch within criterion 01's gate, on the one grid spacing
+    # every tolerance solves the window's edges and both sides of 0.155,
+    # where the collocation ladder starts, within criterion 01's gate, on
+    # the one grid spacing
     profile = solve_ground_state(omega, tol)
     assert profile.spacing == pytest.approx(spacing, rel=1e-12)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
@@ -147,9 +141,11 @@ _LOOSE_PLATEAU = (0.16839416768298837, 0.17639191892263195, 0.18010405197739462,
 @example(omega=_LOOSE_PLATEAU[1], tol=1e-8)
 @example(omega=_LOOSE_PLATEAU[2], tol=1e-8)
 @example(omega=_LOOSE_PLATEAU[3], tol=1e-8)
+@example(omega=0.1297550200803213, tol=1e-8)
 def test_window_solves_within_the_gate(omega, tol):
     # criterion 01's gate across the window at every tolerance, with the
-    # four examples of ``_LOOSE_PLATEAU`` at 1e-8
+    # four examples of ``_LOOSE_PLATEAU`` at 1e-8 and one that the amplitude
+    # shot missed (Nehari 1.6e-7; 1.1e-10 on the depth)
     profile = solve_ground_state(omega, tol)
     assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
 
@@ -166,15 +162,19 @@ def test_loose_plateau_profile_within_the_gate():
 
 
 @pytest.mark.parametrize("omega, tol", [(0.1668273092369478, 1e-8),
-                                        (0.18427309236947792, 1e-10)])
-def test_plateau_profile_fits_the_whole_window(omega, tol):
-    # sampled on the run whose root the secant found, a plateau profile
-    # follows the decay law over the whole matching window: it runs to the
-    # window's end (the first node below its lower level, or the node
-    # before), and its tail constant is the mean over all of it.  A profile
-    # sampled off that run fitted 0.1668 on a leading quarter and 0.1843 on
-    # a half (whole-window mismatch 0.11 and 2.7e-3)
+                                        (0.18427309236947792, 1e-10),
+                                        (0.15417194583513705, 1e-8)])
+def test_profile_fits_the_whole_window(omega, tol):
+    # sampled on the run whose root the secant found, a profile follows the
+    # decay law over the whole matching window: it runs to the window's end
+    # (the first node below its lower level, or the node before), its tail
+    # constant is the mean over all of it, and it meets criterion 01's gate.
+    # A plateau profile sampled off that run fitted 0.1668 on a leading
+    # quarter and 0.1843 on a half (whole-window mismatch 0.11 and 2.7e-3);
+    # the amplitude shot at 0.15417 turned upward just past the window and
+    # fitted on its shallow half
     profile = solve_ground_state(omega, tol)
+    assert max(_identity_errors(omega, evaluate(profile))) < 1e-7
     a, (w_lo, w_hi) = profile.amplitude, shooting.MATCHING_WINDOW
     assert profile.values[-1] < 1.1 * w_lo * a
     start = np.flatnonzero(profile.values < w_hi * a)[0]
@@ -222,7 +222,7 @@ def test_profile_does_not_follow_the_stop_radius(ground_009):
 
 
 class TestPlateau:
-    """Shooting on s = ln(eps) above OMEGA_SHOOTING_MAX."""
+    """Depth shooting above OMEGA_SHOOTING_MAX, where the plateau forms."""
 
     def test_agrees_with_collocation(self):
         grid = default_omega_grid(60, 0.004, 0.185)
@@ -255,7 +255,7 @@ class TestPlateau:
         omega = 0.18
 
         def depth(delta=None):
-            shot = shooting._PlateauShot(omega, shooting.ODE_TOLERANCE)
+            shot = shooting._DepthShot(omega, shooting.ODE_TOLERANCE)
             if delta is not None:
                 shot.delta = delta
             return shooting._root(shot, shooting._predict(omega))
@@ -349,23 +349,20 @@ def _shot(omega, tol, quintic=True):
     """The shot ``shooting._solve`` makes, and the start it takes."""
     if not quintic:
         return shooting._AmplitudeShot(1.0, tol, False), depth_table.CUBIC_AMPLITUDE
-    if omega > OMEGA_SHOOTING_MAX:
-        return shooting._PlateauShot(omega, tol), shooting._predict(omega)
-    return shooting._AmplitudeShot(omega, tol, True), shooting._predict(omega)
+    return shooting._DepthShot(omega, tol), shooting._predict(omega)
 
 
 def _ground_root(omega, tol, quintic=True):
-    """The ground state's shooting parameter as ``shooting._solve`` finds it."""
+    """The ground state's shooting parameter as ``shooting._solve`` finds it:
+    the depth -ln(u+ - u(0)), or the cubic reference's amplitude."""
     return shooting._parameter(*_shot(omega, tol, quintic))
 
 
-def _depth_start(shot, omega, x, offset):
-    """The parameter of ``shot`` whose depth -ln(u+ - u(0)), the table's
-    variable, is ``offset`` (relative) off the one at parameter x."""
-    if omega > OMEGA_SHOOTING_MAX:
-        return x * (1.0 + offset)
-    upper = force_upper_zero(omega)
-    return upper - math.exp(math.log(upper - x) * (1.0 + offset))
+def _ground_amplitude(omega, tol, quintic=True):
+    """The central amplitude of ``_ground_root``'s ground state."""
+    if not quintic:
+        return _ground_root(omega, tol, False)
+    return force_upper_zero(omega) - math.exp(-_ground_root(omega, tol))
 
 
 #: largest relative distance of two roots of the matching residual from
@@ -379,19 +376,18 @@ START_SPREAD = 2e-12
 def _assert_any_start_gives_the_cold_bracket(omega, tol, sign, log_offset):
     # a start off the table's prediction lands on the same root, inside
     # the bracket a coarse bisection of the classes gives a cold solve.
-    # The start is off in the depth: near the switch an amplitude 1e-10
-    # below the root turns upward before the run falls to the matching
-    # level.  Derandomized, so that a failing draw cannot slip in and out
+    # Derandomized, so that a failing draw cannot slip in and out
     shot, start = _shot(omega, tol)
     root = shooting._parameter(shot, start)
-    moved = shooting._parameter(shot, _depth_start(shot, omega, root, sign * 10.0**log_offset))
+    moved = shooting._parameter(shot, root * (1.0 + sign * 10.0**log_offset))
     assert moved == pytest.approx(root, rel=START_SPREAD, abs=0.0)
     lo, hi = shot.bisect(shooting._COLD_TOLERANCE, True)
     assert lo <= moved <= hi
 
 
-#: at 1e-8 a start 1.7e-12 (relative, in the depth) below the root meets a
-#: jump of the residual, and the secant does not settle within its steps
+#: at 1e-8 a start 1.7e-12 (relative, in the depth) below the root met a
+#: jump of the amplitude shot's residual, where its secant did not settle
+#: within its steps
 _JUMP = (0.12967610279981695, 1e-8, -1.0, math.log10(1.7e-12))
 
 
@@ -429,8 +425,8 @@ def _residual_marches(monkeypatch):
 def test_few_residual_marches_per_solve(monkeypatch):
     # from the table's prediction the secant takes two steps, rarely three:
     # at most four runs of the residual.  A solve whose secant meets a jump
-    # of the residual bisects the classes instead; here only at 1e-8, once
-    # in 37 (3 in 1000 over the window)
+    # of the residual bisects the classes instead; on the depth none of
+    # 1000 frequencies over the window does at these tolerances
     marches = _residual_marches(monkeypatch)
     bisected = []
     for tol in TOLERANCES:
@@ -466,11 +462,12 @@ class TestWarmStart:
         assert warm.tail_constant == cold.tail_constant
 
     def test_configured_bracket(self):
-        # a bracket other than the default bisects to the secant's root
+        # a bracket of amplitudes other than the default bisects to the
+        # amplitude of the secant's root
         classify = functools.partial(classify_trajectory, omega=0.073)
         lo, hi = shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE)
-        assert 0.5 * (lo + hi) == pytest.approx(_ground_root(0.073, shooting.ODE_TOLERANCE),
-                                                rel=1e-12, abs=0.0)
+        assert 0.5 * (lo + hi) == pytest.approx(
+            _ground_amplitude(0.073, shooting.ODE_TOLERANCE), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("a_pred", [-1.0, 1e-9, 5.0])
     def test_prediction_outside_bracket(self, a_pred):
@@ -498,7 +495,7 @@ def test_root_off_the_dichotomy_raises(omega, monkeypatch):
     shot, start = _shot(omega, shooting.ODE_TOLERANCE)
     with pytest.raises(BracketFailure, match="not bracketed"):
         shooting._root(shot, start)
-    lo, hi = shot.bisect(shooting.BISECTION_TOLERANCE, omega > OMEGA_SHOOTING_MAX)
+    lo, hi = shot.bisect(shooting.BISECTION_TOLERANCE, True)
     assert shooting._parameter(shot, start) == 0.5 * (lo + hi)
 
 
@@ -508,8 +505,7 @@ def test_secant_failure_bisects_the_classes(omega, tol, monkeypatch):
     # probes (loose tolerances, the depth limit) the classes are bisected,
     # and the solve keeps Nehari and Pohozaev within ten tolerances
     monkeypatch.setattr(shooting, "_profile_cache", {})
-    shot = (shooting._PlateauShot(omega, tol) if omega > OMEGA_SHOOTING_MAX
-            else shooting._AmplitudeShot(omega, tol, True))
+    shot = shooting._DepthShot(omega, tol)
     start = shooting._predict(omega) or 0.5 * sum(shot.bisect(shooting._COLD_TOLERANCE, True))
     with pytest.raises(BracketFailure):
         shooting._root(shot, start)
@@ -518,14 +514,13 @@ def test_secant_failure_bisects_the_classes(omega, tol, monkeypatch):
 
 
 def test_start_that_turns_before_the_matching_level():
-    # at 1e-8 the table's prediction lies up to 3.05e-8 (relative, in the
-    # depth) below the root, and a start more than about 3.2e-8 below it
-    # turns upward before its run falls to the matching level; the classes
-    # are then bisected
+    # at 1e-8 a start 1e-7 (relative, in the depth) below the root turns
+    # upward before its run falls to the matching level; the classes are
+    # then bisected.  The table's prediction lies within 7.2e-9 of the root
     omega, tol = 0.12967610279981695, 1e-8
     shot, start = _shot(omega, tol)
     root = shooting._parameter(shot, start)
-    far = _depth_start(shot, omega, root, -1e-7)
+    far = root * (1.0 - 1e-7)
     with pytest.raises(BracketFailure, match="does not fall"):
         shooting._root(shot, far)
     assert shooting._parameter(shot, far) == pytest.approx(root, rel=START_SPREAD, abs=0.0)
@@ -730,11 +725,11 @@ def _callback_march(rhs, r, u, up, r_end, rtol, events, directions, atol=None,
 
 def _callbacks(kind, omega, depth, a, match):
     """The right-hand side and events of a production run as callbacks,
-    written as ``_shoot`` and ``_PlateauShot`` wrote them before the march
+    written as ``_shoot`` and ``_DepthShot`` wrote them before the march
     was generated from their text, with their directions, and the
     ``shooting`` problem and params that generate the same run."""
     if kind == "plateau":
-        shot = shooting._PlateauShot(omega, 1e-12)
+        shot = shooting._DepthShot(omega, 1e-12)
         kappa, c2, c3, c4, v_switch = shot.kappa, shot.c2, shot.c3, shot.c4, shot.v_switch
 
         def rhs(r, q, qp):
@@ -840,7 +835,7 @@ def test_kernel_matches_the_generic_stage_loops(problem, frac, wild, depth, log_
         first_step = 10.0**log_h
         start, r_end = (r, u, up), r + 8.0 * first_step
     elif kind == "plateau":
-        shot = shooting._PlateauShot(omega, rtol)
+        shot = shooting._DepthShot(omega, rtol)
         start, r_end = shot._start(depth)[:3], shot.radius(depth)
         atol, first_step = rtol / (2.0 * shot.kappa), 1.0 / shot.kappa
     else:
@@ -935,7 +930,7 @@ def test_float_stepper_matches_solve_ivp(omega, sign, log_offset, tol, quintic, 
     # products (fused multiply-adds) round differently, so on about 0.1 % of
     # samples the event falls one step earlier or later
     radius = max_radius or shooting.default_max_radius(omega)
-    a = _ground_root(omega, tol, quintic) * (1.0 + sign * 10.0**log_offset)
+    a = _ground_amplitude(omega, tol, quintic) * (1.0 + sign * 10.0**log_offset)
     assume(a < _upper_amplitude(omega, quintic))
     label, steps, _ = shooting._shoot(a, omega, tol, quintic, radius)
     label_ivp, steps_ivp = _solve_ivp_class(a, omega, tol, quintic, radius)
@@ -1049,7 +1044,7 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
     radius = shooting.default_max_radius(omega)
     start = None
     if kind == "plateau":
-        shot = shooting._PlateauShot(omega, tol)
+        shot = shooting._DepthShot(omega, tol)
         depth = _ground_root(omega, tol) * (1.0 + offset)
         radius, q_tol = shot.radius(depth), min(tol, 1e-10)
         segments = []
@@ -1066,7 +1061,7 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
         ours, theirs = _dense_pair(segments, start[0], sol_q)
         assert np.max(np.abs(ours - theirs) / np.abs(theirs)) < 3e-12
     else:
-        a = _ground_root(omega, tol, quintic) * (1.0 + offset)
+        a = _ground_amplitude(omega, tol, quintic) * (1.0 + offset)
         assume(a < _upper_amplitude(omega, quintic))
     segments = []
     label, _, r_stop = shooting._shoot(a, omega, tol, quintic, radius, start, segments)
