@@ -13,7 +13,9 @@ as it holds the wall time), then the repr of
 ``_march`` runs of one seeded and one cold ground-state solve at each of
 omega = 0.01 (a run of u from the origin), 0.09 and 0.185 (a q run over
 a short and a long plateau, then u), so a stepper change that moves a
-single step shows in the diff.  It takes about 20 s on a 2-core host.
+single step shows in the diff.  The cubic reference's seeded and cold
+solve follow, with the repr of its amplitude and tail constant: no
+pipeline writes it to a data file.  It takes about 20 s on a 2-core host.
 Digests compare only between runs on one host: numpy's SIMD level moves
 the last bits of some data files.  A run that fails stops the script:
 the name of its pipeline and its standard error go to stderr, and the
@@ -49,12 +51,14 @@ PIPELINES = (
 CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
            "print(repr(certify_e_min_by_flow(320.0)))")
 #: accepted steps (summed over ``_march`` runs) and ``_march`` runs per
-#: depth-shot solve, each with an empty cache; the seeded solve starts
-#: from the depth table's prediction, the cold one from the coarse
-#: bisection of the classes that starts a solve outside the table's span
+#: solve, each with an empty cache; the seeded solve starts from the depth
+#: table (its prediction of the depth, its cubic amplitude), the cold one
+#: from the coarse bisection of the classes that starts a solve outside
+#: the table's span
 COUNTS = """
-from cqnls import shooting
+from cqnls import depth_table, shooting
 march, predict, tally = shooting._march, shooting._predict, [0, 0]
+cubic = depth_table.CUBIC_AMPLITUDE
 
 def counted_march(*args, **kwargs):
     result = march(*args, **kwargs)
@@ -70,6 +74,13 @@ for omega in (0.01, 0.09, 0.185):
         tally[:] = [0, 0]
         shooting.solve_ground_state(omega)
         print(f"omega={omega} {label}: {tally[0]} accepted steps, {tally[1]} marches")
+for label in ("cold", "seeded"):
+    shooting._profile_cache.clear()
+    depth_table.CUBIC_AMPLITUDE = None if label == "cold" else cubic
+    tally[:] = [0, 0]
+    profile = shooting.solve_cubic_reference()
+    print(f"cubic {label}: {tally[0]} accepted steps, {tally[1]} marches, "
+          f"amplitude {profile.amplitude!r}, tail constant {profile.tail_constant!r}")
 """
 
 

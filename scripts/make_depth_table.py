@@ -5,15 +5,17 @@ roots (``tests/test_shooting.py::TestDepthTable::test_table_is_current`` fails t
 
     PYTHONPATH=src python scripts/make_depth_table.py
 
-Each node's depth is bisected on the trajectory classes from its whole
-bracket (``shooting._DepthShot.bisect``) to ``shooting.BISECTION_TOLERANCE``
-relative, at ``shooting.ODE_TOLERANCE``:
-297 frequencies evenly spaced in ln(omega) over [0.0035, 0.125] and 200
-evenly spaced in ln(3/16 - omega) above it up to 0.1869, below the
-frequency 0.186967 where the depth reaches ``shooting._MAX_LOG_DEPTH``;
-then the cubic reference.  Near 0.125 both spacings put the nodes about
-0.02 apart in ln(3/16 - omega), the variable ``shooting._predict``
-interpolates in.  It takes about 22 s on a 2-core host.
+Each node's depth is bisected on the trajectory classes from the depth
+shot's whole bracket (``shooting._bisect`` of ``shooting._DepthShot``) to
+``shooting.BISECTION_TOLERANCE`` times the bracket's lower end, at
+``shooting.ODE_TOLERANCE``: 297 frequencies evenly spaced in ln(omega)
+over [0.0035, 0.125] and 200 evenly spaced in ln(3/16 - omega) above it
+up to 0.1869, below the frequency 0.186967 where the depth reaches
+``shooting._MAX_LOG_DEPTH``.  The cubic reference's amplitude is bisected
+in the same way on its own shot (``shooting._AmplitudeShot``).  Near
+0.125 both spacings put the nodes about 0.02 apart in ln(3/16 - omega),
+the variable ``shooting._predict`` interpolates in.  It takes about 22 s
+on a 2-core host.
 """
 
 import math
@@ -38,15 +40,17 @@ def nodes() -> list[float]:
     return omegas
 
 
+def _bisected(shot) -> float:
+    return 0.5 * sum(shooting._bisect(shot, shooting.BISECTION_TOLERANCE))
+
+
 def cold_depth(omega: float) -> float:
     """Depth -ln(u+ - u(0)) of the bisected ground state at omega."""
-    shot = shooting._DepthShot(omega, shooting.ODE_TOLERANCE)
-    return 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, True))
+    return _bisected(shooting._DepthShot(omega, shooting.ODE_TOLERANCE))
 
 
 def cubic_amplitude() -> float:
-    shot = shooting._AmplitudeShot(1.0, shooting.ODE_TOLERANCE, False)
-    return 0.5 * sum(shot.bisect(shooting.BISECTION_TOLERANCE, False))
+    return _bisected(shooting._AmplitudeShot(1.0, shooting.ODE_TOLERANCE))
 
 
 def main():

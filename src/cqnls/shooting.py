@@ -11,6 +11,13 @@ trajectories check it: just below the root a trajectory turns upward
 while still positive, just above it crosses zero.  Where either fails,
 the classes are bisected instead, as they are for the depth table.
 
+A shot gives, at its parameter x, the amplitude and the start of the run
+of u (``start``), the radius it runs to (``radius``), its right-hand side
+(``problem``) and the bracket of its bisection (``bracket``).  The
+classification (``_classify``), the bisection (``_bisect``), the secant
+(``_secant``) and the profile builder (``_profile``) are written once
+over the shot.
+
 The ground state's shooting parameter is its depth -ln(eps), where
 u(0) = u+ - eps lies below the force zero u+ (``_DepthShot``).  Toward
 3/16, eps ~ exp(-0.36/(3/16 - omega)) falls below one ulp of u+ from
@@ -76,8 +83,8 @@ ODE_TOLERANCE = 1e-12
 #: from its root and the classes are bisected
 MAX_ODE_TOLERANCE = 1e-5
 #: final bracket width of the bisections of the depth table and of the
-#: solves whose secant fails: relative on the depth -ln(u+ - u(0)), or on
-#: the cubic reference's amplitude
+#: solves whose secant fails, relative to the bracket's lower end: on the
+#: depth -ln(u+ - u(0)), or on the cubic reference's amplitude
 BISECTION_TOLERANCE = 1e-14
 #: radius of the Taylor start at the origin
 TAYLOR_START_STEP = 1e-3
@@ -432,67 +439,71 @@ _EVENT_CLASSES = {0: TrajectoryClass.CROSSES_ZERO, 1: TrajectoryClass.TURNS_UPWA
                   None: TrajectoryClass.UNDETERMINED}
 
 
-def _shoot(a: float, omega: float, ode_tolerance: float, quintic: bool, max_radius: float,
-           start=None, segments=None) -> tuple[TrajectoryClass, int, float]:
-    """Class of one trajectory, the DOP853 steps it accepted and the radius
-    where it stopped.
+def _shoot(shot, a: float, start, radius: float,
+           segments=None) -> tuple[TrajectoryClass, int, float]:
+    """Class of the run of u of ``shot`` from ``start`` (r, u, u') at
+    amplitude ``a``, the DOP853 steps it accepted and the radius where it
+    stopped.
 
-    ``_march`` of ``_AMPLITUDE`` (``_CUBIC`` without the quintic term) from
-    ``start`` ``(r, u, u')``, by default the Taylor start of amplitude
-    ``a``.  With a ``segments`` list it is also the dense pass of the
-    profile builders (see ``_march``).
+    ``_march`` of the shot's problem up to ``radius`` with the dichotomy's
+    events at ``a``.  With a ``segments`` list it is also the dense pass of
+    ``_profile`` (see ``_march``).
     """
-    if start is None:
-        start = (TAYLOR_START_STEP, *_taylor_start(a, TAYLOR_START_STEP, omega, quintic))
-    event, steps, r, *_ = _march(_AMPLITUDE if quintic else _CUBIC,
-                                 (omega, *_event_thresholds(a), -math.inf), *start, max_radius,
-                                 ode_tolerance, segments=segments)
+    event, steps, r, *_ = _march(shot.problem, (shot.omega, *_event_thresholds(a), -math.inf),
+                                 *start, radius, shot.ode_tolerance, segments=segments)
     return _EVENT_CLASSES[event], steps, r
 
 
-def classify_trajectory(amplitude: float, omega: float, ode_tolerance: float = ODE_TOLERANCE,
-                        quintic: bool = True, max_radius: float | None = None) -> TrajectoryClass:
-    """Assign the shooting dichotomy class of one central amplitude."""
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    check_tolerance(ode_tolerance)
-    if quintic:
-        check_frequency(omega)
-    if max_radius is None:
-        max_radius = default_max_radius(omega)
-    if _force(amplitude, omega, quintic) >= 0.0:
-        # force pushes away from zero at the start: the trajectory rises
+def _classify(shot, a: float, start, radius: float) -> TrajectoryClass:
+    """Class of a trajectory of ``shot``: its run of u from ``start`` at
+    amplitude ``a`` up to ``radius`` (``_shoot``).  Undetermined without a
+    start, where a run of q does not leave the plateau.  A Taylor start
+    where the force pushes away from zero rises, so it turns upward
+    without a run."""
+    if start is None:
+        return TrajectoryClass.UNDETERMINED
+    # a run of q ends past its own start, which is no nearer the origin
+    # than the Taylor start
+    if start[0] == TAYLOR_START_STEP and _force(a, shot.omega, shot.problem is _AMPLITUDE) >= 0.0:
         return TrajectoryClass.TURNS_UPWARD
-    return _shoot(amplitude, omega, ode_tolerance, quintic, max_radius)[0]
+    return _shoot(shot, a, start, radius)[0]
 
 
-def _default_bracket(omega: float, quintic: bool):
-    if quintic:
-        # the ground amplitude approaches the force zero exponentially fast
-        # as omega -> 3/16, so the upper endpoint must hug it tightly
-        hi = force_upper_zero(omega) * (1.0 - 1e-13)
-        return 1e-6, hi
-    return 1.1, 19.0
+def _classify_at(shot, x: float) -> TrajectoryClass:
+    """``_classify`` of the trajectory of ``shot`` at its parameter x."""
+    return _classify(shot, *shot.start(x), shot.radius(x))
 
 
-def _bisect(classify, lo: float, hi: float, tolerance: float, relative: bool = False):
-    """Bisect the shooting parameter's bracket down to ``tolerance``
-    (times the lower end with ``relative``, for a positive parameter).
+def classify_trajectory(amplitude: float, omega: float,
+                        ode_tolerance: float = ODE_TOLERANCE) -> TrajectoryClass:
+    """Assign the shooting dichotomy class of one central amplitude: the
+    ground state's run of u from the Taylor start at ``amplitude``, up to
+    the integration radius of a run from the origin."""
+    if not 0.0 < amplitude < math.inf:  # false for nan
+        raise ValueError(f"amplitude={amplitude} must be positive and finite")
+    check_tolerance(ode_tolerance)
+    check_frequency(omega)
+    start = (TAYLOR_START_STEP, *_taylor_start(amplitude, TAYLOR_START_STEP, omega, True))
+    return _classify(_DepthShot(omega, ode_tolerance), amplitude, start,
+                     default_max_radius(omega))
 
-    ``classify(x)`` is the trajectory class at parameter x; ``lo`` must
-    turn upward and ``hi`` cross zero, or ``BracketFailure`` is raised.
-    """
-    ends = classify(lo), classify(hi)
+
+def _bisect(shot, tolerance: float):
+    """Bisect the bracket of ``shot`` down to ``tolerance`` times its lower
+    end.  The lower end must turn upward and the upper end cross zero, or
+    ``BracketFailure`` is raised."""
+    lo, hi = shot.bracket
+    ends = _classify_at(shot, lo), _classify_at(shot, hi)
     if ends != (TrajectoryClass.TURNS_UPWARD, TrajectoryClass.CROSSES_ZERO):
         raise BracketFailure(
             f"bracket ({lo}, {hi}) classes ({ends[0].value}, {ends[1].value}) "
             "do not separate TurnsUpward from CrossesZero"
         )
-    while hi - lo > tolerance * (lo if relative else 1.0):
+    while hi - lo > tolerance * lo:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if classify(mid) is TrajectoryClass.CROSSES_ZERO:
+        if _classify_at(shot, mid) is TrajectoryClass.CROSSES_ZERO:
             hi = mid
         else:
             lo = mid
@@ -548,38 +559,49 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     )
 
 
+def _profile(shot, x: float) -> RadialProfile:
+    """The profile of ``shot`` at its parameter x, from the dense pass of
+    the run of u that classifies x, and below that run's start, where a
+    depth shot's run of q starts it, from its dense q pass and its start
+    solution (``_DepthShot.plateau``)."""
+    q_segments, u_segments = [], []
+    a, start = shot.start(x, q_segments)
+    radius = shot.radius(x)
+    if start is None:
+        raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
+    _, _, r_stop = _shoot(shot, a, start, radius, u_segments)
+    trajectory = _DenseTrajectory(u_segments)
+
+    def sample(grid):
+        # the grid's first node past the origin lies beyond a Taylor start
+        vals, derivs = trajectory(np.maximum(grid, start[0]))
+        if q_segments:
+            shot.plateau(x, _DenseTrajectory(q_segments), start[0], grid, vals, derivs)
+        return vals, derivs
+
+    return _matched_profile(sample, a, shot.omega, shot.problem is _AMPLITUDE, r_stop)
+
+
 class _AmplitudeShot:
-    """Shooting on the central amplitude: the cubic reference, without
-    ``quintic``.  As ``_DepthShot``, it gives the ``start`` and ``radius``
-    of the run of u, the class, the bisection and the profile at its
-    parameter."""
+    """Shooting on the central amplitude of the cubic reference: the
+    Taylor start of u at the origin, run to ``default_max_radius``."""
 
-    def __init__(self, omega: float, ode_tolerance: float, quintic: bool):
-        self.omega, self.ode_tolerance, self.quintic = omega, ode_tolerance, quintic
+    problem = _CUBIC
+    #: from just above u = 1, where the force u - u^3 starts to pull toward
+    #: zero, to well past the amplitude, about 4.34
+    bracket = (1.1, 19.0)
 
-    def start(self, a: float):
+    def __init__(self, omega: float, ode_tolerance: float):
+        self.omega, self.ode_tolerance = omega, ode_tolerance
+
+    def start(self, a: float, segments=None):
+        """The amplitude ``a`` and the Taylor start of its run of u: no run
+        of q comes before it, so ``segments`` stays empty."""
         return a, (TAYLOR_START_STEP,
-                   *_taylor_start(a, TAYLOR_START_STEP, self.omega, self.quintic))
+                   *_taylor_start(a, TAYLOR_START_STEP, self.omega, False))
 
     def radius(self, a: float) -> float:
         return default_max_radius(self.omega)
-
-    def classify(self, a: float) -> TrajectoryClass:
-        return classify_trajectory(a, self.omega, self.ode_tolerance, self.quintic)
-
-    def bisect(self, tolerance: float, relative: bool):
-        """``_bisect`` from the phase-plane default bracket."""
-        return _bisect(self.classify, *_default_bracket(self.omega, self.quintic), tolerance,
-                       relative)
-
-    def profile(self, a: float) -> RadialProfile:
-        segments = []
-        _, _, r_stop = _shoot(a, self.omega, self.ode_tolerance, self.quintic, self.radius(a),
-                              segments=segments)
-        trajectory = _DenseTrajectory(segments)
-        # the grid's first node past the origin lies beyond the Taylor start
-        return _matched_profile(lambda grid: trajectory(np.maximum(grid, TAYLOR_START_STEP)),
-                                a, self.omega, self.quintic, r_stop)
 
 
 #: deepest plateau shot at: exp(-700) is still a normal double
@@ -617,12 +639,12 @@ class _DepthShot:
     out a turn, and then goes on in u with the events of ``_AMPLITUDE``.
     Where eps itself reaches that midpoint's deviation, as the ground
     state's does below omega ~ 0.02, the run of u starts at the origin.
-    The bracket runs from the default bracket's lowest amplitude (which
-    turns upward at once) to ``_MAX_LOG_DEPTH``.  The integration radius
-    is the front, about -s/kappa, plus ``default_max_radius``.
+    The bracket runs from the depth of amplitude 1e-6 (which turns upward
+    at once) to ``_MAX_LOG_DEPTH``.  The integration radius is the front,
+    about -s/kappa, plus ``default_max_radius``.
     """
 
-    quintic = True
+    problem = _AMPLITUDE
 
     def __init__(self, omega: float, ode_tolerance: float):
         p = force_upper_zero(omega)
@@ -635,6 +657,7 @@ class _DepthShot:
         # the linear start is off by about its own deviation, relative;
         # keep that a hundredth of the ODE tolerance
         self.delta = 1e-2 * ode_tolerance
+        self.bracket = (-math.log(p - 1e-6), _MAX_LOG_DEPTH)
 
     def radius(self, depth: float) -> float:
         return depth / self.kappa + default_max_radius(self.omega)
@@ -709,58 +732,18 @@ class _DepthShot:
         v, vp = self._deviation(math, depth, r, q, qp)
         return a, (r, self.p - v, -vp)
 
-    def classify(self, depth: float) -> TrajectoryClass:
-        eps, radius = math.exp(-depth), self.radius(depth)
-        if eps >= self.v_switch:
-            return classify_trajectory(self.p - eps, self.omega, self.ode_tolerance, True, radius)
-        a, start = self.start(depth)
-        if start is None:
-            return TrajectoryClass.UNDETERMINED
-        return _shoot(a, self.omega, self.ode_tolerance, True, radius, start=start)[0]
-
-    def bisect(self, tolerance: float, relative: bool):
-        """``_bisect`` of the depth up to ``_MAX_LOG_DEPTH``."""
-        lowest = _default_bracket(self.omega, True)[0]
-        try:
-            return _bisect(self.classify, -math.log(self.p - lowest), _MAX_LOG_DEPTH, tolerance,
-                           relative)
-        except BracketFailure as err:
-            # the lower end turns upward at once, so the deepest end missed
-            raise BracketFailure(
-                f"omega={self.omega}: the ground state lies deeper than the depth limit "
-                f"-ln(u+ - u(0)) = {_MAX_LOG_DEPTH:g} of depth shooting, as it does "
-                f"from omega = 0.186967 on; {err}") from err
-
-    def profile(self, depth: float) -> RadialProfile:
-        """The profile at ``depth`` = -s, stitched from the start solution,
-        the dense q pass and the dense u pass: the runs of ``start`` and of
-        the classification from its switch state.  Without a q run it is
-        the dense u pass alone."""
-        eps, p, radius = math.exp(-depth), self.p, self.radius(depth)
+    def plateau(self, depth: float, q_run, r_sw: float, grid, vals, derivs):
+        """Write (u, u') below the switch radius ``r_sw`` of the run at
+        ``depth`` into ``vals`` and ``derivs`` on ``grid``: the dense q pass
+        ``q_run`` from the start radius on, the start solution inside it."""
+        eps, p = math.exp(-depth), self.p
         r0, _, _, inner = self._start(depth)
-        q_segments, u_segments = [], []
-        a, start = self.start(depth, q_segments)
-        if start is None:
-            raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
-        r_sw = start[0]
-        _, _, r_stop = _shoot(a, self.omega, self.ode_tolerance, True, radius, start=start,
-                              segments=u_segments)
-        plateau_run, trajectory = _DenseTrajectory(q_segments), _DenseTrajectory(u_segments)
-
-        def sample(grid):
-            # the grid's first node past the origin lies beyond a Taylor start
-            vals, derivs = trajectory(np.maximum(grid, r_sw))
-            if not q_segments:
-                return vals, derivs
-            plateau = (grid >= r0) & (grid < r_sw)
-            v, vp = self._deviation(np, depth, grid[plateau], *plateau_run(grid[plateau]))
-            vals[plateau], derivs[plateau] = p - v, -vp
-            inside = (grid > 0.0) & (grid < r0)
-            w, wp = inner(np, grid[inside])
-            vals[inside], derivs[inside] = p - eps * w, -eps * wp
-            return vals, derivs
-
-        return _matched_profile(sample, a, self.omega, True, r_stop)
+        plateau = (grid >= r0) & (grid < r_sw)
+        v, vp = self._deviation(np, depth, grid[plateau], *q_run(grid[plateau]))
+        vals[plateau], derivs[plateau] = p - v, -vp
+        inside = (grid > 0.0) & (grid < r0)
+        w, wp = inner(np, grid[inside])
+        vals[inside], derivs[inside] = p - eps * w, -eps * wp
 
 
 #: relative offset of the secant's second point and of the check's two
@@ -783,7 +766,6 @@ def _secant(shot, x0: float) -> float:
     ``x0`` falls through ``MATCHING_WINDOW[0]`` times its amplitude; later
     runs go to R with their events disabled.  ``BracketFailure`` when that
     run ends otherwise or no step comes below ``_SECANT_STOP``."""
-    problem = _AMPLITUDE if shot.quintic else _CUBIC
     decay = math.sqrt(shot.omega)
 
     def residual(x, r_end, match):
@@ -794,7 +776,7 @@ def _secant(shot, x0: float) -> float:
             return None, math.nan, math.nan
         levels = ((*_event_thresholds(a), MATCHING_WINDOW[0] * a) if match
                   else (math.inf, math.inf, -math.inf))
-        event, _, r, u, up = _march(problem, (shot.omega, *levels), *start, r_end,
+        event, _, r, u, up = _march(shot.problem, (shot.omega, *levels), *start, r_end,
                                     shot.ode_tolerance)
         return event, r, r * up + (1.0 + decay * r) * u
 
@@ -821,7 +803,8 @@ def _root(shot, x0: float) -> float:
     the dichotomy.  Just below the root a trajectory must turn upward and
     just above it cross zero, or ``BracketFailure`` is raised."""
     x = _secant(shot, x0)
-    below, above = shot.classify(x * (1.0 - _PROBE)), shot.classify(x * (1.0 + _PROBE))
+    below = _classify_at(shot, x * (1.0 - _PROBE))
+    above = _classify_at(shot, x * (1.0 + _PROBE))
     if (below, above) != (TrajectoryClass.TURNS_UPWARD, TrajectoryClass.CROSSES_ZERO):
         raise BracketFailure(
             f"omega={shot.omega}: the matched root {x!r} is not bracketed; at -+{_PROBE:g} "
@@ -836,7 +819,7 @@ def _parameter(shot, x0: float) -> float:
     try:
         return _root(shot, x0)
     except BracketFailure:
-        return 0.5 * sum(shot.bisect(BISECTION_TOLERANCE, isinstance(shot, _DepthShot)))
+        return 0.5 * sum(_bisect(shot, BISECTION_TOLERANCE))
 
 
 def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
@@ -844,11 +827,11 @@ def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
         shot, x0 = _DepthShot(omega, ode_tolerance), _predict(omega)
     else:
         from . import depth_table
-        shot, x0 = _AmplitudeShot(omega, ode_tolerance, False), depth_table.CUBIC_AMPLITUDE
+        shot, x0 = _AmplitudeShot(omega, ode_tolerance), depth_table.CUBIC_AMPLITUDE
     if x0 is None:
         # outside the depth table's span: a coarse bisection of the classes
-        x0 = 0.5 * sum(shot.bisect(_COLD_TOLERANCE, True))
-    return shot.profile(_parameter(shot, x0))
+        x0 = 0.5 * sum(_bisect(shot, _COLD_TOLERANCE))
+    return _profile(shot, _parameter(shot, x0))
 
 
 _profile_cache: dict = {}
@@ -919,7 +902,15 @@ def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Ra
     key = (float(omega), ode_tolerance)
     if key in _profile_cache:
         return _profile_cache[key]
-    profile = _solve(omega, ode_tolerance, quintic=True)
+    try:
+        profile = _solve(omega, ode_tolerance, quintic=True)
+    except BracketFailure as err:
+        # only a bisection's ends raise, and its lowest depth turns upward
+        # at once, so the deepest end missed
+        raise BracketFailure(
+            f"omega={omega}: the ground state lies deeper than the depth limit "
+            f"-ln(u+ - u(0)) = {_MAX_LOG_DEPTH:g} of depth shooting, as it does "
+            f"from omega = 0.186967 on; {err}") from err
     _profile_cache[key] = profile
     return profile
 

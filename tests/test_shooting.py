@@ -54,6 +54,13 @@ class TestClassifyTrajectory:
         with pytest.raises(ValueError):
             classify_trajectory(0.0, 0.09)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_rejects_non_finite_amplitude(self, amplitude):
+        # a nan start made a nan first step, on which the march's step loop
+        # never ended
+        with pytest.raises(ValueError, match="amplitude"):
+            classify_trajectory(amplitude, 0.09)
+
 
 class TestTolerance:
     def test_rejects_bad_tolerance(self):
@@ -206,8 +213,8 @@ def test_profile_does_not_follow_the_stop_radius(ground_009):
     # window it changes nothing in the profile
     a = ground_009.amplitude
     segments = []
-    _, _, r_stop = shooting._shoot(a, 0.09, shooting.ODE_TOLERANCE, True,
-                                   shooting.default_max_radius(0.09), segments=segments)
+    _, _, r_stop = _run_of_u(a, 0.09, shooting.ODE_TOLERANCE, True,
+                             shooting.default_max_radius(0.09), segments=segments)
     trajectory = shooting._DenseTrajectory(segments)
 
     def sample(grid):
@@ -348,8 +355,20 @@ TOLERANCES = [1e-8, 1e-10, 1e-12]
 def _shot(omega, tol, quintic=True):
     """The shot ``shooting._solve`` makes, and the start it takes."""
     if not quintic:
-        return shooting._AmplitudeShot(1.0, tol, False), depth_table.CUBIC_AMPLITUDE
+        return shooting._AmplitudeShot(1.0, tol), depth_table.CUBIC_AMPLITUDE
     return shooting._DepthShot(omega, tol), shooting._predict(omega)
+
+
+def _run_of_u(a, omega, tol, quintic, radius, start=None, segments=None):
+    """``shooting._shoot`` on the problem of the shot ``shooting._solve``
+    makes (the ground state's or the cubic reference's) from ``start``, by
+    default the Taylor start of amplitude ``a``."""
+    shot = (shooting._DepthShot(omega, tol) if quintic
+            else shooting._AmplitudeShot(omega, tol))
+    if start is None:
+        h0 = shooting.TAYLOR_START_STEP
+        start = (h0, *shooting._taylor_start(a, h0, omega, quintic))
+    return shooting._shoot(shot, a, start, radius, segments)
 
 
 def _ground_root(omega, tol, quintic=True):
@@ -381,7 +400,7 @@ def _assert_any_start_gives_the_cold_bracket(omega, tol, sign, log_offset):
     root = shooting._parameter(shot, start)
     moved = shooting._parameter(shot, root * (1.0 + sign * 10.0**log_offset))
     assert moved == pytest.approx(root, rel=START_SPREAD, abs=0.0)
-    lo, hi = shot.bisect(shooting._COLD_TOLERANCE, True)
+    lo, hi = shooting._bisect(shot, shooting._COLD_TOLERANCE)
     assert lo <= moved <= hi
 
 
@@ -442,6 +461,14 @@ def test_few_residual_marches_per_solve(monkeypatch):
     assert len(bisected) <= 1 and all(tol == 1e-8 for _, tol in bisected), bisected
 
 
+def _amplitude_bracket(lo, hi, omega=0.073):
+    """The depth shot at omega with its bracket set to the depths of the
+    amplitudes lo and hi."""
+    shot = shooting._DepthShot(omega, shooting.ODE_TOLERANCE)
+    shot.bracket = (-math.log(shot.p - lo), -math.log(shot.p - hi))
+    return shot
+
+
 class TestWarmStart:
     """A solve does not depend on what came before it, and a start or a
     bracket that misses the root raises."""
@@ -464,25 +491,31 @@ class TestWarmStart:
     def test_configured_bracket(self):
         # a bracket of amplitudes other than the default bisects to the
         # amplitude of the secant's root
-        classify = functools.partial(classify_trajectory, omega=0.073)
-        lo, hi = shooting._bisect(classify, 0.5, 0.95, shooting.BISECTION_TOLERANCE)
-        assert 0.5 * (lo + hi) == pytest.approx(
+        shot = _amplitude_bracket(0.5, 0.95)
+        lo, hi = shooting._bisect(shot, shooting.BISECTION_TOLERANCE)
+        assert shot.p - math.exp(-0.5 * (lo + hi)) == pytest.approx(
             _ground_amplitude(0.073, shooting.ODE_TOLERANCE), rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("a_pred", [-1.0, 1e-9, 5.0])
-    def test_prediction_outside_bracket(self, a_pred):
-        # from a start outside the default bracket no run falls to the
-        # matching level
-        shot = shooting._AmplitudeShot(0.073, shooting.ODE_TOLERANCE, True)
+    @pytest.mark.parametrize("quintic, a_pred", [(True, -1.0), (True, 1e-9), (False, 0.5)],
+                             ids=["-1.0", "1e-09", "cubic-0.5"])
+    def test_prediction_outside_bracket(self, quintic, a_pred):
+        # from a start outside the bracket no run falls to the matching
+        # level: a depth whose amplitude is negative or tiny, or a cubic
+        # amplitude whose force pushes away from zero
+        if quintic:
+            shot = shooting._DepthShot(0.073, shooting.ODE_TOLERANCE)
+            start = -math.log(shot.p - a_pred)
+        else:
+            shot, start = shooting._AmplitudeShot(1.0, shooting.ODE_TOLERANCE), a_pred
+        assert not shot.bracket[0] <= start <= shot.bracket[1]
         with pytest.raises(BracketFailure, match="does not fall"):
-            shooting._root(shot, a_pred)
+            shooting._root(shot, start)
 
     @pytest.mark.parametrize("bracket", [(0.5, 0.85), (0.9, 0.95)])
     def test_failing_bracket_still_raises(self, bracket):
         # both brackets miss the root (about 0.8805), one from each side
-        classify = functools.partial(classify_trajectory, omega=0.073)
         with pytest.raises(BracketFailure):
-            shooting._bisect(classify, *bracket, shooting.BISECTION_TOLERANCE)
+            shooting._bisect(_amplitude_bracket(*bracket), shooting.BISECTION_TOLERANCE)
 
 
 @pytest.mark.parametrize("omega", [0.09, 0.17])
@@ -495,7 +528,7 @@ def test_root_off_the_dichotomy_raises(omega, monkeypatch):
     shot, start = _shot(omega, shooting.ODE_TOLERANCE)
     with pytest.raises(BracketFailure, match="not bracketed"):
         shooting._root(shot, start)
-    lo, hi = shot.bisect(shooting.BISECTION_TOLERANCE, True)
+    lo, hi = shooting._bisect(shot, shooting.BISECTION_TOLERANCE)
     assert shooting._parameter(shot, start) == 0.5 * (lo + hi)
 
 
@@ -506,7 +539,7 @@ def test_secant_failure_bisects_the_classes(omega, tol, monkeypatch):
     # and the solve keeps Nehari and Pohozaev within ten tolerances
     monkeypatch.setattr(shooting, "_profile_cache", {})
     shot = shooting._DepthShot(omega, tol)
-    start = shooting._predict(omega) or 0.5 * sum(shot.bisect(shooting._COLD_TOLERANCE, True))
+    start = shooting._predict(omega) or 0.5 * sum(shooting._bisect(shot, shooting._COLD_TOLERANCE))
     with pytest.raises(BracketFailure):
         shooting._root(shot, start)
     rep = evaluate(solve_ground_state(omega, tol))
@@ -561,7 +594,7 @@ class TestDepthTable:
         shot, start = _shot(omega, shooting.ODE_TOLERANCE, quintic)
         seeded = shooting._root(shot, start)
         assert len(marches) <= 4
-        cold = shooting._root(shot, 0.5 * sum(shot.bisect(shooting._COLD_TOLERANCE, True)))
+        cold = shooting._root(shot, 0.5 * sum(shooting._bisect(shot, shooting._COLD_TOLERANCE)))
         assert cold == pytest.approx(seeded, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("omega", [0.004, 0.073, 0.15, 0.16, 0.185])
@@ -932,7 +965,7 @@ def test_float_stepper_matches_solve_ivp(omega, sign, log_offset, tol, quintic, 
     radius = max_radius or shooting.default_max_radius(omega)
     a = _ground_amplitude(omega, tol, quintic) * (1.0 + sign * 10.0**log_offset)
     assume(a < _upper_amplitude(omega, quintic))
-    label, steps, _ = shooting._shoot(a, omega, tol, quintic, radius)
+    label, steps, _ = _run_of_u(a, omega, tol, quintic, radius)
     label_ivp, steps_ivp = _solve_ivp_class(a, omega, tol, quintic, radius)
     assert label is label_ivp
     assert abs(steps - steps_ivp) <= 1
@@ -1026,7 +1059,7 @@ def test_trajectory_at_one_radius(r, h, state, rows, frac):
 @example(problem=("plateau", 0.1551), tol=1e-10, sign=1.0, log_offset=-7.0)
 @example(problem=("plateau", 0.185), tol=1e-8, sign=-1.0, log_offset=-6.0)
 def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
-    # the dense pass of the profile builders against solve_ivp's dense
+    # the dense pass of the profile builder against solve_ivp's dense
     # output from the same start, at a shooting parameter 10**log_offset
     # (relative) off the root.  Each run stops at the end of the step in
     # which its event fires, so solve_ivp's event root lies in the last
@@ -1064,7 +1097,7 @@ def test_dense_pass_matches_solve_ivp(problem, tol, sign, log_offset):
         a = _ground_amplitude(omega, tol, quintic) * (1.0 + offset)
         assume(a < _upper_amplitude(omega, quintic))
     segments = []
-    label, _, r_stop = shooting._shoot(a, omega, tol, quintic, radius, start, segments)
+    label, _, r_stop = _run_of_u(a, omega, tol, quintic, radius, start, segments)
     sol = _solve_ivp_shot(a, omega, tol, quintic, radius, start)
     event, r_stop_ivp = _stop(sol)
     assert label is shooting._EVENT_CLASSES[event]
