@@ -170,4 +170,4 @@ def solve_collocation(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Rad
     mesh, u, v = _climb(omega, ode_tolerance)
     spline = CubicHermiteSpline(mesh, u, v)
     return _matched_profile(lambda grid: (spline(grid), spline(grid, 1)),
-                            float(u[0]), omega, True, float(mesh[-1]))
+                            float(u[0]), omega, True, float(mesh[-1]), math.inf)

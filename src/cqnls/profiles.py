@@ -117,8 +117,8 @@ class RadialProfile:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["r", "u", "u_prime"])
-            for r, u, up in zip(self.grid, self.values, self.derivs):
-                writer.writerow([repr(float(r)), repr(float(u)), repr(float(up))])
+            # csv writes a float as its repr
+            writer.writerows(zip(self.grid.tolist(), self.values.tolist(), self.derivs.tolist()))
 
     def sidecar(self, ode_tolerance: float | None = None, residuals: dict | None = None) -> dict:
         meta = {

@@ -8,14 +8,15 @@ x, zero at the decaying ground state.  The secant method finds its root
 from the value the stored depth table predicts (Stoer & Bulirsch,
 *Introduction to Numerical Analysis*, section 7.3).  The two classes of
 trajectories check it: just below the root a trajectory turns upward
-while still positive, just above it crosses zero.  Where either fails,
-the classes are bisected instead, as they are for the depth table.
+while still positive, just above it crosses zero; the root's dense pass
+is one side and a probe the other.  Where either fails, the classes are
+bisected instead, as they are for the depth table.
 
 A shot gives, at its parameter x, the amplitude and the start of the run
 of u (``start``), the radius it runs to (``radius``), its right-hand side
 (``problem``) and the bracket of its bisection (``bracket``).  The
 classification (``_classify``), the bisection (``_bisect``), the secant
-(``_secant``) and the profile builder (``_profile``) are written once
+(``_secant``) and the dense pass (``_dense_pass``) are written once
 over the shot.
 
 The ground state's shooting parameter is its depth -ln(eps), where
@@ -447,7 +448,7 @@ def _shoot(shot, a: float, start, radius: float,
 
     ``_march`` of the shot's problem up to ``radius`` with the dichotomy's
     events at ``a``.  With a ``segments`` list it is also the dense pass of
-    ``_profile`` (see ``_march``).
+    ``_dense_pass`` (see ``_march``).
     """
     event, steps, r, *_ = _march(shot.problem, (shot.omega, *_event_thresholds(a), -math.inf),
                                  *start, radius, shot.ode_tolerance, segments=segments)
@@ -462,11 +463,14 @@ def _classify(shot, a: float, start, radius: float) -> TrajectoryClass:
     without a run."""
     if start is None:
         return TrajectoryClass.UNDETERMINED
-    # a run of q ends past its own start, which is no nearer the origin
-    # than the Taylor start
-    if start[0] == TAYLOR_START_STEP and _force(a, shot.omega, shot.problem is _AMPLITUDE) >= 0.0:
+    if _rises(shot, a, start):
         return TrajectoryClass.TURNS_UPWARD
     return _shoot(shot, a, start, radius)[0]
+
+
+def _rises(shot, a: float, start) -> bool:
+    """Whether the force pushes a Taylor start (a run of q ends past it) away from zero."""
+    return start[0] == TAYLOR_START_STEP and _force(a, shot.omega, shot.problem is _AMPLITUDE) >= 0
 
 
 def _classify_at(shot, x: float) -> TrajectoryClass:
@@ -511,7 +515,7 @@ def _bisect(shot, tolerance: float):
 
 
 def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
-                     r_stop: float) -> RadialProfile:
+                     r_stop: float, r_level: float) -> RadialProfile:
     """Profile with its tail fitted on the matching window, from a solver
     run that stopped at ``r_stop``.
 
@@ -522,12 +526,17 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     dropped to an even index, or to the last node, and the profile ends
     there.  The tail constant c of u ~ c exp(-sqrt(omega) r)/r is the mean
     of u r exp(sqrt(omega) r) over the window; a spread larger than
-    ``TAIL_TOL`` of c raises ``DomainTooSmall``.
+    ``TAIL_TOL`` of c raises ``DomainTooSmall``.  Only the nodes up to
+    one past ``r_level``, where the run is below ``MATCHING_WINDOW[0]``
+    times the amplitude, are sampled, or the whole grid if none is below.
     """
-    grid = even_grid(0.98 * r_stop, GRID_SPACING, down=True)
-    vals, derivs = sample(grid)
-    vals[0], derivs[0] = amplitude, 0.0
     w_lo, w_hi = MATCHING_WINDOW
+    full = even_grid(0.98 * r_stop, GRID_SPACING, down=True)
+    grid = full[:np.searchsorted(full, r_level, side="right") + 1]
+    vals, derivs = sample(grid)
+    if grid.size < full.size and not np.any(vals < w_lo * amplitude):
+        grid, (vals, derivs) = full, sample(full)
+    vals[0], derivs[0] = amplitude, 0.0
     below_hi = np.flatnonzero(vals < w_hi * amplitude)
     if below_hi.size == 0:
         raise DomainTooSmall(
@@ -559,18 +568,24 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
     )
 
 
-def _profile(shot, x: float) -> RadialProfile:
-    """The profile of ``shot`` at its parameter x, from the dense pass of
-    the run of u that classifies x, and below that run's start, where a
-    depth shot's run of q starts it, from its dense q pass and its start
-    solution (``_DepthShot.plateau``)."""
+def _dense_pass(shot, x: float):
+    """The class of the run of u of ``shot`` at its parameter x, undetermined
+    where ``_classify`` needs no run, and a builder of its profile: from its
+    dense pass, and below its start, where a depth shot's run of q starts
+    it, from the dense q pass and the start solution (``_DepthShot.plateau``)."""
     q_segments, u_segments = [], []
     a, start = shot.start(x, q_segments)
     radius = shot.radius(x)
     if start is None:
-        raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
-    _, _, r_stop = _shoot(shot, a, start, radius, u_segments)
+        def no_profile():
+            raise DomainTooSmall(f"solution has not left the plateau by r={radius:.1f}")
+        return TrajectoryClass.UNDETERMINED, no_profile
+    at, _, r_stop = _shoot(shot, a, start, radius, u_segments)
+    if _rises(shot, a, start):
+        at = TrajectoryClass.UNDETERMINED
     trajectory = _DenseTrajectory(u_segments)
+    # the end of the first step that ends below the matching window
+    r_level = next((seg.r for seg in u_segments if seg.u < MATCHING_WINDOW[0] * a), math.inf)
 
     def sample(grid):
         # the grid's first node past the origin lies beyond a Taylor start
@@ -579,7 +594,8 @@ def _profile(shot, x: float) -> RadialProfile:
             shot.plateau(x, _DenseTrajectory(q_segments), start[0], grid, vals, derivs)
         return vals, derivs
 
-    return _matched_profile(sample, a, shot.omega, shot.problem is _AMPLITUDE, r_stop)
+    return at, functools.partial(_matched_profile, sample, a, shot.omega,
+                                 shot.problem is _AMPLITUDE, r_stop, r_level)
 
 
 class _AmplitudeShot:
@@ -798,28 +814,32 @@ def _secant(shot, x0: float) -> float:
                          f"within {_SECANT_STEPS} steps")
 
 
-def _root(shot, x0: float) -> float:
-    """The ground state's parameter: ``_secant`` from ``x0``, checked by
-    the dichotomy.  Just below the root a trajectory must turn upward and
-    just above it cross zero, or ``BracketFailure`` is raised."""
+def _root(shot, x0: float) -> tuple[float, RadialProfile]:
+    """The ground state's parameter and profile: ``_secant`` from ``x0``,
+    checked by the dichotomy.  Just below the root a trajectory must turn
+    upward and just above it cross zero, or ``BracketFailure`` is raised.
+    The root's dense pass (``_dense_pass``) is one side, so one probe
+    ``_PROBE`` off it checks the other; two where the pass is undetermined."""
     x = _secant(shot, x0)
-    below = _classify_at(shot, x * (1.0 - _PROBE))
-    above = _classify_at(shot, x * (1.0 + _PROBE))
+    at, profile = _dense_pass(shot, x)
+    below = at if at is TrajectoryClass.TURNS_UPWARD else _classify_at(shot, x * (1.0 - _PROBE))
+    above = at if at is TrajectoryClass.CROSSES_ZERO else _classify_at(shot, x * (1.0 + _PROBE))
     if (below, above) != (TrajectoryClass.TURNS_UPWARD, TrajectoryClass.CROSSES_ZERO):
         raise BracketFailure(
-            f"omega={shot.omega}: the matched root {x!r} is not bracketed; at -+{_PROBE:g} "
+            f"omega={shot.omega}: the matched root {x!r} is not bracketed; within {_PROBE:g} "
             f"(relative) the classes are ({below.value}, {above.value})")
-    return x
+    return x, profile()
 
 
-def _parameter(shot, x0: float) -> float:
+def _parameter(shot, x0: float) -> tuple[float, RadialProfile]:
     """``_root`` from ``x0``, or where it raises (the residual's rounding
     at loose tolerances or near the depth limit, a jump, a start too far
     below) the midpoint of the classes bisected as the table's nodes are."""
     try:
         return _root(shot, x0)
     except BracketFailure:
-        return 0.5 * sum(_bisect(shot, BISECTION_TOLERANCE))
+        x = 0.5 * sum(_bisect(shot, BISECTION_TOLERANCE))
+        return x, _dense_pass(shot, x)[1]()
 
 
 def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
@@ -831,7 +851,7 @@ def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
     if x0 is None:
         # outside the depth table's span: a coarse bisection of the classes
         x0 = 0.5 * sum(_bisect(shot, _COLD_TOLERANCE))
-    return _profile(shot, _parameter(shot, x0))
+    return _parameter(shot, x0)[1]
 
 
 _profile_cache: dict = {}
@@ -891,8 +911,8 @@ def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Ra
     where the depth reaches ``_MAX_LOG_DEPTH``.  The secant method finds
     the root of the matching residual from the depth table's prediction
     (``_secant``), or, outside the table's span, from a coarse bisection
-    of the trajectory classes; the classes just below and above the root
-    then check it (``_root``).
+    of the trajectory classes.  The class of the root's dense pass, which
+    samples the profile, and of one probe beside it check it (``_root``).
     Where the secant or its check fails the classes are bisected to
     ``BISECTION_TOLERANCE`` instead (``_parameter``).  No cache feeds the
     start, so the profile depends on omega and the tolerance alone.

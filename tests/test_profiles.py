@@ -40,6 +40,19 @@ class TestRadialProfile:
         exact = np.exp(-r) / r
         assert np.allclose(p.interpolate(r), exact, rtol=1e-6)
 
+    def test_csv_rows_are_the_reprs_of_the_samples(self, tmp_path):
+        # the rows written from Python floats are those of each numpy
+        # scalar's repr, down to subnormals and signed zeros
+        p = make_profile()
+        ders = p.derivs.copy()
+        ders[1:4] = -0.0, 5e-324, -1.7976931348623157e308
+        p = RadialProfile(grid=p.grid, values=p.values, derivs=ders, omega=1.0,
+                          tail_constant=1.0, kind=GROUND_STATE, decay_rate=1.0)
+        p.to_csv(tmp_path / "p.csv")
+        rows = [f"{float(r)!r},{float(u)!r},{float(up)!r}\r\n"
+                for r, u, up in zip(p.grid, p.values, p.derivs)]
+        assert (tmp_path / "p.csv").read_bytes().decode() == "r,u,u_prime\r\n" + "".join(rows)
+
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 60), spacing=st.floats(0.001, 0.5), seed=st.integers(0, 2**32 - 1),
            scale=st.floats(-12.0, 3.0), points=st.integers(1, 50))

@@ -219,13 +219,39 @@ def test_profile_does_not_follow_the_stop_radius(ground_009):
 
     def sample(grid):
         return trajectory(np.maximum(grid, shooting.TAYLOR_START_STEP))
-    profiles = [shooting._matched_profile(sample, a, 0.09, True, stop)
+    profiles = [shooting._matched_profile(sample, a, 0.09, True, stop, math.inf)
                 for stop in (r_stop, 1.25 * r_stop)]
     assert profiles[0].truncation_radius < 0.98 * r_stop
+    _assert_identical_profiles(*profiles)
+    # nor past the node after the first step that ends below the window:
+    # sampled only to there, a ground state's profile is the whole grid's
+    for omega in (0.01, 0.09, 0.185):
+        for tol in TOLERANCES:
+            build = shooting._dense_pass(shooting._DepthShot(omega, tol),
+                                         _ground_root(omega, tol))[1]
+            pass_sample, *args, r_level = build.args
+            sizes = []
+
+            def counted(grid, pass_sample=pass_sample):
+                sizes.append(grid.size)
+                return pass_sample(grid)
+            trimmed = shooting._matched_profile(counted, *args, r_level)
+            whole = shooting._matched_profile(counted, *args, math.inf)
+            # one sample to the window's end, one of the whole grid
+            assert len(sizes) == 2 and sizes[0] < sizes[1], (omega, tol)
+            _assert_identical_profiles(trimmed, whole)
+    # where no node up to r_level is below the window the whole grid is
+    # sampled after them
+    whole_size = sizes[1]
+    sizes.clear()
+    _assert_identical_profiles(shooting._matched_profile(counted, *args, 1.0), whole)
+    assert sizes == [round(1.0 / shooting.GRID_SPACING) + 2, whole_size]
+
+
+def _assert_identical_profiles(p, q):
     for name in ("grid", "values", "derivs"):
-        assert np.array_equal(getattr(profiles[0], name), getattr(profiles[1], name))
-    assert profiles[0].tail_constant == profiles[1].tail_constant
-    assert profiles[0].truncation_radius == profiles[1].truncation_radius
+        assert np.array_equal(getattr(p, name), getattr(q, name))
+    assert p.tail_constant == q.tail_constant
 
 
 class TestPlateau:
@@ -265,7 +291,7 @@ class TestPlateau:
             shot = shooting._DepthShot(omega, shooting.ODE_TOLERANCE)
             if delta is not None:
                 shot.delta = delta
-            return shooting._root(shot, shooting._predict(omega))
+            return shooting._root(shot, shooting._predict(omega))[0]
 
         oracle = depth(0.0)
         assert abs(depth() - oracle) < 1e-10
@@ -374,7 +400,7 @@ def _run_of_u(a, omega, tol, quintic, radius, start=None, segments=None):
 def _ground_root(omega, tol, quintic=True):
     """The ground state's shooting parameter as ``shooting._solve`` finds it:
     the depth -ln(u+ - u(0)), or the cubic reference's amplitude."""
-    return shooting._parameter(*_shot(omega, tol, quintic))
+    return shooting._parameter(*_shot(omega, tol, quintic))[0]
 
 
 def _ground_amplitude(omega, tol, quintic=True):
@@ -397,8 +423,8 @@ def _assert_any_start_gives_the_cold_bracket(omega, tol, sign, log_offset):
     # the bracket a coarse bisection of the classes gives a cold solve.
     # Derandomized, so that a failing draw cannot slip in and out
     shot, start = _shot(omega, tol)
-    root = shooting._parameter(shot, start)
-    moved = shooting._parameter(shot, root * (1.0 + sign * 10.0**log_offset))
+    root = shooting._parameter(shot, start)[0]
+    moved = shooting._parameter(shot, root * (1.0 + sign * 10.0**log_offset))[0]
     assert moved == pytest.approx(root, rel=START_SPREAD, abs=0.0)
     lo, hi = shooting._bisect(shot, shooting._COLD_TOLERANCE)
     assert lo <= moved <= hi
@@ -427,37 +453,45 @@ def test_any_depth_prediction_gives_the_cold_bracket(omega, tol, sign, log_offse
     _assert_any_start_gives_the_cold_bracket(omega, tol, sign, log_offset)
 
 
-def _residual_marches(monkeypatch):
-    """The list that gets one entry per run of the matching residual:
-    the runs that stop at the matching level or have their events off."""
-    calls, real_march = [], shooting._march
+def _marches(monkeypatch):
+    """The list that gets one entry per ``_march`` run: "residual" for a
+    run of u of the matching residual (one that stops at the matching
+    level or has its events off), "u" for any other run of u (a class's
+    run or the dense pass) and "q" for a run of the plateau's q."""
+    runs, real_march = [], shooting._march
 
     def counted(problem, params, *args, **kwargs):
-        if problem in (shooting._AMPLITUDE, shooting._CUBIC) and (
-                params[3] != -math.inf or params[1] == math.inf):
-            calls.append(params)
+        if problem is shooting._PLATEAU:
+            runs.append("q")
+        else:
+            runs.append("residual" if params[3] != -math.inf or params[1] == math.inf else "u")
         return real_march(problem, params, *args, **kwargs)
     monkeypatch.setattr(shooting, "_march", counted)
-    return calls
+    return runs
 
 
 def test_few_residual_marches_per_solve(monkeypatch):
     # from the table's prediction the secant takes two steps, rarely three:
-    # at most four runs of the residual.  A solve whose secant meets a jump
-    # of the residual bisects the classes instead; on the depth none of
-    # 1000 frequencies over the window does at these tolerances
-    marches = _residual_marches(monkeypatch)
+    # at most four runs of the residual.  The root's dense pass and one
+    # probe check it: two runs of u more, each with its run of q above the
+    # switch.  A solve whose secant meets a jump of the residual bisects
+    # the classes instead; on the depth none of 1000 frequencies over the
+    # window does at these tolerances
+    runs = _marches(monkeypatch)
     bisected = []
     for tol in TOLERANCES:
         for omega, quintic in [*((float(w), True) for w in np.linspace(0.004, 0.185, 37)),
                                (1.0, False)]:
-            marches.clear()
+            runs.clear()
             shot, start = _shot(omega, tol, quintic)
             try:
                 shooting._root(shot, start)
             except BracketFailure:
                 bisected.append((omega, tol))
-            assert len(marches) <= 4, (omega, tol)
+            else:
+                assert runs.count("u") == 2, (omega, tol)
+                assert runs.count("q") in (0, len(runs) - runs.count("q")), (omega, tol)
+            assert runs.count("residual") <= 4, (omega, tol)
     assert len(bisected) <= 1 and all(tol == 1e-8 for _, tol in bisected), bisected
 
 
@@ -520,16 +554,57 @@ class TestWarmStart:
 
 @pytest.mark.parametrize("omega", [0.09, 0.17])
 def test_root_off_the_dichotomy_raises(omega, monkeypatch):
-    # a secant root 1e-9 off (relative) classifies on one side only; the
-    # solve then takes the midpoint of the bisected classes
-    real_secant = shooting._secant
-    monkeypatch.setattr(shooting, "_secant",
-                        lambda shot, x0: real_secant(shot, x0) * (1.0 + 1e-9))
+    # a secant root 1e-9 off (relative) classifies on one side only: above
+    # the root its dense pass crosses zero and the probe below it does too,
+    # below the root both turn upward.  The solve then takes the midpoint
+    # of the bisected classes, with the profile of its dense pass
+    real_secant, real_classify = shooting._secant, shooting._classify_at
+    probes = []
+    monkeypatch.setattr(shooting, "_classify_at",
+                        lambda shot, x: probes.append(x) or real_classify(shot, x))
     shot, start = _shot(omega, shooting.ODE_TOLERANCE)
-    with pytest.raises(BracketFailure, match="not bracketed"):
-        shooting._root(shot, start)
     lo, hi = shooting._bisect(shot, shooting.BISECTION_TOLERANCE)
-    assert shooting._parameter(shot, start) == 0.5 * (lo + hi)
+    for shift in (1e-9, -1e-9):
+        monkeypatch.setattr(shooting, "_secant",
+                            lambda shot, x0, shift=shift: real_secant(shot, x0) * (1.0 + shift))
+        probes.clear()
+        with pytest.raises(BracketFailure, match="not bracketed"):
+            shooting._root(shot, start)
+        x = real_secant(shot, start) * (1.0 + shift)
+        assert probes == [x * (1.0 - math.copysign(shooting._PROBE, shift))]
+        root, profile = shooting._parameter(shot, start)
+        assert root == 0.5 * (lo + hi)
+        _assert_same_profile(profile, shooting._dense_pass(shot, root)[1]())
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(omega=st.floats(0.004, 0.185), tol=st.sampled_from(TOLERANCES))
+def test_accepted_root_passes_both_probes(omega, tol):
+    # the check classifies the root's dense pass and one probe beside it;
+    # every root it accepts also has the old check's two probes on either
+    # side, the one below turning upward and the one above crossing zero
+    shot, start = _shot(omega, tol)
+    try:
+        root = shooting._root(shot, start)[0]
+    except BracketFailure:
+        return
+    assert [shooting._classify_at(shot, root * (1.0 + sign * shooting._PROBE))
+            for sign in (-1.0, 1.0)] == [TrajectoryClass.TURNS_UPWARD,
+                                         TrajectoryClass.CROSSES_ZERO]
+
+
+def test_undetermined_pass_classifies_both_probes(monkeypatch):
+    # where the root's dense pass has no class, both probes check the root
+    real_pass, real_classify = shooting._dense_pass, shooting._classify_at
+    monkeypatch.setattr(shooting, "_dense_pass", lambda shot, x: (
+        TrajectoryClass.UNDETERMINED, real_pass(shot, x)[1]))
+    probes = []
+    monkeypatch.setattr(shooting, "_classify_at",
+                        lambda shot, x: probes.append(x) or real_classify(shot, x))
+    shot, start = _shot(0.09, shooting.ODE_TOLERANCE)
+    root, profile = shooting._root(shot, start)
+    assert probes == [root * (1.0 - shooting._PROBE), root * (1.0 + shooting._PROBE)]
+    _assert_identical_profiles(profile, real_pass(shot, root)[1]())
 
 
 @pytest.mark.parametrize("omega, tol", [(0.09, 1e-5), (0.16, 1e-6), (0.18693, 1e-10)])
@@ -552,11 +627,11 @@ def test_start_that_turns_before_the_matching_level():
     # then bisected.  The table's prediction lies within 7.2e-9 of the root
     omega, tol = 0.12967610279981695, 1e-8
     shot, start = _shot(omega, tol)
-    root = shooting._parameter(shot, start)
+    root = shooting._parameter(shot, start)[0]
     far = root * (1.0 - 1e-7)
     with pytest.raises(BracketFailure, match="does not fall"):
         shooting._root(shot, far)
-    assert shooting._parameter(shot, far) == pytest.approx(root, rel=START_SPREAD, abs=0.0)
+    assert shooting._parameter(shot, far)[0] == pytest.approx(root, rel=START_SPREAD, abs=0.0)
 
 
 def test_secant_that_does_not_settle_raises(monkeypatch):
@@ -588,14 +663,17 @@ class TestDepthTable:
 
     @staticmethod
     def _short_and_cold(omega, quintic, monkeypatch):
-        # the table's start takes at most four runs of the residual and
-        # lands on the root that a coarse bisection of the classes starts
-        marches = _residual_marches(monkeypatch)
+        # the table's start takes five runs of u, three of the residual
+        # and two that check the root, each with its run of q above the
+        # switch, and lands on the root that a coarse bisection of the
+        # classes starts
+        runs = _marches(monkeypatch)
         shot, start = _shot(omega, shooting.ODE_TOLERANCE, quintic)
-        seeded = shooting._root(shot, start)
-        assert len(marches) <= 4
+        seeded = shooting._root(shot, start)[0]
+        assert len(runs) - runs.count("q") <= 5
+        assert runs.count("q") <= 5
         cold = shooting._root(shot, 0.5 * sum(shooting._bisect(shot, shooting._COLD_TOLERANCE)))
-        assert cold == pytest.approx(seeded, rel=1e-12, abs=0.0)
+        assert cold[0] == pytest.approx(seeded, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("omega", [0.004, 0.073, 0.15, 0.16, 0.185])
     def test_seeded_solve_is_short_and_cold(self, omega, monkeypatch):
