@@ -15,7 +15,11 @@ omega = 0.01 (a run of u from the origin), 0.09 and 0.185 (a q run over
 a short and a long plateau, then u), so a stepper change that moves a
 single step shows in the diff.  The cubic reference's seeded and cold
 solve follow, with the repr of its amplitude and tail constant: no
-pipeline writes it to a data file.  It takes about 20 s on a 2-core host.
+pipeline writes it to a data file.  Last, the ``scan`` pipeline runs
+again in-process and prints its count of ``solve_ground_state`` calls
+and the worst value over its nodes of each of criterion 02's three
+derivative identities, which no data file holds either.  It takes about
+20 s on a 2-core host.
 Digests compare only between runs on one host: numpy's SIMD level moves
 the last bits of some data files.  A run that fails stops the script:
 the name of its pipeline and its standard error go to stderr, and the
@@ -83,6 +87,18 @@ for label in ("cold", "seeded"):
           f"amplitude {profile.amplitude!r}, tail constant {profile.tail_constant!r}")
 """
 
+#: the ``scan`` pipeline's solves and its worst criterion 02 identities
+CRITERION_02 = """
+from cqnls import curves
+solve, calls = curves.solve_ground_state, []
+curves.solve_ground_state = lambda *args: calls.append(args) or solve(*args)
+curve = curves.differentiate(curves.scan(curves.default_omega_grid(12, 0.004, 0.15)))
+worst = {name: max(getattr(check, name) for check in curve.derivative_checks)
+         for name in ("grad_identity", "energy_identity", "d_second")}
+print(f"scan: {len(calls)} solve_ground_state calls, worst identities "
+      + ", ".join(f"{name} {value:.3e}" for name, value in worst.items()))
+"""
+
 
 def _python(name: str, *args: str) -> str:
     """Standard output of ``python args`` on SRC; if it fails, print the
@@ -109,6 +125,7 @@ def main(out: Path):
             print(f"{digest}  {path.relative_to(out)}")
     print(_python("certify", "-c", CERTIFY), end="")
     print(_python("counts", "-c", COUNTS), end="")
+    print(_python("criterion 02", "-c", CRITERION_02), end="")
 
 
 if __name__ == "__main__":

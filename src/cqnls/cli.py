@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CqnlsError, FrequencyOutOfWindow, InsufficientPoints
+from .errors import CqnlsError, FrequencyOutOfWindow
 from .functionals import evaluate
 from .profiles import test_function_profile
 from .shooting import (ODE_TOLERANCE, check_tolerance, solve_cubic_reference,
@@ -161,14 +161,9 @@ def _critical(args):
 @_command("sweep the frequency window",
           ("--derivatives", {"action": "store_true"}), *_GRID_FLAGS)
 def cmd_scan(args, out):
-    from .curves import MIN_DERIVATIVE_POINTS, differentiate, scan
+    from .curves import differentiate, scan
 
-    grid = _grid(args)
-    if args.derivatives and grid.size < MIN_DERIVATIVE_POINTS:
-        # before the scan, whose solves differentiate would refuse
-        raise InsufficientPoints(f"scan --derivatives needs at least "
-                                 f"{MIN_DERIVATIVE_POINTS} grid nodes, got {grid.size}")
-    curve = scan(grid, args.ode_tol)
+    curve = scan(_grid(args), args.ode_tol)
     if args.derivatives:
         curve = differentiate(curve, args.ode_tol)
     curve.to_csv(out / "curve.csv")

@@ -1,12 +1,24 @@
 """Frequency sweeps: the curves beta(omega), M(omega), E(omega), d(omega).
 
 A scan solves the ground state at each grid node and records the scalar
-functionals.  Differentiation uses fresh solves on a local stencil (never
-interpolated curve values), critical frequencies are located by Brent's
-method on the monotone beta curve with fresh solves per iterate, and
-stability labels follow the sign structure of the mass derivative around
-the critical frequency.  ``monotone_root`` is the one bracketed root
-search, shared with the landscape's branch inversions.
+functionals.  Differentiation never touches a neighbouring frequency:
+differentiating -Delta Q + omega Q - Q^3 + Q^5 = 0 in omega gives
+L+ v = -Q for v = dQ/domega, with L+ = -Delta + omega - 3Q^2 + 5Q^4 the
+linearised operator, invertible on radial functions.  In w = r v that is
+w'' = (omega - 3Q^2 + 5Q^4) w + rQ with w(0) = 0, solved by Numerov on the
+profile's own nodes; past the last node the solution is
+(A - c r/(2 sqrt omega)) exp(-sqrt(omega) r) for the tail constant c,
+which closes the system exactly.  With z = rQ every pairing is a
+one-dimensional integral (4 pi times): M' = 2<Q, v> from z w,
+G' = 2<grad Q, grad v> from z' w', E' = G'/2 - <Q^3, v> + <Q^5, v>, and
+d'' = M' + <L+ v, v> in its weak form from w'^2 and the potential, which
+drops only <R(Q), d^2Q/domega^2> for the residual R(Q) of Q's equation.
+Simpson sums them, with closed-form tails; all is repeated on every
+second node and Richardson-extrapolated.  Critical frequencies are
+located by Brent's method on the monotone beta curve with fresh solves
+per iterate, and stability labels follow the sign structure of the mass
+derivative around the critical frequency.  ``monotone_root`` is the one
+bracketed root search, shared with the landscape's branch inversions.
 """
 
 from __future__ import annotations
@@ -18,10 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CqnlsError, EmptyGrid, InsufficientCoverage,
-                     InsufficientPoints, TargetNotBracketed, ToleranceNotMet)
+from .errors import (CqnlsError, EmptyGrid, InnerSolveDiverged, InsufficientCoverage,
+                     TargetNotBracketed, ToleranceNotMet)
 from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile
+from .quadrature import simpson_uniform
 from .roots import brentq
 from .shooting import ODE_TOLERANCE, solve_ground_state
 
@@ -63,7 +76,7 @@ class DerivativeCheck:
     omega: float
     grad_identity: float      # d/domega grad_sq vs (3/2) M
     energy_identity: float    # dE/domega vs -(omega/2) dM/domega
-    d_second: float           # stencil d'' vs (1/2) dM/domega
+    d_second: float           # d'' from the weak form of L+ vs (1/2) dM/domega
     energy_derivative: float
     grad_derivative: float
 
@@ -153,55 +166,85 @@ def scan(omega_grid, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
     return FrequencyCurve(points=tuple(points), failures=tuple(failures))
 
 
-def _stencil_reports(omega: float, h: float, ode_tolerance: float):
-    return {
-        s: evaluate(solve_ground_state(omega + s * h, ode_tolerance))
-        for s in (-1.0, -0.5, 0.5, 1.0)
-    }
+def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
+    """x with lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]:
+    elimination without pivoting (the Thomas algorithm) in Python floats.
+    A zero or non-finite pivot, or a non-finite x, raises
+    ``InnerSolveDiverged``."""
+    lower, diag, upper, rhs = (np.asarray(v, dtype=float).tolist()
+                               for v in (lower, diag, upper, rhs))
+    ratios, x, pivots = [], [], []
+    ratio = value = 0.0
+    try:
+        for a, b, c, d in zip([0.0, *lower], diag, [*upper, 0.0], rhs):
+            pivots.append(b - a * ratio)
+            ratio, value = c / pivots[-1], (d - a * value) / pivots[-1]
+            ratios.append(ratio)
+            x.append(value)
+    except ZeroDivisionError:
+        raise InnerSolveDiverged(f"zero pivot in row {len(x)} of a tridiagonal solve") from None
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= ratios[i] * x[i + 1]
+    if not (np.all(np.isfinite(pivots)) and np.all(np.isfinite(x))):
+        raise InnerSolveDiverged("non-finite pivot or solution in a tridiagonal solve")
+    return np.array(x)
 
 
-def _richardson(reports: dict, h: float, attr: str) -> float:
-    wide = (getattr(reports[1.0], attr) - getattr(reports[-1.0], attr)) / (2.0 * h)
-    narrow = (getattr(reports[0.5], attr) - getattr(reports[-0.5], attr)) / h
-    return (4.0 * narrow - wide) / 3.0
+def _tail_pairing(f0, f1, g0, g1, a):
+    """int_0^inf (f0 + f1 s)(g0 + g1 s) exp(-2 a s) ds."""
+    return f0 * g0 / (2 * a) + (f0 * g1 + f1 * g0) / (4 * a * a) + f1 * g1 / (4 * a**3)
 
 
-#: fewest curve points ``differentiate`` takes
-MIN_DERIVATIVE_POINTS = 5
-
-
-def derivative_step(omega: float) -> float:
-    return 1e-4 * max(omega, 0.01)
+def _omega_pairings(profile: RadialProfile, stop: int, step: int) -> np.ndarray:
+    """(M', G', E', d'') from one solve of L+ v = -Q for v = dQ/domega on
+    every ``step``-th node of the profile's first ``stop`` (module docstring)."""
+    r, q, dq = (x[:stop:step] for x in (profile.grid, profile.values, profile.derivs))
+    h, a, omega = r[1] - r[0], profile.decay_rate, profile.omega
+    c = profile.tail_constant * math.exp(-a * r[-1])   # z = rQ at the last node
+    b = c / (2 * a)                                     # past it w = (w_N - b s) e^{-a s}
+    potential = omega - 3 * q**2 + 5 * q**4
+    z = r * q
+    # Numerov rows for w'' = potential w + z with w(0) = 0, closed by the tail
+    near = 1 - h * h / 12 * potential
+    w = _solve_tridiagonal(
+        [*near[1:-2], math.exp(-a * h)], [*(10 * near[1:-1] - 12), -1.0], near[2:],
+        [*(h * h / 12 * (z[:-2] + 10 * z[1:-1] + z[2:])), b * h])
+    w_end = w[-1]
+    # w is odd at the origin and follows its tail past the last node
+    padded = np.concatenate([[-w[1], -w[0], 0.0], w, [(w_end - b * s) * math.exp(-a * s)
+                                                     for s in (h, 2 * h)]])
+    dw = (padded[:-4] - 8 * padded[1:-3] + 8 * padded[3:-1] - padded[4:]) / (12 * h)
+    w = padded[2:-2]
+    dz = q + r * dq
+    p0, p1 = -b - a * w_end, a * b                  # w' past the last node
+    qv, grad, q3v, q5v, weak = (simpson_uniform(f, h) for f in (
+        z * w, dz * dw, z * q**2 * w, z * q**4 * w, dw**2 + potential * w**2))
+    # the tails of the nonlinear terms carry a further factor Q(T)^2 and are left out
+    qv += _tail_pairing(c, 0.0, w_end, -b, a)
+    grad -= a * _tail_pairing(c, 0.0, p0, p1, a)
+    weak += _tail_pairing(p0, p1, p0, p1, a) + omega * _tail_pairing(w_end, -b, w_end, -b, a)
+    m_prime = 8 * math.pi * qv
+    return np.array([m_prime, 8 * math.pi * grad, 4 * math.pi * (grad - q3v + q5v),
+                     m_prime + 4 * math.pi * weak])
 
 
 def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
     """Fill mass derivatives and cross-check the differential identities.
 
-    Central differences with one Richardson step on a locally refined
-    frequency stencil; every stencil value is a fresh solve.  The second
-    derivative of d reuses the same stencil (second differences, also
-    Richardson-extrapolated) together with the node's own d value.
+    Each node's derivatives come from one solve of L+ dQ/domega = -Q on
+    its own profile (module docstring), Richardson-extrapolated from the
+    profile's spacing and twice it; no neighbouring frequency is solved.
     """
-    if len(curve.points) < MIN_DERIVATIVE_POINTS:
-        raise InsufficientPoints(f"differentiate needs at least {MIN_DERIVATIVE_POINTS} points")
-
     new_points, final_checks = [], []
     for point in curve.points:
-        h = derivative_step(point.omega)
-        reports = _stencil_reports(point.omega, h, ode_tolerance)
-        mass_prime = _richardson(reports, h, "mass")
-        energy_prime = _richardson(reports, h, "energy")
-        grad_prime = _richardson(reports, h, "grad_sq")
+        profile = solve_ground_state(point.omega, ode_tolerance)
+        end = profile.grid.size - 1
+        end -= end % 4          # both spacings need an even interval count
+        fine, coarse = (_omega_pairings(profile, end + 1, step) for step in (1, 2))
+        mass_prime, grad_prime, energy_prime, d_second_val = ((16 * fine - coarse) / 15).tolist()
         target = 1.5 * point.mass
         grad_identity = abs(grad_prime - target) / abs(target)
         energy_identity = abs(energy_prime + 0.5 * point.omega * mass_prime) / abs(energy_prime)
-
-        def d_at(s):
-            rep = reports[s]
-            return rep.energy + 0.5 * (point.omega + s * h) * rep.mass
-        wide = (d_at(1.0) - 2.0 * point.d_value + d_at(-1.0)) / (h * h)
-        narrow = (d_at(0.5) - 2.0 * point.d_value + d_at(-0.5)) / (0.25 * h * h)
-        d_second_val = (4.0 * narrow - wide) / 3.0
         reference = 0.5 * mass_prime
         d_second = abs(d_second_val - reference) / abs(reference)
 

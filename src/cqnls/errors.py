@@ -33,10 +33,6 @@ class EmptyGrid(CqnlsError):
     """Frequency scan called with no grid nodes."""
 
 
-class InsufficientPoints(CqnlsError):
-    """Curve has too few points for finite differencing."""
-
-
 class TargetNotBracketed(CqnlsError):
     """Curve does not bracket the requested beta target."""
 
@@ -62,7 +58,8 @@ class ConservationBreach(CqnlsError):
 
 
 class InnerSolveDiverged(CqnlsError):
-    """Time step produced a non-finite field or met a singular linear step."""
+    """Time step or linear solve produced a non-finite field or met a
+    singular linear step."""
 
 
 class EigSolverStalled(CqnlsError):

@@ -9,7 +9,7 @@ from cqnls.shooting import solve_cubic_reference, solve_ground_state
 
 
 def pytest_collection_modifyitems(items):
-    # any user of the 60-node scan pays for building it (about 12 s on a
+    # any user of the 60-node scan pays for building it (about 1 s on a
     # 2-core host); every other test takes under 7 s there, the longest
     # being the plateau's check against collocation at about 6 s
     for item in items:

@@ -169,22 +169,6 @@ class TestScan:
         assert len((out / "curve.csv").read_text().splitlines()) == 5  # CLI wins
 
 
-    def test_derivatives_on_too_few_nodes_exit_3_before_any_solve(self, tmp_path,
-                                                                  monkeypatch, capsys):
-        # an empty cache, so a scan that ran would integrate
-        monkeypatch.setattr(shooting, "_profile_cache", {})
-        marches, real_march = [], shooting._march
-
-        def counted(*args, **kwargs):
-            marches.append(args)
-            return real_march(*args, **kwargs)
-        monkeypatch.setattr(shooting, "_march", counted)
-        code = main(["scan", "--grid-size", "4", "--derivatives", "--out", str(tmp_path)])
-        assert code == 3
-        assert "InsufficientPoints" in capsys.readouterr().err
-        assert marches == []
-
-
 class TestConfigFile:
     def test_missing_file_exits_3(self, tmp_path, solves, capsys):
         missing = tmp_path / "nope.cfg"

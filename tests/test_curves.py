@@ -2,15 +2,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqnls import curves, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
-                          FrequencyCurve, asymptotic_check, classify_stability,
-                          default_omega_grid, derivative_step, differentiate,
+                          FrequencyCurve, _solve_tridiagonal, asymptotic_check,
+                          classify_stability, default_omega_grid, differentiate,
                           invert_beta, monotone_root, scan)
-from cqnls.errors import (EmptyGrid, InsufficientCoverage, InsufficientPoints,
+from cqnls.errors import (EmptyGrid, InnerSolveDiverged, InsufficientCoverage,
                           TargetNotBracketed, ToleranceNotMet)
 from cqnls.functionals import evaluate
 from cqnls.profiles import OMEGA_MAX
@@ -75,16 +75,24 @@ class TestScan:
         assert header == "omega,mass,energy,beta,d,grad_sq,mass_derivative,stability"
 
 
+def derivative_step(omega: float) -> float:
+    return 1e-4 * max(omega, 0.01)
+
+
+def _stencil_reports(omega: float, h: float, ode_tolerance: float):
+    return {
+        s: evaluate(shooting.solve_ground_state(omega + s * h, ode_tolerance))
+        for s in (-1.0, -0.5, 0.5, 1.0)
+    }
+
+
+def _richardson(reports: dict, h: float, attr: str) -> float:
+    wide = (getattr(reports[1.0], attr) - getattr(reports[-1.0], attr)) / (2.0 * h)
+    narrow = (getattr(reports[0.5], attr) - getattr(reports[-0.5], attr)) / h
+    return (4.0 * narrow - wide) / 3.0
+
+
 class TestDifferentiate:
-    def test_needs_enough_points(self):
-        swept = scan(np.array([0.05, 0.09]))
-        with pytest.raises(InsufficientPoints):
-            differentiate(swept)
-
-    def test_step_floors_at_small_omega(self):
-        assert derivative_step(0.0001) == pytest.approx(1e-6)
-        assert derivative_step(0.1) == pytest.approx(1e-5)
-
     def test_mass_derivative_signs(self, curve, crit):
         # negative on the lower branch, positive on the upper one
         for p in curve.points:
@@ -92,6 +100,81 @@ class TestDifferentiate:
                 assert p.mass_derivative < 0.0
             elif p.omega > crit.omega_star + 1e-3:
                 assert p.mass_derivative > 0.0
+
+    @pytest.mark.parametrize("omega", [0.004, 0.0239, 0.02914, 0.09, 0.17, 0.185])
+    def test_agrees_with_the_stencil_oracle(self, omega):
+        # the oracle differentiates fresh solves at four neighbouring
+        # frequencies, Richardson-extrapolated central differences in omega
+        h = derivative_step(omega)
+        oracle = _richardson(_stencil_reports(omega, h, shooting.ODE_TOLERANCE), h, "mass")
+        (point,) = differentiate(scan([omega])).points
+        assert abs(point.mass_derivative - oracle) <= 1e-8 * abs(point.mass_derivative)
+
+    @pytest.mark.parametrize("ode_tolerance", [1e-8, 1e-10])
+    def test_criterion_02_holds_at_loose_tolerances(self, ode_tolerance):
+        # differentiated at a looser tolerance than the scan, the stencil's
+        # second difference mixed the scan's d with its own solves and
+        # missed 1e-2: 21 at omega = 0.0239 with 1e-8, 0.47 there with 1e-10
+        omegas = [0.004, 0.0239, 0.06, 0.12, 0.17, 0.185]
+        for scan_tolerance in (shooting.ODE_TOLERANCE, ode_tolerance):
+            checks = differentiate(scan(omegas, scan_tolerance), ode_tolerance).derivative_checks
+            assert len(checks) == len(omegas)
+            for check in checks:
+                assert check.grad_identity < 1e-3, check
+                assert check.energy_identity < 1e-3, check
+                assert check.d_second < 1e-2, check
+
+    def test_solves_each_node_alone(self, small_scan, monkeypatch):
+        # one solve per node, at the node's own frequency: the scan's profile
+        swept, ode_tolerance = small_scan
+        calls = []
+
+        def spy(omega, c):
+            calls.append((omega, c))
+            return shooting.solve_ground_state(omega, c)
+        monkeypatch.setattr(curves, "solve_ground_state", spy)
+        one = differentiate(FrequencyCurve(points=swept.points[:1]), ode_tolerance)
+        both = differentiate(swept, ode_tolerance)
+        assert calls == [(p.omega, ode_tolerance) for p in swept.points[:1] + swept.points]
+        assert one.points[0] == both.points[0]
+        assert one.derivative_checks[0] == both.derivative_checks[0]
+
+
+def _pivots(matrix):
+    """Pivots of elimination without row exchanges: ratios of the leading
+    principal minors."""
+    minors = np.array([1.0] + [np.linalg.det(matrix[:k, :k]) for k in range(1, len(matrix) + 1)])
+    with np.errstate(all="ignore"):
+        return minors[1:] / minors[:-1]
+
+
+class TestSolveTridiagonal:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), dominant=st.booleans(),
+           entries=st.lists(st.floats(-3.0, 3.0), min_size=48, max_size=48))
+    def test_matches_dense_solve(self, n, dominant, entries):
+        lower, upper = np.array(entries[:n - 1]), np.array(entries[12:11 + n])
+        diag, rhs = np.array(entries[24:24 + n]), np.array(entries[36:36 + n])
+        if dominant:
+            # strictly diagonally dominant by rows
+            diag = np.sign(diag + 0.5) * (1.0 + np.abs(diag) + np.abs(np.r_[0.0, lower])
+                                          + np.abs(np.r_[upper, 0.0]))
+        matrix = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        # indefinite systems whose elimination meets a small pivot are
+        # ill-posed for a solver that exchanges no rows
+        assume(np.all(np.abs(_pivots(matrix)) > 1e-2))
+        expected = np.linalg.solve(matrix, rhs)
+        got = _solve_tridiagonal(lower, diag, upper, rhs)
+        scale = np.linalg.cond(matrix) * max(np.abs(expected).max(), 1.0)
+        assert np.abs(got - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("lower, diag, upper", [
+        ([1.0], [0.0, 1.0], [1.0]), ([1.0], [1.0, 1.0], [1.0]),
+        ([1.0], [1.0, float("nan")], [1.0]), ([1.0], [1e-320, 1.0], [1.0])],
+        ids=["first-pivot", "second-pivot", "nan", "overflow"])
+    def test_singular_elimination_raises(self, lower, diag, upper):
+        with pytest.raises(InnerSolveDiverged):
+            _solve_tridiagonal(lower, diag, upper, [1.0, 1.0])
 
 
 class TestInvertBeta:

@@ -10,7 +10,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: scipy subpackages no command needs: evolve, spectra and the flow load
-#: scipy.linalg alone, validate and the rest none
+#: scipy.linalg alone, validate, scan (with its derivatives) and the rest none
 UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.sparse",
           "scipy.special")
 
@@ -43,11 +43,17 @@ def test_import_builds_no_stepper():
     assert run.stdout.split() == ["0", "0"]
 
 
-@pytest.mark.parametrize("command, needs_linalg", [("solve", False), ("spectra", True)])
+#: each command's arguments besides its output directory
+ARGUMENTS = {"solve": ["--omega", "0.09"], "spectra": ["--omega", "0.09"],
+             "scan": ["--grid-size", "5", "--derivatives"]}
+
+
+@pytest.mark.parametrize("command, needs_linalg",
+                         [("solve", False), ("spectra", True), ("scan", False)])
 def test_commands_load_what_they_use(command, needs_linalg, tmp_path):
-    loaded = _scipy_modules(
-        "from cqnls import cli\n"
-        f"assert cli.main([{command!r}, '--omega', '0.09', '--out', {str(tmp_path)!r}]) == 0")
+    # scan's derivatives solve their linear systems in plain Python
+    argv = [command, *ARGUMENTS[command], "--out", str(tmp_path)]
+    loaded = _scipy_modules(f"from cqnls import cli\nassert cli.main({argv!r}) == 0")
     assert not loaded & set(UNUSED)
     assert ("scipy.linalg" in loaded) is needs_linalg
     assert (tmp_path / "manifest.json").exists()
