@@ -25,16 +25,22 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-# not called here: the benchmark's traced mode rebinds dynamics.solve_banded
-# to count banded solves, so the name stays bound until that tracer drops it
-from scipy.linalg import solve_banded  # noqa: F401
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import ConservationBreach, EigSolverStalled, InnerSolveDiverged, KindMismatch
+from .lapack import dstebz, zgttrf, zgttrs
 from .profiles import GROUND_STATE, RadialProfile, even_grid
 from .quadrature import simpson_uniform
 from .shooting import ODE_TOLERANCE, solve_ground_state
+
+
+def __getattr__(name):
+    # not called here: the benchmark's traced mode rebinds
+    # dynamics.solve_banded to count banded solves, so the name resolves,
+    # with a lazy import of scipy.linalg, until that tracer drops it
+    if name == "solve_banded":
+        from scipy.linalg import solve_banded
+        return solve_banded
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -348,6 +354,17 @@ def stability_experiment(omega: float, perturbation_size: float, t_end: float = 
     }
 
 
+def _lowest_eigenvalues(diag: np.ndarray, off: np.ndarray, n_eigs: int) -> np.ndarray:
+    """The ``n_eigs`` lowest eigenvalues, in increasing order, of the
+    symmetric tridiagonal matrix with ``diag`` and ``off``, by bisection:
+    the arguments ``eigh_tridiagonal(..., eigvals_only=True, select="i")``
+    passes to stebz.  A nonzero LAPACK info raises EigSolverStalled."""
+    count, vals, _, _, info = dstebz(diag, off, 2, 0.0, 1.0, 1, n_eigs, 0.0, "E")
+    if info != 0:
+        raise EigSolverStalled(f"eigenvalue solve failed (dstebz info={info})")
+    return vals[:count]
+
+
 def linearized_spectra(ground: RadialProfile, n_eigs: int = 6) -> dict:
     """Lowest ``n_eigs`` radial eigenvalues of both linearized operators.
 
@@ -357,8 +374,9 @@ def linearized_spectra(ground: RadialProfile, n_eigs: int = 6) -> dict:
     check, and the single negative L_plus eigenvalue is the structural
     property of interest.
     Discretization: second-order differences in w = r*U at spacing 0.01,
-    Dirichlet ends 60 beyond the truncation radius.  n_eigs < 1 raises
-    ValueError, a failed eigenvalue solve EigSolverStalled.
+    Dirichlet ends 60 beyond the truncation radius.  n_eigs outside 1 to
+    the number of grid nodes raises ValueError, a failed eigenvalue solve
+    (nonzero LAPACK info, as for a non-finite matrix) EigSolverStalled.
     """
     if n_eigs < 1:
         raise ValueError(f"n_eigs must be at least 1, got {n_eigs}")
@@ -368,6 +386,8 @@ def linearized_spectra(ground: RadialProfile, n_eigs: int = 6) -> dict:
     spacing = 0.01
     n = int(round((ground.truncation_radius + 60.0) / spacing))
     grid = spacing * np.arange(1, n)  # interior nodes
+    if n_eigs > grid.size:
+        raise ValueError(f"n_eigs={n_eigs} exceeds the {grid.size} grid nodes")
     p = ground.interpolate(grid)
     p_sq = p * p
 
@@ -378,13 +398,7 @@ def linearized_spectra(ground: RadialProfile, n_eigs: int = 6) -> dict:
         ("lplus_eigs", omega - 3.0 * p_sq + 5.0 * p_sq * p_sq),
         ("lminus_eigs", omega - p_sq + p_sq * p_sq),
     ):
-        diag = base + potential
-        try:
-            vals = eigh_tridiagonal(diag, off, eigvals_only=True,
-                                    select="i", select_range=(0, n_eigs - 1))
-        except LinAlgError as err:
-            raise EigSolverStalled(f"eigenvalue solve failed: {err}") from err
-        out[name] = [float(v) for v in vals]
+        out[name] = [float(v) for v in _lowest_eigenvalues(base + potential, off, n_eigs)]
 
     # discrete residual of the kernel relation L_minus P = 0
     w = grid * p

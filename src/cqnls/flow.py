@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import FlowDiverged
+from .lapack import dgbsv
 from .profiles import even_grid
 from .quadrature import simpson_uniform
 
@@ -58,6 +58,24 @@ def _apply_banded(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
     out[:-2] += ab[0, 2:] * w[2:]
     out[2:] += ab[4, :-2] * w[:-2]
     return out
+
+
+def _solve_shifted(lap: np.ndarray, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (lap + diag(shift)) x = rhs for ``lap`` in banded form.
+
+    The arguments ``solve_banded((2, 2), ...)`` passes to gbsv: its layout
+    adds two rows above the bands for the fill-in of the pivoted LU, and in
+    Fortran order LAPACK factors the array in place.  A singular matrix
+    raises FlowDiverged; a non-finite one is left to the caller's check of
+    the solution.
+    """
+    ab = np.zeros((7, lap.shape[1]), order="F")
+    ab[2:] = lap
+    ab[4] += shift
+    *_, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=True)
+    if info != 0:
+        raise FlowDiverged(f"singular flow step (dgbsv info={info})")
+    return x
 
 
 def _derivative(w: np.ndarray, h: float) -> tuple[float, np.ndarray]:
@@ -110,7 +128,8 @@ def mass_projected_flow(mass: float, r_max: float = 40.0,
     The seed is the Gaussian exp(-(r/seed_width)^2) on [0, r_max].  Returns
     the state after ``GRADIENT_TOL`` is met or ``MAX_ITERATIONS`` steps;
     ``multiplier`` is the discrete Lagrange multiplier, i.e. the frequency
-    the profile solves the equation at.
+    the profile solves the equation at.  A singular or non-finite step
+    raises FlowDiverged.
     """
     if not (math.isfinite(mass) and mass > 0):
         raise ValueError(f"mass must be finite and positive, got {mass}")
@@ -133,9 +152,8 @@ def mass_projected_flow(mass: float, r_max: float = 40.0,
         # lagged-potential backward Euler: the whole potential sits inside
         # the implicit solve, so the step stays stable at a large TIME_STEP
         u_sq = (w * w) * inv_r2
-        step_matrix = lap.copy()
-        step_matrix[2] += 1.0 / TIME_STEP + (u_sq * u_sq - u_sq)
-        w_new = solve_banded((2, 2), step_matrix, w / TIME_STEP)
+        w_new = _solve_shifted(lap, 1.0 / TIME_STEP + (u_sq * u_sq - u_sq),
+                               w / TIME_STEP)
         if not np.all(np.isfinite(w_new)):
             raise FlowDiverged("flow produced non-finite iterates")
         m_now = discrete_mass(w_new)

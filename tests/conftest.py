@@ -8,15 +8,6 @@ from cqnls.curves import (default_omega_grid, differentiate, locate_critical,
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
 
 
-def pytest_collection_modifyitems(items):
-    # any user of the 60-node scan pays for building it (about 1 s on a
-    # 2-core host); every other test takes under 7 s there, the longest
-    # being the plateau's check against collocation at about 6 s
-    for item in items:
-        if "curve" in getattr(item, "fixturenames", ()):
-            item.add_marker(pytest.mark.slow)
-
-
 @pytest.fixture(scope="session")
 def curve():
     """60-node production scan with mass derivatives and identity checks."""

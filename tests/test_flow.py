@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+from cqnls import flow
+from cqnls.errors import FlowDiverged
 from cqnls.flow import (_apply_banded, _derivative, _multiplier, laplacian_banded,
                         mass_projected_flow)
 from cqnls.functionals import evaluate
@@ -82,6 +84,19 @@ class TestFlowConvergence:
         for flow in (mass_projected_flow, certify_e_min_by_flow):
             with pytest.raises(ValueError, match="mass must be finite and positive"):
                 flow(mass)
+
+    @pytest.mark.parametrize("info, solution, message", [
+        (1, 0.0, "singular flow step"),
+        (0, math.nan, "non-finite iterates"),
+    ])
+    def test_a_failed_step_diverges(self, monkeypatch, info, solution, message):
+        # a singular step matrix, or one whose solve is not finite, ends the
+        # flow with its own error, not a LAPACK or input-check one
+        def fails(kl, ku, ab, b, overwrite_ab):
+            return ab, None, np.full_like(b, solution), info
+        monkeypatch.setattr(flow, "dgbsv", fails)
+        with pytest.raises(FlowDiverged, match=message):
+            mass_projected_flow(300.0)
 
     def test_seed_independence(self):
         a = mass_projected_flow(300.0, seed_width=2.0, r_max=45.0)

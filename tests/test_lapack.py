@@ -1,0 +1,42 @@
+"""The direct LAPACK calls against the scipy.linalg functions they replace.
+
+``cqnls.lapack`` loads scipy's compiled LAPACK wrappers without importing
+``scipy.linalg``; the flow and the spectra pass them the very arguments
+``solve_banded`` and ``eigh_tridiagonal`` would, so the results must be
+the same arrays bit for bit.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal, solve_banded
+
+from cqnls.dynamics import _lowest_eigenvalues
+from cqnls.flow import _solve_shifted
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
+def test_flow_step_matches_solve_banded(n, seed):
+    # diagonally dominant pentadiagonal systems, as the flow's step matrix
+    # (a positive Laplacian plus 1/TIME_STEP and a bounded potential) is
+    rng = np.random.default_rng(seed)
+    lap = rng.uniform(-1.0, 1.0, (5, n))
+    lap[2] = np.abs(lap).sum(axis=0) + rng.uniform(0.1, 2.0, n)
+    shift = rng.uniform(-0.05, 0.05, n)
+    rhs = rng.standard_normal(n)
+    shifted = lap.copy()
+    shifted[2] += shift
+    assert np.array_equal(_solve_shifted(lap, shift, rhs),
+                          solve_banded((2, 2), shifted, rhs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 60), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_spectra_match_eigh_tridiagonal(n, data, seed):
+    n_eigs = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    diag, off = rng.standard_normal(n), rng.standard_normal(n - 1)
+    expected = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                select_range=(0, n_eigs - 1))
+    assert np.array_equal(_lowest_eigenvalues(diag, off, n_eigs), expected)

@@ -9,25 +9,29 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-#: scipy subpackages no command needs: evolve, spectra and the flow load
-#: scipy.linalg alone, validate, scan (with its derivatives) and the rest none
-UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.interpolate", "scipy.sparse",
-          "scipy.special")
+#: what evolve, spectra and the flow load of scipy: its compiled LAPACK
+#: wrappers, from their file, and not the scipy.linalg package
+FLAPACK = {"scipy.linalg._flapack"}
+
+
+def _run(code: str) -> str:
+    """The last line a fresh interpreter prints after running ``code``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout.splitlines()[-1]
 
 
 def _scipy_modules(code: str) -> set[str]:
-    """The scipy packages (two levels deep) a fresh interpreter has loaded
+    """The full names of the scipy modules a fresh interpreter has loaded
     after running ``code``."""
-    probe = ("\nimport json, sys\nprint(json.dumps(sorted({'.'.join(m.split('.')[:2]) "
-             "for m in sys.modules if m.split('.')[0] == 'scipy'})))")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    run = subprocess.run([sys.executable, "-c", code + probe], env=env,
-                         capture_output=True, text=True, check=True)
-    return set(json.loads(run.stdout.splitlines()[-1]))
+    probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy')))")
+    return set(json.loads(_run(code + probe)))
 
 
 def test_import_loads_no_scipy_subpackage():
-    assert not _scipy_modules("import cqnls.cli") & set(UNUSED)
+    assert _scipy_modules("import cqnls.cli") == set()
 
 
 def test_import_builds_no_stepper():
@@ -37,32 +41,43 @@ def test_import_builds_no_stepper():
     code = ("import cqnls.cli\nfrom cqnls import shooting\n"
             "print(shooting._dop853_tableau.cache_info().currsize, "
             "shooting._marcher.cache_info().currsize)")
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.split() == ["0", "0"]
+    assert _run(code).split() == ["0", "0"]
 
 
 #: each command's arguments besides its output directory
 ARGUMENTS = {"solve": ["--omega", "0.09"], "spectra": ["--omega", "0.09"],
-             "scan": ["--grid-size", "5", "--derivatives"]}
+             "scan": ["--grid-size", "5", "--derivatives"],
+             "evolve": ["--omega", "0.09", "--t-end", "2"], "validate": []}
 
 
-@pytest.mark.parametrize("command, needs_linalg",
-                         [("solve", False), ("spectra", True), ("scan", False)])
-def test_commands_load_what_they_use(command, needs_linalg, tmp_path):
+@pytest.mark.parametrize("command, needs_lapack", [
+    ("solve", False),
+    ("spectra", True),
     # scan's derivatives solve their linear systems in plain Python
+    ("scan", False),
+    ("evolve", True),
+    # the 1D oracle's references are closed forms, and no other check of
+    # the battery integrates, interpolates or factors a matrix
+    ("validate", False),
+])
+def test_commands_load_what_they_use(command, needs_lapack, tmp_path):
     argv = [command, *ARGUMENTS[command], "--out", str(tmp_path)]
     loaded = _scipy_modules(f"from cqnls import cli\nassert cli.main({argv!r}) == 0")
-    assert not loaded & set(UNUSED)
-    assert ("scipy.linalg" in loaded) is needs_linalg
+    assert loaded == (FLAPACK if needs_lapack else set())
     assert (tmp_path / "manifest.json").exists()
 
 
-def test_validate_loads_no_scipy_subpackage(tmp_path):
-    # the 1D oracle's references are closed forms, and no other check of
-    # the battery integrates, interpolates or factors a matrix
-    loaded = _scipy_modules(
-        "from cqnls import cli\n"
-        f"assert cli.main(['validate', '--out', {str(tmp_path)!r}]) == 0")
-    assert loaded <= {"scipy"}
+def test_flow_certificate_loads_only_lapack():
+    code = ("from cqnls.landscape import certify_e_min_by_flow\n"
+            "assert certify_e_min_by_flow(320.0) < 0")
+    assert _scipy_modules(code) == FLAPACK
+
+
+def test_scipy_linalg_reuses_the_loaded_wrappers():
+    # importing scipy.linalg after cqnls.lapack finds the extension in
+    # sys.modules: one module, and the routines are scipy's own objects
+    code = ("from cqnls import lapack\nimport scipy.linalg.lapack as scipy_lapack\n"
+            "print(scipy_lapack._flapack is lapack._flapack and all(\n"
+            "    getattr(lapack, name) is getattr(scipy_lapack, name)\n"
+            "    for name in ('zgttrf', 'zgttrs', 'dstebz', 'dgbsv')))")
+    assert _run(code) == "True"
