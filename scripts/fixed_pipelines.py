@@ -15,7 +15,9 @@ omega = 0.01 (a run of u from the origin), 0.09 and 0.185 (a q run over
 a short and a long plateau, then u), so a stepper change that moves a
 single step shows in the diff.  The cubic reference's seeded and cold
 solve follow, with the repr of its amplitude and tail constant: no
-pipeline writes it to a data file.  Last, the ``scan`` pipeline runs
+pipeline writes it to a data file.  The ``critical`` and ``landscape-2``
+pipelines then run again in-process and print the fresh solves and L+
+solves of each of their root searches.  Last, the ``scan`` pipeline runs
 again in-process and prints its count of ``solve_ground_state`` calls
 and the worst value over its nodes of each of criterion 02's three
 derivative identities, which no data file holds either.  It takes about
@@ -87,6 +89,37 @@ for label in ("cold", "seeded"):
           f"amplitude {profile.amplitude!r}, tail constant {profile.tail_constant!r}")
 """
 
+#: fresh solves (``shooting._solve`` calls) and L+ solves
+#: (``curves._omega_pairings`` calls) of each ``monotone_root`` call of a
+#: pipeline, run in-process with its data files written to a temporary
+#: directory and its standard output dropped
+ROOT_SEARCHES = """
+import contextlib, io, sys, tempfile
+from cqnls import cli, curves, landscape, shooting
+name, argv = sys.argv[1], sys.argv[2:]
+search, solve, pairings, tally, rows = (curves.monotone_root, shooting._solve,
+                                        curves._omega_pairings, [0, 0], [])
+
+def counted(fn, k):
+    def wrapper(*args, **kwargs):
+        tally[k] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+def counted_search(*args, **kwargs):
+    before = tally[:]
+    result = search(*args, **kwargs)
+    rows.append((tally[0] - before[0], tally[1] - before[1]))
+    return result
+
+shooting._solve, curves._omega_pairings = counted(solve, 0), counted(pairings, 1)
+curves.monotone_root = landscape.monotone_root = counted_search
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    cli.main([*argv, "--out", out])
+for i, (solves, lplus) in enumerate(rows, 1):
+    print(f"{name} monotone_root {i}: {solves} fresh solves, {lplus} L+ solves")
+"""
+
 #: the ``scan`` pipeline's solves and its worst criterion 02 identities
 CRITERION_02 = """
 from cqnls import curves
@@ -125,6 +158,10 @@ def main(out: Path):
             print(f"{digest}  {path.relative_to(out)}")
     print(_python("certify", "-c", CERTIFY), end="")
     print(_python("counts", "-c", COUNTS), end="")
+    for name, argv, config in PIPELINES:
+        if name in ("critical", "landscape-2"):
+            extra = () if config is None else ("--config", str(out / name / "config.txt"))
+            print(_python(name, "-c", ROOT_SEARCHES, name, *argv, *extra), end="")
     print(_python("criterion 02", "-c", CRITERION_02), end="")
 
 

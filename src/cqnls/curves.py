@@ -15,10 +15,14 @@ d'' = M' + <L+ v, v> in its weak form from w'^2 and the potential, which
 drops only <R(Q), d^2Q/domega^2> for the residual R(Q) of Q's equation.
 Simpson sums them, with closed-form tails; all is repeated on every
 second node and Richardson-extrapolated.  Critical frequencies are
-located by Brent's method on the monotone beta curve with fresh solves
-per iterate, and stability labels follow the sign structure of the mass
-derivative around the critical frequency.  ``monotone_root`` is the one
-bracketed root search, shared with the landscape's branch inversions.
+located on the monotone beta curve by ``monotone_root``, the one
+bracketed root search, shared with the landscape's branch inversions:
+a safeguarded Newton iteration with a fresh solve per iterate, whose
+slopes come from the same L+ solve on every fourth and every eighth node
+(``omega_slopes``; beta' = (L6' G - L6 G')/G^2 with L6' = 6<Q^5, v>).
+The scanned nodes bracketing a root lend it their values and, from
+their cached profiles, their slopes.  Stability labels follow the sign
+structure of the mass derivative around the critical frequency.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from .errors import (CqnlsError, EmptyGrid, InnerSolveDiverged, InsufficientCove
 from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile
 from .quadrature import simpson_uniform
-from .roots import brentq
-from .shooting import ODE_TOLERANCE, solve_ground_state
+from .shooting import ODE_TOLERANCE, cached_ground_state, solve_ground_state
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -196,8 +199,9 @@ def _tail_pairing(f0, f1, g0, g1, a):
 
 
 def _omega_pairings(profile: RadialProfile, stop: int, step: int) -> np.ndarray:
-    """(M', G', E', d'') from one solve of L+ v = -Q for v = dQ/domega on
-    every ``step``-th node of the profile's first ``stop`` (module docstring)."""
+    """(M', G', E', d'', L6') from one solve of L+ v = -Q for v = dQ/domega
+    on every ``step``-th node of the profile's first ``stop`` (module
+    docstring)."""
     r, q, dq = (x[:stop:step] for x in (profile.grid, profile.values, profile.derivs))
     h, a, omega = r[1] - r[0], profile.decay_rate, profile.omega
     c = profile.tail_constant * math.exp(-a * r[-1])   # z = rQ at the last node
@@ -207,8 +211,8 @@ def _omega_pairings(profile: RadialProfile, stop: int, step: int) -> np.ndarray:
     # Numerov rows for w'' = potential w + z with w(0) = 0, closed by the tail
     near = 1 - h * h / 12 * potential
     w = _solve_tridiagonal(
-        [*near[1:-2], math.exp(-a * h)], [*(10 * near[1:-1] - 12), -1.0], near[2:],
-        [*(h * h / 12 * (z[:-2] + 10 * z[1:-1] + z[2:])), b * h])
+        np.append(near[1:-2], math.exp(-a * h)), np.append(10 * near[1:-1] - 12, -1.0),
+        near[2:], np.append(h * h / 12 * (z[:-2] + 10 * z[1:-1] + z[2:]), b * h))
     w_end = w[-1]
     # w is odd at the origin and follows its tail past the last node
     padded = np.concatenate([[-w[1], -w[0], 0.0], w, [(w_end - b * s) * math.exp(-a * s)
@@ -225,7 +229,16 @@ def _omega_pairings(profile: RadialProfile, stop: int, step: int) -> np.ndarray:
     weak += _tail_pairing(p0, p1, p0, p1, a) + omega * _tail_pairing(w_end, -b, w_end, -b, a)
     m_prime = 8 * math.pi * qv
     return np.array([m_prime, 8 * math.pi * grad, 4 * math.pi * (grad - q3v + q5v),
-                     m_prime + 4 * math.pi * weak])
+                     m_prime + 4 * math.pi * weak, 24 * math.pi * q5v])
+
+
+def _extrapolated_pairings(profile: RadialProfile, step: int) -> list[float]:
+    """``_omega_pairings`` on every ``step``-th node and on every second
+    of those, Richardson-extrapolated: (16 fine - coarse)/15."""
+    end = profile.grid.size - 1
+    end -= end % (4 * step)     # both spacings need an even interval count
+    fine, coarse = (_omega_pairings(profile, end + 1, s) for s in (step, 2 * step))
+    return ((16 * fine - coarse) / 15).tolist()
 
 
 def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
@@ -238,10 +251,7 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
     new_points, final_checks = [], []
     for point in curve.points:
         profile = solve_ground_state(point.omega, ode_tolerance)
-        end = profile.grid.size - 1
-        end -= end % 4          # both spacings need an even interval count
-        fine, coarse = (_omega_pairings(profile, end + 1, step) for step in (1, 2))
-        mass_prime, grad_prime, energy_prime, d_second_val = ((16 * fine - coarse) / 15).tolist()
+        mass_prime, grad_prime, energy_prime, d_second_val, _ = _extrapolated_pairings(profile, 1)
         target = 1.5 * point.mass
         grad_identity = abs(grad_prime - target) / abs(target)
         energy_identity = abs(energy_prime + 0.5 * point.omega * mass_prime) / abs(energy_prime)
@@ -258,59 +268,130 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
                           derivative_checks=tuple(final_checks))
 
 
-def monotone_root(value_at, target: float, nodes, xtol: float, end_tol: float = 0.0):
+#: a Newton slope solves L+ on every _SLOPE_STEP-th profile node and on
+#: every second of those
+_SLOPE_STEP = 4
+
+
+def omega_slopes(profile: RadialProfile, rep: FunctionalReport) -> tuple[float, float]:
+    """(M', beta') of a ground state and its report, from the L+ solve of
+    ``differentiate`` on every ``_SLOPE_STEP``-th node of its profile
+    instead of every one: beta' = (L6' G - L6 G') / G^2.  That costs 3/8
+    of a solve on every node and keeps them within about 1e-8 of
+    ``differentiate``'s, so a Newton step shrinks the error e of its
+    iterate to about 1e-8 e + O(e^2)."""
+    mass_prime, grad_prime, _, _, l6_prime = _extrapolated_pairings(profile, _SLOPE_STEP)
+    return mass_prime, (l6_prime * rep.grad_sq - rep.l6 * grad_prime) / rep.grad_sq**2
+
+
+#: most evaluations of one root search, as in ``roots.brentq``
+_MAX_ROOT_STEPS = 100
+
+
+def _hermite_root(lo, r_lo, s_lo, hi, r_hi, s_hi) -> float:
+    """A root inside (lo, hi) of the cubic Hermite interpolant of the
+    residuals r_lo, r_hi, of opposite signs, and the slopes s_lo, s_hi, by
+    bisection on the unit interval; the midpoint when a slope is not
+    finite or the root rounds onto an end."""
+    mid = 0.5 * (lo + hi)
+    if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
+        return mid
+    h = hi - lo
+    d_lo, d_hi = h * s_lo, h * s_hi
+
+    def cubic(t):
+        return (((2 * t - 3) * t * t + 1) * r_lo + ((t - 2) * t + 1) * t * d_lo
+                + (3 - 2 * t) * t * t * r_hi + (t - 1) * t * t * d_hi)
+
+    a, b = 0.0, 1.0
+    for _ in range(64):
+        t = 0.5 * (a + b)
+        if (cubic(t) > 0.0) == (r_lo > 0.0):
+            a = t
+        else:
+            b = t
+    x = lo + 0.5 * (a + b) * h
+    return x if lo < x < hi else mid
+
+
+def monotone_root(value_at, slope_at, target: float, nodes, xtol: float,
+                  end_tol: float = 0.0):
     """Root of value_at(x) = target on a branch where value_at is monotone.
 
-    ``value_at(x)`` returns ``(value, payload)``; ``nodes`` are the known
-    ``(x, value)`` pairs in increasing x, which cost no evaluation.  The
-    bracket is the first pair of consecutive nodes whose values straddle
-    the target; without one, the end node nearest it is the candidate.  A
-    bracket end or candidate within ``end_tol`` of the target is accepted
-    as it stands; a candidate farther off raises ``TargetNotBracketed``.
-    Otherwise Brent's method runs to ``xtol`` and returns the evaluated
-    iterate nearest the target as ``(x, value, payload)``.
+    ``value_at(x)`` returns ``(value, slope, payload)``; ``nodes`` are the
+    known ``(x, value)`` pairs in increasing x, which cost no evaluation,
+    and ``slope_at(x)`` is the slope at a node.  The bracket is the first
+    pair of consecutive nodes whose values straddle the target; without
+    one, the end node nearest it is the candidate.  A bracket end or
+    candidate within ``end_tol`` of the target is accepted as it stands; a
+    candidate farther off raises ``TargetNotBracketed``.  Otherwise a
+    safeguarded Newton iteration starts from the root of the cubic Hermite
+    interpolant on the bracket and steps by each iterate's own slope; a
+    step that leaves the sign bracket, and a zero, non-finite or
+    wrong-sign slope, bisect instead.  It stops once
+    an iterate's Newton correction is at most ``xtol``, the bracket is
+    narrower than ``xtol``, or after ``_MAX_ROOT_STEPS`` evaluations, and
+    returns the evaluated iterate nearest the target as
+    ``(x, value, payload)``.
     """
     bracket = next(((a, b) for a, b in zip(nodes, nodes[1:])
                     if min(a[1], b[1]) <= target <= max(a[1], b[1])), None)
     ends = bracket or (min(nodes[0], nodes[-1], key=lambda n: abs(n[1] - target)),)
     for x, value in ends:
         if abs(value - target) <= end_tol:
-            return (x, *value_at(x))
+            value, _, payload = value_at(x)
+            return x, value, payload
     if bracket is None:
         raise TargetNotBracketed(f"{target} not bracketed by the node values "
                                  f"{nodes[0][1]:.6g} to {nodes[-1][1]:.6g}")
-    known, evaluated = dict(bracket), {}
-
-    def residual(x):
-        if x in known:
-            return known[x] - target
-        if x not in evaluated:
-            evaluated[x] = value_at(x)
-        return evaluated[x][0] - target
-
-    root = brentq(residual, bracket[0][0], bracket[1][0], xtol)
-    if not evaluated:
-        evaluated[root] = value_at(root)
+    (lo, value_lo), (hi, value_hi) = bracket
+    rising = value_hi > value_lo
+    x = _hermite_root(lo, value_lo - target, slope_at(lo), hi, value_hi - target, slope_at(hi))
+    evaluated = {}
+    for _ in range(_MAX_ROOT_STEPS):
+        value, slope, payload = value_at(x)
+        evaluated[x] = value, payload
+        residual = value - target
+        if residual == 0.0:
+            break
+        if (residual > 0.0) == rising:
+            hi = x
+        else:
+            lo = x
+        newton = math.isfinite(slope) and slope != 0.0 and (slope > 0.0) == rising
+        step = -residual / slope if newton else math.nan
+        if abs(step) <= xtol or hi - lo <= xtol:
+            break
+        x += step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
     best = min(evaluated, key=lambda x: abs(evaluated[x][0] - target))
     return (best, *evaluated[best])
 
 
 def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE):
-    """Frequency with beta(omega) = target by Brent's method with fresh solves.
+    """Frequency with beta(omega) = target by ``monotone_root`` with a fresh
+    solve per iterate.
 
     Exploits strict monotonicity of beta: the scanned nodes bracket the
-    target and lend it their beta values.  The search runs to 1e-12 in
-    omega and returns the solved iterate nearest the target as
-    (omega, profile, report); ToleranceNotMet is raised when that iterate
-    misses the target by more than ``BETA_TOL``.
+    target and lend it their beta values and, from their cached profiles,
+    their slopes.  The search runs to 1e-12 in omega and returns the
+    solved iterate nearest the target as (omega, profile, report);
+    ToleranceNotMet is raised when that iterate misses the target by more
+    than ``BETA_TOL``.
     """
-    def beta_at(omega):
-        profile = solve_ground_state(omega, ode_tolerance)
+    def point(profile):
         rep = evaluate(profile)
-        return rep.beta, (profile, rep)
+        return rep.beta, omega_slopes(profile, rep)[1], (profile, rep)
+
+    def beta_at(omega):
+        return point(solve_ground_state(omega, ode_tolerance))
+
+    def slope_at(omega):
+        return point(cached_ground_state(omega, ode_tolerance))[1]
 
     nodes = [(p.omega, p.beta) for p in curve.points]
-    omega, beta, (profile, rep) = monotone_root(beta_at, target, nodes, 1e-12)
+    omega, beta, (profile, rep) = monotone_root(beta_at, slope_at, target, nodes, 1e-12)
     if abs(beta - target) > BETA_TOL:
         raise ToleranceNotMet(
             f"beta = {target} missed by {abs(beta - target):.3g} at omega = "

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .curves import (CriticalFrequencies, FrequencyCurve, CRITICAL, STABLE,
-                     UNSTABLE, monotone_root)
+                     UNSTABLE, monotone_root, omega_slopes)
 from .errors import MassBeyondScan, TargetNotBracketed
 from .functionals import evaluate
 from .geometry import rescale_energy_factor, rescale_mass_factor
-from .shooting import ODE_TOLERANCE, solve_ground_state
+from .shooting import ODE_TOLERANCE, cached_ground_state, solve_ground_state
 
 LOWER_BRANCH = "lower_branch"
 UPPER_BRANCH = "upper_branch"
@@ -60,19 +60,32 @@ def _mass(x) -> float:
     return x.mass
 
 
+def _mass_slope(rep, mass_prime, beta_prime) -> float:
+    return mass_prime
+
+
 def _rescaled_mass(x) -> float:
     return rescale_mass_factor(x.beta) * x.mass
 
 
-def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance):
+def _rescaled_mass_slope(rep, mass_prime, beta_prime) -> float:
+    """d/domega of f(beta) M with f = ``rescale_mass_factor``, whose
+    logarithmic derivative is 1/(2 beta) - 2/(1 + beta)."""
+    log_slope = 0.5 / rep.beta - 2.0 / (1.0 + rep.beta)
+    return rescale_mass_factor(rep.beta) * (mass_prime + rep.mass * log_slope * beta_prime)
+
+
+def _branch_roots(m, curve, split, value_min, value_of, slope_of, ode_tolerance):
     """(branch, omega, report) at every ground state with value_of = m.
 
-    ``value_of`` reads a curve point or a functional report; its curve has
+    ``value_of`` reads a curve point or a functional report, and
+    ``slope_of(report, M', beta')`` is its omega-derivative; its curve has
     the single minimum value_min at ``split``, decreasing on the lower
     branch and increasing on the upper one.  Within 1e-9 value_min of that
     minimum m meets the critical branch alone.  Each branch is searched
-    over its scanned nodes and (split, value_min), which cost no solve; a
-    branch whose nodes never reach m is skipped.
+    over its scanned nodes and (split, value_min), which cost no solve:
+    their slopes come from their cached profiles.  A branch whose nodes
+    never reach m is skipped.
     """
     tol = 1e-9 * value_min
     if m < value_min - tol:
@@ -80,9 +93,15 @@ def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance):
     if abs(m - value_min) <= tol:
         return [(CRITICAL_BRANCH, split, evaluate(solve_ground_state(split, ode_tolerance)))]
 
+    def point(profile):
+        rep = evaluate(profile)
+        return value_of(rep), slope_of(rep, *omega_slopes(profile, rep)), rep
+
     def value_at(omega):
-        rep = evaluate(solve_ground_state(omega, ode_tolerance))
-        return value_of(rep), rep
+        return point(solve_ground_state(omega, ode_tolerance))
+
+    def slope_at(omega):
+        return point(cached_ground_state(omega, ode_tolerance))[1]
 
     lower = [(p.omega, value_of(p)) for p in curve.points if p.omega < split]
     upper = [(p.omega, value_of(p)) for p in curve.points if p.omega > split]
@@ -90,7 +109,7 @@ def _branch_roots(m, curve, split, value_min, value_of, ode_tolerance):
     for branch, nodes in ((LOWER_BRANCH, lower + [(split, value_min)]),
                           (UPPER_BRANCH, [(split, value_min)] + upper)):
         try:
-            omega, _, rep = monotone_root(value_at, m, nodes, 1e-12,
+            omega, _, rep = monotone_root(value_at, slope_at, m, nodes, 1e-12,
                                           end_tol=_MASS_REL_TOL * m)
         except TargetNotBracketed:
             # a branch can run off the scanned window
@@ -109,7 +128,8 @@ def _ground_roots(m, curve, crit, ode_tolerance):
     infinite m would meet an end node within its own infinite tolerance)."""
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"prescribed mass must be finite and positive, got {m}")
-    return _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, ode_tolerance)
+    return _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, _mass_slope,
+                         ode_tolerance)
 
 
 def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
@@ -138,7 +158,7 @@ def _classification(m, crit, roots) -> ClassificationResult:
 def _rescaled_branch_energies(m, curve, crit, ode_tolerance):
     """E(R_omega) at every rescaled soliton with mass m (may be empty)."""
     roots = _branch_roots(m, curve, crit.omega_upper_star, crit.m_threshold,
-                          _rescaled_mass, ode_tolerance)
+                          _rescaled_mass, _rescaled_mass_slope, ode_tolerance)
     return [rescale_energy_factor(rep.beta) * rep.grad_sq for _, _, rep in roots]
 
 

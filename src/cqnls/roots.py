@@ -4,7 +4,7 @@ A port of scipy's C ``brentq`` (Brent, *Algorithms for Minimization
 without Derivatives*, 1973, ch. 4): the same iterates, the same function
 evaluations and the same stopping test, without loading
 ``scipy.optimize``.  It locates the shooting events on the dense DOP853
-output and the branch roots of ``curves.monotone_root``.
+output (``shooting._first_event``).
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -5,16 +6,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cqnls import curves, shooting
+from cqnls import curves, landscape, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
-                          FrequencyCurve, _solve_tridiagonal, asymptotic_check,
-                          classify_stability, default_omega_grid, differentiate,
-                          invert_beta, monotone_root, scan)
+                          FrequencyCurve, _hermite_root, _solve_tridiagonal,
+                          asymptotic_check, classify_stability, default_omega_grid,
+                          differentiate, invert_beta, monotone_root, omega_slopes, scan)
 from cqnls.errors import (EmptyGrid, InnerSolveDiverged, InsufficientCoverage,
                           TargetNotBracketed, ToleranceNotMet)
 from cqnls.functionals import evaluate
 from cqnls.profiles import OMEGA_MAX
-from cqnls.roots import brentq
 
 
 class TestDefaultGrid:
@@ -86,9 +86,10 @@ def _stencil_reports(omega: float, h: float, ode_tolerance: float):
     }
 
 
-def _richardson(reports: dict, h: float, attr: str) -> float:
-    wide = (getattr(reports[1.0], attr) - getattr(reports[-1.0], attr)) / (2.0 * h)
-    narrow = (getattr(reports[0.5], attr) - getattr(reports[-0.5], attr)) / h
+def _richardson(reports: dict, h: float, value_of) -> float:
+    values = {s: value_of(rep) for s, rep in reports.items()}
+    wide = (values[1.0] - values[-1.0]) / (2.0 * h)
+    narrow = (values[0.5] - values[-0.5]) / h
     return (4.0 * narrow - wide) / 3.0
 
 
@@ -106,7 +107,8 @@ class TestDifferentiate:
         # the oracle differentiates fresh solves at four neighbouring
         # frequencies, Richardson-extrapolated central differences in omega
         h = derivative_step(omega)
-        oracle = _richardson(_stencil_reports(omega, h, shooting.ODE_TOLERANCE), h, "mass")
+        oracle = _richardson(_stencil_reports(omega, h, shooting.ODE_TOLERANCE), h,
+                             landscape._mass)
         (point,) = differentiate(scan([omega])).points
         assert abs(point.mass_derivative - oracle) <= 1e-8 * abs(point.mass_derivative)
 
@@ -138,6 +140,25 @@ class TestDifferentiate:
         assert calls == [(p.omega, ode_tolerance) for p in swept.points[:1] + swept.points]
         assert one.points[0] == both.points[0]
         assert one.derivative_checks[0] == both.derivative_checks[0]
+
+
+class TestNewtonSlopes:
+    @pytest.mark.parametrize("omega", [0.01, 0.024, 0.055, 0.12, 0.18])
+    def test_agree_with_the_stencil_oracle(self, omega):
+        # the slopes of a root search's Newton steps, from the L+ solve on
+        # every fourth and every eighth profile node, against central
+        # differences of fresh solves; 0.055 lies next to the rescaled
+        # mass's minimum, where its slope is small
+        h = derivative_step(omega)
+        reports = _stencil_reports(omega, h, shooting.ODE_TOLERANCE)
+        profile = shooting.solve_ground_state(omega)
+        rep = evaluate(profile)
+        mass_prime, beta_prime = omega_slopes(profile, rep)
+        rescaled_prime = landscape._rescaled_mass_slope(rep, mass_prime, beta_prime)
+        for slope, value_of in ((mass_prime, landscape._mass), (beta_prime, lambda r: r.beta),
+                                (rescaled_prime, landscape._rescaled_mass)):
+            oracle = _richardson(reports, h, value_of)
+            assert abs(slope - oracle) <= 1e-6 * abs(oracle)
 
 
 def _pivots(matrix):
@@ -190,80 +211,104 @@ class TestInvertBeta:
 
 class TestMonotoneRoot:
     """x^3 = target over nodes in [0, 1]; the payload records the point
-    evaluated."""
+    evaluated, and ``slopes`` the nodes whose slope was read."""
 
     NODES = [(0.0, 0.0), (0.5, 0.125), (1.0, 1.0)]
 
     def cube(self, calls):
         def value_at(x):
             calls.append(x)
-            return x**3, ("payload", x)
+            return x**3, 3.0 * x * x, ("payload", x)
         return value_at
 
+    def slope(self, slopes):
+        def slope_at(x):
+            slopes.append(x)
+            return 3.0 * x * x
+        return slope_at
+
     def test_returns_best_evaluated_iterate(self):
-        calls = []
-        x, value, payload = monotone_root(self.cube(calls), 0.125,
+        calls, slopes = [], []
+        x, value, payload = monotone_root(self.cube(calls), self.slope(slopes), 0.125,
                                           [(0.0, 0.0), (1.0, 1.0)], 1e-12)
         assert payload == ("payload", x) and value == x**3
         assert abs(value - 0.125) == min(abs(c**3 - 0.125) for c in calls)
         assert abs(x - 0.5) < 1e-12
+        # the Hermite cubic on the bracket is x^3 itself: one evaluation
+        assert slopes == [0.0, 1.0] and len(calls) == 1
 
     def test_known_end_values_cost_no_evaluation(self):
-        calls = []
-        x, _, _ = monotone_root(self.cube(calls), 0.5, self.NODES, 1e-12)
+        calls, slopes = [], []
+        x, _, _ = monotone_root(self.cube(calls), self.slope(slopes), 0.5, self.NODES, 1e-12)
         assert not {node for node, _ in self.NODES} & set(calls)
         assert x in calls and all(0.5 < c < 1.0 for c in calls)
+        # the bracket's two nodes lend their slopes, the other node nothing
+        assert slopes == [0.5, 1.0]
 
     def test_end_point_hit(self):
         # past the last node by less than end_tol: that node, evaluated once
-        calls = []
-        x, value, payload = monotone_root(self.cube(calls), 1.0 + 1e-12,
+        calls, slopes = [], []
+        x, value, payload = monotone_root(self.cube(calls), self.slope(slopes), 1.0 + 1e-12,
                                           self.NODES, 1e-12, end_tol=1e-9)
         assert (x, value, payload) == (1.0, 1.0, ("payload", 1.0))
         assert calls == [1.0]
         # a bracket end within end_tol is the answer, also when end_tol is 0
         for target, end_tol, node in ((0.125 + 1e-12, 1e-9, 0.5), (0.0, 0.0, 0.0)):
             calls.clear()
-            x, _, payload = monotone_root(self.cube(calls), target, self.NODES,
-                                          1e-12, end_tol=end_tol)
+            x, _, payload = monotone_root(self.cube(calls), self.slope(slopes), target,
+                                          self.NODES, 1e-12, end_tol=end_tol)
             assert (x, payload, calls) == (node, ("payload", node), [node])
+        assert slopes == []
 
     def test_unbracketed_raises_target_not_bracketed(self):
-        calls = []
+        calls, slopes = [], []
         with pytest.raises(TargetNotBracketed, match="not bracketed"):
-            monotone_root(self.cube(calls), 2.0, self.NODES, 1e-12)
+            monotone_root(self.cube(calls), self.slope(slopes), 2.0, self.NODES, 1e-12)
         # the nearest end node is the only candidate, and it is not evaluated
         with pytest.raises(TargetNotBracketed):
-            monotone_root(self.cube(calls), -0.5, self.NODES, 1e-12, end_tol=0.4)
-        assert calls == []
+            monotone_root(self.cube(calls), self.slope(slopes), -0.5, self.NODES, 1e-12,
+                          end_tol=0.4)
+        assert calls == [] and slopes == []
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(slope=st.floats(0.1, 10.0), cubic=st.floats(0.0, 5.0),
            root=st.floats(-2.1, 2.1), sign=st.sampled_from([1.0, -1.0]),
            xtol=st.sampled_from([1e-12, 1e-8, 1e-4]),
            end_tol=st.sampled_from([0.0, 1e-3, 0.5]),
-           grid=st.lists(st.integers(-64, 64), min_size=1, max_size=8, unique=True))
+           grid=st.lists(st.integers(-64, 64), min_size=1, max_size=8, unique=True),
+           slopes=st.one_of(st.just(0.0), st.floats(-2e-6, 2e-6),
+                            st.sampled_from(["zero", "nan", "inf", "wrong-sign"])))
     # an end exactly end_tol off the target is accepted
     @example(slope=1.0, cubic=0.0, root=-1.5, sign=-1.0, xtol=1e-12,
-             end_tol=0.5, grid=[-64, 64])
+             end_tol=0.5, grid=[-64, 64], slopes=0.0)
     def test_random_monotone_functions(self, slope, cubic, root, sign, xtol,
-                                       end_tol, grid):
+                                       end_tol, grid, slopes):
+        """``slopes`` is the relative error of every slope, or names what
+        replaces it, which forces bisection: a wrong-sign slope is steep
+        enough that its Newton correction would read as converged."""
         calls = {}
 
         def f(x):
             d = x - root
             return sign * (slope * d + cubic * d**3)
 
+        def slope_at(x):
+            exact = sign * (slope + 3.0 * cubic * (x - root) ** 2)
+            if isinstance(slopes, float):
+                return exact * (1.0 + slopes)
+            return {"zero": 0.0, "nan": math.nan, "inf": math.inf,
+                    "wrong-sign": -1e12 * exact}[slopes]
+
         def value_at(x):
             calls[x] = f(x)
-            return calls[x], ("payload", x)
+            return calls[x], slope_at(x), ("payload", x)
 
         nodes = [(k / 32.0, f(k / 32.0)) for k in sorted(grid)]
         bracket = next(((a, b) for a, b in zip(nodes, nodes[1:])
                         if a[1] * b[1] <= 0), None)
         ends = bracket or (min(nodes[0], nodes[-1], key=lambda n: abs(n[1])),)
         hits = [x for x, value in ends if abs(value) <= end_tol]
-        args = (value_at, 0.0, nodes, xtol)
+        args = (value_at, slope_at, 0.0, nodes, xtol)
         if not hits and bracket is None:
             with pytest.raises(TargetNotBracketed):
                 monotone_root(*args, end_tol=end_tol)
@@ -275,15 +320,23 @@ class TestMonotoneRoot:
         if hits:
             assert x == hits[0] and list(calls) == [x]
         else:
-            # Brent's last iterate is within xtol (plus brentq's relative
-            # 4 eps) of the root, no evaluated point is worse, and no node
-            # was evaluated
+            # the returned iterate is within xtol (plus 4 eps relative) of
+            # the root, no evaluated point is better, and no node was
+            # evaluated
             (lo, _), (hi, _) = bracket
             steepest = slope + 3.0 * cubic * 4.0**2
             assert lo <= x <= hi
             assert not {node for node, _ in nodes} & set(calls)
             assert abs(value) == min(abs(v) for v in calls.values())
             assert abs(value) <= steepest * (xtol + 8.9e-16 * abs(root)) + 1e-15
+            # with exact slopes the Hermite start is the cubic itself, up to
+            # rounding, and a 1e-6 slope error costs a Newton step or two; a
+            # forced bisection halves the bracket down to xtol
+            if isinstance(slopes, str):
+                bound = math.ceil(math.log2((hi - lo) / xtol)) + 1
+            else:
+                bound = 2 if slopes == 0.0 else 4
+            assert len(calls) <= bound
 
     @settings(max_examples=200, deadline=None)
     @given(grid=st.lists(st.integers(0, 64), min_size=1, max_size=12, unique=True),
@@ -296,20 +349,20 @@ class TestMonotoneRoot:
         gaps = [(a, b) for (a, _), (b, _) in zip(nodes, nodes[1:]) if a <= root <= b]
         brackets = []
 
-        def spy(f, a, b, xtol):
-            brackets.append((a, b))
-            return brentq(f, a, b, xtol)
+        def spy(lo, r_lo, s_lo, hi, r_hi, s_hi):
+            brackets.append((lo, hi))
+            return _hermite_root(lo, r_lo, s_lo, hi, r_hi, s_hi)
 
         def value_at(x):
-            return sign * (x - root), None
+            return sign * (x - root), sign, None
 
         on_node = root in {node for node, _ in nodes}
-        with mock.patch.object(curves, "brentq", spy):
+        with mock.patch.object(curves, "_hermite_root", spy):
             if not gaps and not on_node:
                 with pytest.raises(TargetNotBracketed):
-                    monotone_root(value_at, 0.0, nodes, 1e-12)
+                    monotone_root(value_at, lambda x: sign, 0.0, nodes, 1e-12)
                 return
-            x, _, _ = monotone_root(value_at, 0.0, nodes, 1e-12)
+            x, _, _ = monotone_root(value_at, lambda x: sign, 0.0, nodes, 1e-12)
         if on_node:
             # a root on a node is that node, without a search
             assert x == root and brackets == []
@@ -331,7 +384,8 @@ class TestInvertBetaSmallScan:
         monkeypatch.setattr(curves, "solve_ground_state", spy)
         omega, _, rep = invert_beta(target, swept, ode_tolerance)
         assert abs(rep.beta - target) < 1e-12
-        assert len(calls) <= 16
+        # Brent's method took 6 solves here; the nodes' slopes take none
+        assert len(calls) <= 4
         assert omega in calls
 
     def test_fresh_solve_reproduces_mass(self, small_scan, monkeypatch):
