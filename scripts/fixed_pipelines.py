@@ -20,8 +20,11 @@ pipelines then run again in-process and print the fresh solves and L+
 solves of each of their root searches.  Last, the ``scan`` pipeline runs
 again in-process and prints its count of ``solve_ground_state`` calls
 and the worst value over its nodes of each of criterion 02's three
-derivative identities, which no data file holds either.  It takes about
-20 s on a 2-core host.
+derivative identities, which no data file holds either.  Last comes the
+``STARTUP`` block: for each pipeline, the modules besides cqnls's own
+that its process loaded after ``import cqnls.cli``, so a command that
+starts importing a heavy module shows in the diff.  It takes about 20 s
+on a 2-core host.
 Digests compare only between runs on one host: numpy's SIMD level moves
 the last bits of some data files.  A run that fails stops the script:
 the name of its pipeline and its standard error go to stderr, and the
@@ -54,6 +57,18 @@ PIPELINES = (
     ("solve-0.185", ("solve", "--omega", "0.185"), None),
     ("validate", ("validate",), None),
 )
+#: one pipeline's command line, run after ``import cqnls.cli`` with its
+#: standard output dropped; prints the modules the run loaded besides
+#: cqnls's own, and exits with the command's status
+PIPELINE = """
+import contextlib, io, sys
+import cqnls.cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cqnls.cli.main(sys.argv[1:])
+print(" ".join(sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "cqnls")))
+sys.exit(status)
+"""
 CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
            "print(repr(certify_e_min_by_flow(320.0)))")
 #: accepted steps (summed over ``_march`` runs) and ``_march`` runs per
@@ -144,6 +159,7 @@ def _python(name: str, *args: str) -> str:
 
 
 def main(out: Path):
+    startup = []
     for name, argv, config in PIPELINES:
         target = out / name
         target.mkdir(parents=True, exist_ok=True)
@@ -151,7 +167,8 @@ def main(out: Path):
         if config is not None:
             (target / "config.txt").write_text(config)
             extra = ("--config", str(target / "config.txt"))
-        _python(name, "-m", "cqnls.cli", *argv, *extra, "--out", str(target))
+        loaded = _python(name, "-c", PIPELINE, *argv, *extra, "--out", str(target))
+        startup.append(f"STARTUP {name}: {loaded.strip() or '-'}")
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name != "manifest.json":
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -163,6 +180,7 @@ def main(out: Path):
             extra = () if config is None else ("--config", str(out / name / "config.txt"))
             print(_python(name, "-c", ROOT_SEARCHES, name, *argv, *extra), end="")
     print(_python("criterion 02", "-c", CRITERION_02), end="")
+    print("\n".join(startup))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -365,6 +366,12 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
 
+
+# The ~22k objects the imports leave to the cyclic collector, nearly all
+# numpy's, live until the process exits anyway.  Frozen, they are skipped
+# by every later collection, the one at interpreter exit included, which
+# otherwise walks them all (README, Start-up).
+gc.freeze()
 
 if __name__ == "__main__":
     sys.exit(main())

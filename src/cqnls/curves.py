@@ -21,13 +21,14 @@ a safeguarded Newton iteration with a fresh solve per iterate, whose
 slopes come from the same L+ solve on every fourth and every eighth node
 (``omega_slopes``; beta' = (L6' G - L6 G')/G^2 with L6' = 6<Q^5, v>).
 The scanned nodes bracketing a root lend it their values and, from
-their cached profiles, their slopes.  Stability labels follow the sign
+their cached profiles, their slopes, each computed once per process.  Stability labels follow the sign
 structure of the mass derivative around the critical frequency.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -132,6 +133,17 @@ class CriticalFrequencies:
             raise ValueError("threshold mass must undercut M(Q_1)")
 
 
+def _unique(values) -> np.ndarray:
+    """``np.unique`` of floats: sorted, each value once and NaN, which
+    sorts last, once.  ``np.unique`` asks ``np.ma.is_masked`` whether its
+    input is masked, and importing ``numpy.ma`` for that costs a process
+    11-17 ms."""
+    values = np.sort(values, axis=None)
+    first = np.ones(values.shape, dtype=bool)
+    first[1:] = (values[1:] != values[:-1]) & ~np.isnan(values[:-1])
+    return values[first]
+
+
 #: the frequency at which ``default_omega_grid`` joins its two halves
 _GRID_SPLIT = 0.06
 
@@ -150,7 +162,7 @@ def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185) -> np.
     low = lo * (_GRID_SPLIT / lo) ** np.linspace(0.0, 1.0, n_low, endpoint=False)
     gap_hi, gap_mid = OMEGA_MAX - hi, OMEGA_MAX - _GRID_SPLIT
     high = OMEGA_MAX - gap_mid * (gap_hi / gap_mid) ** np.linspace(0.0, 1.0, n_high)
-    return np.unique(np.concatenate([low, high]))
+    return _unique(np.concatenate([low, high]))
 
 
 def scan(omega_grid, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
@@ -160,7 +172,7 @@ def scan(omega_grid, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
     if omega_grid.size == 0:
         raise EmptyGrid("scan grid is empty")
     points, failures = [], []
-    for omega in np.unique(omega_grid):
+    for omega in _unique(omega_grid):
         try:
             rep = evaluate(solve_ground_state(float(omega), ode_tolerance))
             points.append(FrequencyCurvePoint.from_report(float(omega), rep))
@@ -273,14 +285,25 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
 _SLOPE_STEP = 4
 
 
-def omega_slopes(profile: RadialProfile, rep: FunctionalReport) -> tuple[float, float]:
-    """(M', beta') of a ground state and its report, from the L+ solve of
-    ``differentiate`` on every ``_SLOPE_STEP``-th node of its profile
-    instead of every one: beta' = (L6' G - L6 G') / G^2.  That costs 3/8
-    of a solve on every node and keeps them within about 1e-8 of
-    ``differentiate``'s, so a Newton step shrinks the error e of its
+@functools.cache
+def _solved_pairings(omega: float, ode_tolerance: float, step: int) -> tuple[float, ...]:
+    """``_extrapolated_pairings`` of the ground state solved at omega to
+    ``ode_tolerance``, once per process: the profile depends on the two
+    alone (``solve_ground_state``), and a scanned node that brackets
+    several root searches lends each of them the same slopes."""
+    return tuple(_extrapolated_pairings(cached_ground_state(omega, ode_tolerance), step))
+
+
+def omega_slopes(omega: float, ode_tolerance: float,
+                 rep: FunctionalReport) -> tuple[float, float]:
+    """(M', beta') of the ground state at omega and its report, from the
+    L+ solve of ``differentiate`` on every ``_SLOPE_STEP``-th node of its
+    profile instead of every one: beta' = (L6' G - L6 G') / G^2.  That
+    costs 3/8 of a solve on every node and keeps them within about 1e-8
+    of ``differentiate``'s, so a Newton step shrinks the error e of its
     iterate to about 1e-8 e + O(e^2)."""
-    mass_prime, grad_prime, _, _, l6_prime = _extrapolated_pairings(profile, _SLOPE_STEP)
+    mass_prime, grad_prime, _, _, l6_prime = _solved_pairings(omega, ode_tolerance,
+                                                              _SLOPE_STEP)
     return mass_prime, (l6_prime * rep.grad_sq - rep.l6 * grad_prime) / rep.grad_sq**2
 
 
@@ -380,15 +403,16 @@ def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE
     ToleranceNotMet is raised when that iterate misses the target by more
     than ``BETA_TOL``.
     """
-    def point(profile):
+    def point(omega, solve):
+        profile = solve(omega, ode_tolerance)
         rep = evaluate(profile)
-        return rep.beta, omega_slopes(profile, rep)[1], (profile, rep)
+        return rep.beta, omega_slopes(omega, ode_tolerance, rep)[1], (profile, rep)
 
     def beta_at(omega):
-        return point(solve_ground_state(omega, ode_tolerance))
+        return point(omega, solve_ground_state)
 
     def slope_at(omega):
-        return point(cached_ground_state(omega, ode_tolerance))[1]
+        return point(omega, cached_ground_state)[1]
 
     nodes = [(p.omega, p.beta) for p in curve.points]
     omega, beta, (profile, rep) = monotone_root(beta_at, slope_at, target, nodes, 1e-12)

@@ -93,15 +93,15 @@ def _branch_roots(m, curve, split, value_min, value_of, slope_of, ode_tolerance)
     if abs(m - value_min) <= tol:
         return [(CRITICAL_BRANCH, split, evaluate(solve_ground_state(split, ode_tolerance)))]
 
-    def point(profile):
-        rep = evaluate(profile)
-        return value_of(rep), slope_of(rep, *omega_slopes(profile, rep)), rep
+    def point(omega, solve):
+        rep = evaluate(solve(omega, ode_tolerance))
+        return value_of(rep), slope_of(rep, *omega_slopes(omega, ode_tolerance, rep)), rep
 
     def value_at(omega):
-        return point(solve_ground_state(omega, ode_tolerance))
+        return point(omega, solve_ground_state)
 
     def slope_at(omega):
-        return point(cached_ground_state(omega, ode_tolerance))[1]
+        return point(omega, cached_ground_state)[1]
 
     lower = [(p.omega, value_of(p)) for p in curve.points if p.omega < split]
     upper = [(p.omega, value_of(p)) for p in curve.points if p.omega > split]

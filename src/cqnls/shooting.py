@@ -54,7 +54,6 @@ import functools
 import importlib.util
 import math
 import os
-import runpy
 from typing import NamedTuple
 
 import numpy as np
@@ -158,12 +157,19 @@ def _event_thresholds(a: float):
 
 @functools.cache
 def _dop853_tableau() -> dict:
-    """The namespace of scipy's ``dop853_coefficients.py``, run from its
-    source file at first use (importing it would load all of
+    """The namespace of scipy's ``dop853_coefficients.py``, loaded from its
+    file at first use (importing it by name would load all of
     ``scipy.integrate``), with its coefficients as floats: row s of "A"
-    holds the s coefficients of stage s."""
+    holds the s coefficients of stage s.  The loader runs the compiled
+    ``.pyc`` in scipy's ``__pycache__`` when it is current, as
+    ``cqnls.lapack`` loads ``_flapack``; the module is not registered."""
     root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    t = runpy.run_path(os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    spec = importlib.util.spec_from_file_location(
+        "scipy.integrate._ivp.dop853_coefficients",
+        os.path.join(root, "integrate", "_ivp", "dop853_coefficients.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    t = vars(module)
     return {**t, "A": tuple(tuple(map(float, row[:s])) for s, row in enumerate(t["A"])),
             **{name: tuple(map(float, t[name])) for name in ("B", "C", "E3", "E5")},
             "D": tuple(tuple(map(float, row)) for row in t["D"])}

@@ -47,6 +47,19 @@ class TestDefaultGrid:
         assert default_omega_grid(3, 0.01, 0.1).tolist() == [0.01, 0.06, 0.1]
 
 
+class TestUnique:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(pool=st.lists(st.floats() | st.sampled_from([0.0, -0.0, math.nan]),
+                         min_size=1, max_size=6),
+           picks=st.lists(st.integers(0, 5), max_size=20))
+    @example(pool=[math.nan, 0.0, -0.0, 1.0, -math.inf], picks=[0, 3, 1, 0, 2, 3, 4, 0])
+    def test_equals_np_unique(self, pool, picks):
+        # duplicates, signed zeros and NaNs in any order, drawn from a
+        # small pool so that values repeat
+        values = np.array([pool[i % len(pool)] for i in picks], dtype=float)
+        assert np.array_equal(curves._unique(values), np.unique(values), equal_nan=True)
+
+
 class TestScan:
     def test_empty_grid_rejected(self):
         with pytest.raises(EmptyGrid):
@@ -153,12 +166,37 @@ class TestNewtonSlopes:
         reports = _stencil_reports(omega, h, shooting.ODE_TOLERANCE)
         profile = shooting.solve_ground_state(omega)
         rep = evaluate(profile)
-        mass_prime, beta_prime = omega_slopes(profile, rep)
+        mass_prime, beta_prime = omega_slopes(omega, shooting.ODE_TOLERANCE, rep)
         rescaled_prime = landscape._rescaled_mass_slope(rep, mass_prime, beta_prime)
         for slope, value_of in ((mass_prime, landscape._mass), (beta_prime, lambda r: r.beta),
                                 (rescaled_prime, landscape._rescaled_mass)):
             oracle = _richardson(reports, h, value_of)
             assert abs(slope - oracle) <= 1e-6 * abs(oracle)
+
+    def test_each_profile_is_paired_once(self, small_scan, monkeypatch):
+        # the nodes bracketing a search lend their slopes from one L+
+        # solve per profile (fine and coarse spacing), and a search
+        # repeated on the same nodes makes no further L+ solve
+        swept, ode_tolerance = small_scan
+        curves._solved_pairings.cache_clear()
+        paired, pairings = [], curves._omega_pairings
+
+        def spy(profile, stop, step):
+            paired.append(profile.omega)
+            return pairings(profile, stop, step)
+        monkeypatch.setattr(curves, "_omega_pairings", spy)
+        first = invert_beta(1.0 / 3.0, swept, ode_tolerance)
+        assert paired and all(paired.count(omega) == 2 for omega in paired)
+        count = len(paired)
+        assert invert_beta(1.0 / 3.0, swept, ode_tolerance)[0] == first[0]
+        assert len(paired) == count
+
+    def test_pairings_are_kept_per_tolerance(self):
+        curves._solved_pairings.cache_clear()
+        for ode_tolerance in (shooting.ODE_TOLERANCE, 1e-10):
+            profile = shooting.solve_ground_state(0.09, ode_tolerance)
+            assert curves._solved_pairings(0.09, ode_tolerance, 4) == tuple(
+                curves._extrapolated_pairings(profile, 4))
 
 
 def _pivots(matrix):

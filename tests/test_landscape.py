@@ -88,7 +88,7 @@ class TestBranchDirection:
         monkeypatch.setattr(landscape, "evaluate",
                             lambda om: SimpleNamespace(mass=self.mass(om)))
         monkeypatch.setattr(landscape, "omega_slopes",
-                            lambda om, rep: (2.0 * self.K * (om - 0.024), 0.0))
+                            lambda om, ode_tolerance, rep: (2.0 * self.K * (om - 0.024), 0.0))
         points = tuple(
             FrequencyCurvePoint(om, self.mass(om), 0.0, 0.5, 0.0, 1.0, 0.0, 0.0)
             for om in (0.005, 0.01, 0.06, 0.15))

@@ -2,16 +2,21 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 #: what evolve, spectra and the flow load of scipy: its compiled LAPACK
 #: wrappers, from their file, and not the scipy.linalg package
 FLAPACK = {"scipy.linalg._flapack"}
+#: modules no command loads: numpy's masked arrays, which ``np.unique``
+#: imports, and the two ``runpy.run_path`` loaded to read the DOP853 tableau
+UNUSED = ("numpy.ma", "runpy", "pkgutil")
 
 
 def _run(code: str) -> str:
@@ -22,12 +27,16 @@ def _run(code: str) -> str:
     return run.stdout.splitlines()[-1]
 
 
+def _modules(code: str) -> set[str]:
+    """The full names of the modules a fresh interpreter has loaded after
+    running ``code``."""
+    return set(json.loads(_run(code + "\nimport json, sys\nprint(json.dumps(list(sys.modules)))")))
+
+
 def _scipy_modules(code: str) -> set[str]:
     """The full names of the scipy modules a fresh interpreter has loaded
     after running ``code``."""
-    probe = ("\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy')))")
-    return set(json.loads(_run(code + probe)))
+    return {m for m in _modules(code) if m.split(".")[0] == "scipy"}
 
 
 def test_import_loads_no_scipy_subpackage():
@@ -44,9 +53,34 @@ def test_import_builds_no_stepper():
     assert _run(code).split() == ["0", "0"]
 
 
+def test_import_freezes_what_it_loads():
+    # the objects the imports leave, nearly all numpy's, are frozen, so
+    # the collection at interpreter exit does not walk them
+    code = "import gc, cqnls.cli\nprint(gc.get_freeze_count())"
+    assert int(_run(code)) > 20_000
+
+
+def test_tableau_is_the_coefficient_file():
+    # the loaded module holds what running scipy's source file gives
+    import scipy
+
+    from cqnls import shooting
+    source = runpy.run_path(os.path.join(os.path.dirname(scipy.__file__), "integrate",
+                                         "_ivp", "dop853_coefficients.py"))
+    tableau = shooting._dop853_tableau()
+    assert tableau["N_STAGES"] == source["N_STAGES"]
+    assert tableau["A"] == tuple(tuple(row[:s].tolist()) for s, row in enumerate(source["A"]))
+    for name in ("B", "C", "E3", "E5", "D"):
+        assert np.array_equal(tableau[name], source[name]), name
+
+
+#: window flags of a 5-node scan below omega = 0.15
+SMALL_SCAN = ["--grid-size", "5", "--omega-min", "0.004", "--omega-max", "0.15"]
 #: each command's arguments besides its output directory
 ARGUMENTS = {"solve": ["--omega", "0.09"], "spectra": ["--omega", "0.09"],
              "scan": ["--grid-size", "5", "--derivatives"],
+             "critical": SMALL_SCAN,
+             "landscape": ["--mass-grid", "2", "--ode-tol", "1e-10", *SMALL_SCAN],
              "evolve": ["--omega", "0.09", "--t-end", "2"], "validate": []}
 
 
@@ -55,6 +89,8 @@ ARGUMENTS = {"solve": ["--omega", "0.09"], "spectra": ["--omega", "0.09"],
     ("spectra", True),
     # scan's derivatives solve their linear systems in plain Python
     ("scan", False),
+    ("critical", False),
+    ("landscape", False),
     ("evolve", True),
     # the 1D oracle's references are closed forms, and no other check of
     # the battery integrates, interpolates or factors a matrix
@@ -62,8 +98,11 @@ ARGUMENTS = {"solve": ["--omega", "0.09"], "spectra": ["--omega", "0.09"],
 ])
 def test_commands_load_what_they_use(command, needs_lapack, tmp_path):
     argv = [command, *ARGUMENTS[command], "--out", str(tmp_path)]
-    loaded = _scipy_modules(f"from cqnls import cli\nassert cli.main({argv!r}) == 0")
-    assert loaded == (FLAPACK if needs_lapack else set())
+    loaded = _modules(f"from cqnls import cli\nassert cli.main({argv!r}) == 0")
+    assert {m for m in loaded if m.split(".")[0] == "scipy"} == (
+        FLAPACK if needs_lapack else set())
+    assert not {m for m in loaded for unused in UNUSED
+                if m == unused or m.startswith(unused + ".")}
     assert (tmp_path / "manifest.json").exists()
 
 
