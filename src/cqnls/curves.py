@@ -315,10 +315,9 @@ def _hermite_root(lo, r_lo, s_lo, hi, r_hi, s_hi) -> float:
     """A root inside (lo, hi) of the cubic Hermite interpolant of the
     residuals r_lo, r_hi, of opposite signs, and the slopes s_lo, s_hi, by
     bisection on the unit interval; the midpoint when a slope is not
-    finite or the root rounds onto an end."""
-    mid = 0.5 * (lo + hi)
+    finite, and ``_inside`` of the root when it rounds onto an end."""
     if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
-        return mid
+        return 0.5 * (lo + hi)
     h = hi - lo
     d_lo, d_hi = h * s_lo, h * s_hi
 
@@ -333,8 +332,19 @@ def _hermite_root(lo, r_lo, s_lo, hi, r_hi, s_hi) -> float:
             a = t
         else:
             b = t
-    x = lo + 0.5 * (a + b) * h
-    return x if lo < x < hi else mid
+    return _inside(lo + 0.5 * (a + b) * h, lo, hi)
+
+
+def _inside(x, lo, hi) -> float:
+    """x if it lies inside (lo, hi); the float next to the end it equals,
+    since a root that rounds onto an end lies closer to it than any other
+    float; otherwise the midpoint.  Bisecting a root that close would
+    halve the bracket down to xtol."""
+    if lo < x < hi:
+        return x
+    if x in (lo, hi):
+        return math.nextafter(x, hi if x == lo else lo)
+    return 0.5 * (lo + hi)
 
 
 def monotone_root(value_at, slope_at, target: float, nodes, xtol: float,
@@ -350,8 +360,9 @@ def monotone_root(value_at, slope_at, target: float, nodes, xtol: float,
     candidate farther off raises ``TargetNotBracketed``.  Otherwise a
     safeguarded Newton iteration starts from the root of the cubic Hermite
     interpolant on the bracket and steps by each iterate's own slope; a
-    step that leaves the sign bracket, and a zero, non-finite or
-    wrong-sign slope, bisect instead.  It stops once
+    step that lands on an end of the sign bracket takes the float next to
+    it, and a step beyond it, and a zero, non-finite or wrong-sign slope,
+    bisect instead.  It stops once
     an iterate's Newton correction is at most ``xtol``, the bracket is
     narrower than ``xtol``, or after ``_MAX_ROOT_STEPS`` evaluations, and
     returns the evaluated iterate nearest the target as
@@ -385,9 +396,7 @@ def monotone_root(value_at, slope_at, target: float, nodes, xtol: float,
         step = -residual / slope if newton else math.nan
         if abs(step) <= xtol or hi - lo <= xtol:
             break
-        x += step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        x = _inside(x + step, lo, hi)
     best = min(evaluated, key=lambda x: abs(evaluated[x][0] - target))
     return (best, *evaluated[best])
 

@@ -319,6 +319,11 @@ class TestMonotoneRoot:
     # an end exactly end_tol off the target is accepted
     @example(slope=1.0, cubic=0.0, root=-1.5, sign=-1.0, xtol=1e-12,
              end_tol=0.5, grid=[-64, 64], slopes=0.0)
+    # a root that rounds onto a bracket end costs no bisection
+    @example(slope=1.0, cubic=0.0, root=-1.1754943508222875e-38, sign=1.0, xtol=1e-12,
+             end_tol=0.0, grid=[0, -1], slopes=0.0)
+    @example(slope=1.0, cubic=0.0, root=5e-324, sign=-1.0, xtol=1e-12,
+             end_tol=0.0, grid=[0, 1], slopes=1e-6)
     def test_random_monotone_functions(self, slope, cubic, root, sign, xtol,
                                        end_tol, grid, slopes):
         """``slopes`` is the relative error of every slope, or names what
