@@ -127,6 +127,13 @@ def _run_command(args) -> int:
     return code
 
 
+def _passes_residual_gate(report) -> bool:
+    """Whether both identity residuals of ``report`` are at most
+    ``RESIDUAL_GATE``; a NaN residual fails."""
+    return (report.nehari_residual <= RESIDUAL_GATE
+            and report.pohozaev_residual <= RESIDUAL_GATE)
+
+
 @_command("solve one ground state", _OMEGA)
 def cmd_solve(args, out):
     profile = solve_ground_state(args.omega, args.ode_tol)
@@ -136,10 +143,9 @@ def cmd_solve(args, out):
     profile.save(out, args.ode_tol, residuals)
     _write_json(out / "report.json", {**asdict(report), "omega": args.omega})
     extra = {"residuals": residuals}
-    if (report.nehari_residual > RESIDUAL_GATE
-            or report.pohozaev_residual > RESIDUAL_GATE):
+    if not _passes_residual_gate(report):
         print(f"residual gate failed: nehari={report.nehari_residual:.2e}, "
-              f"pohozaev={report.pohozaev_residual:.2e} exceed {RESIDUAL_GATE:g}",
+              f"pohozaev={report.pohozaev_residual:.2e}, not both within {RESIDUAL_GATE:g}",
               file=sys.stderr)
         return 3, extra
     print(f"solved omega={args.omega}: residuals {residuals}")
@@ -279,10 +285,9 @@ def _validate_checks(ode_tolerance: float) -> list[tuple[str, bool, str]]:
             # a failed solve is a failed check; the battery goes on
             checks.append((name, False, f"{type(err).__name__}: {err}"))
             continue
-        ok = (rep.nehari_residual < RESIDUAL_GATE
-              and rep.pohozaev_residual < RESIDUAL_GATE)
-        checks.append((name, ok, f"nehari {rep.nehari_residual:.2e}, "
-                                 f"pohozaev {rep.pohozaev_residual:.2e}"))
+        checks.append((name, _passes_residual_gate(rep),
+                       f"nehari {rep.nehari_residual:.2e}, "
+                       f"pohozaev {rep.pohozaev_residual:.2e}"))
     return checks
 
 

@@ -40,6 +40,7 @@ from .errors import (CqnlsError, EmptyGrid, InnerSolveDiverged, InsufficientCove
 from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile
 from .quadrature import simpson_uniform
+from .roots import halve
 from .shooting import ODE_TOLERANCE, cached_ground_state, solve_ground_state
 
 STABLE = "stable"
@@ -307,15 +308,16 @@ def omega_slopes(omega: float, ode_tolerance: float,
     return mass_prime, (l6_prime * rep.grad_sq - rep.l6 * grad_prime) / rep.grad_sq**2
 
 
-#: most evaluations of one root search, as in ``roots.brentq``
+#: most evaluations of one root search
 _MAX_ROOT_STEPS = 100
 
 
 def _hermite_root(lo, r_lo, s_lo, hi, r_hi, s_hi) -> float:
     """A root inside (lo, hi) of the cubic Hermite interpolant of the
     residuals r_lo, r_hi, of opposite signs, and the slopes s_lo, s_hi, by
-    bisection on the unit interval; the midpoint when a slope is not
-    finite, and ``_inside`` of the root when it rounds onto an end."""
+    ``halve`` on the unit interval until no float is left; the midpoint
+    when a slope is not finite, and ``_inside`` of the root when it rounds
+    onto an end."""
     if not (math.isfinite(s_lo) and math.isfinite(s_hi)):
         return 0.5 * (lo + hi)
     h = hi - lo
@@ -325,13 +327,7 @@ def _hermite_root(lo, r_lo, s_lo, hi, r_hi, s_hi) -> float:
         return (((2 * t - 3) * t * t + 1) * r_lo + ((t - 2) * t + 1) * t * d_lo
                 + (3 - 2 * t) * t * t * r_hi + (t - 1) * t * t * d_hi)
 
-    a, b = 0.0, 1.0
-    for _ in range(64):
-        t = 0.5 * (a + b)
-        if (cubic(t) > 0.0) == (r_lo > 0.0):
-            a = t
-        else:
-            b = t
+    a, b = halve(lambda t: (cubic(t) > 0.0) != (r_lo > 0.0), 0.0, 1.0, 0.0)
     return _inside(lo + 0.5 * (a + b) * h, lo, hi)
 
 
@@ -357,17 +353,19 @@ def monotone_root(value_at, slope_at, target: float, nodes, xtol: float,
     pair of consecutive nodes whose values straddle the target; without
     one, the end node nearest it is the candidate.  A bracket end or
     candidate within ``end_tol`` of the target is accepted as it stands; a
-    candidate farther off raises ``TargetNotBracketed``.  Otherwise a
-    safeguarded Newton iteration starts from the root of the cubic Hermite
-    interpolant on the bracket and steps by each iterate's own slope; a
-    step that lands on an end of the sign bracket takes the float next to
-    it, and a step beyond it, and a zero, non-finite or wrong-sign slope,
-    bisect instead.  It stops once
+    candidate farther off, or no node at all, raises
+    ``TargetNotBracketed``.  Otherwise a safeguarded Newton iteration
+    starts from the root of the cubic Hermite interpolant on the bracket
+    and steps by each iterate's own slope; a step that lands on an end of
+    the sign bracket takes the float next to it, and a step beyond it, and
+    a zero, non-finite or wrong-sign slope, bisect instead.  It stops once
     an iterate's Newton correction is at most ``xtol``, the bracket is
     narrower than ``xtol``, or after ``_MAX_ROOT_STEPS`` evaluations, and
     returns the evaluated iterate nearest the target as
     ``(x, value, payload)``.
     """
+    if not nodes:
+        raise TargetNotBracketed(f"{target} not bracketed: no nodes")
     bracket = next(((a, b) for a, b in zip(nodes, nodes[1:])
                     if min(a[1], b[1]) <= target <= max(a[1], b[1])), None)
     ends = bracket or (min(nodes[0], nodes[-1], key=lambda n: abs(n[1] - target)),)

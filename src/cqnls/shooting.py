@@ -61,7 +61,7 @@ import numpy as np
 from .errors import BracketFailure, DomainTooSmall, FrequencyOutOfWindow
 from .profiles import (CUBIC_REFERENCE, GROUND_STATE, OMEGA_MAX, RadialProfile,
                        even_grid)
-from .roots import RTOL, brentq
+from .roots import halve
 
 
 def __getattr__(name):
@@ -397,11 +397,20 @@ class _DenseTrajectory:
 
 def _first_event(events, fired, segment: _Segment) -> int:
     """Index of the earliest root of the ``fired`` events on a step's
-    dense output, each located by Brent's method as ``solve_ivp`` does
-    (xtol = rtol = 4 eps); an equal root goes to the lower index."""
+    dense output; an equal root goes to the lower index.  A value of zero
+    at the step start is a root there; otherwise ``halve`` finds the
+    first float at which the value is zero or has left its sign at the
+    start."""
     trajectory = _DenseTrajectory([segment])
-    return min((brentq(lambda t, k=k: events(t, *trajectory(t))[k], segment.r, segment.r_new,
-                       RTOL, RTOL), k) for k in fired)[1]
+
+    def root(k):
+        start = events(segment.r, segment.u, segment.up)[k]
+
+        def left(t):
+            value = events(t, *trajectory(t))[k]
+            return value == 0.0 or (value > 0.0) != (start > 0.0)
+        return segment.r if start == 0.0 else halve(left, segment.r, segment.r_new, 0.0)[1]
+    return min((root(k), k) for k in fired)[1]
 
 
 def _march(problem: _Problem, params, r, u, up, r_end, rtol, atol=None, first_step=None,
@@ -509,15 +518,8 @@ def _bisect(shot, tolerance: float):
             f"bracket ({lo}, {hi}) classes ({ends[0].value}, {ends[1].value}) "
             "do not separate TurnsUpward from CrossesZero"
         )
-    while hi - lo > tolerance * lo:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _classify_at(shot, mid) is TrajectoryClass.CROSSES_ZERO:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    return halve(lambda x: _classify_at(shot, x) is TrajectoryClass.CROSSES_ZERO,
+                 lo, hi, tolerance)
 
 
 def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,

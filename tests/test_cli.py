@@ -1,9 +1,10 @@
 import csv
 import json
+import math
 import runpy
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,13 @@ class TestSolve:
         assert main(["solve", "--omega", "0.09", "--ode-tol", "1e-10",
                      "--out", str(tmp_path)]) == 0
         assert json.loads((tmp_path / "profile.json").read_text())["ode_tolerance"] == 1e-10
+
+    def test_nan_residual_exits_3(self, tmp_path, monkeypatch, capsys):
+        # NaN is no residual within the gate
+        monkeypatch.setattr(cli, "evaluate", lambda profile: replace(
+            evaluate(profile), nehari_residual=math.nan))
+        assert main(["solve", "--omega", "0.09", "--out", str(tmp_path)]) == 3
+        assert "residual gate failed: nehari=nan" in capsys.readouterr().err
 
     def test_window_end_solves_at_loose_tolerance(self, tmp_path):
         # the run turns just past the matching window; the tail is fitted

@@ -308,6 +308,12 @@ class TestMonotoneRoot:
                           end_tol=0.4)
         assert calls == [] and slopes == []
 
+    def test_no_nodes_raise_target_not_bracketed(self):
+        calls, slopes = [], []
+        with pytest.raises(TargetNotBracketed, match="no nodes"):
+            monotone_root(self.cube(calls), self.slope(slopes), 0.5, [], 1e-12)
+        assert calls == [] and slopes == []
+
     @settings(max_examples=300, deadline=None)
     @given(slope=st.floats(0.1, 10.0), cubic=st.floats(0.0, 5.0),
            root=st.floats(-2.1, 2.1), sign=st.sampled_from([1.0, -1.0]),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqnls.curves import FrequencyCurve
 from cqnls.errors import AlphaOutOfRange, KindMismatch, ToleranceNotMet
 from cqnls.functionals import evaluate, f_alpha
 from cqnls.geometry import (c_alpha, q_alpha, random_test_functions,
@@ -68,6 +69,9 @@ class TestQCAlpha:
             q_alpha(1e5, curve)
         with pytest.raises(AlphaOutOfRange):
             q_alpha(-1.0, curve)
+        # a curve without points brackets nothing
+        with pytest.raises(AlphaOutOfRange):
+            q_alpha(0.5, FrequencyCurve(points=()))
 
 
 class TestRandomTestFunctions:
