@@ -183,27 +183,22 @@ def scan(omega_grid, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
-    """x with lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i]:
-    elimination without pivoting (the Thomas algorithm) in Python floats.
-    A zero or non-finite pivot, or a non-finite x, raises
-    ``InnerSolveDiverged``."""
-    lower, diag, upper, rhs = (np.asarray(v, dtype=float).tolist()
-                               for v in (lower, diag, upper, rhs))
-    ratios, x, pivots = [], [], []
-    ratio = value = 0.0
-    try:
-        for a, b, c, d in zip([0.0, *lower], diag, [*upper, 0.0], rhs):
-            pivots.append(b - a * ratio)
-            ratio, value = c / pivots[-1], (d - a * value) / pivots[-1]
-            ratios.append(ratio)
-            x.append(value)
-    except ZeroDivisionError:
-        raise InnerSolveDiverged(f"zero pivot in row {len(x)} of a tridiagonal solve") from None
-    for i in range(len(x) - 2, -1, -1):
-        x[i] -= ratios[i] * x[i + 1]
-    if not (np.all(np.isfinite(pivots)) and np.all(np.isfinite(x))):
-        raise InnerSolveDiverged("non-finite pivot or solution in a tridiagonal solve")
-    return np.array(x)
+    """x with lower[i-1] x[i-1] + diag[i] x[i] + upper[i] x[i+1] = rhs[i],
+    by LAPACK's dgtsv (LU with partial pivoting) as
+    ``scipy.linalg.solve_banded((1, 1), ...)`` calls it; one row by
+    division, as the wrapper takes no empty off-diagonal.  A singular
+    matrix or a non-finite x raises ``InnerSolveDiverged``."""
+    # imported here, so that commands which solve no L+ load no scipy
+    from .lapack import dgtsv
+    if len(diag) == 1:
+        x = np.asarray(rhs, dtype=float) / diag[0]
+    else:
+        *_, x, info = dgtsv(lower, diag, upper, rhs)
+        if info > 0:
+            raise InnerSolveDiverged(f"singular tridiagonal system (dgtsv info={info})")
+    if not np.all(np.isfinite(x)):
+        raise InnerSolveDiverged("non-finite solution of a tridiagonal solve")
+    return x
 
 
 def _tail_pairing(f0, f1, g0, g1, a):

@@ -1,4 +1,4 @@
-"""The four LAPACK routines cqnls calls, from scipy's compiled wrappers.
+"""The five LAPACK routines cqnls calls, from scipy's compiled wrappers.
 
 ``scipy.linalg._flapack`` is loaded from its file, as
 ``shooting._dop853_tableau`` reads scipy's DOP853 coefficients: importing
@@ -38,3 +38,5 @@ zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 dstebz = _flapack.dstebz
 #: solve of a real banded system by LU with partial pivoting
 dgbsv = _flapack.dgbsv
+#: solve of a real tridiagonal system by LU with partial pivoting
+dgtsv = _flapack.dgtsv

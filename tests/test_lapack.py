@@ -1,16 +1,18 @@
 """The direct LAPACK calls against the scipy.linalg functions they replace.
 
 ``cqnls.lapack`` loads scipy's compiled LAPACK wrappers without importing
-``scipy.linalg``; the flow and the spectra pass them the very arguments
-``solve_banded`` and ``eigh_tridiagonal`` would, so the results must be
-the same arrays bit for bit.
+``scipy.linalg``; the flow, the L+ solves of the curves and the spectra
+pass them the very arguments ``solve_banded`` and ``eigh_tridiagonal``
+would, so the results must be the same arrays bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal, solve_banded
 
+from cqnls.curves import _solve_tridiagonal
 from cqnls.dynamics import _lowest_eigenvalues
 from cqnls.flow import _solve_shifted
 
@@ -29,6 +31,34 @@ def test_flow_step_matches_solve_banded(n, seed):
     shifted[2] += shift
     assert np.array_equal(_solve_shifted(lap, shift, rhs),
                           solve_banded((2, 2), shifted, rhs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), dominant=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_tridiagonal_solve_matches_solve_banded(n, dominant, seed):
+    # general systems, nonsingular with probability one, and strictly
+    # diagonally dominant ones; the L+ rows are dominant only where the
+    # potential is positive
+    rng = np.random.default_rng(seed)
+    lower, upper = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+    diag, rhs = rng.standard_normal(n), rng.standard_normal(n)
+    if dominant:
+        diag = np.sign(diag) * (np.abs(diag) + np.abs(np.r_[0.0, lower])
+                                + np.abs(np.r_[upper, 0.0]) + 0.1)
+    ab = np.array([np.r_[0.0, upper], diag, np.r_[lower, 0.0]])
+    assert np.array_equal(_solve_tridiagonal(lower, diag, upper, rhs),
+                          solve_banded((1, 1), ab, rhs))
+
+
+@pytest.mark.parametrize("lower, diag, upper", [
+    ([1.0], [0.0, 1.0], [1.0]), ([1.0], [1e-320, 1.0], [1.0])],
+    ids=["first-pivot", "overflow"])
+def test_tridiagonal_solve_exchanges_rows(lower, diag, upper):
+    # nonsingular systems whose first pivot without row exchanges is zero
+    # or overflows its reciprocal
+    matrix = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    assert np.array_equal(_solve_tridiagonal(lower, diag, upper, [1.0, 1.0]),
+                          np.linalg.solve(matrix, [1.0, 1.0]))
 
 
 @settings(max_examples=100, deadline=None)

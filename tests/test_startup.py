@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-#: what evolve, spectra and the flow load of scipy: its compiled LAPACK
-#: wrappers, from their file, and not the scipy.linalg package
+#: what the commands that solve L+, evolve, spectra and the flow load of
+#: scipy: its compiled LAPACK wrappers, from their file, and not the
+#: scipy.linalg package
 FLAPACK = {"scipy.linalg._flapack"}
 #: modules no command loads: numpy's masked arrays, which ``np.unique``
 #: imports, and the two ``runpy.run_path`` loaded to read the DOP853 tableau
@@ -78,7 +79,7 @@ def test_tableau_is_the_coefficient_file():
 SMALL_SCAN = ["--grid-size", "5", "--omega-min", "0.004", "--omega-max", "0.15"]
 #: each command's arguments besides its output directory
 ARGUMENTS = {"solve": ["--omega", "0.09"], "spectra": ["--omega", "0.09"],
-             "scan": ["--grid-size", "5", "--derivatives"],
+             "scan": ["--grid-size", "5"],
              "critical": SMALL_SCAN,
              "landscape": ["--mass-grid", "2", "--ode-tol", "1e-10", *SMALL_SCAN],
              "evolve": ["--omega", "0.09", "--t-end", "2"], "validate": []}
@@ -87,17 +88,20 @@ ARGUMENTS = {"solve": ["--omega", "0.09"], "spectra": ["--omega", "0.09"],
 @pytest.mark.parametrize("command, needs_lapack", [
     ("solve", False),
     ("spectra", True),
-    # scan's derivatives solve their linear systems in plain Python
+    # a scan solves no L+ unless it differentiates; the root searches of
+    # critical and landscape take their slopes from L+ solves
     ("scan", False),
-    ("critical", False),
-    ("landscape", False),
+    ("scan --derivatives", True),
+    ("critical", True),
+    ("landscape", True),
     ("evolve", True),
     # the 1D oracle's references are closed forms, and no other check of
     # the battery integrates, interpolates or factors a matrix
     ("validate", False),
 ])
 def test_commands_load_what_they_use(command, needs_lapack, tmp_path):
-    argv = [command, *ARGUMENTS[command], "--out", str(tmp_path)]
+    name, *switches = command.split()
+    argv = [name, *ARGUMENTS[name], *switches, "--out", str(tmp_path)]
     loaded = _modules(f"from cqnls import cli\nassert cli.main({argv!r}) == 0")
     assert {m for m in loaded if m.split(".")[0] == "scipy"} == (
         FLAPACK if needs_lapack else set())
@@ -118,5 +122,5 @@ def test_scipy_linalg_reuses_the_loaded_wrappers():
     code = ("from cqnls import lapack\nimport scipy.linalg.lapack as scipy_lapack\n"
             "print(scipy_lapack._flapack is lapack._flapack and all(\n"
             "    getattr(lapack, name) is getattr(scipy_lapack, name)\n"
-            "    for name in ('zgttrf', 'zgttrs', 'dstebz', 'dgbsv')))")
+            "    for name in ('zgttrf', 'zgttrs', 'dstebz', 'dgbsv', 'dgtsv')))")
     assert _run(code) == "True"
