@@ -15,12 +15,15 @@ omega = 0.01 (a run of u from the origin), 0.09 and 0.185 (a q run over
 a short and a long plateau, then u), so a stepper change that moves a
 single step shows in the diff.  The cubic reference's seeded and cold
 solve follow, with the repr of its amplitude and tail constant: no
-pipeline writes it to a data file.  The ``critical`` and ``landscape-2``
-pipelines then run again in-process and print the fresh solves and L+
-solves of each of their root searches.  Last, the ``scan`` pipeline runs
-again in-process and prints its count of ``solve_ground_state`` calls
-and the worst value over its nodes of each of criterion 02's three
-derivative identities, which no data file holds either.  Last comes the
+pipeline writes it to a data file.  Then come the ``_march`` runs of
+seeded solves at 250 frequencies at each of two tolerances, where a
+change to the depth table's spacing shows.  The ``critical`` and
+``landscape-2`` pipelines then run again in-process and print the fresh
+solves and L+ solves of each of their root searches.  Last, the ``scan``
+pipeline runs again in-process and prints its count of
+``solve_ground_state`` calls and the worst value over its nodes of each
+of criterion 02's three derivative identities, which no data file holds
+either.  Last comes the
 ``STARTUP`` block: for each pipeline, the modules besides cqnls's own
 that its process loaded after ``import cqnls.cli``, so a command that
 starts importing a heavy module shows in the diff.  It takes about 20 s
@@ -75,8 +78,11 @@ CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
 #: solve, each with an empty cache; the seeded solve starts from the depth
 #: table (its prediction of the depth, its cubic amplitude), the cold one
 #: from the coarse bisection of the classes that starts a solve outside
-#: the table's span
+#: the table's span; then the ``_march`` runs of the seeded solves over
+#: 250 frequencies across the table's span, at ODE tolerance 1e-12 and
+#: 1e-10, which a change to the table's spacing moves
 COUNTS = """
+import numpy as np
 from cqnls import depth_table, shooting
 march, predict, tally = shooting._march, shooting._predict, [0, 0]
 cubic = depth_table.CUBIC_AMPLITUDE
@@ -102,6 +108,12 @@ for label in ("cold", "seeded"):
     profile = shooting.solve_cubic_reference()
     print(f"cubic {label}: {tally[0]} accepted steps, {tally[1]} marches, "
           f"amplitude {profile.amplitude!r}, tail constant {profile.tail_constant!r}")
+for tol in (1e-12, 1e-10):
+    shooting._profile_cache.clear()
+    tally[:] = [0, 0]
+    for omega in np.linspace(0.004, 0.1869, 250):
+        shooting.solve_ground_state(float(omega), tol)
+    print(f"sweep of 250 omega in [0.004, 0.1869] at {tol}: {tally[1]} marches")
 """
 
 #: fresh solves (``shooting._solve`` calls) and L+ solves

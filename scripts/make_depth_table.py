@@ -8,14 +8,16 @@ roots (``tests/test_shooting.py::TestDepthTable::test_table_is_current`` fails t
 Each node's depth is bisected on the trajectory classes from the depth
 shot's whole bracket (``shooting._bisect`` of ``shooting._DepthShot``) to
 ``shooting.BISECTION_TOLERANCE`` times the bracket's lower end, at
-``shooting.ODE_TOLERANCE``: 297 frequencies evenly spaced in ln(omega)
-over [0.0035, 0.125] and 200 evenly spaced in ln(3/16 - omega) above it
+``shooting.ODE_TOLERANCE``: 75 frequencies evenly spaced in ln(omega)
+over [0.0035, 0.125] and 50 evenly spaced in ln(3/16 - omega) above it
 up to 0.1869, below the frequency 0.186967 where the depth reaches
 ``shooting._MAX_LOG_DEPTH``.  The cubic reference's amplitude is bisected
 in the same way on its own shot (``shooting._AmplitudeShot``).  Near
-0.125 both spacings put the nodes about 0.02 apart in ln(3/16 - omega),
-the variable ``shooting._predict`` interpolates in.  It takes about 22 s
-on a 2-core host.
+0.125 both spacings put the nodes about 0.1 apart in ln(3/16 - omega),
+the variable ``shooting._predict`` interpolates in.  A denser table saves
+the seeded solves no ``_march`` run, and one at twice this spacing costs
+them 12-13 % more (``scripts/fixed_pipelines.py`` prints the count).
+It takes about 6 s on a 2-core host.
 """
 
 import math
@@ -26,8 +28,8 @@ from cqnls.profiles import OMEGA_MAX
 
 TABLE = Path(__file__).resolve().parents[1] / "src" / "cqnls" / "depth_table.py"
 #: the nodes spaced in ln(omega), then those spaced in ln(3/16 - omega)
-LOG_OMEGA_SPAN, LOG_OMEGA_NODES = (0.0035, 0.125), 297
-PLATEAU_TOP, PLATEAU_NODES = 0.1869, 200
+LOG_OMEGA_SPAN, LOG_OMEGA_NODES = (0.0035, 0.125), 75
+PLATEAU_TOP, PLATEAU_NODES = 0.1869, 50
 
 
 def nodes() -> list[float]:

@@ -41,7 +41,7 @@ from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile
 from .quadrature import simpson_uniform
 from .roots import halve
-from .shooting import ODE_TOLERANCE, cached_ground_state, solve_ground_state
+from .shooting import ODE_TOLERANCE, solve_ground_state
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -82,8 +82,6 @@ class DerivativeCheck:
     grad_identity: float      # d/domega grad_sq vs (3/2) M
     energy_identity: float    # dE/domega vs -(omega/2) dM/domega
     d_second: float           # d'' from the weak form of L+ vs (1/2) dM/domega
-    energy_derivative: float
-    grad_derivative: float
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,6 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
         final_checks.append(DerivativeCheck(
             omega=point.omega, grad_identity=grad_identity,
             energy_identity=energy_identity, d_second=d_second,
-            energy_derivative=energy_prime, grad_derivative=grad_prime,
         ))
     return FrequencyCurve(points=tuple(new_points), failures=curve.failures,
                           derivative_checks=tuple(final_checks))
@@ -287,7 +284,7 @@ def _solved_pairings(omega: float, ode_tolerance: float, step: int) -> tuple[flo
     ``ode_tolerance``, once per process: the profile depends on the two
     alone (``solve_ground_state``), and a scanned node that brackets
     several root searches lends each of them the same slopes."""
-    return tuple(_extrapolated_pairings(cached_ground_state(omega, ode_tolerance), step))
+    return tuple(_extrapolated_pairings(solve_ground_state(omega, ode_tolerance), step))
 
 
 def omega_slopes(omega: float, ode_tolerance: float,
@@ -394,6 +391,32 @@ def monotone_root(value_at, slope_at, target: float, nodes, xtol: float,
     return (best, *evaluated[best])
 
 
+def branch_evaluators(value_of, slope_of, ode_tolerance: float):
+    """``(value_at, slope_at)`` of ``monotone_root`` on the ground states'
+    value_of(report), whose omega-derivative is
+    slope_of(report, M', beta'); value_at's payload is (profile, report).
+    Both solve through ``solve_ground_state``, so at a scanned node, whose
+    profile is cached, slope_at costs no solve."""
+    def value_at(omega):
+        profile = solve_ground_state(omega, ode_tolerance)
+        rep = evaluate(profile)
+        return (value_of(rep), slope_of(rep, *omega_slopes(omega, ode_tolerance, rep)),
+                (profile, rep))
+
+    def slope_at(omega):
+        return value_at(omega)[1]
+
+    return value_at, slope_at
+
+
+def _beta(rep) -> float:
+    return rep.beta
+
+
+def _beta_slope(rep, mass_prime, beta_prime) -> float:
+    return beta_prime
+
+
 def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE):
     """Frequency with beta(omega) = target by ``monotone_root`` with a fresh
     solve per iterate.
@@ -405,17 +428,7 @@ def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE
     ToleranceNotMet is raised when that iterate misses the target by more
     than ``BETA_TOL``.
     """
-    def point(omega, solve):
-        profile = solve(omega, ode_tolerance)
-        rep = evaluate(profile)
-        return rep.beta, omega_slopes(omega, ode_tolerance, rep)[1], (profile, rep)
-
-    def beta_at(omega):
-        return point(omega, solve_ground_state)
-
-    def slope_at(omega):
-        return point(omega, cached_ground_state)[1]
-
+    beta_at, slope_at = branch_evaluators(_beta, _beta_slope, ode_tolerance)
     nodes = [(p.omega, p.beta) for p in curve.points]
     omega, beta, (profile, rep) = monotone_root(beta_at, slope_at, target, nodes, 1e-12)
     if abs(beta - target) > BETA_TOL:

@@ -258,18 +258,26 @@ def modulated_distance(state: EvolutionState, references) -> float:
     ``references`` is a list of ``_reference`` triples (psi, dpsi and the
     squared H^1 norm, computed once per family) on the state's grid.  The
     phase minimum is closed-form: |phi - e^{i theta} psi|^2 is smallest at
-    theta = arg<phi, psi>.
+    e^{i theta} = <psi, phi>/|<psi, phi>|, where it is
+    |phi|^2 + |psi|^2 - 2|<psi, phi>|.  That difference picks the nearest
+    reference, but it rounds in steps of an ulp of the norms, so the
+    distance to that one is integrated from phi - e^{i theta} psi itself.
     """
     phi = state.phi()
     dphi = _phi_derivative(state)
     h = state.spacing
-    norm_sq = _h1_inner(state.grid, h, phi, dphi, phi, dphi).real
-    best = math.inf
+    # |phi|^2 is common to every reference: the nearest has the least
+    # |psi|^2 - 2|<psi, phi>|
+    nearest = None
     for psi, dpsi, ref_sq in references:
-        cross = abs(_h1_inner(state.grid, h, phi, dphi, psi, dpsi))
-        dist_sq = max(norm_sq + ref_sq - 2.0 * cross, 0.0)
-        best = min(best, math.sqrt(dist_sq))
-    return best
+        cross = _h1_inner(state.grid, h, psi, dpsi, phi, dphi)
+        excess = ref_sq - 2.0 * abs(cross)
+        if nearest is None or excess < nearest[0]:
+            nearest = excess, cross, psi, dpsi
+    _, cross, psi, dpsi = nearest
+    rotation = cross / abs(cross) if cross else 1.0
+    gap, dgap = phi - rotation * psi, dphi - rotation * dpsi
+    return math.sqrt(_h1_inner(state.grid, h, gap, dgap, gap, dgap).real)
 
 
 def _reference_family(omega: float, grid: np.ndarray, ode_tolerance: float):

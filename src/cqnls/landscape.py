@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .curves import (CriticalFrequencies, FrequencyCurve, CRITICAL, STABLE,
-                     UNSTABLE, monotone_root, omega_slopes)
+                     UNSTABLE, branch_evaluators, monotone_root)
 from .errors import MassBeyondScan, TargetNotBracketed
 from .functionals import evaluate
 from .geometry import rescale_energy_factor, rescale_mass_factor
-from .shooting import ODE_TOLERANCE, cached_ground_state, solve_ground_state
+from .shooting import ODE_TOLERANCE, solve_ground_state
 
 LOWER_BRANCH = "lower_branch"
 UPPER_BRANCH = "upper_branch"
@@ -93,24 +93,15 @@ def _branch_roots(m, curve, split, value_min, value_of, slope_of, ode_tolerance)
     if abs(m - value_min) <= tol:
         return [(CRITICAL_BRANCH, split, evaluate(solve_ground_state(split, ode_tolerance)))]
 
-    def point(omega, solve):
-        rep = evaluate(solve(omega, ode_tolerance))
-        return value_of(rep), slope_of(rep, *omega_slopes(omega, ode_tolerance, rep)), rep
-
-    def value_at(omega):
-        return point(omega, solve_ground_state)
-
-    def slope_at(omega):
-        return point(omega, cached_ground_state)[1]
-
+    value_at, slope_at = branch_evaluators(value_of, slope_of, ode_tolerance)
     lower = [(p.omega, value_of(p)) for p in curve.points if p.omega < split]
     upper = [(p.omega, value_of(p)) for p in curve.points if p.omega > split]
     roots = []
     for branch, nodes in ((LOWER_BRANCH, lower + [(split, value_min)]),
                           (UPPER_BRANCH, [(split, value_min)] + upper)):
         try:
-            omega, _, rep = monotone_root(value_at, slope_at, m, nodes, 1e-12,
-                                          end_tol=_MASS_REL_TOL * m)
+            omega, _, (_, rep) = monotone_root(value_at, slope_at, m, nodes, 1e-12,
+                                               end_tol=_MASS_REL_TOL * m)
         except TargetNotBracketed:
             # a branch can run off the scanned window
             continue

@@ -943,14 +943,6 @@ def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Ra
     return profile
 
 
-def cached_ground_state(omega: float, ode_tolerance: float) -> RadialProfile:
-    """The profile ``solve_ground_state`` returns, read from its cache
-    without a call when it was solved before: the scanned nodes of a root
-    search lend it their profiles this way."""
-    profile = _profile_cache.get((float(omega), ode_tolerance))
-    return solve_ground_state(omega, ode_tolerance) if profile is None else profile
-
-
 def solve_cubic_reference(ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Positive decaying solution of g'' + (2/r)g' = g - g^3 (unit frequency);
     the secant starts from the amplitude stored in the depth table."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cqnls import shooting
 from cqnls.curves import (default_omega_grid, differentiate, locate_critical,
                           scan)
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
@@ -39,3 +40,22 @@ def cubic_g():
 @pytest.fixture(scope="session")
 def ground_009():
     return solve_ground_state(0.09)
+
+
+@pytest.fixture
+def fresh_solves(monkeypatch):
+    """``fresh_solves(omegas)`` empties the profile cache but for the
+    profiles at ``omegas`` and returns the list of frequencies that are
+    then solved afresh (``shooting._solve`` calls) during the test."""
+    def keep(omegas):
+        monkeypatch.setattr(shooting, "_profile_cache", {
+            key: profile for key, profile in shooting._profile_cache.items()
+            if key[0] in omegas})
+        solved, solve = [], shooting._solve
+
+        def spy(omega, *args, **kwargs):
+            solved.append(omega)
+            return solve(omega, *args, **kwargs)
+        monkeypatch.setattr(shooting, "_solve", spy)
+        return solved
+    return keep

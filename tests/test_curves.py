@@ -434,14 +434,9 @@ class TestInvertBetaSmallScan:
     """Both critical inversions on the 5-node [0.004, 0.15] scan."""
 
     @pytest.mark.parametrize("target", [1.0 / 3.0, 1.0])
-    def test_lands_on_target_in_few_solves(self, small_scan, monkeypatch, target):
+    def test_lands_on_target_in_few_solves(self, small_scan, fresh_solves, target):
         swept, ode_tolerance = small_scan
-        calls = []
-
-        def spy(omega, c):
-            calls.append(omega)
-            return shooting.solve_ground_state(omega, c)
-        monkeypatch.setattr(curves, "solve_ground_state", spy)
+        calls = fresh_solves({p.omega for p in swept.points})
         omega, _, rep = invert_beta(target, swept, ode_tolerance)
         assert abs(rep.beta - target) < 1e-12
         # Brent's method took 6 solves here; the nodes' slopes take none

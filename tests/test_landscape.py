@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cqnls import landscape, shooting
+from cqnls import curves, landscape, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
                           FrequencyCurve, FrequencyCurvePoint, locate_critical)
 from cqnls.errors import MassBeyondScan
@@ -83,11 +83,10 @@ class TestBranchDirection:
         # the only scanned node inside the upper interval lies below the
         # target on the increasing branch, so the root is to its right;
         # a "profile" is its frequency, and its slope M' is exact
-        for name in ("solve_ground_state", "cached_ground_state"):
-            monkeypatch.setattr(landscape, name, lambda om, ode_tolerance: om)
-        monkeypatch.setattr(landscape, "evaluate",
+        monkeypatch.setattr(curves, "solve_ground_state", lambda om, ode_tolerance: om)
+        monkeypatch.setattr(curves, "evaluate",
                             lambda om: SimpleNamespace(mass=self.mass(om)))
-        monkeypatch.setattr(landscape, "omega_slopes",
+        monkeypatch.setattr(curves, "omega_slopes",
                             lambda om, ode_tolerance, rep: (2.0 * self.K * (om - 0.024), 0.0))
         points = tuple(
             FrequencyCurvePoint(om, self.mass(om), 0.0, 0.5, 0.0, 1.0, 0.0, 0.0)
@@ -100,50 +99,40 @@ class TestBranchDirection:
             0.024 + (100.0 / self.K) ** 0.5, rel=1e-6)
 
 
-def test_branch_inversions_solve_at_no_scanned_node(small_scan, monkeypatch):
+def test_branch_inversions_solve_at_no_scanned_node(small_scan, monkeypatch, fresh_solves):
     # the scanned nodes and the split lend their values to the bracket, and
     # their slopes come from their profiles in the cache: a node is read,
     # never solved fresh
     swept, ode_tolerance = small_scan
     crit = locate_critical(swept, ode_tolerance)
-    solved, read, cold = [], [], []
-
-    def spy(calls, fn):
-        def wrapper(omega, *args, **kwargs):
-            calls.append(omega)
-            return fn(omega, *args, **kwargs)
-        return wrapper
-    monkeypatch.setattr(landscape, "solve_ground_state", spy(solved, shooting.solve_ground_state))
-    monkeypatch.setattr(landscape, "cached_ground_state", spy(read, shooting.cached_ground_state))
-    monkeypatch.setattr(shooting, "_solve", spy(cold, shooting._solve))
+    known = {p.omega for p in swept.points} | {crit.omega_star, crit.omega_upper_star}
+    solved, calls = fresh_solves(known), []
+    solve = curves.solve_ground_state
+    monkeypatch.setattr(curves, "solve_ground_state",
+                        lambda omega, *args: calls.append(omega) or solve(omega, *args))
     assert classify_normalized(1.3 * crit.m0, swept, crit, ode_tolerance).count == 2
     record = e_min_landscape(0.95 * crit.m_q1, swept, crit, ode_tolerance)
     assert not record.e_min_v_infinite
-    known = {p.omega for p in swept.points} | {crit.omega_star, crit.omega_upper_star}
+    read = set(calls) - set(solved)
     assert solved and not known & set(solved)
-    assert read and set(read) <= known and not known & set(cold)
+    assert read and read <= known
 
 
-def test_mass_roots_take_few_solves(small_scan, monkeypatch):
+def test_mass_roots_take_few_solves(small_scan, monkeypatch, fresh_solves):
     # both ground-branch roots at 1.3 m0 on the 5-node scan, which took
     # Brent's method 9 (lower) and 6 (upper) solves: the upper root takes
     # no more than a beta inversion, the lower one, started from a Hermite
     # cubic over [0.004, 0.0155] on a curve like omega^(-1/2), one more
     swept, ode_tolerance = small_scan
     crit = locate_critical(swept, ode_tolerance)
-    solved, per_root = [], []
-    search = landscape.monotone_root
-
-    def spy(omega, tol):
-        solved.append(omega)
-        return shooting.solve_ground_state(omega, tol)
+    solved = fresh_solves({p.omega for p in swept.points} | {crit.omega_star})
+    per_root, search = [], landscape.monotone_root
 
     def counted_search(*args, **kwargs):
         before = len(solved)
         result = search(*args, **kwargs)
         per_root.append(len(solved) - before)
         return result
-    monkeypatch.setattr(landscape, "solve_ground_state", spy)
     monkeypatch.setattr(landscape, "monotone_root", counted_search)
     result = classify_normalized(1.3 * crit.m0, swept, crit, ode_tolerance)
     assert result.branch_labels == (LOWER_BRANCH, UPPER_BRANCH)

@@ -607,7 +607,7 @@ def test_undetermined_pass_classifies_both_probes(monkeypatch):
     _assert_identical_profiles(profile, real_pass(shot, root)[1]())
 
 
-@pytest.mark.parametrize("omega, tol", [(0.09, 1e-5), (0.16, 1e-6), (0.18693, 1e-10)])
+@pytest.mark.parametrize("omega, tol", [(0.1, 1e-5), (0.16, 1e-6), (0.18693, 1e-10)])
 def test_secant_failure_bisects_the_classes(omega, tol, monkeypatch):
     # where the residual's rounding reaches the secant's stop or the check's
     # probes (loose tolerances, the depth limit) the classes are bisected,
