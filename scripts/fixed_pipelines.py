@@ -13,13 +13,16 @@ as it holds the wall time), then the repr of
 ``_march`` runs of one seeded and one cold ground-state solve at each of
 omega = 0.01 (a run of u from the origin), 0.09 and 0.185 (a q run over
 a short and a long plateau, then u), so a stepper change that moves a
-single step shows in the diff.  The cubic reference's seeded and cold
-solve follow, with the repr of its amplitude and tail constant: no
-pipeline writes it to a data file.  Then come the ``_march`` runs of
-seeded solves at 250 frequencies at each of two tolerances, where a
-change to the depth table's spacing shows.  The ``critical`` and
-``landscape-2`` pipelines then run again in-process and print the fresh
-solves and L+ solves of each of their root searches.  Last, the ``scan``
+single step shows in the diff.  A cold solve has no start from the depth
+table and so bisects the classes, as the table's rows are bisected.  The
+cubic reference's seeded and cold solve follow, with the repr of its
+amplitude and tail constant: no pipeline writes it to a data file.  Then
+comes the solve at omega = 0.18692, above the table's span, whose one
+bisection shows if a second way to the root returns ahead of it.  Then
+come the ``_march`` runs of seeded solves at 250 frequencies at each of
+two tolerances, where a change to the depth table's spacing shows.  The
+``critical`` and ``landscape-2`` pipelines then run again in-process and
+print the fresh solves and L+ solves of each of their root searches.  Last, the ``scan``
 pipeline runs again in-process and prints its count of
 ``solve_ground_state`` calls and the worst value over its nodes of each
 of criterion 02's three derivative identities, which no data file holds
@@ -77,10 +80,11 @@ CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
 #: accepted steps (summed over ``_march`` runs) and ``_march`` runs per
 #: solve, each with an empty cache; the seeded solve starts from the depth
 #: table (its prediction of the depth, its cubic amplitude), the cold one
-#: from the coarse bisection of the classes that starts a solve outside
-#: the table's span; then the ``_march`` runs of the seeded solves over
-#: 250 frequencies across the table's span, at ODE tolerance 1e-12 and
-#: 1e-10, which a change to the table's spacing moves
+#: has no start and bisects the classes, as the table's rows are and as a
+#: solve outside the table's span does; the unforced solve at 0.18692 is
+#: one such; then the ``_march`` runs of the seeded solves over 250
+#: frequencies across the table's span, at ODE tolerance 1e-12 and 1e-10,
+#: which a change to the table's spacing moves
 COUNTS = """
 import numpy as np
 from cqnls import depth_table, shooting
@@ -108,6 +112,10 @@ for label in ("cold", "seeded"):
     profile = shooting.solve_cubic_reference()
     print(f"cubic {label}: {tally[0]} accepted steps, {tally[1]} marches, "
           f"amplitude {profile.amplitude!r}, tail constant {profile.tail_constant!r}")
+shooting._profile_cache.clear()
+tally[:] = [0, 0]
+shooting.solve_ground_state(0.18692)
+print(f"omega=0.18692 above the table: {tally[0]} accepted steps, {tally[1]} marches")
 for tol in (1e-12, 1e-10):
     shooting._profile_cache.clear()
     tally[:] = [0, 0]

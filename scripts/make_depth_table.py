@@ -12,7 +12,9 @@ shot's whole bracket (``shooting._bisect`` of ``shooting._DepthShot``) to
 over [0.0035, 0.125] and 50 evenly spaced in ln(3/16 - omega) above it
 up to 0.1869, below the frequency 0.186967 where the depth reaches
 ``shooting._MAX_LOG_DEPTH``.  The cubic reference's amplitude is bisected
-in the same way on its own shot (``shooting._AmplitudeShot``).  Near
+in the same way on its own shot (``shooting._AmplitudeShot``).  A solve
+with no start from the table bisects the classes in the same way
+(``shooting._parameter``), so it returns these rows bit for bit.  Near
 0.125 both spacings put the nodes about 0.1 apart in ln(3/16 - omega),
 the variable ``shooting._predict`` interpolates in.  A denser table saves
 the seeded solves no ``_march`` run, and one at twice this spacing costs

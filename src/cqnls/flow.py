@@ -103,9 +103,6 @@ def _multiplier(lap: np.ndarray, w: np.ndarray,
 
 @dataclass(frozen=True)
 class FlowResult:
-    grid: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
     mass: float
     energy: float
     multiplier: float
@@ -126,9 +123,10 @@ def mass_projected_flow(mass: float, r_max: float = 40.0,
     """Descend the energy at fixed mass until the projected gradient is flat.
 
     The seed is the Gaussian exp(-(r/seed_width)^2) on [0, r_max].  Returns
-    the state after ``GRADIENT_TOL`` is met or ``MAX_ITERATIONS`` steps;
-    ``multiplier`` is the discrete Lagrange multiplier, i.e. the frequency
-    the profile solves the equation at.  A singular or non-finite step
+    the energy of the state after ``GRADIENT_TOL`` is met or
+    ``MAX_ITERATIONS`` steps, with its gradient norm; ``multiplier`` is the
+    discrete Lagrange multiplier, i.e. the frequency the profile solves
+    the equation at.  A singular or non-finite step
     raises FlowDiverged.
     """
     if not (math.isfinite(mass) and mass > 0):
@@ -180,7 +178,6 @@ def mass_projected_flow(mass: float, r_max: float = 40.0,
         raise FlowDiverged("flow energy decreased without bound")
     mu, _ = _multiplier(lap, w, (w * w) * inv_r2)
     return FlowResult(
-        grid=grid, values=u, derivs=du, mass=mass, energy=energy,
-        multiplier=mu, gradient_norm=gradient_norm, iterations=iterations,
-        converged=gradient_norm < GRADIENT_TOL,
+        mass=mass, energy=energy, multiplier=mu, gradient_norm=gradient_norm,
+        iterations=iterations, converged=gradient_norm < GRADIENT_TOL,
     )

@@ -9,15 +9,17 @@ from the value the stored depth table predicts (Stoer & Bulirsch,
 *Introduction to Numerical Analysis*, section 7.3).  The two classes of
 trajectories check it: just below the root a trajectory turns upward
 while still positive, just above it crosses zero; the root's dense pass
-is one side and a probe the other.  Where either fails, the classes are
-bisected instead, as they are for the depth table.
+is one side and a probe the other.  Where the table has no prediction,
+or the secant or its check fails, the classes are bisected instead, as
+they are for the depth table's rows: a root is reached by these two
+ways alone.
 
 A shot gives, at its parameter x, the amplitude and the start of the run
 of u (``start``), the radius it runs to (``radius``), its right-hand side
 (``problem``) and the bracket of its bisection (``bracket``).  The
-classification (``_classify``), the bisection (``_bisect``), the secant
-(``_secant``) and the dense pass (``_dense_pass``) are written once
-over the shot.
+classification (``_classify_at``, from a parameter), the bisection
+(``_bisect``), the secant (``_secant``) and the dense pass
+(``_dense_pass``) are written once over the shot.
 
 The ground state's shooting parameter is its depth -ln(eps), where
 u(0) = u+ - eps lies below the force zero u+ (``_DepthShot``).  Toward
@@ -49,6 +51,7 @@ controls the small-frequency asymptotics.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import enum
 import functools
 import importlib.util
@@ -470,41 +473,23 @@ def _shoot(shot, a: float, start, radius: float,
     return _EVENT_CLASSES[event], steps, r
 
 
-def _classify(shot, a: float, start, radius: float) -> TrajectoryClass:
-    """Class of a trajectory of ``shot``: its run of u from ``start`` at
-    amplitude ``a`` up to ``radius`` (``_shoot``).  Undetermined without a
-    start, where a run of q does not leave the plateau.  A Taylor start
-    where the force pushes away from zero rises, so it turns upward
-    without a run."""
-    if start is None:
-        return TrajectoryClass.UNDETERMINED
-    if _rises(shot, a, start):
-        return TrajectoryClass.TURNS_UPWARD
-    return _shoot(shot, a, start, radius)[0]
-
-
 def _rises(shot, a: float, start) -> bool:
     """Whether the force pushes a Taylor start (a run of q ends past it) away from zero."""
     return start[0] == TAYLOR_START_STEP and _force(a, shot.omega, shot.problem is _AMPLITUDE) >= 0
 
 
 def _classify_at(shot, x: float) -> TrajectoryClass:
-    """``_classify`` of the trajectory of ``shot`` at its parameter x."""
-    return _classify(shot, *shot.start(x), shot.radius(x))
-
-
-def classify_trajectory(amplitude: float, omega: float,
-                        ode_tolerance: float = ODE_TOLERANCE) -> TrajectoryClass:
-    """Assign the shooting dichotomy class of one central amplitude: the
-    ground state's run of u from the Taylor start at ``amplitude``, up to
-    the integration radius of a run from the origin."""
-    if not 0.0 < amplitude < math.inf:  # false for nan
-        raise ValueError(f"amplitude={amplitude} must be positive and finite")
-    check_tolerance(ode_tolerance)
-    check_frequency(omega)
-    start = (TAYLOR_START_STEP, *_taylor_start(amplitude, TAYLOR_START_STEP, omega, True))
-    return _classify(_DepthShot(omega, ode_tolerance), amplitude, start,
-                     default_max_radius(omega))
+    """Class of the trajectory of ``shot`` at its parameter x: its run of u
+    from its start up to its radius (``_shoot``).  Undetermined without a
+    start, where a run of q does not leave the plateau.  A Taylor start
+    where the force pushes away from zero rises, so it turns upward
+    without a run."""
+    a, start = shot.start(x)
+    if start is None:
+        return TrajectoryClass.UNDETERMINED
+    if _rises(shot, a, start):
+        return TrajectoryClass.TURNS_UPWARD
+    return _shoot(shot, a, start, shot.radius(x))[0]
 
 
 def _bisect(shot, tolerance: float):
@@ -578,9 +563,10 @@ def _matched_profile(sample, amplitude: float, omega: float, quintic: bool,
 
 def _dense_pass(shot, x: float):
     """The class of the run of u of ``shot`` at its parameter x, undetermined
-    where ``_classify`` needs no run, and a builder of its profile: from its
-    dense pass, and below its start, where a depth shot's run of q starts
-    it, from the dense q pass and the start solution (``_DepthShot.plateau``)."""
+    where ``_classify_at`` needs no run, and a builder of its profile: from
+    its dense pass, and below its start, where a depth shot's run of q
+    starts it, from the dense q pass and the start solution
+    (``_DepthShot.plateau``)."""
     q_segments, u_segments = [], []
     a, start = shot.start(x, q_segments)
     radius = shot.radius(x)
@@ -779,8 +765,6 @@ _SECANT_STOP = 1e-12
 #: most secant steps per solve: from the table it takes two or three; more
 #: mean a jump of the residual, where the runs change their steps
 _SECANT_STEPS = 3
-#: relative width of the bisection that starts a solve outside the table
-_COLD_TOLERANCE = 1e-9
 
 
 def _secant(shot, x0: float) -> float:
@@ -839,15 +823,16 @@ def _root(shot, x0: float) -> tuple[float, RadialProfile]:
     return x, profile()
 
 
-def _parameter(shot, x0: float) -> tuple[float, RadialProfile]:
-    """``_root`` from ``x0``, or where it raises (the residual's rounding
-    at loose tolerances or near the depth limit, a jump, a start too far
-    below) the midpoint of the classes bisected as the table's nodes are."""
-    try:
-        return _root(shot, x0)
-    except BracketFailure:
-        x = 0.5 * sum(_bisect(shot, BISECTION_TOLERANCE))
-        return x, _dense_pass(shot, x)[1]()
+def _parameter(shot, x0: float | None) -> tuple[float, RadialProfile]:
+    """``_root`` from ``x0``; with no start (``x0`` None, outside the depth
+    table's span) or where ``_root`` raises (the residual's rounding at
+    loose tolerances or near the depth limit, a jump, a start too far
+    below), the midpoint of the classes bisected as the table's rows are."""
+    if x0 is not None:
+        with contextlib.suppress(BracketFailure):
+            return _root(shot, x0)
+    x = 0.5 * sum(_bisect(shot, BISECTION_TOLERANCE))
+    return x, _dense_pass(shot, x)[1]()
 
 
 def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
@@ -856,9 +841,6 @@ def _solve(omega: float, ode_tolerance: float, quintic: bool) -> RadialProfile:
     else:
         from . import depth_table
         shot, x0 = _AmplitudeShot(omega, ode_tolerance), depth_table.CUBIC_AMPLITUDE
-    if x0 is None:
-        # outside the depth table's span: a coarse bisection of the classes
-        x0 = 0.5 * sum(_bisect(shot, _COLD_TOLERANCE))
     return _parameter(shot, x0)[1]
 
 
@@ -916,14 +898,15 @@ def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Ra
     The shooting parameter is the depth -ln(u+ - u(0)), the log of the gap
     between the amplitude and the force zero, which the amplitude comes
     within one ulp of toward 3/16 (``_DepthShot``), up to omega = 0.186967,
-    where the depth reaches ``_MAX_LOG_DEPTH``.  The secant method finds
-    the root of the matching residual from the depth table's prediction
-    (``_secant``), or, outside the table's span, from a coarse bisection
-    of the trajectory classes.  The class of the root's dense pass, which
-    samples the profile, and of one probe beside it check it (``_root``).
-    Where the secant or its check fails the classes are bisected to
-    ``BISECTION_TOLERANCE`` instead (``_parameter``).  No cache feeds the
-    start, so the profile depends on omega and the tolerance alone.
+    where the depth reaches ``_MAX_LOG_DEPTH``.  Inside the depth table's
+    span the secant method finds the root of the matching residual from
+    the table's prediction (``_secant``), and the class of the root's
+    dense pass, which samples the profile, and of one probe beside it
+    check it (``_root``).  Outside the span, or where the secant or its
+    check fails, the trajectory classes are bisected to
+    ``BISECTION_TOLERANCE`` instead, as the table's rows are
+    (``_parameter``).  No cache feeds the start, so the profile depends on
+    omega and the tolerance alone.
     """
     check_frequency(omega)
     check_tolerance(ode_tolerance)
@@ -945,7 +928,8 @@ def solve_ground_state(omega: float, ode_tolerance: float = ODE_TOLERANCE) -> Ra
 
 def solve_cubic_reference(ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
     """Positive decaying solution of g'' + (2/r)g' = g - g^3 (unit frequency);
-    the secant starts from the amplitude stored in the depth table."""
+    the secant starts from the amplitude stored in the depth table, and
+    without it the classes are bisected (``_parameter``)."""
     check_tolerance(ode_tolerance)
     key = ("cubic", ode_tolerance)
     if key in _profile_cache:

@@ -18,9 +18,8 @@ from cqnls.curves import default_omega_grid
 from cqnls.errors import BracketFailure, FrequencyOutOfWindow
 from cqnls.functionals import evaluate
 from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE
-from cqnls.shooting import (TrajectoryClass, classify_trajectory,
-                            force_upper_zero, solve_cubic_reference,
-                            solve_ground_state)
+from cqnls.shooting import (TrajectoryClass, force_upper_zero,
+                            solve_cubic_reference, solve_ground_state)
 
 
 class TestWindow:
@@ -35,39 +34,11 @@ class TestWindow:
         assert omega - u2**2 + u2**4 == pytest.approx(0.0, abs=1e-15)
 
 
-class TestClassifyTrajectory:
-    def test_small_amplitude_turns_upward(self):
-        label = classify_trajectory(1e-3, 0.09)
-        assert label is TrajectoryClass.TURNS_UPWARD
-
-    def test_near_separatrix_crosses_zero(self):
-        a = force_upper_zero(0.09) * (1.0 - 1e-13)
-        label = classify_trajectory(a, 0.09)
-        assert label is TrajectoryClass.CROSSES_ZERO
-
-    def test_above_force_zero_turns_upward(self):
-        # beyond the force zero the restoring force reverses sign at once
-        a = force_upper_zero(0.09) * 1.05
-        assert classify_trajectory(a, 0.09) is TrajectoryClass.TURNS_UPWARD
-
-    def test_rejects_nonpositive_amplitude(self):
-        with pytest.raises(ValueError):
-            classify_trajectory(0.0, 0.09)
-
-    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
-    def test_rejects_non_finite_amplitude(self, amplitude):
-        # a nan start made a nan first step, on which the march's step loop
-        # never ended
-        with pytest.raises(ValueError, match="amplitude"):
-            classify_trajectory(amplitude, 0.09)
-
-
 class TestTolerance:
     def test_rejects_bad_tolerance(self):
         for tol in (math.nan, math.inf, -1e-12, 0.0, 1e-4, 1e-3, 0.1, 2.0):
             for solve in (functools.partial(solve_ground_state, 0.09, tol),
-                          functools.partial(solve_cubic_reference, tol),
-                          functools.partial(classify_trajectory, 0.5, 0.09, tol)):
+                          functools.partial(solve_cubic_reference, tol)):
                 with pytest.raises(ValueError, match="ode_tolerance"):
                     solve()
 
@@ -418,15 +389,20 @@ def _ground_amplitude(omega, tol, quintic=True):
 START_SPREAD = 2e-12
 
 
-def _assert_any_start_gives_the_cold_bracket(omega, tol, sign, log_offset):
+#: relative width of the bracket of the classes that a root found from any
+#: start must lie in
+CLASS_BRACKET = 1e-9
+
+
+def _assert_any_start_gives_the_class_bracket(omega, tol, sign, log_offset):
     # a start off the table's prediction lands on the same root, inside
-    # the bracket a coarse bisection of the classes gives a cold solve.
+    # the bracket of the classes bisected to ``CLASS_BRACKET``.
     # Derandomized, so that a failing draw cannot slip in and out
     shot, start = _shot(omega, tol)
     root = shooting._parameter(shot, start)[0]
     moved = shooting._parameter(shot, root * (1.0 + sign * 10.0**log_offset))[0]
     assert moved == pytest.approx(root, rel=START_SPREAD, abs=0.0)
-    lo, hi = shooting._bisect(shot, shooting._COLD_TOLERANCE)
+    lo, hi = shooting._bisect(shot, CLASS_BRACKET)
     assert lo <= moved <= hi
 
 
@@ -441,16 +417,16 @@ _JUMP = (0.12967610279981695, 1e-8, -1.0, math.log10(1.7e-12))
        sign=st.sampled_from([-1.0, 1.0]), log_offset=st.floats(-12.0, -8.0))
 @example(omega=0.155, tol=1e-12, sign=-1.0, log_offset=-8.0)
 @example(*_JUMP)
-def test_any_prediction_gives_the_cold_bracket(omega, tol, sign, log_offset):
-    _assert_any_start_gives_the_cold_bracket(omega, tol, sign, log_offset)
+def test_any_prediction_gives_the_class_bracket(omega, tol, sign, log_offset):
+    _assert_any_start_gives_the_class_bracket(omega, tol, sign, log_offset)
 
 
 @settings(max_examples=8, deadline=None, derandomize=True)
 @given(omega=st.floats(0.1551, 0.185), tol=st.sampled_from(TOLERANCES),
        sign=st.sampled_from([-1.0, 1.0]), log_offset=st.floats(-12.0, -8.0))
 @example(omega=0.185, tol=1e-8, sign=-1.0, log_offset=-8.0)
-def test_any_depth_prediction_gives_the_cold_bracket(omega, tol, sign, log_offset):
-    _assert_any_start_gives_the_cold_bracket(omega, tol, sign, log_offset)
+def test_any_depth_prediction_gives_the_class_bracket(omega, tol, sign, log_offset):
+    _assert_any_start_gives_the_class_bracket(omega, tol, sign, log_offset)
 
 
 def _marches(monkeypatch):
@@ -607,14 +583,14 @@ def test_undetermined_pass_classifies_both_probes(monkeypatch):
     _assert_identical_profiles(profile, real_pass(shot, root)[1]())
 
 
-@pytest.mark.parametrize("omega, tol", [(0.1, 1e-5), (0.16, 1e-6), (0.18693, 1e-10)])
+@pytest.mark.parametrize("omega, tol", [(0.1, 1e-5), (0.16, 1e-6), (0.1869, 1e-10)])
 def test_secant_failure_bisects_the_classes(omega, tol, monkeypatch):
     # where the residual's rounding reaches the secant's stop or the check's
-    # probes (loose tolerances, the depth limit) the classes are bisected,
-    # and the solve keeps Nehari and Pohozaev within ten tolerances
+    # probes (loose tolerances, the depth limit; 0.1869 is the table's last
+    # node) the classes are bisected, and the solve keeps Nehari and
+    # Pohozaev within ten tolerances
     monkeypatch.setattr(shooting, "_profile_cache", {})
-    shot = shooting._DepthShot(omega, tol)
-    start = shooting._predict(omega) or 0.5 * sum(shooting._bisect(shot, shooting._COLD_TOLERANCE))
+    shot, start = shooting._DepthShot(omega, tol), shooting._predict(omega)
     with pytest.raises(BracketFailure):
         shooting._root(shot, start)
     rep = evaluate(solve_ground_state(omega, tol))
@@ -650,8 +626,8 @@ def test_secant_that_does_not_settle_raises(monkeypatch):
 
 @pytest.mark.parametrize("omega", [0.002, 0.003])
 def test_cold_start_below_the_table(omega, monkeypatch):
-    # below the table's span a coarse bisection of the classes starts the
-    # secant, and the profile meets criterion 01's gate
+    # below the table's span the classes are bisected, and the profile
+    # meets criterion 01's gate
     monkeypatch.setattr(shooting, "_profile_cache", {})
     assert shooting._predict(omega) is None
     profile = solve_ground_state(omega)
@@ -665,15 +641,15 @@ class TestDepthTable:
     def _short_and_cold(omega, quintic, monkeypatch):
         # the table's start takes five runs of u, three of the residual
         # and two that check the root, each with its run of q above the
-        # switch, and lands on the root that a coarse bisection of the
-        # classes starts
+        # switch, and lands on the root of the solve with no start, which
+        # bisects the classes
         runs = _marches(monkeypatch)
         shot, start = _shot(omega, shooting.ODE_TOLERANCE, quintic)
         seeded = shooting._root(shot, start)[0]
         assert len(runs) - runs.count("q") <= 5
         assert runs.count("q") <= 5
-        cold = shooting._root(shot, 0.5 * sum(shooting._bisect(shot, shooting._COLD_TOLERANCE)))
-        assert cold[0] == pytest.approx(seeded, rel=1e-12, abs=0.0)
+        cold = shooting._parameter(shot, None)[0]
+        assert cold == pytest.approx(seeded, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("omega", [0.004, 0.073, 0.15, 0.16, 0.185])
     def test_seeded_solve_is_short_and_cold(self, omega, monkeypatch):
@@ -696,9 +672,37 @@ class TestDepthTable:
             assert script["cold_depth"](omega) == depth
         assert script["cubic_amplitude"]() == depth_table.CUBIC_AMPLITUDE
 
+    @pytest.mark.parametrize("target", [0.0035, 0.07, 0.18])
+    def test_solve_without_a_start_returns_the_row(self, target, monkeypatch):
+        # a solve with no start from the table takes the bisection that
+        # made its rows: at the nodes nearest a small, a mid and a plateau
+        # frequency it returns the stored depth bit for bit
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        monkeypatch.setattr(shooting, "_predict", lambda omega: None)
+        omega, depth = min(depth_table.GROUND_DEPTHS, key=lambda node: abs(node[0] - target))
+        assert (solve_ground_state(omega).amplitude
+                == force_upper_zero(omega) - math.exp(-depth))
+
+    def test_cubic_reference_without_a_start_returns_the_row(self, monkeypatch):
+        monkeypatch.setattr(shooting, "_profile_cache", {})
+        amplitude = depth_table.CUBIC_AMPLITUDE
+        monkeypatch.setattr(depth_table, "CUBIC_AMPLITUDE", None)
+        assert solve_cubic_reference().amplitude == amplitude
+
     def test_past_the_depth_limit(self):
         with pytest.raises(BracketFailure, match="deeper than the depth limit"):
             solve_ground_state(0.1872)
+
+
+def test_solve_above_the_table_bisects_once(monkeypatch):
+    # above the table's span a solve bisects the classes once, with no
+    # secant or second bisection ahead of it: the bracket's two ends, 47
+    # halvings and the root's dense pass take 98 runs of q and u
+    monkeypatch.setattr(shooting, "_profile_cache", {})
+    runs = _marches(monkeypatch)
+    assert shooting._predict(0.18692) is None
+    solve_ground_state(0.18692)
+    assert len(runs) <= 100
 
 
 def test_cold_solve_runs_without_the_depth_table():
