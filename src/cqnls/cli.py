@@ -162,7 +162,7 @@ def _critical(args):
     from .curves import locate_critical, scan
 
     curve = scan(_grid(args), args.ode_tol)
-    return curve, locate_critical(curve, args.ode_tol)
+    return curve, locate_critical(curve)
 
 
 @_command("sweep the frequency window",
@@ -172,7 +172,7 @@ def cmd_scan(args, out):
 
     curve = scan(_grid(args), args.ode_tol)
     if args.derivatives:
-        curve = differentiate(curve, args.ode_tol)
+        curve = differentiate(curve)
     curve.to_csv(out / "curve.csv")
     print(f"scanned {len(curve.points)} frequencies "
           f"({len(curve.failures)} failures) -> {out / 'curve.csv'}")
@@ -208,7 +208,7 @@ def cmd_classify(args, out):
         raise ValueError(f"{flag} must be finite and positive, got {value}")
     curve, crit = _critical(args)
     mass = args.mass if args.mass_ratio is None else args.mass_ratio * crit.m0
-    result = asdict(classify_normalized(mass, curve, crit, args.ode_tol))
+    result = asdict(classify_normalized(mass, curve, crit))
     _write_json(out / "classification.json", result)
     print(json.dumps(result, indent=2))
     return 0, None
@@ -223,7 +223,7 @@ def cmd_landscape(args, out):
         raise ValueError(f"--mass-grid needs at least 1 mass, got {args.mass_grid}")
     curve, crit = _critical(args)
     masses = np.linspace(0.4 * crit.m_threshold, 2.2 * crit.m_q1, args.mass_grid)
-    rows = landscape_table(masses, curve, crit, args.ode_tol)
+    rows = landscape_table(masses, curve, crit)
     write_landscape_csv(rows, out / "landscape.csv")
     print(f"landscape table over {args.mass_grid} masses -> {out / 'landscape.csv'}")
     return 0, {"critical": asdict(crit)}

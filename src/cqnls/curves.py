@@ -1,8 +1,10 @@
 """Frequency sweeps: the curves beta(omega), M(omega), E(omega), d(omega).
 
 A scan solves the ground state at each grid node and records the scalar
-functionals.  Differentiation never touches a neighbouring frequency:
-differentiating -Delta Q + omega Q - Q^3 + Q^5 = 0 in omega gives
+functionals and the ODE tolerance of its solves; every function that reads
+the curve solves at that tolerance, so a curve and the solves made from it
+are one discrete problem.  Differentiation never touches a neighbouring
+frequency: differentiating -Delta Q + omega Q - Q^3 + Q^5 = 0 in omega gives
 L+ v = -Q for v = dQ/domega, with L+ = -Delta + omega - 3Q^2 + 5Q^4 the
 linearised operator, invertible on radial functions.  In w = r v that is
 w'' = (omega - 3Q^2 + 5Q^4) w + rQ with w(0) = 0, solved by Numerov on the
@@ -41,7 +43,7 @@ from .functionals import FunctionalReport, evaluate
 from .profiles import OMEGA_MAX, RadialProfile
 from .quadrature import simpson_uniform
 from .roots import halve
-from .shooting import ODE_TOLERANCE, solve_ground_state
+from .shooting import ODE_TOLERANCE, solve_cubic_reference, solve_ground_state
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -86,7 +88,12 @@ class DerivativeCheck:
 
 @dataclass(frozen=True)
 class FrequencyCurve:
+    """The scanned nodes and the ODE tolerance they were solved at, which
+    every fresh solve made from the curve uses too: a root search, a node
+    derivative or an asymptotic reference."""
+
     points: tuple[FrequencyCurvePoint, ...]
+    ode_tolerance: float
     failures: tuple[tuple[float, str], ...] = ()
     derivative_checks: tuple[DerivativeCheck, ...] = ()
 
@@ -177,7 +184,8 @@ def scan(omega_grid, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
             points.append(FrequencyCurvePoint.from_report(float(omega), rep))
         except CqnlsError as err:  # per-node failure policy
             failures.append((float(omega), f"{type(err).__name__}: {err}"))
-    return FrequencyCurve(points=tuple(points), failures=tuple(failures))
+    return FrequencyCurve(points=tuple(points), ode_tolerance=ode_tolerance,
+                          failures=tuple(failures))
 
 
 def _solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
@@ -247,7 +255,7 @@ def _extrapolated_pairings(profile: RadialProfile, step: int) -> list[float]:
     return ((16 * fine - coarse) / 15).tolist()
 
 
-def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:
+def differentiate(curve: FrequencyCurve) -> FrequencyCurve:
     """Fill mass derivatives and cross-check the differential identities.
 
     Each node's derivatives come from one solve of L+ dQ/domega = -Q on
@@ -256,7 +264,7 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
     """
     new_points, final_checks = [], []
     for point in curve.points:
-        profile = solve_ground_state(point.omega, ode_tolerance)
+        profile = solve_ground_state(point.omega, curve.ode_tolerance)
         mass_prime, grad_prime, energy_prime, d_second_val, _ = _extrapolated_pairings(profile, 1)
         target = 1.5 * point.mass
         grad_identity = abs(grad_prime - target) / abs(target)
@@ -269,8 +277,7 @@ def differentiate(curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE) -
             omega=point.omega, grad_identity=grad_identity,
             energy_identity=energy_identity, d_second=d_second,
         ))
-    return FrequencyCurve(points=tuple(new_points), failures=curve.failures,
-                          derivative_checks=tuple(final_checks))
+    return replace(curve, points=tuple(new_points), derivative_checks=tuple(final_checks))
 
 
 #: a Newton slope solves L+ on every _SLOPE_STEP-th profile node and on
@@ -417,9 +424,9 @@ def _beta_slope(rep, mass_prime, beta_prime) -> float:
     return beta_prime
 
 
-def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE_TOLERANCE):
+def invert_beta(target: float, curve: FrequencyCurve):
     """Frequency with beta(omega) = target by ``monotone_root`` with a fresh
-    solve per iterate.
+    solve per iterate at the curve's tolerance.
 
     Exploits strict monotonicity of beta: the scanned nodes bracket the
     target and lend it their beta values and, from their cached profiles,
@@ -428,7 +435,7 @@ def invert_beta(target: float, curve: FrequencyCurve, ode_tolerance: float = ODE
     ToleranceNotMet is raised when that iterate misses the target by more
     than ``BETA_TOL``.
     """
-    beta_at, slope_at = branch_evaluators(_beta, _beta_slope, ode_tolerance)
+    beta_at, slope_at = branch_evaluators(_beta, _beta_slope, curve.ode_tolerance)
     nodes = [(p.omega, p.beta) for p in curve.points]
     omega, beta, (profile, rep) = monotone_root(beta_at, slope_at, target, nodes, 1e-12)
     if abs(beta - target) > BETA_TOL:
@@ -448,10 +455,9 @@ def _mass_argmin(curve: FrequencyCurve) -> float:
     return float(0.5 * (omegas[flat[0]] + omegas[flat[-1]]))
 
 
-def locate_critical(curve: FrequencyCurve,
-                    ode_tolerance: float = ODE_TOLERANCE) -> CriticalFrequencies:
-    omega_star, _, rep_star = invert_beta(1.0 / 3.0, curve, ode_tolerance)
-    omega_upper, _, rep_upper = invert_beta(1.0, curve, ode_tolerance)
+def locate_critical(curve: FrequencyCurve) -> CriticalFrequencies:
+    omega_star, _, rep_star = invert_beta(1.0 / 3.0, curve)
+    omega_upper, _, rep_upper = invert_beta(1.0, curve)
     m_q1 = rep_upper.mass
     return CriticalFrequencies(
         omega_star=omega_star, omega_upper_star=omega_upper,
@@ -473,20 +479,20 @@ def classify_stability(curve: FrequencyCurve, crit: CriticalFrequencies) -> Freq
         else:
             label = STABLE
         points.append(replace(p, stability=label))
-    return FrequencyCurve(points=tuple(points), failures=curve.failures,
-                          derivative_checks=curve.derivative_checks)
+    return replace(curve, points=tuple(points))
 
 
-def asymptotic_check(curve: FrequencyCurve, g: RadialProfile) -> dict:
+def asymptotic_check(curve: FrequencyCurve) -> dict:
     """Endpoint laws: small-frequency expansion errors at the nodes with
-    omega <= 0.01 and endpoint slopes over those with omega >= 0.17."""
-    g_rep = evaluate(g)
-    m_g, l6_g, beta_g = g_rep.mass, g_rep.l6, g_rep.beta
+    omega <= 0.01 against the cubic reference g, solved at the curve's
+    tolerance, and endpoint slopes over the nodes with omega >= 0.17."""
     omegas = curve.omegas()
     small = [p for p in curve.points if p.omega <= 0.01]
     large = [p for p in curve.points if p.omega >= 0.17]
     if not small or len(large) < 2:
         raise InsufficientCoverage("asymptotic check needs nodes at omega <= 0.01 and >= 0.17")
+    g_rep = evaluate(solve_cubic_reference(curve.ode_tolerance))
+    m_g, l6_g, beta_g = g_rep.mass, g_rep.l6, g_rep.beta
 
     small_errors = []
     for p in small:

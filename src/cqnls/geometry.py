@@ -18,7 +18,6 @@ from .errors import AlphaOutOfRange, KindMismatch, TargetNotBracketed, Tolerance
 from .functionals import evaluate, f_alpha
 from .profiles import (GROUND_STATE, RESCALED_SOLITON, RadialProfile,
                        test_function_profile)
-from .shooting import ODE_TOLERANCE
 
 
 def rescale_soliton(ground: RadialProfile) -> RadialProfile:
@@ -51,13 +50,13 @@ def rescale_energy_factor(beta: float) -> float:
     return 1.0 / (9.0 * math.sqrt(3.0 * beta))
 
 
-def q_alpha(alpha: float, curve: FrequencyCurve,
-            ode_tolerance: float = ODE_TOLERANCE) -> RadialProfile:
-    """The minimizer Q_alpha: the ground state with beta(omega) = alpha."""
+def q_alpha(alpha: float, curve: FrequencyCurve) -> RadialProfile:
+    """The minimizer Q_alpha: the ground state with beta(omega) = alpha,
+    solved at the curve's tolerance."""
     if alpha <= 0:
         raise AlphaOutOfRange("alpha must be positive")
     try:
-        _, profile, _ = invert_beta(alpha, curve, ode_tolerance)
+        _, profile, _ = invert_beta(alpha, curve)
     except TargetNotBracketed as err:
         raise AlphaOutOfRange(str(err)) from err
     return profile

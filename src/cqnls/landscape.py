@@ -8,7 +8,8 @@ has its minimum (4/(3 sqrt 3)) M(Q_1) at the beta = 1 frequency and
 supplies the admissible competitors for the Pohozaev-constrained problem
 below M(Q_1).  A mass's ground-branch roots are found once and serve both
 its landscape record and its classification; below m0 finding them costs
-no solve, and m_threshold <= m0 since the rescale never adds mass.
+no solve, and m_threshold <= m0 since the rescale never adds mass.  Every
+inversion solves at the ODE tolerance the curve was scanned at.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .curves import (CriticalFrequencies, FrequencyCurve, CRITICAL, STABLE,
 from .errors import MassBeyondScan, TargetNotBracketed
 from .functionals import evaluate
 from .geometry import rescale_energy_factor, rescale_mass_factor
-from .shooting import ODE_TOLERANCE, solve_ground_state
+from .shooting import solve_ground_state
 
 LOWER_BRANCH = "lower_branch"
 UPPER_BRANCH = "upper_branch"
@@ -75,7 +76,7 @@ def _rescaled_mass_slope(rep, mass_prime, beta_prime) -> float:
     return rescale_mass_factor(rep.beta) * (mass_prime + rep.mass * log_slope * beta_prime)
 
 
-def _branch_roots(m, curve, split, value_min, value_of, slope_of, ode_tolerance):
+def _branch_roots(m, curve, split, value_min, value_of, slope_of):
     """(branch, omega, report) at every ground state with value_of = m.
 
     ``value_of`` reads a curve point or a functional report, and
@@ -91,9 +92,10 @@ def _branch_roots(m, curve, split, value_min, value_of, slope_of, ode_tolerance)
     if m < value_min - tol:
         return []
     if abs(m - value_min) <= tol:
-        return [(CRITICAL_BRANCH, split, evaluate(solve_ground_state(split, ode_tolerance)))]
+        return [(CRITICAL_BRANCH, split,
+                 evaluate(solve_ground_state(split, curve.ode_tolerance)))]
 
-    value_at, slope_at = branch_evaluators(value_of, slope_of, ode_tolerance)
+    value_at, slope_at = branch_evaluators(value_of, slope_of, curve.ode_tolerance)
     lower = [(p.omega, value_of(p)) for p in curve.points if p.omega < split]
     upper = [(p.omega, value_of(p)) for p in curve.points if p.omega > split]
     roots = []
@@ -113,18 +115,17 @@ _BRANCH_STABILITY = {LOWER_BRANCH: UNSTABLE, CRITICAL_BRANCH: CRITICAL,
                      UPPER_BRANCH: STABLE}
 
 
-def _ground_roots(m, curve, crit, ode_tolerance):
+def _ground_roots(m, curve, crit):
     """``_branch_roots`` of the ground-state mass curve at mass m, which
     every public entry passes through: m must be finite and positive (an
     infinite m would meet an end node within its own infinite tolerance)."""
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"prescribed mass must be finite and positive, got {m}")
-    return _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, _mass_slope,
-                         ode_tolerance)
+    return _branch_roots(m, curve, crit.omega_star, crit.m0, _mass, _mass_slope)
 
 
-def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
-                        ode_tolerance: float = ODE_TOLERANCE) -> ClassificationResult:
+def classify_normalized(m: float, curve: FrequencyCurve,
+                        crit: CriticalFrequencies) -> ClassificationResult:
     """Count and locate the positive normalized solutions of mass m.
 
     Counts are over the scanned frequency window: a branch whose scanned
@@ -132,7 +133,7 @@ def classify_normalized(m: float, curve: FrequencyCurve, crit: CriticalFrequenci
     when no branch reaches it at all.  Below m0 by more than 1e-9 m0 there
     is none.
     """
-    return _classification(m, crit, _ground_roots(m, curve, crit, ode_tolerance))
+    return _classification(m, crit, _ground_roots(m, curve, crit))
 
 
 def _classification(m, crit, roots) -> ClassificationResult:
@@ -146,21 +147,20 @@ def _classification(m, crit, roots) -> ClassificationResult:
                                 branches, tuple(_BRANCH_STABILITY[b] for b in branches))
 
 
-def _rescaled_branch_energies(m, curve, crit, ode_tolerance):
+def _rescaled_branch_energies(m, curve, crit):
     """E(R_omega) at every rescaled soliton with mass m (may be empty)."""
     roots = _branch_roots(m, curve, crit.omega_upper_star, crit.m_threshold,
-                          _rescaled_mass, _rescaled_mass_slope, ode_tolerance)
+                          _rescaled_mass, _rescaled_mass_slope)
     return [rescale_energy_factor(rep.beta) * rep.grad_sq for _, _, rep in roots]
 
 
-def e_min_landscape(m: float, curve: FrequencyCurve, crit: CriticalFrequencies,
-                    ode_tolerance: float = ODE_TOLERANCE) -> LandscapeRecord:
+def e_min_landscape(m: float, curve: FrequencyCurve,
+                    crit: CriticalFrequencies) -> LandscapeRecord:
     """The five-case structure of E_min(m) and E_min^V(m)."""
-    return _landscape_record(m, curve, crit, ode_tolerance,
-                             _ground_roots(m, curve, crit, ode_tolerance))
+    return _landscape_record(m, curve, crit, _ground_roots(m, curve, crit))
 
 
-def _landscape_record(m, curve, crit, ode_tolerance, roots) -> LandscapeRecord:
+def _landscape_record(m, curve, crit, roots) -> LandscapeRecord:
     """``e_min_landscape`` on the ground branches' ``roots`` at m."""
     tol_q1 = 1e-9 * crit.m_q1
 
@@ -169,7 +169,7 @@ def _landscape_record(m, curve, crit, ode_tolerance, roots) -> LandscapeRecord:
         # is infinite below the rescaled-soliton threshold mass
         if m < crit.m_threshold * (1.0 - 1e-12):
             return LandscapeRecord(m, 0.0, False, None, True, KIND_NONE)
-        candidates = _rescaled_branch_energies(m, curve, crit, ode_tolerance)
+        candidates = _rescaled_branch_energies(m, curve, crit)
         kind = KIND_RESCALED_SOLITON
         ground = [rep.energy for _, _, rep in roots]
         if ground:
@@ -204,13 +204,13 @@ def certify_e_min_by_flow(m: float) -> float:
     return best
 
 
-def landscape_table(masses, curve, crit, ode_tolerance=ODE_TOLERANCE):
+def landscape_table(masses, curve, crit):
     """One (LandscapeRecord, ClassificationResult) pair per mass, from one
     inversion of each branch."""
     rows = []
     for m in map(float, masses):
-        roots = _ground_roots(m, curve, crit, ode_tolerance)
-        rows.append((_landscape_record(m, curve, crit, ode_tolerance, roots),
+        roots = _ground_roots(m, curve, crit)
+        rows.append((_landscape_record(m, curve, crit, roots),
                      _classification(m, crit, roots)))
     return rows
 

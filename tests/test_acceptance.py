@@ -94,7 +94,7 @@ def test_criterion_06_endpoint_asymptotics(curve, cubic_g):
         errors.append(abs(rep.mass - mass_pred) / mass_pred)
     assert errors[-1] < 0.05
     assert errors[0] > errors[1] > errors[2]
-    report = asymptotic_check(curve, cubic_g)
+    report = asymptotic_check(curve)
     assert abs(report["beta_slope"] + 1.0) < 0.15
     assert abs(report["mass_slope"] + 3.0) < 0.3
 

@@ -43,12 +43,19 @@ def _callee(func, aliases=None) -> str | None:
     return None
 
 
+def _parameter_names(fn) -> set[str]:
+    return {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+
+
+def _functions(tree):
+    return (node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
 def _optional_parameters(module, tree):
     methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                for item in cls.body}
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
+    for node in _functions(tree):
         method = id(node) in methods
         positional = node.args.posonlyargs + node.args.args
         offset = len(positional) - len(node.args.defaults)
@@ -126,8 +133,7 @@ def unset_optional_parameters() -> list[str]:
         if not isinstance(arg, ast.Name):
             return None
         for fn in reversed(scope):
-            if arg.id in {a.arg for a in fn.args.posonlyargs + fn.args.args
-                          + fn.args.kwonlyargs}:
+            if arg.id in _parameter_names(fn):
                 return by_key.get((caller_module, fn.name, arg.id))
         return None
 
@@ -153,3 +159,12 @@ def unset_optional_parameters() -> list[str]:
 
 def test_every_optional_parameter_is_set_by_some_call():
     assert unset_optional_parameters() == []
+
+
+def test_no_curve_reader_takes_its_own_tolerance():
+    # a curve carries the ODE tolerance it was scanned at; a reader with a
+    # tolerance of its own mixes two discrete problems when the two differ
+    readers = [f"{module}.{fn.name}" for module, tree in _trees("src/cqnls")
+               for fn in _functions(tree)
+               if {"curve", "ode_tolerance"} <= _parameter_names(fn)]
+    assert readers == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from cqnls import curves, landscape, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
-                          FrequencyCurve, _hermite_root, _solve_tridiagonal,
+                          _hermite_root, _solve_tridiagonal,
                           asymptotic_check, classify_stability, default_omega_grid,
                           differentiate, invert_beta, monotone_root, omega_slopes, scan)
 from cqnls.errors import (EmptyGrid, InnerSolveDiverged, InsufficientCoverage,
@@ -131,8 +132,9 @@ class TestDifferentiate:
         # second difference mixed the scan's d with its own solves and
         # missed 1e-2: 21 at omega = 0.0239 with 1e-8, 0.47 there with 1e-10
         omegas = [0.004, 0.0239, 0.06, 0.12, 0.17, 0.185]
-        for scan_tolerance in (shooting.ODE_TOLERANCE, ode_tolerance):
-            checks = differentiate(scan(omegas, scan_tolerance), ode_tolerance).derivative_checks
+        mixed = replace(scan(omegas), ode_tolerance=ode_tolerance)
+        for swept in (mixed, scan(omegas, ode_tolerance)):
+            checks = differentiate(swept).derivative_checks
             assert len(checks) == len(omegas)
             for check in checks:
                 assert check.grad_identity < 1e-3, check
@@ -141,16 +143,16 @@ class TestDifferentiate:
 
     def test_solves_each_node_alone(self, small_scan, monkeypatch):
         # one solve per node, at the node's own frequency: the scan's profile
-        swept, ode_tolerance = small_scan
+        swept = small_scan
         calls = []
 
         def spy(omega, c):
             calls.append((omega, c))
             return shooting.solve_ground_state(omega, c)
         monkeypatch.setattr(curves, "solve_ground_state", spy)
-        one = differentiate(FrequencyCurve(points=swept.points[:1]), ode_tolerance)
-        both = differentiate(swept, ode_tolerance)
-        assert calls == [(p.omega, ode_tolerance) for p in swept.points[:1] + swept.points]
+        one = differentiate(replace(swept, points=swept.points[:1]))
+        both = differentiate(swept)
+        assert calls == [(p.omega, swept.ode_tolerance) for p in swept.points[:1] + swept.points]
         assert one.points[0] == both.points[0]
         assert one.derivative_checks[0] == both.derivative_checks[0]
 
@@ -177,7 +179,7 @@ class TestNewtonSlopes:
         # the nodes bracketing a search lend their slopes from one L+
         # solve per profile (fine and coarse spacing), and a search
         # repeated on the same nodes makes no further L+ solve
-        swept, ode_tolerance = small_scan
+        swept = small_scan
         curves._solved_pairings.cache_clear()
         paired, pairings = [], curves._omega_pairings
 
@@ -185,10 +187,10 @@ class TestNewtonSlopes:
             paired.append(profile.omega)
             return pairings(profile, stop, step)
         monkeypatch.setattr(curves, "_omega_pairings", spy)
-        first = invert_beta(1.0 / 3.0, swept, ode_tolerance)
+        first = invert_beta(1.0 / 3.0, swept)
         assert paired and all(paired.count(omega) == 2 for omega in paired)
         count = len(paired)
-        assert invert_beta(1.0 / 3.0, swept, ode_tolerance)[0] == first[0]
+        assert invert_beta(1.0 / 3.0, swept)[0] == first[0]
         assert len(paired) == count
 
     def test_pairings_are_kept_per_tolerance(self):
@@ -435,25 +437,25 @@ class TestInvertBetaSmallScan:
 
     @pytest.mark.parametrize("target", [1.0 / 3.0, 1.0])
     def test_lands_on_target_in_few_solves(self, small_scan, fresh_solves, target):
-        swept, ode_tolerance = small_scan
+        swept = small_scan
         calls = fresh_solves({p.omega for p in swept.points})
-        omega, _, rep = invert_beta(target, swept, ode_tolerance)
+        omega, _, rep = invert_beta(target, swept)
         assert abs(rep.beta - target) < 1e-12
         # Brent's method took 6 solves here; the nodes' slopes take none
         assert len(calls) <= 4
         assert omega in calls
 
     def test_fresh_solve_reproduces_mass(self, small_scan, monkeypatch):
-        swept, ode_tolerance = small_scan
-        omega, _, rep = invert_beta(1.0 / 3.0, swept, ode_tolerance)
+        swept = small_scan
+        omega, _, rep = invert_beta(1.0 / 3.0, swept)
         monkeypatch.setattr(shooting, "_profile_cache", {})
-        assert evaluate(shooting.solve_ground_state(omega, ode_tolerance)).mass == rep.mass
+        assert evaluate(shooting.solve_ground_state(omega, swept.ode_tolerance)).mass == rep.mass
 
     def test_unreachable_beta_tol_raises(self, small_scan, monkeypatch):
-        swept, ode_tolerance = small_scan
+        swept = small_scan
         monkeypatch.setattr(curves, "BETA_TOL", 1e-20)
         with pytest.raises(ToleranceNotMet, match=r"beta = 0\.3333.* missed by"):
-            invert_beta(1.0 / 3.0, swept, ode_tolerance)
+            invert_beta(1.0 / 3.0, swept)
 
 
 class TestCriticalAndStability:
@@ -481,13 +483,13 @@ class TestCriticalAndStability:
 
 
 class TestAsymptoticCheck:
-    def test_needs_endpoint_coverage(self, cubic_g):
+    def test_needs_endpoint_coverage(self):
         swept = scan(np.array([0.05, 0.06, 0.07, 0.08, 0.09]))
         with pytest.raises(InsufficientCoverage):
-            asymptotic_check(swept, cubic_g)
+            asymptotic_check(swept)
 
-    def test_small_omega_errors_shrink(self, curve, cubic_g):
-        report = asymptotic_check(curve, cubic_g)
+    def test_small_omega_errors_shrink(self, curve):
+        report = asymptotic_check(curve)
         errors = [e["mass_rel_error"] for e in report["small_omega"]]
         omegas = [e["omega"] for e in report["small_omega"]]
         order = np.argsort(omegas)

@@ -11,7 +11,7 @@ from cqnls.functionals import evaluate, f_alpha
 from cqnls.geometry import (c_alpha, q_alpha, random_test_functions,
                             rescale_energy_factor, rescale_mass_factor,
                             rescale_soliton)
-from cqnls.shooting import solve_ground_state
+from cqnls.shooting import ODE_TOLERANCE, solve_ground_state
 
 
 class TestRescaleSoliton:
@@ -71,7 +71,7 @@ class TestQCAlpha:
             q_alpha(-1.0, curve)
         # a curve without points brackets nothing
         with pytest.raises(AlphaOutOfRange):
-            q_alpha(0.5, FrequencyCurve(points=()))
+            q_alpha(0.5, FrequencyCurve(points=(), ode_tolerance=ODE_TOLERANCE))
 
 
 class TestRandomTestFunctions:

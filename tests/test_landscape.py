@@ -7,8 +7,10 @@ import pytest
 
 from cqnls import curves, landscape, shooting
 from cqnls.curves import (CRITICAL, STABLE, UNSTABLE, CriticalFrequencies,
-                          FrequencyCurve, FrequencyCurvePoint, locate_critical)
+                          FrequencyCurve, FrequencyCurvePoint, differentiate,
+                          locate_critical)
 from cqnls.errors import MassBeyondScan
+from cqnls.geometry import q_alpha
 from cqnls.landscape import (CRITICAL_BRANCH, KIND_BOUNDARY_Q1,
                              KIND_GROUND_STATE, KIND_NONE, LOWER_BRANCH,
                              UPPER_BRANCH, classify_normalized,
@@ -93,7 +95,8 @@ class TestBranchDirection:
             for om in (0.005, 0.01, 0.06, 0.15))
         crit = CriticalFrequencies(0.024, 0.1, m0=50.0, m_q1=1000.0,
                                    m_threshold=500.0, mass_argmin=0.024)
-        result = classify_normalized(150.0, FrequencyCurve(points), crit)
+        result = classify_normalized(150.0, FrequencyCurve(points, shooting.ODE_TOLERANCE),
+                                     crit)
         assert result.branch_labels == (UPPER_BRANCH,)
         assert result.frequencies[0] == pytest.approx(
             0.024 + (100.0 / self.K) ** 0.5, rel=1e-6)
@@ -103,19 +106,39 @@ def test_branch_inversions_solve_at_no_scanned_node(small_scan, monkeypatch, fre
     # the scanned nodes and the split lend their values to the bracket, and
     # their slopes come from their profiles in the cache: a node is read,
     # never solved fresh
-    swept, ode_tolerance = small_scan
-    crit = locate_critical(swept, ode_tolerance)
+    swept = small_scan
+    crit = locate_critical(swept)
     known = {p.omega for p in swept.points} | {crit.omega_star, crit.omega_upper_star}
     solved, calls = fresh_solves(known), []
     solve = curves.solve_ground_state
     monkeypatch.setattr(curves, "solve_ground_state",
                         lambda omega, *args: calls.append(omega) or solve(omega, *args))
-    assert classify_normalized(1.3 * crit.m0, swept, crit, ode_tolerance).count == 2
-    record = e_min_landscape(0.95 * crit.m_q1, swept, crit, ode_tolerance)
+    assert classify_normalized(1.3 * crit.m0, swept, crit).count == 2
+    record = e_min_landscape(0.95 * crit.m_q1, swept, crit)
     assert not record.e_min_v_infinite
     read = set(calls) - set(solved)
     assert solved and not known & set(solved)
     assert read and read <= known
+
+
+def test_every_solve_runs_at_the_scan_tolerance(small_scan, monkeypatch, fresh_solves):
+    # the functions that read a curve solve at the tolerance it was scanned
+    # at; with a tolerance of their own, defaulting to 1e-12, a 1e-10 curve
+    # was differentiated and inverted at 1e-12
+    swept = small_scan
+    tolerances, solve = set(), shooting._solve
+    fresh_solves(set())
+
+    def spy(omega, ode_tolerance, *args, **kwargs):
+        tolerances.add(ode_tolerance)
+        return solve(omega, ode_tolerance, *args, **kwargs)
+    monkeypatch.setattr(shooting, "_solve", spy)
+    differentiate(swept)
+    crit = locate_critical(swept)
+    classify_normalized(1.3 * crit.m0, swept, crit)
+    e_min_landscape(0.95 * crit.m_q1, swept, crit)
+    q_alpha(0.5, swept)
+    assert tolerances == {swept.ode_tolerance}
 
 
 def test_mass_roots_take_few_solves(small_scan, monkeypatch, fresh_solves):
@@ -123,8 +146,8 @@ def test_mass_roots_take_few_solves(small_scan, monkeypatch, fresh_solves):
     # Brent's method 9 (lower) and 6 (upper) solves: the upper root takes
     # no more than a beta inversion, the lower one, started from a Hermite
     # cubic over [0.004, 0.0155] on a curve like omega^(-1/2), one more
-    swept, ode_tolerance = small_scan
-    crit = locate_critical(swept, ode_tolerance)
+    swept = small_scan
+    crit = locate_critical(swept)
     solved = fresh_solves({p.omega for p in swept.points} | {crit.omega_star})
     per_root, search = [], landscape.monotone_root
 
@@ -134,7 +157,7 @@ def test_mass_roots_take_few_solves(small_scan, monkeypatch, fresh_solves):
         per_root.append(len(solved) - before)
         return result
     monkeypatch.setattr(landscape, "monotone_root", counted_search)
-    result = classify_normalized(1.3 * crit.m0, swept, crit, ode_tolerance)
+    result = classify_normalized(1.3 * crit.m0, swept, crit)
     assert result.branch_labels == (LOWER_BRANCH, UPPER_BRANCH)
     lower, upper = per_root
     assert lower <= 5 and upper <= 4
@@ -144,8 +167,8 @@ def test_mass_roots_take_few_solves(small_scan, monkeypatch, fresh_solves):
 def test_table_inverts_each_branch_once_per_mass(small_scan, monkeypatch):
     # the record and the classification of a mass share its ground-branch
     # roots, and give the rows of the two public calls
-    swept, ode_tolerance = small_scan
-    crit = locate_critical(swept, ode_tolerance)
+    swept = small_scan
+    crit = locate_critical(swept)
     calls = Counter()
     real_branch_roots = landscape._branch_roots
 
@@ -158,25 +181,25 @@ def test_table_inverts_each_branch_once_per_mass(small_scan, monkeypatch):
     # branches, the Q_1 boundary and the ground branches alone
     assert crit.m_threshold < 0.78 * crit.m_q1 < crit.m0 < 0.9 * crit.m_q1
     masses = [r * crit.m_q1 for r in (0.5, 0.78, 0.9, 1.0, 1.5)]
-    rows = landscape_table(masses, swept, crit, ode_tolerance)
+    rows = landscape_table(masses, swept, crit)
     assert set(calls.values()) == {1}
     assert {split for _, split in calls} == {crit.omega_star, crit.omega_upper_star}
-    assert rows == [(e_min_landscape(m, swept, crit, ode_tolerance),
-                     classify_normalized(m, swept, crit, ode_tolerance)) for m in masses]
+    assert rows == [(e_min_landscape(m, swept, crit),
+                     classify_normalized(m, swept, crit)) for m in masses]
 
 
 @pytest.mark.parametrize("ratio", [0.5, 0.9, 1.0, 1.5])
 def test_table_row_is_the_standalone_pair(small_scan, monkeypatch, ratio):
     # below m_threshold, between m0 and M(Q_1), at M(Q_1) and above it the
     # row equals the two public calls, each made on an empty profile cache
-    swept, ode_tolerance = small_scan
-    crit = locate_critical(swept, ode_tolerance)
+    swept = small_scan
+    crit = locate_critical(swept)
     assert crit.m_threshold < 0.78 * crit.m_q1 < crit.m0 < 0.9 * crit.m_q1
     m = ratio * crit.m_q1
 
     def cold(call, *args):
         monkeypatch.setattr(shooting, "_profile_cache", {})
-        return call(*args, swept, crit, ode_tolerance)
+        return call(*args, swept, crit)
     assert cold(landscape_table, [m]) == [(cold(e_min_landscape, m),
                                            cold(classify_normalized, m))]
 
