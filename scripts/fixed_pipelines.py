@@ -20,7 +20,10 @@ amplitude and tail constant: no pipeline writes it to a data file.  Then
 comes the solve at omega = 0.18692, above the table's span, whose one
 bisection shows if a second way to the root returns ahead of it.  Then
 come the ``_march`` runs of seeded solves at 250 frequencies at each of
-two tolerances, where a change to the depth table's spacing shows.  The
+two tolerances, where a change to the depth table's spacing shows, and
+the solves, ``_march`` runs and initial distances of the ``evolve``
+pipeline's soliton family at omega = 0.073, where a change to the family
+shows.  The
 ``critical`` and ``landscape-2`` pipelines then run again in-process and
 print the fresh solves and L+ solves of each of their root searches.  Last, the ``scan``
 pipeline runs again in-process and prints its count of
@@ -84,7 +87,10 @@ CERTIFY = ("from cqnls.landscape import certify_e_min_by_flow; "
 #: solve outside the table's span does; the unforced solve at 0.18692 is
 #: one such; then the ``_march`` runs of the seeded solves over 250
 #: frequencies across the table's span, at ODE tolerance 1e-12 and 1e-10,
-#: which a change to the table's spacing moves
+#: which a change to the table's spacing moves; last, the fresh solves
+#: (``_solve`` calls) and ``_march`` runs of the ``evolve`` pipeline's
+#: base profile and soliton family at omega = 0.073, and the initial
+#: modulated distance at perturbations 0.01 and 0.001
 COUNTS = """
 import numpy as np
 from cqnls import depth_table, shooting
@@ -122,6 +128,16 @@ for tol in (1e-12, 1e-10):
     for omega in np.linspace(0.004, 0.1869, 250):
         shooting.solve_ground_state(float(omega), tol)
     print(f"sweep of 250 omega in [0.004, 0.1869] at {tol}: {tally[1]} marches")
+from cqnls import dynamics
+solve, solves = shooting._solve, []
+shooting._solve = lambda omega, *args, **kwargs: solves.append(omega) or solve(omega, *args,
+                                                                             **kwargs)
+shooting._profile_cache.clear()
+tally[:] = [0, 0]
+distances = [dynamics.stability_experiment(0.073, size, t_end=1.0)["initial_distance"]
+             for size in (0.01, 0.001)]
+print(f"evolve family at omega=0.073: {len(solves)} fresh solves, {tally[1]} marches, "
+      f"initial distance {distances[0]!r} at 0.01, {distances[1]!r} at 0.001")
 """
 
 #: fresh solves (``shooting._solve`` calls) and L+ solves

@@ -6,14 +6,18 @@ Dirichlet conditions at both ends.  Time stepping is Strang splitting
 (Bao-Jin-Markowich): the nonlinearity only rotates the phase of w, so it
 is solved exactly, as cos + i sin of the real angle, and the linear part
 takes a Crank-Nicolson step whose tridiagonal matrix is factored once per
-call: one banded solve per step.  Both parts keep sum |w|^2 to rounding,
-and with it the discrete mass of a smooth field.  Times are the initial
+call: one banded solve per step, in buffers made once per call.  Both
+parts keep sum |w|^2 to rounding, and with it the discrete mass of a
+smooth field.  Times are the initial
 time plus whole steps, and the field is checked for nan and inf at each
 ledger sample and at the end of a call.  An optional absorbing sponge
 damps outgoing radiation in instability experiments (conservation checks
 are then skipped, since the sponge removes mass by design).  The stability
-experiment measures the modulated H^1 distance to a sampled soliton family
-whose norms are computed once, with the family.
+experiment measures the modulated H^1 distance to the soliton family: 7
+ground states solved over +-10% of the frequency and the degree-6
+polynomial through them in omega, whose Gram matrix is computed once,
+with the family, so that the distance's minimum over the family is a
+closed form in seven products with the state.
 """
 
 from __future__ import annotations
@@ -78,11 +82,12 @@ class EvolutionState:
 
 
 def _centred_derivative(f: np.ndarray, h: float) -> np.ndarray:
-    """Centred differences, zero slope at the origin, one-sided at the edge."""
+    """Centred differences along the last axis, zero slope at the origin,
+    one-sided at the edge."""
     d = np.empty_like(f)
-    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * h)
-    d[0] = 0.0
-    d[-1] = (f[-1] - f[-2]) / h
+    d[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h)
+    d[..., 0] = 0.0
+    d[..., -1] = (f[..., -1] - f[..., -2]) / h
     return d
 
 
@@ -137,17 +142,26 @@ def _sponge_profile(grid: np.ndarray) -> np.ndarray:
     return np.clip((grid - start) / (radius - start), 0.0, 1.0) ** 2
 
 
-def _phase(w: np.ndarray, inv_r2: np.ndarray, tau: float) -> np.ndarray:
+def _phase(w: np.ndarray, inv_r2: np.ndarray, tau: float, scratch: tuple) -> np.ndarray:
     """Exact flow of i w_t + (rho - rho^2) w = 0 over tau, rho = |w/r|^2:
-    a rotation that keeps |w| at every node."""
-    rho = (w.real * w.real + w.imag * w.imag) * inv_r2
-    theta = tau * (rho - rho * rho)
+    a rotation that keeps |w| at every node, applied to w in place.
+    ``scratch`` is two real buffers and a complex one, each of w's size."""
+    rho, theta, rotation = scratch
+    np.multiply(w.real, w.real, out=rho)
+    np.multiply(w.imag, w.imag, out=theta)
+    np.add(rho, theta, out=rho)
+    np.multiply(rho, inv_r2, out=rho)
+    np.multiply(rho, rho, out=theta)
+    np.subtract(rho, theta, out=theta)
+    np.multiply(tau, theta, out=theta)
     # cos + i sin of the real angle: the same rotation as
-    # np.exp(1j * theta), without the complex exponential's cost
-    rotation = np.empty_like(w)
-    rotation.real = np.cos(theta)
-    rotation.imag = np.sin(theta)
-    return w * rotation
+    # np.exp(1j * theta), without the complex exponential's cost; each is
+    # taken into a contiguous buffer, as an allocating call would be
+    np.cos(theta, out=rho)
+    rotation.real = rho
+    np.sin(theta, out=rho)
+    rotation.imag = rho
+    return np.multiply(w, rotation, out=w)
 
 
 def evolve(initial: EvolutionState, t_end: float, dt: float,
@@ -192,7 +206,11 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     if info != 0:
         raise InnerSolveDiverged(f"singular linear step (zgttrf info={info})")
 
-    w = initial.field[1:-1]
+    # the field, the phase's scratch and the solve's right-hand side are
+    # buffers reused by every step; zgttrs overwrites the right-hand side
+    w = initial.field[1:-1].copy()
+    scratch = (np.empty(w.size), np.empty(w.size), np.empty_like(w))
+    rhs = np.empty_like(w)
     ledger = list(initial.ledger)
     if not ledger:
         ledger.append(_ledger_entry(initial))
@@ -206,15 +224,18 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     opening = 0.5 * dt
 
     for step in range(1, steps + 1):
-        w = _phase(w, inv_r2, opening)
-        w = (2j / dt) * zgttrs(*factors, w)[0] - w
+        _phase(w, inv_r2, opening, scratch)
+        np.copyto(rhs, w)
+        solved = zgttrs(*factors, rhs, b"N", 1)[0]
+        np.multiply(2j / dt, solved, out=solved)
+        np.subtract(solved, w, out=w)
         time = t0 + step * dt
         sample = (time >= t0 + samples * ledger_interval - 1e-12
                   or time >= t_end - 1e-12)
         if not (sample or step == steps):
             opening = dt
             continue
-        w = _phase(w, inv_r2, 0.5 * dt)
+        _phase(w, inv_r2, 0.5 * dt, scratch)
         opening = 0.5 * dt
         # a nan or inf survives the rotation and the tridiagonal solve, so
         # checking here catches it by the next sample at the latest
@@ -237,55 +258,152 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
                           ledger=tuple(ledger))
 
 
-def _h1_inner(grid, h, phi_a, dphi_a, phi_b, dphi_b) -> complex:
-    r2 = grid**2
-    integrand = (np.conj(phi_a) * phi_b + np.conj(dphi_a) * dphi_b) * r2
-    return 4.0 * math.pi * (
-        simpson_uniform(integrand.real, h) + 1j * simpson_uniform(integrand.imag, h)
-    )
+#: solved frequencies of the reference family, evenly over its window
+_FAMILY_SIZE = 7
+#: frequencies over the window at which the distance's minimum is first
+#: sought, before Newton's method refines it
+_TABLE_SIZE = 513
+#: Newton steps at most, and the step (in s, the half-window's unit) after
+#: which the refinement stops: the error left is of the order of its square
+_NEWTON_STEPS = 8
+_NEWTON_STOP = 1e-6
 
 
-def _reference(psi: np.ndarray, grid: np.ndarray) -> tuple:
-    """(psi, psi', ||psi||_{H^1}^2) of a reference sampled on ``grid``."""
+@dataclass(frozen=True)
+class SolitonFamily:
+    """Samples Q_j of a soliton family at frequencies ``omegas`` on one
+    grid, with what the H^1 distance to their interpolant needs.
+
+    The family between the samples is the polynomial through them in
+    s = (omega' - centre)/half, s in [-1, 1] over the window:
+    Q(s) = sum_j c_j(s) Q_j with the Lagrange weights
+    c(s) = ``lagrange`` @ (1, s, ..., s^(K-1)).  ``samples`` holds each
+    Q_j and its centred derivative end to end; ``weights`` are the Simpson
+    weights times 4 pi r^2, twice over, so that ``weighted`` = samples *
+    weights turns [phi, phi'] into the H^1 products <Q_j, phi>, and
+    ``gram`` holds the products <Q_j, Q_k>.  ``table`` holds c(s) at
+    ``_TABLE_SIZE`` points ``table_s`` and ``table_norms`` the squared
+    norm c^T G c of the interpolant there.
+    """
+
+    omegas: np.ndarray
+    samples: np.ndarray
+    weights: np.ndarray
+    weighted: np.ndarray
+    gram: np.ndarray
+    lagrange: np.ndarray
+    table_s: np.ndarray
+    table: np.ndarray
+    table_norms: np.ndarray
+
+
+def _family(omegas: np.ndarray, values: np.ndarray, grid: np.ndarray) -> SolitonFamily:
+    """The family of the real ``values`` (one row per frequency, in
+    increasing ``omegas``) sampled on ``grid``; a single row is a constant
+    family."""
     h = float(grid[1] - grid[0])
-    dpsi = _centred_derivative(psi, h)
-    return psi, dpsi, _h1_inner(grid, h, psi, dpsi, psi, dpsi).real
+    samples = np.hstack((values, _centred_derivative(values, h)))
+    simpson = np.full(grid.size, 2.0 * h / 3.0)
+    simpson[1:-1:2] = 4.0 * h / 3.0
+    simpson[[0, -1]] = h / 3.0
+    weights = np.tile(4.0 * math.pi * simpson * grid**2, 2)
+    weighted = samples * weights
+    half = 0.5 * (omegas[-1] - omegas[0]) or 1.0
+    nodes = (omegas - 0.5 * (omegas[-1] + omegas[0])) / half
+    lagrange = np.linalg.inv(np.vander(nodes, increasing=True)).T
+    table_s = np.linspace(-1.0, 1.0, _TABLE_SIZE)
+    table = np.vander(table_s, len(omegas), increasing=True) @ lagrange.T
+    gram = weighted @ samples.T
+    return SolitonFamily(omegas=omegas, samples=samples, weights=weights,
+                         weighted=weighted, gram=gram, lagrange=lagrange,
+                         table_s=table_s, table=table,
+                         table_norms=np.einsum("ij,jk,ik->i", table, gram, table))
 
 
-def modulated_distance(state: EvolutionState, references) -> float:
-    """min over the reference family and phase of the H^1 distance.
+def _refine(family: SolitonFamily, products: np.ndarray, i: int) -> float:
+    """Newton's method on e(s) = c^T G c - 2|c^T b| from the table's least
+    point ``table_s[i]``, kept between its neighbours; b = ``products``."""
+    size = len(family.omegas)
+    table_s = family.table_s
+    low, high = table_s[max(i - 1, 0)], table_s[min(i + 1, table_s.size - 1)]
+    s = float(table_s[i])
+    powers = np.arange(size)
+    monomials = np.zeros((3, size))
+    for _ in range(_NEWTON_STEPS):
+        # the monomials s^k and their first two derivatives, mapped to
+        # c(s), c'(s) and c''(s)
+        monomials[0] = s ** powers
+        monomials[1, 1:] = powers[1:] * monomials[0, :-1]
+        monomials[2, 1:] = powers[1:] * monomials[1, :-1]
+        weights = monomials @ family.lagrange.T
+        c, dc, ddc = weights
+        overlap, slope, bend = weights @ products
+        modulus = abs(overlap)
+        # e' and e'' from those of c^T G c and of |c^T b|
+        along = (overlap.conjugate() * slope).real
+        gc, gdc = family.gram @ c, family.gram @ dc
+        first = 2.0 * (dc @ gc) - 2.0 * along / modulus
+        second = (2.0 * (ddc @ gc + dc @ gdc)
+                  - 2.0 * ((abs(slope) ** 2 + (overlap.conjugate() * bend).real) / modulus
+                           - along**2 / modulus**3))
+        if not second > 0.0:
+            break
+        step = min(max(s - first / second, low), high) - s
+        s += step
+        if abs(step) < _NEWTON_STOP:
+            break
+    return s
 
-    ``references`` is a list of ``_reference`` triples (psi, dpsi and the
-    squared H^1 norm, computed once per family) on the state's grid.  The
-    phase minimum is closed-form: |phi - e^{i theta} psi|^2 is smallest at
-    e^{i theta} = <psi, phi>/|<psi, phi>|, where it is
-    |phi|^2 + |psi|^2 - 2|<psi, phi>|.  That difference picks the nearest
-    reference, but it rounds in steps of an ulp of the norms, so the
-    distance to that one is integrated from phi - e^{i theta} psi itself.
+
+def modulated_distance(state: EvolutionState, family: SolitonFamily) -> float:
+    """min over the soliton family and the phase of the H^1 distance.
+
+    With b_j = <Q_j, phi> and G the family's Gram matrix, the squared
+    distance to e^{i theta} Q(s) is least over theta at
+    e^{i theta} = c^T b/|c^T b|, where it is
+    d^2(s) = |phi|^2 + c^T G c - 2|c^T b|.  Its minimum over the window is
+    read off the family's table and refined by Newton's method
+    (``_refine``).  That closed form only locates the minimiser: it rounds
+    in steps of an ulp of the norms, so the distance is integrated from
+    the gap phi - e^{i theta} Q(s) itself.
     """
     phi = state.phi()
-    dphi = _phi_derivative(state)
-    h = state.spacing
-    # |phi|^2 is common to every reference: the nearest has the least
-    # |psi|^2 - 2|<psi, phi>|
-    nearest = None
-    for psi, dpsi, ref_sq in references:
-        cross = _h1_inner(state.grid, h, psi, dpsi, phi, dphi)
-        excess = ref_sq - 2.0 * abs(cross)
-        if nearest is None or excess < nearest[0]:
-            nearest = excess, cross, psi, dpsi
-    _, cross, psi, dpsi = nearest
-    rotation = cross / abs(cross) if cross else 1.0
-    gap, dgap = phi - rotation * psi, dphi - rotation * dpsi
-    return math.sqrt(_h1_inner(state.grid, h, gap, dgap, gap, dgap).real)
+    both = np.concatenate((phi, _centred_derivative(phi, state.spacing)))
+    # the samples are real: their products with the real and the
+    # imaginary part of [phi, phi'] in one matrix product
+    parts = family.weighted @ both.view(float).reshape(-1, 2)
+    read = family.table @ parts
+    excess = family.table_norms - 2.0 * np.hypot(read[:, 0], read[:, 1])
+    products = parts[:, 0] + 1j * parts[:, 1]
+    s = _refine(family, products, int(np.argmin(excess)))
+    c = family.lagrange @ s ** np.arange(len(family.omegas))
+    overlap = c @ products
+    rotation = overlap / abs(overlap) if overlap else 1.0 + 0.0j
+    nearest = c @ family.samples
+    gap_re = both.real - rotation.real * nearest
+    gap_im = both.imag - rotation.imag * nearest
+    return math.sqrt(family.weights @ (gap_re * gap_re + gap_im * gap_im))
 
 
-def _reference_family(omega: float, grid: np.ndarray, ode_tolerance: float):
-    """Sampled soliton family P_{omega'}: 21 frequencies evenly over
-    +-10% of omega."""
-    return [_reference(solve_ground_state(float(omega_p), ode_tolerance)
-                       .interpolate(grid).astype(complex), grid)
-            for omega_p in np.linspace(0.9 * omega, 1.1 * omega, 21)]
+def _reference_family(omega: float, grid: np.ndarray, ode_tolerance: float) -> SolitonFamily:
+    """The soliton family around omega: ground states solved at
+    ``_FAMILY_SIZE`` frequencies evenly over [0.9 omega, 1.1 omega], omega
+    itself the middle one, and interpolated between them (``SolitonFamily``).
+    The window ends at the depth table's last node, 0.1869, or at omega
+    if that is higher, since the solver reaches little beyond it.
+    """
+    from . import depth_table
+
+    top = max(omega, depth_table.GROUND_DEPTHS[-1][0])
+    offsets = (np.arange(_FAMILY_SIZE) - _FAMILY_SIZE // 2) / (_FAMILY_SIZE // 2)
+    if omega + 0.1 * omega <= top:
+        omegas = omega + 0.1 * omega * offsets
+    else:
+        low = omega - 0.1 * omega
+        omegas = 0.5 * (top + low) + 0.5 * (top - low) * offsets
+    values = np.array([solve_ground_state(float(omega_p), ode_tolerance).interpolate(grid)
+                       for omega_p in omegas])
+    return _family(omegas, values, grid)
 
 
 EMPIRICALLY_STABLE = "empirically_stable"
@@ -303,8 +421,9 @@ def stability_experiment(omega: float, perturbation_size: float, t_end: float = 
 
     Evolves (1 + size) * P_omega with an absorbing sponge on a grid of
     spacing 0.03 and tracks the modulated H^1 distance to the soliton
-    family over a +-10% frequency window at 50 samples; the verdict
-    compares the worst distance to the initial one.  t_end and dt must be
+    family over a +-10% frequency window (``_reference_family``, clipped
+    where the solver stops) at 50 samples; the verdict compares the worst
+    distance to the initial one.  t_end and dt must be
     finite, with dt > 0 no longer than the sampling interval t_end / 50,
     and that interval a whole number of steps (to 1e-9 relative), so that
     each sample is taken at the time it is recorded at.
@@ -323,9 +442,9 @@ def stability_experiment(omega: float, perturbation_size: float, t_end: float = 
     radius = 2.4 * profile.truncation_radius
     state = soliton_state(profile, radius=radius, spacing=0.03,
                           perturbation=perturbation_size)
-    refs = _reference_family(omega, state.grid, ode_tolerance)
+    family = _reference_family(omega, state.grid, ode_tolerance)
 
-    distances = [modulated_distance(state, refs)]
+    distances = [modulated_distance(state, family)]
     times = [0.0]
     current = state
     t = 0.0
@@ -333,7 +452,7 @@ def stability_experiment(omega: float, perturbation_size: float, t_end: float = 
         t_next = min(t + sample_every, t_end)
         current = evolve(current, t_next, dt, sponge=True,
                          ledger_interval=t_next - t)
-        distances.append(modulated_distance(current, refs))
+        distances.append(modulated_distance(current, family))
         times.append(t_next)
         t = t_next
 

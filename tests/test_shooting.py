@@ -14,12 +14,15 @@ from hypothesis import strategies as st
 
 from cqnls import bvp, depth_table, shooting
 from cqnls.bvp import OMEGA_SHOOTING_MAX
-from cqnls.curves import default_omega_grid
 from cqnls.errors import BracketFailure, FrequencyOutOfWindow
 from cqnls.functionals import evaluate
 from cqnls.profiles import CUBIC_REFERENCE, GROUND_STATE
 from cqnls.shooting import (TrajectoryClass, force_upper_zero,
                             solve_cubic_reference, solve_ground_state)
+
+#: bvp.solve_collocation's values at the upper nodes of the 60-node
+#: default grid on [0.004, 0.185], and at 0.185
+COLLOCATION_ORACLE = Path(__file__).resolve().parent / "data" / "collocation_oracle.csv"
 
 
 class TestWindow:
@@ -229,16 +232,21 @@ class TestPlateau:
     """Depth shooting above OMEGA_SHOOTING_MAX, where the plateau forms."""
 
     def test_agrees_with_collocation(self):
-        grid = default_omega_grid(60, 0.004, 0.185)
-        for omega in [*grid[grid > OMEGA_SHOOTING_MAX], 0.185]:
+        # the collocation oracle's values are stored: re-running
+        # bvp.solve_collocation at these nodes took seconds
+        lines = [line for line in COLLOCATION_ORACLE.read_text().splitlines()
+                 if not line.startswith("#")]
+        names = lines[0].split(",")
+        assert names == ["omega", "mass", "energy", "beta", "grad_sq", "d"]
+        for line in lines[1:]:
+            oracle = dict(zip(names, map(float, line.split(","))))
+            omega = oracle["omega"]
             shot = evaluate(solve_ground_state(omega))
-            oracle = evaluate(bvp.solve_collocation(omega))
             for name in ("mass", "energy", "beta", "grad_sq"):
-                assert getattr(shot, name) == pytest.approx(getattr(oracle, name),
+                assert getattr(shot, name) == pytest.approx(oracle[name],
                                                             rel=1e-9), (omega, name)
             d_shot = shot.energy + 0.5 * omega * shot.mass
-            d_oracle = oracle.energy + 0.5 * omega * oracle.mass
-            assert d_shot == pytest.approx(d_oracle, rel=1e-9), omega
+            assert d_shot == pytest.approx(oracle["d"], rel=1e-9), omega
 
     def test_independent_of_solve_order(self, monkeypatch):
         monkeypatch.setattr(shooting, "_profile_cache", {})
