@@ -23,17 +23,21 @@ come the ``_march`` runs of seeded solves at 250 frequencies at each of
 two tolerances, where a change to the depth table's spacing shows, and
 the solves, ``_march`` runs and initial distances of the ``evolve``
 pipeline's soliton family at omega = 0.073, where a change to the family
-shows.  The
-``critical`` and ``landscape-2`` pipelines then run again in-process and
-print the fresh solves and L+ solves of each of their root searches.  Last, the ``scan``
-pipeline runs again in-process and prints its count of
-``solve_ground_state`` calls and the worst value over its nodes of each
-of criterion 02's three derivative identities, which no data file holds
-either.  Last comes the
-``STARTUP`` block: for each pipeline, the modules besides cqnls's own
-that its process loaded after ``import cqnls.cli``, so a command that
-starts importing a heavy module shows in the diff.  It takes about 20 s
-on a 2-core host.
+shows.  The ``critical`` and ``landscape-2`` pipelines then run again
+in-process and print the fresh solves and L+ solves of each of their
+root searches.  Then the ``scan`` pipeline runs again in-process and
+prints its count of ``solve_ground_state`` calls and the worst value
+over its nodes of each of criterion 02's three derivative identities,
+which no data file holds either.  The ``ACCURACY`` block follows: the ``critical`` pipeline runs
+again at ODE tolerances 1e-10 and 1e-8, and for each the largest
+relative difference from the default run (1e-12) over omega_star,
+omega_upper_star, m0, m_q1 and m_threshold is printed to two significant
+digits, so a change that weakens convergence shows in the diff.  Last
+comes the ``STARTUP`` block: for each pipeline, the modules besides
+cqnls's own that its process loaded after ``import cqnls.cli``, so a
+command that starts importing a heavy module shows in the diff.  It
+takes about 11 s on a 2-core host, the ``ACCURACY`` block about 1.5 s of
+it.
 Digests compare only between runs on one host: numpy's SIMD level moves
 the last bits of some data files.  A run that fails stops the script:
 the name of its pipeline and its standard error go to stderr, and the
@@ -41,9 +45,11 @@ exit status is 1.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -184,6 +190,12 @@ print(f"scan: {len(calls)} solve_ground_state calls, worst identities "
 """
 
 
+#: the ``critical`` pipeline's tolerances besides its default 1e-12, and
+#: the numbers of its ``critical.json`` that the ``ACCURACY`` block compares
+ACCURACY_TOLERANCES = ("1e-10", "1e-8")
+ACCURACY_NAMES = ("omega_star", "omega_upper_star", "m0", "m_q1", "m_threshold")
+
+
 def _python(name: str, *args: str) -> str:
     """Standard output of ``python args`` on SRC; if it fails, print the
     pipeline's name and standard error and exit nonzero."""
@@ -192,6 +204,24 @@ def _python(name: str, *args: str) -> str:
     if run.returncode:
         sys.exit(f"{name} failed with exit status {run.returncode}:\n{run.stderr}")
     return run.stdout
+
+
+def _accuracy(out: Path) -> list:
+    """One ``ACCURACY`` line per tolerance in ``ACCURACY_TOLERANCES``: the
+    ``critical`` pipeline run again at it, and the largest relative
+    difference of its numbers from the default run's in OUT."""
+    default = json.loads((out / "critical" / "critical.json").read_text())
+    lines = []
+    for tol in ACCURACY_TOLERANCES:
+        with tempfile.TemporaryDirectory() as loose_out:
+            _python(f"critical at {tol}", "-m", "cqnls.cli", "critical", "--ode-tol", tol,
+                    "--out", loose_out)
+            loose = json.loads((Path(loose_out) / "critical.json").read_text())
+        diffs = {k: abs(loose[k] / default[k] - 1.0) for k in ACCURACY_NAMES}
+        name = max(diffs, key=diffs.get)
+        lines.append(f"ACCURACY critical at --ode-tol {tol}: largest relative difference "
+                     f"{diffs[name]:.1e} from the default run, at {name}")
+    return lines
 
 
 def main(out: Path):
@@ -216,7 +246,7 @@ def main(out: Path):
             extra = () if config is None else ("--config", str(out / name / "config.txt"))
             print(_python(name, "-c", ROOT_SEARCHES, name, *argv, *extra), end="")
     print(_python("criterion 02", "-c", CRITERION_02), end="")
-    print("\n".join(startup))
+    print("\n".join(_accuracy(out) + startup))
 
 
 if __name__ == "__main__":

@@ -150,25 +150,20 @@ def _unique(values) -> np.ndarray:
     return values[first]
 
 
-#: the frequency at which ``default_omega_grid`` joins its two halves
-_GRID_SPLIT = 0.06
-
-
 def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185) -> np.ndarray:
-    """Log-spaced toward both endpoints of the production window, half the
-    nodes on each side of omega = 0.06.  The split has to lie inside the
-    window and both halves need a node, so anything but n >= 3 and
-    0 < lo < 0.06 < hi < 3/16 raises ValueError."""
-    if not (n >= 3 and 0.0 < lo < _GRID_SPLIT < hi < OMEGA_MAX):
-        raise ValueError(f"a frequency grid needs at least 3 nodes and a window with "
-                         f"0 < omega_min < {_GRID_SPLIT} < omega_max < 3/16, "
+    """n nodes uniform in t = ln(omega / (3/16 - omega)) from lo to hi, that
+    is omega = (3/16) / (1 + exp(-t)): log-spaced toward both ends of the
+    existence window (0, 3/16), where the mass curve steepens.  The first
+    node is lo and the last hi, exactly.  Anything but n >= 2 and
+    0 < lo < hi < 3/16 raises ValueError."""
+    if not (n >= 2 and 0.0 < lo < hi < OMEGA_MAX):
+        raise ValueError(f"a frequency grid needs at least 2 nodes and a window with "
+                         f"0 < omega_min < omega_max < 3/16, "
                          f"got grid size {n} and window [{lo}, {hi}]")
-    n_low = n // 2
-    n_high = n - n_low
-    low = lo * (_GRID_SPLIT / lo) ** np.linspace(0.0, 1.0, n_low, endpoint=False)
-    gap_hi, gap_mid = OMEGA_MAX - hi, OMEGA_MAX - _GRID_SPLIT
-    high = OMEGA_MAX - gap_mid * (gap_hi / gap_mid) ** np.linspace(0.0, 1.0, n_high)
-    return _unique(np.concatenate([low, high]))
+    t = np.linspace(math.log(lo / (OMEGA_MAX - lo)), math.log(hi / (OMEGA_MAX - hi)), n)
+    grid = OMEGA_MAX / (1.0 + np.exp(-t))
+    grid[0], grid[-1] = lo, hi
+    return grid
 
 
 def scan(omega_grid, ode_tolerance: float = ODE_TOLERANCE) -> FrequencyCurve:

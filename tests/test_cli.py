@@ -238,11 +238,8 @@ class TestConfigFile:
 
 class TestGridInputs:
     @pytest.mark.parametrize("flags", [
-        ["--grid-size", "6", "--omega-min", "0.1", "--omega-max", "0.15"],
-        ["--grid-size", "2"], ["--grid-size", "1"], ["--omega-max", "0.05"],
-        ["--omega-min", "0.15", "--omega-max", "0.1"]],
-        ids=["window-above-split", "two-nodes", "one-node", "window-below-split",
-             "reversed"])
+        ["--grid-size", "1"], ["--omega-min", "0.15", "--omega-max", "0.1"]],
+        ids=["one-node", "reversed"])
     @pytest.mark.parametrize("command", [["scan"], ["classify", "--mass-ratio", "1.5"]],
                              ids=["scan", "classify"])
     def test_grid_outside_its_window_exits_3_before_any_solve(self, command, flags, tmp_path,
@@ -250,10 +247,33 @@ class TestGridInputs:
         # scan used to exit 0 with nodes below --omega-min or past --omega-max
         code = main([*command, *flags, "--out", str(tmp_path)])
         assert code == 3
-        assert "frequency grid needs at least 3 nodes" in capsys.readouterr().err
+        assert "frequency grid needs at least 2 nodes" in capsys.readouterr().err
         assert solves == []
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "classification.json").exists()
+
+    # 0.06 is no node or bound of the grid, so all four grid commands take these
+    @pytest.mark.parametrize("flags, lo, hi", [
+        (["--grid-size", "6", "--omega-min", "0.1", "--omega-max", "0.15"], 0.1, 0.15),
+        (["--grid-size", "6", "--omega-max", "0.05"], 0.004, 0.05),
+        (["--grid-size", "2"], 0.004, 0.185)],
+        ids=["window-above-split", "window-below-split", "two-nodes"])
+    def test_scan_takes_any_inner_window(self, flags, lo, hi, tmp_path):
+        assert main(["scan", *flags, "--out", str(tmp_path)]) == 0
+        with (tmp_path / "curve.csv").open() as fh:
+            omegas = [float(row["omega"]) for row in csv.DictReader(fh)]
+        assert len(omegas) == int(flags[1])
+        assert omegas[0] == lo and omegas[-1] == hi and omegas == sorted(omegas)
+
+    # both critical frequencies (0.0239 and 0.0547) lie below 0.06
+    @pytest.mark.parametrize("flags", [
+        ["--mass-ratio", "1.05", "--grid-size", "6", "--omega-max", "0.058"],
+        ["--mass-ratio", "1.5", "--grid-size", "2"]],
+        ids=["window-below-split", "two-nodes"])
+    def test_classify_takes_any_inner_window(self, flags, tmp_path):
+        assert main(["classify", *flags, "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "classification.json").read_text())
+        assert result["count"] == 2
 
 
 class TestMassInputs:

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cqnls import curves, landscape, shooting
@@ -34,18 +34,41 @@ class TestDefaultGrid:
         assert gaps[-1] < gaps[len(gaps) // 2]
 
     @pytest.mark.parametrize("n, lo, hi", [
-        (6, 0.1, 0.15), (2, 0.004, 0.185), (1, 0.004, 0.185), (6, 0.004, 0.05),
-        (6, 0.15, 0.1), (6, 0.0, 0.185), (6, 0.004, OMEGA_MAX), (6, float("nan"), 0.185)],
-        ids=["window-above-split", "two-nodes", "one-node", "window-below-split",
-             "reversed", "zero-min", "max-at-endpoint", "nan-min"])
+        (1, 0.004, 0.185), (6, 0.15, 0.1), (6, 0.0, 0.185), (6, 0.004, OMEGA_MAX),
+        (6, float("nan"), 0.185)],
+        ids=["one-node", "reversed", "zero-min", "max-at-endpoint", "nan-min"])
     def test_rejects_a_grid_that_leaves_its_window(self, n, lo, hi):
-        # the halves meet at 0.06: with the split outside the window, or a
-        # half without a node, nodes fell outside [lo, hi] or hi was ignored
         with pytest.raises(ValueError, match="frequency grid"):
             default_omega_grid(n, lo, hi)
 
+    @pytest.mark.parametrize("n, lo, hi", [
+        (6, 0.1, 0.15), (2, 0.004, 0.185), (6, 0.004, 0.05)],
+        ids=["window-above-split", "two-nodes", "window-below-split"])
+    def test_spans_any_inner_window(self, n, lo, hi):
+        # 0.06 is no node or bound of the grid: a window on either side
+        # of it, or two nodes, is a grid like any other
+        grid = default_omega_grid(n, lo, hi)
+        assert grid.size == n and grid[0] == lo and grid[-1] == hi
+        assert np.all(np.diff(grid) > 0.0)
+
     def test_smallest_grid_spans_its_window(self):
-        assert default_omega_grid(3, 0.01, 0.1).tolist() == [0.01, 0.06, 0.1]
+        assert default_omega_grid(2, 0.01, 0.1).tolist() == [0.01, 0.1]
+        # a middle node halves the window in ln(omega / (3/16 - omega))
+        odds = [omega / (OMEGA_MAX - omega) for omega in default_omega_grid(3, 0.01, 0.1)]
+        assert odds[1] == pytest.approx(math.sqrt(odds[0] * odds[2]), rel=1e-14)
+
+    # the floats resolve no 120 increasing nodes within about 1e-16 of 3/16,
+    # nor between subnormals, so the draws stop short of both
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(n=st.integers(2, 120), ends=st.lists(st.floats(1e-300, OMEGA_MAX - 1e-15),
+                                                 min_size=2, max_size=2))
+    def test_any_window_gives_n_increasing_nodes_from_lo_to_hi(self, n, ends):
+        lo, hi = sorted(ends)
+        assume(hi >= lo * (1.0 + 1e-6))
+        grid = default_omega_grid(n, lo, hi)
+        assert grid.size == n and grid[0] == lo and grid[-1] == hi
+        assert np.all(np.diff(grid) > 0.0)
+        assert np.all((grid > 0.0) & (grid < OMEGA_MAX))
 
 
 class TestUnique:
@@ -453,7 +476,9 @@ class TestInvertBetaSmallScan:
 
     def test_unreachable_beta_tol_raises(self, small_scan, monkeypatch):
         swept = small_scan
-        monkeypatch.setattr(curves, "BETA_TOL", 1e-20)
+        # a negative tolerance is missed by any iterate, even one whose beta
+        # is exactly 1/3, whatever frequencies the search lands on
+        monkeypatch.setattr(curves, "BETA_TOL", -1.0)
         with pytest.raises(ToleranceNotMet, match=r"beta = 0\.3333.* missed by"):
             invert_beta(1.0 / 3.0, swept)
 
