@@ -155,14 +155,22 @@ def default_omega_grid(n: int = 60, lo: float = 0.004, hi: float = 0.185) -> np.
     is omega = (3/16) / (1 + exp(-t)): log-spaced toward both ends of the
     existence window (0, 3/16), where the mass curve steepens.  The first
     node is lo and the last hi, exactly.  Anything but n >= 2 and
-    0 < lo < hi < 3/16 raises ValueError."""
+    0 < lo < hi < 3/16 raises ValueError, and so does a window the floats
+    do not split into n increasing nodes (near 3/16, where the nodes
+    repeat, or from a subnormal lo, where they collapse to 0)."""
     if not (n >= 2 and 0.0 < lo < hi < OMEGA_MAX):
         raise ValueError(f"a frequency grid needs at least 2 nodes and a window with "
                          f"0 < omega_min < omega_max < 3/16, "
                          f"got grid size {n} and window [{lo}, {hi}]")
     t = np.linspace(math.log(lo / (OMEGA_MAX - lo)), math.log(hi / (OMEGA_MAX - hi)), n)
-    grid = OMEGA_MAX / (1.0 + np.exp(-t))
+    # exp(-t) overflows to inf for t below about -709: those nodes read 0
+    # and the check below refuses them
+    with np.errstate(over="ignore"):
+        grid = OMEGA_MAX / (1.0 + np.exp(-t))
     grid[0], grid[-1] = lo, hi
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError(f"the floats resolve no frequency grid of {n} increasing nodes "
+                         f"in the window [{lo}, {hi}]")
     return grid
 
 

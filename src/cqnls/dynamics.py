@@ -6,7 +6,9 @@ Dirichlet conditions at both ends.  Time stepping is Strang splitting
 (Bao-Jin-Markowich): the nonlinearity only rotates the phase of w, so it
 is solved exactly, as cos + i sin of the real angle, and the linear part
 takes a Crank-Nicolson step whose tridiagonal matrix is factored once per
-call: one banded solve per step, in buffers made once per call.  Both
+call, with no row interchange, into unit bidiagonal factors and
+reciprocal pivots: two unit-triangular solves and one product per step,
+in buffers made once per call.  Both
 parts keep sum |w|^2 to rounding, and with it the discrete mass of a
 smooth field.  Times are the initial
 time plus whole steps, and the field is checked for nan and inf at each
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConservationBreach, EigSolverStalled, InnerSolveDiverged, KindMismatch
-from .lapack import dstebz, zgttrf, zgttrs
+from .lapack import dstebz, zgttrf, ztbtrs
 from .profiles import GROUND_STATE, RadialProfile, even_grid
 from .quadrature import simpson_uniform
 from .shooting import ODE_TOLERANCE, solve_ground_state
@@ -142,6 +144,20 @@ def _sponge_profile(grid: np.ndarray) -> np.ndarray:
     return np.clip((grid - start) / (radius - start), 0.0, 1.0) ** 2
 
 
+def _crank_nicolson_matrix(grid: np.ndarray, dt: float,
+                           sponge: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the symmetric tridiagonal M = i/dt + A/2
+    on the interior of ``grid``, A = d_rr + i*gamma with Dirichlet ends
+    and gamma the sponge (or 0): the Crank-Nicolson step
+    (i/dt + A/2) w_next = (i/dt - A/2) w is w_next = (2i/dt) M^-1 w - w."""
+    h = float(grid[1] - grid[0])
+    diag = np.full(grid.size - 2, 1j / dt - 1.0 / (h * h))
+    if sponge:
+        diag += 0.5j * _sponge_profile(grid)[1:-1]
+    off = np.full(grid.size - 3, 0.5 / (h * h), dtype=complex)
+    return diag, off
+
+
 def _phase(w: np.ndarray, inv_r2: np.ndarray, tau: float, scratch: tuple) -> np.ndarray:
     """Exact flow of i w_t + (rho - rho^2) w = 0 over tau, rho = |w/r|^2:
     a rotation that keeps |w| at every node, applied to w in place.
@@ -174,7 +190,13 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     second nonlinear half-step.  The nonlinear half-steps are exact phase
     rotations (``_phase``), and adjacent ones merge into one full phase
     except at ledger samples and at the end of the call.  The linear
-    matrix is the same at every step, so it is factored once per call.
+    matrix M is the same at every step, so it is factored once per call.
+    Its off-diagonal is c = 1/(2h^2) and its diagonal
+    a = -2c + i(1/dt + gamma/2), so |a| > 2c and every pivot of the
+    elimination has |d_k| >= |a| - c^2/|d_(k-1)| > c: LU with partial
+    pivoting (``zgttrf``) exchanges no rows, and M = L diag(d) U with
+    unit bidiagonal L and U.  A step solves with L, multiplies by
+    (2i/dt)/d and solves with U, dividing by no pivot.
     The call takes the whole number of steps nearest to
     (t_end - initial.time)/dt, and raises ValueError when that is none.
     The k-th step ends at ``initial.time + k * dt``; the ledger is appended
@@ -192,22 +214,22 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     if ledger_interval is None:
         ledger_interval = (t_end - initial.time) / 100.0
     grid = initial.grid
-    h = initial.spacing
     inv_r2 = 1.0 / grid[1:-1] ** 2
 
-    # (i/dt + A/2) w_next = (i/dt - A/2) w with A = d_rr + i*gamma on the
-    # interior (Dirichlet at both ends), so w_next = (2i/dt) M^-1 w - w
-    # for the constant tridiagonal M = i/dt + A/2
-    diag = np.full(grid.size - 2, 1j / dt - 1.0 / (h * h))
-    if sponge:
-        diag += 0.5j * _sponge_profile(grid)[1:-1]
-    off = np.full(grid.size - 3, 0.5 / (h * h), dtype=complex)
-    *factors, info = zgttrf(off, diag, off)
+    diag, off = _crank_nicolson_matrix(grid, dt, sponge)
+    lower_factor, pivots, upper_factor, _, _, info = zgttrf(off, diag, off)
     if info != 0:
         raise InnerSolveDiverged(f"singular linear step (zgttrf info={info})")
+    # the unit bidiagonal factors in LAPACK's band layout, in Fortran order
+    # as ztbtrs reads them (its diagonal row is not referenced)
+    lower = np.ones((2, diag.size), dtype=complex, order="F")
+    lower[1, :-1] = lower_factor
+    upper = np.ones((2, diag.size), dtype=complex, order="F")
+    upper[0, 1:] = upper_factor / pivots[:-1]
+    scale = (2j / dt) / pivots
 
     # the field, the phase's scratch and the solve's right-hand side are
-    # buffers reused by every step; zgttrs overwrites the right-hand side
+    # buffers reused by every step; ztbtrs overwrites the right-hand side
     w = initial.field[1:-1].copy()
     scratch = (np.empty(w.size), np.empty(w.size), np.empty_like(w))
     rhs = np.empty_like(w)
@@ -226,9 +248,10 @@ def evolve(initial: EvolutionState, t_end: float, dt: float,
     for step in range(1, steps + 1):
         _phase(w, inv_r2, opening, scratch)
         np.copyto(rhs, w)
-        solved = zgttrs(*factors, rhs, b"N", 1)[0]
-        np.multiply(2j / dt, solved, out=solved)
-        np.subtract(solved, w, out=w)
+        ztbtrs(lower, rhs, b"L", b"N", b"U", 1)
+        np.multiply(rhs, scale, out=rhs)
+        ztbtrs(upper, rhs, b"U", b"N", b"U", 1)
+        np.subtract(rhs, w, out=w)
         time = t0 + step * dt
         sample = (time >= t0 + samples * ledger_interval - 1e-12
                   or time >= t_end - 1e-12)

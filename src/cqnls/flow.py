@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlowDiverged
-from .lapack import dgbsv
+from .lapack import dpbsv
 from .profiles import even_grid
 from .quadrature import simpson_uniform
 
@@ -63,18 +63,21 @@ def _apply_banded(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _solve_shifted(lap: np.ndarray, shift: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (lap + diag(shift)) x = rhs for ``lap`` in banded form.
 
-    The arguments ``solve_banded((2, 2), ...)`` passes to gbsv: its layout
-    adds two rows above the bands for the fill-in of the pivoted LU, and in
-    Fortran order LAPACK factors the array in place.  A singular matrix
-    raises FlowDiverged; a non-finite one is left to the caller's check of
-    the solution.
+    The matrix is symmetric positive definite whenever the shift is
+    positive: on the odd extension the fourth-order stencil has the symbol
+    4 (1 - cos theta)(7 - cos theta) / (12 h^2) >= 0, and the flow's shift
+    1/TIME_STEP + u^4 - u^2 is at least 1/4.  So it is solved by banded
+    Cholesky, pbsv, on its lower half, which is ``lap``'s last three rows
+    in LAPACK's layout: the arguments ``solveh_banded(..., lower=True)``
+    passes, in Fortran order so that LAPACK factors the array in place.
+    A matrix that is not positive definite raises FlowDiverged; a
+    non-finite one is left to the caller's check of the solution.
     """
-    ab = np.zeros((7, lap.shape[1]), order="F")
-    ab[2:] = lap
-    ab[4] += shift
-    *_, x, info = dgbsv(2, 2, ab, rhs, overwrite_ab=True)
+    ab = np.array(lap[2:], order="F")
+    ab[0] += shift
+    *_, x, info = dpbsv(ab, rhs, lower=1, overwrite_ab=1)
     if info != 0:
-        raise FlowDiverged(f"singular flow step (dgbsv info={info})")
+        raise FlowDiverged(f"singular flow step (dpbsv info={info})")
     return x
 
 

@@ -7,7 +7,9 @@ of scipy's linear algebra (about 0.3 s) where the extension itself loads
 in milliseconds.  The module is registered under its own name, so a later
 ``import scipy.linalg`` reuses it, and the routines are the very objects
 ``scipy.linalg.lapack`` hands out.  Each returns LAPACK's ``info`` and
-checks no input for nan or inf: the callers test both.
+checks no input for nan or inf: the callers test both.  ``ztbtrs`` on a
+unit diagonal, as ``dynamics.evolve`` calls it, has no singular case and
+always returns 0: the pivots it was built from passed ``zgttrf``'s check.
 """
 
 import importlib.machinery
@@ -32,11 +34,13 @@ def _load():
 
 
 _flapack = _load()
-#: LU factors of a complex tridiagonal matrix, and solves with them
-zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
+#: LU factors of a complex tridiagonal matrix
+zgttrf = _flapack.zgttrf
+#: solve of a complex triangular banded system
+ztbtrs = _flapack.ztbtrs
 #: eigenvalues of a real symmetric tridiagonal matrix by bisection
 dstebz = _flapack.dstebz
-#: solve of a real banded system by LU with partial pivoting
-dgbsv = _flapack.dgbsv
+#: solve of a real symmetric positive definite banded system by Cholesky
+dpbsv = _flapack.dpbsv
 #: solve of a real tridiagonal system by LU with partial pivoting
 dgtsv = _flapack.dgtsv

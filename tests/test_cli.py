@@ -19,7 +19,7 @@ from cqnls.cli import (_COMMANDS, ENV_OUT_DIR, _attach_negative_values, _config_
                        _with_config, build_parser, main)
 from cqnls.errors import DomainTooSmall
 from cqnls.functionals import evaluate
-from cqnls.profiles import GROUND_STATE, RadialProfile
+from cqnls.profiles import GROUND_STATE, OMEGA_MAX, RadialProfile
 
 
 @pytest.fixture
@@ -251,6 +251,17 @@ class TestGridInputs:
         assert solves == []
         assert not (tmp_path / "curve.csv").exists()
         assert not (tmp_path / "classification.json").exists()
+
+    def test_window_the_floats_do_not_split_exits_3_before_any_solve(self, tmp_path,
+                                                                       solves, capsys):
+        # 60 nodes up to the last float below 3/16 repeat near the top: scan
+        # wrote fewer rows than --grid-size
+        top = repr(math.nextafter(OMEGA_MAX, 0.0))
+        code = main(["scan", "--grid-size", "60", "--omega-max", top, "--out", str(tmp_path)])
+        assert code == 3
+        assert "no frequency grid of 60 increasing nodes" in capsys.readouterr().err
+        assert solves == []
+        assert not (tmp_path / "curve.csv").exists()
 
     # 0.06 is no node or bound of the grid, so all four grid commands take these
     @pytest.mark.parametrize("flags, lo, hi", [

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqnls import curves, landscape, shooting
@@ -33,10 +33,15 @@ class TestDefaultGrid:
         assert gaps[0] < gaps[len(gaps) // 2]
         assert gaps[-1] < gaps[len(gaps) // 2]
 
+    # the floats split no window into 60 increasing nodes up to the last
+    # float below 3/16 (nodes repeat) or from a subnormal lo (exp(-t)
+    # overflows and the nodes fall to 0, below the window)
     @pytest.mark.parametrize("n, lo, hi", [
         (1, 0.004, 0.185), (6, 0.15, 0.1), (6, 0.0, 0.185), (6, 0.004, OMEGA_MAX),
-        (6, float("nan"), 0.185)],
-        ids=["one-node", "reversed", "zero-min", "max-at-endpoint", "nan-min"])
+        (6, float("nan"), 0.185), (60, 0.004, math.nextafter(OMEGA_MAX, 0.0)),
+        (60, 5e-324, 0.1)],
+        ids=["one-node", "reversed", "zero-min", "max-at-endpoint", "nan-min",
+             "last-float-below-max", "subnormal-min"])
     def test_rejects_a_grid_that_leaves_its_window(self, n, lo, hi):
         with pytest.raises(ValueError, match="frequency grid"):
             default_omega_grid(n, lo, hi)
@@ -57,15 +62,21 @@ class TestDefaultGrid:
         odds = [omega / (OMEGA_MAX - omega) for omega in default_omega_grid(3, 0.01, 0.1)]
         assert odds[1] == pytest.approx(math.sqrt(odds[0] * odds[2]), rel=1e-14)
 
-    # the floats resolve no 120 increasing nodes within about 1e-16 of 3/16,
-    # nor between subnormals, so the draws stop short of both
+    # the whole open window: either n increasing nodes from lo to hi, or a
+    # ValueError where the floats cannot split it, which is only with hi
+    # within 1e-15 of 3/16, lo below 1e-300 or hi - lo below 1e-6 lo
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(n=st.integers(2, 120), ends=st.lists(st.floats(1e-300, OMEGA_MAX - 1e-15),
-                                                 min_size=2, max_size=2))
+    @given(n=st.integers(2, 120),
+           ends=st.lists(st.floats(5e-324, math.nextafter(OMEGA_MAX, 0.0)),
+                         min_size=2, max_size=2))
     def test_any_window_gives_n_increasing_nodes_from_lo_to_hi(self, n, ends):
         lo, hi = sorted(ends)
-        assume(hi >= lo * (1.0 + 1e-6))
-        grid = default_omega_grid(n, lo, hi)
+        resolved = 1e-300 <= lo and hi <= OMEGA_MAX - 1e-15 and hi >= lo * (1.0 + 1e-6)
+        try:
+            grid = default_omega_grid(n, lo, hi)
+        except ValueError:
+            assert not resolved
+            return
         assert grid.size == n and grid[0] == lo and grid[-1] == hi
         assert np.all(np.diff(grid) > 0.0)
         assert np.all((grid > 0.0) & (grid < OMEGA_MAX))

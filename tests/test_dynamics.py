@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrs
 
 from cqnls import dynamics
 from cqnls.dynamics import (EMPIRICALLY_STABLE, EMPIRICALLY_UNSTABLE, INCONCLUSIVE,
@@ -14,7 +16,7 @@ from cqnls.dynamics import (EMPIRICALLY_STABLE, EMPIRICALLY_UNSTABLE, INCONCLUSI
 from cqnls.errors import (ConservationBreach, EigSolverStalled, InnerSolveDiverged,
                           KindMismatch)
 from cqnls.geometry import random_test_functions
-from cqnls.lapack import zgttrf, zgttrs
+from cqnls.lapack import zgttrf, ztbtrs
 from cqnls.shooting import ODE_TOLERANCE, solve_ground_state
 
 
@@ -102,17 +104,18 @@ class TestEvolve:
 
     def test_nan_mid_run_is_caught_by_the_next_sample(self, base_state, monkeypatch):
         # the field is checked at samples only: a nan from the seventh
-        # linear solve (t = 0.14) must surface by the sample at t = 0.2
+        # step's linear solve (t = 0.14), its second triangular solve,
+        # must surface by the sample at t = 0.2
         calls = []
-        real_solve = dynamics.zgttrs
+        real_solve = dynamics.ztbtrs
 
         def spoiled(*args):
             calls.append(1)
             out = real_solve(*args)
-            if len(calls) == 7:
+            if len(calls) == 14:
                 out[0][100] = np.nan
             return out
-        monkeypatch.setattr(dynamics, "zgttrs", spoiled)
+        monkeypatch.setattr(dynamics, "ztbtrs", spoiled)
         with pytest.raises(InnerSolveDiverged, match="non-finite") as raised:
             evolve(base_state, 1.0, 0.02, ledger_interval=0.2)
         reported = float(str(raised.value).rpartition("t=")[2])
@@ -197,22 +200,45 @@ def _unbuffered_phase(w, inv_r2, tau):
     return w * rotation
 
 
-def _unbuffered_sponge_run(initial, steps, dt, sample_every):
-    """The field after ``steps`` sponged steps of the step loop written
-    with fresh arrays at every step, the half-phases closed every
-    ``sample_every`` steps and at the end."""
-    grid, h = initial.grid, initial.spacing
-    inv_r2 = 1.0 / grid[1:-1] ** 2
-    diag = np.full(grid.size - 2, 1j / dt - 1.0 / (h * h))
-    diag += 0.5j * dynamics._sponge_profile(grid)[1:-1]
-    off = np.full(grid.size - 3, 0.5 / (h * h), dtype=complex)
+def _unit_solves(diag, off, dt):
+    """(2i/dt) M^-1 as the step loop applies it, for the tridiagonal M
+    with ``diag`` and ``off``: a unit lower solve, the reciprocal pivots
+    times 2i/dt and a unit upper solve, on fresh arrays."""
+    dl, d, du, _, _, info = zgttrf(off, diag, off)
+    assert info == 0
+    lower = np.ones((2, d.size), dtype=complex)
+    lower[1, :-1] = dl
+    upper = np.ones((2, d.size), dtype=complex)
+    upper[0, 1:] = du / d[:-1]
+    scale = (2j / dt) / d
+
+    def solve(w):
+        y = ztbtrs(lower, w, uplo="L", diag="U")[0]
+        return ztbtrs(upper, y * scale, uplo="U", diag="U")[0]
+    return solve
+
+
+def _pivoted_solve(diag, off, dt):
+    """(2i/dt) M^-1 by LAPACK's general tridiagonal solve, zgttrs, which
+    divides by the pivots."""
     *factors, info = zgttrf(off, diag, off)
     assert info == 0
+    return lambda w: (2j / dt) * zgttrs(*factors, w)[0]
+
+
+def _unbuffered_sponge_run(initial, steps, dt, sample_every, linear=_unit_solves):
+    """The field after ``steps`` sponged steps of the step loop written
+    with fresh arrays at every step, the half-phases closed every
+    ``sample_every`` steps and at the end; ``linear`` makes (2i/dt) M^-1
+    from M's diagonals and dt."""
+    grid = initial.grid
+    inv_r2 = 1.0 / grid[1:-1] ** 2
+    solve = linear(*dynamics._crank_nicolson_matrix(grid, dt, True), dt)
     w = initial.field[1:-1]
     opening = 0.5 * dt
     for step in range(1, steps + 1):
         w = _unbuffered_phase(w, inv_r2, opening)
-        w = (2j / dt) * zgttrs(*factors, w)[0] - w
+        w = solve(w) - w
         if step % sample_every and step != steps:
             opening = dt
             continue
@@ -230,6 +256,52 @@ def test_buffered_loop_is_bit_identical(ground_009):
     assert len(out.ledger) == 6
     assert np.array_equal(out.field, _unbuffered_sponge_run(state, 250, 0.02, 50))
     assert np.array_equal(state.field, before)
+
+
+# the Crank-Nicolson systems of any grid and step: n interior nodes at
+# spacing h, with the sponge on or off
+_CN_SYSTEMS = dict(n=st.integers(3, 400), h=st.floats(0.005, 0.2),
+                   dt=st.floats(1e-4, 1.0), sponge=st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(**_CN_SYSTEMS)
+def test_crank_nicolson_matrix_factors_without_row_interchanges(n, h, dt, sponge):
+    # |diag| > 2|off| keeps every pivot above |off|, so zgttrf exchanges no
+    # rows: M = L diag(d) U with L's band dl and U's du/d, as evolve reads it
+    diag, off = dynamics._crank_nicolson_matrix(h * np.arange(n + 2), dt, sponge)
+    _, _, du, du2, ipiv, info = zgttrf(off, diag, off)
+    assert info == 0
+    assert np.array_equal(ipiv, np.arange(1, n + 1))
+    assert np.array_equal(du2, np.zeros(n - 2))
+    assert np.array_equal(du, off)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_CN_SYSTEMS, seed=st.integers(0, 2**32 - 1))
+def test_one_linear_step_is_the_banded_solve(n, h, dt, sponge, seed):
+    # the step loop's solve, which test_buffered_loop_is_bit_identical ties
+    # to evolve bit for bit
+    diag, off = dynamics._crank_nicolson_matrix(h * np.arange(n + 2), dt, sponge)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ab = np.array([np.r_[0.0, off], diag, np.r_[off, 0.0]])
+    expected = (2j / dt) * solve_banded((1, 1), ab, w)
+    got = _unit_solves(diag, off, dt)(w)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_experiment_run_agrees_with_the_pivoted_solve():
+    # the 5000 sponged steps of the stability experiment at omega = 0.073,
+    # on its grid and with its 50 samples, against the same loop dividing
+    # by the pivots
+    profile = solve_ground_state(0.073)
+    state = soliton_state(profile, radius=2.4 * profile.truncation_radius,
+                          spacing=0.03, perturbation=0.01)
+    out = evolve(state, 100.0, 0.02, sponge=True, ledger_interval=2.0)
+    assert len(out.ledger) == 51
+    expected = _unbuffered_sponge_run(state, 5000, 0.02, 100, linear=_pivoted_solve)
+    assert np.max(np.abs(out.field - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def _one_member(values, grid, omega=0.09):

@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqnls import flow
 from cqnls.errors import FlowDiverged
-from cqnls.flow import (_apply_banded, _derivative, _multiplier, laplacian_banded,
-                        mass_projected_flow)
+from cqnls.flow import (TIME_STEP, _apply_banded, _derivative, _multiplier, _solve_shifted,
+                        laplacian_banded, mass_projected_flow)
 from cqnls.functionals import evaluate
 from cqnls.landscape import certify_e_min_by_flow
 from cqnls.shooting import solve_cubic_reference, solve_ground_state
@@ -39,6 +41,21 @@ class TestLaplacianBanded:
         ab = laplacian_banded(n, h)
         err = np.max(np.abs(_apply_banded(ab, w) - exact)[: n // 2])
         assert err < 1e-7  # fourth order at h = 0.01
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(3, 400), h=st.floats(0.005, 0.2), scale=st.floats(1e-3, 1e3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_flow_step_matrix_is_positive_definite(self, n, h, scale, seed):
+        # on the odd extension the stencil's symbol
+        # 4 (1 - cos t)(7 - cos t) / (12 h^2) is nonnegative, and
+        # 1/TIME_STEP + u^4 - u^2 >= 1/4 for every real u: banded Cholesky
+        # takes any step matrix, u^2 = 1/2 (the least shift) among them
+        rng = np.random.default_rng(seed)
+        u = scale * rng.standard_normal(n)
+        u[rng.integers(n)] = math.sqrt(0.5)
+        shift = 1.0 / TIME_STEP + (u**4 - u**2)
+        x = _solve_shifted(laplacian_banded(n, h), shift, rng.standard_normal(n))
+        assert np.all(np.isfinite(x))
 
 
 def test_derivative_matches_loop_reference():
@@ -92,9 +109,9 @@ class TestFlowConvergence:
     def test_a_failed_step_diverges(self, monkeypatch, info, solution, message):
         # a singular step matrix, or one whose solve is not finite, ends the
         # flow with its own error, not a LAPACK or input-check one
-        def fails(kl, ku, ab, b, overwrite_ab):
-            return ab, None, np.full_like(b, solution), info
-        monkeypatch.setattr(flow, "dgbsv", fails)
+        def fails(ab, b, lower, overwrite_ab):
+            return ab, np.full_like(b, solution), info
+        monkeypatch.setattr(flow, "dpbsv", fails)
         with pytest.raises(FlowDiverged, match=message):
             mass_projected_flow(300.0)
 

@@ -2,15 +2,16 @@
 
 ``cqnls.lapack`` loads scipy's compiled LAPACK wrappers without importing
 ``scipy.linalg``; the flow, the L+ solves of the curves and the spectra
-pass them the very arguments ``solve_banded`` and ``eigh_tridiagonal``
-would, so the results must be the same arrays bit for bit.
+pass them the very arguments ``solveh_banded``, ``solve_banded`` and
+``eigh_tridiagonal`` would, so the results must be the same arrays bit
+for bit.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal, solve_banded, solveh_banded
 
 from cqnls.curves import _solve_tridiagonal
 from cqnls.dynamics import _lowest_eigenvalues
@@ -19,18 +20,21 @@ from cqnls.flow import _solve_shifted
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(3, 60), seed=st.integers(0, 2**32 - 1))
-def test_flow_step_matches_solve_banded(n, seed):
-    # diagonally dominant pentadiagonal systems, as the flow's step matrix
-    # (a positive Laplacian plus 1/TIME_STEP and a bounded potential) is
+def test_flow_step_matches_solveh_banded(n, seed):
+    # symmetric, diagonally dominant pentadiagonal systems with a positive
+    # diagonal, as the flow's step matrix (a positive semidefinite
+    # Laplacian plus a shift of at least 1/4) is
     rng = np.random.default_rng(seed)
-    lap = rng.uniform(-1.0, 1.0, (5, n))
+    lap = np.zeros((5, n))
+    lap[3, :-1] = lap[1, 1:] = rng.uniform(-1.0, 1.0, n - 1)
+    lap[4, :-2] = lap[0, 2:] = rng.uniform(-1.0, 1.0, n - 2)
     lap[2] = np.abs(lap).sum(axis=0) + rng.uniform(0.1, 2.0, n)
     shift = rng.uniform(-0.05, 0.05, n)
     rhs = rng.standard_normal(n)
     shifted = lap.copy()
     shifted[2] += shift
     assert np.array_equal(_solve_shifted(lap, shift, rhs),
-                          solve_banded((2, 2), shifted, rhs))
+                          solveh_banded(shifted[2:], rhs, lower=True))
 
 
 @settings(max_examples=100, deadline=None)

@@ -122,5 +122,5 @@ def test_scipy_linalg_reuses_the_loaded_wrappers():
     code = ("from cqnls import lapack\nimport scipy.linalg.lapack as scipy_lapack\n"
             "print(scipy_lapack._flapack is lapack._flapack and all(\n"
             "    getattr(lapack, name) is getattr(scipy_lapack, name)\n"
-            "    for name in ('zgttrf', 'zgttrs', 'dstebz', 'dgbsv', 'dgtsv')))")
+            "    for name in ('zgttrf', 'ztbtrs', 'dstebz', 'dpbsv', 'dgtsv')))")
     assert _run(code) == "True"
